@@ -98,11 +98,16 @@ class ForwardMapOutput:
     ``h`` carries sqrt(control energy) for regularized problems and is None
     otherwise.  ``failed`` flags members whose forward evaluation blew up;
     such members are frozen by the update and carry :data:`PENALTY_LOSS`.
+
+    One member's output has ``g`` of shape ``(d,)`` and scalar ``h`` and
+    ``failed``; a batched forward map returns ``g`` ``(J, d)`` with ``h``
+    and ``failed`` of shape ``(J,)``.  The update functions take a list of
+    single-member outputs.
     """
 
     g: np.ndarray
-    h: float | None = None
-    failed: bool = False
+    h: float | np.ndarray | None = None
+    failed: bool | np.ndarray = False
 
     def __post_init__(self):
         self.g = np.atleast_1d(np.asarray(self.g, dtype=float))
@@ -110,7 +115,7 @@ class ForwardMapOutput:
     def stacked(self) -> np.ndarray:
         if self.h is None:
             return self.g
-        return np.concatenate([self.g, [self.h]])
+        return np.concatenate([self.g, np.asarray(self.h)[..., None]], axis=-1)
 
 
 @dataclass(frozen=True)

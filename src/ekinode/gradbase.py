@@ -16,7 +16,7 @@ import numpy as np
 
 from . import nnet
 from .ode import IntegrationError, IntegratorConfig
-from .problems import ControlProblem, SysIdProblem
+from .problems import ControlProblem, SysIdProblem, control_stage_grid, control_states
 
 __all__ = [
     "AdamState",
@@ -263,34 +263,14 @@ def _record_control(
 ) -> Tape:
     layers = nnet.unflatten(prob.controller, theta)
     act = prob.controller.activation
-    n_steps, h = _substeps(0.0, prob.t_final, unfold.dt)
-    if unfold.method == "rk4":
-        # Stage grid: step starts, midpoints, and the final time.
-        stage_times = np.empty(2 * n_steps + 1)
-        stage_times[0::2] = h * np.arange(n_steps + 1)
-        stage_times[1::2] = h * np.arange(n_steps) + 0.5 * h
-    else:
-        stage_times = h * np.arange(n_steps + 1)
+    stage_times, h, n_steps = control_stage_grid(prob, unfold)
     with np.errstate(over="ignore", invalid="ignore"):
         u_stage, stage_caches = _net_forward(layers, act, stage_times[:, None])
         u_stage = u_stage[:, 0]
         quad_grid = prob.quadrature_grid()
         u_quad, quad_caches = _net_forward(layers, act, quad_grid[:, None])
         u_quad = u_quad[:, 0]
-        a, b = prob.a, prob.b
-        x = float(prob.x0)
-        xs = [x]
-        for k in range(n_steps):
-            if unfold.method == "rk4":
-                u1, u2, u3 = u_stage[2 * k], u_stage[2 * k + 1], u_stage[2 * k + 2]
-                k1 = a * x + b * u1
-                k2 = a * (x + 0.5 * h * k1) + b * u2
-                k3 = a * (x + 0.5 * h * k2) + b * u2
-                k4 = a * (x + h * k3) + b * u3
-                x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            else:
-                x = x + h * (a * x + b * u_stage[k])
-            xs.append(x)
+        x = float(control_states(u_stage, prob, h, unfold.method)[-1])
     if not np.isfinite(x) or not np.all(np.isfinite(u_quad)):
         raise IntegrationError(f"non-finite state at unfold step {n_steps}", t=prob.t_final)
     energy = float(np.trapezoid(u_quad * u_quad, quad_grid))

@@ -75,19 +75,26 @@ def unflatten(spec: MlpSpec, theta: np.ndarray) -> list[tuple[np.ndarray, np.nda
     Layout, fixed for serialization portability: for each layer in order,
     the weight matrix of shape (out, in) flattened row-major, then the bias
     vector.  The returned arrays are views into ``theta``.
+
+    A ``(J, N)`` member matrix gives stacked layers instead: W of shape
+    ``(J, out, in)`` and b of shape ``(J, 1, out)``, still views, so that
+    :func:`mlp_apply` evaluates every member on its own ``(J, rows, in)``
+    slice in one call.
     """
     theta = np.asarray(theta, dtype=float)
-    if theta.ndim != 1 or theta.size != param_count(spec):
+    if theta.ndim not in (1, 2) or theta.shape[-1] != param_count(spec):
         raise ValueError(
-            f"parameter vector has length {theta.size}, spec needs {param_count(spec)}"
+            f"parameter array has shape {theta.shape}, spec needs ({param_count(spec)},)"
+            f" or (J, {param_count(spec)})"
         )
+    lead = theta.shape[:-1]
     layers = []
     k = 0
     for (w_shape, b_len) in layer_shapes(spec):
         w_size = w_shape[0] * w_shape[1]
-        w = theta[k : k + w_size].reshape(w_shape)
+        w = theta[..., k : k + w_size].reshape(lead + w_shape)
         k += w_size
-        b = theta[k : k + b_len]
+        b = theta[..., k : k + b_len].reshape(lead + (1,) * len(lead) + (b_len,))
         k += b_len
         layers.append((w, b))
     return layers
@@ -132,11 +139,16 @@ def _activate(z: np.ndarray, activation: str) -> np.ndarray:
 def mlp_apply(
     layers: list[tuple[np.ndarray, np.ndarray]], x: np.ndarray, activation: str
 ) -> np.ndarray:
-    """Forward pass given pre-split (W, b) pairs; hot path for integrators."""
+    """Forward pass given pre-split (W, b) pairs; hot path for integrators.
+
+    ``x`` holds one input per row in its last axis.  With stacked layers
+    from a member matrix, ``x`` is ``(J, rows, in)`` (or broadcasts to it)
+    and row block j goes through member j's weights.
+    """
     h = x
     last = len(layers) - 1
     for i, (w, b) in enumerate(layers):
-        h = w @ h + b
+        h = h @ w.mT + b
         if i != last:
             h = _activate(h, activation)
     return h

@@ -4,7 +4,13 @@ adaptive Dormand-Prince 5(4) pair with FSAL.
 A vector field is any callable ``field(x, t) -> dx/dt`` with fixed state
 dimension.  :func:`integrate` samples the solution exactly at the requested
 times: adaptive steps are clipped to land on them, fixed-step methods
-subdivide each inter-sample interval into equal steps.
+subdivide each inter-sample interval into equal steps.  It is the scalar
+reference path: one trajectory of one field per call.
+
+:func:`integrate_lockstep` is the batched fixed-step core.  It advances a
+``(members, trajectories, state)`` array of autonomous fields in lockstep
+with the same step arithmetic, and reports divergence as a per-member mask
+instead of raising.
 """
 
 from __future__ import annotations
@@ -22,7 +28,7 @@ __all__ = [
     "rk4_step",
     "dopri_step",
     "integrate",
-    "trajectory_to_csv",
+    "integrate_lockstep",
 ]
 
 VectorField = Callable[[np.ndarray, float], np.ndarray]
@@ -275,11 +281,73 @@ def _integrate_loop(field, x0, times, config, states) -> Trajectory:
     return Trajectory(times=times.copy(), states=states)
 
 
-def trajectory_to_csv(traj: Trajectory, path) -> None:
-    """Write ``t,x1,...,xn`` rows with 17 significant digits."""
-    n = traj.states.shape[1]
-    header = "t," + ",".join(f"x{i + 1}" for i in range(n))
-    with open(path, "w") as fh:
-        fh.write(header + "\n")
-        for t, row in zip(traj.times, traj.states):
-            fh.write(",".join(f"{v:.17g}" for v in (t, *row)) + "\n")
+def integrate_lockstep(field, x0: np.ndarray, times: np.ndarray, config: IntegratorConfig):
+    """Fixed-step (euler/rk4) integration of J autonomous fields over B
+    trajectories each, all advanced in lockstep.
+
+    ``field(x)`` maps states ``(J, B, n)`` to their derivatives, member j's
+    field acting on ``x[j]``.  ``x0`` is ``(J, B, n)``; row b is sampled at
+    ``times[b]``, a ``(B, K+1)`` array strictly increasing along each row.
+    Every row subdivides each of its intervals exactly as :func:`integrate`
+    does, so rows may differ in step length and substep count.
+
+    Returns ``(states, failed)``: states ``(J, B, K+1, n)`` and a ``(J,)``
+    mask.  Member j is flagged exactly when :func:`integrate` would raise
+    for one of its rows: a non-finite state, a state component beyond
+    ``divergence_limit`` after any step, or more than ``max_steps`` steps.
+    States of flagged members are meaningless.
+    """
+    if config.method not in ("euler", "rk4"):
+        raise ValueError(f"lockstep integration needs euler or rk4, got {config.method!r}")
+    times = np.asarray(times, dtype=float)
+    if times.ndim != 2 or times.shape[1] == 0:
+        raise ValueError("times must be a nonempty (trajectories, samples) array")
+    spans = np.diff(times, axis=1)
+    if np.any(spans <= 0):
+        raise ValueError("times must be strictly increasing")
+    x = np.asarray(x0, dtype=float)
+    J, B, n = x.shape
+    states = np.empty((J, B, times.shape[1], n))
+    states[:, :, 0] = x
+    n_sub = np.maximum(1, np.ceil(spans / config.dt - 1e-9).astype(int))
+    if np.any(n_sub.sum(axis=1) > config.max_steps):
+        # Step counts depend on the grid alone, so every member fails.
+        return states, np.ones(J, dtype=bool)
+    h = spans / n_sub
+    # Per interval: its step as a Python float when every row shares it (the
+    # same arithmetic in fewer array operations), and the fewest and the
+    # most substeps of any row.
+    shared = np.all(h == h[:1], axis=0).tolist()
+    fewest, most = n_sub.min(axis=0).tolist(), n_sub.max(axis=0).tolist()
+    step = _lockstep_euler if config.method == "euler" else _lockstep_rk4
+    failed = np.zeros(J, dtype=bool)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(spans.shape[1]):
+            hk = float(h[0, k]) if shared[k] else h[:, k, None]
+            for s in range(most[k]):
+                x_new = step(field, x, hk)
+                # Rows already through their substeps keep their state.
+                x = x_new if s < fewest[k] else np.where((s < n_sub[:, k])[:, None], x_new, x)
+                if s < most[k] - 1:
+                    failed |= _out_of_bounds(x, config.divergence_limit, axis=(1, 2))
+            states[:, :, k + 1] = x
+        # Each interval's last substep lands in ``states``: check them at once.
+        failed |= _out_of_bounds(states[:, :, 1:], config.divergence_limit, axis=(1, 2, 3))
+    return states, failed
+
+
+def _out_of_bounds(x, limit, axis):
+    # NaN compares false, so this flags non-finite and oversized states alike.
+    return ~np.all(np.abs(x) <= limit, axis=axis)
+
+
+def _lockstep_euler(field, x, h):
+    return x + h * field(x)
+
+
+def _lockstep_rk4(field, x, h):
+    k1 = field(x)
+    k2 = field(x + 0.5 * h * k1)
+    k3 = field(x + 0.5 * h * k2)
+    k4 = field(x + h * k3)
+    return x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)

@@ -10,7 +10,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import nnet, ode
-from .eki import ForwardMapOutput
+from .eki import PENALTY_LOSS, ForwardMapOutput
 from .nnet import MlpSpec
 from .ode import IntegrationError, IntegratorConfig, Trajectory, integrate
 
@@ -28,6 +28,7 @@ __all__ = [
     "make_control_problem",
     "sysid_trajectory",
     "sysid_forward_map",
+    "sysid_loss",
     "mse",
     "test_mse",
     "mse_from_states",
@@ -37,14 +38,21 @@ __all__ = [
     "control_energy",
     "control_forward_map",
     "control_loss",
+    "control_stage_grid",
+    "control_states",
+    "control_trajectory",
     "controller_values",
     "DATA_INTEGRATOR",
+    "GRID_SIZES",
 ]
 
 # Reference trajectories ("discretized solutions") are generated once per
 # problem with a tight adaptive tolerance so that data error is negligible
 # against the training-error scales under study.
 DATA_INTEGRATOR = IntegratorConfig(method="dopri5", rtol=1e-9, atol=1e-12)
+
+# Default reference-grid sizes of the identification benchmarks.
+GRID_SIZES = {"spiral": 500, "pendulum": 200}
 
 
 def spiral_field(x: np.ndarray, t: float = 0.0) -> np.ndarray:
@@ -181,7 +189,7 @@ def _reference_grid(field, x0, t_final, grid_size):
 
 def make_spiral_problem(
     data_rng: np.random.Generator,
-    grid_size: int = 500,
+    grid_size: int = GRID_SIZES["spiral"],
     t_final: float = 40.0,
     num_subsets: int = 10,
     subset_length: int = 10,
@@ -203,7 +211,7 @@ def make_spiral_problem(
 
 def make_pendulum_problem(
     data_rng: np.random.Generator,
-    grid_size: int = 200,
+    grid_size: int = GRID_SIZES["pendulum"],
     t_final: float = 20.0,
     num_subsets: int = 10,
     subset_length: int = 10,
@@ -229,42 +237,90 @@ def make_pendulum_problem(
     return SysIdProblem("pendulum", field, x0, t_final, obs, net, integrator, assembly)
 
 
-def _net_field(prob: SysIdProblem, theta: np.ndarray) -> ode.VectorField:
-    layers = nnet.unflatten(prob.net, theta)
+def _integrate_each(fields, x0: np.ndarray, times: np.ndarray, config: IntegratorConfig):
+    """Per-member, per-trajectory :func:`ode.integrate`, shaped like
+    :func:`ode.integrate_lockstep`'s result.  This is the dopri5 path: its
+    adaptive steps differ between members, so they cannot run in lockstep."""
+    states = np.zeros((len(fields),) + times.shape + x0.shape[-1:])
+    failed = np.zeros(len(fields), dtype=bool)
+    for j, field in enumerate(fields):
+        try:
+            for b in range(times.shape[0]):
+                states[j, b] = integrate(field, x0[b], times[b], config).states
+        except IntegrationError:
+            failed[j] = True
+    return states, failed
+
+
+def _net_states(theta: np.ndarray, prob: SysIdProblem, x0: np.ndarray, times: np.ndarray):
+    """States ``(J, B, K+1, n)`` of every member's network field from the
+    starts ``x0`` ``(B, n)`` over the rows of ``times`` ``(B, K+1)``, plus
+    the ``(J,)`` failed mask.  ``theta`` is a ``(J, N)`` member matrix."""
     act = prob.net.activation
-    return lambda x, t: nnet.mlp_apply(layers, x, act)
+    if prob.integrator.method == "dopri5":
+        fields = []
+        for member in theta:
+            layers = nnet.unflatten(prob.net, member)
+            fields.append(lambda x, t, layers=layers: nnet.mlp_apply(layers, x, act))
+        return _integrate_each(fields, x0, times, prob.integrator)
+    layers = nnet.unflatten(prob.net, theta)
+    x0 = np.broadcast_to(x0, (theta.shape[0],) + x0.shape)
+    return ode.integrate_lockstep(
+        lambda x: nnet.mlp_apply(layers, x, act), x0, times, prob.integrator
+    )
 
 
 def sysid_trajectory(theta: np.ndarray, prob: SysIdProblem) -> Trajectory:
     """Integrate the candidate field from the known x0 over the full
-    reference grid (single full-horizon trajectory)."""
-    return integrate(_net_field(prob, theta), prob.x0, prob.observations.grid_times, prob.integrator)
+    reference grid (single full-horizon trajectory).  Raises
+    IntegrationError on a divergent candidate."""
+    grid = prob.observations.grid_times
+    x0 = np.asarray(prob.x0, dtype=float)[None]
+    states, failed = _net_states(np.asarray(theta, dtype=float)[None], prob, x0, grid[None])
+    if failed[0]:
+        raise IntegrationError("candidate field diverged on the reference grid")
+    return Trajectory(times=grid.copy(), states=states[0, 0])
 
 
-def _shooting_predictions(theta: np.ndarray, prob: SysIdProblem) -> np.ndarray:
+def _predictions(theta: np.ndarray, prob: SysIdProblem):
+    """Predicted states at the observation times under the problem's assembly
+    mode, ``(J, M, n)``, and the ``(J,)`` failed mask."""
     obs = prob.observations
-    field = _net_field(prob, theta)
-    L = obs.subset_length
-    out = np.empty((obs.train_indices.size, np.asarray(prob.x0).size))
-    for s in range(obs.num_subsets):
-        seg = obs.train_indices[s * L:(s + 1) * L]
-        traj = integrate(field, obs.grid_states[seg[0]], obs.grid_times[seg], prob.integrator)
-        out[s * L:(s + 1) * L] = traj.states
-    return out
+    if prob.assembly == "shooting":
+        L = obs.subset_length
+        states, failed = _net_states(theta, prob, obs.values[::L], obs.times.reshape(-1, L))
+        return states.reshape(theta.shape[0], -1, states.shape[-1]), failed
+    x0 = np.asarray(prob.x0, dtype=float)[None]
+    states, failed = _net_states(theta, prob, x0, obs.grid_times[None])
+    return states[:, 0, obs.train_indices], failed
 
 
 def sysid_forward_map(theta: np.ndarray, prob: SysIdProblem) -> ForwardMapOutput:
     """G(theta): candidate states stacked at the observation times (time-major).
 
-    Integration failures are returned as flagged outputs rather than raised,
-    so ensemble updates can freeze the offending member.
+    ``theta`` is one parameter vector ``(N,)`` or a member matrix ``(J, N)``,
+    integrated in lockstep; ``g`` and ``failed`` carry the same leading
+    shape.  Integration failures are returned as flagged, zeroed outputs
+    rather than raised, so ensemble updates can freeze the offending member.
     """
-    try:
-        pred = sysid_predictions(theta, prob)
-    except IntegrationError:
-        d = prob.observations.train_indices.size * np.asarray(prob.x0).size
-        return ForwardMapOutput(g=np.zeros(d), failed=True)
-    return ForwardMapOutput(g=pred.reshape(-1))
+    theta = np.asarray(theta, dtype=float)
+    # A single vector runs as a one-member ensemble: every member's result
+    # is then the same whatever the ensemble it is evaluated in.
+    members = np.atleast_2d(theta)
+    pred, failed = _predictions(members, prob)
+    g = np.where(failed[:, None], 0.0, pred.reshape(members.shape[0], -1))
+    lead = theta.shape[:-1]
+    return ForwardMapOutput(g=g.reshape(lead + g.shape[-1:]), failed=failed.reshape(lead))
+
+
+def sysid_loss(out: ForwardMapOutput, prob: SysIdProblem):
+    """Training loss (1/M) sum_l ||xhat(t_l) - x(t_l; theta)||^2 of every
+    member of a forward-map output, over its last axis; failed members score
+    :data:`eki.PENALTY_LOSS`.  The EKI driver's losses and :func:`mse` are
+    this one reduction, so they agree bitwise."""
+    resid = out.g - prob.observations.stacked_values()
+    loss = np.sum(resid * resid, axis=-1) / prob.observations.values.shape[0]
+    return np.where(out.failed, PENALTY_LOSS, loss)
 
 
 def mse_from_states(states: np.ndarray, prob: SysIdProblem, indices: np.ndarray) -> float:
@@ -273,23 +329,17 @@ def mse_from_states(states: np.ndarray, prob: SysIdProblem, indices: np.ndarray)
     return float(np.mean(np.sum(diff * diff, axis=1)))
 
 
-def sysid_predictions(theta: np.ndarray, prob: SysIdProblem) -> np.ndarray:
-    """Predicted states at the observation times under the problem's assembly
-    mode, shaped (M, n).  Raises IntegrationError on divergent candidates."""
-    if prob.assembly == "shooting":
-        return _shooting_predictions(theta, prob)
-    traj = sysid_trajectory(theta, prob)
-    return traj.states[prob.observations.train_indices]
-
-
 def mse(theta: np.ndarray, prob: SysIdProblem) -> float:
     """Training loss: (1/M) sum_l ||xhat(t_l) - x(t_l; theta)||^2.
 
     The predictions x(t_l; theta) follow the problem's assembly mode, so the
     reported training error is exactly the quantity training minimizes.
+    Raises IntegrationError on a divergent candidate.
     """
-    diff = sysid_predictions(theta, prob) - prob.observations.values
-    return float(np.mean(np.sum(diff * diff, axis=1)))
+    out = sysid_forward_map(theta, prob)
+    if out.failed:
+        raise IntegrationError("candidate field diverged")
+    return float(sysid_loss(out, prob))
 
 
 def test_mse(theta: np.ndarray, prob: SysIdProblem) -> float:
@@ -375,33 +425,116 @@ def optimal_energy(a: float, b: float, x0: float, x_star: float, t_final: float)
 
 
 def controller_values(theta: np.ndarray, prob: ControlProblem, times: np.ndarray) -> np.ndarray:
-    """Evaluate u_theta on a time grid (controller input is scalar t)."""
+    """Evaluate u_theta on a time grid (controller input is scalar t).
+
+    One network call for all times and members: shape ``(len(times),)`` for
+    a parameter vector, ``(J, len(times))`` for a member matrix.
+    """
+    theta = np.asarray(theta, dtype=float)
     layers = nnet.unflatten(prob.controller, theta)
-    act = prob.controller.activation
-    return np.array([nnet.mlp_apply(layers, np.array([t]), act)[0] for t in times])
+    t = np.asarray(times, dtype=float)
+    x = np.broadcast_to(t[:, None], theta.shape[:-1] + (t.size, 1))
+    return nnet.mlp_apply(layers, x, prob.controller.activation)[..., 0]
 
 
-def control_energy(theta: np.ndarray, prob: ControlProblem) -> float:
-    """Trapezoidal quadrature of ||u_theta(t)||^2 over [0, T]."""
+def control_energy(theta: np.ndarray, prob: ControlProblem):
+    """Trapezoidal quadrature of ||u_theta(t)||^2 over [0, T], per member."""
     grid = prob.quadrature_grid()
     u = controller_values(theta, prob, grid)
-    return float(np.trapezoid(u * u, grid))
+    return np.trapezoid(u * u, grid, axis=-1)
+
+
+def control_stage_grid(prob: ControlProblem, config: IntegratorConfig):
+    """Where one fixed-step pass over [0, T] evaluates u_theta.
+
+    Returns ``(stage_times, h, n_steps)``.  The stage times are the step
+    starts plus the final time, and for rk4 also the step midpoints, which
+    its second and third stages share: ``2 n_steps + 1`` points,
+    interleaved.  The controller depends on t alone, so it is evaluated on
+    this grid once, before the recurrence runs.
+    """
+    n_steps = max(1, int(np.ceil(prob.t_final / config.dt - 1e-9)))
+    h = prob.t_final / n_steps
+    if config.method == "rk4":
+        stage_times = np.empty(2 * n_steps + 1)
+        stage_times[0::2] = h * np.arange(n_steps + 1)
+        stage_times[1::2] = h * np.arange(n_steps) + 0.5 * h
+    else:
+        stage_times = h * np.arange(n_steps + 1)
+    return stage_times, h, n_steps
+
+
+def control_states(u_stage: np.ndarray, prob: ControlProblem, h: float, method: str) -> np.ndarray:
+    """States of ``xdot = a x + b u`` at the step times, ``(..., n_steps + 1)``,
+    given u on :func:`control_stage_grid` as ``(..., stages)``: the scalar
+    euler/rk4 recurrence, vectorized over the leading (member) axes."""
+    a, b = prob.a, prob.b
+    u = np.moveaxis(np.asarray(u_stage, dtype=float), -1, 0)
+    n_steps = (u.shape[0] - 1) // 2 if method == "rk4" else u.shape[0] - 1
+    x = np.full(u.shape[1:], float(prob.x0))
+    xs = [x]
+    for k in range(n_steps):
+        if method == "rk4":
+            u1, u2, u3 = u[2 * k], u[2 * k + 1], u[2 * k + 2]
+            k1 = a * x + b * u1
+            k2 = a * (x + 0.5 * h * k1) + b * u2
+            k3 = a * (x + 0.5 * h * k2) + b * u2
+            k4 = a * (x + h * k3) + b * u3
+            x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        else:
+            x = x + h * (a * x + b * u[k])
+        xs.append(x)
+    return np.stack(xs, axis=-1)
+
+
+def _control_path(theta: np.ndarray, prob: ControlProblem):
+    """Step times ``(S,)``, states ``(J, S)`` and the ``(J,)`` failed mask of
+    every member of a ``(J, N)`` matrix under the problem's integrator."""
+    cfg = prob.integrator
+    if cfg.method == "dopri5":
+        times = prob.quadrature_grid()
+        act = prob.controller.activation
+        fields = []
+        for member in theta:
+            layers = nnet.unflatten(prob.controller, member)
+            fields.append(
+                lambda x, t, layers=layers: prob.a * x
+                + prob.b * nnet.mlp_apply(layers, np.array([t]), act)
+            )
+        states, failed = _integrate_each(fields, np.array([[prob.x0]]), times[None], cfg)
+        return times, states[:, 0, :, 0], failed
+    stage_times, h, n_steps = control_stage_grid(prob, cfg)
+    with np.errstate(over="ignore", invalid="ignore"):
+        xs = control_states(controller_values(theta, prob, stage_times), prob, h, cfg.method)
+        failed = ~np.all(np.abs(xs[:, 1:]) <= cfg.divergence_limit, axis=-1)
+    if n_steps > cfg.max_steps:
+        failed[:] = True
+    return h * np.arange(n_steps + 1), xs, failed
+
+
+def control_trajectory(theta: np.ndarray, prob: ControlProblem):
+    """Step times and states of x under one parameter vector's controller;
+    the states are NaN if the integration diverged."""
+    times, xs, failed = _control_path(np.asarray(theta, dtype=float)[None], prob)
+    return times, np.where(failed[0], np.nan, xs[0])
 
 
 def control_forward_map(theta: np.ndarray, prob: ControlProblem) -> ForwardMapOutput:
-    """F(theta) = (x(T; theta), sqrt(E_T[u_theta])) for the extended problem."""
-    layers = nnet.unflatten(prob.controller, theta)
-    act = prob.controller.activation
+    """F(theta) = (x(T; theta), sqrt(E_T[u_theta])) for the extended problem.
 
-    def field(x, t):
-        return prob.a * x + prob.b * nnet.mlp_apply(layers, np.array([t]), act)
-
-    try:
-        traj = integrate(field, np.array([prob.x0]), np.array([0.0, prob.t_final]), prob.integrator)
-        energy = control_energy(theta, prob)
-    except IntegrationError:
-        return ForwardMapOutput(g=np.zeros(1), h=0.0, failed=True)
-    return ForwardMapOutput(g=traj.states[-1], h=float(np.sqrt(energy)))
+    ``theta`` is one parameter vector ``(N,)`` or a member matrix ``(J, N)``;
+    ``g`` is ``(..., 1)``, ``h`` and ``failed`` carry the leading shape.
+    Failed members get zero outputs.
+    """
+    theta = np.asarray(theta, dtype=float)
+    members = np.atleast_2d(theta)
+    _, xs, failed = _control_path(members, prob)
+    with np.errstate(over="ignore", invalid="ignore"):
+        energy = control_energy(members, prob)
+    lead = theta.shape[:-1]
+    g = np.where(failed, 0.0, xs[:, -1]).reshape(lead + (1,))
+    h = np.where(failed, 0.0, np.sqrt(energy)).reshape(lead)
+    return ForwardMapOutput(g=g, h=h, failed=failed.reshape(lead))
 
 
 def control_mse(theta: np.ndarray, prob: ControlProblem, times: np.ndarray | None = None) -> float:

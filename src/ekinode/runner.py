@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import eki, gradbase, nnet, problems
-from .ode import IntegrationError, IntegratorConfig, integrate
+from .ode import METHODS, IntegrationError, IntegratorConfig
 
 PROBLEMS = ("spiral", "pendulum", "linear_control")
 OPTIMIZERS = ("eki", "adam", "sgd")
@@ -129,16 +129,59 @@ class ExperimentConfig:
             msgs.append("epochs: must be nonnegative")
         if self.wall_clock_budget_seconds is not None and self.wall_clock_budget_seconds <= 0:
             msgs.append("wall_clock_budget_seconds: must be positive")
-        if self.eki.ensemble_size < 2:
+        ek = self.eki
+        if ek.ensemble_size < 2:
             msgs.append("eki.ensemble_size: need at least 2 members")
-        if self.eki.expansion_mode not in ("fresh", "perturb"):
+        if ek.expansion_mode not in ("fresh", "perturb"):
             msgs.append("eki.expansion_mode: must be 'fresh' or 'perturb'")
-        if self.problem_options.assembly not in ("full", "shooting"):
+        for name in ("gamma0", "alpha", "gamma", "gamma_prime", "step_size", "accept_factor"):
+            if not getattr(ek, name) > 0:
+                msgs.append(f"eki.{name}: must be positive")
+        if ek.schedule_period < 1:
+            msgs.append("eki.schedule_period: must be at least 1")
+        if ek.step_cap_rel is not None and not ek.step_cap_rel > 0:
+            msgs.append("eki.step_cap_rel: must be positive or null")
+        if ek.max_backtracks < 0:
+            msgs.append("eki.max_backtracks: must be nonnegative")
+        if not _pairs(ek.gamma_steps, lambda epoch, value: epoch >= 0 and value > 0):
+            msgs.append("eki.gamma_steps: need [epoch >= 0, gamma > 0] pairs")
+        if not _pairs(ek.expansions, lambda epoch, count: epoch >= 0 and count >= 1):
+            msgs.append("eki.expansions: need [epoch >= 0, count >= 1] pairs")
+        po = self.problem_options
+        if po.assembly not in ("full", "shooting"):
             msgs.append("problem_options.assembly: must be 'full' or 'shooting'")
+        if po.num_subsets < 1 or po.subset_length < 1:
+            msgs.append("problem_options.num_subsets / subset_length: must be positive")
+        elif po.grid_size is not None and po.grid_size < 2:
+            msgs.append("problem_options.grid_size: need at least 2 points")
+        elif self.problem in problems.GRID_SIZES:
+            grid = po.grid_size if po.grid_size is not None else problems.GRID_SIZES[self.problem]
+            if po.num_subsets * po.subset_length > grid:
+                msgs.append(
+                    f"problem_options.num_subsets: {po.num_subsets} disjoint runs of "
+                    f"{po.subset_length} do not fit in {grid} grid points"
+                )
+        if self.problem == "linear_control" and not (
+            po.mu > 0 if self.optimizer == "eki" else po.mu >= 0
+        ):
+            msgs.append("problem_options.mu: must be positive for EKI, nonnegative otherwise")
+        io = self.integrator
+        if io.method is not None and io.method not in METHODS:
+            msgs.append(f"integrator.method: {io.method!r} not in {METHODS}")
+        elif io.method == "dopri5" and self.optimizer != "eki":
+            msgs.append("integrator.method: BPTT needs a fixed-step method (euler or rk4)")
+        for name in ("dt", "rtol", "atol"):
+            value = getattr(io, name)
+            if value is not None and not value > 0:
+                msgs.append(f"integrator.{name}: must be positive")
         if self.gradient.eta <= 0:
             msgs.append("gradient.eta: must be positive")
         if msgs:
             raise ConfigError(msgs)
+
+
+def _pairs(items, ok) -> bool:
+    return all(len(item) == 2 and ok(*item) for item in items)
 
 
 def config_to_dict(config: ExperimentConfig) -> dict:
@@ -412,10 +455,12 @@ class _EkiDriver:
         self.events = []
 
     # problem family hooks -------------------------------------------------
-    def forward(self, member):
+    def forward(self, members):
+        """Batched forward-map output of a (J, N) member matrix."""
         raise NotImplementedError
 
     def losses(self, outputs, epoch):
+        """Per-member losses (J,); failed members score PENALTY_LOSS."""
         raise NotImplementedError
 
     def target(self):
@@ -429,7 +474,7 @@ class _EkiDriver:
 
     # shared mechanics -----------------------------------------------------
     def evaluate(self):
-        self.outputs = [self.forward(m) for m in self.ens.members]
+        self.outputs = self.forward(self.ens.members)
 
     def maybe_expand(self):
         done = {ep for ep, _ in self.ens.events}
@@ -447,8 +492,8 @@ class _EkiDriver:
         epoch = self.ens.epoch
         gamma = self.gamma_for(epoch)
         cur_losses = self.losses(self.outputs, epoch)
-        cur_fail = sum(o.failed for o in self.outputs)
-        cur_best = min(cur_losses)
+        cur_fail = np.count_nonzero(self.outputs.failed)
+        cur_best = cur_losses.min()
 
         unit = self.step(self.outputs, gamma, 1.0)
         delta = unit.members - self.ens.members
@@ -465,10 +510,10 @@ class _EkiDriver:
             cand = dataclasses.replace(
                 self.ens, members=self.ens.members + h * delta, epoch=epoch + 1
             )
-            cand_outputs = [self.forward(m) for m in cand.members]
+            cand_outputs = self.forward(cand.members)
             cand_losses = self.losses(cand_outputs, epoch)
-            cand_fail = sum(o.failed for o in cand_outputs)
-            if cand_fail <= cur_fail and min(cand_losses) <= opts.accept_factor * cur_best:
+            cand_fail = np.count_nonzero(cand_outputs.failed)
+            if cand_fail <= cur_fail and cand_losses.min() <= opts.accept_factor * cur_best:
                 self.ens = cand
                 self.outputs = cand_outputs
                 return
@@ -482,8 +527,8 @@ class _EkiDriver:
     def row_stats(self):
         epoch = self.ens.epoch
         losses = self.losses(self.outputs, epoch)
-        valid = [l for l, o in zip(losses, self.outputs) if not o.failed]
-        pool = valid if valid else losses
+        valid = losses[~self.outputs.failed]
+        pool = valid if valid.size else losses
         idx, min_loss = eki.min_loss_member(losses)
         mean_loss = float(np.mean(pool))
         return idx, min_loss, mean_loss
@@ -496,8 +541,7 @@ class _EkiDriver:
 class _SysIdDriver(_EkiDriver):
     def __init__(self, config, prob, init_rng):
         super().__init__(config, prob, init_rng)
-        self.y = prob.observations.values.reshape(-1)
-        self.m_count = prob.observations.values.shape[0]
+        self.y = prob.observations.stacked_values()
         self.schedule = eki.CovarianceSchedule(
             gamma0=self.opts.gamma0,
             alpha=self.opts.alpha,
@@ -505,20 +549,17 @@ class _SysIdDriver(_EkiDriver):
             enabled=self.opts.schedule_enabled,
         )
 
-    def forward(self, member):
-        return problems.sysid_forward_map(member, self.prob)
+    def forward(self, members):
+        return problems.sysid_forward_map(members, self.prob)
 
     def losses(self, outputs, epoch):
-        return [
-            eki.PENALTY_LOSS if o.failed else float(np.sum((o.g - self.y) ** 2) / self.m_count)
-            for o in outputs
-        ]
+        return problems.sysid_loss(outputs, self.prob)
 
     def gamma_for(self, epoch):
         return eki.gamma_at(self.schedule, epoch)
 
     def step(self, outputs, gamma, h):
-        return eki.eki_step(self.ens, outputs, self.y, gamma, h=h)
+        return eki.eki_step(self.ens, _per_member(outputs), self.y, gamma, h=h)
 
     def metrics(self, theta, min_loss):
         # The training MSE of the best member is its loss: same residuals.
@@ -530,8 +571,8 @@ class _ControlDriver(_EkiDriver):
         super().__init__(config, prob, init_rng)
         self.z = np.array([prob.x_star, 0.0])
 
-    def forward(self, member):
-        return problems.control_forward_map(member, self.prob)
+    def forward(self, members):
+        return problems.control_forward_map(members, self.prob)
 
     def gamma_for(self, epoch):
         gamma = self.opts.gamma
@@ -543,22 +584,27 @@ class _ControlDriver(_EkiDriver):
     def losses(self, outputs, epoch):
         gamma = self.gamma_for(epoch)
         scale = self.prob.mu / (2.0 * self.opts.gamma_prime)
-        return [
-            eki.PENALTY_LOSS
-            if o.failed
-            else float(0.5 * (o.g[0] - self.prob.x_star) ** 2 / gamma + scale * o.h**2)
-            for o in outputs
-        ]
+        loss = 0.5 * (outputs.g[:, 0] - self.prob.x_star) ** 2 / gamma + scale * outputs.h**2
+        return np.where(outputs.failed, eki.PENALTY_LOSS, loss)
 
     def step(self, outputs, gamma, h):
         cov = eki.BlockCovariance(gamma=gamma, gamma_prime=self.opts.gamma_prime, mu=self.prob.mu)
-        return eki.eki_step_regularized(self.ens, outputs, self.z, cov, h=h)
+        return eki.eki_step_regularized(self.ens, _per_member(outputs), self.z, cov, h=h)
 
     def metrics(self, theta, min_loss):
         return (
             problems.control_mse(theta, self.prob),
             problems.control_mse(theta, self.prob, _dense_control_grid(self.prob)),
         )
+
+
+def _per_member(out):
+    """Split a batched forward-map output into the per-member list the
+    update functions take."""
+    hs = [None] * len(out.g) if out.h is None else [float(h) for h in out.h]
+    return [
+        eki.ForwardMapOutput(g=g, h=h, failed=bool(f)) for g, h, f in zip(out.g, hs, out.failed)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -907,11 +953,10 @@ def plot_script(report_dirs, out_dir: str) -> list[str]:
         prob = build_problem(config)
         if config.problem == "linear_control":
             suffix = f"_mu{config.problem_options.mu:g}"
-            grid = prob.quadrature_grid()
+            grid, x = problems.control_trajectory(report.theta, prob)
             u = problems.controller_values(report.theta, prob, grid)
             u_ref = problems.optimal_control(grid, prob.a, prob.b, prob.x0, prob.x_star, prob.t_final)
             x_ref = problems.optimal_state(grid, prob.a, prob.b, prob.x0, prob.x_star, prob.t_final)
-            x = _control_trajectory(report.theta, prob, grid)
             emit(
                 f"trajectory{suffix}.csv",
                 ["t", "u_learned", "u_optimal", "x_learned", "x_optimal"],
@@ -949,19 +994,6 @@ def plot_script(report_dirs, out_dir: str) -> list[str]:
         fh.write(_PLOT_SCRIPT)
     written.append("plot.py")
     return written
-
-
-def _control_trajectory(theta, prob, grid):
-    layers = nnet.unflatten(prob.controller, theta)
-    act = prob.controller.activation
-
-    def field(x, t):
-        return prob.a * x + prob.b * nnet.mlp_apply(layers, np.array([t]), act)
-
-    try:
-        return integrate(field, np.array([prob.x0]), grid, prob.integrator).states[:, 0]
-    except IntegrationError:
-        return np.full(grid.size, np.nan)
 
 
 def _read_log(path):

@@ -195,3 +195,53 @@ def test_trajectory_validation():
         ode.Trajectory(np.array([0.0, 0.0]), np.zeros((2, 1)))
     with pytest.raises(ValueError):
         ode.Trajectory(np.array([0.0, 1.0]), np.zeros((3, 1)))
+
+
+def _scalar_reference(matrices, x0, times, config):
+    # Per member and row, the scalar path: member j fails if any row raises.
+    states = np.zeros((len(matrices),) + times.shape + x0.shape[-1:])
+    failed = np.zeros(len(matrices), dtype=bool)
+    for j, a in enumerate(matrices):
+        try:
+            for b in range(times.shape[0]):
+                states[j, b] = ode.integrate(lambda x, t: a @ x, x0[j, b], times[b], config).states
+        except ode.IntegrationError:
+            failed[j] = True
+    return states, failed
+
+
+@seed(9)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.sampled_from(["euler", "rk4"]),
+    st.sampled_from([0.5, 0.07]),
+    st.sampled_from([8, 10**6]),
+)
+@settings(max_examples=30, deadline=None)
+def test_lockstep_matches_scalar_integrate(s, method, dt, max_steps):
+    # Rows with their own uneven sample times, a dt that forces a different
+    # number of substeps per row and interval, and members whose linear
+    # fields blow past the divergence limit next to members that stay put.
+    rng = np.random.default_rng(s)
+    J, B, K, n = 5, 3, 4, 2
+    times = np.cumsum(rng.uniform(0.05, 0.4, size=(B, K + 1)), axis=1)
+    x0 = rng.normal(size=(J, B, n))
+    rates = np.array([0.5, 0.5, 40.0, 0.5, rng.choice([0.5, 40.0])])
+    matrices = rates[:, None, None] * rng.normal(size=(J, n, n))
+    config = ode.IntegratorConfig(method=method, dt=dt, max_steps=max_steps,
+                                  divergence_limit=20.0)
+    states, failed = ode.integrate_lockstep(lambda x: x @ matrices.mT, x0, times, config)
+    ref_states, ref_failed = _scalar_reference(matrices, x0, times, config)
+    assert np.array_equal(failed, ref_failed)
+    ok = ~ref_failed
+    scale = np.maximum(1.0, np.abs(ref_states[ok]))
+    assert np.all(np.abs(states[ok] - ref_states[ok]) <= 1e-12 * scale)
+
+
+def test_lockstep_rejects_adaptive_method_and_bad_times():
+    with pytest.raises(ValueError):
+        ode.integrate_lockstep(lambda x: x, np.zeros((1, 1, 1)), np.array([[0.0, 1.0]]),
+                               ode.IntegratorConfig(method="dopri5"))
+    with pytest.raises(ValueError):
+        ode.integrate_lockstep(lambda x: x, np.zeros((1, 1, 1)), np.array([[0.0, 0.0]]),
+                               ode.IntegratorConfig(method="rk4"))

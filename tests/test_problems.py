@@ -1,6 +1,8 @@
 """Unit tests for the benchmark problems: observation sampling, forward maps,
 losses, and the analytic control oracles."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, seed, settings, strategies as st
@@ -251,3 +253,136 @@ def test_make_control_problem_overrides():
         problems.make_control_problem(b=0.0)
     with pytest.raises(ValueError):
         problems.make_control_problem(t_final=-1.0)
+
+
+def _uneven_sysid_problem(rng, assembly, method, dt, activation):
+    # A grid with random spacing, so each shooting subset has its own step
+    # lengths, and a dt that (when small) forces several substeps per interval.
+    grid_times = np.concatenate([[0.0], np.cumsum(rng.uniform(0.05, 0.3, size=29))])
+    grid_states = 0.5 * rng.normal(size=(30, 2))
+    obs = problems.make_observations(grid_times, grid_states, 3, 4, rng)
+    return problems.SysIdProblem(
+        "uneven", problems.spiral_field, grid_states[0], float(grid_times[-1]), obs,
+        nnet.MlpSpec((2, 6, 2), activation),
+        ode.IntegratorConfig(method=method, dt=dt, divergence_limit=50.0), assembly,
+    )
+
+
+def _mixed_ensemble(rng, spec, push):
+    # The output bias ends the parameter vector.  A huge one drives member 1
+    # past the divergence limit in its first step; member 3 gets there within
+    # a few steps.  The others are plain draws.
+    members = np.stack([nnet.mlp_init(spec, rng) for _ in range(5)])
+    members[1, -spec.out_dim:] += 1e6
+    members[3, -spec.out_dim:] += push
+    return members
+
+
+def _scalar_sysid(theta, prob):
+    layers = nnet.unflatten(prob.net, theta)
+
+    def field(x, t):
+        return nnet.mlp_apply(layers, x, prob.net.activation)
+
+    obs = prob.observations
+    try:
+        if prob.assembly == "full":
+            traj = ode.integrate(field, prob.x0, obs.grid_times, prob.integrator)
+            return traj.states[obs.train_indices].reshape(-1), False
+        L = obs.subset_length
+        parts = [
+            ode.integrate(field, obs.values[i], obs.times[i:i + L], prob.integrator).states
+            for i in range(0, obs.times.size, L)
+        ]
+        return np.concatenate(parts).reshape(-1), False
+    except ode.IntegrationError:
+        return np.zeros(obs.values.size), True
+
+
+@seed(10)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.sampled_from(["full", "shooting"]),
+    st.sampled_from(["euler", "rk4"]),
+    st.sampled_from([1.0, 0.04]),
+    st.sampled_from(["tanh", "elu"]),
+)
+@settings(max_examples=30, deadline=None)
+def test_batched_sysid_forward_map_matches_scalar_integrate(s, assembly, method, dt, activation):
+    rng = np.random.default_rng(s)
+    prob = _uneven_sysid_problem(rng, assembly, method, dt, activation)
+    members = _mixed_ensemble(rng, prob.net, 1e3)
+    out = problems.sysid_forward_map(members, prob)
+    assert out.g.shape == (5, prob.observations.values.size)
+    for j, theta in enumerate(members):
+        g_ref, failed_ref = _scalar_sysid(theta, prob)
+        assert out.failed[j] == failed_ref
+        scale = np.maximum(1.0, np.abs(g_ref))
+        assert np.all(np.abs(out.g[j] - g_ref) <= 1e-12 * scale)
+        # Alone or in an ensemble, a member's output is the same bitwise.
+        single = problems.sysid_forward_map(theta, prob)
+        assert np.array_equal(single.g, out.g[j]) and single.failed == out.failed[j]
+    assert out.failed[1] and out.failed[3]
+    # A tanh field is bounded, so a plain draw cannot reach the limit.
+    assert activation == "elu" or not out.failed[0]
+
+
+@seed(11)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.sampled_from(["euler", "rk4"]),
+    st.sampled_from([0.01, 1.0 / 37.0]),
+    st.sampled_from(["tanh", "elu"]),
+)
+@settings(max_examples=30, deadline=None)
+def test_batched_control_forward_map_matches_scalar_formulas(s, method, dt, activation):
+    rng = np.random.default_rng(s)
+    prob = problems.make_control_problem(
+        controller=nnet.MlpSpec((1, 5, 5, 1), activation),
+        integrator=ode.IntegratorConfig(method=method, dt=dt, divergence_limit=1e3),
+    )
+    members = _mixed_ensemble(rng, prob.controller, 5e3)
+    out = problems.control_forward_map(members, prob)
+    assert out.g.shape == (5, 1) and out.h.shape == (5,)
+    grid = prob.quadrature_grid()
+    for j, theta in enumerate(members):
+        layers = nnet.unflatten(prob.controller, theta)
+
+        def u(t):
+            return nnet.mlp_apply(layers, np.array([t]), activation)
+
+        try:
+            traj = ode.integrate(lambda x, t: prob.a * x + prob.b * u(t), np.array([prob.x0]),
+                                 np.array([0.0, prob.t_final]), prob.integrator)
+            failed_ref = False
+        except ode.IntegrationError:
+            failed_ref = True
+        assert out.failed[j] == failed_ref
+        if failed_ref:
+            assert out.g[j, 0] == 0.0 and out.h[j] == 0.0
+            continue
+        energy = np.trapezoid(np.array([u(t)[0] for t in grid]) ** 2, grid)
+        assert abs(out.g[j, 0] - traj.states[-1, 0]) <= 1e-12 * max(1.0, abs(traj.states[-1, 0]))
+        assert abs(out.h[j] - np.sqrt(energy)) <= 1e-12 * max(1.0, np.sqrt(energy))
+    assert out.failed[1] and out.failed[3] and not out.failed[0]
+
+
+def test_dopri5_override_keeps_the_scalar_path():
+    # Adaptive steps cannot run in lockstep: a dopri5 integrator sends each
+    # member through ode.integrate, with the same outputs and failed mask.
+    rng = np.random.default_rng(12)
+    dopri = ode.IntegratorConfig(method="dopri5", rtol=1e-8, atol=1e-10, divergence_limit=50.0)
+    prob = replace(_uneven_sysid_problem(rng, "shooting", "rk4", 1.0, "tanh"), integrator=dopri)
+    members = _mixed_ensemble(rng, prob.net, 1e3)
+    out = problems.sysid_forward_map(members, prob)
+    for j, theta in enumerate(members):
+        g_ref, failed_ref = _scalar_sysid(theta, prob)
+        assert out.failed[j] == failed_ref
+        assert np.array_equal(out.g[j], g_ref)
+
+    ctrl = problems.make_control_problem(integrator=dopri)
+    members = _mixed_ensemble(rng, ctrl.controller, 5e3)
+    out = problems.control_forward_map(members, ctrl)
+    rk4 = problems.control_forward_map(members, problems.make_control_problem())
+    assert np.array_equal(out.failed, rk4.failed)
+    assert np.allclose(out.g, rk4.g, rtol=0, atol=1e-6)

@@ -39,15 +39,37 @@ def test_validation_collects_all_errors():
         problem="lorenz",
         optimizer="newton",
         epochs=-1,
-        eki=runner.EkiOptions(ensemble_size=1, expansion_mode="clone"),
+        eki=runner.EkiOptions(
+            ensemble_size=1,
+            expansion_mode="clone",
+            gamma0=-1.0,
+            expansions=((1, 0),),
+            step_size=-1.0,
+        ),
         gradient=runner.GradientOptions(eta=0.0),
+        problem_options=runner.ProblemOptions(num_subsets=100),
+        integrator=runner.IntegratorOptions(method="rk45", dt=-1.0),
     )
     with pytest.raises(runner.ConfigError) as info:
         config.validate()
     joined = "\n".join(info.value.messages)
-    for needle in ("problem", "optimizer", "epochs", "ensemble_size", "expansion_mode", "eta"):
+    needles = (
+        "problem", "optimizer", "epochs", "ensemble_size", "expansion_mode", "eta",
+        "gamma0", "expansions", "step_size", "integrator.method", "integrator.dt",
+    )
+    for needle in needles:
         assert needle in joined
-    assert len(info.value.messages) >= 6
+    assert len(info.value.messages) >= len(needles)
+    # Each value that used to fail only at run time is a config error on its
+    # own too; num_subsets=100 runs of 10 cannot fit the 500-point grid.
+    for overrides in (
+        {"problem_options": runner.ProblemOptions(num_subsets=100)},
+        {"eki": runner.EkiOptions(gamma0=-1.0)},
+        {"eki": runner.EkiOptions(expansions=((1, 0),))},
+        {"eki": runner.EkiOptions(step_size=-1.0)},
+    ):
+        with pytest.raises(runner.ConfigError):
+            dataclasses.replace(runner.preset("spiral-eki"), **overrides).validate()
 
 
 def test_validation_requires_exactly_one_stopping_criterion():
@@ -211,6 +233,18 @@ def test_report_integrity(tmp_path):
         train, test = runner.reevaluate(loaded.config, loaded.theta)
         assert abs(train - loaded.final_train_error) <= 1e-12 * max(1.0, abs(train))
         assert abs(test - loaded.final_test_error) <= 1e-12 * max(1.0, abs(test))
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_reevaluate_reproduces_eki_errors_bitwise(tmp_path, seed):
+    # The driver's training error and problems.mse are one reduction over
+    # one forward map, whether the member is evaluated in its ensemble of 22
+    # or alone, so re-evaluation returns the logged numbers exactly.
+    report = runner.run(tiny("spiral-eki", 15, seed=seed), out_dir=str(tmp_path / "r"))
+    loaded = runner.load_report(str(tmp_path / "r"))
+    train, test = runner.reevaluate(loaded.config, loaded.theta)
+    assert train == report.final_train_error
+    assert test == report.final_test_error
 
 
 def test_seed_changes_the_run(tmp_path):
