@@ -10,12 +10,10 @@ backpropagation-through-time baseline (Adam / plain SGD).
 __version__ = "0.1.0"
 
 from .eki import (
-    BlockCovariance,
     CovarianceSchedule,
     Ensemble,
     ForwardMapOutput,
     eki_step,
-    eki_step_regularized,
     ensemble_expand,
     gamma_at,
     min_loss_member,
@@ -43,7 +41,6 @@ from .runner import ExperimentConfig, RunReport, plot_script, preset, presets, r
 
 __all__ = [
     "AdamState",
-    "BlockCovariance",
     "ControlProblem",
     "CovarianceSchedule",
     "Ensemble",
@@ -64,7 +61,6 @@ __all__ = [
     "control_loss",
     "control_mse",
     "eki_step",
-    "eki_step_regularized",
     "ensemble_expand",
     "gamma_at",
     "integrate",

@@ -1,12 +1,13 @@
 """Ensemble Kalman inversion: derivative-free parameter updates driven by
 empirical cross-covariances between parameters and forward-map outputs.
 
-Two update flavors are provided.  The plain step solves ``y = G(theta) + noise``
-and moves every member against its own residual through the parameter/output
-cross-covariance.  The regularized step targets the extended problem
-``z = (y, 0) = (G(theta), H(theta)) + noise`` with block covariance
-``diag(Gamma * I, Gamma' / mu)``, which adds an energy-penalty channel for
-optimal-control training.
+One update rule, :func:`eki_step`, solves ``z = F(theta) + noise`` with a
+diagonal noise covariance given per output channel.  It moves every member
+against its own residual through the parameter/output cross-covariance.
+System identification is the case ``z = y``, ``F = G`` with the scalar
+covariance Gamma.  Optimal control is the energy-regularized problem
+``z = (y, 0)``, ``F = (G, H)`` with covariance ``diag(Gamma * I, Gamma' / mu)``:
+the energy penalty is one more output channel with its own variance.
 
 Updates are deterministic (no perturbed observations) explicit Euler steps in
 artificial time; one epoch is one step.  Covariances use the 1/J
@@ -26,12 +27,9 @@ __all__ = [
     "Ensemble",
     "CovarianceSchedule",
     "ForwardMapOutput",
-    "BlockCovariance",
     "ensemble_mean",
-    "output_mean",
     "cross_covariance",
     "eki_step",
-    "eki_step_regularized",
     "gamma_at",
     "ensemble_expand",
     "min_loss_member",
@@ -101,8 +99,9 @@ class ForwardMapOutput:
 
     One member's output has ``g`` of shape ``(d,)`` and scalar ``h`` and
     ``failed``; a batched forward map returns ``g`` ``(J, d)`` with ``h``
-    and ``failed`` of shape ``(J,)``.  The update functions take a list of
-    single-member outputs.
+    and ``failed`` of shape ``(J,)``, which is what :func:`eki_step` and
+    :func:`cross_covariance` take.  A scalar ``failed`` applies to every
+    member.
     """
 
     g: np.ndarray
@@ -118,23 +117,6 @@ class ForwardMapOutput:
         return np.concatenate([self.g, np.asarray(self.h)[..., None]], axis=-1)
 
 
-@dataclass(frozen=True)
-class BlockCovariance:
-    """Diagonal block covariance diag(Gamma * I, Gamma' / mu)."""
-
-    gamma: float
-    gamma_prime: float
-    mu: float
-
-    def __post_init__(self):
-        if not self.gamma > 0:
-            raise ValueError("gamma must be positive")
-        if not self.gamma_prime > 0:
-            raise ValueError("gamma_prime must be positive")
-        if not self.mu > 0:
-            raise ValueError("mu must be positive when the energy channel is active")
-
-
 def ensemble_mean(ens: Ensemble) -> np.ndarray:
     """Arithmetic mean of the members, fixed summation order."""
     if ens.size == 0:
@@ -142,97 +124,62 @@ def ensemble_mean(ens: Ensemble) -> np.ndarray:
     return ens.members.mean(axis=0)
 
 
-def output_mean(outputs: list[ForwardMapOutput]) -> ForwardMapOutput:
-    """Mean of forward-map outputs (componentwise; h averaged when present)."""
-    if not outputs:
-        raise ValueError("empty output list")
-    g = np.mean([o.g for o in outputs], axis=0)
-    hs = [o.h for o in outputs]
-    h = None if hs[0] is None else float(np.mean(hs))
-    return ForwardMapOutput(g=g, h=h)
-
-
-def cross_covariance(ens: Ensemble, outputs: list[ForwardMapOutput]) -> np.ndarray:
+def cross_covariance(ens: Ensemble, out: ForwardMapOutput) -> np.ndarray:
     """Empirical parameter/output cross-covariance, 1/J normalized.
 
-    ``(1/J) * sum_j (theta_j - mean) outer (out_j - mean)``; shape (N, d)
-    where d is the stacked output dimension (including the h channel when
-    present).  Note 1/J exactly, not the unbiased 1/(J-1).
+    ``(1/J) * sum_j (theta_j - mean) outer (F_j - mean)`` over the stacked
+    ``(J, d)`` output of a batched forward map (including the h channel
+    when present); shape (N, d).  Note 1/J exactly, not the unbiased
+    1/(J-1).
     """
-    if len(outputs) != ens.size:
-        raise ValueError("outputs must align with members")
-    theta = ens.members
-    out = np.stack([o.stacked() for o in outputs])
-    theta_c = theta - theta.mean(axis=0)
-    out_c = out - out.mean(axis=0)
-    return theta_c.T @ out_c / ens.size
+    f = _member_outputs(ens, out)
+    theta_c = ens.members - ens.members.mean(axis=0)
+    return theta_c.T @ (f - f.mean(axis=0)) / ens.size
 
 
 def eki_step(
     ens: Ensemble,
-    outputs: list[ForwardMapOutput],
-    y: np.ndarray,
-    gamma: float,
+    out: ForwardMapOutput,
+    target: np.ndarray,
+    gamma: float | np.ndarray,
     h: float = 1.0,
 ) -> Ensemble:
-    """One deterministic EKI epoch for the plain inverse problem.
+    """One deterministic EKI epoch.
 
-    ``theta_j <- theta_j - h * C^{thetaG} * (G(theta_j) - y) / gamma`` for
-    every member, with C^{thetaG} the 1/J cross-covariance of the current
-    ensemble.  Members flagged as failed are frozen and excluded from the
-    covariance statistics for this step.  The epoch counter increments.
+    ``theta_j <- theta_j - h * C^{thetaF} Sigma^{-1} (F(theta_j) - target)``
+    for every member, with ``F`` the stacked output of the batched forward
+    map and C^{thetaF} the 1/J cross-covariance of the current ensemble.
+    ``gamma`` is the diagonal of Sigma: a scalar for the plain problem, or
+    one variance per output channel, e.g. ``(Gamma, ..., Gamma, Gamma'/mu)``
+    for the energy-regularized one.  Members flagged as failed are frozen
+    and excluded from the covariance statistics for this step.  The epoch
+    counter increments.
     """
-    if not gamma > 0:
+    f = _member_outputs(ens, out)
+    gamma = np.asarray(gamma, dtype=float)
+    if gamma.shape not in ((), f.shape[1:]):
+        raise ValueError("gamma must be a scalar or one variance per output channel")
+    if not np.all(gamma > 0):
         raise ValueError("gamma must be positive")
-    if len(outputs) != ens.size:
-        raise ValueError("outputs must align with members")
-    y = np.asarray(y, dtype=float)
-    valid = np.array([not o.failed for o in outputs])
+    valid = ~np.broadcast_to(np.asarray(out.failed, dtype=bool), (ens.size,))
     new_members = ens.members.copy()
     if valid.sum() >= 2:
         theta = ens.members[valid]
-        g = np.stack([o.g for o in outputs])[valid]
-        theta_c = theta - theta.mean(axis=0)
-        g_c = g - g.mean(axis=0)
-        resid = (g - y) / gamma
-        # Delta_j = -(h/J) Theta_c^T (G_c resid_j): a combination of member
-        # deviations, so every update stays in the ensemble's affine span.
-        new_members[valid] = theta - (h / theta.shape[0]) * (resid @ g_c.T) @ theta_c
-    return replace(ens, members=new_members, epoch=ens.epoch + 1)
-
-
-def eki_step_regularized(
-    ens: Ensemble,
-    outputs: list[ForwardMapOutput],
-    z: np.ndarray,
-    cov: BlockCovariance,
-    h: float = 1.0,
-) -> Ensemble:
-    """One EKI epoch for the energy-regularized problem.
-
-    Targets ``z = (y, 0)`` with stacked outputs ``F = (G, H)``.  Since the
-    block covariance is diagonal, the update splits into a data term scaled
-    1/Gamma and an energy term scaled mu/Gamma':
-
-    ``theta_j <- theta_j - h * B^{thetaF} Sigma^{-1} (F(theta_j) - z)``.
-    """
-    if len(outputs) != ens.size:
-        raise ValueError("outputs must align with members")
-    if any(o.h is None for o in outputs):
-        raise ValueError("regularized step needs the energy channel on every output")
-    z = np.asarray(z, dtype=float)
-    valid = np.array([not o.failed for o in outputs])
-    new_members = ens.members.copy()
-    if valid.sum() >= 2:
-        theta = ens.members[valid]
-        f = np.stack([o.stacked() for o in outputs])[valid]
+        f = f[valid]
         theta_c = theta - theta.mean(axis=0)
         f_c = f - f.mean(axis=0)
-        inv_sigma = np.full(f.shape[1], 1.0 / cov.gamma)
-        inv_sigma[-1] = cov.mu / cov.gamma_prime
-        resid = (f - z) * inv_sigma
+        resid = (f - target) / gamma
+        # Delta_j = -(h/J) Theta_c^T (F_c resid_j): a combination of member
+        # deviations, so every update stays in the ensemble's affine span.
         new_members[valid] = theta - (h / theta.shape[0]) * (resid @ f_c.T) @ theta_c
     return replace(ens, members=new_members, epoch=ens.epoch + 1)
+
+
+def _member_outputs(ens: Ensemble, out: ForwardMapOutput) -> np.ndarray:
+    f = out.stacked()
+    if f.ndim != 2 or f.shape[0] != ens.size:
+        raise ValueError("outputs must align with members")
+    return f
 
 
 def gamma_at(schedule: CovarianceSchedule, m: int) -> float:

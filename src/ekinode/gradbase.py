@@ -16,7 +16,8 @@ import numpy as np
 
 from . import nnet
 from .ode import IntegrationError, IntegratorConfig
-from .problems import ControlProblem, SysIdProblem, control_stage_grid, control_states
+from .problems import ControlProblem, SysIdProblem
+from .problems import control_objective, control_stage_grid, control_states
 
 __all__ = [
     "AdamState",
@@ -155,9 +156,10 @@ class Tape:
             resid = (self.data["preds"] - self.data["targets"]) * self.data["mask"]
             return float(np.sum(resid * resid) / self.data["m_count"])
         d = self.data
-        miss = d["x_final"] - d["x_star"]
         energy = float(np.trapezoid(d["u_quad"] ** 2, d["quad_grid"]))
-        return float(0.5 * miss * miss / d["gamma"] + d["mu"] / (2.0 * d["gamma_prime"]) * energy)
+        return float(
+            control_objective(d["x_final"], energy, d["prob"], d["gamma"], d["gamma_prime"])
+        )
 
 
 def _check_unfold(prob, unfold: IntegratorConfig | None) -> IntegratorConfig:
@@ -274,23 +276,19 @@ def _record_control(
     if not np.isfinite(x) or not np.all(np.isfinite(u_quad)):
         raise IntegrationError(f"non-finite state at unfold step {n_steps}", t=prob.t_final)
     energy = float(np.trapezoid(u_quad * u_quad, quad_grid))
-    miss = x - prob.x_star
-    loss = float(0.5 * miss * miss / gamma + prob.mu / (2.0 * gamma_prime) * energy)
+    loss = float(control_objective(x, energy, prob, gamma, gamma_prime))
     data = {
         "x_final": x,
-        "x_star": prob.x_star,
+        "prob": prob,
         "u_quad": u_quad,
         "quad_grid": quad_grid,
         "gamma": gamma,
         "gamma_prime": gamma_prime,
-        "mu": prob.mu,
         "layers": layers,
         "act": act,
         "method": unfold.method,
         "h": h,
         "n_steps": n_steps,
-        "a": prob.a,
-        "b": prob.b,
         "stage_caches": stage_caches,
         "quad_caches": quad_caches,
         "n_stage": stage_times.size,
@@ -300,9 +298,9 @@ def _record_control(
 
 def _backward_control(tape: Tape) -> list:
     d = tape.data
-    layers, act = d["layers"], d["act"]
+    layers, act, prob = d["layers"], d["act"], d["prob"]
     acc = _zero_acc(layers)
-    a, b, h, n_steps = d["a"], d["b"], d["h"], d["n_steps"]
+    a, b, h, n_steps = prob.a, prob.b, d["h"], d["n_steps"]
 
     # Energy term: E = sum_i w_i u_i^2 with trapezoid weights, so
     # dL/du_i = (mu / 2 gamma') * 2 w_i u_i.
@@ -311,12 +309,12 @@ def _backward_control(tape: Tape) -> list:
     w[1:-1] = 0.5 * (grid[2:] - grid[:-2])
     w[0] = 0.5 * (grid[1] - grid[0])
     w[-1] = 0.5 * (grid[-1] - grid[-2])
-    g_quad = (d["mu"] / (2.0 * d["gamma_prime"])) * 2.0 * w * d["u_quad"]
+    g_quad = (prob.mu / (2.0 * d["gamma_prime"])) * 2.0 * w * d["u_quad"]
     _, grads = _net_vjp(layers, act, d["quad_caches"], g_quad[:, None])
     _add_acc(acc, grads)
 
     # Terminal term back through the unfolded scalar dynamics.
-    gx = (d["x_final"] - d["x_star"]) / d["gamma"]
+    gx = (d["x_final"] - prob.x_star) / d["gamma"]
     ubar = np.zeros(d["n_stage"])
     for k in reversed(range(n_steps)):
         if d["method"] == "rk4":

@@ -38,6 +38,7 @@ __all__ = [
     "control_energy",
     "control_forward_map",
     "control_loss",
+    "control_objective",
     "control_stage_grid",
     "control_states",
     "control_trajectory",
@@ -550,13 +551,24 @@ def control_mse(theta: np.ndarray, prob: ControlProblem, times: np.ndarray | Non
     return float(np.mean((u - u_star) ** 2))
 
 
+def control_objective(x_final, energy, prob: ControlProblem, gamma: float, gamma_prime: float):
+    """0.5 (x(T) - x*)^2 / Gamma + mu / (2 Gamma') * E_T[u_theta].
+
+    The one definition of the control loss, elementwise over members: the
+    EKI driver, :func:`control_loss` and the BPTT baseline pass the terminal
+    states and control energies they computed.
+    """
+    miss = x_final - prob.x_star
+    return 0.5 * miss * miss / gamma + prob.mu / (2.0 * gamma_prime) * energy
+
+
 def control_loss(
     theta: np.ndarray,
     prob: ControlProblem,
     gamma: float | None = None,
     gamma_prime: float | None = None,
 ) -> float:
-    """0.5 (x(T) - x*)^2 / Gamma + mu / (2 Gamma') * E_T[u_theta].
+    """:func:`control_objective` of one parameter vector; inf if it diverged.
 
     ``gamma``/``gamma_prime`` override the problem's covariance scales (the
     runner drops Gamma on a schedule; the gradient baseline sets both to 1).
@@ -566,5 +578,4 @@ def control_loss(
         return float("inf")
     g = prob.gamma if gamma is None else gamma
     gp = prob.gamma_prime if gamma_prime is None else gamma_prime
-    miss = out.g[0] - prob.x_star
-    return float(0.5 * miss * miss / g + prob.mu / (2.0 * gp) * out.h**2)
+    return float(control_objective(out.g[0], out.h**2, prob, g, gp))

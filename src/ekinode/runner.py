@@ -14,6 +14,7 @@ import csv
 import dataclasses
 import json
 import math
+import numbers
 import os
 import platform
 import time
@@ -118,7 +119,10 @@ class ExperimentConfig:
     integrator: IntegratorOptions = field(default_factory=IntegratorOptions)
 
     def validate(self) -> None:
-        msgs = []
+        msgs = _type_errors(self)
+        if msgs:
+            # The value checks below compare and index; wrong types first.
+            raise ConfigError(msgs)
         if self.problem not in PROBLEMS:
             msgs.append(f"problem: {self.problem!r} not in {PROBLEMS}")
         if self.optimizer not in OPTIMIZERS:
@@ -181,7 +185,41 @@ class ExperimentConfig:
 
 
 def _pairs(items, ok) -> bool:
-    return all(len(item) == 2 and ok(*item) for item in items)
+    return all(
+        isinstance(item, (tuple, list)) and len(item) == 2
+        and all(_type_ok(v, "float") for v in item) and ok(*item)
+        for item in items
+    )
+
+
+# The field annotations, strings under postponed evaluation, by name.  Exact
+# int and float come first: the abstract number checks are slower.
+_FIELD_TYPES = {
+    "int": (int, numbers.Integral),
+    "float": (float, int, numbers.Real),
+    "bool": bool, "str": str, "tuple": (tuple, list), "None": type(None),
+    "EkiOptions": EkiOptions, "GradientOptions": GradientOptions,
+    "ProblemOptions": ProblemOptions, "IntegratorOptions": IntegratorOptions,
+}
+
+
+def _type_ok(value, annotation: str) -> bool:
+    if isinstance(value, bool):
+        return annotation == "bool"
+    return isinstance(value, _FIELD_TYPES[annotation])
+
+
+def _type_errors(obj, prefix: str = "") -> list[str]:
+    """One message per field of a config dataclass whose value does not have
+    the field's annotated type; nested option blocks are checked too."""
+    msgs = []
+    for f in dataclasses.fields(obj):
+        name, value = prefix + f.name, getattr(obj, f.name)
+        if not any(_type_ok(value, t) for t in f.type.split(" | ")):
+            msgs.append(f"{name}: expected {f.type}, got {type(value).__name__}")
+        elif dataclasses.is_dataclass(value):
+            msgs += _type_errors(value, name + ".")
+    return msgs
 
 
 def config_to_dict(config: ExperimentConfig) -> dict:
@@ -196,10 +234,14 @@ def config_from_dict(data: dict) -> ExperimentConfig:
             raise ConfigError([f"{cls.__name__}: unknown keys {sorted(unknown)}"])
         kwargs = {}
         for key, value in block.items():
-            if key in ("gamma_steps", "expansions") and value is not None:
-                value = tuple(tuple(item) for item in value)
+            if key in ("gamma_steps", "expansions") and isinstance(value, list):
+                # Malformed pairs pass through for validate() to name.
+                value = tuple(tuple(item) if isinstance(item, list) else item for item in value)
             kwargs[key] = value
         return cls(**kwargs)
+
+    if not isinstance(data, dict):
+        raise ConfigError([f"config: expected a JSON object, got {type(data).__name__}"])
 
     data = dict(data)
     for key, cls in (
@@ -441,7 +483,8 @@ def _versions() -> dict:
 
 class _EkiDriver:
     """Shared mechanics for both problem families: evaluate members, log,
-    and advance one controlled explicit-Euler step per epoch."""
+    and advance one controlled explicit-Euler step per epoch.  Subclasses
+    set ``target``, the data vector the update pulls the outputs toward."""
 
     def __init__(self, config, prob, init_rng):
         self.config = config
@@ -463,14 +506,12 @@ class _EkiDriver:
         """Per-member losses (J,); failed members score PENALTY_LOSS."""
         raise NotImplementedError
 
-    def target(self):
-        raise NotImplementedError
-
-    def step(self, outputs, gamma, h):
-        raise NotImplementedError
-
     def gamma_for(self, epoch) -> float:
         raise NotImplementedError
+
+    def variances(self, gamma):
+        """Diagonal of the noise covariance at data scale ``gamma``."""
+        return gamma
 
     # shared mechanics -----------------------------------------------------
     def evaluate(self):
@@ -495,7 +536,7 @@ class _EkiDriver:
         cur_fail = np.count_nonzero(self.outputs.failed)
         cur_best = cur_losses.min()
 
-        unit = self.step(self.outputs, gamma, 1.0)
+        unit = eki.eki_step(self.ens, self.outputs, self.target, self.variances(gamma))
         delta = unit.members - self.ens.members
         rel = np.max(np.abs(delta), axis=1) / (np.max(np.abs(self.ens.members), axis=1) + 1.0)
         maxrel = float(rel.max()) if rel.size else 0.0
@@ -541,7 +582,7 @@ class _EkiDriver:
 class _SysIdDriver(_EkiDriver):
     def __init__(self, config, prob, init_rng):
         super().__init__(config, prob, init_rng)
-        self.y = prob.observations.stacked_values()
+        self.target = prob.observations.stacked_values()
         self.schedule = eki.CovarianceSchedule(
             gamma0=self.opts.gamma0,
             alpha=self.opts.alpha,
@@ -558,9 +599,6 @@ class _SysIdDriver(_EkiDriver):
     def gamma_for(self, epoch):
         return eki.gamma_at(self.schedule, epoch)
 
-    def step(self, outputs, gamma, h):
-        return eki.eki_step(self.ens, _per_member(outputs), self.y, gamma, h=h)
-
     def metrics(self, theta, min_loss):
         # The training MSE of the best member is its loss: same residuals.
         return min_loss, _safe(problems.test_mse, theta, self.prob)
@@ -569,7 +607,7 @@ class _SysIdDriver(_EkiDriver):
 class _ControlDriver(_EkiDriver):
     def __init__(self, config, prob, init_rng):
         super().__init__(config, prob, init_rng)
-        self.z = np.array([prob.x_star, 0.0])
+        self.target = np.array([prob.x_star, 0.0])
 
     def forward(self, members):
         return problems.control_forward_map(members, self.prob)
@@ -582,29 +620,20 @@ class _ControlDriver(_EkiDriver):
         return gamma
 
     def losses(self, outputs, epoch):
-        gamma = self.gamma_for(epoch)
-        scale = self.prob.mu / (2.0 * self.opts.gamma_prime)
-        loss = 0.5 * (outputs.g[:, 0] - self.prob.x_star) ** 2 / gamma + scale * outputs.h**2
+        loss = problems.control_objective(
+            outputs.g[:, 0], outputs.h**2, self.prob, self.gamma_for(epoch), self.opts.gamma_prime
+        )
         return np.where(outputs.failed, eki.PENALTY_LOSS, loss)
 
-    def step(self, outputs, gamma, h):
-        cov = eki.BlockCovariance(gamma=gamma, gamma_prime=self.opts.gamma_prime, mu=self.prob.mu)
-        return eki.eki_step_regularized(self.ens, _per_member(outputs), self.z, cov, h=h)
+    def variances(self, gamma):
+        # The energy channel's variance is Gamma' / mu: the regularized problem.
+        return np.array([gamma, self.opts.gamma_prime / self.prob.mu])
 
     def metrics(self, theta, min_loss):
         return (
             problems.control_mse(theta, self.prob),
             problems.control_mse(theta, self.prob, _dense_control_grid(self.prob)),
         )
-
-
-def _per_member(out):
-    """Split a batched forward-map output into the per-member list the
-    update functions take."""
-    hs = [None] * len(out.g) if out.h is None else [float(h) for h in out.h]
-    return [
-        eki.ForwardMapOutput(g=g, h=h, failed=bool(f)) for g, h, f in zip(out.g, hs, out.failed)
-    ]
 
 
 # ---------------------------------------------------------------------------

@@ -60,7 +60,7 @@ def test_criterion_02_linear_eki_gradient_flow():
         y = rng.normal(size=2)
         members = rng.normal(size=(3, 2))
         gamma, h = 0.7, 0.05
-        outputs = [eki.ForwardMapOutput(g=a @ m) for m in members]
+        outputs = eki.ForwardMapOutput(g=np.stack([a @ m for m in members]))
         stepped = eki.eki_step(eki.Ensemble(members.copy()), outputs, y, gamma=gamma, h=h)
         centered = members - members.mean(axis=0)
         c_theta = centered.T @ centered / members.shape[0]
@@ -86,7 +86,7 @@ def test_criterion_02_linear_eki_gradient_flow():
 
         start = phi(eki.ensemble_mean(ens))
         for m in range(200):
-            outputs = [eki.ForwardMapOutput(g=a @ mem) for mem in ens.members]
+            outputs = eki.ForwardMapOutput(g=np.stack([a @ mem for mem in ens.members]))
             ens = eki.eki_step(ens, outputs, y, gamma=eki.gamma_at(schedule, m), h=1.0)
         end = phi(eki.ensemble_mean(ens))
         least_orders = min(least_orders, float(np.log10(start / end)))
@@ -276,7 +276,7 @@ def test_criterion_10_property_suites(tmp_path):
     members = rng.normal(size=(5, 4))
     a = rng.normal(size=(3, 4))
     y = rng.normal(size=3)
-    outputs = [eki.ForwardMapOutput(g=a @ m) for m in members]
+    outputs = eki.ForwardMapOutput(g=np.stack([a @ m for m in members]))
     stepped = eki.eki_step(eki.Ensemble(members.copy()), outputs, y, gamma=0.5, h=0.2)
 
     # Updates stay in the span of the centered ensemble.
@@ -289,11 +289,12 @@ def test_criterion_10_property_suites(tmp_path):
     # Relabelling members commutes with the update.
     perm = np.array([3, 0, 4, 1, 2])
     stepped_perm = eki.eki_step(
-        eki.Ensemble(members[perm].copy()), [outputs[j] for j in perm], y, gamma=0.5, h=0.2)
+        eki.Ensemble(members[perm].copy()), eki.ForwardMapOutput(g=outputs.g[perm]), y,
+        gamma=0.5, h=0.2)
     assert np.allclose(stepped_perm.members, stepped.members[perm], rtol=0, atol=1e-13)
 
     # Cross-covariance equals its mean-field definition.
-    g_stack = np.array([out.g for out in outputs])
+    g_stack = outputs.g
     hand = centered.T @ (g_stack - g_stack.mean(axis=0)) / members.shape[0]
     assert np.allclose(eki.cross_covariance(eki.Ensemble(members), outputs), hand,
                        rtol=0, atol=1e-14)

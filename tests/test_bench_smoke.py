@@ -1,6 +1,7 @@
 """Smoke test of the benchmark harness: one sample of the cheapest workload,
 plain and traced, must run and pass its own output checks.  No timing bound:
-this only keeps the harness and the tracer working against the package."""
+this only keeps the harness and the tracer working against the package, and
+pins the traced call counts the per-layer metrics are read from."""
 
 import json
 import os
@@ -23,3 +24,8 @@ def test_sample_runs_clean(tmp_path, extra):
     assert result["problems"] == []
     if extra:
         assert result["trace"]["problems"] == []
+        # The tracer finds the update rule and the forward maps by name; a
+        # rename would read 0 here rather than fail.  control-eki@4, seed 0:
+        metrics = result["trace"]["metrics"]
+        assert metrics["eki.step.calls"] == 4
+        assert metrics["problems.forward_map.calls"] == 6

@@ -88,6 +88,23 @@ def test_invalid_config_reports_each_message(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "exactly one" in err
     assert "optimizer" in err
+    # Values of the wrong type are config errors too, each named by field,
+    # and no run starts.
+    for key, value, field in (
+        ("eki", {"expansions": [3]}, "eki.expansions"),
+        ("eki", {"step_size": "big"}, "eki.step_size"),
+        ("epochs", "2", "epochs"),
+        ("eki", {"ensemble_size": 2.5}, "eki.ensemble_size"),
+        ("eki", [1], "eki"),
+    ):
+        data = runner.config_to_dict(runner.preset("spiral-eki"))
+        data["epochs"] = 1
+        data[key] = {**data[key], **value} if isinstance(value, dict) else value
+        path.write_text(json.dumps(data))
+        out = tmp_path / f"bad-{field}"
+        assert cli.main(["run", "--config", str(path), "--out", str(out)]) == 1
+        assert f"config error: {field}:" in capsys.readouterr().err
+        assert not (out / "report.json").exists()
 
 
 def test_runtime_failure_exits_two(tmp_path, capsys):

@@ -14,7 +14,7 @@ def make_ensemble(members, **kwargs):
 
 
 def outputs_from(values):
-    return [eki.ForwardMapOutput(g=v) for v in values]
+    return eki.ForwardMapOutput(g=np.stack(values))
 
 
 def test_ensemble_mean_identical_members():
@@ -36,13 +36,6 @@ def test_ensemble_mean_matches_brute_force():
         brute += row
     brute /= 3.0
     assert np.allclose(eki.ensemble_mean(ens), brute, rtol=1e-15, atol=0.0)
-
-
-def test_output_mean():
-    outs = [eki.ForwardMapOutput(g=[1.0, 2.0], h=0.5), eki.ForwardMapOutput(g=[3.0, 0.0], h=1.5)]
-    mean = eki.output_mean(outs)
-    assert np.array_equal(mean.g, np.array([2.0, 1.0]))
-    assert mean.h == 1.0
 
 
 def test_cross_covariance_single_member_is_zero():
@@ -108,13 +101,13 @@ def test_eki_step_freezes_failed_members():
     members = rng.normal(size=(3, 4))
     ens = make_ensemble(members)
     outs = outputs_from([rng.normal(size=2) for _ in range(3)])
-    outs[1].failed = True
+    outs.failed = np.array([False, True, False])
     y = np.zeros(2)
     new = eki.eki_step(ens, outs, y, gamma=1.0, h=0.5)
     assert np.array_equal(new.members[1], members[1])
     # Valid members update exactly as the two-member sub-ensemble would.
     sub = make_ensemble(members[[0, 2]])
-    sub_new = eki.eki_step(sub, [outs[0], outs[2]], y, gamma=1.0, h=0.5)
+    sub_new = eki.eki_step(sub, outputs_from(outs.g[[0, 2]]), y, gamma=1.0, h=0.5)
     assert np.array_equal(new.members[[0, 2]], sub_new.members)
 
 
@@ -123,18 +116,16 @@ def test_regularized_step_scalar_hand_oracle():
     # mu=0.02.  B = (1, 1), Sigma^{-1} = diag(2, 0.2), so the per-member
     # residual products are 2.2 and 6.6.
     ens = make_ensemble([[1.0], [3.0]])
-    outs = [eki.ForwardMapOutput(g=[2.0], h=1.0), eki.ForwardMapOutput(g=[4.0], h=3.0)]
-    cov = eki.BlockCovariance(gamma=0.5, gamma_prime=0.1, mu=0.02)
-    new = eki.eki_step_regularized(ens, outs, np.array([1.0, 0.0]), cov, h=0.1)
+    outs = eki.ForwardMapOutput(g=[[2.0], [4.0]], h=np.array([1.0, 3.0]))
+    new = eki.eki_step(ens, outs, np.array([1.0, 0.0]), np.array([0.5, 0.1 / 0.02]), h=0.1)
     assert abs(new.members[0, 0] - 0.78) < ORACLE_TOL
     assert abs(new.members[1, 0] - 2.34) < ORACLE_TOL
 
 
 def test_regularized_step_zero_residual_is_identity():
     ens = make_ensemble([[1.0], [2.0]])
-    outs = [eki.ForwardMapOutput(g=[3.0], h=0.0) for _ in range(2)]
-    cov = eki.BlockCovariance(gamma=1.0, gamma_prime=1.0, mu=0.5)
-    new = eki.eki_step_regularized(ens, outs, np.array([3.0, 0.0]), cov)
+    outs = eki.ForwardMapOutput(g=[[3.0], [3.0]], h=np.zeros(2))
+    new = eki.eki_step(ens, outs, np.array([3.0, 0.0]), np.array([1.0, 1.0 / 0.5]))
     assert np.array_equal(new.members, ens.members)
 
 
@@ -146,18 +137,18 @@ def test_regularized_step_reduces_to_plain_step():
     gs = [rng.normal(size=2) for _ in range(4)]
     y = rng.normal(size=2)
     ens = make_ensemble(members)
-    reg_outs = [eki.ForwardMapOutput(g=g, h=0.75) for g in gs]
-    cov = eki.BlockCovariance(gamma=0.4, gamma_prime=0.01, mu=123.0)
-    reg = eki.eki_step_regularized(ens, reg_outs, np.concatenate([y, [0.0]]), cov, h=0.2)
+    reg_outs = eki.ForwardMapOutput(g=np.stack(gs), h=np.full(4, 0.75))
+    variances = np.array([0.4, 0.4, 0.01 / 123.0])
+    reg = eki.eki_step(ens, reg_outs, np.concatenate([y, [0.0]]), variances, h=0.2)
     plain = eki.eki_step(make_ensemble(members), outputs_from(gs), y, gamma=0.4, h=0.2)
     assert np.allclose(reg.members, plain.members, atol=1e-14)
 
 
-def test_regularized_step_requires_energy_channel():
+def test_eki_step_rejects_mismatched_gamma_length():
+    # Two variances but no energy channel: one output column per member.
     ens = make_ensemble([[1.0], [2.0]])
-    cov = eki.BlockCovariance(gamma=1.0, gamma_prime=1.0, mu=1.0)
     with pytest.raises(ValueError):
-        eki.eki_step_regularized(ens, outputs_from([[1.0], [2.0]]), np.array([0.0, 0.0]), cov)
+        eki.eki_step(ens, outputs_from([[1.0], [2.0]]), np.array([0.0, 0.0]), np.ones(2))
 
 
 def test_gamma_at_schedule_values():
@@ -185,13 +176,13 @@ def test_schedule_validation():
         eki.CovarianceSchedule(gamma0=0.9, alpha=0.35, period=0)
 
 
-def test_block_covariance_validation():
-    with pytest.raises(ValueError):
-        eki.BlockCovariance(gamma=0.0, gamma_prime=1.0, mu=1.0)
-    with pytest.raises(ValueError):
-        eki.BlockCovariance(gamma=1.0, gamma_prime=0.0, mu=1.0)
-    with pytest.raises(ValueError):
-        eki.BlockCovariance(gamma=1.0, gamma_prime=1.0, mu=0.0)
+def test_eki_step_rejects_nonpositive_gamma():
+    ens = make_ensemble([[1.0], [2.0]])
+    outs = eki.ForwardMapOutput(g=[[1.0], [2.0]], h=np.array([0.5, 1.5]))
+    z = np.array([0.0, 0.0])
+    for gamma in (0.0, -1.0, np.nan, [0.0, 1.0], [1.0, 0.0], [1.0, -2.0]):
+        with pytest.raises(ValueError):
+            eki.eki_step(ens, outs, z, gamma)
 
 
 def test_ensemble_expand_counts_and_determinism():

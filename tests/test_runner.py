@@ -99,6 +99,8 @@ def test_config_from_dict_rejects_unknown_keys():
         runner.config_from_dict(data)
     with pytest.raises(runner.ConfigError):
         runner.config_from_dict({"problem": "spiral", "epochs": 1, "turbo": True})
+    with pytest.raises(runner.ConfigError, match="JSON object"):
+        runner.config_from_dict([1])
 
 
 def test_preset_listing_is_complete():
@@ -196,6 +198,20 @@ def test_eki_log_tracks_schedule_expansion_and_gamma_steps(tmp_path):
     assert [int(r[2]) for r in rows] == [2, 2, 2, 22, 22]
     assert [float(r[1]) for r in rows] == [0.3, 0.3, 0.3, 0.15, 0.15]
     assert ["expansion", 3, 20] in [list(e) for e in report.events]
+
+
+def test_stall_holds_the_ensemble(tmp_path):
+    # No candidate can beat 1e-12 times the current best loss and no
+    # backtrack is allowed, so every epoch stalls and the ensemble stays put.
+    eki_opts = dataclasses.replace(
+        runner.preset("spiral-eki").eki, accept_factor=1e-12, max_backtracks=0
+    )
+    runner.run(tiny("spiral-eki", 2, eki=eki_opts), out_dir=str(tmp_path / "r"))
+    report = json.loads((tmp_path / "r" / "report.json").read_text())
+    assert report["events"] == [["stall", 0], ["stall", 1]]
+    _, rows = read_log(str(tmp_path / "r" / "log.csv"))
+    assert len(rows) == 3
+    assert all(row[3:] == rows[0][3:] for row in rows)
 
 
 def test_sysid_gamma_schedule_in_log(tmp_path):
