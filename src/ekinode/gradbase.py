@@ -1,11 +1,16 @@
 """Gradient-based training baseline: BPTT plus Adam / plain SGD.
 
-Reverse-mode differentiation through the time-unfolded network.  The forward
-pass mirrors :func:`ekinode.ode.integrate` step for step (fixed-step Euler or
-RK4 only), so the gradient is exact for the same discrete losses the
-problems module reports: the training MSE for system identification and the
-terminal-miss-plus-energy loss for control.  Adaptive integrators are
-rejected because step acceptance is not differentiable.
+Reverse-mode differentiation through the time-unfolded network.  The
+system-identification forward pass runs on :func:`ekinode.ode.integrate_lockstep`
+with the forward map's starts, sample times and one-member stacked layers,
+recording every network evaluation through :func:`ekinode.nnet.mlp_apply`,
+and its loss is :func:`ekinode.problems.sysid_loss`.  The control forward
+pass evaluates the controller on the forward map's stage and quadrature
+grids and runs the same scalar recurrence.  The gradient is therefore exact
+for the discrete losses the problems module reports: the training MSE for
+system identification and the terminal-miss-plus-energy loss for control.
+Only fixed-step methods (euler, rk4) unfold; adaptive step acceptance is
+not differentiable.
 """
 
 from __future__ import annotations
@@ -14,10 +19,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import nnet
+from . import nnet, ode
+from .eki import ForwardMapOutput
 from .ode import IntegrationError, IntegratorConfig
 from .problems import ControlProblem, SysIdProblem
 from .problems import control_objective, control_stage_grid, control_states
+from .problems import sysid_grid, sysid_loss
 
 __all__ = [
     "AdamState",
@@ -31,7 +38,7 @@ __all__ = [
 
 
 # ---------------------------------------------------------------------------
-# Batched taped MLP passes
+# Reverse passes through recorded network evaluations and unfolding steps
 
 
 def _act_deriv(y: np.ndarray, activation: str) -> np.ndarray:
@@ -43,95 +50,34 @@ def _act_deriv(y: np.ndarray, activation: str) -> np.ndarray:
     return np.where(y < 0.0, y + 1.0, 1.0)
 
 
-def _net_forward(layers, activation: str, x: np.ndarray):
-    """Forward pass on a (B, in) batch, caching per-layer input/output."""
-    caches = []
-    h = x
-    last = len(layers) - 1
-    for i, (w, b) in enumerate(layers):
-        z = h @ w.T + b
-        if i != last:
-            z = nnet._activate(z, activation)
-            caches.append((h, z))
-        else:
-            caches.append((h, None))
-        h = z
-    return h, caches
-
-
-def _net_vjp(layers, activation: str, caches, gout: np.ndarray):
-    """Pull a (B, out) output gradient back; returns (input grad, layer grads)."""
+def _net_vjp(layers, activation: str, record, gout: np.ndarray, acc) -> np.ndarray:
+    """Pull an output gradient back through one recorded :func:`nnet.mlp_apply`
+    pass: add the layer gradients into ``acc``, per-layer (W, b) arrays shaped
+    like ``layers``, and return the input gradient."""
     g = gout
-    grads = [None] * len(layers)
-    for i in reversed(range(len(layers))):
-        w, _ = layers[i]
-        a, y = caches[i]
+    for (w, _), (a, y), (dw, db) in zip(reversed(layers), reversed(record), reversed(acc)):
         gz = g if y is None else g * _act_deriv(y, activation)
-        grads[i] = (gz.T @ a, gz.sum(axis=0))
+        dw += gz.mT @ a
+        db += gz.sum(axis=-2)
         g = gz @ w
-    return g, grads
+    return g
 
 
-def _zero_acc(layers):
-    return [[np.zeros_like(w), np.zeros_like(b)] for w, b in layers]
-
-
-def _add_acc(acc, grads):
-    for slot, (dw, db) in zip(acc, grads):
-        slot[0] += dw
-        slot[1] += db
-
-
-# ---------------------------------------------------------------------------
-# Differentiable unfolding steps (state-dependent autonomous field f(x))
-
-
-def _step_forward(layers, act, x, h, method):
+def _step_backward(layers, act, method, calls, gx, h, acc):
+    """Given the gradient at a step's output, accumulate the parameter
+    gradients of its recorded field evaluations and return the gradient at
+    the step's input."""
     if method == "euler":
-        k1, c1 = _net_forward(layers, act, x)
-        return x + h * k1, (c1,)
-    k1, c1 = _net_forward(layers, act, x)
-    k2, c2 = _net_forward(layers, act, x + 0.5 * h * k1)
-    k3, c3 = _net_forward(layers, act, x + 0.5 * h * k2)
-    k4, c4 = _net_forward(layers, act, x + h * k3)
-    return x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4), (c1, c2, c3, c4)
-
-
-def _step_backward(layers, act, caches, gx, h, method, acc):
-    """Given the gradient at the step output, accumulate parameter gradients
-    and return the gradient at the step input."""
-    if method == "euler":
-        (c1,) = caches
-        gin, grads = _net_vjp(layers, act, c1, h * gx)
-        _add_acc(acc, grads)
-        return gx + gin
-    c1, c2, c3, c4 = caches
-    gk1 = (h / 6.0) * gx
-    gk2 = (h / 3.0) * gx
-    gk3 = (h / 3.0) * gx
-    gk4 = (h / 6.0) * gx
-    xbar = gx.copy()
-    gin, grads = _net_vjp(layers, act, c4, gk4)
-    _add_acc(acc, grads)
+        return gx + _net_vjp(layers, act, calls[0], h * gx, acc)
+    c1, c2, c3, c4 = calls
+    gin = _net_vjp(layers, act, c4, (h / 6.0) * gx, acc)
+    xbar = gx + gin
+    gin = _net_vjp(layers, act, c3, (h / 3.0) * gx + h * gin, acc)
     xbar += gin
-    gk3 = gk3 + h * gin
-    gin, grads = _net_vjp(layers, act, c3, gk3)
-    _add_acc(acc, grads)
+    gin = _net_vjp(layers, act, c2, (h / 3.0) * gx + 0.5 * h * gin, acc)
     xbar += gin
-    gk2 = gk2 + 0.5 * h * gin
-    gin, grads = _net_vjp(layers, act, c2, gk2)
-    _add_acc(acc, grads)
-    xbar += gin
-    gk1 = gk1 + 0.5 * h * gin
-    gin, grads = _net_vjp(layers, act, c1, gk1)
-    _add_acc(acc, grads)
-    xbar += gin
-    return xbar
-
-
-def _substeps(t0: float, t1: float, dt: float):
-    n_sub = max(1, int(np.ceil((t1 - t0) / dt - 1e-9)))
-    return n_sub, (t1 - t0) / n_sub
+    gin = _net_vjp(layers, act, c1, (h / 6.0) * gx + 0.5 * h * gin, acc)
+    return xbar + gin
 
 
 # ---------------------------------------------------------------------------
@@ -144,18 +90,21 @@ class Tape:
 
     ``replay`` pushes the recorded predictions through the loss again and
     must reproduce ``loss`` exactly; it is the cheap integrity check that the
-    backward pass differentiates the value actually returned.
+    backward pass differentiates the value actually returned.  ``failed`` is
+    the integrator core's flag: a state beyond the divergence limit.  Such a
+    finite loss still has a gradient, but the forward map would score it
+    :data:`eki.PENALTY_LOSS`.
     """
 
     kind: str  # "sysid" | "control"
     loss: float
     data: dict
+    failed: bool = False
 
     def replay(self) -> float:
-        if self.kind == "sysid":
-            resid = (self.data["preds"] - self.data["targets"]) * self.data["mask"]
-            return float(np.sum(resid * resid) / self.data["m_count"])
         d = self.data
+        if self.kind == "sysid":
+            return float(sysid_loss(d["out"], d["prob"]))
         energy = float(np.trapezoid(d["u_quad"] ** 2, d["quad_grid"]))
         return float(
             control_objective(d["x_final"], energy, d["prob"], d["gamma"], d["gamma_prime"])
@@ -174,82 +123,64 @@ def _check_unfold(prob, unfold: IntegratorConfig | None) -> IntegratorConfig:
 # System identification: MSE through the unfolded trajectory
 
 
-def _sysid_graph(prob: SysIdProblem):
-    """Checkpoint times, initial states, observation mask and targets for the
-    problem's assembly mode.  Shapes: x0s (B, n), targets (B, K+1, n)."""
-    obs = prob.observations
-    n = np.asarray(prob.x0).size
-    if prob.assembly == "shooting":
-        L = obs.subset_length
-        B = obs.num_subsets
-        seg_times = obs.times[:L]
-        spacings = np.diff(obs.times.reshape(B, L), axis=1)
-        if not np.allclose(spacings, spacings[0, 0]):
-            raise ValueError("shooting BPTT requires uniformly spaced observations")
-        x0s = obs.values.reshape(B, L, n)[:, 0, :]
-        targets = obs.values.reshape(B, L, n)
-        mask = np.ones(L, dtype=bool)
-        return x0s, seg_times - seg_times[0], mask, targets
-    mask = np.zeros(obs.grid_times.size, dtype=bool)
-    mask[obs.train_indices] = True
-    targets = np.zeros((1, obs.grid_times.size, n))
-    targets[0, obs.train_indices] = obs.values
-    return np.asarray(prob.x0, dtype=float).reshape(1, n), obs.grid_times, mask, targets
-
-
 def _record_sysid(theta: np.ndarray, prob: SysIdProblem, unfold: IntegratorConfig) -> Tape:
-    layers = nnet.unflatten(prob.net, theta)
+    # One-member stacked layers on the forward map's grid: the recorded
+    # states are bitwise those of problems.sysid_forward_map.
+    layers = nnet.unflatten(prob.net, theta[None])
     act = prob.net.activation
-    x0s, times, mask, targets = _sysid_graph(prob)
-    B, n = x0s.shape
-    K = times.size - 1
-    preds = np.empty((B, K + 1, n))
-    preds[:, 0] = x0s
-    intervals = []
-    x = x0s
-    with np.errstate(over="ignore", invalid="ignore"):
-        for i in range(K):
-            n_sub, h = _substeps(times[i], times[i + 1], unfold.dt)
-            steps = []
-            for _ in range(n_sub):
-                x, caches = _step_forward(layers, act, x, h, unfold.method)
-                steps.append((h, caches))
-            if not np.all(np.isfinite(x)):
-                raise IntegrationError(f"non-finite state at unfold step {i + 1}", t=float(times[i + 1]))
-            preds[:, i + 1] = x
-            intervals.append(steps)
-    m_count = int(mask.sum()) * B
-    with np.errstate(over="ignore", invalid="ignore"):
-        resid = (preds - targets) * mask[None, :, None]
-        loss = float(np.sum(resid * resid) / m_count)
+    x0, times, obs_index = sysid_grid(prob)
+    n_sub, lengths = ode.substeps(times, unfold.dt)
+    if np.any(n_sub != n_sub[0]):
+        raise ValueError("BPTT needs equal substep counts across rows within an interval")
+    if n_sub[0].sum() > unfold.max_steps:
+        raise IntegrationError(f"max_steps={unfold.max_steps} exceeded", t=float(times[0, 0]))
+    calls = []
+
+    def field(x):
+        calls.append([])
+        return nnet.mlp_apply(layers, x, act, calls[-1])
+
+    states, failed = ode.integrate_lockstep(field, x0[None], times, unfold)
+    finite = np.isfinite(states).all(axis=(0, 1, 3))
+    if not finite.all():
+        k = int(np.argmin(finite))
+        raise IntegrationError(f"non-finite state at unfold step {k}", t=float(times[0, k]))
+    n = x0.shape[-1]
+    out = ForwardMapOutput(g=states.reshape(-1, n)[obs_index].reshape(-1))
     data = {
-        "preds": preds,
-        "targets": targets,
-        "mask": mask[None, :, None],
-        "m_count": m_count,
-        "intervals": intervals,
+        "out": out,
+        "prob": prob,
         "layers": layers,
         "act": act,
         "method": unfold.method,
-        "resid": resid,
+        "calls": calls,
+        "n_sub": n_sub[0].tolist(),
+        "lengths": lengths,
+        "obs_index": obs_index,
+        "shape": states.shape,
     }
-    return Tape("sysid", loss, data)
+    return Tape("sysid", float(sysid_loss(out, prob)), data, failed=bool(failed[0]))
 
 
-def _backward_sysid(tape: Tape) -> list:
+def _backward_sysid(tape: Tape, acc) -> None:
     d = tape.data
-    layers, act, method = d["layers"], d["act"], d["method"]
-    acc = _zero_acc(layers)
-    scale = 2.0 / d["m_count"]
-    resid = d["resid"]
-    K = len(d["intervals"])
-    gx = scale * resid[:, K]
-    for i in reversed(range(K)):
-        for h, caches in reversed(d["intervals"][i]):
-            gx = _step_backward(layers, act, caches, gx, h, method, acc)
-        if i > 0:
-            gx = gx + scale * resid[:, i]
-    return acc
+    layers, act, method, calls = d["layers"], d["act"], d["method"], d["calls"]
+    obs = d["prob"].observations
+    # dL/d(state) is 2 (xhat - x) / M at the observations, zero elsewhere.
+    gstates = np.zeros(d["shape"])
+    n = gstates.shape[-1]
+    resid = d["out"].g - obs.stacked_values()
+    gstates.reshape(-1, n)[d["obs_index"]] = (2.0 / obs.values.shape[0]) * resid.reshape(-1, n)
+    # The field evaluations of each substep, last substep first.
+    stages = 1 if method == "euler" else 4
+    end = len(calls)
+    gx = 0.0
+    for k in reversed(range(len(d["lengths"]))):
+        gx = gx + gstates[:, :, k + 1]
+        for _ in range(d["n_sub"][k]):
+            step_calls = calls[end - stages : end]
+            gx = _step_backward(layers, act, method, step_calls, gx, d["lengths"][k], acc)
+            end -= stages
 
 
 # ---------------------------------------------------------------------------
@@ -266,13 +197,11 @@ def _record_control(
     layers = nnet.unflatten(prob.controller, theta)
     act = prob.controller.activation
     stage_times, h, n_steps = control_stage_grid(prob, unfold)
-    with np.errstate(over="ignore", invalid="ignore"):
-        u_stage, stage_caches = _net_forward(layers, act, stage_times[:, None])
-        u_stage = u_stage[:, 0]
-        quad_grid = prob.quadrature_grid()
-        u_quad, quad_caches = _net_forward(layers, act, quad_grid[:, None])
-        u_quad = u_quad[:, 0]
-        x = float(control_states(u_stage, prob, h, unfold.method)[-1])
+    quad_grid = prob.quadrature_grid()
+    stage_record, quad_record = [], []
+    u_stage = nnet.mlp_apply(layers, stage_times[:, None], act, stage_record)[:, 0]
+    u_quad = nnet.mlp_apply(layers, quad_grid[:, None], act, quad_record)[:, 0]
+    x = float(control_states(u_stage, prob, h, unfold.method)[-1])
     if not np.isfinite(x) or not np.all(np.isfinite(u_quad)):
         raise IntegrationError(f"non-finite state at unfold step {n_steps}", t=prob.t_final)
     energy = float(np.trapezoid(u_quad * u_quad, quad_grid))
@@ -289,17 +218,16 @@ def _record_control(
         "method": unfold.method,
         "h": h,
         "n_steps": n_steps,
-        "stage_caches": stage_caches,
-        "quad_caches": quad_caches,
+        "stage_record": stage_record,
+        "quad_record": quad_record,
         "n_stage": stage_times.size,
     }
     return Tape("control", loss, data)
 
 
-def _backward_control(tape: Tape) -> list:
+def _backward_control(tape: Tape, acc) -> None:
     d = tape.data
     layers, act, prob = d["layers"], d["act"], d["prob"]
-    acc = _zero_acc(layers)
     a, b, h, n_steps = prob.a, prob.b, d["h"], d["n_steps"]
 
     # Energy term: E = sum_i w_i u_i^2 with trapezoid weights, so
@@ -310,8 +238,7 @@ def _backward_control(tape: Tape) -> list:
     w[0] = 0.5 * (grid[1] - grid[0])
     w[-1] = 0.5 * (grid[-1] - grid[-2])
     g_quad = (prob.mu / (2.0 * d["gamma_prime"])) * 2.0 * w * d["u_quad"]
-    _, grads = _net_vjp(layers, act, d["quad_caches"], g_quad[:, None])
-    _add_acc(acc, grads)
+    _net_vjp(layers, act, d["quad_record"], g_quad[:, None], acc)
 
     # Terminal term back through the unfolded scalar dynamics.
     gx = (d["x_final"] - prob.x_star) / d["gamma"]
@@ -342,9 +269,7 @@ def _backward_control(tape: Tape) -> list:
         else:
             ubar[k] += h * b * gx
             gx = gx * (1.0 + h * a)
-    _, grads = _net_vjp(layers, act, d["stage_caches"], ubar[:, None])
-    _add_acc(acc, grads)
-    return acc
+    _net_vjp(layers, act, d["stage_record"], ubar[:, None], acc)
 
 
 # ---------------------------------------------------------------------------
@@ -361,21 +286,24 @@ def bptt_value_and_gradient(
     """Discrete loss, its exact gradient, and the tape it was read from.
 
     For control problems the loss is evaluated at the given ``gamma`` and
-    ``gamma_prime`` (both 1 for the plain gradient baseline).
+    ``gamma_prime`` (both 1 for the plain gradient baseline).  Raises
+    :class:`IntegrationError` on a non-finite state or when the unfolding
+    takes more than ``max_steps`` steps.
     """
     theta = np.asarray(theta, dtype=float)
     unfold = _check_unfold(problem, unfold)
+    # The gradient accumulates in place through (W, b) views of one array,
+    # laid out like the layers the tape recorded through.
     with np.errstate(over="ignore", invalid="ignore"):
         if isinstance(problem, SysIdProblem):
             tape = _record_sysid(theta, problem, unfold)
-            acc = _backward_sysid(tape)
-            spec = problem.net
+            grad = np.zeros((1, theta.size))
+            _backward_sysid(tape, nnet.unflatten(problem.net, grad))
         else:
             tape = _record_control(theta, problem, unfold, gamma, gamma_prime)
-            acc = _backward_control(tape)
-            spec = problem.controller
-    grad = nnet.flatten(spec, [(dw, db) for dw, db in acc])
-    return tape.loss, grad, tape
+            grad = np.zeros(theta.size)
+            _backward_control(tape, nnet.unflatten(problem.controller, grad))
+    return tape.loss, grad.reshape(-1), tape
 
 
 def bptt_gradient(

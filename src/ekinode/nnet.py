@@ -137,20 +137,34 @@ def _activate(z: np.ndarray, activation: str) -> np.ndarray:
 
 
 def mlp_apply(
-    layers: list[tuple[np.ndarray, np.ndarray]], x: np.ndarray, activation: str
+    layers: list[tuple[np.ndarray, np.ndarray]],
+    x: np.ndarray,
+    activation: str,
+    record: list | None = None,
 ) -> np.ndarray:
     """Forward pass given pre-split (W, b) pairs; hot path for integrators.
 
     ``x`` holds one input per row in its last axis.  With stacked layers
     from a member matrix, ``x`` is ``(J, rows, in)`` (or broadcasts to it)
     and row block j goes through member j's weights.
+
+    ``record``, when a list is passed, receives one ``(input, output)`` pair
+    per layer: the layer's input and its activated output, None for the
+    affine last layer.  That is what a reverse pass through the network
+    needs; the returned value is the same with or without it.
     """
     h = x
     last = len(layers) - 1
     for i, (w, b) in enumerate(layers):
+        # Without a record, a layer's input is freed before its activation
+        # runs: that bounds the peak memory of large ensemble batches.
+        if record is not None:
+            record.append([h, None])
         h = h @ w.mT + b
         if i != last:
             h = _activate(h, activation)
+            if record is not None:
+                record[-1][1] = h
     return h
 
 

@@ -29,6 +29,7 @@ __all__ = [
     "dopri_step",
     "integrate",
     "integrate_lockstep",
+    "substeps",
 ]
 
 VectorField = Callable[[np.ndarray, float], np.ndarray]
@@ -302,28 +303,22 @@ def integrate_lockstep(field, x0: np.ndarray, times: np.ndarray, config: Integra
     times = np.asarray(times, dtype=float)
     if times.ndim != 2 or times.shape[1] == 0:
         raise ValueError("times must be a nonempty (trajectories, samples) array")
-    spans = np.diff(times, axis=1)
-    if np.any(spans <= 0):
+    if np.any(np.diff(times, axis=1) <= 0):
         raise ValueError("times must be strictly increasing")
     x = np.asarray(x0, dtype=float)
     J, B, n = x.shape
     states = np.empty((J, B, times.shape[1], n))
     states[:, :, 0] = x
-    n_sub = np.maximum(1, np.ceil(spans / config.dt - 1e-9).astype(int))
+    n_sub, lengths = substeps(times, config.dt)
     if np.any(n_sub.sum(axis=1) > config.max_steps):
         # Step counts depend on the grid alone, so every member fails.
         return states, np.ones(J, dtype=bool)
-    h = spans / n_sub
-    # Per interval: its step as a Python float when every row shares it (the
-    # same arithmetic in fewer array operations), and the fewest and the
-    # most substeps of any row.
-    shared = np.all(h == h[:1], axis=0).tolist()
+    # Per interval, the fewest and the most substeps of any row.
     fewest, most = n_sub.min(axis=0).tolist(), n_sub.max(axis=0).tolist()
     step = _lockstep_euler if config.method == "euler" else _lockstep_rk4
     failed = np.zeros(J, dtype=bool)
     with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(spans.shape[1]):
-            hk = float(h[0, k]) if shared[k] else h[:, k, None]
+        for k, hk in enumerate(lengths):
             for s in range(most[k]):
                 x_new = step(field, x, hk)
                 # Rows already through their substeps keep their state.
@@ -334,6 +329,23 @@ def integrate_lockstep(field, x0: np.ndarray, times: np.ndarray, config: Integra
         # Each interval's last substep lands in ``states``: check them at once.
         failed |= _out_of_bounds(states[:, :, 1:], config.divergence_limit, axis=(1, 2, 3))
     return states, failed
+
+
+def substeps(times: np.ndarray, dt: float):
+    """How the fixed-step methods subdivide a ``(B, K+1)`` time grid.
+
+    Every interval is split into equal substeps no longer than ``dt``, with
+    :func:`integrate`'s arithmetic.  Returns the ``(B, K)`` substep counts
+    and, per interval, the substep length: a Python float when every row
+    shares it (the same arithmetic in fewer array operations), else a
+    ``(B, 1)`` column.
+    """
+    spans = np.diff(times, axis=1)
+    n_sub = np.maximum(1, np.ceil(spans / dt - 1e-9).astype(int))
+    h = spans / n_sub
+    shared = np.all(h == h[:1], axis=0).tolist()
+    lengths = [float(h[0, k]) if shared[k] else h[:, k, None] for k in range(h.shape[1])]
+    return n_sub, lengths
 
 
 def _out_of_bounds(x, limit, axis):

@@ -28,6 +28,7 @@ __all__ = [
     "make_control_problem",
     "sysid_trajectory",
     "sysid_forward_map",
+    "sysid_grid",
     "sysid_loss",
     "mse",
     "test_mse",
@@ -283,17 +284,28 @@ def sysid_trajectory(theta: np.ndarray, prob: SysIdProblem) -> Trajectory:
     return Trajectory(times=grid.copy(), states=states[0, 0])
 
 
-def _predictions(theta: np.ndarray, prob: SysIdProblem):
-    """Predicted states at the observation times under the problem's assembly
-    mode, ``(J, M, n)``, and the ``(J,)`` failed mask."""
+def sysid_grid(prob: SysIdProblem):
+    """Where the forward map integrates under the problem's assembly mode.
+
+    Returns the starts ``(B, n)``, the sample times ``(B, K+1)`` and the
+    indices of the M observations among the ``B (K+1)`` samples, row-major.
+    Shooting starts each of the B subsets at its first observed state and
+    samples it at its observation times; full assembly integrates one row
+    from x0 over the reference grid.
+    """
     obs = prob.observations
     if prob.assembly == "shooting":
         L = obs.subset_length
-        states, failed = _net_states(theta, prob, obs.values[::L], obs.times.reshape(-1, L))
-        return states.reshape(theta.shape[0], -1, states.shape[-1]), failed
-    x0 = np.asarray(prob.x0, dtype=float)[None]
-    states, failed = _net_states(theta, prob, x0, obs.grid_times[None])
-    return states[:, 0, obs.train_indices], failed
+        return obs.values[::L], obs.times.reshape(-1, L), np.arange(obs.times.size)
+    return np.asarray(prob.x0, dtype=float)[None], obs.grid_times[None], obs.train_indices
+
+
+def _predictions(theta: np.ndarray, prob: SysIdProblem):
+    """Predicted states at the observation times under the problem's assembly
+    mode, ``(J, M, n)``, and the ``(J,)`` failed mask."""
+    x0, times, obs_index = sysid_grid(prob)
+    states, failed = _net_states(theta, prob, x0, times)
+    return states.reshape(theta.shape[0], -1, states.shape[-1])[:, obs_index], failed
 
 
 def sysid_forward_map(theta: np.ndarray, prob: SysIdProblem) -> ForwardMapOutput:

@@ -51,9 +51,9 @@ class EkiOptions:
     scheduler for system identification; ``gamma``/``gamma_prime`` are the
     block covariance scales of the regularized control problem, with
     ``gamma_steps`` applying piecewise drops (epoch, new value).
-    ``expansions`` appends members at the given epochs, drawn per
-    ``expansion_mode`` (fresh initializations, or the same draws recentered
-    on the ensemble mean).
+    ``expansions`` holds integer (epoch, count) pairs: count members are
+    appended at that epoch, drawn per ``expansion_mode`` (fresh
+    initializations, or the same draws recentered on the ensemble mean).
 
     ``step_size`` is the artificial-time step h.  ``step_cap_rel`` caps the
     first attempted step so no member moves more than that fraction of its
@@ -147,10 +147,11 @@ class ExperimentConfig:
             msgs.append("eki.step_cap_rel: must be positive or null")
         if ek.max_backtracks < 0:
             msgs.append("eki.max_backtracks: must be nonnegative")
-        if not _pairs(ek.gamma_steps, lambda epoch, value: epoch >= 0 and value > 0):
+        if not _pairs(ek.gamma_steps, "float", lambda epoch, value: epoch >= 0 and value > 0):
             msgs.append("eki.gamma_steps: need [epoch >= 0, gamma > 0] pairs")
-        if not _pairs(ek.expansions, lambda epoch, count: epoch >= 0 and count >= 1):
-            msgs.append("eki.expansions: need [epoch >= 0, count >= 1] pairs")
+        # An expansion fires when the epoch equals its own and adds whole members.
+        if not _pairs(ek.expansions, "int", lambda epoch, count: epoch >= 0 and count >= 1):
+            msgs.append("eki.expansions: need [epoch >= 0, count >= 1] integer pairs")
         po = self.problem_options
         if po.assembly not in ("full", "shooting"):
             msgs.append("problem_options.assembly: must be 'full' or 'shooting'")
@@ -184,10 +185,10 @@ class ExperimentConfig:
             raise ConfigError(msgs)
 
 
-def _pairs(items, ok) -> bool:
+def _pairs(items, annotation: str, ok) -> bool:
     return all(
         isinstance(item, (tuple, list)) and len(item) == 2
-        and all(_type_ok(v, "float") for v in item) and ok(*item)
+        and all(_type_ok(v, annotation) for v in item) and ok(*item)
         for item in items
     )
 
@@ -522,7 +523,7 @@ class _EkiDriver:
         for ep, count in self.opts.expansions:
             if self.ens.epoch == ep and ep not in done:
                 self.ens = eki.ensemble_expand(
-                    self.ens, int(count), self.spec, mode=self.opts.expansion_mode
+                    self.ens, count, self.spec, mode=self.opts.expansion_mode
                 )
                 self.outputs = None
 
@@ -660,7 +661,9 @@ class _GradientDriver:
 
     def evaluate(self):
         # Gradient baseline trains control at unit covariance scales.
-        self.loss, self.grad, _ = gradbase.bptt_value_and_gradient(self.theta, self.prob)
+        # Only the tape's flag is kept, so the tape is freed before metrics run.
+        self.loss, self.grad, tape = gradbase.bptt_value_and_gradient(self.theta, self.prob)
+        self.failed = tape.failed
 
     def advance(self):
         if not np.all(np.isfinite(self.grad)):
@@ -677,8 +680,9 @@ class _GradientDriver:
                 problems.control_mse(self.theta, self.prob),
                 problems.control_mse(self.theta, self.prob, _dense_control_grid(self.prob)),
             )
+        # The tape's loss is the training MSE: the same core, grid and loss.
         return (
-            _safe(problems.mse, self.theta, self.prob),
+            eki.PENALTY_LOSS if self.failed else self.loss,
             _safe(problems.test_mse, self.theta, self.prob),
         )
 

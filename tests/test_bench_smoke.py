@@ -1,7 +1,8 @@
-"""Smoke test of the benchmark harness: one sample of the cheapest workload,
-plain and traced, must run and pass its own output checks.  No timing bound:
-this only keeps the harness and the tracer working against the package, and
-pins the traced call counts the per-layer metrics are read from."""
+"""Smoke test of the benchmark harness: one sample of the cheapest EKI
+workload and one of the gradient workload, plain and traced, must run and
+pass their own output checks.  No timing bound: this only keeps the harness
+and the tracer working against the package, and pins the traced call counts
+the per-layer metrics are read from."""
 
 import json
 import os
@@ -14,18 +15,40 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SAMPLE = os.path.join(ROOT, "benchmarks", "sample.py")
 
 
-@pytest.mark.parametrize("extra", [[], ["--trace"]], ids=["plain", "traced"])
-def test_sample_runs_clean(tmp_path, extra):
-    cmd = [sys.executable, SAMPLE, "--workload", "control-eki", "--seed", "0",
+# Traced call counts per workload at seed 0; the tracer finds each function
+# by name, so a rename would read 0 here rather than fail.
+TRACED_COUNTS = {
+    # control-eki@4: the update rule and the forward maps.
+    "control-eki": {"eki.step.calls": 4, "problems.forward_map.calls": 6},
+    # spiral-adam@50: one BPTT per epoch plus the last row; the train column
+    # comes from the tape, so no forward map runs.
+    "spiral-adam": {"gradbase.bptt.calls": 51, "problems.forward_map.calls": 0},
+}
+
+
+@pytest.mark.parametrize(
+    "workload, extra",
+    [
+        ("control-eki", []),
+        ("control-eki", ["--trace"]),
+        ("spiral-adam", []),
+        ("spiral-adam", ["--trace"]),
+    ],
+    ids=["plain", "traced", "spiral-adam-plain", "spiral-adam-traced"],
+)
+def test_sample_runs_clean(tmp_path, workload, extra):
+    cmd = [sys.executable, SAMPLE, "--workload", workload, "--seed", "0",
            "--out", str(tmp_path / "out")] + extra
     proc = subprocess.run(cmd, cwd=ROOT, capture_output=True, text=True, timeout=600)
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout.strip().splitlines()[-1])
     assert result["problems"] == []
+    if workload == "spiral-adam":
+        # The logged train error is the tape loss, which reevaluate's
+        # forward map reproduces bitwise.
+        assert result["reevaluate_bitwise"] is True
     if extra:
         assert result["trace"]["problems"] == []
-        # The tracer finds the update rule and the forward maps by name; a
-        # rename would read 0 here rather than fail.  control-eki@4, seed 0:
         metrics = result["trace"]["metrics"]
-        assert metrics["eki.step.calls"] == 4
-        assert metrics["problems.forward_map.calls"] == 6
+        for name, count in TRACED_COUNTS[workload].items():
+            assert metrics[name] == count, name

@@ -96,6 +96,8 @@ def test_invalid_config_reports_each_message(tmp_path, capsys):
         ("epochs", "2", "epochs"),
         ("eki", {"ensemble_size": 2.5}, "eki.ensemble_size"),
         ("eki", [1], "eki"),
+        ("eki", {"expansions": [[3.5, 20]]}, "eki.expansions"),
+        ("eki", {"expansions": [[3, 2.5]]}, "eki.expansions"),
     ):
         data = runner.config_to_dict(runner.preset("spiral-eki"))
         data["epochs"] = 1

@@ -97,9 +97,15 @@ def test_control_gradient_matches_finite_differences(control_problem):
 
 
 def test_bptt_loss_matches_problem_losses(small_spiral, control_problem):
+    # BPTT records on the forward map's integrator core, grid and loss, so
+    # its loss is the training MSE bitwise.
     theta = nnet.mlp_init(small_spiral.net, np.random.default_rng(8))
-    loss, _, _ = gradbase.bptt_value_and_gradient(theta, small_spiral)
-    assert abs(loss - problems.mse(theta, small_spiral)) <= 1e-12 * max(1.0, loss)
+    for assembly in ("shooting", "full"):
+        for method in ("rk4", "euler"):
+            integrator = replace(small_spiral.integrator, method=method)
+            prob = replace(small_spiral, assembly=assembly, integrator=integrator)
+            loss, _, _ = gradbase.bptt_value_and_gradient(theta, prob)
+            assert loss == problems.mse(theta, prob), (assembly, method)
 
     theta_c = nnet.mlp_init(control_problem.controller, np.random.default_rng(9))
     loss_c, _, _ = gradbase.bptt_value_and_gradient(
@@ -141,6 +147,59 @@ def test_divergent_unfold_reports_step_index(small_spiral):
     theta = np.full(nnet.param_count(small_spiral.net), 1e307)
     with pytest.raises(ode.IntegrationError, match="unfold step"):
         gradbase.bptt_gradient(theta, small_spiral)
+
+
+def test_states_beyond_divergence_limit_still_train(small_spiral):
+    # A finite state past the limit is flagged, as the forward map flags it,
+    # but its loss and gradient are those of the unflagged unfolding.
+    theta = nnet.mlp_init(small_spiral.net, np.random.default_rng(18))
+    loss, grad, tape = gradbase.bptt_value_and_gradient(theta, small_spiral)
+    assert not tape.failed
+    unfold = replace(small_spiral.integrator, divergence_limit=1e-3)
+    loss_f, grad_f, tape_f = gradbase.bptt_value_and_gradient(theta, small_spiral, unfold=unfold)
+    assert tape_f.failed
+    assert loss_f == loss
+    assert np.array_equal(grad_f, grad)
+
+
+def test_unfold_beyond_max_steps_raises(small_spiral):
+    # Two shooting runs of 5 observations: 4 one-substep intervals each.
+    theta = nnet.mlp_init(small_spiral.net, np.random.default_rng(16))
+    unfold = replace(small_spiral.integrator, max_steps=3)
+    with pytest.raises(ode.IntegrationError, match="max_steps"):
+        gradbase.bptt_value_and_gradient(theta, small_spiral, unfold=unfold)
+
+
+def two_run_problem(first_spacing, second_spacing, dt):
+    # Two shooting runs of 10 observations that fill a 20-point grid.
+    first = first_spacing * np.arange(10)
+    grid_times = np.concatenate([first, first[-1] + second_spacing * np.arange(1, 11)])
+    grid_states = problems.spiral_solution(grid_times)
+    obs = problems.make_observations(grid_times, grid_states, 2, 10, np.random.default_rng(0))
+    return problems.SysIdProblem(
+        name="two-runs",
+        true_field=problems.spiral_field,
+        x0=np.array([1.0, 0.0]),
+        t_final=float(grid_times[-1]),
+        observations=obs,
+        net=nnet.MlpSpec((2, 4, 2), "tanh"),
+        integrator=ode.IntegratorConfig(method="rk4", dt=dt),
+        assembly="shooting",
+    )
+
+
+def test_unfold_needs_equal_substep_counts_across_runs():
+    # One substep per interval in the first run, two in the second.
+    prob = two_run_problem(0.05, 0.1, dt=0.05)
+    theta = nnet.mlp_init(prob.net, np.random.default_rng(17))
+    with pytest.raises(ValueError, match="equal substep counts"):
+        gradbase.bptt_value_and_gradient(theta, prob)
+    # Equal counts with run-specific substep lengths unfold, exactly.
+    prob = two_run_problem(0.05, 0.04, dt=0.05)
+    loss, grad, _ = gradbase.bptt_value_and_gradient(theta, prob)
+    assert loss == problems.mse(theta, prob)
+    ref = fd_gradient(lambda t: gradbase.bptt_value_and_gradient(t, prob)[0], theta)
+    assert_fd_close(grad, ref)
 
 
 def test_adam_first_step_is_signed_learning_rate():

@@ -67,6 +67,9 @@ def test_validation_collects_all_errors():
         {"eki": runner.EkiOptions(gamma0=-1.0)},
         {"eki": runner.EkiOptions(expansions=((1, 0),))},
         {"eki": runner.EkiOptions(step_size=-1.0)},
+        # Expansions fire at an integer epoch and add whole members.
+        {"eki": runner.EkiOptions(expansions=((3.5, 20),))},
+        {"eki": runner.EkiOptions(expansions=((3, 2.5),))},
     ):
         with pytest.raises(runner.ConfigError):
             dataclasses.replace(runner.preset("spiral-eki"), **overrides).validate()
@@ -184,10 +187,10 @@ def test_gradient_log_format(tmp_path):
     assert [r[0] for r in rows] == ["0", "1", "2", "3"]
     assert all(r[1] == "" for r in rows)  # gamma blank for gradient runs
     assert all(r[2] == "1" for r in rows)
-    # Loss values round-trip through repr exactly.  The logged loss and the
-    # training MSE are the same quantity up to summation order.
+    # Loss values round-trip through repr exactly.  The BPTT loss is the
+    # training MSE, read from the same tape, so all three columns agree.
     assert float(rows[-1][5]) == report.final_train_error
-    assert np.isclose(float(rows[-1][3]), report.final_train_error, rtol=1e-12)
+    assert all(r[3] == r[4] == r[5] for r in rows)
 
 
 def test_eki_log_tracks_schedule_expansion_and_gamma_steps(tmp_path):
