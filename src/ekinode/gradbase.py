@@ -23,7 +23,7 @@ from . import nnet, ode
 from .eki import ForwardMapOutput
 from .ode import IntegrationError, IntegratorConfig
 from .problems import ControlProblem, SysIdProblem
-from .problems import control_objective, control_stage_grid, control_states
+from .problems import control_diverged, control_objective, control_stage_grid, control_states
 from .problems import sysid_grid, sysid_loss
 
 __all__ = [
@@ -91,9 +91,10 @@ class Tape:
     ``replay`` pushes the recorded predictions through the loss again and
     must reproduce ``loss`` exactly; it is the cheap integrity check that the
     backward pass differentiates the value actually returned.  ``failed`` is
-    the integrator core's flag: a state beyond the divergence limit.  Such a
-    finite loss still has a gradient, but the forward map would score it
-    :data:`eki.PENALTY_LOSS`.
+    the forward map's flag for the same parameters, a state beyond the
+    divergence limit: the integrator core's for system identification,
+    :func:`problems.control_diverged` for control.  Such a finite loss still
+    has a gradient, but the forward map would score it :data:`eki.PENALTY_LOSS`.
     """
 
     kind: str  # "sysid" | "control"
@@ -197,11 +198,14 @@ def _record_control(
     layers = nnet.unflatten(prob.controller, theta)
     act = prob.controller.activation
     stage_times, h, n_steps = control_stage_grid(prob, unfold)
+    if n_steps > unfold.max_steps:
+        raise IntegrationError(f"max_steps={unfold.max_steps} exceeded", t=0.0)
     quad_grid = prob.quadrature_grid()
     stage_record, quad_record = [], []
     u_stage = nnet.mlp_apply(layers, stage_times[:, None], act, stage_record)[:, 0]
     u_quad = nnet.mlp_apply(layers, quad_grid[:, None], act, quad_record)[:, 0]
-    x = float(control_states(u_stage, prob, h, unfold.method)[-1])
+    xs = control_states(u_stage, prob, h, unfold.method)
+    x = float(xs[-1])
     if not np.isfinite(x) or not np.all(np.isfinite(u_quad)):
         raise IntegrationError(f"non-finite state at unfold step {n_steps}", t=prob.t_final)
     energy = float(np.trapezoid(u_quad * u_quad, quad_grid))
@@ -222,7 +226,7 @@ def _record_control(
         "quad_record": quad_record,
         "n_stage": stage_times.size,
     }
-    return Tape("control", loss, data)
+    return Tape("control", loss, data, failed=bool(control_diverged(xs, unfold)))
 
 
 def _backward_control(tape: Tape, acc) -> None:

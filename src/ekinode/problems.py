@@ -37,6 +37,7 @@ __all__ = [
     "optimal_state",
     "optimal_energy",
     "control_energy",
+    "control_diverged",
     "control_forward_map",
     "control_loss",
     "control_objective",
@@ -500,6 +501,14 @@ def control_states(u_stage: np.ndarray, prob: ControlProblem, h: float, method: 
     return np.stack(xs, axis=-1)
 
 
+def control_diverged(xs: np.ndarray, config: IntegratorConfig) -> np.ndarray:
+    """The failure rule of the fixed-step control path, over the leading
+    axes of :func:`control_states`' output: some state after the start is
+    non-finite or beyond the divergence limit.  The forward map and the BPTT
+    tape both apply it."""
+    return ~np.all(np.abs(xs[..., 1:]) <= config.divergence_limit, axis=-1)
+
+
 def _control_path(theta: np.ndarray, prob: ControlProblem):
     """Step times ``(S,)``, states ``(J, S)`` and the ``(J,)`` failed mask of
     every member of a ``(J, N)`` matrix under the problem's integrator."""
@@ -519,7 +528,7 @@ def _control_path(theta: np.ndarray, prob: ControlProblem):
     stage_times, h, n_steps = control_stage_grid(prob, cfg)
     with np.errstate(over="ignore", invalid="ignore"):
         xs = control_states(controller_values(theta, prob, stage_times), prob, h, cfg.method)
-        failed = ~np.all(np.abs(xs[:, 1:]) <= cfg.divergence_limit, axis=-1)
+        failed = control_diverged(xs, cfg)
     if n_steps > cfg.max_steps:
         failed[:] = True
     return h * np.arange(n_steps + 1), xs, failed

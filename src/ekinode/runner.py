@@ -30,6 +30,10 @@ OPTIMIZERS = ("eki", "adam", "sgd")
 
 CSV_HEADER = ["epoch", "gamma", "J", "min_loss", "mean_loss", "train_mse", "test_mse"]
 
+# The columns of a summary cell, in table.csv and table.txt order.
+TABLE_COLUMNS = ("name", "problem", "optimizer", "replicates", "failures",
+                 "median_train", "min_train", "median_test", "min_test")
+
 
 class ConfigError(ValueError):
     """Invalid experiment configuration; carries one message per offense."""
@@ -384,24 +388,33 @@ def _integrator_override(config: ExperimentConfig, default: IntegratorConfig | N
     )
 
 
-def _dense_control_grid(prob) -> np.ndarray:
-    return np.linspace(0.0, prob.t_final, DENSE_CONTROL_FACTOR * prob.quadrature_points + 1)
-
-
 def reevaluate(config: ExperimentConfig, theta: np.ndarray) -> tuple[float, float]:
     """Train/test errors of a parameter vector under the config's problem.
 
     This is the report-integrity contract: the numbers in ``report.json``
     must come back identically from the serialized theta.
     """
-    prob = build_problem(config)
-    theta = np.asarray(theta, dtype=float)
-    if config.problem == "linear_control":
-        return (
-            problems.control_mse(theta, prob),
-            problems.control_mse(theta, prob, _dense_control_grid(prob)),
-        )
-    return _safe(problems.mse, theta, prob), _safe(problems.test_mse, theta, prob)
+    return _errors(np.asarray(theta, dtype=float), build_problem(config))
+
+
+def _errors(theta: np.ndarray, prob, train: float | None = None) -> tuple[float, float]:
+    """The logged (train, test) pair of one parameter vector, for every
+    optimizer.  A caller that already holds the training MSE passes it as
+    ``train`` and saves its forward map.
+
+    System identification: the MSE at the observations and on the rest of
+    the reference grid, the penalty value if the candidate diverged.
+    Control: the deviation from the analytic u* on the quadrature grid and
+    on a grid ``DENSE_CONTROL_FACTOR`` times denser.
+    """
+    if isinstance(prob, problems.ControlProblem):
+        dense = np.linspace(0.0, prob.t_final, DENSE_CONTROL_FACTOR * prob.quadrature_points + 1)
+        if train is None:
+            train = problems.control_mse(theta, prob)
+        return train, problems.control_mse(theta, prob, dense)
+    if train is None:
+        train = _safe(problems.mse, theta, prob)
+    return train, _safe(problems.test_mse, theta, prob)
 
 
 def _safe(fn, theta, prob) -> float:
@@ -432,19 +445,11 @@ class RunReport:
     error: str | None = None
 
     def to_dict(self) -> dict:
-        return {
-            "config": config_to_dict(self.config),
-            "final_train_error": self.final_train_error,
-            "final_test_error": self.final_test_error,
-            "log_path": self.log_path,
-            "theta": [float(v) for v in np.asarray(self.theta)],
-            "epochs_run": self.epochs_run,
-            "runtime_seconds": self.runtime_seconds,
-            "versions": self.versions,
-            "rng": self.rng,
-            "events": self.events,
-            "error": self.error,
-        }
+        # One JSON key per field, in field order; only config and theta convert.
+        out = {f.name: getattr(self, f.name) for f in dataclasses.fields(self)}
+        out["config"] = config_to_dict(self.config)
+        out["theta"] = [float(v) for v in np.asarray(self.theta)]
+        return out
 
 
 def load_report(report_dir: str) -> RunReport:
@@ -453,19 +458,11 @@ def load_report(report_dir: str) -> RunReport:
         raise FileNotFoundError(f"no report.json under {report_dir}")
     with open(path) as fh:
         raw = json.load(fh)
-    return RunReport(
-        config=config_from_dict(raw["config"]),
-        final_train_error=raw["final_train_error"],
-        final_test_error=raw["final_test_error"],
-        log_path=raw["log_path"],
-        theta=np.asarray(raw["theta"], dtype=float),
-        epochs_run=raw["epochs_run"],
-        runtime_seconds=raw["runtime_seconds"],
-        versions=raw["versions"],
-        rng=raw["rng"],
-        events=raw["events"],
-        error=raw.get("error"),
-    )
+    # Keys a report lacks, such as ``error`` in older ones, take the default.
+    kwargs = {f.name: raw[f.name] for f in dataclasses.fields(RunReport) if f.name in raw}
+    kwargs["config"] = config_from_dict(raw["config"])
+    kwargs["theta"] = np.asarray(raw["theta"], dtype=float)
+    return RunReport(**kwargs)
 
 
 def _versions() -> dict:
@@ -479,13 +476,14 @@ def _versions() -> dict:
 
 
 # ---------------------------------------------------------------------------
-# EKI loop internals
+# Drivers: one per optimizer, each a row() / advance() pair for run()'s loop
 
 
 class _EkiDriver:
-    """Shared mechanics for both problem families: evaluate members, log,
-    and advance one controlled explicit-Euler step per epoch.  Subclasses
-    set ``target``, the data vector the update pulls the outputs toward."""
+    """Shared mechanics for both problem families: evaluate members, log the
+    best one, and advance one controlled explicit-Euler step per epoch.
+    Subclasses set ``target``, the data vector the update pulls the outputs
+    toward."""
 
     def __init__(self, config, prob, init_rng):
         self.config = config
@@ -515,9 +513,6 @@ class _EkiDriver:
         return gamma
 
     # shared mechanics -----------------------------------------------------
-    def evaluate(self):
-        self.outputs = self.forward(self.ens.members)
-
     def maybe_expand(self):
         done = {ep for ep, _ in self.ens.events}
         for ep, count in self.opts.expansions:
@@ -526,6 +521,23 @@ class _EkiDriver:
                     self.ens, count, self.spec, mode=self.opts.expansion_mode
                 )
                 self.outputs = None
+
+    def row(self):
+        """Log row of the ensemble, expanded and evaluated first if due,
+        and the parameters of its best member."""
+        self.maybe_expand()
+        if self.outputs is None:
+            self.outputs = self.forward(self.ens.members)
+        epoch = self.ens.epoch
+        losses = self.losses(self.outputs, epoch)
+        valid = losses[~self.outputs.failed]
+        idx, min_loss = eki.min_loss_member(losses)
+        mean_loss = float(np.mean(valid if valid.size else losses))
+        theta = self.ens.members[idx].copy()
+        # A system-identification member's loss is its training MSE.
+        train = min_loss if isinstance(self.prob, problems.SysIdProblem) else None
+        row = [epoch, self.gamma_for(epoch), self.ens.size, min_loss, mean_loss]
+        return row + list(_errors(theta, self.prob, train)), theta
 
     def advance(self):
         """One epoch: try the full step, backtrack while it makes the
@@ -566,19 +578,6 @@ class _EkiDriver:
         self.events.append(("stall", epoch))
         self.ens = dataclasses.replace(self.ens, epoch=epoch + 1)
 
-    def row_stats(self):
-        epoch = self.ens.epoch
-        losses = self.losses(self.outputs, epoch)
-        valid = losses[~self.outputs.failed]
-        pool = valid if valid.size else losses
-        idx, min_loss = eki.min_loss_member(losses)
-        mean_loss = float(np.mean(pool))
-        return idx, min_loss, mean_loss
-
-    def best_theta(self):
-        idx, _, _ = self.row_stats()
-        return self.ens.members[idx].copy()
-
 
 class _SysIdDriver(_EkiDriver):
     def __init__(self, config, prob, init_rng):
@@ -599,10 +598,6 @@ class _SysIdDriver(_EkiDriver):
 
     def gamma_for(self, epoch):
         return eki.gamma_at(self.schedule, epoch)
-
-    def metrics(self, theta, min_loss):
-        # The training MSE of the best member is its loss: same residuals.
-        return min_loss, _safe(problems.test_mse, theta, self.prob)
 
 
 class _ControlDriver(_EkiDriver):
@@ -630,16 +625,6 @@ class _ControlDriver(_EkiDriver):
         # The energy channel's variance is Gamma' / mu: the regularized problem.
         return np.array([gamma, self.opts.gamma_prime / self.prob.mu])
 
-    def metrics(self, theta, min_loss):
-        return (
-            problems.control_mse(theta, self.prob),
-            problems.control_mse(theta, self.prob, _dense_control_grid(self.prob)),
-        )
-
-
-# ---------------------------------------------------------------------------
-# Gradient loop internals
-
 
 class _GradientDriver:
     """Full-batch BPTT with Adam or plain SGD."""
@@ -649,21 +634,27 @@ class _GradientDriver:
         self.prob = prob
         spec = prob.net if hasattr(prob, "net") else prob.controller
         self.theta = nnet.mlp_init(spec, init_rng)
-        self.is_control = isinstance(prob, problems.ControlProblem)
         self.adam = (
             gradbase.adam_init(self.theta.size, eta=config.gradient.eta)
             if config.optimizer == "adam"
             else None
         )
-        self.loss = None
-        self.events = []
         self.epoch = 0
 
-    def evaluate(self):
+    def row(self):
+        """Log row of the current parameters, read from a fresh BPTT tape
+        whose gradient the next ``advance`` applies."""
         # Gradient baseline trains control at unit covariance scales.
-        # Only the tape's flag is kept, so the tape is freed before metrics run.
-        self.loss, self.grad, tape = gradbase.bptt_value_and_gradient(self.theta, self.prob)
-        self.failed = tape.failed
+        loss, self.grad, tape = gradbase.bptt_value_and_gradient(self.theta, self.prob)
+        if not math.isfinite(loss):
+            raise RuntimeError(f"non-finite loss at epoch {self.epoch}")
+        # The tape's loss is the training MSE: the same core, grid and loss.
+        train = None
+        if isinstance(self.prob, problems.SysIdProblem):
+            train = eki.PENALTY_LOSS if tape.failed else loss
+        del tape  # freed before the metrics run
+        row = [self.epoch, None, 1, loss, loss]
+        return row + list(_errors(self.theta, self.prob, train)), self.theta
 
     def advance(self):
         if not np.all(np.isfinite(self.grad)):
@@ -674,18 +665,6 @@ class _GradientDriver:
             self.theta = gradbase.sgd_step(self.theta, self.grad, self.config.gradient.eta)
         self.epoch += 1
 
-    def metrics(self):
-        if self.is_control:
-            return (
-                problems.control_mse(self.theta, self.prob),
-                problems.control_mse(self.theta, self.prob, _dense_control_grid(self.prob)),
-            )
-        # The tape's loss is the training MSE: the same core, grid and loss.
-        return (
-            eki.PENALTY_LOSS if self.failed else self.loss,
-            _safe(problems.test_mse, self.theta, self.prob),
-        )
-
 
 # ---------------------------------------------------------------------------
 # run()
@@ -693,6 +672,11 @@ class _GradientDriver:
 
 def run(config: ExperimentConfig, out_dir: str | None = None) -> RunReport:
     """Execute one training run, writing ``log.csv`` and ``report.json``.
+
+    Both optimizers run one loop: log a row, take a step, and log the final
+    row after the last step.  A runtime failure ends the loop; the report
+    then carries the error, the rows logged so far, and the parameters of
+    the last of them (none if no row was logged).
 
     Deterministic under the epoch-budget stopping mode: identical
     (config, seed) produce bitwise-identical logs and reports.
@@ -707,25 +691,27 @@ def run(config: ExperimentConfig, out_dir: str | None = None) -> RunReport:
     _, ss_init = np.random.SeedSequence(config.seed).spawn(2)
     init_rng = np.random.default_rng(ss_init)
     prob = build_problem(config)
-
-    rows: list[list] = []
-    error = None
-    if config.optimizer == "eki":
-        driver = (
-            _ControlDriver(config, prob, init_rng)
-            if config.problem == "linear_control"
-            else _SysIdDriver(config, prob, init_rng)
-        )
-        theta, epochs_run = _run_eki(config, driver, rows, started)
-        events = [("expansion", ep, c) for ep, c in driver.ens.events] + list(driver.events)
-    else:
+    if config.optimizer != "eki":
         driver = _GradientDriver(config, prob, init_rng)
-        try:
-            theta, epochs_run = _run_gradient(config, driver, rows, started)
-        except RuntimeError as exc:
-            error = str(exc)
-            theta, epochs_run = driver.theta, driver.epoch
-        events = driver.events
+    elif config.problem == "linear_control":
+        driver = _ControlDriver(config, prob, init_rng)
+    else:
+        driver = _SysIdDriver(config, prob, init_rng)
+
+    rows, theta, epochs_run, error = [], np.empty(0), 0, None
+    try:
+        for _ in _budget(config, started):
+            row, theta = driver.row()
+            rows.append(row)
+            driver.advance()
+            epochs_run += 1
+        row, theta = driver.row()
+        rows.append(row)
+    except RuntimeError as exc:
+        error = str(exc)
+    events = []
+    if isinstance(driver, _EkiDriver):
+        events = [("expansion", ep, c) for ep, c in driver.ens.events] + driver.events
 
     log_path = os.path.join(out, "log.csv")
     with open(log_path, "w", newline="") as fh:
@@ -775,54 +761,6 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
-def _run_eki(config, driver, rows, started):
-    def log_row():
-        driver.maybe_expand()
-        if driver.outputs is None:
-            driver.evaluate()
-        idx, min_loss, mean_loss = driver.row_stats()
-        train, test = driver.metrics(driver.ens.members[idx], min_loss)
-        rows.append(
-            [
-                driver.ens.epoch,
-                driver.gamma_for(driver.ens.epoch),
-                driver.ens.size,
-                min_loss,
-                mean_loss,
-                train,
-                test,
-            ]
-        )
-
-    epochs_run = 0
-    for _ in _budget(config, started):
-        log_row()
-        driver.advance()
-        epochs_run += 1
-    log_row()
-    return driver.best_theta(), epochs_run
-
-
-def _run_gradient(config, driver, rows, started):
-    def log_row():
-        train, test = driver.metrics()
-        rows.append([driver.epoch, None, 1, driver.loss, driver.loss, train, test])
-
-    epochs_run = 0
-    for _ in _budget(config, started):
-        driver.evaluate()
-        if not math.isfinite(driver.loss):
-            raise RuntimeError(f"non-finite loss at epoch {driver.epoch}")
-        log_row()
-        driver.advance()
-        epochs_run += 1
-    driver.evaluate()
-    if not math.isfinite(driver.loss):
-        raise RuntimeError(f"non-finite loss at epoch {driver.epoch}")
-    log_row()
-    return driver.theta, epochs_run
-
-
 # ---------------------------------------------------------------------------
 # table()
 
@@ -865,10 +803,8 @@ def table(configs: list, replicates: int, out_dir: str) -> list[dict]:
         }
         summary.append(cell)
 
-    keys = ["name", "problem", "optimizer", "replicates", "failures",
-            "median_train", "min_train", "median_test", "min_test"]
     with open(os.path.join(out_dir, "table.csv"), "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=keys)
+        writer = csv.DictWriter(fh, fieldnames=TABLE_COLUMNS)
         writer.writeheader()
         writer.writerows(summary)
     with open(os.path.join(out_dir, "table.txt"), "w") as fh:
@@ -877,14 +813,11 @@ def table(configs: list, replicates: int, out_dir: str) -> list[dict]:
 
 
 def format_table(summary: list[dict]) -> str:
-    keys = ["name", "problem", "optimizer", "replicates", "failures",
-            "median_train", "min_train", "median_test", "min_test"]
-
     def cell(value):
         return f"{value:.3e}" if isinstance(value, float) else str(value)
 
-    grid = [keys] + [[cell(row[k]) for k in keys] for row in summary]
-    widths = [max(len(r[c]) for r in grid) for c in range(len(keys))]
+    grid = [list(TABLE_COLUMNS)] + [[cell(row[k]) for k in TABLE_COLUMNS] for row in summary]
+    widths = [max(len(r[c]) for r in grid) for c in range(len(TABLE_COLUMNS))]
     lines = ["  ".join(v.ljust(w) for v, w in zip(r, widths)).rstrip() for r in grid]
     lines.insert(1, "  ".join("-" * w for w in widths))
     return "\n".join(lines)

@@ -17,12 +17,25 @@ SAMPLE = os.path.join(ROOT, "benchmarks", "sample.py")
 
 # Traced call counts per workload at seed 0; the tracer finds each function
 # by name, so a rename would read 0 here rather than fail.
+# The metric evaluations (one or two per logged row) and the network calls
+# pin the logged error path: a row that gained or lost an evaluation shows.
 TRACED_COUNTS = {
-    # control-eki@4: the update rule and the forward maps.
-    "control-eki": {"eki.step.calls": 4, "problems.forward_map.calls": 6},
+    # control-eki@4: the update rule and the forward maps; two control_mse
+    # calls per row.
+    "control-eki": {
+        "eki.step.calls": 4,
+        "problems.forward_map.calls": 6,
+        "problems.metrics.calls": 10,
+        "nnet.mlp_apply.calls": 22,
+    },
     # spiral-adam@50: one BPTT per epoch plus the last row; the train column
-    # comes from the tape, so no forward map runs.
-    "spiral-adam": {"gradbase.bptt.calls": 51, "problems.forward_map.calls": 0},
+    # comes from the tape, so no forward map runs and only test_mse is called.
+    "spiral-adam": {
+        "gradbase.bptt.calls": 51,
+        "problems.forward_map.calls": 0,
+        "problems.metrics.calls": 51,
+        "nnet.mlp_apply.calls": 103_632,
+    },
 }
 
 

@@ -170,6 +170,36 @@ def test_unfold_beyond_max_steps_raises(small_spiral):
         gradbase.bptt_value_and_gradient(theta, small_spiral, unfold=unfold)
 
 
+@pytest.mark.parametrize(
+    "integrator",
+    [
+        ode.IntegratorConfig(method="rk4", dt=0.01, max_steps=10),
+        ode.IntegratorConfig(method="rk4", dt=0.01, divergence_limit=1e-3),
+        ode.IntegratorConfig(method="euler", dt=0.01, divergence_limit=1e-3),
+    ],
+    ids=["rk4-max-steps", "rk4-divergence-limit", "euler-divergence-limit"],
+)
+def test_control_tape_follows_forward_map_failure_rule(integrator):
+    # The control forward map flags each of these.  Past max_steps the tape
+    # raises, as the system-identification tape does; a state past the
+    # divergence limit is flagged but trains like the unflagged unfolding.
+    prob = problems.make_control_problem(0.001, integrator=integrator)
+    theta = nnet.mlp_init(prob.controller, np.random.default_rng(0))
+    assert problems.control_forward_map(theta, prob).failed
+    if integrator.max_steps == 10:
+        with pytest.raises(ode.IntegrationError, match="max_steps"):
+            gradbase.bptt_value_and_gradient(theta, prob)
+        return
+    loss, grad, tape = gradbase.bptt_value_and_gradient(theta, prob)
+    assert tape.failed
+    unfold = replace(integrator, divergence_limit=1e3)
+    loss_ok, grad_ok, tape_ok = gradbase.bptt_value_and_gradient(theta, prob, unfold=unfold)
+    assert not tape_ok.failed
+    assert not problems.control_forward_map(theta, replace(prob, integrator=unfold)).failed
+    assert loss == loss_ok
+    assert np.array_equal(grad, grad_ok)
+
+
 def two_run_problem(first_spacing, second_spacing, dt):
     # Two shooting runs of 10 observations that fill a 20-point grid.
     first = first_spacing * np.arange(10)

@@ -10,7 +10,8 @@ import os
 import numpy as np
 import pytest
 
-from ekinode import nnet, problems, runner
+from ekinode import cli, nnet, problems, runner
+from ekinode.ode import IntegrationError
 
 CSV_HEADER = ["epoch", "gamma", "J", "min_loss", "mean_loss", "train_mse", "test_mse"]
 
@@ -254,6 +255,18 @@ def test_report_integrity(tmp_path):
         assert abs(test - loaded.final_test_error) <= 1e-12 * max(1.0, abs(test))
 
 
+def test_load_report_round_trips_every_field(tmp_path):
+    runner.run(tiny("control-eki-mu0.001", 1), out_dir=str(tmp_path / "r"))
+    path = tmp_path / "r" / "report.json"
+    raw = json.loads(path.read_text())
+    assert list(raw) == [f.name for f in dataclasses.fields(runner.RunReport)]
+    assert json.loads(json.dumps(runner.load_report(str(tmp_path / "r")).to_dict())) == raw
+    # Reports written before the error field existed still load.
+    del raw["error"]
+    path.write_text(json.dumps(raw))
+    assert runner.load_report(str(tmp_path / "r")).error is None
+
+
 @pytest.mark.parametrize("seed", range(5))
 def test_reevaluate_reproduces_eki_errors_bitwise(tmp_path, seed):
     # The driver's training error and problems.mse are one reduction over
@@ -363,10 +376,58 @@ def test_run_rejects_invalid_config(tmp_path):
 
 
 def test_gradient_failure_is_recorded_not_raised(tmp_path):
-    config = dataclasses.replace(tiny("spiral-sgd-0.1", 30),
-                                 gradient=runner.GradientOptions(eta=1e8))
+    # A diverging sysid run and a diverging control run.  The report's theta
+    # is that of the last logged row, so it reproduces that row's errors.
+    configs = [
+        tiny("spiral-sgd-0.1", 30, gradient=runner.GradientOptions(eta=1e8)),
+        tiny("control-adam-mu0.001", 40, optimizer="sgd",
+             gradient=runner.GradientOptions(eta=30.0)),
+    ]
+    for i, config in enumerate(configs):
+        out = str(tmp_path / f"r{i}")
+        report = runner.run(config, out_dir=out)
+        assert report.error is not None
+        assert "non-finite" in report.error
+        loaded = runner.load_report(out)
+        assert loaded.error == report.error
+        _, rows = read_log(report.log_path)
+        assert float(rows[-1][5]) == loaded.final_train_error
+        assert runner.reevaluate(loaded.config, loaded.theta) == (
+            loaded.final_train_error, loaded.final_test_error
+        )
+
+
+def test_eki_failure_is_recorded_not_raised(tmp_path, monkeypatch, capsys):
+    config = tiny("control-eki-mu0.001", 4)
+    clean = runner.run(config, out_dir=str(tmp_path / "clean"))
+    _, clean_rows = read_log(clean.log_path)
+
+    # Every third forward map raises.  Row 0 evaluates the ensemble, and
+    # epochs 0 and 1 each try one step, so the failure hits epoch 1's step.
+    real = problems.control_forward_map
+    calls = []
+
+    def flaky(theta, prob):
+        calls.append(None)
+        if len(calls) % 3 == 0:
+            raise IntegrationError("injected failure")
+        return real(theta, prob)
+
+    monkeypatch.setattr(problems, "control_forward_map", flaky)
     report = runner.run(config, out_dir=str(tmp_path / "r"))
-    assert report.error is not None
-    assert "non-finite" in report.error
+    assert report.error == "injected failure"
+    assert report.epochs_run == 1
     loaded = runner.load_report(str(tmp_path / "r"))
     assert loaded.error == report.error
+    _, rows = read_log(str(tmp_path / "r" / "log.csv"))
+    assert rows == clean_rows[:2]
+    assert runner.reevaluate(loaded.config, loaded.theta) == (
+        loaded.final_train_error, loaded.final_test_error
+    )
+
+    path = tmp_path / "c.json"
+    runner.save_config(config, str(path))
+    calls.clear()
+    assert cli.main(["run", "--config", str(path), "--out", str(tmp_path / "x")]) == 2
+    assert "run failed: injected failure" in capsys.readouterr().err
+    assert (tmp_path / "x" / "report.json").exists()
