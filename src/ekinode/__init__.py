@@ -26,7 +26,6 @@ from .problems import (
     ObservationSet,
     SysIdProblem,
     control_energy,
-    control_loss,
     control_mse,
     make_control_problem,
     make_pendulum_problem,
@@ -58,7 +57,6 @@ __all__ = [
     "adam_step",
     "bptt_gradient",
     "control_energy",
-    "control_loss",
     "control_mse",
     "eki_step",
     "ensemble_expand",

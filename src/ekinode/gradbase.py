@@ -9,8 +9,7 @@ pass evaluates the controller on the forward map's stage and quadrature
 grids and runs the same scalar recurrence.  The gradient is therefore exact
 for the discrete losses the problems module reports: the training MSE for
 system identification and the terminal-miss-plus-energy loss for control.
-Only fixed-step methods (euler, rk4) unfold; adaptive step acceptance is
-not differentiable.
+Both unfold the problem's own fixed-step (euler or rk4) integrator.
 """
 
 from __future__ import annotations
@@ -21,7 +20,7 @@ import numpy as np
 
 from . import nnet, ode
 from .eki import ForwardMapOutput
-from .ode import IntegrationError, IntegratorConfig
+from .ode import IntegrationError
 from .problems import ControlProblem, SysIdProblem
 from .problems import control_diverged, control_objective, control_stage_grid, control_states
 from .problems import sysid_grid, sysid_loss
@@ -112,36 +111,29 @@ class Tape:
         )
 
 
-def _check_unfold(prob, unfold: IntegratorConfig | None) -> IntegratorConfig:
-    if unfold is None:
-        unfold = prob.integrator
-    if unfold.method not in ("euler", "rk4"):
-        raise ValueError("BPTT unfolding needs a fixed-step method (euler or rk4)")
-    return unfold
-
-
 # ---------------------------------------------------------------------------
 # System identification: MSE through the unfolded trajectory
 
 
-def _record_sysid(theta: np.ndarray, prob: SysIdProblem, unfold: IntegratorConfig) -> Tape:
+def _record_sysid(theta: np.ndarray, prob: SysIdProblem) -> Tape:
     # One-member stacked layers on the forward map's grid: the recorded
     # states are bitwise those of problems.sysid_forward_map.
+    cfg = prob.integrator
     layers = nnet.unflatten(prob.net, theta[None])
     act = prob.net.activation
     x0, times, obs_index = sysid_grid(prob)
-    n_sub, lengths = ode.substeps(times, unfold.dt)
+    n_sub, lengths = ode.substeps(times, cfg.dt)
     if np.any(n_sub != n_sub[0]):
         raise ValueError("BPTT needs equal substep counts across rows within an interval")
-    if n_sub[0].sum() > unfold.max_steps:
-        raise IntegrationError(f"max_steps={unfold.max_steps} exceeded", t=float(times[0, 0]))
+    if n_sub[0].sum() > cfg.max_steps:
+        raise IntegrationError(f"max_steps={cfg.max_steps} exceeded", t=float(times[0, 0]))
     calls = []
 
     def field(x):
         calls.append([])
         return nnet.mlp_apply(layers, x, act, calls[-1])
 
-    states, failed = ode.integrate_lockstep(field, x0[None], times, unfold)
+    states, failed = ode.integrate_lockstep(field, x0[None], times, cfg)
     finite = np.isfinite(states).all(axis=(0, 1, 3))
     if not finite.all():
         k = int(np.argmin(finite))
@@ -153,7 +145,7 @@ def _record_sysid(theta: np.ndarray, prob: SysIdProblem, unfold: IntegratorConfi
         "prob": prob,
         "layers": layers,
         "act": act,
-        "method": unfold.method,
+        "method": cfg.method,
         "calls": calls,
         "n_sub": n_sub[0].tolist(),
         "lengths": lengths,
@@ -188,23 +180,18 @@ def _backward_sysid(tape: Tape, acc) -> None:
 # Control: terminal miss plus trapezoid energy through the unfolded dynamics
 
 
-def _record_control(
-    theta: np.ndarray,
-    prob: ControlProblem,
-    unfold: IntegratorConfig,
-    gamma: float,
-    gamma_prime: float,
-) -> Tape:
+def _record_control(theta: np.ndarray, prob: ControlProblem, gamma: float, gamma_prime: float) -> Tape:
+    cfg = prob.integrator
     layers = nnet.unflatten(prob.controller, theta)
     act = prob.controller.activation
-    stage_times, h, n_steps = control_stage_grid(prob, unfold)
-    if n_steps > unfold.max_steps:
-        raise IntegrationError(f"max_steps={unfold.max_steps} exceeded", t=0.0)
+    stage_times, h, n_steps = control_stage_grid(prob)
+    if n_steps > cfg.max_steps:
+        raise IntegrationError(f"max_steps={cfg.max_steps} exceeded", t=0.0)
     quad_grid = prob.quadrature_grid()
     stage_record, quad_record = [], []
     u_stage = nnet.mlp_apply(layers, stage_times[:, None], act, stage_record)[:, 0]
     u_quad = nnet.mlp_apply(layers, quad_grid[:, None], act, quad_record)[:, 0]
-    xs = control_states(u_stage, prob, h, unfold.method)
+    xs = control_states(u_stage, prob, h, cfg.method)
     x = float(xs[-1])
     if not np.isfinite(x) or not np.all(np.isfinite(u_quad)):
         raise IntegrationError(f"non-finite state at unfold step {n_steps}", t=prob.t_final)
@@ -219,14 +206,14 @@ def _record_control(
         "gamma_prime": gamma_prime,
         "layers": layers,
         "act": act,
-        "method": unfold.method,
+        "method": cfg.method,
         "h": h,
         "n_steps": n_steps,
         "stage_record": stage_record,
         "quad_record": quad_record,
         "n_stage": stage_times.size,
     }
-    return Tape("control", loss, data, failed=bool(control_diverged(xs, unfold)))
+    return Tape("control", loss, data, failed=bool(control_diverged(xs, cfg)))
 
 
 def _backward_control(tape: Tape, acc) -> None:
@@ -283,7 +270,6 @@ def _backward_control(tape: Tape, acc) -> None:
 def bptt_value_and_gradient(
     theta: np.ndarray,
     problem: SysIdProblem | ControlProblem,
-    unfold: IntegratorConfig | None = None,
     gamma: float = 1.0,
     gamma_prime: float = 1.0,
 ) -> tuple[float, np.ndarray, Tape]:
@@ -295,16 +281,15 @@ def bptt_value_and_gradient(
     takes more than ``max_steps`` steps.
     """
     theta = np.asarray(theta, dtype=float)
-    unfold = _check_unfold(problem, unfold)
     # The gradient accumulates in place through (W, b) views of one array,
     # laid out like the layers the tape recorded through.
     with np.errstate(over="ignore", invalid="ignore"):
         if isinstance(problem, SysIdProblem):
-            tape = _record_sysid(theta, problem, unfold)
+            tape = _record_sysid(theta, problem)
             grad = np.zeros((1, theta.size))
             _backward_sysid(tape, nnet.unflatten(problem.net, grad))
         else:
-            tape = _record_control(theta, problem, unfold, gamma, gamma_prime)
+            tape = _record_control(theta, problem, gamma, gamma_prime)
             grad = np.zeros(theta.size)
             _backward_control(tape, nnet.unflatten(problem.controller, grad))
     return tape.loss, grad.reshape(-1), tape
@@ -313,12 +298,11 @@ def bptt_value_and_gradient(
 def bptt_gradient(
     theta: np.ndarray,
     problem: SysIdProblem | ControlProblem,
-    unfold: IntegratorConfig | None = None,
     gamma: float = 1.0,
     gamma_prime: float = 1.0,
 ) -> np.ndarray:
     """Exact gradient of the discrete training loss via reverse accumulation."""
-    return bptt_value_and_gradient(theta, problem, unfold, gamma, gamma_prime)[1]
+    return bptt_value_and_gradient(theta, problem, gamma, gamma_prime)[1]
 
 
 # ---------------------------------------------------------------------------

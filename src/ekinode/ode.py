@@ -35,6 +35,8 @@ __all__ = [
 VectorField = Callable[[np.ndarray, float], np.ndarray]
 
 METHODS = ("euler", "rk4", "dopri5")
+# The methods that integrate_lockstep runs, and so every training run.
+FIXED_STEP_METHODS = ("euler", "rk4")
 
 
 class IntegrationError(RuntimeError):
@@ -298,7 +300,7 @@ def integrate_lockstep(field, x0: np.ndarray, times: np.ndarray, config: Integra
     ``divergence_limit`` after any step, or more than ``max_steps`` steps.
     States of flagged members are meaningless.
     """
-    if config.method not in ("euler", "rk4"):
+    if config.method not in FIXED_STEP_METHODS:
         raise ValueError(f"lockstep integration needs euler or rk4, got {config.method!r}")
     times = np.asarray(times, dtype=float)
     if times.ndim != 2 or times.shape[1] == 0:

@@ -5,14 +5,15 @@ data, forward maps, losses, and closed-form oracles.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+import math
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import nnet, ode
 from .eki import PENALTY_LOSS, ForwardMapOutput
 from .nnet import MlpSpec
-from .ode import IntegrationError, IntegratorConfig, Trajectory, integrate
+from .ode import FIXED_STEP_METHODS, IntegratorConfig, Trajectory, integrate
 
 __all__ = [
     "ObservationSet",
@@ -39,7 +40,6 @@ __all__ = [
     "control_energy",
     "control_diverged",
     "control_forward_map",
-    "control_loss",
     "control_objective",
     "control_stage_grid",
     "control_states",
@@ -182,6 +182,13 @@ class SysIdProblem:
             raise ValueError("network input/output dims must equal the state dimension")
         if self.assembly not in ("full", "shooting"):
             raise ValueError("assembly must be 'full' or 'shooting'")
+        _check_fixed_step(self.integrator)
+
+
+def _check_fixed_step(integrator: IntegratorConfig) -> None:
+    # Forward maps and BPTT tapes advance every member in lockstep.
+    if integrator.method not in FIXED_STEP_METHODS:
+        raise ValueError(f"training integrates with euler or rk4, got {integrator.method!r}")
 
 
 def _reference_grid(field, x0, t_final, grid_size):
@@ -240,32 +247,11 @@ def make_pendulum_problem(
     return SysIdProblem("pendulum", field, x0, t_final, obs, net, integrator, assembly)
 
 
-def _integrate_each(fields, x0: np.ndarray, times: np.ndarray, config: IntegratorConfig):
-    """Per-member, per-trajectory :func:`ode.integrate`, shaped like
-    :func:`ode.integrate_lockstep`'s result.  This is the dopri5 path: its
-    adaptive steps differ between members, so they cannot run in lockstep."""
-    states = np.zeros((len(fields),) + times.shape + x0.shape[-1:])
-    failed = np.zeros(len(fields), dtype=bool)
-    for j, field in enumerate(fields):
-        try:
-            for b in range(times.shape[0]):
-                states[j, b] = integrate(field, x0[b], times[b], config).states
-        except IntegrationError:
-            failed[j] = True
-    return states, failed
-
-
 def _net_states(theta: np.ndarray, prob: SysIdProblem, x0: np.ndarray, times: np.ndarray):
     """States ``(J, B, K+1, n)`` of every member's network field from the
     starts ``x0`` ``(B, n)`` over the rows of ``times`` ``(B, K+1)``, plus
     the ``(J,)`` failed mask.  ``theta`` is a ``(J, N)`` member matrix."""
     act = prob.net.activation
-    if prob.integrator.method == "dopri5":
-        fields = []
-        for member in theta:
-            layers = nnet.unflatten(prob.net, member)
-            fields.append(lambda x, t, layers=layers: nnet.mlp_apply(layers, x, act))
-        return _integrate_each(fields, x0, times, prob.integrator)
     layers = nnet.unflatten(prob.net, theta)
     x0 = np.broadcast_to(x0, (theta.shape[0],) + x0.shape)
     return ode.integrate_lockstep(
@@ -275,14 +261,12 @@ def _net_states(theta: np.ndarray, prob: SysIdProblem, x0: np.ndarray, times: np
 
 def sysid_trajectory(theta: np.ndarray, prob: SysIdProblem) -> Trajectory:
     """Integrate the candidate field from the known x0 over the full
-    reference grid (single full-horizon trajectory).  Raises
-    IntegrationError on a divergent candidate."""
+    reference grid (single full-horizon trajectory); the states are NaN if
+    the integration diverged."""
     grid = prob.observations.grid_times
     x0 = np.asarray(prob.x0, dtype=float)[None]
     states, failed = _net_states(np.asarray(theta, dtype=float)[None], prob, x0, grid[None])
-    if failed[0]:
-        raise IntegrationError("candidate field diverged on the reference grid")
-    return Trajectory(times=grid.copy(), states=states[0, 0])
+    return Trajectory(times=grid.copy(), states=np.where(failed[0], np.nan, states[0, 0]))
 
 
 def sysid_grid(prob: SysIdProblem):
@@ -343,23 +327,27 @@ def mse_from_states(states: np.ndarray, prob: SysIdProblem, indices: np.ndarray)
     return float(np.mean(np.sum(diff * diff, axis=1)))
 
 
+def _penalized(value) -> float:
+    # A divergent candidate's error reads as the penalty value.
+    value = float(value)
+    return value if math.isfinite(value) else PENALTY_LOSS
+
+
 def mse(theta: np.ndarray, prob: SysIdProblem) -> float:
     """Training loss: (1/M) sum_l ||xhat(t_l) - x(t_l; theta)||^2.
 
     The predictions x(t_l; theta) follow the problem's assembly mode, so the
     reported training error is exactly the quantity training minimizes.
-    Raises IntegrationError on a divergent candidate.
+    A failed or non-finite value is :data:`eki.PENALTY_LOSS`.
     """
-    out = sysid_forward_map(theta, prob)
-    if out.failed:
-        raise IntegrationError("candidate field diverged")
-    return float(sysid_loss(out, prob))
+    return _penalized(sysid_loss(sysid_forward_map(theta, prob), prob))
 
 
 def test_mse(theta: np.ndarray, prob: SysIdProblem) -> float:
-    """Same error on the reference grid minus the training points."""
+    """Same error on the reference grid minus the training points, with the
+    same penalty value."""
     traj = sysid_trajectory(theta, prob)
-    return mse_from_states(traj.states, prob, prob.observations.test_indices)
+    return _penalized(mse_from_states(traj.states, prob, prob.observations.test_indices))
 
 
 # ---------------------------------------------------------------------------
@@ -400,6 +388,7 @@ class ControlProblem:
             raise ValueError("gamma and gamma_prime must be positive")
         if self.integrator is None:
             self.integrator = IntegratorConfig(method="rk4", dt=self.t_final / 100.0, divergence_limit=1e3)
+        _check_fixed_step(self.integrator)
 
     def quadrature_grid(self) -> np.ndarray:
         return np.linspace(0.0, self.t_final, self.quadrature_points + 1)
@@ -458,8 +447,8 @@ def control_energy(theta: np.ndarray, prob: ControlProblem):
     return np.trapezoid(u * u, grid, axis=-1)
 
 
-def control_stage_grid(prob: ControlProblem, config: IntegratorConfig):
-    """Where one fixed-step pass over [0, T] evaluates u_theta.
+def control_stage_grid(prob: ControlProblem):
+    """Where one pass of the problem's integrator over [0, T] evaluates u_theta.
 
     Returns ``(stage_times, h, n_steps)``.  The stage times are the step
     starts plus the final time, and for rk4 also the step midpoints, which
@@ -467,6 +456,7 @@ def control_stage_grid(prob: ControlProblem, config: IntegratorConfig):
     interleaved.  The controller depends on t alone, so it is evaluated on
     this grid once, before the recurrence runs.
     """
+    config = prob.integrator
     n_steps = max(1, int(np.ceil(prob.t_final / config.dt - 1e-9)))
     h = prob.t_final / n_steps
     if config.method == "rk4":
@@ -513,19 +503,7 @@ def _control_path(theta: np.ndarray, prob: ControlProblem):
     """Step times ``(S,)``, states ``(J, S)`` and the ``(J,)`` failed mask of
     every member of a ``(J, N)`` matrix under the problem's integrator."""
     cfg = prob.integrator
-    if cfg.method == "dopri5":
-        times = prob.quadrature_grid()
-        act = prob.controller.activation
-        fields = []
-        for member in theta:
-            layers = nnet.unflatten(prob.controller, member)
-            fields.append(
-                lambda x, t, layers=layers: prob.a * x
-                + prob.b * nnet.mlp_apply(layers, np.array([t]), act)
-            )
-        states, failed = _integrate_each(fields, np.array([[prob.x0]]), times[None], cfg)
-        return times, states[:, 0, :, 0], failed
-    stage_times, h, n_steps = control_stage_grid(prob, cfg)
+    stage_times, h, n_steps = control_stage_grid(prob)
     with np.errstate(over="ignore", invalid="ignore"):
         xs = control_states(controller_values(theta, prob, stage_times), prob, h, cfg.method)
         failed = control_diverged(xs, cfg)
@@ -576,27 +554,9 @@ def control_objective(x_final, energy, prob: ControlProblem, gamma: float, gamma
     """0.5 (x(T) - x*)^2 / Gamma + mu / (2 Gamma') * E_T[u_theta].
 
     The one definition of the control loss, elementwise over members: the
-    EKI driver, :func:`control_loss` and the BPTT baseline pass the terminal
-    states and control energies they computed.
+    EKI driver and the BPTT baseline pass the terminal states and control
+    energies they computed.
     """
     miss = x_final - prob.x_star
     return 0.5 * miss * miss / gamma + prob.mu / (2.0 * gamma_prime) * energy
 
-
-def control_loss(
-    theta: np.ndarray,
-    prob: ControlProblem,
-    gamma: float | None = None,
-    gamma_prime: float | None = None,
-) -> float:
-    """:func:`control_objective` of one parameter vector; inf if it diverged.
-
-    ``gamma``/``gamma_prime`` override the problem's covariance scales (the
-    runner drops Gamma on a schedule; the gradient baseline sets both to 1).
-    """
-    out = control_forward_map(theta, prob)
-    if out.failed:
-        return float("inf")
-    g = prob.gamma if gamma is None else gamma
-    gp = prob.gamma_prime if gamma_prime is None else gamma_prime
-    return float(control_objective(out.g[0], out.h**2, prob, g, gp))

@@ -17,13 +17,14 @@ import math
 import numbers
 import os
 import platform
+import sys
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import eki, gradbase, nnet, problems
-from .ode import METHODS, IntegrationError, IntegratorConfig
+from .ode import FIXED_STEP_METHODS
 
 PROBLEMS = ("spiral", "pendulum", "linear_control")
 OPTIMIZERS = ("eki", "adam", "sgd")
@@ -54,7 +55,7 @@ class EkiOptions:
     ``gamma0``/``alpha``/``schedule_period`` drive the exponential covariance
     scheduler for system identification; ``gamma``/``gamma_prime`` are the
     block covariance scales of the regularized control problem, with
-    ``gamma_steps`` applying piecewise drops (epoch, new value).
+    ``gamma_steps`` applying piecewise drops (integer epoch, new value).
     ``expansions`` holds integer (epoch, count) pairs: count members are
     appended at that epoch, drawn per ``expansion_mode`` (fresh
     initializations, or the same draws recentered on the ensemble mean).
@@ -101,12 +102,11 @@ class ProblemOptions:
 
 @dataclass(frozen=True)
 class IntegratorOptions:
-    """Overrides for the problem's default integrator; None keeps defaults."""
+    """Overrides for the problem's default fixed-step integrator (method
+    euler or rk4, step ``dt``); None keeps the default."""
 
     method: str | None = None
     dt: float | None = None
-    rtol: float | None = None
-    atol: float | None = None
 
 
 @dataclass(frozen=True)
@@ -131,6 +131,8 @@ class ExperimentConfig:
             msgs.append(f"problem: {self.problem!r} not in {PROBLEMS}")
         if self.optimizer not in OPTIMIZERS:
             msgs.append(f"optimizer: {self.optimizer!r} not in {OPTIMIZERS}")
+        if self.seed < 0:
+            msgs.append("seed: must be nonnegative")
         if (self.epochs is None) == (self.wall_clock_budget_seconds is None):
             msgs.append("epochs / wall_clock_budget_seconds: exactly one must be set")
         if self.epochs is not None and self.epochs < 0:
@@ -152,7 +154,7 @@ class ExperimentConfig:
         if ek.max_backtracks < 0:
             msgs.append("eki.max_backtracks: must be nonnegative")
         if not _pairs(ek.gamma_steps, "float", lambda epoch, value: epoch >= 0 and value > 0):
-            msgs.append("eki.gamma_steps: need [epoch >= 0, gamma > 0] pairs")
+            msgs.append("eki.gamma_steps: need [epoch >= 0, gamma > 0] pairs, integer epochs")
         # An expansion fires when the epoch equals its own and adds whole members.
         if not _pairs(ek.expansions, "int", lambda epoch, count: epoch >= 0 and count >= 1):
             msgs.append("eki.expansions: need [epoch >= 0, count >= 1] integer pairs")
@@ -165,24 +167,20 @@ class ExperimentConfig:
             msgs.append("problem_options.grid_size: need at least 2 points")
         elif self.problem in problems.GRID_SIZES:
             grid = po.grid_size if po.grid_size is not None else problems.GRID_SIZES[self.problem]
-            if po.num_subsets * po.subset_length > grid:
+            if po.num_subsets * po.subset_length >= grid:
                 msgs.append(
                     f"problem_options.num_subsets: {po.num_subsets} disjoint runs of "
-                    f"{po.subset_length} do not fit in {grid} grid points"
+                    f"{po.subset_length} must leave a held-out point in {grid} grid points"
                 )
         if self.problem == "linear_control" and not (
             po.mu > 0 if self.optimizer == "eki" else po.mu >= 0
         ):
             msgs.append("problem_options.mu: must be positive for EKI, nonnegative otherwise")
         io = self.integrator
-        if io.method is not None and io.method not in METHODS:
-            msgs.append(f"integrator.method: {io.method!r} not in {METHODS}")
-        elif io.method == "dopri5" and self.optimizer != "eki":
-            msgs.append("integrator.method: BPTT needs a fixed-step method (euler or rk4)")
-        for name in ("dt", "rtol", "atol"):
-            value = getattr(io, name)
-            if value is not None and not value > 0:
-                msgs.append(f"integrator.{name}: must be positive")
+        if io.method is not None and io.method not in FIXED_STEP_METHODS:
+            msgs.append(f"integrator.method: training integrates with euler or rk4, got {io.method!r}")
+        if io.dt is not None and not io.dt > 0:
+            msgs.append("integrator.dt: must be positive")
         if self.gradient.eta <= 0:
             msgs.append("gradient.eta: must be positive")
         if msgs:
@@ -190,9 +188,10 @@ class ExperimentConfig:
 
 
 def _pairs(items, annotation: str, ok) -> bool:
+    # Each pair is an integer epoch and a value of the given type.
     return all(
         isinstance(item, (tuple, list)) and len(item) == 2
-        and all(_type_ok(v, annotation) for v in item) and ok(*item)
+        and _type_ok(item[0], "int") and _type_ok(item[1], annotation) and ok(*item)
         for item in items
     )
 
@@ -211,17 +210,23 @@ _FIELD_TYPES = {
 def _type_ok(value, annotation: str) -> bool:
     if isinstance(value, bool):
         return annotation == "bool"
-    return isinstance(value, _FIELD_TYPES[annotation])
+    if not isinstance(value, _FIELD_TYPES[annotation]):
+        return False
+    # JSON parses Infinity and NaN, and no float field takes them; the
+    # comparison also holds for ints too large for a float.
+    return annotation != "float" or abs(value) <= sys.float_info.max
 
 
 def _type_errors(obj, prefix: str = "") -> list[str]:
     """One message per field of a config dataclass whose value does not have
-    the field's annotated type; nested option blocks are checked too."""
+    the field's annotated type, a float field's value being finite; nested
+    option blocks are checked too."""
     msgs = []
     for f in dataclasses.fields(obj):
         name, value = prefix + f.name, getattr(obj, f.name)
         if not any(_type_ok(value, t) for t in f.type.split(" | ")):
-            msgs.append(f"{name}: expected {f.type}, got {type(value).__name__}")
+            got = repr(value) if isinstance(value, numbers.Real) else type(value).__name__
+            msgs.append(f"{name}: expected {f.type}, got {got}")
         elif dataclasses.is_dataclass(value):
             msgs += _type_errors(value, name + ".")
     return msgs
@@ -356,36 +361,24 @@ def build_problem(config: ExperimentConfig):
     data_rng = np.random.default_rng(ss_data)
     po = config.problem_options
     if config.problem == "linear_control":
-        return problems.make_control_problem(mu=po.mu, integrator=_integrator_override(config, None))
-    kwargs = dict(
-        data_rng=data_rng,
-        num_subsets=po.num_subsets,
-        subset_length=po.subset_length,
-        assembly=po.assembly,
-        seed=config.seed,
-    )
-    if po.grid_size is not None:
-        kwargs["grid_size"] = po.grid_size
-    maker = problems.make_spiral_problem if config.problem == "spiral" else problems.make_pendulum_problem
-    prob = maker(**kwargs)
-    override = _integrator_override(config, prob.integrator)
-    if override is not None:
-        prob = dataclasses.replace(prob, integrator=override)
+        prob = problems.make_control_problem(mu=po.mu)
+    else:
+        kwargs = dict(
+            data_rng=data_rng,
+            num_subsets=po.num_subsets,
+            subset_length=po.subset_length,
+            assembly=po.assembly,
+            seed=config.seed,
+        )
+        if po.grid_size is not None:
+            kwargs["grid_size"] = po.grid_size
+        maker = problems.make_spiral_problem if config.problem == "spiral" else problems.make_pendulum_problem
+        prob = maker(**kwargs)
+    # The set integrator options replace those of the problem's default.
+    overrides = {k: v for k, v in dataclasses.asdict(config.integrator).items() if v is not None}
+    if overrides:
+        prob = dataclasses.replace(prob, integrator=dataclasses.replace(prob.integrator, **overrides))
     return prob
-
-
-def _integrator_override(config: ExperimentConfig, default: IntegratorConfig | None):
-    io = config.integrator
-    if io.method is None and io.dt is None and io.rtol is None and io.atol is None:
-        return default
-    base = default if default is not None else IntegratorConfig()
-    return dataclasses.replace(
-        base,
-        method=io.method if io.method is not None else base.method,
-        dt=io.dt if io.dt is not None else base.dt,
-        rtol=io.rtol if io.rtol is not None else base.rtol,
-        atol=io.atol if io.atol is not None else base.atol,
-    )
 
 
 def reevaluate(config: ExperimentConfig, theta: np.ndarray) -> tuple[float, float]:
@@ -402,8 +395,8 @@ def _errors(theta: np.ndarray, prob, train: float | None = None) -> tuple[float,
     optimizer.  A caller that already holds the training MSE passes it as
     ``train`` and saves its forward map.
 
-    System identification: the MSE at the observations and on the rest of
-    the reference grid, the penalty value if the candidate diverged.
+    System identification: :func:`problems.mse` and :func:`problems.test_mse`,
+    the MSE at the observations and on the rest of the reference grid.
     Control: the deviation from the analytic u* on the quadrature grid and
     on a grid ``DENSE_CONTROL_FACTOR`` times denser.
     """
@@ -413,17 +406,8 @@ def _errors(theta: np.ndarray, prob, train: float | None = None) -> tuple[float,
             train = problems.control_mse(theta, prob)
         return train, problems.control_mse(theta, prob, dense)
     if train is None:
-        train = _safe(problems.mse, theta, prob)
-    return train, _safe(problems.test_mse, theta, prob)
-
-
-def _safe(fn, theta, prob) -> float:
-    # Divergent parameters get the penalty value rather than killing the run.
-    try:
-        value = fn(theta, prob)
-    except IntegrationError:
-        return eki.PENALTY_LOSS
-    return value if math.isfinite(value) else eki.PENALTY_LOSS
+        train = problems.mse(theta, prob)
+    return train, problems.test_mse(theta, prob)
 
 
 # ---------------------------------------------------------------------------
@@ -931,10 +915,7 @@ def plot_script(report_dirs, out_dir: str) -> list[str]:
         else:
             suffix = f"_{i}" if len(reports) > 1 else ""
             obs = prob.observations
-            try:
-                learned = problems.sysid_trajectory(report.theta, prob).states
-            except IntegrationError:
-                learned = np.full_like(obs.grid_states, np.nan)
+            learned = problems.sysid_trajectory(report.theta, prob).states
             n = obs.grid_states.shape[1]
             emit(
                 f"trajectory{suffix}.csv",

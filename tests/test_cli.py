@@ -2,9 +2,10 @@
 
 import dataclasses
 import json
+import math
 import os
 
-import pytest
+from hypothesis import given, seed, settings, strategies as st
 
 from ekinode import cli, runner
 
@@ -65,6 +66,17 @@ def test_bad_environment_seed_is_config_error(tmp_path, monkeypatch, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+def test_negative_seed_is_config_error(tmp_path, monkeypatch, capsys):
+    # SeedSequence takes no negative seed, whichever route sets it.
+    path = tmp_path / "c.json"
+    write_config(path, "control-eki-mu0.001", 1)
+    assert cli.main(["run", "--config", str(path), "--seed", "-1", "--out", str(tmp_path / "a")]) == 1
+    monkeypatch.setenv(cli.SEED_ENV, "-1")
+    assert cli.main(["run", "--config", str(path), "--out", str(tmp_path / "b")]) == 1
+    assert capsys.readouterr().err.count("config error: seed: must be nonnegative") == 2
+    assert not (tmp_path / "a").exists() and not (tmp_path / "b").exists()
+
+
 def test_unknown_preset_is_config_error(capsys):
     assert cli.main(["run", "--config", "spiral-bfgs"]) == 1
     assert "config error" in capsys.readouterr().err
@@ -98,6 +110,18 @@ def test_invalid_config_reports_each_message(tmp_path, capsys):
         ("eki", [1], "eki"),
         ("eki", {"expansions": [[3.5, 20]]}, "eki.expansions"),
         ("eki", {"expansions": [[3, 2.5]]}, "eki.expansions"),
+        ("eki", {"gamma_steps": [[1.5, 0.1]]}, "eki.gamma_steps"),
+        ("seed", -1, "seed"),
+        # JSON Infinity and NaN parse, and no float field takes them.
+        ("wall_clock_budget_seconds", math.inf, "wall_clock_budget_seconds"),
+        ("eki", {"step_size": math.inf, "step_cap_rel": None}, "eki.step_size"),
+        ("eki", {"gamma0": math.nan}, "eki.gamma0"),
+        # Every grid point observed leaves no test error.
+        ("problem_options", {"grid_size": 2, "num_subsets": 1, "subset_length": 2},
+         "problem_options.num_subsets"),
+        ("integrator", {"method": "dopri5"}, "integrator.method"),
+        # The integrator block has only method and dt.
+        ("integrator", {"rtol": 1e-6}, "IntegratorOptions"),
     ):
         data = runner.config_to_dict(runner.preset("spiral-eki"))
         data["epochs"] = 1
@@ -170,3 +194,57 @@ def test_plot_command_default_out(tmp_path, capsys):
 def test_plot_missing_report_is_config_error(tmp_path, capsys):
     assert cli.main(["plot", "--report", str(tmp_path / "missing")]) == 1
     assert "config error" in capsys.readouterr().err
+
+
+# The contract fuzz: one field of a valid config replaced by a type swap,
+# zero, -1, an infinity, NaN or a huge value.  A huge size is capped, so no
+# example allocates more than a few MB or runs more than a few epochs.
+MUTANTS = ("1", 1, 1.5, None, True, [], {}, 0, -1, math.inf, -math.inf, math.nan,
+           1e308, 2**62, 10**400)
+SIZE_CAPS = {"epochs": 3, "ensemble_size": 64, "grid_size": 1000}
+FUZZ_CONFIGS = {
+    name: runner.config_to_dict(dataclasses.replace(runner.preset(name), epochs=1, **overrides))
+    for name, overrides in (
+        ("spiral-eki", {"eki": runner.EkiOptions(ensemble_size=4)}),
+        ("control-eki-mu0.001", {}),
+        ("spiral-adam-0.01", {}),
+        ("pendulum-sgd-0.1", {}),
+        ("control-adam-mu0.001", {}),
+    )
+}
+
+
+def _field_paths(data, prefix=()):
+    for key, value in data.items():
+        yield prefix + (key,)
+        if isinstance(value, dict):
+            yield from _field_paths(value, prefix + (key,))
+
+
+FIELD_PATHS = tuple(_field_paths(FUZZ_CONFIGS["spiral-eki"]))
+
+
+@seed(20)
+@given(st.sampled_from(sorted(FUZZ_CONFIGS)), st.sampled_from(FIELD_PATHS),
+       st.sampled_from(MUTANTS))
+@settings(max_examples=300, deadline=None)
+def test_every_config_exits_by_the_contract(tmp_path_factory, name, path, value):
+    # Exit 0 with a report, exit 1 with none, or exit 2 with a partial
+    # report that loads; an uncaught failure would exit 2 with no report.
+    if path[-1] in SIZE_CAPS and type(value) is int:
+        value = min(value, SIZE_CAPS[path[-1]])
+    data = json.loads(json.dumps(FUZZ_CONFIGS[name]))
+    block = data
+    for key in path[:-1]:
+        block = block[key]
+    block[path[-1]] = value
+    tmp = tmp_path_factory.mktemp("fuzz")
+    config = tmp / "c.json"
+    config.write_text(json.dumps(data))
+    code = cli.main(["run", "--config", str(config), "--out", str(tmp / "out")])
+    if code == 1:
+        assert not (tmp / "out" / "report.json").exists()
+        return
+    assert code in (0, 2)
+    report = runner.load_report(str(tmp / "out"))
+    assert (report.error is None) == (code == 0)

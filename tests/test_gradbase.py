@@ -72,12 +72,10 @@ def test_sysid_gradient_matches_finite_differences_full_assembly(small_spiral):
 
 
 def test_sysid_gradient_matches_finite_differences_euler(small_spiral):
-    unfold = ode.IntegratorConfig(method="euler", dt=0.01)
-    theta = nnet.mlp_init(small_spiral.net, np.random.default_rng(3))
-    grad = gradbase.bptt_gradient(theta, small_spiral, unfold=unfold)
-    ref = fd_gradient(
-        lambda t: gradbase.bptt_value_and_gradient(t, small_spiral, unfold=unfold)[0], theta
-    )
+    prob = replace(small_spiral, integrator=ode.IntegratorConfig(method="euler", dt=0.01))
+    theta = nnet.mlp_init(prob.net, np.random.default_rng(3))
+    grad = gradbase.bptt_gradient(theta, prob)
+    ref = fd_gradient(lambda t: gradbase.bptt_value_and_gradient(t, prob)[0], theta)
     assert_fd_close(grad, ref)
 
 
@@ -111,7 +109,8 @@ def test_bptt_loss_matches_problem_losses(small_spiral, control_problem):
     loss_c, _, _ = gradbase.bptt_value_and_gradient(
         theta_c, control_problem, gamma=0.3, gamma_prime=0.01
     )
-    expected = problems.control_loss(theta_c, control_problem, gamma=0.3, gamma_prime=0.01)
+    out = problems.control_forward_map(theta_c, control_problem)
+    expected = float(problems.control_objective(out.g[0], out.h**2, control_problem, 0.3, 0.01))
     assert abs(loss_c - expected) <= 1e-12 * max(1.0, abs(expected))
 
 
@@ -137,10 +136,14 @@ def test_tape_replay_reproduces_loss(small_spiral, control_problem):
     assert tape_c.replay() == loss_c
 
 
-def test_unfold_rejects_adaptive_methods(small_spiral):
-    theta = np.zeros(nnet.param_count(small_spiral.net))
-    with pytest.raises(ValueError):
-        gradbase.bptt_gradient(theta, small_spiral, unfold=ode.IntegratorConfig(method="dopri5"))
+def test_unfold_rejects_adaptive_methods(small_spiral, control_problem):
+    # BPTT unfolds the problem's integrator, and no problem holds an
+    # adaptive one.
+    dopri = ode.IntegratorConfig(method="dopri5")
+    with pytest.raises(ValueError, match="euler or rk4"):
+        replace(small_spiral, integrator=dopri)
+    with pytest.raises(ValueError, match="euler or rk4"):
+        replace(control_problem, integrator=dopri)
 
 
 def test_divergent_unfold_reports_step_index(small_spiral):
@@ -155,8 +158,8 @@ def test_states_beyond_divergence_limit_still_train(small_spiral):
     theta = nnet.mlp_init(small_spiral.net, np.random.default_rng(18))
     loss, grad, tape = gradbase.bptt_value_and_gradient(theta, small_spiral)
     assert not tape.failed
-    unfold = replace(small_spiral.integrator, divergence_limit=1e-3)
-    loss_f, grad_f, tape_f = gradbase.bptt_value_and_gradient(theta, small_spiral, unfold=unfold)
+    prob = replace(small_spiral, integrator=replace(small_spiral.integrator, divergence_limit=1e-3))
+    loss_f, grad_f, tape_f = gradbase.bptt_value_and_gradient(theta, prob)
     assert tape_f.failed
     assert loss_f == loss
     assert np.array_equal(grad_f, grad)
@@ -165,9 +168,9 @@ def test_states_beyond_divergence_limit_still_train(small_spiral):
 def test_unfold_beyond_max_steps_raises(small_spiral):
     # Two shooting runs of 5 observations: 4 one-substep intervals each.
     theta = nnet.mlp_init(small_spiral.net, np.random.default_rng(16))
-    unfold = replace(small_spiral.integrator, max_steps=3)
+    prob = replace(small_spiral, integrator=replace(small_spiral.integrator, max_steps=3))
     with pytest.raises(ode.IntegrationError, match="max_steps"):
-        gradbase.bptt_value_and_gradient(theta, small_spiral, unfold=unfold)
+        gradbase.bptt_value_and_gradient(theta, prob)
 
 
 @pytest.mark.parametrize(
@@ -192,10 +195,10 @@ def test_control_tape_follows_forward_map_failure_rule(integrator):
         return
     loss, grad, tape = gradbase.bptt_value_and_gradient(theta, prob)
     assert tape.failed
-    unfold = replace(integrator, divergence_limit=1e3)
-    loss_ok, grad_ok, tape_ok = gradbase.bptt_value_and_gradient(theta, prob, unfold=unfold)
+    prob_ok = replace(prob, integrator=replace(integrator, divergence_limit=1e3))
+    loss_ok, grad_ok, tape_ok = gradbase.bptt_value_and_gradient(theta, prob_ok)
     assert not tape_ok.failed
-    assert not problems.control_forward_map(theta, replace(prob, integrator=unfold)).failed
+    assert not problems.control_forward_map(theta, prob_ok).failed
     assert loss == loss_ok
     assert np.array_equal(grad, grad_ok)
 

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, seed, settings, strategies as st
 
-from ekinode import nnet, ode, problems
+from ekinode import eki, nnet, ode, problems
 
 ORACLE_TOL = 1e-12
 
@@ -107,6 +107,15 @@ def test_forward_map_flags_divergent_members(spiral_problem):
     theta = np.full(nnet.param_count(spiral_problem.net), 1e6)
     out = problems.sysid_forward_map(theta, spiral_problem)
     assert out.failed
+
+
+def test_divergent_candidate_scores_the_penalty(spiral_problem):
+    # Nothing raises: both errors read the penalty value and the trajectory
+    # is NaN, as control_trajectory's is.
+    theta = np.full(nnet.param_count(spiral_problem.net), 1e6)
+    assert problems.mse(theta, spiral_problem) == eki.PENALTY_LOSS
+    assert problems.test_mse(theta, spiral_problem) == eki.PENALTY_LOSS
+    assert np.isnan(problems.sysid_trajectory(theta, spiral_problem).states).all()
 
 
 def test_mse_agrees_with_forward_map_residuals(spiral_problem):
@@ -215,14 +224,18 @@ def test_control_forward_map_zero_controller(control_problem):
     assert out.h == 0.0
 
 
-def test_control_loss_zero_controller_examples():
-    from dataclasses import replace
+def control_loss(theta, prob):
+    # The EKI driver's loss of one member at the problem's covariance scales.
+    out = problems.control_forward_map(theta, prob)
+    return float(problems.control_objective(out.g[0], out.h**2, prob, prob.gamma, prob.gamma_prime))
 
+
+def test_control_loss_zero_controller_examples():
     prob = problems.make_control_problem()
     theta = np.zeros(nnet.param_count(prob.controller))
     unit = replace(prob, mu=0.0, gamma=1.0)
-    assert abs(problems.control_loss(theta, unit) - 0.5) < ORACLE_TOL
-    assert abs(problems.control_loss(theta, prob) - 0.5 / 0.3) < ORACLE_TOL
+    assert abs(control_loss(theta, unit) - 0.5) < ORACLE_TOL
+    assert abs(control_loss(theta, prob) - 0.5 / 0.3) < ORACLE_TOL
 
 
 def test_control_loss_decomposition(control_problem):
@@ -231,7 +244,7 @@ def test_control_loss_decomposition(control_problem):
     energy = problems.control_energy(theta, control_problem)
     assert abs(out.h - np.sqrt(energy)) < 1e-14
     expected = 0.5 * (out.g[0] - 1.0) ** 2 / 0.3 + 0.001 / (2 * 0.01) * energy
-    assert abs(problems.control_loss(theta, control_problem) - expected) < 1e-12
+    assert abs(control_loss(theta, control_problem) - expected) < 1e-12
 
 
 def test_control_mse_zero_controller(control_problem):
@@ -366,23 +379,3 @@ def test_batched_control_forward_map_matches_scalar_formulas(s, method, dt, acti
         assert abs(out.h[j] - np.sqrt(energy)) <= 1e-12 * max(1.0, np.sqrt(energy))
     assert out.failed[1] and out.failed[3] and not out.failed[0]
 
-
-def test_dopri5_override_keeps_the_scalar_path():
-    # Adaptive steps cannot run in lockstep: a dopri5 integrator sends each
-    # member through ode.integrate, with the same outputs and failed mask.
-    rng = np.random.default_rng(12)
-    dopri = ode.IntegratorConfig(method="dopri5", rtol=1e-8, atol=1e-10, divergence_limit=50.0)
-    prob = replace(_uneven_sysid_problem(rng, "shooting", "rk4", 1.0, "tanh"), integrator=dopri)
-    members = _mixed_ensemble(rng, prob.net, 1e3)
-    out = problems.sysid_forward_map(members, prob)
-    for j, theta in enumerate(members):
-        g_ref, failed_ref = _scalar_sysid(theta, prob)
-        assert out.failed[j] == failed_ref
-        assert np.array_equal(out.g[j], g_ref)
-
-    ctrl = problems.make_control_problem(integrator=dopri)
-    members = _mixed_ensemble(rng, ctrl.controller, 5e3)
-    out = problems.control_forward_map(members, ctrl)
-    rk4 = problems.control_forward_map(members, problems.make_control_problem())
-    assert np.array_equal(out.failed, rk4.failed)
-    assert np.allclose(out.g, rk4.g, rtol=0, atol=1e-6)

@@ -5,6 +5,7 @@ separately."""
 import csv
 import dataclasses
 import json
+import math
 import os
 
 import numpy as np
@@ -71,6 +72,21 @@ def test_validation_collects_all_errors():
         # Expansions fire at an integer epoch and add whole members.
         {"eki": runner.EkiOptions(expansions=((3.5, 20),))},
         {"eki": runner.EkiOptions(expansions=((3, 2.5),))},
+        # So do covariance drops.
+        {"eki": runner.EkiOptions(gamma_steps=((1.5, 0.1),))},
+        # SeedSequence takes no negative seed.
+        {"seed": -1},
+        # No float field takes an infinity or NaN.
+        {"epochs": None, "wall_clock_budget_seconds": math.inf},
+        {"eki": runner.EkiOptions(step_size=math.inf, step_cap_rel=None)},
+        {"eki": runner.EkiOptions(gamma_steps=((1, math.nan),))},
+        {"integrator": runner.IntegratorOptions(dt=math.nan)},
+        # The test error needs at least one held-out grid point.
+        {"problem_options": runner.ProblemOptions(grid_size=2, num_subsets=1, subset_length=2)},
+        {"problem_options": runner.ProblemOptions(num_subsets=50)},
+        # Training integrates in lockstep, with either optimizer.
+        {"integrator": runner.IntegratorOptions(method="dopri5")},
+        {"optimizer": "adam", "integrator": runner.IntegratorOptions(method="dopri5")},
     ):
         with pytest.raises(runner.ConfigError):
             dataclasses.replace(runner.preset("spiral-eki"), **overrides).validate()
@@ -100,6 +116,11 @@ def test_config_from_dict_rejects_unknown_keys():
     data = runner.config_to_dict(runner.preset("spiral-eki"))
     data["eki"]["momentum"] = 0.9
     with pytest.raises(runner.ConfigError, match="momentum"):
+        runner.config_from_dict(data)
+    # The integrator block has only method and dt.
+    data = runner.config_to_dict(runner.preset("spiral-eki"))
+    data["integrator"]["rtol"] = 1e-6
+    with pytest.raises(runner.ConfigError, match="rtol"):
         runner.config_from_dict(data)
     with pytest.raises(runner.ConfigError):
         runner.config_from_dict({"problem": "spiral", "epochs": 1, "turbo": True})
@@ -368,6 +389,29 @@ def test_plot_script_control_mu_sweep(tmp_path):
 def test_plot_script_missing_report_errors(tmp_path):
     with pytest.raises(FileNotFoundError):
         runner.plot_script([str(tmp_path / "nope")], str(tmp_path / "plots"))
+
+
+def test_integrator_options_replace_the_problem_default(tmp_path):
+    # Only the set options change: the control problem keeps its rk4 and
+    # divergence limit, and dt = T/100 is its default step, so the log is
+    # the preset's byte for byte.
+    only_dt = runner.IntegratorOptions(dt=0.01)
+    preset = runner.preset("control-eki-mu0.001")
+    override = dataclasses.replace(preset, integrator=only_dt)
+    assert runner.build_problem(override).integrator == runner.build_problem(preset).integrator
+    runner.run(preset, out_dir=str(tmp_path / "preset"))
+    runner.run(override, out_dir=str(tmp_path / "dt"))
+    assert (tmp_path / "dt" / "log.csv").read_bytes() == (tmp_path / "preset" / "log.csv").read_bytes()
+    # The gradient baseline unfolds the same integrator, and finishes.
+    path = tmp_path / "adam.json"
+    runner.save_config(tiny("control-adam-mu0.001", 3, integrator=only_dt), str(path))
+    assert cli.main(["run", "--config", str(path), "--out", str(tmp_path / "adam")]) == 0
+    assert runner.load_report(str(tmp_path / "adam")).error is None
+    # A system-identification problem takes a method alone the same way.
+    spiral = runner.preset("spiral-eki")
+    euler = dataclasses.replace(spiral, integrator=runner.IntegratorOptions(method="euler"))
+    default = runner.build_problem(spiral).integrator
+    assert runner.build_problem(euler).integrator == dataclasses.replace(default, method="euler")
 
 
 def test_run_rejects_invalid_config(tmp_path):
