@@ -126,16 +126,20 @@ def rk4_step(field: VectorField, x: np.ndarray, t: float, dt: float) -> np.ndarr
 
 
 # Dormand-Prince 5(4) tableau (DOPRI5).  The last stage row equals the 5th
-# order weights, giving the first-same-as-last (FSAL) property.
+# order weights, giving the first-same-as-last (FSAL) property.  The stage
+# rows are arrays built once, not per step.
 _DP_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
-_DP_A = (
-    (),
-    (1 / 5,),
-    (3 / 40, 9 / 40),
-    (44 / 45, -56 / 15, 32 / 9),
-    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
-    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
-    (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
+_DP_A = tuple(
+    np.array(row)
+    for row in (
+        (),
+        (1 / 5,),
+        (3 / 40, 9 / 40),
+        (44 / 45, -56 / 15, 32 / 9),
+        (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
+        (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
+        (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
+    )
 )
 _DP_B = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
 # b - b_hat, weights of the embedded 4th-order error estimate
@@ -174,7 +178,7 @@ def dopri_step(
         _check_finite(k1, t, "field output")
     k[0] = k1
     for i in range(1, 7):
-        xi = x + h * (np.asarray(_DP_A[i]) @ k[:i])
+        xi = x + h * (_DP_A[i] @ k[:i])
         k[i] = field(xi, t + _DP_C[i] * h)
     x_new = x + h * (_DP_B @ k)
     _check_finite(x_new, t + h, "state")

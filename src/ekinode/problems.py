@@ -13,7 +13,7 @@ import numpy as np
 from . import nnet, ode
 from .eki import PENALTY_LOSS, ForwardMapOutput
 from .nnet import MlpSpec
-from .ode import FIXED_STEP_METHODS, IntegratorConfig, Trajectory, integrate
+from .ode import FIXED_STEP_METHODS, IntegratorConfig, integrate
 
 __all__ = [
     "ObservationSet",
@@ -27,7 +27,6 @@ __all__ = [
     "make_spiral_problem",
     "make_pendulum_problem",
     "make_control_problem",
-    "sysid_trajectory",
     "sysid_forward_map",
     "sysid_grid",
     "sysid_loss",
@@ -56,6 +55,10 @@ DATA_INTEGRATOR = IntegratorConfig(method="dopri5", rtol=1e-9, atol=1e-12)
 
 # Default reference-grid sizes of the identification benchmarks.
 GRID_SIZES = {"spiral": 500, "pendulum": 200}
+
+# Parameter vectors integrated together by one test_mse pass: bounds its
+# states array at (rows, grid, state) for however many rows a run logged.
+TEST_CHUNK_ROWS = 64
 
 
 def spiral_field(x: np.ndarray, t: float = 0.0) -> np.ndarray:
@@ -259,16 +262,6 @@ def _net_states(theta: np.ndarray, prob: SysIdProblem, x0: np.ndarray, times: np
     )
 
 
-def sysid_trajectory(theta: np.ndarray, prob: SysIdProblem) -> Trajectory:
-    """Integrate the candidate field from the known x0 over the full
-    reference grid (single full-horizon trajectory); the states are NaN if
-    the integration diverged."""
-    grid = prob.observations.grid_times
-    x0 = np.asarray(prob.x0, dtype=float)[None]
-    states, failed = _net_states(np.asarray(theta, dtype=float)[None], prob, x0, grid[None])
-    return Trajectory(times=grid.copy(), states=np.where(failed[0], np.nan, states[0, 0]))
-
-
 def sysid_grid(prob: SysIdProblem):
     """Where the forward map integrates under the problem's assembly mode.
 
@@ -343,11 +336,29 @@ def mse(theta: np.ndarray, prob: SysIdProblem) -> float:
     return _penalized(sysid_loss(sysid_forward_map(theta, prob), prob))
 
 
-def test_mse(theta: np.ndarray, prob: SysIdProblem) -> float:
+def test_mse(theta: np.ndarray, prob: SysIdProblem):
     """Same error on the reference grid minus the training points, with the
-    same penalty value."""
-    traj = sysid_trajectory(theta, prob)
-    return _penalized(mse_from_states(traj.states, prob, prob.observations.test_indices))
+    same penalty value, of the field integrated from the known x0 over the
+    whole grid.
+
+    ``theta`` is one parameter vector ``(N,)``, giving a float, or a stack
+    ``(R, N)``, giving ``(R,)`` errors.  The rows are integrated as the
+    members of one lockstep pass per :data:`TEST_CHUNK_ROWS` of them and
+    reduced one by one, so each error is bitwise the one its row gets alone.
+    """
+    theta = np.asarray(theta, dtype=float)
+    rows = np.atleast_2d(theta)
+    grid = prob.observations.grid_times
+    x0 = np.asarray(prob.x0, dtype=float)[None]
+    test = prob.observations.test_indices
+    errors = np.empty(rows.shape[0])
+    for start in range(0, rows.shape[0], TEST_CHUNK_ROWS):
+        states, failed = _net_states(rows[start:start + TEST_CHUNK_ROWS], prob, x0, grid[None])
+        for r, (row_states, row_failed) in enumerate(zip(states[:, 0], failed)):
+            errors[start + r] = (
+                PENALTY_LOSS if row_failed else _penalized(mse_from_states(row_states, prob, test))
+            )
+    return errors if theta.ndim == 2 else float(errors[0])
 
 
 # ---------------------------------------------------------------------------

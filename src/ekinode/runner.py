@@ -387,27 +387,32 @@ def reevaluate(config: ExperimentConfig, theta: np.ndarray) -> tuple[float, floa
     This is the report-integrity contract: the numbers in ``report.json``
     must come back identically from the serialized theta.
     """
-    return _errors(np.asarray(theta, dtype=float), build_problem(config))
+    theta = np.asarray(theta, dtype=float)
+    (train,), (test,) = _errors(theta[None], build_problem(config), [None])
+    return train, test
 
 
-def _errors(theta: np.ndarray, prob, train: float | None = None) -> tuple[float, float]:
-    """The logged (train, test) pair of one parameter vector, for every
-    optimizer.  A caller that already holds the training MSE passes it as
-    ``train`` and saves its forward map.
+def _errors(thetas: np.ndarray, prob, train) -> tuple[list, list]:
+    """The logged (train, test) columns of the parameter vectors ``thetas``
+    ``(R, N)``, for every optimizer.  ``train`` holds, per row, the training
+    error its driver already read off its own evaluation, or None; only the
+    missing ones are computed here.
 
     System identification: :func:`problems.mse` and :func:`problems.test_mse`,
-    the MSE at the observations and on the rest of the reference grid.
-    Control: the deviation from the analytic u* on the quadrature grid and
-    on a grid ``DENSE_CONTROL_FACTOR`` times denser.
+    the MSE at the observations and on the rest of the reference grid; the
+    test column of all rows is one batched pass.  Control: the deviation
+    from the analytic u* on the quadrature grid and on a grid
+    ``DENSE_CONTROL_FACTOR`` times denser.
     """
     if isinstance(prob, problems.ControlProblem):
         dense = np.linspace(0.0, prob.t_final, DENSE_CONTROL_FACTOR * prob.quadrature_points + 1)
-        if train is None:
-            train = problems.control_mse(theta, prob)
-        return train, problems.control_mse(theta, prob, dense)
-    if train is None:
-        train = problems.mse(theta, prob)
-    return train, problems.test_mse(theta, prob)
+        metric = problems.control_mse
+        test = [problems.control_mse(theta, prob, dense) for theta in thetas]
+    else:
+        metric = problems.mse
+        test = problems.test_mse(thetas, prob).tolist()
+    train = [metric(theta, prob) if known is None else known for theta, known in zip(thetas, train)]
+    return train, test
 
 
 # ---------------------------------------------------------------------------
@@ -507,8 +512,9 @@ class _EkiDriver:
                 self.outputs = None
 
     def row(self):
-        """Log row of the ensemble, expanded and evaluated first if due,
-        and the parameters of its best member."""
+        """Log row of the ensemble, expanded and evaluated first if due, up
+        to its error columns; the training error of its best member, None
+        if the losses are not that; and the member's parameters."""
         self.maybe_expand()
         if self.outputs is None:
             self.outputs = self.forward(self.ens.members)
@@ -520,8 +526,7 @@ class _EkiDriver:
         theta = self.ens.members[idx].copy()
         # A system-identification member's loss is its training MSE.
         train = min_loss if isinstance(self.prob, problems.SysIdProblem) else None
-        row = [epoch, self.gamma_for(epoch), self.ens.size, min_loss, mean_loss]
-        return row + list(_errors(theta, self.prob, train)), theta
+        return [epoch, self.gamma_for(epoch), self.ens.size, min_loss, mean_loss], train, theta
 
     def advance(self):
         """One epoch: try the full step, backtrack while it makes the
@@ -533,7 +538,11 @@ class _EkiDriver:
         cur_fail = np.count_nonzero(self.outputs.failed)
         cur_best = cur_losses.min()
 
-        unit = eki.eki_step(self.ens, self.outputs, self.target, self.variances(gamma))
+        variances = self.variances(gamma)
+        if not np.all(variances > 0):
+            # The exponential schedule reaches 0.0 once alpha * epoch passes ~745.
+            raise RuntimeError(f"noise variance {gamma!r} is not positive at epoch {epoch}")
+        unit = eki.eki_step(self.ens, self.outputs, self.target, variances)
         delta = unit.members - self.ens.members
         rel = np.max(np.abs(delta), axis=1) / (np.max(np.abs(self.ens.members), axis=1) + 1.0)
         maxrel = float(rel.max()) if rel.size else 0.0
@@ -626,8 +635,9 @@ class _GradientDriver:
         self.epoch = 0
 
     def row(self):
-        """Log row of the current parameters, read from a fresh BPTT tape
-        whose gradient the next ``advance`` applies."""
+        """Log row of the current parameters up to its error columns, the
+        training error if the tape loss is that, and the parameters.  The
+        tape's gradient is the one the next ``advance`` applies."""
         # Gradient baseline trains control at unit covariance scales.
         loss, self.grad, tape = gradbase.bptt_value_and_gradient(self.theta, self.prob)
         if not math.isfinite(loss):
@@ -636,9 +646,7 @@ class _GradientDriver:
         train = None
         if isinstance(self.prob, problems.SysIdProblem):
             train = eki.PENALTY_LOSS if tape.failed else loss
-        del tape  # freed before the metrics run
-        row = [self.epoch, None, 1, loss, loss]
-        return row + list(_errors(self.theta, self.prob, train)), self.theta
+        return [self.epoch, None, 1, loss, loss], train, self.theta
 
     def advance(self):
         if not np.all(np.isfinite(self.grad)):
@@ -660,7 +668,9 @@ def run(config: ExperimentConfig, out_dir: str | None = None) -> RunReport:
     Both optimizers run one loop: log a row, take a step, and log the final
     row after the last step.  A runtime failure ends the loop; the report
     then carries the error, the rows logged so far, and the parameters of
-    the last of them (none if no row was logged).
+    the last of them (none if no row was logged).  The train and test
+    columns the loop has not filled are computed after it, for every logged
+    row at once, so a wall-clock budget bounds the loop alone.
 
     Deterministic under the epoch-budget stopping mode: identical
     (config, seed) produce bitwise-identical logs and reports.
@@ -682,17 +692,22 @@ def run(config: ExperimentConfig, out_dir: str | None = None) -> RunReport:
     else:
         driver = _SysIdDriver(config, prob, init_rng)
 
-    rows, theta, epochs_run, error = [], np.empty(0), 0, None
+    logged, epochs_run, error = [], 0, None
     try:
         for _ in _budget(config, started):
-            row, theta = driver.row()
-            rows.append(row)
+            logged.append(driver.row())
             driver.advance()
             epochs_run += 1
-        row, theta = driver.row()
-        rows.append(row)
+        logged.append(driver.row())
     except RuntimeError as exc:
         error = str(exc)
+    # The error columns of every logged row, failed runs included: one pass.
+    rows, theta = [], np.empty(0)
+    if logged:
+        heads, train, thetas = zip(*logged)
+        errors = zip(*_errors(np.stack(thetas), prob, train))
+        rows = [head + list(pair) for head, pair in zip(heads, errors)]
+        theta = thetas[-1]
     events = []
     if isinstance(driver, _EkiDriver):
         events = [("expansion", ep, c) for ep, c in driver.ens.events] + driver.events
@@ -915,7 +930,11 @@ def plot_script(report_dirs, out_dir: str) -> list[str]:
         else:
             suffix = f"_{i}" if len(reports) > 1 else ""
             obs = prob.observations
-            learned = problems.sysid_trajectory(report.theta, prob).states
+            # The field integrated from x0 over the grid, NaN if it diverged.
+            x0 = np.asarray(prob.x0, dtype=float)[None]
+            theta = report.theta[None]
+            states, failed = problems._net_states(theta, prob, x0, obs.grid_times[None])
+            learned = np.where(failed[0], np.nan, states[0, 0])
             n = obs.grid_states.shape[1]
             emit(
                 f"trajectory{suffix}.csv",

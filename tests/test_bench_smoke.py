@@ -17,8 +17,8 @@ SAMPLE = os.path.join(ROOT, "benchmarks", "sample.py")
 
 # Traced call counts per workload at seed 0; the tracer finds each function
 # by name, so a rename would read 0 here rather than fail.
-# The metric evaluations (one or two per logged row) and the network calls
-# pin the logged error path: a row that gained or lost an evaluation shows.
+# The metric evaluations and the network calls pin the logged error path:
+# a row that gained or lost an evaluation shows.
 TRACED_COUNTS = {
     # control-eki@4: the update rule and the forward maps; two control_mse
     # calls per row.
@@ -28,13 +28,15 @@ TRACED_COUNTS = {
         "problems.metrics.calls": 10,
         "nnet.mlp_apply.calls": 22,
     },
-    # spiral-adam@50: one BPTT per epoch plus the last row; the train column
-    # comes from the tape, so no forward map runs and only test_mse is called.
+    # spiral-adam@50: one BPTT per epoch plus the last row, 36 network calls
+    # each.  The train column comes from the tape, so no forward map runs;
+    # the test column of all 51 rows is one test_mse call, one 499-step rk4
+    # pass of 4 network calls per step.
     "spiral-adam": {
         "gradbase.bptt.calls": 51,
         "problems.forward_map.calls": 0,
-        "problems.metrics.calls": 51,
-        "nnet.mlp_apply.calls": 103_632,
+        "problems.metrics.calls": 1,
+        "nnet.mlp_apply.calls": 51 * 36 + 499 * 4,
     },
 }
 

@@ -143,6 +143,24 @@ def test_runtime_failure_exits_two(tmp_path, capsys):
     assert (tmp_path / "x" / "report.json").exists()
 
 
+def test_covariance_underflow_is_runtime_failure(tmp_path, capsys):
+    # gamma0 * exp(-alpha * epoch) underflows to 0.0 at epoch 2: the run
+    # stops there with a partial report whose theta gives its last row.
+    eki_opts = dataclasses.replace(runner.preset("spiral-eki").eki, alpha=1000.0)
+    path = tmp_path / "c.json"
+    write_config(path, "spiral-eki", 3, eki=eki_opts)
+    assert cli.main(["run", "--config", str(path), "--out", str(tmp_path / "x")]) == 2
+    assert "run failed: noise variance 0.0 is not positive at epoch 2" in capsys.readouterr().err
+    report = runner.load_report(str(tmp_path / "x"))
+    assert report.epochs_run == 2
+    with open(tmp_path / "x" / "log.csv") as fh:
+        last = fh.read().splitlines()[-1].split(",")
+    assert last[:2] == ["2", "0.0"]
+    assert runner.reevaluate(report.config, report.theta) == (
+        float(last[5]), float(last[6])
+    ) == (report.final_train_error, report.final_test_error)
+
+
 def test_table_command(tmp_path, capsys):
     config = dataclasses.replace(runner.preset("control-eki-mu0.001"), epochs=2)
     items = [{"name": "fast", **runner.config_to_dict(config)}]

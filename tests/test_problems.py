@@ -110,12 +110,37 @@ def test_forward_map_flags_divergent_members(spiral_problem):
 
 
 def test_divergent_candidate_scores_the_penalty(spiral_problem):
-    # Nothing raises: both errors read the penalty value and the trajectory
-    # is NaN, as control_trajectory's is.
+    # Nothing raises: both errors read the penalty value, for one parameter
+    # vector and for a stack of them.
     theta = np.full(nnet.param_count(spiral_problem.net), 1e6)
     assert problems.mse(theta, spiral_problem) == eki.PENALTY_LOSS
     assert problems.test_mse(theta, spiral_problem) == eki.PENALTY_LOSS
-    assert np.isnan(problems.sysid_trajectory(theta, spiral_problem).states).all()
+    assert problems.test_mse(np.stack([theta, theta]), spiral_problem).tolist() == [
+        eki.PENALTY_LOSS
+    ] * 2
+
+
+@pytest.mark.parametrize("fixture, rows", [
+    ("spiral_problem", 5),
+    ("small_spiral", problems.TEST_CHUNK_ROWS + 3),
+])
+def test_batched_test_mse_matches_per_row_calls(request, fixture, rows):
+    # One batched pass over a stack, across chunk boundaries too, scores
+    # every row bitwise as a call with that row alone does.  A divergent row
+    # and a non-finite one score the penalty and leave their neighbours be.
+    prob = request.getfixturevalue(fixture)
+    rng = np.random.default_rng(rows)
+    thetas = np.stack([nnet.mlp_init(prob.net, rng) for _ in range(rows)])
+    thetas[1] = 1e6
+    thetas[rows - 2, 0] = np.nan
+    batched = problems.test_mse(thetas, prob)
+    assert batched.shape == (rows,)
+    alone = [problems.test_mse(theta, prob) for theta in thetas]
+    assert all(isinstance(value, float) for value in alone)
+    assert batched.tolist() == alone
+    assert batched[1] == batched[rows - 2] == eki.PENALTY_LOSS
+    healthy = np.delete(batched, [1, rows - 2])
+    assert np.all(healthy < eki.PENALTY_LOSS)
 
 
 def test_mse_agrees_with_forward_map_residuals(spiral_problem):

@@ -288,16 +288,46 @@ def test_load_report_round_trips_every_field(tmp_path):
     assert runner.load_report(str(tmp_path / "r")).error is None
 
 
-@pytest.mark.parametrize("seed", range(5))
-def test_reevaluate_reproduces_eki_errors_bitwise(tmp_path, seed):
-    # The driver's training error and problems.mse are one reduction over
-    # one forward map, whether the member is evaluated in its ensemble of 22
-    # or alone, so re-evaluation returns the logged numbers exactly.
-    report = runner.run(tiny("spiral-eki", 15, seed=seed), out_dir=str(tmp_path / "r"))
-    loaded = runner.load_report(str(tmp_path / "r"))
+def assert_rows_reevaluate_bitwise(config, out_dir, monkeypatch):
+    # Every logged row's (train, test) pair comes back exactly from its own
+    # parameter vector evaluated alone, and the report's from its theta.
+    # The vectors are those the run's one deferred metrics pass received.
+    seen = []
+    real = runner._errors
+
+    def spy(thetas, prob, train):
+        seen.append(thetas.copy())
+        return real(thetas, prob, train)
+
+    monkeypatch.setattr(runner, "_errors", spy)
+    report = runner.run(config, out_dir=out_dir)
+    _, rows = read_log(report.log_path)
+    assert len(seen) == 1 and len(seen[0]) == len(rows)
+    prob = runner.build_problem(config)
+    for row, theta in zip(rows, seen[0]):
+        assert real(theta[None], prob, [None]) == ([float(row[5])], [float(row[6])])
+    assert np.array_equal(seen[0][-1], report.theta)
+    loaded = runner.load_report(out_dir)
     train, test = runner.reevaluate(loaded.config, loaded.theta)
     assert train == report.final_train_error
     assert test == report.final_test_error
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_reevaluate_reproduces_eki_errors_bitwise(tmp_path, monkeypatch, seed):
+    # The driver's training error and problems.mse are one reduction over
+    # one forward map, whether the member is evaluated in its ensemble of 22
+    # or alone; the test column is integrated for all rows in one batched
+    # pass, and each row's error is the one it gets alone.
+    assert_rows_reevaluate_bitwise(tiny("spiral-eki", 15, seed=seed), str(tmp_path / "r"),
+                                   monkeypatch)
+
+
+@pytest.mark.parametrize("seed", range(2))
+def test_reevaluate_reproduces_gradient_errors_bitwise(tmp_path, monkeypatch, seed):
+    # The train column is the BPTT tape's loss, bitwise problems.mse.
+    assert_rows_reevaluate_bitwise(tiny("spiral-adam-0.01", 20, seed=seed), str(tmp_path / "r"),
+                                   monkeypatch)
 
 
 def test_seed_changes_the_run(tmp_path):
