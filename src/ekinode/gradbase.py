@@ -49,34 +49,44 @@ def _act_deriv(y: np.ndarray, activation: str) -> np.ndarray:
     return np.where(y < 0.0, y + 1.0, 1.0)
 
 
-def _net_vjp(layers, activation: str, record, gout: np.ndarray, acc) -> np.ndarray:
-    """Pull an output gradient back through one recorded :func:`nnet.mlp_apply`
-    pass: add the layer gradients into ``acc``, per-layer (W, b) arrays shaped
-    like ``layers``, and return the input gradient."""
-    g = gout
-    for (w, _), (a, y), (dw, db) in zip(reversed(layers), reversed(record), reversed(acc)):
-        gz = g if y is None else g * _act_deriv(y, activation)
-        dw += gz.mT @ a
-        db += gz.sum(axis=-2)
-        g = gz @ w
-    return g
+class _Pullback:
+    """Reverse pass through recorded :func:`nnet.mlp_apply` calls.
 
+    :meth:`vjp` carries one call's output gradient back to its input: one
+    multiply by the activation derivative and one ``@ W`` per layer, logging
+    each layer's output gradient.  :meth:`accumulate` then adds the weight
+    and bias gradients of every logged call at once.  Each stacked product
+    is the per-call BLAS product and each reduction adds the calls in sweep
+    order, so the gradient equals per-call accumulation bitwise.
+    """
 
-def _step_backward(layers, act, method, calls, gx, h, acc):
-    """Given the gradient at a step's output, accumulate the parameter
-    gradients of its recorded field evaluations and return the gradient at
-    the step's input."""
-    if method == "euler":
-        return gx + _net_vjp(layers, act, calls[0], h * gx, acc)
-    c1, c2, c3, c4 = calls
-    gin = _net_vjp(layers, act, c4, (h / 6.0) * gx, acc)
-    xbar = gx + gin
-    gin = _net_vjp(layers, act, c3, (h / 3.0) * gx + h * gin, acc)
-    xbar += gin
-    gin = _net_vjp(layers, act, c2, (h / 3.0) * gx + 0.5 * h * gin, acc)
-    xbar += gin
-    gin = _net_vjp(layers, act, c1, (h / 6.0) * gx + 0.5 * h * gin, acc)
-    return xbar + gin
+    def __init__(self, layers, activation: str, records):
+        # Every call's input to each layer, stacked; a hidden layer's
+        # activated output is the next layer's input, so the derivatives of
+        # all calls take one elementwise pass per hidden layer.
+        self.inputs = [np.array([r[i][0] for r in records]) for i in range(len(layers))]
+        derivs = [_act_deriv(a, activation) for a in self.inputs[1:]] + [None]
+        self.gz = [[] for _ in layers]
+        self.swept = []  # record indices in sweep order
+        self._reverse = list(zip([w for w, _ in layers], derivs, self.gz))[::-1]
+
+    def vjp(self, call: int, gout: np.ndarray) -> np.ndarray:
+        g = gout
+        for w, deriv, log in self._reverse:
+            if deriv is not None:
+                g = g * deriv[call]
+            log.append(g)
+            g = g @ w
+        self.swept.append(call)
+        return g
+
+    def accumulate(self, acc) -> None:
+        """Add the swept calls' layer gradients into ``acc``, per-layer
+        (W, b) arrays shaped like the recorded layers."""
+        for (dw, db), gz, a in zip(acc, self.gz, self.inputs):
+            gz = np.array(gz)
+            dw += np.add.reduce(gz.mT @ a[self.swept])
+            db += np.add.reduce(gz.sum(axis=-2))
 
 
 # ---------------------------------------------------------------------------
@@ -157,23 +167,38 @@ def _record_sysid(theta: np.ndarray, prob: SysIdProblem) -> Tape:
 
 def _backward_sysid(tape: Tape, acc) -> None:
     d = tape.data
-    layers, act, method, calls = d["layers"], d["act"], d["method"], d["calls"]
     obs = d["prob"].observations
     # dL/d(state) is 2 (xhat - x) / M at the observations, zero elsewhere.
     gstates = np.zeros(d["shape"])
     n = gstates.shape[-1]
     resid = d["out"].g - obs.stacked_values()
     gstates.reshape(-1, n)[d["obs_index"]] = (2.0 / obs.values.shape[0]) * resid.reshape(-1, n)
-    # The field evaluations of each substep, last substep first.
-    stages = 1 if method == "euler" else 4
-    end = len(calls)
+    # The field evaluations of each substep, last substep first; the sweep
+    # carries the state gradient alone.
+    net = _Pullback(d["layers"], d["act"], d["calls"])
+    euler = d["method"] == "euler"
+    c = len(d["calls"])
     gx = 0.0
     for k in reversed(range(len(d["lengths"]))):
         gx = gx + gstates[:, :, k + 1]
+        h = d["lengths"][k]
+        half = 0.5 * h
         for _ in range(d["n_sub"][k]):
-            step_calls = calls[end - stages : end]
-            gx = _step_backward(layers, act, method, step_calls, gx, d["lengths"][k], acc)
-            end -= stages
+            if euler:
+                c -= 1
+                gx = gx + net.vjp(c, h * gx)
+                continue
+            c -= 4
+            g6, g3 = (h / 6.0) * gx, (h / 3.0) * gx
+            gin = net.vjp(c + 3, g6)
+            xbar = gx + gin
+            gin = net.vjp(c + 2, g3 + h * gin)
+            xbar += gin
+            gin = net.vjp(c + 1, g3 + half * gin)
+            xbar += gin
+            gin = net.vjp(c, g6 + half * gin)
+            gx = xbar + gin
+    net.accumulate(acc)
 
 
 # ---------------------------------------------------------------------------
@@ -229,7 +254,7 @@ def _backward_control(tape: Tape, acc) -> None:
     w[0] = 0.5 * (grid[1] - grid[0])
     w[-1] = 0.5 * (grid[-1] - grid[-2])
     g_quad = (prob.mu / (2.0 * d["gamma_prime"])) * 2.0 * w * d["u_quad"]
-    _net_vjp(layers, act, d["quad_record"], g_quad[:, None], acc)
+    _pull(layers, act, d["quad_record"], g_quad[:, None], acc)
 
     # Terminal term back through the unfolded scalar dynamics.
     gx = (d["x_final"] - prob.x_star) / d["gamma"]
@@ -260,7 +285,14 @@ def _backward_control(tape: Tape, acc) -> None:
         else:
             ubar[k] += h * b * gx
             gx = gx * (1.0 + h * a)
-    _net_vjp(layers, act, d["stage_record"], ubar[:, None], acc)
+    _pull(layers, act, d["stage_record"], ubar[:, None], acc)
+
+
+def _pull(layers, act, record, gout, acc) -> None:
+    # One recorded call: its own sweep and its own accumulate step.
+    net = _Pullback(layers, act, [record])
+    net.vjp(0, gout)
+    net.accumulate(acc)
 
 
 # ---------------------------------------------------------------------------
@@ -339,11 +371,14 @@ def adam_step(state: AdamState, theta: np.ndarray, g: np.ndarray) -> tuple[AdamS
     if theta.shape != g.shape or theta.shape != state.m.shape:
         raise ValueError("theta, gradient and moments must share a shape")
     tau = state.tau + 1
-    m = state.beta1 * state.m + (1.0 - state.beta1) * g
-    v = state.beta2 * state.v + (1.0 - state.beta2) * g * g
-    m_hat = m / (1.0 - state.beta1**tau)
-    v_hat = v / (1.0 - state.beta2**tau)
-    new_theta = theta - state.eta * m_hat / (np.sqrt(v_hat) + state.eps)
+    # An overflowing step yields inf/NaN parameters, which the next tape
+    # reports as a non-finite state, so keep numpy quiet about it.
+    with np.errstate(over="ignore", invalid="ignore"):
+        m = state.beta1 * state.m + (1.0 - state.beta1) * g
+        v = state.beta2 * state.v + (1.0 - state.beta2) * g * g
+        m_hat = m / (1.0 - state.beta1**tau)
+        v_hat = v / (1.0 - state.beta2**tau)
+        new_theta = theta - state.eta * m_hat / (np.sqrt(v_hat) + state.eps)
     new_state = AdamState(m=m, v=v, tau=tau, eta=state.eta, beta1=state.beta1,
                           beta2=state.beta2, eps=state.eps)
     return new_state, new_theta
@@ -353,4 +388,5 @@ def sgd_step(theta: np.ndarray, g: np.ndarray, eta: float) -> np.ndarray:
     """Plain gradient descent, no momentum."""
     if theta.shape != g.shape:
         raise ValueError("theta and gradient must share a shape")
-    return theta - eta * g
+    with np.errstate(over="ignore", invalid="ignore"):
+        return theta - eta * g

@@ -15,6 +15,7 @@ instead of raising.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -127,8 +128,8 @@ def rk4_step(field: VectorField, x: np.ndarray, t: float, dt: float) -> np.ndarr
 
 # Dormand-Prince 5(4) tableau (DOPRI5).  The last stage row equals the 5th
 # order weights, giving the first-same-as-last (FSAL) property.  The stage
-# rows are arrays built once, not per step.
-_DP_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
+# rows are arrays built once, not per step; the nodes are Python floats.
+_DP_C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)
 _DP_A = tuple(
     np.array(row)
     for row in (
@@ -178,13 +179,12 @@ def dopri_step(
         _check_finite(k1, t, "field output")
     k[0] = k1
     for i in range(1, 7):
-        xi = x + h * (_DP_A[i] @ k[:i])
-        k[i] = field(xi, t + _DP_C[i] * h)
+        k[i] = field(x + h * (_DP_A[i] @ k[:i]), t + _DP_C[i] * h)
     x_new = x + h * (_DP_B @ k)
-    _check_finite(x_new, t + h, "state")
-    err_vec = h * (_DP_E @ k)
-    scale = atol + rtol * np.maximum(np.abs(x), np.abs(x_new))
-    err = float(np.sqrt(np.mean((err_vec / scale) ** 2)))
+    if not np.isfinite(x_new).all():
+        raise IntegrationError(f"non-finite state at t={t + h}", t=t + h, state=x_new)
+    r = h * (_DP_E @ k) / (atol + rtol * np.maximum(np.abs(x), np.abs(x_new)))
+    err = math.sqrt(np.add.reduce(r * r) / r.size)
     if err == 0.0:
         factor = _FAC_MAX
     else:
@@ -263,16 +263,16 @@ def _integrate_loop(field, x0, times, config, states) -> Trajectory:
     x = x0
     t0 = float(times[0])
     tau = 0.0
-    h, k1 = _initial_step(field, x0, t0, config.rtol, config.atol)
+    rtol, atol, limit = config.rtol, config.atol, config.divergence_limit
+    h, k1 = _initial_step(field, x0, t0, rtol, atol)
+    h = float(h)
     n_steps = 0
-    for i in range(1, times.size):
-        target = float(times[i]) - t0
+    for i, t_i in enumerate(times[1:].tolist(), start=1):
+        target = t_i - t0
         while tau < target:
             clipped = h >= target - tau
             h_try = min(h, target - tau)
-            x_new, err, h_next, k_last = dopri_step(
-                field, x, t0 + tau, h_try, config.rtol, config.atol, k1
-            )
+            x_new, err, h_next, k_last = dopri_step(field, x, t0 + tau, h_try, rtol, atol, k1)
             n_steps += 1
             if n_steps > config.max_steps:
                 raise IntegrationError(
@@ -281,7 +281,10 @@ def _integrate_loop(field, x0, times, config, states) -> Trajectory:
             if err <= 1.0:
                 tau = target if clipped else tau + h_try
                 x = x_new
-                _check_bounded(x, t0 + tau, config.divergence_limit)
+                if np.abs(x).max() > limit:
+                    raise IntegrationError(
+                        f"state magnitude exceeds {limit:g} at t={t0 + tau}", t=t0 + tau, state=x
+                    )
                 k1 = k_last
             h = h_next
         states[i] = x

@@ -483,23 +483,25 @@ def control_states(u_stage: np.ndarray, prob: ControlProblem, h: float, method: 
     """States of ``xdot = a x + b u`` at the step times, ``(..., n_steps + 1)``,
     given u on :func:`control_stage_grid` as ``(..., stages)``: the scalar
     euler/rk4 recurrence, vectorized over the leading (member) axes."""
-    a, b = prob.a, prob.b
+    a = prob.a
     u = np.moveaxis(np.asarray(u_stage, dtype=float), -1, 0)
+    bu = prob.b * u
     n_steps = (u.shape[0] - 1) // 2 if method == "rk4" else u.shape[0] - 1
-    x = np.full(u.shape[1:], float(prob.x0))
-    xs = [x]
+    xs = np.empty(u.shape[1:] + (n_steps + 1,))
+    x = xs[..., 0] = float(prob.x0)
+    half, sixth = 0.5 * h, h / 6.0
     for k in range(n_steps):
         if method == "rk4":
-            u1, u2, u3 = u[2 * k], u[2 * k + 1], u[2 * k + 2]
-            k1 = a * x + b * u1
-            k2 = a * (x + 0.5 * h * k1) + b * u2
-            k3 = a * (x + 0.5 * h * k2) + b * u2
-            k4 = a * (x + h * k3) + b * u3
-            x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            bu1, bu2, bu3 = bu[2 * k], bu[2 * k + 1], bu[2 * k + 2]
+            k1 = a * x + bu1
+            k2 = a * (x + half * k1) + bu2
+            k3 = a * (x + half * k2) + bu2
+            k4 = a * (x + h * k3) + bu3
+            x = x + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         else:
-            x = x + h * (a * x + b * u[k])
-        xs.append(x)
-    return np.stack(xs, axis=-1)
+            x = x + h * (a * x + bu[k])
+        xs[..., k + 1] = x
+    return xs
 
 
 def control_diverged(xs: np.ndarray, config: IntegratorConfig) -> np.ndarray:

@@ -5,6 +5,7 @@ import json
 import math
 import os
 
+import pytest
 from hypothesis import given, seed, settings, strategies as st
 
 from ekinode import cli, runner
@@ -159,6 +160,19 @@ def test_covariance_underflow_is_runtime_failure(tmp_path, capsys):
     assert runner.reevaluate(report.config, report.theta) == (
         float(last[5]), float(last[6])
     ) == (report.final_train_error, report.final_test_error)
+
+
+@pytest.mark.filterwarnings("error")
+def test_overflowing_optimizer_step_fails_quietly(tmp_path, capsys):
+    # The first Adam step takes theta to inf; the next tape stops the run
+    # with a partial report, and no numpy warning escapes on the way.
+    path = tmp_path / "c.json"
+    write_config(path, "control-adam-mu0.001", 1, gradient=runner.GradientOptions(eta=1e308))
+    assert cli.main(["run", "--config", str(path), "--out", str(tmp_path / "x")]) == 2
+    assert "run failed: non-finite state at unfold step 100" in capsys.readouterr().err
+    report = runner.load_report(str(tmp_path / "x"))
+    assert report.epochs_run == 1
+    assert report.error
 
 
 def test_table_command(tmp_path, capsys):

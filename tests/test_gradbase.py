@@ -94,6 +94,60 @@ def test_control_gradient_matches_finite_differences(control_problem):
         assert_fd_close(grad, ref)
 
 
+class PerCallPullback:
+    """Reference for ``gradbase._Pullback``: every call's layer gradients are
+    formed from its own record and added into the gradient one call at a
+    time, in sweep order."""
+
+    def __init__(self, layers, activation, records):
+        self.layers, self.activation, self.records = layers, activation, records
+        self.products = []
+
+    def vjp(self, call, gout):
+        g = gout
+        products = []
+        for (w, _), (a, y) in zip(reversed(self.layers), reversed(self.records[call])):
+            gz = g if y is None else g * gradbase._act_deriv(y, self.activation)
+            products.append((gz.mT @ a, gz.sum(axis=-2)))
+            g = gz @ w
+        self.products.append(products[::-1])
+        return g
+
+    def accumulate(self, acc):
+        for products in self.products:
+            for (dw, db), (pw, pb) in zip(acc, products):
+                dw += pw
+                db += pb
+
+
+def test_stacked_accumulation_is_bitwise_per_call(spiral_problem, small_spiral, control_problem,
+                                                  monkeypatch):
+    # The batched weight and bias gradients must equal per-call accumulation
+    # exactly: each stacked product is the per-call product and the calls
+    # are reduced in sweep order.
+    fine = ode.IntegratorConfig(method="rk4", dt=small_spiral.integrator.dt / 2.5)
+    cases = [
+        (spiral_problem, {}),
+        (replace(spiral_problem, assembly="full"), {}),
+        (replace(small_spiral, integrator=replace(small_spiral.integrator, method="euler")), {}),
+        (replace(small_spiral, net=nnet.MlpSpec((2, 6, 5, 2), "elu")), {}),
+        (replace(small_spiral, integrator=fine), {}),
+        (control_problem, {"gamma": 0.3, "gamma_prime": 0.01}),
+        (replace(control_problem, integrator=replace(control_problem.integrator, method="euler")), {}),
+    ]
+    n_sub, _ = ode.substeps(problems.sysid_grid(cases[4][0])[1], fine.dt)
+    assert n_sub.min() >= 2
+    for prob, kw in cases:
+        spec = prob.controller if isinstance(prob, problems.ControlProblem) else prob.net
+        for s in (0, 1, 2):
+            theta = (1.0 + s) * nnet.mlp_init(spec, np.random.default_rng(20 + s))
+            with monkeypatch.context() as m:
+                m.setattr(gradbase, "_Pullback", PerCallPullback)
+                ref = gradbase.bptt_gradient(theta, prob, **kw)
+            grad = gradbase.bptt_gradient(theta, prob, **kw)
+            assert np.array_equal(grad, ref), (prob.name, spec, s)
+
+
 def test_bptt_loss_matches_problem_losses(small_spiral, control_problem):
     # BPTT records on the forward map's integrator core, grid and loss, so
     # its loss is the training MSE bitwise.
