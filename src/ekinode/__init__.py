@@ -18,7 +18,7 @@ from .eki import (
     gamma_at,
     min_loss_member,
 )
-from .gradbase import AdamState, Tape, adam_init, adam_step, bptt_gradient, sgd_step
+from .gradbase import AdamState, adam_init, adam_step, bptt_gradient, sgd_step
 from .nnet import MlpSpec, mlp_forward, mlp_init, param_count
 from .ode import IntegrationError, IntegratorConfig, Trajectory, integrate
 from .problems import (
@@ -51,7 +51,6 @@ __all__ = [
     "ObservationSet",
     "RunReport",
     "SysIdProblem",
-    "Tape",
     "Trajectory",
     "adam_init",
     "adam_step",

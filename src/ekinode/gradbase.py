@@ -9,7 +9,9 @@ pass evaluates the controller on the forward map's stage and quadrature
 grids and runs the same scalar recurrence.  The gradient is therefore exact
 for the discrete losses the problems module reports: the training MSE for
 system identification and the terminal-miss-plus-energy loss for control.
-Both unfold the problem's own fixed-step (euler or rk4) integrator.
+Both unfold the problem's own fixed-step (euler or rk4) integrator, and each
+runs as one pass: the forward pass, then the reverse sweep through the same
+steps with :func:`_step_reverse`.
 """
 
 from __future__ import annotations
@@ -27,7 +29,6 @@ from .problems import sysid_grid, sysid_loss
 
 __all__ = [
     "AdamState",
-    "Tape",
     "adam_init",
     "adam_step",
     "bptt_gradient",
@@ -89,43 +90,40 @@ class _Pullback:
             db += np.add.reduce(gz.sum(axis=-2))
 
 
-# ---------------------------------------------------------------------------
-# Tape: one recorded loss evaluation
+def _step_reverse(gx, h, method, vjp):
+    """Carry the state gradient back through one step of
+    :func:`ode._lockstep_euler` or :func:`ode._lockstep_rk4`.
 
-
-@dataclass
-class Tape:
-    """Recorded intermediates of one discrete loss evaluation.
-
-    ``replay`` pushes the recorded predictions through the loss again and
-    must reproduce ``loss`` exactly; it is the cheap integrity check that the
-    backward pass differentiates the value actually returned.  ``failed`` is
-    the forward map's flag for the same parameters, a state beyond the
-    divergence limit: the integrator core's for system identification,
-    :func:`problems.control_diverged` for control.  Such a finite loss still
-    has a gradient, but the forward map would score it :data:`eki.PENALTY_LOSS`.
+    ``vjp(i, g)`` pulls ``g`` back through the step's i-th field evaluation
+    and returns the gradient of its input state; the stages are visited
+    last first.
     """
+    if method == "euler":
+        return gx + vjp(0, h * gx)
+    half = 0.5 * h
+    g6, g3 = (h / 6.0) * gx, (h / 3.0) * gx
+    gin = vjp(3, g6)
+    xbar = gx + gin
+    gin = vjp(2, g3 + h * gin)
+    xbar += gin
+    gin = vjp(1, g3 + half * gin)
+    xbar += gin
+    gin = vjp(0, g6 + half * gin)
+    return xbar + gin
 
-    kind: str  # "sysid" | "control"
-    loss: float
-    data: dict
-    failed: bool = False
 
-    def replay(self) -> float:
-        d = self.data
-        if self.kind == "sysid":
-            return float(sysid_loss(d["out"], d["prob"]))
-        energy = float(np.trapezoid(d["u_quad"] ** 2, d["quad_grid"]))
-        return float(
-            control_objective(d["x_final"], energy, d["prob"], d["gamma"], d["gamma_prime"])
-        )
+def _pull(layers, act, record, gout, acc) -> None:
+    # One recorded call: its own sweep and its own accumulate step.
+    net = _Pullback(layers, act, [record])
+    net.vjp(0, gout)
+    net.accumulate(acc)
 
 
 # ---------------------------------------------------------------------------
 # System identification: MSE through the unfolded trajectory
 
 
-def _record_sysid(theta: np.ndarray, prob: SysIdProblem) -> Tape:
+def _sysid(theta: np.ndarray, prob: SysIdProblem):
     # One-member stacked layers on the forward map's grid: the recorded
     # states are bitwise those of problems.sysid_forward_map.
     cfg = prob.integrator
@@ -150,62 +148,39 @@ def _record_sysid(theta: np.ndarray, prob: SysIdProblem) -> Tape:
         raise IntegrationError(f"non-finite state at unfold step {k}", t=float(times[0, k]))
     n = x0.shape[-1]
     out = ForwardMapOutput(g=states.reshape(-1, n)[obs_index].reshape(-1))
-    data = {
-        "out": out,
-        "prob": prob,
-        "layers": layers,
-        "act": act,
-        "method": cfg.method,
-        "calls": calls,
-        "n_sub": n_sub[0].tolist(),
-        "lengths": lengths,
-        "obs_index": obs_index,
-        "shape": states.shape,
-    }
-    return Tape("sysid", float(sysid_loss(out, prob)), data, failed=bool(failed[0]))
+    loss = float(sysid_loss(out, prob))
 
-
-def _backward_sysid(tape: Tape, acc) -> None:
-    d = tape.data
-    obs = d["prob"].observations
     # dL/d(state) is 2 (xhat - x) / M at the observations, zero elsewhere.
-    gstates = np.zeros(d["shape"])
-    n = gstates.shape[-1]
-    resid = d["out"].g - obs.stacked_values()
-    gstates.reshape(-1, n)[d["obs_index"]] = (2.0 / obs.values.shape[0]) * resid.reshape(-1, n)
+    obs = prob.observations
+    gstates = np.zeros(states.shape)
+    resid = out.g - obs.stacked_values()
+    gstates.reshape(-1, n)[obs_index] = (2.0 / obs.values.shape[0]) * resid.reshape(-1, n)
     # The field evaluations of each substep, last substep first; the sweep
     # carries the state gradient alone.
-    net = _Pullback(d["layers"], d["act"], d["calls"])
-    euler = d["method"] == "euler"
-    c = len(d["calls"])
+    net = _Pullback(layers, act, calls)
+    c = len(calls)
+    per_step = 1 if cfg.method == "euler" else 4
+
+    def vjp(i, g):
+        return net.vjp(c + i, g)
+
+    steps = n_sub[0].tolist()
     gx = 0.0
-    for k in reversed(range(len(d["lengths"]))):
+    for k in reversed(range(len(lengths))):
         gx = gx + gstates[:, :, k + 1]
-        h = d["lengths"][k]
-        half = 0.5 * h
-        for _ in range(d["n_sub"][k]):
-            if euler:
-                c -= 1
-                gx = gx + net.vjp(c, h * gx)
-                continue
-            c -= 4
-            g6, g3 = (h / 6.0) * gx, (h / 3.0) * gx
-            gin = net.vjp(c + 3, g6)
-            xbar = gx + gin
-            gin = net.vjp(c + 2, g3 + h * gin)
-            xbar += gin
-            gin = net.vjp(c + 1, g3 + half * gin)
-            xbar += gin
-            gin = net.vjp(c, g6 + half * gin)
-            gx = xbar + gin
-    net.accumulate(acc)
+        for _ in range(steps[k]):
+            c -= per_step
+            gx = _step_reverse(gx, lengths[k], cfg.method, vjp)
+    grad = np.zeros((1, theta.size))
+    net.accumulate(nnet.unflatten(prob.net, grad))
+    return loss, grad.reshape(-1), bool(failed[0])
 
 
 # ---------------------------------------------------------------------------
 # Control: terminal miss plus trapezoid energy through the unfolded dynamics
 
 
-def _record_control(theta: np.ndarray, prob: ControlProblem, gamma: float, gamma_prime: float) -> Tape:
+def _control(theta: np.ndarray, prob: ControlProblem, gamma: float, gamma_prime: float):
     cfg = prob.integrator
     layers = nnet.unflatten(prob.controller, theta)
     act = prob.controller.activation
@@ -222,77 +197,35 @@ def _record_control(theta: np.ndarray, prob: ControlProblem, gamma: float, gamma
         raise IntegrationError(f"non-finite state at unfold step {n_steps}", t=prob.t_final)
     energy = float(np.trapezoid(u_quad * u_quad, quad_grid))
     loss = float(control_objective(x, energy, prob, gamma, gamma_prime))
-    data = {
-        "x_final": x,
-        "prob": prob,
-        "u_quad": u_quad,
-        "quad_grid": quad_grid,
-        "gamma": gamma,
-        "gamma_prime": gamma_prime,
-        "layers": layers,
-        "act": act,
-        "method": cfg.method,
-        "h": h,
-        "n_steps": n_steps,
-        "stage_record": stage_record,
-        "quad_record": quad_record,
-        "n_stage": stage_times.size,
-    }
-    return Tape("control", loss, data, failed=bool(control_diverged(xs, cfg)))
-
-
-def _backward_control(tape: Tape, acc) -> None:
-    d = tape.data
-    layers, act, prob = d["layers"], d["act"], d["prob"]
-    a, b, h, n_steps = prob.a, prob.b, d["h"], d["n_steps"]
+    grad = np.zeros(theta.size)
+    acc = nnet.unflatten(prob.controller, grad)
 
     # Energy term: E = sum_i w_i u_i^2 with trapezoid weights, so
     # dL/du_i = (mu / 2 gamma') * 2 w_i u_i.
-    grid = d["quad_grid"]
-    w = np.empty_like(grid)
-    w[1:-1] = 0.5 * (grid[2:] - grid[:-2])
-    w[0] = 0.5 * (grid[1] - grid[0])
-    w[-1] = 0.5 * (grid[-1] - grid[-2])
-    g_quad = (prob.mu / (2.0 * d["gamma_prime"])) * 2.0 * w * d["u_quad"]
-    _pull(layers, act, d["quad_record"], g_quad[:, None], acc)
+    w = np.empty_like(quad_grid)
+    w[1:-1] = 0.5 * (quad_grid[2:] - quad_grid[:-2])
+    w[0] = 0.5 * (quad_grid[1] - quad_grid[0])
+    w[-1] = 0.5 * (quad_grid[-1] - quad_grid[-2])
+    g_quad = (prob.mu / (2.0 * gamma_prime)) * 2.0 * w * u_quad
+    _pull(layers, act, quad_record, g_quad[:, None], acc)
 
-    # Terminal term back through the unfolded scalar dynamics.
-    gx = (d["x_final"] - prob.x_star) / d["gamma"]
-    ubar = np.zeros(d["n_stage"])
+    # Terminal term back through the unfolded scalar dynamics: the field
+    # a x + b u has state gradient a, and its i-th stage of step k reads u
+    # at stage point ``stride k + (0, 1, 1, 2)[i]``.
+    a, b = prob.a, prob.b
+    ubar = np.zeros(stage_times.size)
+    stride = 2 if cfg.method == "rk4" else 1
+
+    def vjp(i, g):
+        ubar[stage + (0, 1, 1, 2)[i]] += b * g
+        return a * g
+
+    gx = (x - prob.x_star) / gamma
     for k in reversed(range(n_steps)):
-        if d["method"] == "rk4":
-            gk1 = (h / 6.0) * gx
-            gk2 = (h / 3.0) * gx
-            gk3 = (h / 3.0) * gx
-            gk4 = (h / 6.0) * gx
-            xbar = gx
-            x4b = a * gk4
-            xbar += x4b
-            gk3 += h * x4b
-            ubar[2 * k + 2] += b * gk4
-            x3b = a * gk3
-            xbar += x3b
-            gk2 += 0.5 * h * x3b
-            ubar[2 * k + 1] += b * gk3
-            x2b = a * gk2
-            xbar += x2b
-            gk1 += 0.5 * h * x2b
-            ubar[2 * k + 1] += b * gk2
-            x1b = a * gk1
-            xbar += x1b
-            ubar[2 * k] += b * gk1
-            gx = xbar
-        else:
-            ubar[k] += h * b * gx
-            gx = gx * (1.0 + h * a)
-    _pull(layers, act, d["stage_record"], ubar[:, None], acc)
-
-
-def _pull(layers, act, record, gout, acc) -> None:
-    # One recorded call: its own sweep and its own accumulate step.
-    net = _Pullback(layers, act, [record])
-    net.vjp(0, gout)
-    net.accumulate(acc)
+        stage = stride * k
+        gx = _step_reverse(gx, h, cfg.method, vjp)
+    _pull(layers, act, stage_record, ubar[:, None], acc)
+    return loss, grad, bool(control_diverged(xs, cfg))
 
 
 # ---------------------------------------------------------------------------
@@ -304,27 +237,25 @@ def bptt_value_and_gradient(
     problem: SysIdProblem | ControlProblem,
     gamma: float = 1.0,
     gamma_prime: float = 1.0,
-) -> tuple[float, np.ndarray, Tape]:
-    """Discrete loss, its exact gradient, and the tape it was read from.
+) -> tuple[float, np.ndarray, bool]:
+    """Discrete loss, its exact gradient, and the forward map's failure flag.
 
     For control problems the loss is evaluated at the given ``gamma`` and
-    ``gamma_prime`` (both 1 for the plain gradient baseline).  Raises
+    ``gamma_prime`` (both 1 for the plain gradient baseline).  The flag
+    marks a state beyond the divergence limit: the integrator core's rule
+    for system identification, :func:`problems.control_diverged` for
+    control.  Such a finite loss still has a gradient, but the forward map
+    would score it :data:`eki.PENALTY_LOSS`.  Raises
     :class:`IntegrationError` on a non-finite state or when the unfolding
     takes more than ``max_steps`` steps.
     """
     theta = np.asarray(theta, dtype=float)
     # The gradient accumulates in place through (W, b) views of one array,
-    # laid out like the layers the tape recorded through.
+    # laid out like the layers the forward pass recorded through.
     with np.errstate(over="ignore", invalid="ignore"):
         if isinstance(problem, SysIdProblem):
-            tape = _record_sysid(theta, problem)
-            grad = np.zeros((1, theta.size))
-            _backward_sysid(tape, nnet.unflatten(problem.net, grad))
-        else:
-            tape = _record_control(theta, problem, gamma, gamma_prime)
-            grad = np.zeros(theta.size)
-            _backward_control(tape, nnet.unflatten(problem.controller, grad))
-    return tape.loss, grad.reshape(-1), tape
+            return _sysid(theta, problem)
+        return _control(theta, problem, gamma, gamma_prime)
 
 
 def bptt_gradient(
@@ -371,7 +302,7 @@ def adam_step(state: AdamState, theta: np.ndarray, g: np.ndarray) -> tuple[AdamS
     if theta.shape != g.shape or theta.shape != state.m.shape:
         raise ValueError("theta, gradient and moments must share a shape")
     tau = state.tau + 1
-    # An overflowing step yields inf/NaN parameters, which the next tape
+    # An overflowing step yields inf/NaN parameters, which the next BPTT pass
     # reports as a non-finite state, so keep numpy quiet about it.
     with np.errstate(over="ignore", invalid="ignore"):
         m = state.beta1 * state.m + (1.0 - state.beta1) * g

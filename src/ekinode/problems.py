@@ -144,7 +144,7 @@ def make_observations(
     u = np.sort(rng.choice(slack + 1, size=num_subsets, replace=False))
     starts = u + np.arange(num_subsets) * (subset_length - 1)
     idx = np.sort(np.concatenate([np.arange(s, s + subset_length) for s in starts]))
-    if np.unique(idx).size != idx.size:
+    if not np.all(np.diff(idx) > 0):
         raise AssertionError("internal error: observation runs overlap")
     return ObservationSet(
         times=grid_times[idx].copy(),
@@ -189,7 +189,7 @@ class SysIdProblem:
 
 
 def _check_fixed_step(integrator: IntegratorConfig) -> None:
-    # Forward maps and BPTT tapes advance every member in lockstep.
+    # Forward maps and BPTT passes advance every member in lockstep.
     if integrator.method not in FIXED_STEP_METHODS:
         raise ValueError(f"training integrates with euler or rk4, got {integrator.method!r}")
 
@@ -370,10 +370,11 @@ class ControlProblem:
     """Steer ``xdot = a x + b u_theta(t)`` from x0 to x_star at time T with
     small control energy.
 
-    ``mu`` weighs the energy channel, ``gamma``/``gamma_prime`` are the
-    data/energy covariance scales of the extended inverse problem.  The
-    energy integral uses trapezoidal quadrature on ``quadrature_points``
-    uniform intervals.
+    ``mu`` weighs the energy channel.  The energy integral uses trapezoidal
+    quadrature on ``quadrature_points`` uniform intervals.  The covariance
+    scales of the extended inverse problem belong to the optimizer: EKI
+    takes them from ``EkiOptions.gamma``/``gamma_prime``, and
+    :func:`gradbase.bptt_value_and_gradient` as arguments.
     """
 
     a: float = 1.0
@@ -382,8 +383,6 @@ class ControlProblem:
     x_star: float = 1.0
     t_final: float = 1.0
     mu: float = 0.001
-    gamma: float = 0.3
-    gamma_prime: float = 0.01
     controller: MlpSpec = field(default_factory=lambda: MlpSpec((1, 5, 5, 5, 1), "elu"))
     quadrature_points: int = 100
     integrator: IntegratorConfig | None = None
@@ -395,8 +394,6 @@ class ControlProblem:
             raise ValueError("t_final must be positive")
         if self.mu < 0:
             raise ValueError("mu must be nonnegative")
-        if not (self.gamma > 0 and self.gamma_prime > 0):
-            raise ValueError("gamma and gamma_prime must be positive")
         if self.integrator is None:
             self.integrator = IntegratorConfig(method="rk4", dt=self.t_final / 100.0, divergence_limit=1e3)
         _check_fixed_step(self.integrator)
@@ -508,7 +505,7 @@ def control_diverged(xs: np.ndarray, config: IntegratorConfig) -> np.ndarray:
     """The failure rule of the fixed-step control path, over the leading
     axes of :func:`control_states`' output: some state after the start is
     non-finite or beyond the divergence limit.  The forward map and the BPTT
-    tape both apply it."""
+    pass both apply it."""
     return ~np.all(np.abs(xs[..., 1:]) <= config.divergence_limit, axis=-1)
 
 

@@ -636,16 +636,16 @@ class _GradientDriver:
 
     def row(self):
         """Log row of the current parameters up to its error columns, the
-        training error if the tape loss is that, and the parameters.  The
-        tape's gradient is the one the next ``advance`` applies."""
+        training error if the BPTT loss is that, and the parameters.  The
+        gradient is the one the next ``advance`` applies."""
         # Gradient baseline trains control at unit covariance scales.
-        loss, self.grad, tape = gradbase.bptt_value_and_gradient(self.theta, self.prob)
+        loss, self.grad, failed = gradbase.bptt_value_and_gradient(self.theta, self.prob)
         if not math.isfinite(loss):
             raise RuntimeError(f"non-finite loss at epoch {self.epoch}")
-        # The tape's loss is the training MSE: the same core, grid and loss.
+        # The BPTT loss is the training MSE: the same core, grid and loss.
         train = None
         if isinstance(self.prob, problems.SysIdProblem):
-            train = eki.PENALTY_LOSS if tape.failed else loss
+            train = eki.PENALTY_LOSS if failed else loss
         return [self.epoch, None, 1, loss, loss], train, self.theta
 
     def advance(self):

@@ -29,7 +29,7 @@ TRACED_COUNTS = {
         "nnet.mlp_apply.calls": 22,
     },
     # spiral-adam@50: one BPTT per epoch plus the last row, 36 network calls
-    # each.  The train column comes from the tape, so no forward map runs;
+    # each.  The train column is the BPTT loss, so no forward map runs;
     # the test column of all 51 rows is one test_mse call, one 499-step rk4
     # pass of 4 network calls per step.
     "spiral-adam": {
@@ -59,7 +59,7 @@ def test_sample_runs_clean(tmp_path, workload, extra):
     result = json.loads(proc.stdout.strip().splitlines()[-1])
     assert result["problems"] == []
     if workload == "spiral-adam":
-        # The logged train error is the tape loss, which reevaluate's
+        # The logged train error is the BPTT loss, which reevaluate's
         # forward map reproduces bitwise.
         assert result["reevaluate_bitwise"] is True
     if extra:

@@ -164,7 +164,7 @@ def test_covariance_underflow_is_runtime_failure(tmp_path, capsys):
 
 @pytest.mark.filterwarnings("error")
 def test_overflowing_optimizer_step_fails_quietly(tmp_path, capsys):
-    # The first Adam step takes theta to inf; the next tape stops the run
+    # The first Adam step takes theta to inf; the next BPTT pass stops the run
     # with a partial report, and no numpy warning escapes on the way.
     path = tmp_path / "c.json"
     write_config(path, "control-adam-mu0.001", 1, gradient=runner.GradientOptions(eta=1e308))

@@ -80,14 +80,17 @@ def test_sysid_gradient_matches_finite_differences_euler(small_spiral):
 
 
 def test_control_gradient_matches_finite_differences(control_problem):
-    for s, (gamma, gamma_prime) in ((4, (1.0, 1.0)), (5, (0.3, 0.01))):
-        theta = nnet.mlp_init(control_problem.controller, np.random.default_rng(s))
+    euler = replace(control_problem, integrator=replace(control_problem.integrator, method="euler"))
+    cases = ((control_problem, 4, (1.0, 1.0)), (control_problem, 5, (0.3, 0.01)),
+             (euler, 6, (0.3, 0.01)))
+    for prob, s, (gamma, gamma_prime) in cases:
+        theta = nnet.mlp_init(prob.controller, np.random.default_rng(s))
         loss, grad, _ = gradbase.bptt_value_and_gradient(
-            theta, control_problem, gamma=gamma, gamma_prime=gamma_prime
+            theta, prob, gamma=gamma, gamma_prime=gamma_prime
         )
         ref = fd_gradient(
             lambda t: gradbase.bptt_value_and_gradient(
-                t, control_problem, gamma=gamma, gamma_prime=gamma_prime
+                t, prob, gamma=gamma, gamma_prime=gamma_prime
             )[0],
             theta,
         )
@@ -180,16 +183,6 @@ def test_gradient_scales_linearly_with_loss(control_problem):
     assert np.array_equal(grad2, 2.0 * grad1)
 
 
-def test_tape_replay_reproduces_loss(small_spiral, control_problem):
-    theta = nnet.mlp_init(small_spiral.net, np.random.default_rng(11))
-    loss, _, tape = gradbase.bptt_value_and_gradient(theta, small_spiral)
-    assert tape.replay() == loss
-
-    theta_c = nnet.mlp_init(control_problem.controller, np.random.default_rng(12))
-    loss_c, _, tape_c = gradbase.bptt_value_and_gradient(theta_c, control_problem)
-    assert tape_c.replay() == loss_c
-
-
 def test_unfold_rejects_adaptive_methods(small_spiral, control_problem):
     # BPTT unfolds the problem's integrator, and no problem holds an
     # adaptive one.
@@ -210,11 +203,11 @@ def test_states_beyond_divergence_limit_still_train(small_spiral):
     # A finite state past the limit is flagged, as the forward map flags it,
     # but its loss and gradient are those of the unflagged unfolding.
     theta = nnet.mlp_init(small_spiral.net, np.random.default_rng(18))
-    loss, grad, tape = gradbase.bptt_value_and_gradient(theta, small_spiral)
-    assert not tape.failed
+    loss, grad, failed = gradbase.bptt_value_and_gradient(theta, small_spiral)
+    assert not failed
     prob = replace(small_spiral, integrator=replace(small_spiral.integrator, divergence_limit=1e-3))
-    loss_f, grad_f, tape_f = gradbase.bptt_value_and_gradient(theta, prob)
-    assert tape_f.failed
+    loss_f, grad_f, failed_f = gradbase.bptt_value_and_gradient(theta, prob)
+    assert failed_f
     assert loss_f == loss
     assert np.array_equal(grad_f, grad)
 
@@ -237,8 +230,8 @@ def test_unfold_beyond_max_steps_raises(small_spiral):
     ids=["rk4-max-steps", "rk4-divergence-limit", "euler-divergence-limit"],
 )
 def test_control_tape_follows_forward_map_failure_rule(integrator):
-    # The control forward map flags each of these.  Past max_steps the tape
-    # raises, as the system-identification tape does; a state past the
+    # The control forward map flags each of these.  Past max_steps the BPTT
+    # pass raises, as the system-identification pass does; a state past the
     # divergence limit is flagged but trains like the unflagged unfolding.
     prob = problems.make_control_problem(0.001, integrator=integrator)
     theta = nnet.mlp_init(prob.controller, np.random.default_rng(0))
@@ -247,11 +240,11 @@ def test_control_tape_follows_forward_map_failure_rule(integrator):
         with pytest.raises(ode.IntegrationError, match="max_steps"):
             gradbase.bptt_value_and_gradient(theta, prob)
         return
-    loss, grad, tape = gradbase.bptt_value_and_gradient(theta, prob)
-    assert tape.failed
+    loss, grad, failed = gradbase.bptt_value_and_gradient(theta, prob)
+    assert failed
     prob_ok = replace(prob, integrator=replace(integrator, divergence_limit=1e3))
-    loss_ok, grad_ok, tape_ok = gradbase.bptt_value_and_gradient(theta, prob_ok)
-    assert not tape_ok.failed
+    loss_ok, grad_ok, failed_ok = gradbase.bptt_value_and_gradient(theta, prob_ok)
+    assert not failed_ok
     assert not problems.control_forward_map(theta, prob_ok).failed
     assert loss == loss_ok
     assert np.array_equal(grad, grad_ok)

@@ -1,6 +1,9 @@
 """Unit tests for the benchmark problems: observation sampling, forward maps,
 losses, and the analytic control oracles."""
 
+import os
+import subprocess
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -49,6 +52,22 @@ def test_observation_runs_are_disjoint_consecutive_and_aligned(s):
     assert np.all(runs[1:, 0] > runs[:-1, -1])  # sorted and disjoint across runs
     assert np.array_equal(obs.times, grid_times[idx])
     assert np.array_equal(obs.values, grid_states[idx])
+
+
+def test_building_a_sysid_problem_leaves_numpy_ma_unimported():
+    # The overlap check of make_observations must not go through np.unique,
+    # whose first call imports numpy.ma and adds its import time to setup.
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    code = (
+        "import sys\n"
+        f"sys.path.insert(0, {src!r})\n"
+        "from ekinode import runner\n"
+        "runner.build_problem(runner.preset('spiral-eki'))\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_observation_sampler_rejects_impossible_layouts():
@@ -249,18 +268,18 @@ def test_control_forward_map_zero_controller(control_problem):
     assert out.h == 0.0
 
 
-def control_loss(theta, prob):
-    # The EKI driver's loss of one member at the problem's covariance scales.
+def control_loss(theta, prob, gamma, gamma_prime):
+    # The EKI driver's loss of one member at the given covariance scales.
     out = problems.control_forward_map(theta, prob)
-    return float(problems.control_objective(out.g[0], out.h**2, prob, prob.gamma, prob.gamma_prime))
+    return float(problems.control_objective(out.g[0], out.h**2, prob, gamma, gamma_prime))
 
 
 def test_control_loss_zero_controller_examples():
     prob = problems.make_control_problem()
     theta = np.zeros(nnet.param_count(prob.controller))
-    unit = replace(prob, mu=0.0, gamma=1.0)
-    assert abs(control_loss(theta, unit) - 0.5) < ORACLE_TOL
-    assert abs(control_loss(theta, prob) - 0.5 / 0.3) < ORACLE_TOL
+    unit = replace(prob, mu=0.0)
+    assert abs(control_loss(theta, unit, 1.0, 0.01) - 0.5) < ORACLE_TOL
+    assert abs(control_loss(theta, prob, 0.3, 0.01) - 0.5 / 0.3) < ORACLE_TOL
 
 
 def test_control_loss_decomposition(control_problem):
@@ -269,7 +288,7 @@ def test_control_loss_decomposition(control_problem):
     energy = problems.control_energy(theta, control_problem)
     assert abs(out.h - np.sqrt(energy)) < 1e-14
     expected = 0.5 * (out.g[0] - 1.0) ** 2 / 0.3 + 0.001 / (2 * 0.01) * energy
-    assert abs(control_loss(theta, control_problem) - expected) < 1e-12
+    assert abs(control_loss(theta, control_problem, 0.3, 0.01) - expected) < 1e-12
 
 
 def test_control_mse_zero_controller(control_problem):

@@ -210,7 +210,7 @@ def test_gradient_log_format(tmp_path):
     assert all(r[1] == "" for r in rows)  # gamma blank for gradient runs
     assert all(r[2] == "1" for r in rows)
     # Loss values round-trip through repr exactly.  The BPTT loss is the
-    # training MSE, read from the same tape, so all three columns agree.
+    # training MSE, read from the same pass, so all three columns agree.
     assert float(rows[-1][5]) == report.final_train_error
     assert all(r[3] == r[4] == r[5] for r in rows)
 
@@ -325,7 +325,7 @@ def test_reevaluate_reproduces_eki_errors_bitwise(tmp_path, monkeypatch, seed):
 
 @pytest.mark.parametrize("seed", range(2))
 def test_reevaluate_reproduces_gradient_errors_bitwise(tmp_path, monkeypatch, seed):
-    # The train column is the BPTT tape's loss, bitwise problems.mse.
+    # The train column is the BPTT loss, bitwise problems.mse.
     assert_rows_reevaluate_bitwise(tiny("spiral-adam-0.01", 20, seed=seed), str(tmp_path / "r"),
                                    monkeypatch)
 
