@@ -5,7 +5,9 @@ A vector field is any callable ``field(x, t) -> dx/dt`` with fixed state
 dimension.  :func:`integrate` samples the solution exactly at the requested
 times: adaptive steps are clipped to land on them, fixed-step methods
 subdivide each inter-sample interval into equal steps.  It is the scalar
-reference path: one trajectory of one field per call.
+reference path: one trajectory of one field per call.  With dopri5 it makes
+the identification problems' reference grids, bitwise those of the textbook
+array step (see :func:`dopri_step`).
 
 :func:`integrate_lockstep` is the batched fixed-step core.  It advances a
 ``(members, trajectories, state)`` array of autonomous fields in lockstep
@@ -127,8 +129,9 @@ def rk4_step(field: VectorField, x: np.ndarray, t: float, dt: float) -> np.ndarr
 
 
 # Dormand-Prince 5(4) tableau (DOPRI5).  The last stage row equals the 5th
-# order weights, giving the first-same-as-last (FSAL) property.  The stage
-# rows are arrays built once, not per step; the nodes are Python floats.
+# order weights (the 7th weight is 0), giving the first-same-as-last (FSAL)
+# property: the 7th stage argument is the new state.  The stage rows are
+# arrays built once, not per step; the nodes are Python floats.
 _DP_C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)
 _DP_A = tuple(
     np.array(row)
@@ -142,7 +145,6 @@ _DP_A = tuple(
         (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
     )
 )
-_DP_B = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
 # b - b_hat, weights of the embedded 4th-order error estimate
 _DP_E = np.array(
     [71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40]
@@ -162,7 +164,7 @@ def dopri_step(
     atol: float,
     k1: np.ndarray | None = None,
 ):
-    """One trial Dormand-Prince step of size ``h``.
+    """One trial Dormand-Prince step of size ``h`` from the 1-D state ``x``.
 
     Returns ``(x_new, err, h_next, k_last)``.  ``err`` is the RMS of the
     embedded error estimate scaled componentwise by
@@ -170,6 +172,12 @@ def dopri_step(
     ``err <= 1``.  ``h_next = h * clamp(0.9 * err**(-1/5), 0.2, 5.0)``.
     ``k1`` may carry the FSAL stage of the previous accepted step;
     ``k_last`` is the stage at ``(x_new, t + h)`` for reuse.
+
+    The stage sums are BLAS matrix-vector products.  Their FMA blocking
+    rounds differently from a sum of Python floats, so they stay products;
+    the elementwise work around them (finiteness, the error norm) runs on
+    Python floats, where IEEE arithmetic gives the same bits with less
+    per-call overhead on short state vectors.
     """
     if not h > 0:
         raise ValueError("step size must be positive")
@@ -178,13 +186,20 @@ def dopri_step(
         k1 = np.asarray(field(x, t), dtype=float)
         _check_finite(k1, t, "field output")
     k[0] = k1
-    for i in range(1, 7):
-        k[i] = field(x + h * (_DP_A[i] @ k[:i]), t + _DP_C[i] * h)
-    x_new = x + h * (_DP_B @ k)
-    if not np.isfinite(x_new).all():
+    for i in range(1, 6):
+        k[i] = field(x + h * _DP_A[i].dot(k[:i]), t + _DP_C[i] * h)
+    x_new = x + h * _DP_A[6].dot(k[:6])
+    k[6] = field(x_new, t + h)
+    new = x_new.tolist()
+    # A non-finite last stage counts as a non-finite state at t + h, as in
+    # the full 7-weight sum, where its zero weight times inf is NaN.
+    if not all(map(math.isfinite, new + k[6].tolist())):
         raise IntegrationError(f"non-finite state at t={t + h}", t=t + h, state=x_new)
-    r = h * (_DP_E @ k) / (atol + rtol * np.maximum(np.abs(x), np.abs(x_new)))
-    err = math.sqrt(np.add.reduce(r * r) / r.size)
+    r2 = []
+    for a, b, e in zip(x.tolist(), new, _DP_E.dot(k).tolist()):
+        r = h * e / (atol + rtol * max(abs(a), abs(b)))
+        r2.append(r * r)
+    err = math.sqrt(np.add.reduce(r2) / len(r2))
     if err == 0.0:
         factor = _FAC_MAX
     else:
@@ -259,12 +274,13 @@ def _integrate_loop(field, x0, times, config, states) -> Trajectory:
     # dopri5: adaptive steps clipped so every sample time is hit exactly.
     # Step bookkeeping runs in time elapsed since times[0] so that shifting
     # an autonomous problem in time cannot perturb the clip arithmetic; the
-    # field and error reports still see absolute time.
-    x = x0
+    # field and error reports still see absolute time.  A scalar x0 runs
+    # as a 1-vector, the shape dopri_step takes.
+    x = x0.reshape(-1)
     t0 = float(times[0])
     tau = 0.0
     rtol, atol, limit = config.rtol, config.atol, config.divergence_limit
-    h, k1 = _initial_step(field, x0, t0, rtol, atol)
+    h, k1 = _initial_step(field, x, t0, rtol, atol)
     h = float(h)
     n_steps = 0
     for i, t_i in enumerate(times[1:].tolist(), start=1):
@@ -281,7 +297,7 @@ def _integrate_loop(field, x0, times, config, states) -> Trajectory:
             if err <= 1.0:
                 tau = target if clipped else tau + h_try
                 x = x_new
-                if np.abs(x).max() > limit:
+                if max(map(abs, x.tolist())) > limit:
                     raise IntegrationError(
                         f"state magnitude exceeds {limit:g} at t={t0 + tau}", t=t0 + tau, state=x
                     )

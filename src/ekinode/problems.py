@@ -63,7 +63,8 @@ TEST_CHUNK_ROWS = 64
 
 def spiral_field(x: np.ndarray, t: float = 0.0) -> np.ndarray:
     """Linear damped-rotation field ((-0.05 x1 + x2), (-x1 - 0.05 x2))."""
-    return np.array([-0.05 * x[0] + x[1], -x[0] - 0.05 * x[1]])
+    x1, x2 = x.tolist()
+    return np.array([-0.05 * x1 + x2, -x1 - 0.05 * x2])
 
 
 def spiral_solution(t) -> np.ndarray:
@@ -79,7 +80,8 @@ def spiral_solution(t) -> np.ndarray:
 
 def pendulum_field(state: np.ndarray, t: float = 0.0, omega: float = 1.0) -> np.ndarray:
     """Simple pendulum as a first-order system: (v, -omega * sin x)."""
-    return np.array([state[1], -omega * np.sin(state[0])])
+    x, v = state.tolist()
+    return np.array([v, -omega * np.sin(x)])
 
 
 def pendulum_energy(state: np.ndarray, omega: float = 1.0) -> float:

@@ -530,13 +530,19 @@ class _EkiDriver:
 
     def advance(self):
         """One epoch: try the full step, backtrack while it makes the
-        ensemble worse, stall if no usable step length remains."""
+        ensemble worse, stall if no usable step length remains.  With fewer
+        than two valid members the update moves nobody: the epoch is logged
+        as a ``no_update`` event and burnt, since a later expansion may still
+        bring in valid members."""
         opts = self.opts
         epoch = self.ens.epoch
         gamma = self.gamma_for(epoch)
         cur_losses = self.losses(self.outputs, epoch)
         cur_fail = np.count_nonzero(self.outputs.failed)
         cur_best = cur_losses.min()
+        n_valid = self.ens.size - int(cur_fail)
+        if n_valid < 2:
+            self.events.append(("no_update", epoch, n_valid))
 
         variances = self.variances(gamma)
         if not np.all(variances > 0):

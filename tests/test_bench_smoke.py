@@ -31,8 +31,10 @@ TRACED_COUNTS = {
     # spiral-adam@50: one BPTT per epoch plus the last row, 36 network calls
     # each.  The train column is the BPTT loss, so no forward map runs;
     # the test column of all 51 rows is one test_mse call, one 499-step rk4
-    # pass of 4 network calls per step.
+    # pass of 4 network calls per step.  runner.run builds the reference
+    # grid exactly once; a grid cached across builds would read 0.
     "spiral-adam": {
+        "ode.integrate.calls": 1,
         "gradbase.bptt.calls": 51,
         "problems.forward_map.calls": 0,
         "problems.metrics.calls": 1,

@@ -162,6 +162,17 @@ def test_covariance_underflow_is_runtime_failure(tmp_path, capsys):
     ) == (report.final_train_error, report.final_test_error)
 
 
+def test_epochs_without_two_valid_members_are_logged(tmp_path):
+    # dt=1e-12 puts every member past max_steps: no epoch can update, the
+    # run still completes, and each epoch says why it moved nobody.
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({"problem": "spiral", "epochs": 3, "integrator": {"dt": 1e-12}}))
+    assert cli.main(["run", "--config", str(path), "--out", str(tmp_path / "x")]) == 0
+    report = runner.load_report(str(tmp_path / "x"))
+    assert report.epochs_run == 3
+    assert report.events == [["no_update", epoch, 0] for epoch in range(3)]
+
+
 @pytest.mark.filterwarnings("error")
 def test_overflowing_optimizer_step_fails_quietly(tmp_path, capsys):
     # The first Adam step takes theta to inf; the next BPTT pass stops the run

@@ -1,10 +1,12 @@
 """Unit tests for the fixed-step and adaptive integrators."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, seed, settings, strategies as st
 
-from ekinode import ode
+from ekinode import ode, problems
 from ekinode.problems import pendulum_energy, pendulum_field, spiral_field, spiral_solution
 
 ATOL = 1e-12
@@ -245,3 +247,142 @@ def test_lockstep_rejects_adaptive_method_and_bad_times():
     with pytest.raises(ValueError):
         ode.integrate_lockstep(lambda x: x, np.zeros((1, 1, 1)), np.array([[0.0, 0.0]]),
                                ode.IntegratorConfig(method="rk4"))
+
+
+# Oracle for the adaptive path: the textbook Dormand-Prince step with every
+# operation on NumPy arrays (each stage sum and the full 7-weight 5th-order
+# update a separate product), in the adaptive sampling loop integrate runs,
+# plus a count of rejected steps.  integrate must reproduce it bitwise.
+_ORACLE_B = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
+
+
+def _oracle_dopri_step(field, x, t, h, rtol, atol, k1=None):
+    if not h > 0:
+        raise ValueError("step size must be positive")
+    k = np.empty((7, np.size(x)))
+    if k1 is None:
+        k1 = np.asarray(field(x, t), dtype=float)
+        ode._check_finite(k1, t, "field output")
+    k[0] = k1
+    for i in range(1, 7):
+        k[i] = field(x + h * (ode._DP_A[i] @ k[:i]), t + ode._DP_C[i] * h)
+    x_new = x + h * (_ORACLE_B @ k)
+    if not np.isfinite(x_new).all():
+        raise ode.IntegrationError(f"non-finite state at t={t + h}", t=t + h, state=x_new)
+    r = h * (ode._DP_E @ k) / (atol + rtol * np.maximum(np.abs(x), np.abs(x_new)))
+    err = math.sqrt(np.add.reduce(r * r) / r.size)
+    if err == 0.0:
+        factor = ode._FAC_MAX
+    else:
+        factor = min(ode._FAC_MAX, max(ode._FAC_MIN, ode._SAFETY * err ** -0.2))
+    return x_new, err, h * factor, k[6]
+
+
+def _oracle_integrate(field, x0, times, config):
+    """(states, rejected steps) of the oracle's adaptive loop."""
+    times = np.asarray(times, dtype=float)
+    x0 = np.asarray(x0, dtype=float)
+    states = np.empty((times.size, x0.size))
+    states[0] = x0
+    rejected = 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        x = x0
+        t0 = float(times[0])
+        tau = 0.0
+        rtol, atol, limit = config.rtol, config.atol, config.divergence_limit
+        h, k1 = ode._initial_step(field, x0, t0, rtol, atol)
+        h = float(h)
+        n_steps = 0
+        for i, t_i in enumerate(times[1:].tolist(), start=1):
+            target = t_i - t0
+            while tau < target:
+                clipped = h >= target - tau
+                h_try = min(h, target - tau)
+                x_new, err, h_next, k_last = _oracle_dopri_step(
+                    field, x, t0 + tau, h_try, rtol, atol, k1
+                )
+                n_steps += 1
+                if n_steps > config.max_steps:
+                    raise ode.IntegrationError(
+                        f"max_steps={config.max_steps} exceeded at t={t0 + tau}",
+                        t=t0 + tau, state=x,
+                    )
+                if err <= 1.0:
+                    tau = target if clipped else tau + h_try
+                    x = x_new
+                    if np.abs(x).max() > limit:
+                        raise ode.IntegrationError(
+                            f"state magnitude exceeds {limit:g} at t={t0 + tau}",
+                            t=t0 + tau, state=x,
+                        )
+                    k1 = k_last
+                else:
+                    rejected += 1
+                h = h_next
+            states[i] = x
+    return states, rejected
+
+
+def _linear_field(dim, seed):
+    # A stable rotation-dominated linear field with dim state components, so
+    # the error norm sums dim terms (8 or more take NumPy's unrolled sum).
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(dim, dim))
+    a = a - a.T - 0.1 * np.eye(dim)
+    return lambda x, t: a @ x
+
+
+def _pendulum(x, t):
+    return pendulum_field(x, t, 1.0)
+
+
+DOPRI_CASES = {
+    # The two reference grids the benchmark problems are built from.
+    "spiral-500": (spiral_field, [1.0, 0.0], np.linspace(0.0, 40.0, 500),
+                   problems.DATA_INTEGRATOR),
+    "pendulum-200": (_pendulum, [np.pi / 4.0, 0.0], np.linspace(0.0, 20.0, 200),
+                     problems.DATA_INTEGRATOR),
+    # test_dopri_spiral_matches_closed_form_over_full_horizon's grid.
+    "spiral-101": (spiral_field, [1.0, 0.0], np.linspace(0.0, 40.0, 101),
+                   ode.IntegratorConfig(method="dopri5", rtol=1e-6, atol=1e-9)),
+    "exp-1d": (exp_field, [1.0], np.linspace(0.0, 3.0, 13),
+               ode.IntegratorConfig(method="dopri5", rtol=1e-8, atol=1e-10)),
+    "exp-scalar": (exp_field, 1.0, np.linspace(0.0, 3.0, 13),
+                   ode.IntegratorConfig(method="dopri5", rtol=1e-8, atol=1e-10)),
+    "linear-3d": (_linear_field(3, 1), [1.0, -0.5, 0.25], np.linspace(0.0, 10.0, 41),
+                  ode.IntegratorConfig(method="dopri5", rtol=1e-7, atol=1e-10)),
+    "linear-9d": (_linear_field(9, 2), np.linspace(-1.0, 1.0, 9), np.linspace(0.0, 5.0, 21),
+                  ode.IntegratorConfig(method="dopri5", rtol=1e-7, atol=1e-10)),
+}
+
+
+@pytest.mark.parametrize("name", list(DOPRI_CASES))
+def test_dopri_integrate_matches_oracle_bitwise(name):
+    field, x0, times, config = DOPRI_CASES[name]
+    traj = ode.integrate(field, np.array(x0, dtype=float), times, config)
+    ref, rejected = _oracle_integrate(field, x0, times, config)
+    assert np.array_equal(traj.states, ref)
+    # Every case but the short exponential ones also runs the rejection path.
+    assert rejected >= (not name.startswith("exp"))
+
+
+def test_non_finite_stage_at_step_end_raises_like_oracle():
+    # The field turns infinite on its 7th call: the last stage of the first
+    # step, evaluated at the step's new state.
+    def make_field():
+        calls = [0]
+
+        def field(x, t):
+            calls[0] += 1
+            return np.array([np.inf]) if calls[0] == 7 else x
+
+        return field
+
+    config = ode.IntegratorConfig(method="dopri5", rtol=1e-6, atol=1e-8)
+    times = np.array([0.0, 1.0])
+    with pytest.raises(ode.IntegrationError) as got:
+        ode.integrate(make_field(), np.array([1.0]), times, config)
+    with pytest.raises(ode.IntegrationError) as want:
+        _oracle_integrate(make_field(), [1.0], times, config)
+    assert str(got.value) == str(want.value)
+    assert got.value.t == want.value.t
