@@ -127,6 +127,9 @@ def main(argv=None) -> int:
         return 1
     except Exception as exc:  # runtime failure
         print(f"runtime failure: {exc}", file=sys.stderr)
+        if args.command == "run":
+            # runner.run replaces its report last, and only with a whole one.
+            print("no report written by this run", file=sys.stderr)
         return 2
 
 

@@ -4,14 +4,15 @@ Reverse-mode differentiation through the time-unfolded network.  The
 system-identification forward pass runs on :func:`ekinode.ode.integrate_lockstep`
 with the forward map's starts, sample times and one-member stacked layers,
 recording every network evaluation through :func:`ekinode.nnet.mlp_apply`,
-and its loss is :func:`ekinode.problems.sysid_loss`.  The control forward
+and its loss is :func:`ekinode.problems.sysid_loss`; the reverse sweep steps
+back through the same steps with :func:`_step_reverse`.  The control forward
 pass evaluates the controller on the forward map's stage and quadrature
-grids and runs the same scalar recurrence.  The gradient is therefore exact
+grids and runs :func:`ekinode.problems.control_states`, which applies the
+problem's linear propagator; the terminal state's gradient with respect to
+the stage controls is that map's last row.  The gradient is therefore exact
 for the discrete losses the problems module reports: the training MSE for
 system identification and the terminal-miss-plus-energy loss for control.
-Both unfold the problem's own fixed-step (euler or rk4) integrator, and each
-runs as one pass: the forward pass, then the reverse sweep through the same
-steps with :func:`_step_reverse`.
+Both unfold the problem's own fixed-step (euler or rk4) integrator.
 """
 
 from __future__ import annotations
@@ -24,7 +25,8 @@ from . import nnet, ode
 from .eki import ForwardMapOutput
 from .ode import IntegrationError
 from .problems import ControlProblem, SysIdProblem
-from .problems import control_diverged, control_objective, control_stage_grid, control_states
+from .problems import control_diverged, control_final_state_gradient, control_objective
+from .problems import control_stage_grid, control_states
 from .problems import sysid_grid, sysid_loss
 
 __all__ = [
@@ -84,31 +86,32 @@ class _Pullback:
     def accumulate(self, acc) -> None:
         """Add the swept calls' layer gradients into ``acc``, per-layer
         (W, b) arrays shaped like the recorded layers."""
+        if not self.swept:  # no field evaluation, as in one-point shooting runs
+            return
         for (dw, db), gz, a in zip(acc, self.gz, self.inputs):
             gz = np.array(gz)
             dw += np.add.reduce(gz.mT @ a[self.swept])
             db += np.add.reduce(gz.sum(axis=-2))
 
 
-def _step_reverse(gx, h, method, vjp):
-    """Carry the state gradient back through one step of
-    :func:`ode._lockstep_euler` or :func:`ode._lockstep_rk4`.
+def _step_reverse(gx, h, method, net, c):
+    """Carry the state gradient of the system-identification sweep back
+    through one step of :func:`ode._lockstep_euler` or :func:`ode._lockstep_rk4`.
 
-    ``vjp(i, g)`` pulls ``g`` back through the step's i-th field evaluation
-    and returns the gradient of its input state; the stages are visited
-    last first.
+    The step's i-th field evaluation is ``net``'s recorded call ``c + i``;
+    the stages are visited last first.
     """
     if method == "euler":
-        return gx + vjp(0, h * gx)
+        return gx + net.vjp(c, h * gx)
     half = 0.5 * h
     g6, g3 = (h / 6.0) * gx, (h / 3.0) * gx
-    gin = vjp(3, g6)
+    gin = net.vjp(c + 3, g6)
     xbar = gx + gin
-    gin = vjp(2, g3 + h * gin)
+    gin = net.vjp(c + 2, g3 + h * gin)
     xbar += gin
-    gin = vjp(1, g3 + half * gin)
+    gin = net.vjp(c + 1, g3 + half * gin)
     xbar += gin
-    gin = vjp(0, g6 + half * gin)
+    gin = net.vjp(c, g6 + half * gin)
     return xbar + gin
 
 
@@ -160,17 +163,13 @@ def _sysid(theta: np.ndarray, prob: SysIdProblem):
     net = _Pullback(layers, act, calls)
     c = len(calls)
     per_step = 1 if cfg.method == "euler" else 4
-
-    def vjp(i, g):
-        return net.vjp(c + i, g)
-
     steps = n_sub[0].tolist()
     gx = 0.0
     for k in reversed(range(len(lengths))):
         gx = gx + gstates[:, :, k + 1]
         for _ in range(steps[k]):
             c -= per_step
-            gx = _step_reverse(gx, lengths[k], cfg.method, vjp)
+            gx = _step_reverse(gx, lengths[k], cfg.method, net, c)
     grad = np.zeros((1, theta.size))
     net.accumulate(nnet.unflatten(prob.net, grad))
     return loss, grad.reshape(-1), bool(failed[0])
@@ -209,21 +208,8 @@ def _control(theta: np.ndarray, prob: ControlProblem, gamma: float, gamma_prime:
     g_quad = (prob.mu / (2.0 * gamma_prime)) * 2.0 * w * u_quad
     _pull(layers, act, quad_record, g_quad[:, None], acc)
 
-    # Terminal term back through the unfolded scalar dynamics: the field
-    # a x + b u has state gradient a, and its i-th stage of step k reads u
-    # at stage point ``stride k + (0, 1, 1, 2)[i]``.
-    a, b = prob.a, prob.b
-    ubar = np.zeros(stage_times.size)
-    stride = 2 if cfg.method == "rk4" else 1
-
-    def vjp(i, g):
-        ubar[stage + (0, 1, 1, 2)[i]] += b * g
-        return a * g
-
-    gx = (x - prob.x_star) / gamma
-    for k in reversed(range(n_steps)):
-        stage = stride * k
-        gx = _step_reverse(gx, h, cfg.method, vjp)
+    # Terminal term: x_T is affine in the stage controls.
+    ubar = ((x - prob.x_star) / gamma) * control_final_state_gradient(prob, h, cfg.method, n_steps)
     _pull(layers, act, stage_record, ubar[:, None], acc)
     return loss, grad, bool(control_diverged(xs, cfg))
 

@@ -39,7 +39,9 @@ __all__ = [
     "control_energy",
     "control_diverged",
     "control_forward_map",
+    "control_final_state_gradient",
     "control_objective",
+    "control_propagator",
     "control_stage_grid",
     "control_states",
     "control_trajectory",
@@ -58,7 +60,12 @@ GRID_SIZES = {"spiral": 500, "pendulum": 200}
 
 # Parameter vectors integrated together by one test_mse pass: bounds its
 # states array at (rows, grid, state) for however many rows a run logged.
-TEST_CHUNK_ROWS = 64
+TEST_CHUNK_ROWS = 256
+
+# The most steps one product of the control propagator spans.  Its matrix
+# grows with their square, so a longer pass takes one product per block,
+# each from the last state of the block before.
+PROPAGATOR_STEPS = 128
 
 
 def spiral_field(x: np.ndarray, t: float = 0.0) -> np.ndarray:
@@ -478,29 +485,72 @@ def control_stage_grid(prob: ControlProblem):
     return stage_times, h, n_steps
 
 
+def control_propagator(prob: ControlProblem, h: float, method: str, n_steps: int):
+    """The euler/rk4 pass over ``xdot = a x + b u`` as an affine map of u on
+    the stages its steps read: ``xs = u @ M.T + x0 * r``, with M
+    ``(n_steps + 1, stages)`` and r ``(n_steps + 1,)``.
+
+    Each step is ``x' = R x + sum_i c_i u_i`` over its stages i, with R(z),
+    z = h a, the amplification factor: r holds its powers and M[n] adds up
+    ``R^(n-1-j) c_i`` over the steps j < n.
+    """
+    z, hb = h * prob.a, h * prob.b
+    if method == "rk4":
+        growth = z + z * z / 2.0 + z**3 / 6.0 + z**4 / 24.0
+        # Step start, midpoint (read by stages 2 and 3) and step end.
+        coef = (hb / 6.0) * np.array(
+            [1.0 + z + z * z / 2.0 + z**3 / 4.0, 4.0 + 2.0 * z + z * z / 2.0, 1.0]
+        )
+        stride, stages = 2, 2 * n_steps + 1
+    else:
+        growth, coef, stride, stages = z, [hb], 1, n_steps
+    # R^n from R - 1, where R > 0: rounding R itself puts an n-fold error on R^n.
+    n = np.arange(n_steps + 1)
+    r = np.exp(n * np.log1p(growth)) if growth > -1.0 else (1.0 + growth) ** n
+    # Every step adds its coefficients at the same offsets, so M[n, k] =
+    # m[stride n - k]: a Toeplitz view of one vector m, zero at offsets < 0.
+    m = np.zeros(stride * n_steps + stages)  # offset j at index j + stages - 1
+    for i, c in enumerate(coef):
+        m[stages - 1 + stride - i::stride][:n_steps] += c * r[:-1]
+    M = np.lib.stride_tricks.sliding_window_view(m, stages)[::stride, ::-1].copy()
+    M[0, 0], M[1:, 0] = 0.0, coef[0] * r[:-1]  # no step ends on stage 0
+    return M, r
+
+
+def _propagator_blocks(prob: ControlProblem, h: float, method: str, n_steps: int):
+    # Per product of a pass: its first step, its stage columns, and the M and
+    # r of its steps, all cut from one propagator of at most PROPAGATOR_STEPS.
+    M, r = control_propagator(prob, h, method, min(n_steps, PROPAGATOR_STEPS))
+    stride = 2 if method == "rk4" else 1
+    for first in range(0, n_steps, PROPAGATOR_STEPS):
+        t = min(PROPAGATOR_STEPS, n_steps - first)
+        width = 2 * t + 1 if method == "rk4" else t
+        yield first, slice(stride * first, stride * first + width), M[:t + 1, :width], r[:t + 1]
+
+
 def control_states(u_stage: np.ndarray, prob: ControlProblem, h: float, method: str) -> np.ndarray:
     """States of ``xdot = a x + b u`` at the step times, ``(..., n_steps + 1)``,
-    given u on :func:`control_stage_grid` as ``(..., stages)``: the scalar
-    euler/rk4 recurrence, vectorized over the leading (member) axes."""
-    a = prob.a
-    u = np.moveaxis(np.asarray(u_stage, dtype=float), -1, 0)
-    bu = prob.b * u
-    n_steps = (u.shape[0] - 1) // 2 if method == "rk4" else u.shape[0] - 1
-    xs = np.empty(u.shape[1:] + (n_steps + 1,))
-    x = xs[..., 0] = float(prob.x0)
-    half, sixth = 0.5 * h, h / 6.0
-    for k in range(n_steps):
-        if method == "rk4":
-            bu1, bu2, bu3 = bu[2 * k], bu[2 * k + 1], bu[2 * k + 2]
-            k1 = a * x + bu1
-            k2 = a * (x + half * k1) + bu2
-            k3 = a * (x + half * k2) + bu2
-            k4 = a * (x + h * k3) + bu3
-            x = x + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        else:
-            x = x + h * (a * x + bu[k])
-        xs[..., k + 1] = x
+    given u on :func:`control_stage_grid` as ``(..., stages)``: one product
+    with :func:`control_propagator` per :data:`PROPAGATOR_STEPS` steps, over
+    the leading (member) axes."""
+    u = np.asarray(u_stage, dtype=float)
+    n_steps = (u.shape[-1] - 1) // 2 if method == "rk4" else u.shape[-1] - 1
+    xs = np.empty(u.shape[:-1] + (n_steps + 1,))
+    xs[..., 0] = prob.x0
+    for first, cols, M, r in _propagator_blocks(prob, h, method, n_steps):
+        xs[..., first:first + r.size] = u[..., cols] @ M.T + xs[..., first, None] * r
     return xs
+
+
+def control_final_state_gradient(prob: ControlProblem, h: float, method: str, n_steps: int):
+    """The gradient of the final state of :func:`control_states` with respect
+    to u on :func:`control_stage_grid`: the last row of the pass's map."""
+    grad = np.zeros(2 * n_steps + 1 if method == "rk4" else n_steps + 1)
+    scale = 1.0  # R to the number of steps after the block
+    for _, cols, M, r in reversed(list(_propagator_blocks(prob, h, method, n_steps))):
+        grad[cols] += scale * M[-1]
+        scale *= r[-1]
+    return grad
 
 
 def control_diverged(xs: np.ndarray, config: IntegratorConfig) -> np.ndarray:

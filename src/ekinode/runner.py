@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import io
 import json
 import math
 import numbers
@@ -266,9 +267,7 @@ def config_from_dict(data: dict) -> ExperimentConfig:
 
 
 def save_config(config: ExperimentConfig, path: str) -> None:
-    with open(path, "w") as fh:
-        json.dump(config_to_dict(config), fh, indent=2)
-        fh.write("\n")
+    _replace_file(path, json.dumps(config_to_dict(config), indent=2) + "\n")
 
 
 def load_config(path: str) -> ExperimentConfig:
@@ -669,7 +668,8 @@ class _GradientDriver:
 
 
 def run(config: ExperimentConfig, out_dir: str | None = None) -> RunReport:
-    """Execute one training run, writing ``log.csv`` and ``report.json``.
+    """Execute one training run, writing ``log.csv`` and ``report.json``,
+    each whole or not at all.
 
     Both optimizers run one loop: log a row, take a step, and log the final
     row after the last step.  A runtime failure ends the loop; the report
@@ -699,12 +699,16 @@ def run(config: ExperimentConfig, out_dir: str | None = None) -> RunReport:
         driver = _SysIdDriver(config, prob, init_rng)
 
     logged, epochs_run, error = [], 0, None
+    # Valid settings near the float range (step sizes, penalties, acceptance
+    # factors) overflow in the EKI update and losses; the forward maps flag
+    # the members that result, so numpy stays quiet, as in the integrators.
     try:
-        for _ in _budget(config, started):
+        with np.errstate(over="ignore", invalid="ignore"):
+            for _ in _budget(config, started):
+                logged.append(driver.row())
+                driver.advance()
+                epochs_run += 1
             logged.append(driver.row())
-            driver.advance()
-            epochs_run += 1
-        logged.append(driver.row())
     except RuntimeError as exc:
         error = str(exc)
     # The error columns of every logged row, failed runs included: one pass.
@@ -719,13 +723,11 @@ def run(config: ExperimentConfig, out_dir: str | None = None) -> RunReport:
         events = [("expansion", ep, c) for ep, c in driver.ens.events] + driver.events
 
     log_path = os.path.join(out, "log.csv")
-    with open(log_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(CSV_HEADER)
-        for epoch, gamma, j, *values in rows:
-            writer.writerow(
-                [epoch, "" if gamma is None else _fmt(gamma), j] + [_fmt(v) for v in values]
-            )
+    log = io.StringIO()
+    writer = csv.writer(log)
+    writer.writerow(CSV_HEADER)
+    for epoch, gamma, j, *values in rows:
+        writer.writerow([epoch, "" if gamma is None else _fmt(gamma), j] + [_fmt(v) for v in values])
 
     final_train, final_test = (rows[-1][5], rows[-1][6]) if rows else (float("nan"),) * 2
     report = RunReport(
@@ -745,10 +747,20 @@ def run(config: ExperimentConfig, out_dir: str | None = None) -> RunReport:
         events=[list(e) for e in events],
         error=error,
     )
-    with open(os.path.join(out, "report.json"), "w") as fh:
-        json.dump(report.to_dict(), fh, indent=2)
-        fh.write("\n")
+    # Both files are serialized before either is replaced, so a value that
+    # fails to serialize leaves the previous pair, and a write leaves whole files.
+    text = json.dumps(report.to_dict(), indent=2) + "\n"
+    _replace_file(log_path, log.getvalue())
+    _replace_file(os.path.join(out, "report.json"), text)
     return report
+
+
+def _replace_file(path: str, text: str) -> None:
+    # Write a temporary file beside ``path``, then rename it over ``path``.
+    tmp = f"{path}.tmp"
+    with open(tmp, "w", newline="") as fh:
+        fh.write(text)
+    os.replace(tmp, path)
 
 
 def _budget(config, started):
@@ -812,8 +824,7 @@ def table(configs: list, replicates: int, out_dir: str) -> list[dict]:
         writer = csv.DictWriter(fh, fieldnames=TABLE_COLUMNS)
         writer.writeheader()
         writer.writerows(summary)
-    with open(os.path.join(out_dir, "table.txt"), "w") as fh:
-        fh.write(format_table(summary) + "\n")
+    _replace_file(os.path.join(out_dir, "table.txt"), format_table(summary) + "\n")
     return summary
 
 
@@ -961,9 +972,7 @@ def plot_script(report_dirs, out_dir: str) -> list[str]:
             [log["epoch"], log["min_loss"], log["train_mse"], log["test_mse"]],
         )
 
-    script = os.path.join(out_dir, "plot.py")
-    with open(script, "w") as fh:
-        fh.write(_PLOT_SCRIPT)
+    _replace_file(os.path.join(out_dir, "plot.py"), _PLOT_SCRIPT)
     written.append("plot.py")
     return written
 

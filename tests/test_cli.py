@@ -173,6 +173,33 @@ def test_epochs_without_two_valid_members_are_logged(tmp_path):
     assert report.events == [["no_update", epoch, 0] for epoch in range(3)]
 
 
+def test_unserializable_report_leaves_the_previous_artefacts(tmp_path, monkeypatch, capsys):
+    # A report value JSON cannot hold stops the run before either file is
+    # replaced: the previous log.csv and report.json stay whole, and the CLI
+    # says that this run wrote no report.
+    path = tmp_path / "c.json"
+    write_config(path, "control-eki-mu0.001", 2)
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", str(path), "--out", str(out)]) == 0
+    before = {name: (out / name).read_bytes() for name in ("log.csv", "report.json")}
+    write_config(path, "control-eki-mu0.001", 3)
+    real = runner._ControlDriver.advance
+
+    def advance(self):
+        real(self)
+        self.events.append(("probe", object()))
+
+    monkeypatch.setattr(runner._ControlDriver, "advance", advance)
+    capsys.readouterr()
+    assert cli.main(["run", "--config", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "not JSON serializable" in err and "no report written" in err
+    assert "partial report" not in err
+    assert {name: (out / name).read_bytes() for name in before} == before
+    assert sorted(os.listdir(out)) == ["log.csv", "report.json"]
+    assert runner.load_report(str(out)).epochs_run == 2
+
+
 @pytest.mark.filterwarnings("error")
 def test_overflowing_optimizer_step_fails_quietly(tmp_path, capsys):
     # The first Adam step takes theta to inf; the next BPTT pass stops the run
@@ -239,12 +266,15 @@ def test_plot_missing_report_is_config_error(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
-# The contract fuzz: one field of a valid config replaced by a type swap,
-# zero, -1, an infinity, NaN or a huge value.  A huge size is capped, so no
-# example allocates more than a few MB or runs more than a few epochs.
+# The contract fuzz: a valid config run for one to five epochs, so that
+# failures reached only after the first epoch (covariance underflow,
+# expansions, stalled backtracking, epochs without an update) are in reach,
+# with one or two fields replaced by a type swap, zero, -1, an infinity, NaN
+# or a huge value.  A huge size is capped, so no example allocates more than
+# a few MB or runs more than a few epochs.
 MUTANTS = ("1", 1, 1.5, None, True, [], {}, 0, -1, math.inf, -math.inf, math.nan,
            1e308, 2**62, 10**400)
-SIZE_CAPS = {"epochs": 3, "ensemble_size": 64, "grid_size": 1000}
+SIZE_CAPS = {"epochs": 5, "ensemble_size": 64, "grid_size": 1000}
 FUZZ_CONFIGS = {
     name: runner.config_to_dict(dataclasses.replace(runner.preset(name), epochs=1, **overrides))
     for name, overrides in (
@@ -268,19 +298,24 @@ FIELD_PATHS = tuple(_field_paths(FUZZ_CONFIGS["spiral-eki"]))
 
 
 @seed(20)
-@given(st.sampled_from(sorted(FUZZ_CONFIGS)), st.sampled_from(FIELD_PATHS),
-       st.sampled_from(MUTANTS))
+@given(st.sampled_from(sorted(FUZZ_CONFIGS)), st.integers(1, 5),
+       st.lists(st.tuples(st.sampled_from(FIELD_PATHS), st.sampled_from(MUTANTS)),
+                min_size=1, max_size=2))
 @settings(max_examples=300, deadline=None)
-def test_every_config_exits_by_the_contract(tmp_path_factory, name, path, value):
+def test_every_config_exits_by_the_contract(tmp_path_factory, name, epochs, mutations):
     # Exit 0 with a report, exit 1 with none, or exit 2 with a partial
     # report that loads; an uncaught failure would exit 2 with no report.
-    if path[-1] in SIZE_CAPS and type(value) is int:
-        value = min(value, SIZE_CAPS[path[-1]])
     data = json.loads(json.dumps(FUZZ_CONFIGS[name]))
-    block = data
-    for key in path[:-1]:
-        block = block[key]
-    block[path[-1]] = value
+    data["epochs"] = epochs
+    for path, value in mutations:
+        if path[-1] in SIZE_CAPS and type(value) is int:
+            value = min(value, SIZE_CAPS[path[-1]])
+        block = data
+        for key in path[:-1]:
+            block = block.get(key) if isinstance(block, dict) else None
+        # A field whose block an earlier mutation replaced is gone.
+        if isinstance(block, dict):
+            block[path[-1]] = value
     tmp = tmp_path_factory.mktemp("fuzz")
     config = tmp / "c.json"
     config.write_text(json.dumps(data))

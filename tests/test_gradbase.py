@@ -7,6 +7,8 @@ import pytest
 
 from ekinode import gradbase, nnet, ode, problems
 
+from test_problems import loop_control_states
+
 FD_EPS = 1e-6
 FD_REL_TOL = 1e-5
 FD_ABS_FLOOR = 1e-10
@@ -55,6 +57,18 @@ def test_gradient_vanishes_at_perfect_fit():
     assert np.array_equal(grad, np.zeros_like(theta))
 
 
+def test_one_point_shooting_runs_have_zero_gradient(small_spiral):
+    # Each run starts at its only observation: no step, no field evaluation,
+    # a zero loss and a zero gradient, as for the forward map.
+    obs = small_spiral.observations
+    one = problems.make_observations(obs.grid_times, obs.grid_states, 3, 1, np.random.default_rng(0))
+    prob = replace(small_spiral, observations=one)
+    theta = nnet.mlp_init(prob.net, np.random.default_rng(1))
+    loss, grad, failed = gradbase.bptt_value_and_gradient(theta, prob)
+    assert loss == problems.mse(theta, prob) == 0.0
+    assert np.array_equal(grad, np.zeros_like(theta)) and not failed
+
+
 def test_sysid_gradient_matches_finite_differences(small_spiral):
     for s in (0, 1):
         theta = nnet.mlp_init(small_spiral.net, np.random.default_rng(s))
@@ -95,6 +109,83 @@ def test_control_gradient_matches_finite_differences(control_problem):
             theta,
         )
         assert_fd_close(grad, ref)
+
+
+def loop_step_reverse(gx, h, method, vjp):
+    # The reverse of one euler/rk4 step, visiting the field evaluations last
+    # first; ``vjp(i, g)`` pulls g back through the i-th of them.
+    if method == "euler":
+        return gx + vjp(0, h * gx)
+    half = 0.5 * h
+    g6, g3 = (h / 6.0) * gx, (h / 3.0) * gx
+    gin = vjp(3, g6)
+    xbar = gx + gin
+    gin = vjp(2, g3 + h * gin)
+    xbar += gin
+    gin = vjp(1, g3 + half * gin)
+    xbar += gin
+    gin = vjp(0, g6 + half * gin)
+    return xbar + gin
+
+
+def loop_control_gradient(theta, prob, gamma, gamma_prime):
+    """Reference for the control BPTT gradient: the terminal term pulled back
+    step by step through the scalar recurrence, as a field ``a x + b u``
+    whose i-th stage of step k reads u at stage point
+    ``stride k + (0, 1, 1, 2)[i]``."""
+    cfg = prob.integrator
+    layers = nnet.unflatten(prob.controller, theta)
+    act = prob.controller.activation
+    stage_times, h, n_steps = problems.control_stage_grid(prob)
+    quad_grid = prob.quadrature_grid()
+    stage_record, quad_record = [], []
+    u_stage = nnet.mlp_apply(layers, stage_times[:, None], act, stage_record)[:, 0]
+    u_quad = nnet.mlp_apply(layers, quad_grid[:, None], act, quad_record)[:, 0]
+    x = float(loop_control_states(u_stage, prob, h, cfg.method)[-1])
+    grad = np.zeros(theta.size)
+    acc = nnet.unflatten(prob.controller, grad)
+    w = np.empty_like(quad_grid)
+    w[1:-1] = 0.5 * (quad_grid[2:] - quad_grid[:-2])
+    w[0] = 0.5 * (quad_grid[1] - quad_grid[0])
+    w[-1] = 0.5 * (quad_grid[-1] - quad_grid[-2])
+    g_quad = (prob.mu / (2.0 * gamma_prime)) * 2.0 * w * u_quad
+    gradbase._pull(layers, act, quad_record, g_quad[:, None], acc)
+    a, b = prob.a, prob.b
+    ubar = np.zeros(stage_times.size)
+    stride = 2 if cfg.method == "rk4" else 1
+
+    def vjp(i, g):
+        ubar[stage + (0, 1, 1, 2)[i]] += b * g
+        return a * g
+
+    gx = (x - prob.x_star) / gamma
+    for k in reversed(range(n_steps)):
+        stage = stride * k
+        gx = loop_step_reverse(gx, h, cfg.method, vjp)
+    gradbase._pull(layers, act, stage_record, ubar[:, None], acc)
+    return grad
+
+
+# The propagator's last row and the step-by-step reverse sweep add the same
+# terms in another order.
+CONTROL_GRADIENT_TOL = 1e-12
+
+
+@pytest.mark.parametrize("method", ["euler", "rk4"])
+@pytest.mark.parametrize("dt", [0.01, 0.003])
+def test_control_gradient_matches_reverse_recurrence(method, dt):
+    # 0.003 takes 334 steps: more than one propagator block.
+    for a, x0, (gamma, gamma_prime) in ((1.0, 0.0, (1.0, 1.0)), (0.5, 0.7, (0.3, 0.01)),
+                                        (-2.0, 0.7, (0.15, 0.01))):
+        prob = problems.make_control_problem(
+            a=a, x0=x0, integrator=ode.IntegratorConfig(method=method, dt=dt, divergence_limit=1e3)
+        )
+        for s in (0, 1):
+            theta = (1.0 + s) * nnet.mlp_init(prob.controller, np.random.default_rng(30 + s))
+            grad = gradbase.bptt_gradient(theta, prob, gamma, gamma_prime)
+            ref = loop_control_gradient(theta, prob, gamma, gamma_prime)
+            err = np.max(np.abs(grad - ref)) / max(1.0, np.max(np.abs(ref)))
+            assert err <= CONTROL_GRADIENT_TOL, (a, x0, s, err)
 
 
 class PerCallPullback:

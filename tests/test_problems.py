@@ -423,3 +423,89 @@ def test_batched_control_forward_map_matches_scalar_formulas(s, method, dt, acti
         assert abs(out.h[j] - np.sqrt(energy)) <= 1e-12 * max(1.0, np.sqrt(energy))
     assert out.failed[1] and out.failed[3] and not out.failed[0]
 
+
+
+def loop_control_states(u_stage, prob, h, method):
+    """Reference for ``problems.control_states``: the scalar euler/rk4
+    recurrence it replaced, step by step, vectorized over the member axes."""
+    a = prob.a
+    u = np.moveaxis(np.asarray(u_stage, dtype=float), -1, 0)
+    bu = prob.b * u
+    n_steps = (u.shape[0] - 1) // 2 if method == "rk4" else u.shape[0] - 1
+    xs = np.empty(u.shape[1:] + (n_steps + 1,))
+    x = xs[..., 0] = float(prob.x0)
+    half, sixth = 0.5 * h, h / 6.0
+    for k in range(n_steps):
+        if method == "rk4":
+            bu1, bu2, bu3 = bu[2 * k], bu[2 * k + 1], bu[2 * k + 2]
+            k1 = a * x + bu1
+            k2 = a * (x + half * k1) + bu2
+            k3 = a * (x + half * k2) + bu2
+            k4 = a * (x + h * k3) + bu3
+            x = x + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        else:
+            x = x + h * (a * x + bu[k])
+        xs[..., k + 1] = x
+    return xs
+
+
+# The propagator sums the same terms as the recurrence in another order and
+# takes R^n as exp(n log1p(R - 1)); against the loop it differs by a few ulp
+# of the state, 2.3e-15 at most over the cases below.  Powers of a rounded R
+# would put an error of about n ulp on R^n, 3e-14 here.
+PROPAGATOR_TOL = 1e-14
+
+
+def _control_case(method, dt, a, x0):
+    prob = problems.make_control_problem(
+        a=a, x0=x0, integrator=ode.IntegratorConfig(method=method, dt=dt, divergence_limit=1e3)
+    )
+    stage_times, h, n_steps = problems.control_stage_grid(prob)
+    return prob, stage_times.size, h, n_steps
+
+
+@pytest.mark.parametrize("method", ["euler", "rk4"])
+@pytest.mark.parametrize("dt", [0.01, 1.0 / 37.0, 0.003])
+def test_control_states_match_the_recurrence(method, dt):
+    # 0.003 takes 334 steps: more than one propagator block.
+    rng = np.random.default_rng(int(dt * 1e4))
+    for a in (1.0, 0.5, -2.0):
+        for x0 in (0.0, 0.7):
+            prob, stages, h, n_steps = _control_case(method, dt, a, x0)
+            for shape in ((stages,), (1, stages), (22, stages)):
+                u = rng.normal(size=shape)
+                xs = problems.control_states(u, prob, h, method)
+                ref = loop_control_states(u, prob, h, method)
+                assert xs.shape == ref.shape == u.shape[:-1] + (n_steps + 1,)
+                err = np.abs(xs - ref) / np.maximum(1.0, np.abs(ref))
+                assert np.max(err) <= PROPAGATOR_TOL, (a, x0, shape, np.max(err))
+                assert np.all(xs[..., 0] == x0)
+
+
+@pytest.mark.parametrize("method", ["euler", "rk4"])
+@pytest.mark.parametrize("dt", [0.01, 0.003])
+def test_control_diverged_agrees_with_the_recurrence(method, dt):
+    # Huge, infinite and NaN controls at random stages the steps read, plus
+    # plants that grow past the limit or overflow: the failed masks agree.
+    rng = np.random.default_rng(5)
+    for a in (1.0, 40.0, 3000.0):
+        prob, stages, h, n_steps = _control_case(method, dt, a, 0.0)
+        read = 2 * n_steps + 1 if method == "rk4" else n_steps
+        u = rng.normal(size=(24, stages))
+        for row, value in enumerate((1e3, 1e300, np.inf, -np.inf, np.nan) * 4):
+            u[row, rng.integers(read)] = value
+        if method == "euler":
+            u[20:, -1] = np.nan  # an euler pass never reads the final control
+        with np.errstate(over="ignore", invalid="ignore"):
+            xs = problems.control_states(u, prob, h, method)
+            ref = loop_control_states(u, prob, h, method)
+            failed = problems.control_diverged(xs, prob.integrator)
+            assert np.array_equal(failed, problems.control_diverged(ref, prob.integrator)), a
+        assert failed[[row for row in range(20) if row % 5]].all()
+        # Unperturbed members of the a = 1 plant stay inside the limit; the
+        # faster plants take every member past it.
+        assert failed[20:].all() if a > 1.0 else not failed[20:].any()
+        ok = ~failed
+        if ok.any():
+            err = np.abs(xs[ok] - ref[ok]) / np.maximum(1.0, np.abs(ref[ok]))
+            assert np.max(err) <= PROPAGATOR_TOL
