@@ -213,7 +213,7 @@ def ensemble_expand(
     gen = rng if rng is not None else ens.rng
     if gen is None:
         raise ValueError("no rng available for expansion")
-    fresh = np.stack([mlp_init(spec, gen) for _ in range(count)])
+    fresh = mlp_init(spec, gen, count)
     if fresh.shape[1] != ens.dim:
         raise ValueError("spec parameter count does not match ensemble dimension")
     if mode == "perturb":

@@ -113,19 +113,19 @@ def flatten(spec: MlpSpec, layers: list[tuple[np.ndarray, np.ndarray]]) -> np.nd
     return np.concatenate(parts)
 
 
-def mlp_init(spec: MlpSpec, rng: np.random.Generator) -> np.ndarray:
-    """Draw a fresh flat parameter vector.
+def mlp_init(spec: MlpSpec, rng: np.random.Generator, count: int | None = None) -> np.ndarray:
+    """Draw a fresh flat parameter vector, or ``(count, N)`` of them.
 
     Every weight and bias of a layer with fan-in k is i.i.d. uniform on
     (-sqrt(1/k), +sqrt(1/k)).  Reproducible: the same generator state yields
-    bitwise-identical vectors.
+    bitwise-identical vectors, and ``count`` rows are bitwise the vectors of
+    ``count`` calls in a row, with the generator left in the same state.
     """
-    parts = []
-    for (w_shape, b_len) in layer_shapes(spec):
-        bound = np.sqrt(1.0 / w_shape[1])
-        parts.append(rng.uniform(-bound, bound, size=w_shape[0] * w_shape[1]))
-        parts.append(rng.uniform(-bound, bound, size=b_len))
-    return np.concatenate(parts)
+    bounds = np.concatenate([
+        np.full(w_shape[0] * w_shape[1] + b_len, np.sqrt(1.0 / w_shape[1]))
+        for (w_shape, b_len) in layer_shapes(spec)
+    ])
+    return rng.uniform(-bounds, bounds, size=bounds.shape if count is None else (count, bounds.size))
 
 
 def _activate(z: np.ndarray, activation: str) -> np.ndarray:

@@ -471,7 +471,7 @@ def control_stage_grid(prob: ControlProblem):
     starts plus the final time, and for rk4 also the step midpoints, which
     its second and third stages share: ``2 n_steps + 1`` points,
     interleaved.  The controller depends on t alone, so it is evaluated on
-    this grid once, before the recurrence runs.
+    this grid once, before the pass runs.
     """
     config = prob.integrator
     n_steps = max(1, int(np.ceil(prob.t_final / config.dt - 1e-9)))
@@ -562,22 +562,34 @@ def control_diverged(xs: np.ndarray, config: IntegratorConfig) -> np.ndarray:
 
 
 def _control_path(theta: np.ndarray, prob: ControlProblem):
-    """Step times ``(S,)``, states ``(J, S)`` and the ``(J,)`` failed mask of
-    every member of a ``(J, N)`` matrix under the problem's integrator."""
+    """Step times ``(S,)``, states ``(J, S)``, energies ``(J,)`` and the
+    ``(J,)`` failed mask of every member of a ``(J, N)`` matrix under the
+    problem's integrator.  The controller is evaluated once, on the stage
+    grid followed by the quadrature points it lacks."""
     cfg = prob.integrator
     stage_times, h, n_steps = control_stage_grid(prob)
-    with np.errstate(over="ignore", invalid="ignore"):
-        xs = control_states(controller_values(theta, prob, stage_times), prob, h, cfg.method)
-        failed = control_diverged(xs, cfg)
+    times, members = h * np.arange(n_steps + 1), theta.shape[0]
     if n_steps > cfg.max_steps:
-        failed[:] = True
-    return h * np.arange(n_steps + 1), xs, failed
+        return times, np.zeros((members, n_steps + 1)), np.zeros(members), np.ones(members, bool)
+    quad, stages = prob.quadrature_grid(), stage_times.size
+    col = np.minimum(np.searchsorted(stage_times, quad), stages - 1)
+    extra = stage_times[col] != quad
+    col[extra] = stages + np.arange(np.count_nonzero(extra))
+    with np.errstate(over="ignore", invalid="ignore"):
+        u = controller_values(theta, prob, np.concatenate([stage_times, quad[extra]]))
+        # A column gather is an F-ordered copy, which takes other BLAS and
+        # reduction paths: slice the stages, reduce a C-ordered quadrature copy.
+        u_quad = np.ascontiguousarray(u[:, col])
+        energy = np.trapezoid(u_quad * u_quad, quad, axis=-1)
+        xs = control_states(u[:, :stages], prob, h, cfg.method)
+        failed = control_diverged(xs, cfg)
+    return times, xs, energy, failed
 
 
 def control_trajectory(theta: np.ndarray, prob: ControlProblem):
     """Step times and states of x under one parameter vector's controller;
     the states are NaN if the integration diverged."""
-    times, xs, failed = _control_path(np.asarray(theta, dtype=float)[None], prob)
+    times, xs, _, failed = _control_path(np.asarray(theta, dtype=float)[None], prob)
     return times, np.where(failed[0], np.nan, xs[0])
 
 
@@ -589,27 +601,27 @@ def control_forward_map(theta: np.ndarray, prob: ControlProblem) -> ForwardMapOu
     Failed members get zero outputs.
     """
     theta = np.asarray(theta, dtype=float)
-    members = np.atleast_2d(theta)
-    _, xs, failed = _control_path(members, prob)
-    with np.errstate(over="ignore", invalid="ignore"):
-        energy = control_energy(members, prob)
+    _, xs, energy, failed = _control_path(np.atleast_2d(theta), prob)
     lead = theta.shape[:-1]
     g = np.where(failed, 0.0, xs[:, -1]).reshape(lead + (1,))
     h = np.where(failed, 0.0, np.sqrt(energy)).reshape(lead)
     return ForwardMapOutput(g=g, h=h, failed=failed.reshape(lead))
 
 
-def control_mse(theta: np.ndarray, prob: ControlProblem, times: np.ndarray | None = None) -> float:
+def control_mse(theta: np.ndarray, prob: ControlProblem, times: np.ndarray | None = None):
     """Mean squared deviation of u_theta from the analytic u* on a time grid.
 
     Defaults to the quadrature grid; pass a denser grid to probe times the
-    training loss never touched.
+    training loss never touched.  ``theta`` is one parameter vector ``(N,)``,
+    giving a float, or a stack ``(R, N)``, giving ``(R,)`` errors, each
+    bitwise the one its row gets alone.
     """
     if times is None:
         times = prob.quadrature_grid()
     u = controller_values(theta, prob, times)
     u_star = optimal_control(times, prob.a, prob.b, prob.x0, prob.x_star, prob.t_final)
-    return float(np.mean((u - u_star) ** 2))
+    err = np.mean((u - u_star) ** 2, axis=-1)
+    return err if err.ndim else float(err)
 
 
 def control_objective(x_final, energy, prob: ControlProblem, gamma: float, gamma_prime: float):

@@ -401,16 +401,15 @@ def _errors(thetas: np.ndarray, prob, train) -> tuple[list, list]:
     the MSE at the observations and on the rest of the reference grid; the
     test column of all rows is one batched pass.  Control: the deviation
     from the analytic u* on the quadrature grid and on a grid
-    ``DENSE_CONTROL_FACTOR`` times denser.
+    ``DENSE_CONTROL_FACTOR`` times denser, each column one batched pass.
     """
     if isinstance(prob, problems.ControlProblem):
+        # Neither driver reads a control row's error off its own evaluation.
         dense = np.linspace(0.0, prob.t_final, DENSE_CONTROL_FACTOR * prob.quadrature_points + 1)
-        metric = problems.control_mse
-        test = [problems.control_mse(theta, prob, dense) for theta in thetas]
-    else:
-        metric = problems.mse
-        test = problems.test_mse(thetas, prob).tolist()
-    train = [metric(theta, prob) if known is None else known for theta, known in zip(thetas, train)]
+        train = problems.control_mse(thetas, prob).tolist()
+        return train, problems.control_mse(thetas, prob, dense).tolist()
+    test = problems.test_mse(thetas, prob).tolist()
+    train = [problems.mse(theta, prob) if known is None else known for theta, known in zip(thetas, train)]
     return train, test
 
 
@@ -479,7 +478,7 @@ class _EkiDriver:
         self.opts = config.eki
         spec = prob.net if hasattr(prob, "net") else prob.controller
         self.spec = spec
-        members = np.stack([nnet.mlp_init(spec, init_rng) for _ in range(self.opts.ensemble_size)])
+        members = nnet.mlp_init(spec, init_rng, self.opts.ensemble_size)
         self.ens = eki.Ensemble(members=members, rng=init_rng)
         self.outputs = None
         self.events = []
@@ -549,6 +548,9 @@ class _EkiDriver:
             raise RuntimeError(f"noise variance {gamma!r} is not positive at epoch {epoch}")
         unit = eki.eki_step(self.ens, self.outputs, self.target, variances)
         delta = unit.members - self.ens.members
+        if not np.all(np.isfinite(delta)):
+            # Such a member fails in every candidate, so no step length is usable.
+            raise RuntimeError(f"non-finite EKI update at epoch {epoch}")
         rel = np.max(np.abs(delta), axis=1) / (np.max(np.abs(self.ens.members), axis=1) + 1.0)
         maxrel = float(rel.max()) if rel.size else 0.0
         if maxrel == 0.0:

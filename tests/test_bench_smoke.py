@@ -20,13 +20,14 @@ SAMPLE = os.path.join(ROOT, "benchmarks", "sample.py")
 # The metric evaluations and the network calls pin the logged error path:
 # a row that gained or lost an evaluation shows.
 TRACED_COUNTS = {
-    # control-eki@4: the update rule and the forward maps; two control_mse
-    # calls per row.
+    # control-eki@4: the update rule and the forward maps, one controller
+    # pass each; the two error columns of all 5 rows are one control_mse
+    # pass each.
     "control-eki": {
         "eki.step.calls": 4,
         "problems.forward_map.calls": 6,
-        "problems.metrics.calls": 10,
-        "nnet.mlp_apply.calls": 22,
+        "problems.metrics.calls": 2,
+        "nnet.mlp_apply.calls": 6 + 2,
     },
     # spiral-adam@50: one BPTT per epoch plus the last row, 36 network calls
     # each.  The train column is the BPTT loss, so no forward map runs;

@@ -4,6 +4,7 @@ import dataclasses
 import json
 import math
 import os
+import warnings
 
 import pytest
 from hypothesis import given, seed, settings, strategies as st
@@ -326,3 +327,21 @@ def test_every_config_exits_by_the_contract(tmp_path_factory, name, epochs, muta
     assert code in (0, 2)
     report = runner.load_report(str(tmp / "out"))
     assert (report.error is None) == (code == 0)
+
+
+def test_non_finite_eki_update_is_runtime_failure(tmp_path, capsys):
+    # mu = 1e308 makes the energy channel's variance gamma_prime / mu
+    # subnormal, so the unit step overflows.  No step length can then be
+    # accepted: the run stops at that epoch with a partial report instead of
+    # burning every epoch as a stall, and no numpy warning escapes.
+    path = tmp_path / "c.json"
+    write_config(path, "control-eki-mu0.001", 3,
+                 problem_options=runner.ProblemOptions(mu=1e308))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code = cli.main(["run", "--config", str(path), "--out", str(tmp_path / "x")])
+    assert code == 2
+    assert "run failed: non-finite EKI update at epoch 0" in capsys.readouterr().err
+    report = runner.load_report(str(tmp_path / "x"))
+    assert report.error == "non-finite EKI update at epoch 0"
+    assert report.epochs_run == 0 and report.events == []

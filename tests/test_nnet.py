@@ -151,3 +151,29 @@ def test_init_fills_the_range():
     limit = np.sqrt(1.0 / 50)
     assert theta.max() > 0.9 * limit
     assert theta.min() < -0.9 * limit
+
+
+def layerwise_init(spec, rng):
+    # One draw per weight matrix and per bias vector, in layer order: the
+    # stream layout the one-call draw has to keep.
+    parts = []
+    for (w_shape, b_len) in nnet.layer_shapes(spec):
+        bound = np.sqrt(1.0 / w_shape[1])
+        parts.append(rng.uniform(-bound, bound, size=w_shape[0] * w_shape[1]))
+        parts.append(rng.uniform(-bound, bound, size=b_len))
+    return np.concatenate(parts)
+
+
+@pytest.mark.parametrize("spec", [SPIRAL_SPEC, CONTROL_SPEC], ids=["spiral", "control"])
+@pytest.mark.parametrize("count", [1, 2, 20, 22])
+def test_init_count_is_that_many_calls(spec, count):
+    # A whole ensemble in one draw is bitwise the vectors of count calls in
+    # a row, layer by layer, and leaves the generator where they leave it.
+    batched_rng, single_rng, layer_rng = (np.random.default_rng(9) for _ in range(3))
+    batched = nnet.mlp_init(spec, batched_rng, count)
+    assert batched.shape == (count, nnet.param_count(spec))
+    assert np.array_equal(batched, np.stack([nnet.mlp_init(spec, single_rng) for _ in range(count)]))
+    assert np.array_equal(batched, np.stack([layerwise_init(spec, layer_rng) for _ in range(count)]))
+    assert batched_rng.bit_generator.state == single_rng.bit_generator.state
+    assert batched_rng.bit_generator.state == layer_rng.bit_generator.state
+    assert nnet.mlp_init(spec, np.random.default_rng(9)).shape == (nnet.param_count(spec),)

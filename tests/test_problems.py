@@ -54,20 +54,33 @@ def test_observation_runs_are_disjoint_consecutive_and_aligned(s):
     assert np.array_equal(obs.values, grid_states[idx])
 
 
-def test_building_a_sysid_problem_leaves_numpy_ma_unimported():
-    # The overlap check of make_observations must not go through np.unique,
-    # whose first call imports numpy.ma and adds its import time to setup.
+def _leaves_numpy_ma_unimported(statement):
+    # Runs the statement in a fresh interpreter; the first np.unique or
+    # np.union1d call imports numpy.ma and adds its import time to the run.
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     code = (
         "import sys\n"
         f"sys.path.insert(0, {src!r})\n"
+        "import dataclasses\n"
         "from ekinode import runner\n"
-        "runner.build_problem(runner.preset('spiral-eki'))\n"
+        f"{statement}\n"
         "print('numpy.ma' in sys.modules)\n"
     )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    return proc.stdout.strip() == "False"
+
+
+def test_building_a_sysid_problem_leaves_numpy_ma_unimported():
+    # The overlap check of make_observations must not go through np.unique.
+    assert _leaves_numpy_ma_unimported("runner.build_problem(runner.preset('spiral-eki'))")
+
+
+def test_a_control_run_leaves_numpy_ma_unimported(tmp_path):
+    # The control forward map merges its stage and quadrature grids with
+    # np.searchsorted, not np.unique or np.union1d.
+    config = "dataclasses.replace(runner.preset('control-eki-mu0.001'), epochs=4)"
+    assert _leaves_numpy_ma_unimported(f"runner.run({config}, out_dir={str(tmp_path)!r})")
 
 
 def test_observation_sampler_rejects_impossible_layouts():
@@ -302,6 +315,21 @@ def test_control_mse_zero_controller(control_problem):
     assert abs(got - np.mean(u_dense ** 2)) < 1e-14
 
 
+@pytest.mark.parametrize("rows", [1, 5, 21])
+def test_stacked_control_mse_matches_per_row_calls(control_problem, rows):
+    # One stacked pass per grid scores every row bitwise as a call with that
+    # row alone does, on the quadrature grid and on the denser test grid.
+    thetas = nnet.mlp_init(control_problem.controller, np.random.default_rng(rows), rows)
+    thetas[rows // 2] *= 30.0
+    dense = np.linspace(0.0, control_problem.t_final, 4 * control_problem.quadrature_points + 1)
+    for times in (None, dense):
+        batched = problems.control_mse(thetas, control_problem, times)
+        assert batched.shape == (rows,)
+        alone = [problems.control_mse(theta, control_problem, times) for theta in thetas]
+        assert all(isinstance(value, float) for value in alone)
+        assert batched.tolist() == alone
+
+
 def test_make_control_problem_overrides():
     prob = problems.make_control_problem(mu=0.0075, quadrature_points=50)
     assert prob.mu == 0.0075
@@ -509,3 +537,65 @@ def test_control_diverged_agrees_with_the_recurrence(method, dt):
         if ok.any():
             err = np.abs(xs[ok] - ref[ok]) / np.maximum(1.0, np.abs(ref[ok]))
             assert np.max(err) <= PROPAGATOR_TOL
+
+
+@pytest.mark.parametrize("method", ["euler", "rk4"])
+@pytest.mark.parametrize("dt", [0.01, 1.0 / 37.0])
+@pytest.mark.parametrize("quadrature_points", [100, 50])
+def test_control_path_evaluates_the_controller_once(monkeypatch, method, dt, quadrature_points):
+    # One controller pass over the stage grid and the quadrature points it
+    # lacks gives bitwise the states and energies of a pass on each grid
+    # alone.  At dt = 1/37 the stage grid lacks most quadrature points; at
+    # dt = 0.01 it holds all of them.
+    prob = problems.make_control_problem(
+        quadrature_points=quadrature_points,
+        integrator=ode.IntegratorConfig(method=method, dt=dt, divergence_limit=1e3),
+    )
+    stage_times, h, n_steps = problems.control_stage_grid(prob)
+    lacking = np.count_nonzero(~np.isin(prob.quadrature_grid(), stage_times))
+    assert (lacking == 0) == (dt == 0.01)
+    real = problems.controller_values
+    sizes = []
+
+    def counted(theta, prob, times):
+        sizes.append(times.size)
+        return real(theta, prob, times)
+
+    rng = np.random.default_rng(quadrature_points)
+    for members in (1, 2, 22):
+        theta = nnet.mlp_init(prob.controller, rng, members)
+        if members > 1:
+            theta[-1] *= 1e3  # the last member passes the divergence limit
+        sizes.clear()
+        monkeypatch.setattr(problems, "controller_values", counted)
+        times, xs, energy, failed = problems._control_path(theta, prob)
+        out = problems.control_forward_map(theta, prob)
+        monkeypatch.setattr(problems, "controller_values", real)
+        assert sizes == [stage_times.size + lacking] * 2
+        assert np.array_equal(times, h * np.arange(n_steps + 1))
+        ref = problems.control_states(real(theta, prob, stage_times), prob, h, method)
+        assert np.array_equal(xs, ref)
+        assert np.array_equal(failed, problems.control_diverged(ref, prob.integrator))
+        assert np.array_equal(energy, problems.control_energy(theta, prob))
+        assert np.array_equal(out.g[:, 0], np.where(failed, 0.0, ref[:, -1]))
+        assert np.array_equal(out.h, np.where(failed, 0.0, np.sqrt(energy)))
+        assert not failed[0] and failed[-1] == (members > 1)
+
+
+def test_control_forward_map_past_max_steps_evaluates_nothing(monkeypatch):
+    # The step count alone decides the max_steps rule: every member fails
+    # with zeroed outputs before the controller is evaluated.
+    prob = problems.make_control_problem(
+        integrator=ode.IntegratorConfig(method="rk4", dt=1e-4, max_steps=10)
+    )
+
+    def unreachable(*args):
+        raise AssertionError("controller evaluated past max_steps")
+
+    monkeypatch.setattr(problems, "controller_values", unreachable)
+    theta = nnet.mlp_init(prob.controller, np.random.default_rng(2), 22)
+    out = problems.control_forward_map(theta, prob)
+    assert out.failed.shape == (22,) and out.failed.all()
+    assert not out.g.any() and not out.h.any()
+    times, states = problems.control_trajectory(theta[0], prob)
+    assert times.size == states.size == 10_001 and np.isnan(states).all()
