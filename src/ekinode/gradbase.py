@@ -25,8 +25,7 @@ from . import nnet, ode
 from .eki import ForwardMapOutput
 from .ode import IntegrationError
 from .problems import ControlProblem, SysIdProblem
-from .problems import control_diverged, control_final_state_gradient, control_objective
-from .problems import control_stage_grid, control_states
+from .problems import control_diverged, control_objective, control_states
 from .problems import sysid_grid, sysid_loss
 
 __all__ = [
@@ -46,10 +45,10 @@ __all__ = [
 def _act_deriv(y: np.ndarray, activation: str) -> np.ndarray:
     # Derivatives from the activation OUTPUT: tanh' = 1 - y^2; for ELU with
     # alpha = 1 the output determines the branch (y < 0 iff z < 0) and the
-    # negative branch has derivative e^z = y + 1.
+    # negative branch has derivative e^z = y + 1, so it is min(y, 0) + 1.
     if activation == "tanh":
         return 1.0 - y * y
-    return np.where(y < 0.0, y + 1.0, 1.0)
+    return np.minimum(y, 0.0) + 1.0
 
 
 class _Pullback:
@@ -180,36 +179,31 @@ def _sysid(theta: np.ndarray, prob: SysIdProblem):
 
 
 def _control(theta: np.ndarray, prob: ControlProblem, gamma: float, gamma_prime: float):
-    cfg = prob.integrator
+    cfg, plan = prob.integrator, prob.plan
+    if plan.n_steps > cfg.max_steps:
+        raise IntegrationError(f"max_steps={cfg.max_steps} exceeded", t=0.0)
     layers = nnet.unflatten(prob.controller, theta)
     act = prob.controller.activation
-    stage_times, h, n_steps = control_stage_grid(prob)
-    if n_steps > cfg.max_steps:
-        raise IntegrationError(f"max_steps={cfg.max_steps} exceeded", t=0.0)
-    quad_grid = prob.quadrature_grid()
     stage_record, quad_record = [], []
+    stage_times = plan.eval_times[:plan.stages]
     u_stage = nnet.mlp_apply(layers, stage_times[:, None], act, stage_record)[:, 0]
-    u_quad = nnet.mlp_apply(layers, quad_grid[:, None], act, quad_record)[:, 0]
-    xs = control_states(u_stage, prob, h, cfg.method)
+    u_quad = nnet.mlp_apply(layers, plan.quad[:, None], act, quad_record)[:, 0]
+    xs = control_states(u_stage, prob)
     x = float(xs[-1])
     if not np.isfinite(x) or not np.all(np.isfinite(u_quad)):
-        raise IntegrationError(f"non-finite state at unfold step {n_steps}", t=prob.t_final)
-    energy = float(np.trapezoid(u_quad * u_quad, quad_grid))
+        raise IntegrationError(f"non-finite state at unfold step {plan.n_steps}", t=prob.t_final)
+    energy = float(np.trapezoid(u_quad * u_quad, plan.quad))
     loss = float(control_objective(x, energy, prob, gamma, gamma_prime))
     grad = np.zeros(theta.size)
     acc = nnet.unflatten(prob.controller, grad)
 
     # Energy term: E = sum_i w_i u_i^2 with trapezoid weights, so
     # dL/du_i = (mu / 2 gamma') * 2 w_i u_i.
-    w = np.empty_like(quad_grid)
-    w[1:-1] = 0.5 * (quad_grid[2:] - quad_grid[:-2])
-    w[0] = 0.5 * (quad_grid[1] - quad_grid[0])
-    w[-1] = 0.5 * (quad_grid[-1] - quad_grid[-2])
-    g_quad = (prob.mu / (2.0 * gamma_prime)) * 2.0 * w * u_quad
+    g_quad = (prob.mu / (2.0 * gamma_prime)) * 2.0 * plan.quad_weights * u_quad
     _pull(layers, act, quad_record, g_quad[:, None], acc)
 
     # Terminal term: x_T is affine in the stage controls.
-    ubar = ((x - prob.x_star) / gamma) * control_final_state_gradient(prob, h, cfg.method, n_steps)
+    ubar = ((x - prob.x_star) / gamma) * plan.final_row
     _pull(layers, act, stage_record, ubar[:, None], acc)
     return loss, grad, bool(control_diverged(xs, cfg))
 

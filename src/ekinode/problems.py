@@ -5,6 +5,7 @@ data, forward maps, losses, and closed-form oracles.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -39,7 +40,6 @@ __all__ = [
     "control_energy",
     "control_diverged",
     "control_forward_map",
-    "control_final_state_gradient",
     "control_objective",
     "control_propagator",
     "control_stage_grid",
@@ -374,7 +374,7 @@ def test_mse(theta: np.ndarray, prob: SysIdProblem):
 # Energy-regularized control of scalar linear dynamics xdot = a x + b u(t)
 
 
-@dataclass
+@dataclass(frozen=True)
 class ControlProblem:
     """Steer ``xdot = a x + b u_theta(t)`` from x0 to x_star at time T with
     small control energy.
@@ -384,6 +384,9 @@ class ControlProblem:
     scales of the extended inverse problem belong to the optimizer: EKI
     takes them from ``EkiOptions.gamma``/``gamma_prime``, and
     :func:`gradbase.bptt_value_and_gradient` as arguments.
+
+    Frozen, so that :attr:`plan`, derived once from the fields, stays theirs:
+    ``dataclasses.replace`` makes a new problem with a plan of its own.
     """
 
     a: float = 1.0
@@ -404,11 +407,17 @@ class ControlProblem:
         if self.mu < 0:
             raise ValueError("mu must be nonnegative")
         if self.integrator is None:
-            self.integrator = IntegratorConfig(method="rk4", dt=self.t_final / 100.0, divergence_limit=1e3)
+            default = IntegratorConfig(method="rk4", dt=self.t_final / 100.0, divergence_limit=1e3)
+            object.__setattr__(self, "integrator", default)
         _check_fixed_step(self.integrator)
 
     def quadrature_grid(self) -> np.ndarray:
         return np.linspace(0.0, self.t_final, self.quadrature_points + 1)
+
+    @functools.cached_property
+    def plan(self) -> "_ControlPlan":
+        """The constants of this problem's control pass, built on first use."""
+        return _control_plan(self)
 
 
 def make_control_problem(mu: float = 0.001, **kwargs) -> ControlProblem:
@@ -448,10 +457,13 @@ def controller_values(theta: np.ndarray, prob: ControlProblem, times: np.ndarray
     """Evaluate u_theta on a time grid (controller input is scalar t).
 
     One network call for all times and members: shape ``(len(times),)`` for
-    a parameter vector, ``(J, len(times))`` for a member matrix.
+    a parameter vector, ``(J, len(times))`` for a member matrix.  Each weight
+    is laid out so that ``w.mT`` is C-ordered: a product over more than one
+    row is then one plain gemm per member, bitwise the strided view's
+    product and faster.
     """
     theta = np.asarray(theta, dtype=float)
-    layers = nnet.unflatten(prob.controller, theta)
+    layers = [(np.ascontiguousarray(w.mT).mT, b) for w, b in nnet.unflatten(prob.controller, theta)]
     t = np.asarray(times, dtype=float)
     x = np.broadcast_to(t[:, None], theta.shape[:-1] + (t.size, 1))
     return nnet.mlp_apply(layers, x, prob.controller.activation)[..., 0]
@@ -464,6 +476,12 @@ def control_energy(theta: np.ndarray, prob: ControlProblem):
     return np.trapezoid(u * u, grid, axis=-1)
 
 
+def _step_count(prob: ControlProblem):
+    # The step length and the number of steps of one pass over [0, T].
+    n_steps = max(1, int(np.ceil(prob.t_final / prob.integrator.dt - 1e-9)))
+    return prob.t_final / n_steps, n_steps
+
+
 def control_stage_grid(prob: ControlProblem):
     """Where one pass of the problem's integrator over [0, T] evaluates u_theta.
 
@@ -473,10 +491,8 @@ def control_stage_grid(prob: ControlProblem):
     interleaved.  The controller depends on t alone, so it is evaluated on
     this grid once, before the pass runs.
     """
-    config = prob.integrator
-    n_steps = max(1, int(np.ceil(prob.t_final / config.dt - 1e-9)))
-    h = prob.t_final / n_steps
-    if config.method == "rk4":
+    h, n_steps = _step_count(prob)
+    if prob.integrator.method == "rk4":
         stage_times = np.empty(2 * n_steps + 1)
         stage_times[0::2] = h * np.arange(n_steps + 1)
         stage_times[1::2] = h * np.arange(n_steps) + 0.5 * h
@@ -521,6 +537,8 @@ def _propagator_blocks(prob: ControlProblem, h: float, method: str, n_steps: int
     # Per product of a pass: its first step, its stage columns, and the M and
     # r of its steps, all cut from one propagator of at most PROPAGATOR_STEPS.
     M, r = control_propagator(prob, h, method, min(n_steps, PROPAGATOR_STEPS))
+    M.setflags(write=False)
+    r.setflags(write=False)
     stride = 2 if method == "rk4" else 1
     for first in range(0, n_steps, PROPAGATOR_STEPS):
         t = min(PROPAGATOR_STEPS, n_steps - first)
@@ -528,29 +546,78 @@ def _propagator_blocks(prob: ControlProblem, h: float, method: str, n_steps: int
         yield first, slice(stride * first, stride * first + width), M[:t + 1, :width], r[:t + 1]
 
 
-def control_states(u_stage: np.ndarray, prob: ControlProblem, h: float, method: str) -> np.ndarray:
+@dataclass(frozen=True)
+class _ControlPlan:
+    """The constants of one pass of a control problem's integrator, derived
+    once from the problem's fields (:attr:`ControlProblem.plan`), read-only.
+
+    Past ``max_steps`` a plan holds the step count, the step length and the
+    quadrature grid only: the pass fails on its count alone, so nothing of
+    its size is built.
+    """
+
+    n_steps: int
+    h: float
+    quad: np.ndarray  # the quadrature grid
+    stages: int = 0  # points of the stage grid
+    # Where the controller is evaluated: the stage grid, then the quadrature
+    # points it lacks; and the column of each quadrature point.
+    eval_times: np.ndarray | None = None
+    quad_cols: np.ndarray | None = None
+    quad_weights: np.ndarray | None = None  # trapezoid: E = sum_i w_i u_i^2
+    blocks: tuple = ()  # per product: first step, stage columns, M, r
+    final_row: np.ndarray | None = None  # gradient of x(T) w.r.t. u on the stage grid
+
+
+def _read_only(*arrays) -> None:
+    for a in arrays:
+        a.setflags(write=False)
+
+
+def _control_plan(prob: ControlProblem) -> _ControlPlan:
+    h, n_steps = _step_count(prob)
+    quad = prob.quadrature_grid()
+    _read_only(quad)
+    if n_steps > prob.integrator.max_steps:
+        return _ControlPlan(n_steps, h, quad)
+    stage_times, _, _ = control_stage_grid(prob)
+    stages = stage_times.size
+    col = np.minimum(np.searchsorted(stage_times, quad), stages - 1)
+    extra = stage_times[col] != quad
+    col[extra] = stages + np.arange(np.count_nonzero(extra))
+    w = np.empty_like(quad)
+    w[1:-1] = 0.5 * (quad[2:] - quad[:-2])
+    w[0] = 0.5 * (quad[1] - quad[0])
+    w[-1] = 0.5 * (quad[-1] - quad[-2])
+    blocks = tuple(_propagator_blocks(prob, h, prob.integrator.method, n_steps))
+    # x(T) is the last row of the pass's map, taken block by block from the last.
+    final_row = np.zeros(stages)
+    scale = 1.0  # R to the number of steps after the block
+    for _, cols, M, r in reversed(blocks):
+        final_row[cols] += scale * M[-1]
+        scale *= r[-1]
+    eval_times = np.concatenate([stage_times, quad[extra]])
+    _read_only(eval_times, col, w, final_row)
+    return _ControlPlan(n_steps, h, quad, stages, eval_times, col, w, blocks, final_row)
+
+
+def control_states(u_stage: np.ndarray, prob: ControlProblem) -> np.ndarray:
     """States of ``xdot = a x + b u`` at the step times, ``(..., n_steps + 1)``,
     given u on :func:`control_stage_grid` as ``(..., stages)``: one product
     with :func:`control_propagator` per :data:`PROPAGATOR_STEPS` steps, over
-    the leading (member) axes."""
+    the leading (member) axes, from the problem's plan.  A pass past
+    ``max_steps`` raises :class:`ode.IntegrationError`."""
+    plan = prob.plan
+    if plan.n_steps > prob.integrator.max_steps:
+        raise ode.IntegrationError(f"max_steps={prob.integrator.max_steps} exceeded", t=0.0)
     u = np.asarray(u_stage, dtype=float)
-    n_steps = (u.shape[-1] - 1) // 2 if method == "rk4" else u.shape[-1] - 1
-    xs = np.empty(u.shape[:-1] + (n_steps + 1,))
+    if u.shape[-1] != plan.stages:
+        raise ValueError(f"u has {u.shape[-1]} stage values, the pass reads {plan.stages}")
+    xs = np.empty(u.shape[:-1] + (plan.n_steps + 1,))
     xs[..., 0] = prob.x0
-    for first, cols, M, r in _propagator_blocks(prob, h, method, n_steps):
+    for first, cols, M, r in plan.blocks:
         xs[..., first:first + r.size] = u[..., cols] @ M.T + xs[..., first, None] * r
     return xs
-
-
-def control_final_state_gradient(prob: ControlProblem, h: float, method: str, n_steps: int):
-    """The gradient of the final state of :func:`control_states` with respect
-    to u on :func:`control_stage_grid`: the last row of the pass's map."""
-    grad = np.zeros(2 * n_steps + 1 if method == "rk4" else n_steps + 1)
-    scale = 1.0  # R to the number of steps after the block
-    for _, cols, M, r in reversed(list(_propagator_blocks(prob, h, method, n_steps))):
-        grad[cols] += scale * M[-1]
-        scale *= r[-1]
-    return grad
 
 
 def control_diverged(xs: np.ndarray, config: IntegratorConfig) -> np.ndarray:
@@ -562,34 +629,31 @@ def control_diverged(xs: np.ndarray, config: IntegratorConfig) -> np.ndarray:
 
 
 def _control_path(theta: np.ndarray, prob: ControlProblem):
-    """Step times ``(S,)``, states ``(J, S)``, energies ``(J,)`` and the
-    ``(J,)`` failed mask of every member of a ``(J, N)`` matrix under the
-    problem's integrator.  The controller is evaluated once, on the stage
-    grid followed by the quadrature points it lacks."""
-    cfg = prob.integrator
-    stage_times, h, n_steps = control_stage_grid(prob)
-    times, members = h * np.arange(n_steps + 1), theta.shape[0]
-    if n_steps > cfg.max_steps:
-        return times, np.zeros((members, n_steps + 1)), np.zeros(members), np.ones(members, bool)
-    quad, stages = prob.quadrature_grid(), stage_times.size
-    col = np.minimum(np.searchsorted(stage_times, quad), stages - 1)
-    extra = stage_times[col] != quad
-    col[extra] = stages + np.arange(np.count_nonzero(extra))
+    """States ``(J, n_steps + 1)``, energies ``(J,)`` and the ``(J,)`` failed
+    mask of every member of a ``(J, N)`` matrix under the problem's
+    integrator.  The controller is evaluated once, on the plan's grid.  Past
+    ``max_steps`` every member fails on the step count alone, and the states
+    are a zero view that allocates nothing."""
+    cfg, plan, members = prob.integrator, prob.plan, theta.shape[0]
+    if plan.n_steps > cfg.max_steps:
+        states = np.broadcast_to(0.0, (members, plan.n_steps + 1))
+        return states, np.zeros(members), np.ones(members, bool)
     with np.errstate(over="ignore", invalid="ignore"):
-        u = controller_values(theta, prob, np.concatenate([stage_times, quad[extra]]))
+        u = controller_values(theta, prob, plan.eval_times)
         # A column gather is an F-ordered copy, which takes other BLAS and
         # reduction paths: slice the stages, reduce a C-ordered quadrature copy.
-        u_quad = np.ascontiguousarray(u[:, col])
-        energy = np.trapezoid(u_quad * u_quad, quad, axis=-1)
-        xs = control_states(u[:, :stages], prob, h, cfg.method)
+        u_quad = np.ascontiguousarray(u[:, plan.quad_cols])
+        energy = np.trapezoid(u_quad * u_quad, plan.quad, axis=-1)
+        xs = control_states(u[:, :plan.stages], prob)
         failed = control_diverged(xs, cfg)
-    return times, xs, energy, failed
+    return xs, energy, failed
 
 
 def control_trajectory(theta: np.ndarray, prob: ControlProblem):
     """Step times and states of x under one parameter vector's controller;
     the states are NaN if the integration diverged."""
-    times, xs, _, failed = _control_path(np.asarray(theta, dtype=float)[None], prob)
+    xs, _, failed = _control_path(np.asarray(theta, dtype=float)[None], prob)
+    times = prob.plan.h * np.arange(prob.plan.n_steps + 1)
     return times, np.where(failed[0], np.nan, xs[0])
 
 
@@ -601,7 +665,7 @@ def control_forward_map(theta: np.ndarray, prob: ControlProblem) -> ForwardMapOu
     Failed members get zero outputs.
     """
     theta = np.asarray(theta, dtype=float)
-    _, xs, energy, failed = _control_path(np.atleast_2d(theta), prob)
+    xs, energy, failed = _control_path(np.atleast_2d(theta), prob)
     lead = theta.shape[:-1]
     g = np.where(failed, 0.0, xs[:, -1]).reshape(lead + (1,))
     h = np.where(failed, 0.0, np.sqrt(energy)).reshape(lead)
@@ -617,7 +681,7 @@ def control_mse(theta: np.ndarray, prob: ControlProblem, times: np.ndarray | Non
     bitwise the one its row gets alone.
     """
     if times is None:
-        times = prob.quadrature_grid()
+        times = prob.plan.quad
     u = controller_values(theta, prob, times)
     u_star = optimal_control(times, prob.a, prob.b, prob.x0, prob.x_star, prob.t_final)
     err = np.mean((u - u_star) ** 2, axis=-1)

@@ -502,7 +502,7 @@ def test_control_states_match_the_recurrence(method, dt):
             prob, stages, h, n_steps = _control_case(method, dt, a, x0)
             for shape in ((stages,), (1, stages), (22, stages)):
                 u = rng.normal(size=shape)
-                xs = problems.control_states(u, prob, h, method)
+                xs = problems.control_states(u, prob)
                 ref = loop_control_states(u, prob, h, method)
                 assert xs.shape == ref.shape == u.shape[:-1] + (n_steps + 1,)
                 err = np.abs(xs - ref) / np.maximum(1.0, np.abs(ref))
@@ -525,7 +525,7 @@ def test_control_diverged_agrees_with_the_recurrence(method, dt):
         if method == "euler":
             u[20:, -1] = np.nan  # an euler pass never reads the final control
         with np.errstate(over="ignore", invalid="ignore"):
-            xs = problems.control_states(u, prob, h, method)
+            xs = problems.control_states(u, prob)
             ref = loop_control_states(u, prob, h, method)
             failed = problems.control_diverged(xs, prob.integrator)
             assert np.array_equal(failed, problems.control_diverged(ref, prob.integrator)), a
@@ -568,12 +568,13 @@ def test_control_path_evaluates_the_controller_once(monkeypatch, method, dt, qua
             theta[-1] *= 1e3  # the last member passes the divergence limit
         sizes.clear()
         monkeypatch.setattr(problems, "controller_values", counted)
-        times, xs, energy, failed = problems._control_path(theta, prob)
+        xs, energy, failed = problems._control_path(theta, prob)
         out = problems.control_forward_map(theta, prob)
         monkeypatch.setattr(problems, "controller_values", real)
         assert sizes == [stage_times.size + lacking] * 2
+        times, _ = problems.control_trajectory(theta[0], prob)
         assert np.array_equal(times, h * np.arange(n_steps + 1))
-        ref = problems.control_states(real(theta, prob, stage_times), prob, h, method)
+        ref = problems.control_states(real(theta, prob, stage_times), prob)
         assert np.array_equal(xs, ref)
         assert np.array_equal(failed, problems.control_diverged(ref, prob.integrator))
         assert np.array_equal(energy, problems.control_energy(theta, prob))
@@ -599,3 +600,109 @@ def test_control_forward_map_past_max_steps_evaluates_nothing(monkeypatch):
     assert not out.g.any() and not out.h.any()
     times, states = problems.control_trajectory(theta[0], prob)
     assert times.size == states.size == 10_001 and np.isnan(states).all()
+
+
+# ---------------------------------------------------------------------------
+# The per-problem evaluation plan
+
+
+def _control_values(prob, theta):
+    # Everything a run reads off a control problem, for one parameter matrix.
+    from ekinode import gradbase
+
+    out = problems.control_forward_map(theta, prob)
+    try:
+        bptt = [gradbase.bptt_value_and_gradient(row, prob, 0.3, 0.01) for row in theta[:2]]
+    except ode.IntegrationError as exc:
+        bptt = str(exc)
+    return out, bptt, problems.control_mse(theta, prob)
+
+
+@pytest.mark.parametrize(
+    "change",
+    [
+        {"integrator": ode.IntegratorConfig(method="euler", dt=0.01, divergence_limit=1e3)},
+        {"integrator": ode.IntegratorConfig(method="rk4", dt=1.0 / 37.0, divergence_limit=1e3)},
+        {"integrator": ode.IntegratorConfig(method="rk4", dt=0.003, divergence_limit=1e3)},
+        {"integrator": ode.IntegratorConfig(method="rk4", dt=0.01, max_steps=10)},
+        {"a": -0.5},
+        {"quadrature_points": 37},
+    ],
+    ids=["method", "dt", "dt-blocks", "max-steps", "a", "quadrature-points"],
+)
+def test_replaced_problem_gets_its_own_plan(change):
+    # A problem copied with dataclasses.replace evaluates bitwise as one
+    # built with those fields, after the original's plan was built and used.
+    base = problems.make_control_problem()
+    theta = nnet.mlp_init(base.controller, np.random.default_rng(4), 5)
+    _control_values(base, theta)
+    copied, fresh = replace(base, **change), problems.make_control_problem(**change)
+    assert copied.plan is not base.plan
+    out_c, bptt_c, mse_c = _control_values(copied, theta)
+    out_f, bptt_f, mse_f = _control_values(fresh, theta)
+    assert np.array_equal(out_c.g, out_f.g) and np.array_equal(out_c.h, out_f.h)
+    assert np.array_equal(out_c.failed, out_f.failed)
+    assert np.array_equal(mse_c, mse_f)
+    if isinstance(bptt_f, str):  # past max_steps: every member fails, BPTT raises
+        assert bptt_c == bptt_f and "max_steps" in bptt_f and out_f.failed.all()
+        return
+    for (loss_c, grad_c, failed_c), (loss_f, grad_f, failed_f) in zip(bptt_c, bptt_f):
+        assert loss_c == loss_f and failed_c == failed_f and np.array_equal(grad_c, grad_f)
+
+
+def test_builds_of_one_config_share_no_plan():
+    from ekinode import runner
+
+    config = runner.preset("control-eki-mu0.001")
+    first, second = runner.build_problem(config), runner.build_problem(config)
+    assert first.plan is not second.plan
+    for a, b in zip((first.plan.eval_times, first.plan.final_row, first.plan.blocks[0][2]),
+                    (second.plan.eval_times, second.plan.final_row, second.plan.blocks[0][2])):
+        assert not np.shares_memory(a, b)
+    with pytest.raises(ValueError, match="read-only"):
+        first.plan.final_row[0] = 1.0
+
+
+def test_a_control_run_builds_the_propagator_once(tmp_path, monkeypatch):
+    # control-eki@4 makes 6 forward maps and two error passes; the problem's
+    # plan builds the propagator on the first and every later one reads it.
+    from ekinode import runner
+
+    real, calls = problems.control_propagator, []
+
+    def counted(*args):
+        calls.append(args[1:])
+        return real(*args)
+
+    monkeypatch.setattr(problems, "control_propagator", counted)
+    config = replace(runner.preset("control-eki-mu0.001"), epochs=4)
+    report = runner.run(config, out_dir=str(tmp_path))
+    assert report.error is None and len(calls) == 1
+
+
+def test_control_pass_past_max_steps_allocates_nothing_of_its_size():
+    # 10^6 steps against max_steps = 10: the forward map fails every member
+    # and the BPTT pass raises, each within a traced peak of 1 MB, plan
+    # build included (the stage grid alone would be 16 MB).
+    import tracemalloc
+
+    from ekinode import gradbase
+
+    integrator = ode.IntegratorConfig(method="rk4", dt=1e-6, max_steps=10)
+    theta = nnet.mlp_init(problems.make_control_problem().controller, np.random.default_rng(1), 22)
+    for run in ("map", "bptt"):
+        prob = problems.make_control_problem(integrator=integrator)
+        tracemalloc.start()
+        try:
+            if run == "map":
+                out = problems.control_forward_map(theta, prob)
+            else:
+                with pytest.raises(ode.IntegrationError, match="max_steps"):
+                    gradbase.bptt_value_and_gradient(theta[0], prob)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert prob.plan.n_steps >= 10**6
+        assert peak < 2**20, (run, peak)
+    assert out.failed.shape == (22,) and out.failed.all()
+    assert not out.g.any() and not out.h.any()
