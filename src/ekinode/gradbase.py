@@ -6,10 +6,12 @@ with the forward map's starts, sample times and one-member stacked layers,
 recording every network evaluation through :func:`ekinode.nnet.mlp_apply`,
 and its loss is :func:`ekinode.problems.sysid_loss`; the reverse sweep steps
 back through the same steps with :func:`_step_reverse`.  The control forward
-pass evaluates the controller on the forward map's stage and quadrature
-grids and runs :func:`ekinode.problems.control_states`, which applies the
-problem's linear propagator; the terminal state's gradient with respect to
-the stage controls is that map's last row.  The gradient is therefore exact
+pass evaluates and records the controller once, on the forward map's grid
+(the stage grid, then the quadrature points it lacks), and runs
+:func:`ekinode.problems.control_states`, which applies the problem's linear
+propagator; the terminal state's gradient with respect to the stage controls
+is that map's last row, the energy's is added on the quadrature columns, and
+one pullback carries both back.  The gradient is therefore exact
 for the discrete losses the problems module reports: the training MSE for
 system identification and the terminal-miss-plus-energy loss for control.
 Both unfold the problem's own fixed-step (euler or rk4) integrator.
@@ -114,13 +116,6 @@ def _step_reverse(gx, h, method, net, c):
     return xbar + gin
 
 
-def _pull(layers, act, record, gout, acc) -> None:
-    # One recorded call: its own sweep and its own accumulate step.
-    net = _Pullback(layers, act, [record])
-    net.vjp(0, gout)
-    net.accumulate(acc)
-
-
 # ---------------------------------------------------------------------------
 # System identification: MSE through the unfolded trajectory
 
@@ -179,32 +174,33 @@ def _sysid(theta: np.ndarray, prob: SysIdProblem):
 
 
 def _control(theta: np.ndarray, prob: ControlProblem, gamma: float, gamma_prime: float):
+    # One record on the forward map's evaluation grid: the stage grid, then
+    # the quadrature points it lacks.
     cfg, plan = prob.integrator, prob.plan
     if plan.n_steps > cfg.max_steps:
         raise IntegrationError(f"max_steps={cfg.max_steps} exceeded", t=0.0)
     layers = nnet.unflatten(prob.controller, theta)
     act = prob.controller.activation
-    stage_record, quad_record = [], []
-    stage_times = plan.eval_times[:plan.stages]
-    u_stage = nnet.mlp_apply(layers, stage_times[:, None], act, stage_record)[:, 0]
-    u_quad = nnet.mlp_apply(layers, plan.quad[:, None], act, quad_record)[:, 0]
-    xs = control_states(u_stage, prob)
+    record = []
+    u = nnet.mlp_apply(layers, plan.eval_times[:, None], act, record)[:, 0]
+    u_quad = u[plan.quad_cols]
+    xs = control_states(u[:plan.stages], prob)
     x = float(xs[-1])
     if not np.isfinite(x) or not np.all(np.isfinite(u_quad)):
         raise IntegrationError(f"non-finite state at unfold step {plan.n_steps}", t=prob.t_final)
     energy = float(np.trapezoid(u_quad * u_quad, plan.quad))
     loss = float(control_objective(x, energy, prob, gamma, gamma_prime))
+
+    # Terminal term: x_T is affine in the stage controls.  Energy term:
+    # E = sum_i w_i u_i^2 with trapezoid weights, so dL/du_i =
+    # (mu / 2 gamma') * 2 w_i u_i, added on the quadrature columns.
+    gu = np.zeros(u.size)
+    gu[:plan.stages] = ((x - prob.x_star) / gamma) * plan.final_row
+    gu[plan.quad_cols] += (prob.mu / (2.0 * gamma_prime)) * 2.0 * plan.quad_weights * u_quad
+    net = _Pullback(layers, act, [record])
+    net.vjp(0, gu[:, None])
     grad = np.zeros(theta.size)
-    acc = nnet.unflatten(prob.controller, grad)
-
-    # Energy term: E = sum_i w_i u_i^2 with trapezoid weights, so
-    # dL/du_i = (mu / 2 gamma') * 2 w_i u_i.
-    g_quad = (prob.mu / (2.0 * gamma_prime)) * 2.0 * plan.quad_weights * u_quad
-    _pull(layers, act, quad_record, g_quad[:, None], acc)
-
-    # Terminal term: x_T is affine in the stage controls.
-    ubar = ((x - prob.x_star) / gamma) * plan.final_row
-    _pull(layers, act, stage_record, ubar[:, None], acc)
+    net.accumulate(nnet.unflatten(prob.controller, grad))
     return loss, grad, bool(control_diverged(xs, cfg))
 
 

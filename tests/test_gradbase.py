@@ -128,6 +128,67 @@ def loop_step_reverse(gx, h, method, vjp):
     return xbar + gin
 
 
+def pull(layers, act, record, gout, acc):
+    # One recorded call: its own sweep and its own accumulate step.
+    net = gradbase._Pullback(layers, act, [record])
+    net.vjp(0, gout)
+    net.accumulate(acc)
+
+
+def two_record_control_gradient(theta, prob, gamma, gamma_prime):
+    """Reference for the control BPTT pass: the controller recorded on the
+    stage grid and on the quadrature grid separately, each record pulled
+    back on its own; returns the loss and the gradient."""
+    cfg = prob.integrator
+    layers = nnet.unflatten(prob.controller, theta)
+    act = prob.controller.activation
+    stage_times, h, n_steps = problems.control_stage_grid(prob)
+    quad_grid = prob.quadrature_grid()
+    stage_record, quad_record = [], []
+    u_stage = nnet.mlp_apply(layers, stage_times[:, None], act, stage_record)[:, 0]
+    u_quad = nnet.mlp_apply(layers, quad_grid[:, None], act, quad_record)[:, 0]
+    x = float(problems.control_states(u_stage, prob)[-1])
+    energy = float(np.trapezoid(u_quad * u_quad, quad_grid))
+    loss = float(problems.control_objective(x, energy, prob, gamma, gamma_prime))
+    grad = np.zeros(theta.size)
+    acc = nnet.unflatten(prob.controller, grad)
+    w = np.empty_like(quad_grid)
+    w[1:-1] = 0.5 * (quad_grid[2:] - quad_grid[:-2])
+    w[0] = 0.5 * (quad_grid[1] - quad_grid[0])
+    w[-1] = 0.5 * (quad_grid[-1] - quad_grid[-2])
+    g_quad = (prob.mu / (2.0 * gamma_prime)) * 2.0 * w * u_quad
+    pull(layers, act, quad_record, g_quad[:, None], acc)
+    ubar = ((x - prob.x_star) / gamma) * prob.plan.final_row
+    pull(layers, act, stage_record, ubar[:, None], acc)
+    return loss, grad
+
+
+# The merged record adds the energy and terminal gradients on the shared
+# columns before one pullback, where the reference pulls each back and adds
+# the parameter gradients: the same terms in another order.
+MERGED_RECORD_TOL = 1e-12
+
+
+@pytest.mark.parametrize("method", ["euler", "rk4"])
+@pytest.mark.parametrize("dt, quadrature_points", [(0.01, 100), (1.0 / 37.0, 100), (0.003, 50)])
+def test_merged_control_record_matches_two_records(method, dt, quadrature_points):
+    # At dt = 0.01 the stage grid holds every quadrature point; at 1/37 it
+    # lacks most of them; 0.003 takes 334 steps, more than one block.
+    for a, mu, (gamma, gamma_prime) in ((1.0, 0.001, (1.0, 1.0)), (0.5, 0.01, (0.3, 0.01)),
+                                        (-2.0, 0.0075, (0.15, 0.01))):
+        prob = problems.make_control_problem(
+            mu, a=a, quadrature_points=quadrature_points,
+            integrator=ode.IntegratorConfig(method=method, dt=dt, divergence_limit=1e3),
+        )
+        for s in (0, 1, 2):
+            theta = (1.0 + s) * nnet.mlp_init(prob.controller, np.random.default_rng(40 + s))
+            loss, grad, _ = gradbase.bptt_value_and_gradient(theta, prob, gamma, gamma_prime)
+            ref_loss, ref = two_record_control_gradient(theta, prob, gamma, gamma_prime)
+            assert loss == ref_loss, (a, s)
+            err = np.max(np.abs(grad - ref)) / np.max(np.abs(ref))
+            assert err <= MERGED_RECORD_TOL, (a, s, err)
+
+
 def loop_control_gradient(theta, prob, gamma, gamma_prime):
     """Reference for the control BPTT gradient: the terminal term pulled back
     step by step through the scalar recurrence, as a field ``a x + b u``
@@ -149,7 +210,7 @@ def loop_control_gradient(theta, prob, gamma, gamma_prime):
     w[0] = 0.5 * (quad_grid[1] - quad_grid[0])
     w[-1] = 0.5 * (quad_grid[-1] - quad_grid[-2])
     g_quad = (prob.mu / (2.0 * gamma_prime)) * 2.0 * w * u_quad
-    gradbase._pull(layers, act, quad_record, g_quad[:, None], acc)
+    pull(layers, act, quad_record, g_quad[:, None], acc)
     a, b = prob.a, prob.b
     ubar = np.zeros(stage_times.size)
     stride = 2 if cfg.method == "rk4" else 1
@@ -162,7 +223,7 @@ def loop_control_gradient(theta, prob, gamma, gamma_prime):
     for k in reversed(range(n_steps)):
         stage = stride * k
         gx = loop_step_reverse(gx, h, cfg.method, vjp)
-    gradbase._pull(layers, act, stage_record, ubar[:, None], acc)
+    pull(layers, act, stage_record, ubar[:, None], acc)
     return grad
 
 
