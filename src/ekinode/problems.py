@@ -415,7 +415,7 @@ class ControlProblem:
         return np.linspace(0.0, self.t_final, self.quadrature_points + 1)
 
     @functools.cached_property
-    def plan(self) -> "_ControlPlan":
+    def plan(self) -> _ControlPlan:
         """The constants of this problem's control pass, built on first use."""
         return _control_plan(self)
 

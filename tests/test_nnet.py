@@ -247,21 +247,3 @@ def test_branch_free_elu_derivative_matches_the_masked_form():
     assert nan.any() and np.isnan(got[nan]).all() and (ref[nan] == 1.0).all()
     assert np.array_equal(got[~nan].view(np.int64), ref[~nan].view(np.int64))
 
-
-@pytest.mark.parametrize("members", [1, 2, 5, 22])
-@pytest.mark.parametrize("points", [101, 201, 401])
-def test_c_ordered_controller_weights_match_the_strided_product(members, points):
-    # Every layer of the controller, on the controller's own inputs: the
-    # product with a C-ordered w.mT is bitwise the strided view's product.
-    rng = np.random.default_rng(members * points)
-    theta = nnet.mlp_init(CONTROL_SPEC, rng, members) * 3.0
-    t = np.linspace(0.0, 1.0, points)
-    for stacked in (theta, theta[0]) if members == 1 else (theta,):
-        h = np.broadcast_to(t[:, None], stacked.shape[:-1] + (points, 1))
-        layers = nnet.unflatten(CONTROL_SPEC, stacked)
-        for i, (w, b) in enumerate(layers):
-            ordered = np.ascontiguousarray(w.mT).mT
-            assert ordered.mT.flags.c_contiguous and np.array_equal(ordered, w)
-            z = h @ w.mT + b
-            assert np.array_equal(z.view(np.int64), (h @ ordered.mT + b).view(np.int64)), i
-            h = z if i == len(layers) - 1 else nnet._activate(z, "elu")

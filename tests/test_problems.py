@@ -602,6 +602,31 @@ def test_control_forward_map_past_max_steps_evaluates_nothing(monkeypatch):
     assert times.size == states.size == 10_001 and np.isnan(states).all()
 
 
+@pytest.mark.parametrize("members", [1, 2, 5, 22])
+@pytest.mark.parametrize("points", [101, 201, 401])
+def test_c_ordered_controller_weights_match_the_strided_product(members, points):
+    # Every layer of the controller, on the controller's own inputs: the
+    # product with a C-ordered w.mT is bitwise the strided view's product,
+    # and so are controller_values' outputs.
+    prob = problems.make_control_problem()
+    spec = prob.controller
+    rng = np.random.default_rng(members * points)
+    theta = nnet.mlp_init(spec, rng, members) * 3.0
+    t = np.linspace(0.0, 1.0, points)
+    for stacked in (theta, theta[0]) if members == 1 else (theta,):
+        h = np.broadcast_to(t[:, None], stacked.shape[:-1] + (points, 1))
+        layers = nnet.unflatten(spec, stacked)
+        strided = nnet.mlp_apply(layers, h, spec.activation)[..., 0]
+        got = problems.controller_values(stacked, prob, t)
+        assert np.array_equal(got.view(np.int64), strided.view(np.int64))
+        for i, (w, b) in enumerate(layers):
+            ordered = np.ascontiguousarray(w.mT).mT
+            assert ordered.mT.flags.c_contiguous and np.array_equal(ordered, w)
+            z = h @ w.mT + b
+            assert np.array_equal(z.view(np.int64), (h @ ordered.mT + b).view(np.int64)), i
+            h = z if i == len(layers) - 1 else nnet._activate(z, "elu")
+
+
 # ---------------------------------------------------------------------------
 # The per-problem evaluation plan
 
