@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, seed, settings, strategies as st
 
-from ekinode import nnet
+from ekinode import gradbase, nnet
 
 ATOL = 1e-12
 
@@ -238,8 +238,6 @@ def test_branch_free_elu_derivative_matches_the_masked_form():
     # Bitwise on every ELU output, -0.0 included; a NaN output gives NaN
     # where the masked form gave 1.0, but a NaN activation fails the pass
     # (IntegrationError) before any pullback reads a derivative.
-    from ekinode import gradbase
-
     with np.errstate(over="ignore", invalid="ignore"):
         y = np.concatenate([where_elu(adversarial_inputs()), [-0.0]])
     got, ref = gradbase._act_deriv(y, "elu"), where_elu_deriv(y)

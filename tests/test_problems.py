@@ -4,13 +4,14 @@ losses, and the analytic control oracles."""
 import os
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, seed, settings, strategies as st
 
-from ekinode import eki, nnet, ode, problems
+from ekinode import eki, gradbase, nnet, ode, problems, runner
 
 ORACLE_TOL = 1e-12
 
@@ -633,8 +634,6 @@ def test_c_ordered_controller_weights_match_the_strided_product(members, points)
 
 def _control_values(prob, theta):
     # Everything a run reads off a control problem, for one parameter matrix.
-    from ekinode import gradbase
-
     out = problems.control_forward_map(theta, prob)
     try:
         bptt = [gradbase.bptt_value_and_gradient(row, prob, 0.3, 0.01) for row in theta[:2]]
@@ -676,8 +675,6 @@ def test_replaced_problem_gets_its_own_plan(change):
 
 
 def test_builds_of_one_config_share_no_plan():
-    from ekinode import runner
-
     config = runner.preset("control-eki-mu0.001")
     first, second = runner.build_problem(config), runner.build_problem(config)
     assert first.plan is not second.plan
@@ -691,8 +688,6 @@ def test_builds_of_one_config_share_no_plan():
 def test_a_control_run_builds_the_propagator_once(tmp_path, monkeypatch):
     # control-eki@4 makes 6 forward maps and two error passes; the problem's
     # plan builds the propagator on the first and every later one reads it.
-    from ekinode import runner
-
     real, calls = problems.control_propagator, []
 
     def counted(*args):
@@ -709,10 +704,6 @@ def test_control_pass_past_max_steps_allocates_nothing_of_its_size():
     # 10^6 steps against max_steps = 10: the forward map fails every member
     # and the BPTT pass raises, each within a traced peak of 1 MB, plan
     # build included (the stage grid alone would be 16 MB).
-    import tracemalloc
-
-    from ekinode import gradbase
-
     integrator = ode.IntegratorConfig(method="rk4", dt=1e-6, max_steps=10)
     theta = nnet.mlp_init(problems.make_control_problem().controller, np.random.default_rng(1), 22)
     for run in ("map", "bptt"):
