@@ -47,10 +47,10 @@ __all__ = [
 def _act_deriv(y: np.ndarray, activation: str) -> np.ndarray:
     # Derivatives from the activation OUTPUT: tanh' = 1 - y^2; for ELU with
     # alpha = 1 the output determines the branch (y < 0 iff z < 0) and the
-    # negative branch has derivative e^z = y + 1, so it is min(y, 0) + 1.
+    # negative branch has derivative e^z = y + 1.
     if activation == "tanh":
         return 1.0 - y * y
-    return np.minimum(y, 0.0) + 1.0
+    return np.where(y < 0.0, y + 1.0, 1.0)
 
 
 class _Pullback:
@@ -177,7 +177,7 @@ def _control(theta: np.ndarray, prob: ControlProblem, gamma: float, gamma_prime:
     # One record on the forward map's evaluation grid: the stage grid, then
     # the quadrature points it lacks.
     cfg, plan = prob.integrator, prob.plan
-    if plan.n_steps > cfg.max_steps:
+    if plan.exceeded:
         raise IntegrationError(f"max_steps={cfg.max_steps} exceeded", t=0.0)
     layers = nnet.unflatten(prob.controller, theta)
     act = prob.controller.activation

@@ -131,10 +131,9 @@ def mlp_init(spec: MlpSpec, rng: np.random.Generator, count: int | None = None) 
 def _activate(z: np.ndarray, activation: str) -> np.ndarray:
     if activation == "tanh":
         return np.tanh(z)
-    # ELU with alpha = 1: z for z >= 0, exp(z) - 1 below.  Since
-    # exp(z) - 1 > z for z < 0, the maximum picks the branch without a
-    # masked pass; clamping the expm1 argument keeps it 0 for z >= 0.
-    return np.maximum(z, np.expm1(np.minimum(z, 0.0)))
+    # ELU with alpha = 1: z for z >= 0, exp(z) - 1 below.  Clamp the expm1
+    # argument so the discarded branch cannot overflow for large positive z.
+    return np.where(z >= 0.0, z, np.expm1(np.minimum(z, 0.0)))
 
 
 def mlp_apply(

@@ -457,13 +457,10 @@ def controller_values(theta: np.ndarray, prob: ControlProblem, times: np.ndarray
     """Evaluate u_theta on a time grid (controller input is scalar t).
 
     One network call for all times and members: shape ``(len(times),)`` for
-    a parameter vector, ``(J, len(times))`` for a member matrix.  Each weight
-    is laid out so that ``w.mT`` is C-ordered: a product over more than one
-    row is then one plain gemm per member, bitwise the strided view's
-    product and faster.
+    a parameter vector, ``(J, len(times))`` for a member matrix.
     """
     theta = np.asarray(theta, dtype=float)
-    layers = [(np.ascontiguousarray(w.mT).mT, b) for w, b in nnet.unflatten(prob.controller, theta)]
+    layers = nnet.unflatten(prob.controller, theta)
     t = np.asarray(times, dtype=float)
     x = np.broadcast_to(t[:, None], theta.shape[:-1] + (t.size, 1))
     return nnet.mlp_apply(layers, x, prob.controller.activation)[..., 0]
@@ -551,14 +548,16 @@ class _ControlPlan:
     """The constants of one pass of a control problem's integrator, derived
     once from the problem's fields (:attr:`ControlProblem.plan`), read-only.
 
-    Past ``max_steps`` a plan holds the step count, the step length and the
-    quadrature grid only: the pass fails on its count alone, so nothing of
-    its size is built.
+    Whether the pass exceeds ``max_steps`` is decided here, once, from the
+    step count: such a plan is ``exceeded`` and holds the step count, the
+    step length and the quadrature grid only, so nothing of its size is
+    built.  Every reader tests ``exceeded`` before the other fields.
     """
 
     n_steps: int
     h: float
     quad: np.ndarray  # the quadrature grid
+    exceeded: bool  # n_steps > max_steps: the pass fails on its count alone
     stages: int = 0  # points of the stage grid
     # Where the controller is evaluated: the stage grid, then the quadrature
     # points it lacks; and the column of each quadrature point.
@@ -579,7 +578,7 @@ def _control_plan(prob: ControlProblem) -> _ControlPlan:
     quad = prob.quadrature_grid()
     _read_only(quad)
     if n_steps > prob.integrator.max_steps:
-        return _ControlPlan(n_steps, h, quad)
+        return _ControlPlan(n_steps, h, quad, True)
     stage_times, _, _ = control_stage_grid(prob)
     stages = stage_times.size
     col = np.minimum(np.searchsorted(stage_times, quad), stages - 1)
@@ -598,7 +597,7 @@ def _control_plan(prob: ControlProblem) -> _ControlPlan:
         scale *= r[-1]
     eval_times = np.concatenate([stage_times, quad[extra]])
     _read_only(eval_times, col, w, final_row)
-    return _ControlPlan(n_steps, h, quad, stages, eval_times, col, w, blocks, final_row)
+    return _ControlPlan(n_steps, h, quad, False, stages, eval_times, col, w, blocks, final_row)
 
 
 def control_states(u_stage: np.ndarray, prob: ControlProblem) -> np.ndarray:
@@ -608,7 +607,7 @@ def control_states(u_stage: np.ndarray, prob: ControlProblem) -> np.ndarray:
     the leading (member) axes, from the problem's plan.  A pass past
     ``max_steps`` raises :class:`ode.IntegrationError`."""
     plan = prob.plan
-    if plan.n_steps > prob.integrator.max_steps:
+    if plan.exceeded:
         raise ode.IntegrationError(f"max_steps={prob.integrator.max_steps} exceeded", t=0.0)
     u = np.asarray(u_stage, dtype=float)
     if u.shape[-1] != plan.stages:
@@ -635,7 +634,7 @@ def _control_path(theta: np.ndarray, prob: ControlProblem):
     ``max_steps`` every member fails on the step count alone, and the states
     are a zero view that allocates nothing."""
     cfg, plan, members = prob.integrator, prob.plan, theta.shape[0]
-    if plan.n_steps > cfg.max_steps:
+    if plan.exceeded:
         states = np.broadcast_to(0.0, (members, plan.n_steps + 1))
         return states, np.zeros(members), np.ones(members, bool)
     with np.errstate(over="ignore", invalid="ignore"):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, seed, settings, strategies as st
 
-from ekinode import gradbase, nnet
+from ekinode import nnet
 
 ATOL = 1e-12
 
@@ -177,71 +177,3 @@ def test_init_count_is_that_many_calls(spec, count):
     assert batched_rng.bit_generator.state == single_rng.bit_generator.state
     assert batched_rng.bit_generator.state == layer_rng.bit_generator.state
     assert nnet.mlp_init(spec, np.random.default_rng(9)).shape == (nnet.param_count(spec),)
-
-
-# ---------------------------------------------------------------------------
-# The branch-free ELU kernels against the masked forms they replaced
-
-
-def where_elu(z):
-    """Reference for ``nnet._activate(z, "elu")``: the masked form."""
-    return np.where(z >= 0.0, z, np.expm1(np.minimum(z, 0.0)))
-
-
-def where_elu_deriv(y):
-    """Reference for ``gradbase._act_deriv(y, "elu")``: the masked form."""
-    return np.where(y < 0.0, y + 1.0, 1.0)
-
-
-def adversarial_inputs():
-    tiny = np.finfo(float).tiny
-    special = [0.0, 5e-324, -5e-324, 1e-310, -1e-310, tiny, -tiny, 1e-300, -1e-300,
-               1e-17, -1e-17, 1e-8, -1e-8, 0.5, -0.5, 1.0, -1.0, -36.0, -37.5, -40.0,
-               -744.0, -745.0, -745.2, -746.0, -1e300, 709.0, 709.8, 710.0, 1e300,
-               np.inf, -np.inf, np.nan, -np.nan]
-    rng = np.random.default_rng(7)
-    near = np.concatenate([np.nextafter(np.array(special[:-2]), np.inf),
-                           np.nextafter(np.array(special[:-2]), -np.inf)])
-    with np.errstate(over="ignore", under="ignore"):
-        spread = rng.normal(size=400) * 10.0 ** rng.integers(-320, 309, size=400)
-    z = np.concatenate([special, near, spread, -spread])
-    return z[(z != 0.0) | ~np.signbit(z)]  # -0.0 is the one deviation, tested on its own
-
-
-def test_branch_free_elu_matches_the_masked_form_bitwise():
-    # Same bits everywhere, NaN sign and payload included, except z = -0.0,
-    # which the maximum maps to +0.0 where the masked form keeps -0.0.
-    z = adversarial_inputs()
-    with np.errstate(over="ignore", invalid="ignore"):
-        got, ref = nnet._activate(z, "elu"), where_elu(z)
-    assert np.array_equal(got.view(np.int64), ref.view(np.int64))
-    neg_zero = np.array([-0.0, 0.0])
-    got = nnet._activate(neg_zero, "elu")
-    assert got.tolist() == [0.0, 0.0] and not np.signbit(got).any()
-    assert np.signbit(where_elu(neg_zero)).tolist() == [True, False]
-
-
-def test_neg_zero_elu_output_leaves_the_next_layer_unchanged():
-    # The one deviation, +0.0 for -0.0, feeds the next affine layer as a
-    # zero either way: that layer's output is bitwise the same.
-    rng = np.random.default_rng(3)
-    h = rng.normal(size=(22, 201, 5))
-    h[:, ::7, 2] = -0.0
-    h[3] = -0.0
-    w, b = rng.normal(size=(22, 5, 5)), rng.normal(size=(22, 1, 5))
-    plus = np.where(h == 0.0, 0.0, h)
-    assert np.signbit(h[3]).all() and not np.signbit(plus[3]).any()
-    assert np.array_equal((h @ w.mT + b).view(np.int64), (plus @ w.mT + b).view(np.int64))
-
-
-def test_branch_free_elu_derivative_matches_the_masked_form():
-    # Bitwise on every ELU output, -0.0 included; a NaN output gives NaN
-    # where the masked form gave 1.0, but a NaN activation fails the pass
-    # (IntegrationError) before any pullback reads a derivative.
-    with np.errstate(over="ignore", invalid="ignore"):
-        y = np.concatenate([where_elu(adversarial_inputs()), [-0.0]])
-    got, ref = gradbase._act_deriv(y, "elu"), where_elu_deriv(y)
-    nan = np.isnan(y)
-    assert nan.any() and np.isnan(got[nan]).all() and (ref[nan] == 1.0).all()
-    assert np.array_equal(got[~nan].view(np.int64), ref[~nan].view(np.int64))
-

@@ -601,31 +601,27 @@ def test_control_forward_map_past_max_steps_evaluates_nothing(monkeypatch):
     assert not out.g.any() and not out.h.any()
     times, states = problems.control_trajectory(theta[0], prob)
     assert times.size == states.size == 10_001 and np.isnan(states).all()
+    with pytest.raises(ode.IntegrationError, match="max_steps"):
+        problems.control_states(np.zeros(20_001), prob)
 
 
-@pytest.mark.parametrize("members", [1, 2, 5, 22])
-@pytest.mark.parametrize("points", [101, 201, 401])
-def test_c_ordered_controller_weights_match_the_strided_product(members, points):
-    # Every layer of the controller, on the controller's own inputs: the
-    # product with a C-ordered w.mT is bitwise the strided view's product,
-    # and so are controller_values' outputs.
-    prob = problems.make_control_problem()
-    spec = prob.controller
-    rng = np.random.default_rng(members * points)
-    theta = nnet.mlp_init(spec, rng, members) * 3.0
-    t = np.linspace(0.0, 1.0, points)
-    for stacked in (theta, theta[0]) if members == 1 else (theta,):
-        h = np.broadcast_to(t[:, None], stacked.shape[:-1] + (points, 1))
-        layers = nnet.unflatten(spec, stacked)
-        strided = nnet.mlp_apply(layers, h, spec.activation)[..., 0]
-        got = problems.controller_values(stacked, prob, t)
-        assert np.array_equal(got.view(np.int64), strided.view(np.int64))
-        for i, (w, b) in enumerate(layers):
-            ordered = np.ascontiguousarray(w.mT).mT
-            assert ordered.mT.flags.c_contiguous and np.array_equal(ordered, w)
-            z = h @ w.mT + b
-            assert np.array_equal(z.view(np.int64), (h @ ordered.mT + b).view(np.int64)), i
-            h = z if i == len(layers) - 1 else nnet._activate(z, "elu")
+@pytest.mark.parametrize("method", ["euler", "rk4"])
+def test_plan_decides_max_steps_from_the_step_count(method):
+    # Ten steps of 0.1 pass max_steps = 10 and fail max_steps = 9; the plan
+    # records the decision and its readers act on it.
+    for max_steps, exceeded in ((10, False), (9, True)):
+        prob = problems.make_control_problem(
+            integrator=ode.IntegratorConfig(method=method, dt=0.1, max_steps=max_steps)
+        )
+        assert prob.plan.n_steps == 10 and prob.plan.exceeded == exceeded
+        theta = nnet.mlp_init(prob.controller, np.random.default_rng(5), 3)
+        assert problems.control_forward_map(theta, prob).failed.all() == exceeded
+        if exceeded:
+            assert prob.plan.eval_times is None and prob.plan.blocks == ()
+            with pytest.raises(ode.IntegrationError, match="max_steps"):
+                gradbase.bptt_value_and_gradient(theta[0], prob)
+        else:
+            assert np.isfinite(gradbase.bptt_value_and_gradient(theta[0], prob)[0])
 
 
 # ---------------------------------------------------------------------------
