@@ -8,6 +8,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -543,10 +544,10 @@ def _propagator_blocks(prob: ControlProblem, h: float, method: str, n_steps: int
         yield first, slice(stride * first, stride * first + width), M[:t + 1, :width], r[:t + 1]
 
 
-@dataclass(frozen=True)
-class _ControlPlan:
+class _ControlPlan(NamedTuple):
     """The constants of one pass of a control problem's integrator, derived
     once from the problem's fields (:attr:`ControlProblem.plan`), read-only.
+    A named tuple: it costs a sixth of a frozen dataclass at import.
 
     Whether the pass exceeds ``max_steps`` is decided here, once, from the
     step count: such a plan is ``exceeded`` and holds the step count, the
