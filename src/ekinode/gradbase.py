@@ -26,7 +26,7 @@ import numpy as np
 from . import nnet, ode
 from .eki import ForwardMapOutput
 from .ode import IntegrationError
-from .problems import ControlProblem, SysIdProblem
+from .problems import ControlProblem, SysIdProblem, _checked_plan
 from .problems import control_diverged, control_objective, control_states
 from .problems import sysid_grid, sysid_loss
 
@@ -127,10 +127,10 @@ def _sysid(theta: np.ndarray, prob: SysIdProblem):
     layers = nnet.unflatten(prob.net, theta[None])
     act = prob.net.activation
     x0, times, obs_index = sysid_grid(prob)
-    n_sub, lengths = ode.substeps(times, cfg.dt)
+    n_sub, lengths, exceeded = ode.substeps(times, cfg)
     if np.any(n_sub != n_sub[0]):
         raise ValueError("BPTT needs equal substep counts across rows within an interval")
-    if n_sub[0].sum() > cfg.max_steps:
+    if exceeded:
         raise IntegrationError(f"max_steps={cfg.max_steps} exceeded", t=float(times[0, 0]))
     calls = []
 
@@ -176,9 +176,7 @@ def _sysid(theta: np.ndarray, prob: SysIdProblem):
 def _control(theta: np.ndarray, prob: ControlProblem, gamma: float, gamma_prime: float):
     # One record on the forward map's evaluation grid: the stage grid, then
     # the quadrature points it lacks.
-    cfg, plan = prob.integrator, prob.plan
-    if plan.exceeded:
-        raise IntegrationError(f"max_steps={cfg.max_steps} exceeded", t=0.0)
+    cfg, plan = prob.integrator, _checked_plan(prob)
     layers = nnet.unflatten(prob.controller, theta)
     act = prob.controller.activation
     record = []

@@ -334,8 +334,8 @@ def integrate_lockstep(field, x0: np.ndarray, times: np.ndarray, config: Integra
     J, B, n = x.shape
     states = np.empty((J, B, times.shape[1], n))
     states[:, :, 0] = x
-    n_sub, lengths = substeps(times, config.dt)
-    if np.any(n_sub.sum(axis=1) > config.max_steps):
+    n_sub, lengths, exceeded = substeps(times, config)
+    if exceeded:
         # Step counts depend on the grid alone, so every member fails.
         return states, np.ones(J, dtype=bool)
     # Per interval, the fewest and the most substeps of any row.
@@ -356,21 +356,26 @@ def integrate_lockstep(field, x0: np.ndarray, times: np.ndarray, config: Integra
     return states, failed
 
 
-def substeps(times: np.ndarray, dt: float):
-    """How the fixed-step methods subdivide a ``(B, K+1)`` time grid.
-
-    Every interval is split into equal substeps no longer than ``dt``, with
-    :func:`integrate`'s arithmetic.  Returns the ``(B, K)`` substep counts
-    and, per interval, the substep length: a Python float when every row
-    shares it (the same arithmetic in fewer array operations), else a
-    ``(B, 1)`` column.
+def substeps(times: np.ndarray, config: IntegratorConfig):
+    """How a batched fixed-step pass runs over a ``(B, K+1)`` time grid, with
+    :func:`integrate`'s arithmetic: each interval takes equal substeps no
+    longer than ``config.dt``.  Returns ``(n_sub, lengths, exceeded)``: the
+    ``(B, K)`` substep counts; per interval, the substep length, a Python
+    float when every row shares it, else a ``(B, 1)`` column; and whether a
+    row takes more than ``config.max_steps`` substeps.  The counts are
+    formed in floating point, so a quotient past the float range is inf and
+    exceeds; they are integers unless the pass exceeds, and no caller runs
+    a pass that does.
     """
     spans = np.diff(times, axis=1)
-    n_sub = np.maximum(1, np.ceil(spans / dt - 1e-9).astype(int))
+    with np.errstate(over="ignore"):
+        n_sub = np.maximum(1.0, np.ceil(spans / config.dt - 1e-9))
+    exceeded = bool(n_sub.sum(axis=1).max() > config.max_steps)
+    n_sub = n_sub if exceeded else n_sub.astype(int)
     h = spans / n_sub
     shared = np.all(h == h[:1], axis=0).tolist()
     lengths = [float(h[0, k]) if shared[k] else h[:, k, None] for k in range(h.shape[1])]
-    return n_sub, lengths
+    return n_sub, lengths, exceeded
 
 
 def _out_of_bounds(x, limit, axis):

@@ -417,8 +417,10 @@ class ControlProblem:
 
     @functools.cached_property
     def plan(self) -> _ControlPlan:
-        """The constants of this problem's control pass, built on first use."""
-        return _control_plan(self)
+        """The constants of this problem's control pass, built on first use;
+        a plant that overflows them fails :func:`control_diverged`, quietly."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            return _control_plan(self)
 
 
 def make_control_problem(mu: float = 0.001, **kwargs) -> ControlProblem:
@@ -474,50 +476,29 @@ def control_energy(theta: np.ndarray, prob: ControlProblem):
     return np.trapezoid(u * u, grid, axis=-1)
 
 
-def _step_count(prob: ControlProblem):
-    # The step length and the number of steps of one pass over [0, T].
-    n_steps = max(1, int(np.ceil(prob.t_final / prob.integrator.dt - 1e-9)))
-    return prob.t_final / n_steps, n_steps
-
-
 def control_stage_grid(prob: ControlProblem):
     """Where one pass of the problem's integrator over [0, T] evaluates u_theta.
 
-    Returns ``(stage_times, h, n_steps)``.  The stage times are the step
+    Returns ``(stage_times, h, n_steps)`` from the problem's plan: the step
     starts plus the final time, and for rk4 also the step midpoints, which
-    its second and third stages share: ``2 n_steps + 1`` points,
-    interleaved.  The controller depends on t alone, so it is evaluated on
-    this grid once, before the pass runs.
+    its second and third stages share.  The controller depends on t alone,
+    so it is evaluated on this grid once, before the pass runs.  Past
+    ``max_steps`` it raises :class:`ode.IntegrationError`.
     """
-    h, n_steps = _step_count(prob)
-    if prob.integrator.method == "rk4":
-        stage_times = np.empty(2 * n_steps + 1)
-        stage_times[0::2] = h * np.arange(n_steps + 1)
-        stage_times[1::2] = h * np.arange(n_steps) + 0.5 * h
-    else:
-        stage_times = h * np.arange(n_steps + 1)
-    return stage_times, h, n_steps
+    plan = _checked_plan(prob)
+    return plan.eval_times[:plan.stages], plan.h, plan.n_steps
 
 
-def control_propagator(prob: ControlProblem, h: float, method: str, n_steps: int):
-    """The euler/rk4 pass over ``xdot = a x + b u`` as an affine map of u on
-    the stages its steps read: ``xs = u @ M.T + x0 * r``, with M
+def control_propagator(growth: float, coef, stride: int, n_steps: int):
+    """``n_steps`` steps of a linear one-step method as an affine map of u on
+    the stages they read: ``xs = u @ M.T + x0 * r``, with M
     ``(n_steps + 1, stages)`` and r ``(n_steps + 1,)``.
 
-    Each step is ``x' = R x + sum_i c_i u_i`` over its stages i, with R(z),
-    z = h a, the amplification factor: r holds its powers and M[n] adds up
-    ``R^(n-1-j) c_i`` over the steps j < n.
+    Step k is ``x' = R x + sum_i coef[i] u[stride k + i]``, with R = 1 +
+    ``growth`` the amplification factor: r holds its powers and M[n] adds up
+    ``R^(n-1-j) coef[i]`` over the steps j < n.
     """
-    z, hb = h * prob.a, h * prob.b
-    if method == "rk4":
-        growth = z + z * z / 2.0 + z**3 / 6.0 + z**4 / 24.0
-        # Step start, midpoint (read by stages 2 and 3) and step end.
-        coef = (hb / 6.0) * np.array(
-            [1.0 + z + z * z / 2.0 + z**3 / 4.0, 4.0 + 2.0 * z + z * z / 2.0, 1.0]
-        )
-        stride, stages = 2, 2 * n_steps + 1
-    else:
-        growth, coef, stride, stages = z, [hb], 1, n_steps
+    stages = stride * n_steps + len(coef) - stride
     # R^n from R - 1, where R > 0: rounding R itself puts an n-fold error on R^n.
     n = np.arange(n_steps + 1)
     r = np.exp(n * np.log1p(growth)) if growth > -1.0 else (1.0 + growth) ** n
@@ -531,34 +512,21 @@ def control_propagator(prob: ControlProblem, h: float, method: str, n_steps: int
     return M, r
 
 
-def _propagator_blocks(prob: ControlProblem, h: float, method: str, n_steps: int):
-    # Per product of a pass: its first step, its stage columns, and the M and
-    # r of its steps, all cut from one propagator of at most PROPAGATOR_STEPS.
-    M, r = control_propagator(prob, h, method, min(n_steps, PROPAGATOR_STEPS))
-    M.setflags(write=False)
-    r.setflags(write=False)
-    stride = 2 if method == "rk4" else 1
-    for first in range(0, n_steps, PROPAGATOR_STEPS):
-        t = min(PROPAGATOR_STEPS, n_steps - first)
-        width = 2 * t + 1 if method == "rk4" else t
-        yield first, slice(stride * first, stride * first + width), M[:t + 1, :width], r[:t + 1]
-
-
 class _ControlPlan(NamedTuple):
     """The constants of one pass of a control problem's integrator, derived
     once from the problem's fields (:attr:`ControlProblem.plan`), read-only.
     A named tuple: it costs a sixth of a frozen dataclass at import.
 
-    Whether the pass exceeds ``max_steps`` is decided here, once, from the
-    step count: such a plan is ``exceeded`` and holds the step count, the
-    step length and the quadrature grid only, so nothing of its size is
-    built.  Every reader tests ``exceeded`` before the other fields.
+    Whether the pass exceeds ``max_steps`` is decided by :func:`ode.substeps`
+    and recorded here: such a plan is ``exceeded``, takes no step and holds
+    the step length and the quadrature grid only, so nothing of the pass's
+    size is built.  Every reader tests ``exceeded`` before the other fields.
     """
 
-    n_steps: int
+    n_steps: int  # steps of the pass, none when it is exceeded
     h: float
     quad: np.ndarray  # the quadrature grid
-    exceeded: bool  # n_steps > max_steps: the pass fails on its count alone
+    exceeded: bool  # the pass fails on its step count alone
     stages: int = 0  # points of the stage grid
     # Where the controller is evaluated: the stage grid, then the quadrature
     # points it lacks; and the column of each quadrature point.
@@ -575,12 +543,25 @@ def _read_only(*arrays) -> None:
 
 
 def _control_plan(prob: ControlProblem) -> _ControlPlan:
-    h, n_steps = _step_count(prob)
+    n_sub, (h,), exceeded = ode.substeps(np.array([[0.0, prob.t_final]]), prob.integrator)
     quad = prob.quadrature_grid()
     _read_only(quad)
-    if n_steps > prob.integrator.max_steps:
-        return _ControlPlan(n_steps, h, quad, True)
-    stage_times, _, _ = control_stage_grid(prob)
+    if exceeded:
+        return _ControlPlan(0, h, quad, True)
+    n_steps = int(n_sub[0, 0])
+    # The stage layout and the step on it: step k reads u[stride k + i] with coef[i].
+    z, hb = h * prob.a, h * prob.b
+    if prob.integrator.method == "rk4":
+        # Step start, midpoint (read by stages 2 and 3) and step end.
+        stride, growth = 2, z + z * z / 2.0 + z**3 / 6.0 + z**4 / 24.0
+        coef = (hb / 6.0) * np.array(
+            [1.0 + z + z * z / 2.0 + z**3 / 4.0, 4.0 + 2.0 * z + z * z / 2.0, 1.0]
+        )
+    else:
+        stride, growth, coef = 1, z, [hb]
+    # Each step's stride points, evenly spaced from its start, then T.
+    starts = h * np.arange(n_steps)[:, None]
+    stage_times = np.append(starts + (h / stride) * np.arange(stride), h * n_steps)
     stages = stage_times.size
     col = np.minimum(np.searchsorted(stage_times, quad), stages - 1)
     extra = stage_times[col] != quad
@@ -589,16 +570,33 @@ def _control_plan(prob: ControlProblem) -> _ControlPlan:
     w[1:-1] = 0.5 * (quad[2:] - quad[:-2])
     w[0] = 0.5 * (quad[1] - quad[0])
     w[-1] = 0.5 * (quad[-1] - quad[-2])
-    blocks = tuple(_propagator_blocks(prob, h, prob.integrator.method, n_steps))
+    # Per product of the pass: its first step, its stage columns, and the M
+    # and r of its steps, all cut from one propagator of at most PROPAGATOR_STEPS.
+    M, r = control_propagator(growth, coef, stride, min(n_steps, PROPAGATOR_STEPS))
+    _read_only(M, r)
+    blocks = []
+    for first in range(0, n_steps, PROPAGATOR_STEPS):
+        t = min(PROPAGATOR_STEPS, n_steps - first)
+        width = stride * t + len(coef) - stride  # the stages t steps read
+        cols = slice(stride * first, stride * first + width)
+        blocks.append((first, cols, M[:t + 1, :width], r[:t + 1]))
     # x(T) is the last row of the pass's map, taken block by block from the last.
     final_row = np.zeros(stages)
     scale = 1.0  # R to the number of steps after the block
     for _, cols, M, r in reversed(blocks):
         final_row[cols] += scale * M[-1]
         scale *= r[-1]
-    eval_times = np.concatenate([stage_times, quad[extra]])
-    _read_only(eval_times, col, w, final_row)
-    return _ControlPlan(n_steps, h, quad, False, stages, eval_times, col, w, blocks, final_row)
+    evals = np.concatenate([stage_times, quad[extra]])
+    _read_only(evals, col, w, final_row)
+    return _ControlPlan(n_steps, h, quad, False, stages, evals, col, w, tuple(blocks), final_row)
+
+
+def _checked_plan(prob: ControlProblem) -> _ControlPlan:
+    # The plan of a pass that runs: past max_steps the pass raises.
+    plan = prob.plan
+    if plan.exceeded:
+        raise ode.IntegrationError(f"max_steps={prob.integrator.max_steps} exceeded", t=0.0)
+    return plan
 
 
 def control_states(u_stage: np.ndarray, prob: ControlProblem) -> np.ndarray:
@@ -607,9 +605,7 @@ def control_states(u_stage: np.ndarray, prob: ControlProblem) -> np.ndarray:
     with :func:`control_propagator` per :data:`PROPAGATOR_STEPS` steps, over
     the leading (member) axes, from the problem's plan.  A pass past
     ``max_steps`` raises :class:`ode.IntegrationError`."""
-    plan = prob.plan
-    if plan.exceeded:
-        raise ode.IntegrationError(f"max_steps={prob.integrator.max_steps} exceeded", t=0.0)
+    plan = _checked_plan(prob)
     u = np.asarray(u_stage, dtype=float)
     if u.shape[-1] != plan.stages:
         raise ValueError(f"u has {u.shape[-1]} stage values, the pass reads {plan.stages}")
@@ -624,8 +620,8 @@ def control_diverged(xs: np.ndarray, config: IntegratorConfig) -> np.ndarray:
     """The failure rule of the fixed-step control path, over the leading
     axes of :func:`control_states`' output: some state after the start is
     non-finite or beyond the divergence limit.  The forward map and the BPTT
-    pass both apply it."""
-    return ~np.all(np.abs(xs[..., 1:]) <= config.divergence_limit, axis=-1)
+    pass both apply it, with the integrator core's bounds predicate."""
+    return ode._out_of_bounds(xs[..., 1:], config.divergence_limit, axis=-1)
 
 
 def _control_path(theta: np.ndarray, prob: ControlProblem):
@@ -633,7 +629,7 @@ def _control_path(theta: np.ndarray, prob: ControlProblem):
     mask of every member of a ``(J, N)`` matrix under the problem's
     integrator.  The controller is evaluated once, on the plan's grid.  Past
     ``max_steps`` every member fails on the step count alone, and the states
-    are a zero view that allocates nothing."""
+    are a zero view of the start, the pass taking no step."""
     cfg, plan, members = prob.integrator, prob.plan, theta.shape[0]
     if plan.exceeded:
         states = np.broadcast_to(0.0, (members, plan.n_steps + 1))
@@ -650,8 +646,8 @@ def _control_path(theta: np.ndarray, prob: ControlProblem):
 
 
 def control_trajectory(theta: np.ndarray, prob: ControlProblem):
-    """Step times and states of x under one parameter vector's controller;
-    the states are NaN if the integration diverged."""
+    """Step times and states of x under one parameter vector's controller,
+    NaN if the integration diverged; past ``max_steps``, the start alone."""
     xs, _, failed = _control_path(np.asarray(theta, dtype=float)[None], prob)
     times = prob.plan.h * np.arange(prob.plan.n_steps + 1)
     return times, np.where(failed[0], np.nan, xs[0])

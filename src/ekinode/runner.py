@@ -725,11 +725,10 @@ def run(config: ExperimentConfig, out_dir: str | None = None) -> RunReport:
         events = [("expansion", ep, c) for ep, c in driver.ens.events] + driver.events
 
     log_path = os.path.join(out, "log.csv")
-    log = io.StringIO()
-    writer = csv.writer(log)
-    writer.writerow(CSV_HEADER)
-    for epoch, gamma, j, *values in rows:
-        writer.writerow([epoch, "" if gamma is None else _fmt(gamma), j] + [_fmt(v) for v in values])
+    log = _csv_text(CSV_HEADER, (
+        [epoch, "" if gamma is None else _fmt(gamma), j] + [_fmt(v) for v in values]
+        for epoch, gamma, j, *values in rows
+    ))
 
     final_train, final_test = (rows[-1][5], rows[-1][6]) if rows else (float("nan"),) * 2
     report = RunReport(
@@ -752,9 +751,15 @@ def run(config: ExperimentConfig, out_dir: str | None = None) -> RunReport:
     # Both files are serialized before either is replaced, so a value that
     # fails to serialize leaves the previous pair, and a write leaves whole files.
     text = json.dumps(report.to_dict(), indent=2) + "\n"
-    _replace_file(log_path, log.getvalue())
+    _replace_file(log_path, log)
     _replace_file(os.path.join(out, "report.json"), text)
     return report
+
+
+def _csv_text(header, rows) -> str:
+    text = io.StringIO()
+    csv.writer(text).writerows([header, *rows])
+    return text.getvalue()
 
 
 def _replace_file(path: str, text: str) -> None:
@@ -822,10 +827,8 @@ def table(configs: list, replicates: int, out_dir: str) -> list[dict]:
         }
         summary.append(cell)
 
-    with open(os.path.join(out_dir, "table.csv"), "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=TABLE_COLUMNS)
-        writer.writeheader()
-        writer.writerows(summary)
+    rows = ([cell[k] for k in TABLE_COLUMNS] for cell in summary)
+    _replace_file(os.path.join(out_dir, "table.csv"), _csv_text(TABLE_COLUMNS, rows))
     _replace_file(os.path.join(out_dir, "table.txt"), format_table(summary) + "\n")
     return summary
 
@@ -924,12 +927,8 @@ def plot_script(report_dirs, out_dir: str) -> list[str]:
     written = []
 
     def emit(name, header, columns):
-        path = os.path.join(out_dir, name)
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(header)
-            for row in zip(*columns):
-                writer.writerow([_fmt(v) for v in row])
+        rows = ([_fmt(v) for v in row] for row in zip(*columns))
+        _replace_file(os.path.join(out_dir, name), _csv_text(header, rows))
         written.append(name)
 
     for i, (report_dir, report) in enumerate(reports):

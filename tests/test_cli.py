@@ -174,6 +174,32 @@ def test_epochs_without_two_valid_members_are_logged(tmp_path):
     assert report.events == [["no_update", epoch, 0] for epoch in range(3)]
 
 
+@pytest.mark.parametrize("problem", ["spiral", "linear_control"])
+def test_overflowing_step_count_fails_max_steps(tmp_path, problem):
+    # At dt = 1e-320 a pass's step count overflows the float range.  It fails
+    # max_steps as at dt = 1e-7: the same epochs without an update, the same
+    # log and report but for dt, and a theta that re-evaluates and plots,
+    # all with no numpy warning.
+    runs = {}
+    for dt in (1e-7, 1e-320):
+        path, out = tmp_path / f"{dt:g}.json", tmp_path / f"{dt:g}"
+        path.write_text(json.dumps({"problem": problem, "epochs": 2, "integrator": {"dt": dt}}))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert cli.main(["run", "--config", str(path), "--out", str(out)]) == 0
+            report = runner.load_report(str(out))
+            assert runner.reevaluate(report.config, report.theta) == (
+                report.final_train_error, report.final_test_error
+            )
+            assert cli.main(["plot", "--report", str(out)]) == 0
+        assert report.events == [["no_update", 0, 0], ["no_update", 1, 0]]
+        data = json.loads((out / "report.json").read_text())
+        assert data["config"]["integrator"].pop("dt") == dt
+        del data["runtime_seconds"], data["log_path"]
+        runs[dt] = (out / "log.csv").read_bytes(), data
+    assert runs[1e-320] == runs[1e-7]
+
+
 def test_unserializable_report_leaves_the_previous_artefacts(tmp_path, monkeypatch, capsys):
     # A report value JSON cannot hold stops the run before either file is
     # replaced: the previous log.csv and report.json stay whole, and the CLI
@@ -273,7 +299,7 @@ def test_plot_missing_report_is_config_error(tmp_path, capsys):
 # with one or two fields replaced by a type swap, zero, -1, an infinity, NaN
 # or a huge value.  A huge size is capped, so no example allocates more than
 # a few MB or runs more than a few epochs.
-MUTANTS = ("1", 1, 1.5, None, True, [], {}, 0, -1, math.inf, -math.inf, math.nan,
+MUTANTS = ("1", 1, 1.5, None, True, [], {}, 0, -1, math.inf, -math.inf, math.nan, 5e-324,
            1e308, 2**62, 10**400)
 SIZE_CAPS = {"epochs": 5, "ensemble_size": 64, "grid_size": 1000}
 FUZZ_CONFIGS = {

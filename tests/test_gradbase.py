@@ -290,7 +290,7 @@ def test_stacked_accumulation_is_bitwise_per_call(spiral_problem, small_spiral, 
         (control_problem, {"gamma": 0.3, "gamma_prime": 0.01}),
         (replace(control_problem, integrator=replace(control_problem.integrator, method="euler")), {}),
     ]
-    n_sub, _ = ode.substeps(problems.sysid_grid(cases[4][0])[1], fine.dt)
+    n_sub, _, _ = ode.substeps(problems.sysid_grid(cases[4][0])[1], fine)
     assert n_sub.min() >= 2
     for prob, kw in cases:
         spec = prob.controller if isinstance(prob, problems.ControlProblem) else prob.net
@@ -370,6 +370,33 @@ def test_unfold_beyond_max_steps_raises(small_spiral):
     prob = replace(small_spiral, integrator=replace(small_spiral.integrator, max_steps=3))
     with pytest.raises(ode.IntegrationError, match="max_steps"):
         gradbase.bptt_value_and_gradient(theta, prob)
+
+
+@pytest.mark.parametrize("method", ["euler", "rk4"])
+@pytest.mark.parametrize("assembly", ["shooting", "full"])
+def test_sysid_max_steps_boundary(small_spiral, method, assembly):
+    # A dt of 1/2.5 of the grid spacing takes 3 substeps per interval: 12 per
+    # shooting run of 5 observations, 117 over the 40-point full grid.  At
+    # exactly that many steps the forward map, the lockstep core and the BPTT
+    # pass run; at one more than max_steps every member fails and BPTT raises.
+    spacing = small_spiral.observations.grid_times[1]
+    steps = 3 * (4 if assembly == "shooting" else 39)
+    theta = nnet.mlp_init(small_spiral.net, np.random.default_rng(23), 3)
+    for max_steps, exceeded in ((steps, False), (steps - 1, True)):
+        integrator = ode.IntegratorConfig(method=method, dt=spacing / 2.5, max_steps=max_steps,
+                                          divergence_limit=1e3)
+        prob = replace(small_spiral, assembly=assembly, integrator=integrator)
+        x0, times, _ = problems.sysid_grid(prob)
+        _, failed = ode.integrate_lockstep(np.negative, np.broadcast_to(x0, (3,) + x0.shape),
+                                           times, integrator)
+        out = problems.sysid_forward_map(theta, prob)
+        assert failed.tolist() == out.failed.tolist() == [exceeded] * 3
+        if exceeded:
+            with pytest.raises(ode.IntegrationError, match="max_steps"):
+                gradbase.bptt_value_and_gradient(theta[0], prob)
+        else:
+            loss, _, bptt_failed = gradbase.bptt_value_and_gradient(theta[0], prob)
+            assert loss == problems.mse(theta[0], prob) and not bptt_failed
 
 
 @pytest.mark.parametrize(

@@ -1,6 +1,7 @@
 """Unit tests for the fixed-step and adaptive integrators."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -238,6 +239,29 @@ def test_lockstep_matches_scalar_integrate(s, method, dt, max_steps):
     ok = ~ref_failed
     scale = np.maximum(1.0, np.abs(ref_states[ok]))
     assert np.all(np.abs(states[ok] - ref_states[ok]) <= 1e-12 * scale)
+
+
+def test_substeps_decides_counts_lengths_and_max_steps():
+    # Spans of row 1 are exact multiples of dt up to float noise: their
+    # quotients read just above 3, and the 1e-9 tolerance keeps 3 substeps.
+    times = np.array([[0.0, 0.3, 0.7], [1.0, 1.3, 1.6]])
+    config = ode.IntegratorConfig(method="rk4", dt=0.1, max_steps=7)
+    assert (1.3 - 1.0) / 0.1 > 3.0 and (1.6 - 1.3) / 0.1 > 3.0
+    n_sub, lengths, exceeded = ode.substeps(times, config)
+    assert n_sub.tolist() == [[3, 4], [3, 3]] and n_sub.dtype.kind == "i" and not exceeded
+    spans = np.diff(times, axis=1)
+    for k, h in enumerate(lengths):
+        assert np.array_equal(h, (spans[:, k] / n_sub[:, k])[:, None])
+    # A length every row shares is a Python float.
+    assert ode.substeps(times[:1], config)[1] == [0.3 / 3, (0.7 - 0.3) / 4]
+    # max_steps bounds each row's total: row 0 takes 7 substeps.
+    assert ode.substeps(times, replace(config, max_steps=6))[2]
+    # A quotient past the float range is inf, not a wrapped integer, and
+    # exceeds any max_steps, with no RuntimeWarning (the pytest config makes
+    # them errors).
+    for dt in (5e-324, 1e-320):
+        n_sub, lengths, exceeded = ode.substeps(times, replace(config, dt=dt, max_steps=10**6))
+        assert exceeded and np.isinf(n_sub).all() and lengths == [0.0, 0.0]
 
 
 def test_lockstep_rejects_adaptive_method_and_bad_times():

@@ -599,8 +599,9 @@ def test_control_forward_map_past_max_steps_evaluates_nothing(monkeypatch):
     out = problems.control_forward_map(theta, prob)
     assert out.failed.shape == (22,) and out.failed.all()
     assert not out.g.any() and not out.h.any()
+    # A pass past max_steps takes no step: its trajectory is the start alone.
     times, states = problems.control_trajectory(theta[0], prob)
-    assert times.size == states.size == 10_001 and np.isnan(states).all()
+    assert times.tolist() == [0.0] and np.isnan(states).all() and states.size == 1
     with pytest.raises(ode.IntegrationError, match="max_steps"):
         problems.control_states(np.zeros(20_001), prob)
 
@@ -608,12 +609,13 @@ def test_control_forward_map_past_max_steps_evaluates_nothing(monkeypatch):
 @pytest.mark.parametrize("method", ["euler", "rk4"])
 def test_plan_decides_max_steps_from_the_step_count(method):
     # Ten steps of 0.1 pass max_steps = 10 and fail max_steps = 9; the plan
-    # records the decision and its readers act on it.
+    # records the decision and its readers act on it.  An exceeded pass
+    # takes no step.
     for max_steps, exceeded in ((10, False), (9, True)):
         prob = problems.make_control_problem(
             integrator=ode.IntegratorConfig(method=method, dt=0.1, max_steps=max_steps)
         )
-        assert prob.plan.n_steps == 10 and prob.plan.exceeded == exceeded
+        assert prob.plan.n_steps == (0 if exceeded else 10) and prob.plan.exceeded == exceeded
         theta = nnet.mlp_init(prob.controller, np.random.default_rng(5), 3)
         assert problems.control_forward_map(theta, prob).failed.all() == exceeded
         if exceeded:
@@ -714,7 +716,7 @@ def test_control_pass_past_max_steps_allocates_nothing_of_its_size():
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert prob.plan.n_steps >= 10**6
+        assert prob.plan.exceeded and prob.plan.n_steps == 0
         assert peak < 2**20, (run, peak)
     assert out.failed.shape == (22,) and out.failed.all()
     assert not out.g.any() and not out.h.any()

@@ -416,6 +416,26 @@ def test_plot_script_control_mu_sweep(tmp_path):
     assert header == "t,u_learned,u_optimal,x_learned,x_optimal"
 
 
+def test_every_artefact_goes_through_one_writer(tmp_path, monkeypatch):
+    # table() and plot_script() write each of their files, CSVs included,
+    # through runner._replace_file, as runner.run writes log.csv and
+    # report.json: every file under their output directories passed it.
+    real, replaced = runner._replace_file, set()
+
+    def recorded(path, text):
+        replaced.add(os.path.abspath(path))
+        real(path, text)
+
+    monkeypatch.setattr(runner, "_replace_file", recorded)
+    runner.table([tiny("control-eki-mu0.001", 2), tiny("spiral-eki", 1)], 1, str(tmp_path / "t"))
+    runs = [str(tmp_path / "t" / f"config{i}-rep0") for i in range(2)]
+    written = runner.plot_script(runs, str(tmp_path / "p"))
+    on_disk = {os.path.join(d, name) for d, _, names in os.walk(tmp_path) for name in names}
+    assert {"table.csv", "table.txt"} <= set(os.listdir(tmp_path / "t"))
+    assert sorted(os.listdir(tmp_path / "p")) == sorted(written)
+    assert on_disk == replaced
+
+
 def test_plot_script_missing_report_errors(tmp_path):
     with pytest.raises(FileNotFoundError):
         runner.plot_script([str(tmp_path / "nope")], str(tmp_path / "plots"))
