@@ -18,8 +18,8 @@ from .eki import (
     gamma_at,
     min_loss_member,
 )
-from .gradbase import AdamState, adam_init, adam_step, bptt_gradient, sgd_step
-from .nnet import MlpSpec, mlp_forward, mlp_init, param_count
+from .gradbase import AdamState, adam_init, adam_step, sgd_step
+from .nnet import MlpSpec, mlp_init, param_count
 from .ode import IntegrationError, IntegratorConfig, Trajectory, integrate
 from .problems import (
     ControlProblem,
@@ -54,7 +54,6 @@ __all__ = [
     "Trajectory",
     "adam_init",
     "adam_step",
-    "bptt_gradient",
     "control_energy",
     "control_mse",
     "eki_step",
@@ -65,7 +64,6 @@ __all__ = [
     "make_pendulum_problem",
     "make_spiral_problem",
     "min_loss_member",
-    "mlp_forward",
     "mlp_init",
     "mse",
     "optimal_control",

@@ -6,12 +6,11 @@ with the forward map's starts, sample times and one-member stacked layers,
 recording every network evaluation through :func:`ekinode.nnet.mlp_apply`,
 and its loss is :func:`ekinode.problems.sysid_loss`; the reverse sweep steps
 back through the same steps with :func:`_step_reverse`.  The control forward
-pass evaluates and records the controller once, on the forward map's grid
-(the stage grid, then the quadrature points it lacks), and runs
-:func:`ekinode.problems.control_states`, which applies the problem's linear
-propagator; the terminal state's gradient with respect to the stage controls
-is that map's last row, the energy's is added on the quadrature columns, and
-one pullback carries both back.  The gradient is therefore exact
+pass is the forward map's own, :func:`ekinode.problems._control_path` for one
+member, with the controller recorded on the plan's grid; the terminal state's
+gradient with respect to the stage controls is the last row of the problem's
+linear propagator, the energy's is added on the quadrature columns, and one
+pullback carries both back.  The gradient is therefore exact
 for the discrete losses the problems module reports: the training MSE for
 system identification and the terminal-miss-plus-energy loss for control.
 Both unfold the problem's own fixed-step (euler or rk4) integrator.
@@ -26,15 +25,13 @@ import numpy as np
 from . import nnet, ode
 from .eki import ForwardMapOutput
 from .ode import IntegrationError
-from .problems import ControlProblem, SysIdProblem, _checked_plan
-from .problems import control_diverged, control_objective, control_states
-from .problems import sysid_grid, sysid_loss
+from .problems import ControlProblem, SysIdProblem, _checked_plan, _control_path
+from .problems import control_objective, sysid_grid, sysid_loss
 
 __all__ = [
     "AdamState",
     "adam_init",
     "adam_step",
-    "bptt_gradient",
     "bptt_value_and_gradient",
     "sgd_step",
 ]
@@ -129,7 +126,7 @@ def _sysid(theta: np.ndarray, prob: SysIdProblem):
     x0, times, obs_index = sysid_grid(prob)
     n_sub, lengths, exceeded = ode.substeps(times, cfg)
     if np.any(n_sub != n_sub[0]):
-        raise ValueError("BPTT needs equal substep counts across rows within an interval")
+        raise IntegrationError("BPTT needs equal substep counts across rows within an interval")
     if exceeded:
         raise IntegrationError(f"max_steps={cfg.max_steps} exceeded", t=float(times[0, 0]))
     calls = []
@@ -174,20 +171,16 @@ def _sysid(theta: np.ndarray, prob: SysIdProblem):
 
 
 def _control(theta: np.ndarray, prob: ControlProblem, gamma: float, gamma_prime: float):
-    # One record on the forward map's evaluation grid: the stage grid, then
-    # the quadrature points it lacks.
-    cfg, plan = prob.integrator, _checked_plan(prob)
-    layers = nnet.unflatten(prob.controller, theta)
-    act = prob.controller.activation
+    # The forward map's own pass for one member, its controller recorded on
+    # the plan's grid: the stage grid, then the quadrature points it lacks.
+    plan = _checked_plan(prob)
     record = []
-    u = nnet.mlp_apply(layers, plan.eval_times[:, None], act, record)[:, 0]
+    xs, energy, failed, u = _control_path(theta[None], prob, record)
+    x, u = float(xs[0, -1]), u[0]
     u_quad = u[plan.quad_cols]
-    xs = control_states(u[:plan.stages], prob)
-    x = float(xs[-1])
     if not np.isfinite(x) or not np.all(np.isfinite(u_quad)):
         raise IntegrationError(f"non-finite state at unfold step {plan.n_steps}", t=prob.t_final)
-    energy = float(np.trapezoid(u_quad * u_quad, plan.quad))
-    loss = float(control_objective(x, energy, prob, gamma, gamma_prime))
+    loss = float(control_objective(x, float(energy[0]), prob, gamma, gamma_prime))
 
     # Terminal term: x_T is affine in the stage controls.  Energy term:
     # E = sum_i w_i u_i^2 with trapezoid weights, so dL/du_i =
@@ -195,11 +188,11 @@ def _control(theta: np.ndarray, prob: ControlProblem, gamma: float, gamma_prime:
     gu = np.zeros(u.size)
     gu[:plan.stages] = ((x - prob.x_star) / gamma) * plan.final_row
     gu[plan.quad_cols] += (prob.mu / (2.0 * gamma_prime)) * 2.0 * plan.quad_weights * u_quad
-    net = _Pullback(layers, act, [record])
-    net.vjp(0, gu[:, None])
-    grad = np.zeros(theta.size)
+    net = _Pullback(nnet.unflatten(prob.controller, theta[None]), prob.controller.activation, [record])
+    net.vjp(0, gu[None, :, None])
+    grad = np.zeros((1, theta.size))
     net.accumulate(nnet.unflatten(prob.controller, grad))
-    return loss, grad, bool(control_diverged(xs, cfg))
+    return loss, grad.reshape(-1), bool(failed[0])
 
 
 # ---------------------------------------------------------------------------
@@ -230,16 +223,6 @@ def bptt_value_and_gradient(
         if isinstance(problem, SysIdProblem):
             return _sysid(theta, problem)
         return _control(theta, problem, gamma, gamma_prime)
-
-
-def bptt_gradient(
-    theta: np.ndarray,
-    problem: SysIdProblem | ControlProblem,
-    gamma: float = 1.0,
-    gamma_prime: float = 1.0,
-) -> np.ndarray:
-    """Exact gradient of the discrete training loss via reverse accumulation."""
-    return bptt_value_and_gradient(theta, problem, gamma, gamma_prime)[1]
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,6 @@ __all__ = [
     "unflatten",
     "flatten",
     "mlp_init",
-    "mlp_forward",
     "mlp_apply",
 ]
 
@@ -167,10 +166,3 @@ def mlp_apply(
                 record[-1][1] = h
     return h
 
-
-def mlp_forward(spec: MlpSpec, theta: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Evaluate the network at input ``x`` (1-D, length = input dim)."""
-    x = np.asarray(x, dtype=float)
-    if x.shape != (spec.in_dim,):
-        raise ValueError(f"input has shape {x.shape}, spec expects ({spec.in_dim},)")
-    return mlp_apply(unflatten(spec, theta), x, spec.activation)

@@ -43,7 +43,6 @@ __all__ = [
     "control_forward_map",
     "control_objective",
     "control_propagator",
-    "control_stage_grid",
     "control_states",
     "control_trajectory",
     "controller_values",
@@ -456,17 +455,19 @@ def optimal_energy(a: float, b: float, x0: float, x_star: float, t_final: float)
     )
 
 
-def controller_values(theta: np.ndarray, prob: ControlProblem, times: np.ndarray) -> np.ndarray:
+def controller_values(theta: np.ndarray, prob: ControlProblem, times: np.ndarray,
+                      record: list | None = None) -> np.ndarray:
     """Evaluate u_theta on a time grid (controller input is scalar t).
 
     One network call for all times and members: shape ``(len(times),)`` for
-    a parameter vector, ``(J, len(times))`` for a member matrix.
+    a parameter vector, ``(J, len(times))`` for a member matrix.  ``record``
+    goes to :func:`nnet.mlp_apply`.
     """
     theta = np.asarray(theta, dtype=float)
     layers = nnet.unflatten(prob.controller, theta)
     t = np.asarray(times, dtype=float)
     x = np.broadcast_to(t[:, None], theta.shape[:-1] + (t.size, 1))
-    return nnet.mlp_apply(layers, x, prob.controller.activation)[..., 0]
+    return nnet.mlp_apply(layers, x, prob.controller.activation, record)[..., 0]
 
 
 def control_energy(theta: np.ndarray, prob: ControlProblem):
@@ -474,19 +475,6 @@ def control_energy(theta: np.ndarray, prob: ControlProblem):
     grid = prob.quadrature_grid()
     u = controller_values(theta, prob, grid)
     return np.trapezoid(u * u, grid, axis=-1)
-
-
-def control_stage_grid(prob: ControlProblem):
-    """Where one pass of the problem's integrator over [0, T] evaluates u_theta.
-
-    Returns ``(stage_times, h, n_steps)`` from the problem's plan: the step
-    starts plus the final time, and for rk4 also the step midpoints, which
-    its second and third stages share.  The controller depends on t alone,
-    so it is evaluated on this grid once, before the pass runs.  Past
-    ``max_steps`` it raises :class:`ode.IntegrationError`.
-    """
-    plan = _checked_plan(prob)
-    return plan.eval_times[:plan.stages], plan.h, plan.n_steps
 
 
 def control_propagator(growth: float, coef, stride: int, n_steps: int):
@@ -601,9 +589,10 @@ def _checked_plan(prob: ControlProblem) -> _ControlPlan:
 
 def control_states(u_stage: np.ndarray, prob: ControlProblem) -> np.ndarray:
     """States of ``xdot = a x + b u`` at the step times, ``(..., n_steps + 1)``,
-    given u on :func:`control_stage_grid` as ``(..., stages)``: one product
-    with :func:`control_propagator` per :data:`PROPAGATOR_STEPS` steps, over
-    the leading (member) axes, from the problem's plan.  A pass past
+    given u on the plan's stage grid (the step starts, for rk4 also the
+    midpoints, then T) as ``(..., stages)``: one product with
+    :func:`control_propagator` per :data:`PROPAGATOR_STEPS` steps, over the
+    leading (member) axes, from the problem's plan.  A pass past
     ``max_steps`` raises :class:`ode.IntegrationError`."""
     plan = _checked_plan(prob)
     u = np.asarray(u_stage, dtype=float)
@@ -624,31 +613,32 @@ def control_diverged(xs: np.ndarray, config: IntegratorConfig) -> np.ndarray:
     return ode._out_of_bounds(xs[..., 1:], config.divergence_limit, axis=-1)
 
 
-def _control_path(theta: np.ndarray, prob: ControlProblem):
-    """States ``(J, n_steps + 1)``, energies ``(J,)`` and the ``(J,)`` failed
-    mask of every member of a ``(J, N)`` matrix under the problem's
-    integrator.  The controller is evaluated once, on the plan's grid.  Past
-    ``max_steps`` every member fails on the step count alone, and the states
-    are a zero view of the start, the pass taking no step."""
+def _control_path(theta: np.ndarray, prob: ControlProblem, record: list | None = None):
+    """States ``(J, n_steps + 1)``, energies ``(J,)``, the ``(J,)`` failed
+    mask and the controller values ``(J, evaluations)`` of every member of a
+    ``(J, N)`` matrix under the problem's integrator.  The controller is
+    evaluated once, on the plan's grid, into ``record`` if one is passed.
+    Past ``max_steps`` every member fails on the step count alone: the pass
+    takes no step, its states are a zero view of the start, its values None."""
     cfg, plan, members = prob.integrator, prob.plan, theta.shape[0]
     if plan.exceeded:
         states = np.broadcast_to(0.0, (members, plan.n_steps + 1))
-        return states, np.zeros(members), np.ones(members, bool)
+        return states, np.zeros(members), np.ones(members, bool), None
     with np.errstate(over="ignore", invalid="ignore"):
-        u = controller_values(theta, prob, plan.eval_times)
+        u = controller_values(theta, prob, plan.eval_times, record)
         # A column gather is an F-ordered copy, which takes other BLAS and
         # reduction paths: slice the stages, reduce a C-ordered quadrature copy.
         u_quad = np.ascontiguousarray(u[:, plan.quad_cols])
         energy = np.trapezoid(u_quad * u_quad, plan.quad, axis=-1)
         xs = control_states(u[:, :plan.stages], prob)
         failed = control_diverged(xs, cfg)
-    return xs, energy, failed
+    return xs, energy, failed, u
 
 
 def control_trajectory(theta: np.ndarray, prob: ControlProblem):
     """Step times and states of x under one parameter vector's controller,
     NaN if the integration diverged; past ``max_steps``, the start alone."""
-    xs, _, failed = _control_path(np.asarray(theta, dtype=float)[None], prob)
+    xs, _, failed, _ = _control_path(np.asarray(theta, dtype=float)[None], prob)
     times = prob.plan.h * np.arange(prob.plan.n_steps + 1)
     return times, np.where(failed[0], np.nan, xs[0])
 
@@ -661,7 +651,7 @@ def control_forward_map(theta: np.ndarray, prob: ControlProblem) -> ForwardMapOu
     Failed members get zero outputs.
     """
     theta = np.asarray(theta, dtype=float)
-    xs, energy, failed = _control_path(np.atleast_2d(theta), prob)
+    xs, energy, failed, _ = _control_path(np.atleast_2d(theta), prob)
     lead = theta.shape[:-1]
     g = np.where(failed, 0.0, xs[:, -1]).reshape(lead + (1,))
     h = np.where(failed, 0.0, np.sqrt(energy)).reshape(lead)

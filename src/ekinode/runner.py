@@ -156,6 +156,8 @@ class ExperimentConfig:
             msgs.append("eki.max_backtracks: must be nonnegative")
         if not _pairs(ek.gamma_steps, "float", lambda epoch, value: epoch >= 0 and value > 0):
             msgs.append("eki.gamma_steps: need [epoch >= 0, gamma > 0] pairs, integer epochs")
+        elif any(a[0] >= b[0] for a, b in zip(ek.gamma_steps, ek.gamma_steps[1:])):
+            msgs.append("eki.gamma_steps: epochs must be strictly increasing")
         # An expansion fires when the epoch equals its own and adds whole members.
         if not _pairs(ek.expansions, "int", lambda epoch, count: epoch >= 0 and count >= 1):
             msgs.append("eki.expansions: need [epoch >= 0, count >= 1] integer pairs")
@@ -966,7 +968,7 @@ def plot_script(report_dirs, out_dir: str) -> list[str]:
                 ["t"] + [f"obs_x{i + 1}" for i in range(n)],
                 [obs.times] + [obs.values[:, i] for i in range(n)],
             )
-        log = _read_log(os.path.join(report_dir, report.log_path))
+        log = _read_log(os.path.join(report_dir, "log.csv"))
         emit(
             f"loss_curve{suffix}.csv",
             ["epoch", "min_loss", "train_mse", "test_mse"],

@@ -113,6 +113,9 @@ def test_invalid_config_reports_each_message(tmp_path, capsys):
         ("eki", {"expansions": [[3.5, 20]]}, "eki.expansions"),
         ("eki", {"expansions": [[3, 2.5]]}, "eki.expansions"),
         ("eki", {"gamma_steps": [[1.5, 0.1]]}, "eki.gamma_steps"),
+        # gamma_steps apply in epoch order, so their epochs must increase.
+        ("eki", {"gamma_steps": [[5, 0.1], [3, 0.15]]}, "eki.gamma_steps"),
+        ("eki", {"gamma_steps": [[3, 0.1], [3, 0.15]]}, "eki.gamma_steps"),
         ("seed", -1, "seed"),
         # JSON Infinity and NaN parse, and no float field takes them.
         ("wall_clock_budget_seconds", math.inf, "wall_clock_budget_seconds"),
@@ -143,6 +146,21 @@ def test_runtime_failure_exits_two(tmp_path, capsys):
     assert "run failed" in err
     assert "partial report" in err
     assert (tmp_path / "x" / "report.json").exists()
+
+
+def test_unequal_substep_counts_write_a_partial_report(tmp_path, capsys):
+    # At this dt the ten shooting rows' spans differ in the last bits, and so
+    # do their substep counts: BPTT cannot unfold them, and the run fails
+    # before its first epoch with a partial report.
+    path = tmp_path / "c.json"
+    data = runner.config_to_dict(runner.preset("spiral-adam-0.01"))
+    data.update(epochs=2, seed=0)
+    data["integrator"]["dt"] = 0.0801603205611161
+    path.write_text(json.dumps(data))
+    assert cli.main(["run", "--config", str(path), "--out", str(tmp_path / "x")]) == 2
+    assert "partial report under" in capsys.readouterr().err
+    report = runner.load_report(str(tmp_path / "x"))
+    assert "equal substep counts" in report.error and report.epochs_run == 0
 
 
 def test_covariance_underflow_is_runtime_failure(tmp_path, capsys):

@@ -72,7 +72,7 @@ def test_one_point_shooting_runs_have_zero_gradient(small_spiral):
 def test_sysid_gradient_matches_finite_differences(small_spiral):
     for s in (0, 1):
         theta = nnet.mlp_init(small_spiral.net, np.random.default_rng(s))
-        grad = gradbase.bptt_gradient(theta, small_spiral)
+        grad = gradbase.bptt_value_and_gradient(theta, small_spiral)[1]
         ref = fd_gradient(lambda t: gradbase.bptt_value_and_gradient(t, small_spiral)[0], theta)
         assert_fd_close(grad, ref)
 
@@ -80,7 +80,7 @@ def test_sysid_gradient_matches_finite_differences(small_spiral):
 def test_sysid_gradient_matches_finite_differences_full_assembly(small_spiral):
     prob = replace(small_spiral, assembly="full")
     theta = nnet.mlp_init(prob.net, np.random.default_rng(2))
-    grad = gradbase.bptt_gradient(theta, prob)
+    grad = gradbase.bptt_value_and_gradient(theta, prob)[1]
     ref = fd_gradient(lambda t: gradbase.bptt_value_and_gradient(t, prob)[0], theta)
     assert_fd_close(grad, ref)
 
@@ -88,7 +88,7 @@ def test_sysid_gradient_matches_finite_differences_full_assembly(small_spiral):
 def test_sysid_gradient_matches_finite_differences_euler(small_spiral):
     prob = replace(small_spiral, integrator=ode.IntegratorConfig(method="euler", dt=0.01))
     theta = nnet.mlp_init(prob.net, np.random.default_rng(3))
-    grad = gradbase.bptt_gradient(theta, prob)
+    grad = gradbase.bptt_value_and_gradient(theta, prob)[1]
     ref = fd_gradient(lambda t: gradbase.bptt_value_and_gradient(t, prob)[0], theta)
     assert_fd_close(grad, ref)
 
@@ -142,7 +142,8 @@ def two_record_control_gradient(theta, prob, gamma, gamma_prime):
     cfg = prob.integrator
     layers = nnet.unflatten(prob.controller, theta)
     act = prob.controller.activation
-    stage_times, h, n_steps = problems.control_stage_grid(prob)
+    plan = prob.plan
+    stage_times, h, n_steps = plan.eval_times[:plan.stages], plan.h, plan.n_steps
     quad_grid = prob.quadrature_grid()
     stage_record, quad_record = [], []
     u_stage = nnet.mlp_apply(layers, stage_times[:, None], act, stage_record)[:, 0]
@@ -197,7 +198,8 @@ def loop_control_gradient(theta, prob, gamma, gamma_prime):
     cfg = prob.integrator
     layers = nnet.unflatten(prob.controller, theta)
     act = prob.controller.activation
-    stage_times, h, n_steps = problems.control_stage_grid(prob)
+    plan = prob.plan
+    stage_times, h, n_steps = plan.eval_times[:plan.stages], plan.h, plan.n_steps
     quad_grid = prob.quadrature_grid()
     stage_record, quad_record = [], []
     u_stage = nnet.mlp_apply(layers, stage_times[:, None], act, stage_record)[:, 0]
@@ -243,7 +245,7 @@ def test_control_gradient_matches_reverse_recurrence(method, dt):
         )
         for s in (0, 1):
             theta = (1.0 + s) * nnet.mlp_init(prob.controller, np.random.default_rng(30 + s))
-            grad = gradbase.bptt_gradient(theta, prob, gamma, gamma_prime)
+            grad = gradbase.bptt_value_and_gradient(theta, prob, gamma, gamma_prime)[1]
             ref = loop_control_gradient(theta, prob, gamma, gamma_prime)
             err = np.max(np.abs(grad - ref)) / max(1.0, np.max(np.abs(ref)))
             assert err <= CONTROL_GRADIENT_TOL, (a, x0, s, err)
@@ -298,8 +300,8 @@ def test_stacked_accumulation_is_bitwise_per_call(spiral_problem, small_spiral, 
             theta = (1.0 + s) * nnet.mlp_init(spec, np.random.default_rng(20 + s))
             with monkeypatch.context() as m:
                 m.setattr(gradbase, "_Pullback", PerCallPullback)
-                ref = gradbase.bptt_gradient(theta, prob, **kw)
-            grad = gradbase.bptt_gradient(theta, prob, **kw)
+                ref = gradbase.bptt_value_and_gradient(theta, prob, **kw)[1]
+            grad = gradbase.bptt_value_and_gradient(theta, prob, **kw)[1]
             assert np.array_equal(grad, ref), (prob.name, spec, s)
 
 
@@ -321,6 +323,23 @@ def test_bptt_loss_matches_problem_losses(small_spiral, control_problem):
     out = problems.control_forward_map(theta_c, control_problem)
     expected = float(problems.control_objective(out.g[0], out.h**2, control_problem, 0.3, 0.01))
     assert abs(loss_c - expected) <= 1e-12 * max(1.0, abs(expected))
+
+
+@pytest.mark.parametrize("method", ["euler", "rk4"])
+@pytest.mark.parametrize("dt", [0.01, 1.0 / 37.0, 0.003])
+def test_control_bptt_runs_the_forward_maps_pass(method, dt):
+    # The BPTT loss and flag are those of the forward map's own pass for the
+    # same theta, bitwise; the last scale takes the state past the limit.
+    prob = problems.make_control_problem(
+        integrator=ode.IntegratorConfig(method=method, dt=dt, divergence_limit=1e3)
+    )
+    for s, scale in enumerate((1.0, 2.0, 1e3)):
+        theta = scale * nnet.mlp_init(prob.controller, np.random.default_rng(50 + s))
+        xs, energy, failed, _ = problems._control_path(theta[None], prob)
+        expected = problems.control_objective(xs[0, -1], energy[0], prob, 0.3, 0.01)
+        loss, _, flag = gradbase.bptt_value_and_gradient(theta, prob, 0.3, 0.01)
+        assert loss == expected and flag == failed[0], (s, loss, expected)
+        assert flag == (scale == 1e3)
 
 
 def test_gradient_scales_linearly_with_loss(control_problem):
@@ -348,7 +367,7 @@ def test_unfold_rejects_adaptive_methods(small_spiral, control_problem):
 def test_divergent_unfold_reports_step_index(small_spiral):
     theta = np.full(nnet.param_count(small_spiral.net), 1e307)
     with pytest.raises(ode.IntegrationError, match="unfold step"):
-        gradbase.bptt_gradient(theta, small_spiral)
+        gradbase.bptt_value_and_gradient(theta, small_spiral)
 
 
 def test_states_beyond_divergence_limit_still_train(small_spiral):
@@ -451,7 +470,7 @@ def test_unfold_needs_equal_substep_counts_across_runs():
     # One substep per interval in the first run, two in the second.
     prob = two_run_problem(0.05, 0.1, dt=0.05)
     theta = nnet.mlp_init(prob.net, np.random.default_rng(17))
-    with pytest.raises(ValueError, match="equal substep counts"):
+    with pytest.raises(ode.IntegrationError, match="equal substep counts"):
         gradbase.bptt_value_and_gradient(theta, prob)
     # Equal counts with run-specific substep lengths unfold, exactly.
     prob = two_run_problem(0.05, 0.04, dt=0.05)

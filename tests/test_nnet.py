@@ -12,6 +12,11 @@ SPIRAL_SPEC = nnet.MlpSpec((2, 10, 2), "tanh")
 CONTROL_SPEC = nnet.MlpSpec((1, 5, 5, 5, 1), "elu")
 
 
+def forward(spec, theta, x):
+    # One input through a parameter vector's network.
+    return nnet.mlp_apply(nnet.unflatten(spec, theta), x, spec.activation)
+
+
 def test_param_count_spiral_net():
     # (2*10 + 10) + (10*2 + 2)
     assert nnet.param_count(SPIRAL_SPEC) == 52
@@ -53,7 +58,7 @@ def test_flatten_unflatten_round_trip(s):
 
 def test_zero_parameters_give_zero_output():
     theta = np.zeros(nnet.param_count(SPIRAL_SPEC))
-    out = nnet.mlp_forward(SPIRAL_SPEC, theta, np.array([0.3, -1.2]))
+    out = forward(SPIRAL_SPEC, theta, np.array([0.3, -1.2]))
     assert np.array_equal(out, np.zeros(2))
 
 
@@ -61,7 +66,7 @@ def test_single_affine_layer():
     # One layer means no activation: y = w x + b.
     spec = nnet.MlpSpec((1, 1), "tanh")
     theta = np.array([2.0, 0.5])
-    out = nnet.mlp_forward(spec, theta, np.array([3.0]))
+    out = forward(spec, theta, np.array([3.0]))
     assert abs(out[0] - 6.5) < ATOL
 
 
@@ -73,7 +78,7 @@ def test_two_layer_tanh_cancellation():
         (np.array([[1.0, 1.0]]), np.zeros(1)),
     ]
     theta = nnet.flatten(spec, layers)
-    out = nnet.mlp_forward(spec, theta, np.array([1.0]))
+    out = forward(spec, theta, np.array([1.0]))
     assert abs(out[0]) < ATOL
 
 
@@ -85,8 +90,8 @@ def test_tanh_net_with_zero_biases_is_odd(s):
     layers = [(rng.normal(size=w), np.zeros(b)) for w, b in nnet.layer_shapes(SPIRAL_SPEC)]
     theta = nnet.flatten(SPIRAL_SPEC, layers)
     x = rng.normal(size=2)
-    f_pos = nnet.mlp_forward(SPIRAL_SPEC, theta, x)
-    f_neg = nnet.mlp_forward(SPIRAL_SPEC, theta, -x)
+    f_pos = forward(SPIRAL_SPEC, theta, x)
+    f_neg = forward(SPIRAL_SPEC, theta, -x)
     assert np.allclose(f_neg, -f_pos, atol=1e-10)
 
 
@@ -103,15 +108,15 @@ def test_lipschitz_bound_from_spectral_norms(s):
         bound *= np.linalg.svd(w, compute_uv=False)[0]
     x = rng.normal(size=2)
     y = rng.normal(size=2)
-    fx = nnet.mlp_forward(SPIRAL_SPEC, theta, x)
-    fy = nnet.mlp_forward(SPIRAL_SPEC, theta, y)
+    fx = forward(SPIRAL_SPEC, theta, x)
+    fy = forward(SPIRAL_SPEC, theta, y)
     assert np.linalg.norm(fx - fy) <= bound * np.linalg.norm(x - y) + 1e-12
 
 
 def test_forward_rejects_wrong_input_shape():
     theta = np.zeros(nnet.param_count(SPIRAL_SPEC))
     with pytest.raises(ValueError):
-        nnet.mlp_forward(SPIRAL_SPEC, theta, np.zeros(3))
+        forward(SPIRAL_SPEC, theta, np.zeros(3))
 
 
 def test_elu_activation_values():
@@ -120,16 +125,16 @@ def test_elu_activation_values():
     spec = nnet.MlpSpec((1, 1, 1), "elu")
     layers = [(np.array([[1.0]]), np.zeros(1)), (np.array([[1.0]]), np.zeros(1))]
     theta = nnet.flatten(spec, layers)
-    assert abs(nnet.mlp_forward(spec, theta, np.array([2.0]))[0] - 2.0) < ATOL
+    assert abs(forward(spec, theta, np.array([2.0]))[0] - 2.0) < ATOL
     expected = np.expm1(-2.0)
-    assert abs(nnet.mlp_forward(spec, theta, np.array([-2.0]))[0] - expected) < ATOL
+    assert abs(forward(spec, theta, np.array([-2.0]))[0] - expected) < ATOL
 
 
 def test_elu_handles_large_negative_inputs():
     spec = nnet.MlpSpec((1, 1, 1), "elu")
     layers = [(np.array([[1.0]]), np.zeros(1)), (np.array([[1.0]]), np.zeros(1))]
     theta = nnet.flatten(spec, layers)
-    out = nnet.mlp_forward(spec, theta, np.array([-1e6]))
+    out = forward(spec, theta, np.array([-1e6]))
     assert np.isfinite(out[0])
     assert abs(out[0] + 1.0) < 1e-10
 

@@ -489,8 +489,8 @@ def _control_case(method, dt, a, x0):
     prob = problems.make_control_problem(
         a=a, x0=x0, integrator=ode.IntegratorConfig(method=method, dt=dt, divergence_limit=1e3)
     )
-    stage_times, h, n_steps = problems.control_stage_grid(prob)
-    return prob, stage_times.size, h, n_steps
+    plan = prob.plan
+    return prob, plan.stages, plan.h, plan.n_steps
 
 
 @pytest.mark.parametrize("method", ["euler", "rk4"])
@@ -552,15 +552,16 @@ def test_control_path_evaluates_the_controller_once(monkeypatch, method, dt, qua
         quadrature_points=quadrature_points,
         integrator=ode.IntegratorConfig(method=method, dt=dt, divergence_limit=1e3),
     )
-    stage_times, h, n_steps = problems.control_stage_grid(prob)
+    plan = prob.plan
+    stage_times, h, n_steps = plan.eval_times[:plan.stages], plan.h, plan.n_steps
     lacking = np.count_nonzero(~np.isin(prob.quadrature_grid(), stage_times))
     assert (lacking == 0) == (dt == 0.01)
     real = problems.controller_values
     sizes = []
 
-    def counted(theta, prob, times):
+    def counted(theta, prob, times, record=None):
         sizes.append(times.size)
-        return real(theta, prob, times)
+        return real(theta, prob, times, record)
 
     rng = np.random.default_rng(quadrature_points)
     for members in (1, 2, 22):
@@ -569,12 +570,13 @@ def test_control_path_evaluates_the_controller_once(monkeypatch, method, dt, qua
             theta[-1] *= 1e3  # the last member passes the divergence limit
         sizes.clear()
         monkeypatch.setattr(problems, "controller_values", counted)
-        xs, energy, failed = problems._control_path(theta, prob)
+        xs, energy, failed, u = problems._control_path(theta, prob)
         out = problems.control_forward_map(theta, prob)
         monkeypatch.setattr(problems, "controller_values", real)
         assert sizes == [stage_times.size + lacking] * 2
         times, _ = problems.control_trajectory(theta[0], prob)
         assert np.array_equal(times, h * np.arange(n_steps + 1))
+        assert np.array_equal(u, real(theta, prob, plan.eval_times))
         ref = problems.control_states(real(theta, prob, stage_times), prob)
         assert np.array_equal(xs, ref)
         assert np.array_equal(failed, problems.control_diverged(ref, prob.integrator))

@@ -7,6 +7,7 @@ import dataclasses
 import json
 import math
 import os
+import shutil
 
 import numpy as np
 import pytest
@@ -414,6 +415,18 @@ def test_plot_script_control_mu_sweep(tmp_path):
     assert "plot.py" in files
     header = open(tmp_path / "plots" / "trajectory_mu0.001.csv").readline().strip()
     assert header == "t,u_learned,u_optimal,x_learned,x_optimal"
+
+
+def test_plot_reads_the_log_beside_the_report(tmp_path):
+    # A run directory plots the same after a move: the log is read from the
+    # report's directory, not from the path recorded at run time.
+    runner.run(tiny("control-eki-mu0.001", 2), out_dir=str(tmp_path / "a"))
+    runner.plot_script([str(tmp_path / "a")], str(tmp_path / "pa"))
+    shutil.copytree(tmp_path / "a", tmp_path / "b")
+    shutil.rmtree(tmp_path / "a")
+    runner.plot_script([str(tmp_path / "b")], str(tmp_path / "pb"))
+    curve = "loss_curve_mu0.001.csv"
+    assert (tmp_path / "pb" / curve).read_bytes() == (tmp_path / "pa" / curve).read_bytes()
 
 
 def test_every_artefact_goes_through_one_writer(tmp_path, monkeypatch):
