@@ -1,19 +1,17 @@
 """Gradient-based training baseline: BPTT plus Adam / plain SGD.
 
-Reverse-mode differentiation through the time-unfolded network.  The
-system-identification forward pass runs on :func:`ekinode.ode.integrate_lockstep`
-with the forward map's starts, sample times and one-member stacked layers,
-recording every network evaluation through :func:`ekinode.nnet.mlp_apply`,
-and its loss is :func:`ekinode.problems.sysid_loss`; the reverse sweep steps
-back through the same steps with :func:`_step_reverse`.  The control forward
-pass is the forward map's own, :func:`ekinode.problems._control_path` for one
-member, with the controller recorded on the plan's grid; the terminal state's
-gradient with respect to the stage controls is the last row of the problem's
-linear propagator, the energy's is added on the quadrature columns, and one
-pullback carries both back.  The gradient is therefore exact
-for the discrete losses the problems module reports: the training MSE for
-system identification and the terminal-miss-plus-energy loss for control.
-Both unfold the problem's own fixed-step (euler or rk4) integrator.
+Reverse-mode differentiation through the time-unfolded network.  Each
+forward pass is the forward map's own, for one member, with every network
+evaluation recorded: :func:`ekinode.problems._net_states` for system
+identification, whose step counts and lengths the reverse sweep
+(:func:`_step_reverse`) walks back, and :func:`ekinode.problems._control_path`
+for control, whose terminal state's gradient with respect to the stage
+controls is the last row of the problem's linear propagator; the energy's
+is added on the quadrature columns, and one pullback carries both back.
+The gradient is therefore exact for the discrete losses the problems module
+reports, :func:`ekinode.problems.sysid_loss` and
+:func:`ekinode.problems.control_objective`, each unfolding the problem's own
+fixed-step (euler or rk4) integrator.
 """
 
 from __future__ import annotations
@@ -22,10 +20,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import nnet, ode
+from . import nnet
 from .eki import ForwardMapOutput
 from .ode import IntegrationError
-from .problems import ControlProblem, SysIdProblem, _checked_plan, _control_path
+from .problems import ControlProblem, SysIdProblem, _checked_plan, _control_path, _net_states
 from .problems import control_objective, sysid_grid, sysid_loss
 
 __all__ = [
@@ -118,27 +116,19 @@ def _step_reverse(gx, h, method, net, c):
 
 
 def _sysid(theta: np.ndarray, prob: SysIdProblem):
-    # One-member stacked layers on the forward map's grid: the recorded
-    # states are bitwise those of problems.sysid_forward_map.
+    # The forward map's own pass for one member, every field evaluation
+    # recorded: its states and flag are those of problems.sysid_forward_map.
     cfg = prob.integrator
-    layers = nnet.unflatten(prob.net, theta[None])
-    act = prob.net.activation
     x0, times, obs_index = sysid_grid(prob)
-    n_sub, lengths, exceeded = ode.substeps(times, cfg)
-    if np.any(n_sub != n_sub[0]):
-        raise IntegrationError("BPTT needs equal substep counts across rows within an interval")
+    calls = []
+    states, failed, (n_sub, lengths, exceeded) = _net_states(theta[None], prob, x0, times, calls)
     if exceeded:
         raise IntegrationError(f"max_steps={cfg.max_steps} exceeded", t=float(times[0, 0]))
-    calls = []
-
-    def field(x):
-        calls.append([])
-        return nnet.mlp_apply(layers, x, act, calls[-1])
-
-    states, failed = ode.integrate_lockstep(field, x0[None], times, cfg)
-    finite = np.isfinite(states).all(axis=(0, 1, 3))
-    if not finite.all():
-        k = int(np.argmin(finite))
+    if np.any(n_sub != n_sub[0]):
+        raise IntegrationError("BPTT needs equal substep counts across rows within an interval")
+    # A non-finite state fails the bounds test, so only a flagged pass holds one.
+    if failed[0] and not np.isfinite(states).all():
+        k = int(np.argmin(np.isfinite(states).all(axis=(0, 1, 3))))
         raise IntegrationError(f"non-finite state at unfold step {k}", t=float(times[0, k]))
     n = x0.shape[-1]
     out = ForwardMapOutput(g=states.reshape(-1, n)[obs_index].reshape(-1))
@@ -151,7 +141,7 @@ def _sysid(theta: np.ndarray, prob: SysIdProblem):
     gstates.reshape(-1, n)[obs_index] = (2.0 / obs.values.shape[0]) * resid.reshape(-1, n)
     # The field evaluations of each substep, last substep first; the sweep
     # carries the state gradient alone.
-    net = _Pullback(layers, act, calls)
+    net = _Pullback(nnet.unflatten(prob.net, theta[None]), prob.net.activation, calls)
     c = len(calls)
     per_step = 1 if cfg.method == "euler" else 4
     steps = n_sub[0].tolist()
@@ -213,8 +203,9 @@ def bptt_value_and_gradient(
     for system identification, :func:`problems.control_diverged` for
     control.  Such a finite loss still has a gradient, but the forward map
     would score it :data:`eki.PENALTY_LOSS`.  Raises
-    :class:`IntegrationError` on a non-finite state or when the unfolding
-    takes more than ``max_steps`` steps.
+    :class:`IntegrationError` when the unfolding takes more than
+    ``max_steps`` steps (tested first), when shooting rows take unequal
+    substep counts in one interval, and on a non-finite state.
     """
     theta = np.asarray(theta, dtype=float)
     # The gradient accumulates in place through (W, b) views of one array,

@@ -317,11 +317,11 @@ def integrate_lockstep(field, x0: np.ndarray, times: np.ndarray, config: Integra
     Every row subdivides each of its intervals exactly as :func:`integrate`
     does, so rows may differ in step length and substep count.
 
-    Returns ``(states, failed)``: states ``(J, B, K+1, n)`` and a ``(J,)``
-    mask.  Member j is flagged exactly when :func:`integrate` would raise
-    for one of its rows: a non-finite state, a state component beyond
-    ``divergence_limit`` after any step, or more than ``max_steps`` steps.
-    States of flagged members are meaningless.
+    Returns ``(states, failed, steps)``: states ``(J, B, K+1, n)``, a ``(J,)``
+    mask and the pass's :func:`substeps` decision.  Member j is flagged
+    exactly when :func:`integrate` would raise for a row: a non-finite
+    state, a component beyond ``divergence_limit`` after any step, or more
+    than ``max_steps`` steps.  Flagged members' states are meaningless.
     """
     if config.method not in FIXED_STEP_METHODS:
         raise ValueError(f"lockstep integration needs euler or rk4, got {config.method!r}")
@@ -334,10 +334,10 @@ def integrate_lockstep(field, x0: np.ndarray, times: np.ndarray, config: Integra
     J, B, n = x.shape
     states = np.empty((J, B, times.shape[1], n))
     states[:, :, 0] = x
-    n_sub, lengths, exceeded = substeps(times, config)
+    steps = n_sub, lengths, exceeded = substeps(times, config)
     if exceeded:
         # Step counts depend on the grid alone, so every member fails.
-        return states, np.ones(J, dtype=bool)
+        return states, np.ones(J, dtype=bool), steps
     # Per interval, the fewest and the most substeps of any row.
     fewest, most = n_sub.min(axis=0).tolist(), n_sub.max(axis=0).tolist()
     step = _lockstep_euler if config.method == "euler" else _lockstep_rk4
@@ -353,7 +353,7 @@ def integrate_lockstep(field, x0: np.ndarray, times: np.ndarray, config: Integra
             states[:, :, k + 1] = x
         # Each interval's last substep lands in ``states``: check them at once.
         failed |= _out_of_bounds(states[:, :, 1:], config.divergence_limit, axis=(1, 2, 3))
-    return states, failed
+    return states, failed, steps
 
 
 def substeps(times: np.ndarray, config: IntegratorConfig):
@@ -364,8 +364,8 @@ def substeps(times: np.ndarray, config: IntegratorConfig):
     float when every row shares it, else a ``(B, 1)`` column; and whether a
     row takes more than ``config.max_steps`` substeps.  The counts are
     formed in floating point, so a quotient past the float range is inf and
-    exceeds; they are integers unless the pass exceeds, and no caller runs
-    a pass that does.
+    exceeds; they are integers unless the pass exceeds, and a pass that
+    exceeds takes no step, so no caller reads them then.
     """
     spans = np.diff(times, axis=1)
     with np.errstate(over="ignore"):

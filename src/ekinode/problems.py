@@ -259,16 +259,22 @@ def make_pendulum_problem(
     return SysIdProblem("pendulum", field, x0, t_final, obs, net, integrator, assembly)
 
 
-def _net_states(theta: np.ndarray, prob: SysIdProblem, x0: np.ndarray, times: np.ndarray):
-    """States ``(J, B, K+1, n)`` of every member's network field from the
-    starts ``x0`` ``(B, n)`` over the rows of ``times`` ``(B, K+1)``, plus
-    the ``(J,)`` failed mask.  ``theta`` is a ``(J, N)`` member matrix."""
+def _net_states(theta: np.ndarray, prob: SysIdProblem, x0: np.ndarray, times: np.ndarray,
+                record: list | None = None):
+    """:func:`ode.integrate_lockstep` of every member's network field from
+    the starts ``x0`` ``(B, n)`` over the rows of ``times`` ``(B, K+1)``;
+    ``theta`` is a ``(J, N)`` member matrix.  Each field evaluation appends
+    one list to ``record``, if one is passed, for :func:`nnet.mlp_apply` to fill."""
     act = prob.net.activation
     layers = nnet.unflatten(prob.net, theta)
     x0 = np.broadcast_to(x0, (theta.shape[0],) + x0.shape)
-    return ode.integrate_lockstep(
-        lambda x: nnet.mlp_apply(layers, x, act), x0, times, prob.integrator
-    )
+
+    def field(x):
+        if record is not None:
+            record.append([])
+        return nnet.mlp_apply(layers, x, act, None if record is None else record[-1])
+
+    return ode.integrate_lockstep(field, x0, times, prob.integrator)
 
 
 def sysid_grid(prob: SysIdProblem):
@@ -287,14 +293,6 @@ def sysid_grid(prob: SysIdProblem):
     return np.asarray(prob.x0, dtype=float)[None], obs.grid_times[None], obs.train_indices
 
 
-def _predictions(theta: np.ndarray, prob: SysIdProblem):
-    """Predicted states at the observation times under the problem's assembly
-    mode, ``(J, M, n)``, and the ``(J,)`` failed mask."""
-    x0, times, obs_index = sysid_grid(prob)
-    states, failed = _net_states(theta, prob, x0, times)
-    return states.reshape(theta.shape[0], -1, states.shape[-1])[:, obs_index], failed
-
-
 def sysid_forward_map(theta: np.ndarray, prob: SysIdProblem) -> ForwardMapOutput:
     """G(theta): candidate states stacked at the observation times (time-major).
 
@@ -307,7 +305,9 @@ def sysid_forward_map(theta: np.ndarray, prob: SysIdProblem) -> ForwardMapOutput
     # A single vector runs as a one-member ensemble: every member's result
     # is then the same whatever the ensemble it is evaluated in.
     members = np.atleast_2d(theta)
-    pred, failed = _predictions(members, prob)
+    x0, times, obs_index = sysid_grid(prob)
+    states, failed, _ = _net_states(members, prob, x0, times)
+    pred = states.reshape(members.shape[0], -1, states.shape[-1])[:, obs_index]
     g = np.where(failed[:, None], 0.0, pred.reshape(members.shape[0], -1))
     lead = theta.shape[:-1]
     return ForwardMapOutput(g=g.reshape(lead + g.shape[-1:]), failed=failed.reshape(lead))
@@ -362,7 +362,7 @@ def test_mse(theta: np.ndarray, prob: SysIdProblem):
     test = prob.observations.test_indices
     errors = np.empty(rows.shape[0])
     for start in range(0, rows.shape[0], TEST_CHUNK_ROWS):
-        states, failed = _net_states(rows[start:start + TEST_CHUNK_ROWS], prob, x0, grid[None])
+        states, failed, _ = _net_states(rows[start:start + TEST_CHUNK_ROWS], prob, x0, grid[None])
         for r, (row_states, row_failed) in enumerate(zip(states[:, 0], failed)):
             errors[start + r] = (
                 PENALTY_LOSS if row_failed else _penalized(mse_from_states(row_states, prob, test))

@@ -796,14 +796,17 @@ def table(configs: list, replicates: int, out_dir: str) -> list[dict]:
 
     Returns one dict per config with median/min train and test errors, and
     writes ``table.csv`` plus an aligned ``table.txt`` under ``out_dir``.
-    Failed replicates are counted per cell, not fatal.
+    Every config is validated before any replicate runs, so a config error
+    writes nothing; failed replicates are counted per cell, not fatal.
     """
     if replicates < 1:
         raise ConfigError(["replicates: must be >= 1"])
+    named = [_named_config(item, i) for i, item in enumerate(configs)]
+    for _, config in named:
+        config.validate()
     os.makedirs(out_dir, exist_ok=True)
     summary = []
-    for i, item in enumerate(configs):
-        name, config = _named_config(item, i)
+    for name, config in named:
         trains, tests, failures = [], [], 0
         for r in range(replicates):
             rep_config = dataclasses.replace(config, seed=config.seed + r, out_dir=None)
@@ -814,7 +817,7 @@ def table(configs: list, replicates: int, out_dir: str) -> list[dict]:
                     raise RuntimeError(report.error)
                 trains.append(report.final_train_error)
                 tests.append(report.final_test_error)
-            except (RuntimeError, ConfigError):
+            except RuntimeError:
                 failures += 1
         cell = {
             "name": name,
@@ -925,6 +928,9 @@ def plot_script(report_dirs, out_dir: str) -> list[str]:
     if isinstance(report_dirs, str):
         report_dirs = [report_dirs]
     reports = [(d, load_report(d)) for d in report_dirs]
+    for d, report in reports:
+        if report.theta.size == 0:  # a run that failed before its first row
+            raise FileNotFoundError(f"report.json under {d} logged no row: no parameters to plot")
     os.makedirs(out_dir, exist_ok=True)
     written = []
 
@@ -953,7 +959,7 @@ def plot_script(report_dirs, out_dir: str) -> list[str]:
             # The field integrated from x0 over the grid, NaN if it diverged.
             x0 = np.asarray(prob.x0, dtype=float)[None]
             theta = report.theta[None]
-            states, failed = problems._net_states(theta, prob, x0, obs.grid_times[None])
+            states, failed, _ = problems._net_states(theta, prob, x0, obs.grid_times[None])
             learned = np.where(failed[0], np.nan, states[0, 0])
             n = obs.grid_states.shape[1]
             emit(

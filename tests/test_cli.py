@@ -281,6 +281,22 @@ def test_table_rejects_non_list_json(tmp_path, capsys):
     assert "must be a list" in capsys.readouterr().err
 
 
+def test_table_rejects_an_invalid_config_before_any_run(tmp_path, capsys):
+    # The second config is invalid: the command exits 1 before the first
+    # one runs, and writes no table.
+    valid = {"name": "fast", **runner.config_to_dict(runner.preset("control-eki-mu0.001"))}
+    items = [dict(valid, epochs=1), {"name": "bad", "problem": "bogus", "epochs": 1}]
+    configs_path = tmp_path / "configs.json"
+    configs_path.write_text(json.dumps(items))
+    code = cli.main(
+        ["table", "--configs", str(configs_path), "--replicates", "2",
+         "--out", str(tmp_path / "t")]
+    )
+    assert code == 1
+    assert "config error: problem: 'bogus'" in capsys.readouterr().err
+    assert not (tmp_path / "t").exists()
+
+
 def test_table_exits_two_when_cell_fails_entirely(tmp_path, capsys):
     config = dataclasses.replace(
         runner.preset("spiral-sgd-0.1"), epochs=30, gradient=runner.GradientOptions(eta=1e8)
@@ -309,6 +325,24 @@ def test_plot_command_default_out(tmp_path, capsys):
 def test_plot_missing_report_is_config_error(tmp_path, capsys):
     assert cli.main(["plot", "--report", str(tmp_path / "missing")]) == 1
     assert "config error" in capsys.readouterr().err
+
+
+def test_plot_of_a_report_without_rows_is_config_error(tmp_path, capsys):
+    # At dt = 1e-300 the first BPTT pass is past max_steps, so the run fails
+    # before its first row: its partial report has no parameters to plot.
+    path, out = tmp_path / "c.json", tmp_path / "x"
+    data = runner.config_to_dict(runner.preset("spiral-adam-0.01"))
+    data.update(epochs=2, seed=0)
+    data["integrator"]["dt"] = 1e-300
+    path.write_text(json.dumps(data))
+    assert cli.main(["run", "--config", str(path), "--out", str(out)]) == 2
+    report = runner.load_report(str(out))
+    assert report.error == "max_steps=1000000 exceeded" and report.theta.size == 0
+    capsys.readouterr()
+    assert cli.main(["plot", "--report", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert f"config error: report.json under {out} logged no row" in err
+    assert not (out / "plots").exists()
 
 
 # The contract fuzz: a valid config run for one to five epochs, so that

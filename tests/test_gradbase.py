@@ -305,16 +305,31 @@ def test_stacked_accumulation_is_bitwise_per_call(spiral_problem, small_spiral, 
             assert np.array_equal(grad, ref), (prob.name, spec, s)
 
 
-def test_bptt_loss_matches_problem_losses(small_spiral, control_problem):
-    # BPTT records on the forward map's integrator core, grid and loss, so
-    # its loss is the training MSE bitwise.
+def test_bptt_loss_matches_problem_losses(small_spiral, control_problem, monkeypatch):
+    # BPTT runs the forward map's own pass, grid and loss, so its loss is
+    # the training MSE and its flag the forward map's, bitwise, and the pass
+    # decides its substeps once.  The larger scale takes a state past the
+    # divergence limit.
+    substeps, decided = ode.substeps, []
+
+    def counted_substeps(*args):
+        decided.append(args)
+        return substeps(*args)
+
     theta = nnet.mlp_init(small_spiral.net, np.random.default_rng(8))
     for assembly in ("shooting", "full"):
         for method in ("rk4", "euler"):
-            integrator = replace(small_spiral.integrator, method=method)
+            integrator = replace(small_spiral.integrator, method=method, divergence_limit=5.0)
             prob = replace(small_spiral, assembly=assembly, integrator=integrator)
-            loss, _, _ = gradbase.bptt_value_and_gradient(theta, prob)
-            assert loss == problems.mse(theta, prob), (assembly, method)
+            for scale in (1.0, 30.0):
+                with monkeypatch.context() as m:
+                    m.setattr(ode, "substeps", counted_substeps)
+                    loss, _, flag = gradbase.bptt_value_and_gradient(scale * theta, prob)
+                assert len(decided) == 1, (assembly, method, scale)
+                del decided[:]
+                assert flag == problems.sysid_forward_map(scale * theta, prob).failed
+                assert flag == (scale == 30.0)
+                assert flag or loss == problems.mse(scale * theta, prob), (assembly, method)
 
     theta_c = nnet.mlp_init(control_problem.controller, np.random.default_rng(9))
     loss_c, _, _ = gradbase.bptt_value_and_gradient(
@@ -384,11 +399,14 @@ def test_states_beyond_divergence_limit_still_train(small_spiral):
 
 
 def test_unfold_beyond_max_steps_raises(small_spiral):
-    # Two shooting runs of 5 observations: 4 one-substep intervals each.
+    # Two shooting runs of 5 observations: 4 one-substep intervals each.  At
+    # dt = 1e-300 the two runs' counts also differ in their last bits, but
+    # the pass is past max_steps first, and says so.
     theta = nnet.mlp_init(small_spiral.net, np.random.default_rng(16))
-    prob = replace(small_spiral, integrator=replace(small_spiral.integrator, max_steps=3))
-    with pytest.raises(ode.IntegrationError, match="max_steps"):
-        gradbase.bptt_value_and_gradient(theta, prob)
+    for change in ({"max_steps": 3}, {"dt": 1e-300}):
+        prob = replace(small_spiral, integrator=replace(small_spiral.integrator, **change))
+        with pytest.raises(ode.IntegrationError, match=r"^max_steps=\d+ exceeded$"):
+            gradbase.bptt_value_and_gradient(theta, prob)
 
 
 @pytest.mark.parametrize("method", ["euler", "rk4"])
@@ -406,8 +424,8 @@ def test_sysid_max_steps_boundary(small_spiral, method, assembly):
                                           divergence_limit=1e3)
         prob = replace(small_spiral, assembly=assembly, integrator=integrator)
         x0, times, _ = problems.sysid_grid(prob)
-        _, failed = ode.integrate_lockstep(np.negative, np.broadcast_to(x0, (3,) + x0.shape),
-                                           times, integrator)
+        _, failed, _ = ode.integrate_lockstep(np.negative, np.broadcast_to(x0, (3,) + x0.shape),
+                                              times, integrator)
         out = problems.sysid_forward_map(theta, prob)
         assert failed.tolist() == out.failed.tolist() == [exceeded] * 3
         if exceeded:

@@ -233,7 +233,12 @@ def test_lockstep_matches_scalar_integrate(s, method, dt, max_steps):
     matrices = rates[:, None, None] * rng.normal(size=(J, n, n))
     config = ode.IntegratorConfig(method=method, dt=dt, max_steps=max_steps,
                                   divergence_limit=20.0)
-    states, failed = ode.integrate_lockstep(lambda x: x @ matrices.mT, x0, times, config)
+    states, failed, (n_sub, _, exceeded) = ode.integrate_lockstep(
+        lambda x: x @ matrices.mT, x0, times, config
+    )
+    # The pass hands back the substeps decision it ran.
+    ref_sub, _, ref_exceeded = ode.substeps(times, config)
+    assert exceeded == ref_exceeded and np.array_equal(n_sub, ref_sub)
     ref_states, ref_failed = _scalar_reference(matrices, x0, times, config)
     assert np.array_equal(failed, ref_failed)
     ok = ~ref_failed
