@@ -121,11 +121,9 @@ def _sysid(theta: np.ndarray, prob: SysIdProblem):
     cfg = prob.integrator
     x0, times, obs_index = sysid_grid(prob)
     calls = []
-    states, failed, (n_sub, lengths, exceeded) = _net_states(theta[None], prob, x0, times, calls)
+    states, failed, (counts, lengths, exceeded) = _net_states(theta[None], prob, x0, times, calls)
     if exceeded:
         raise IntegrationError(f"max_steps={cfg.max_steps} exceeded", t=float(times[0, 0]))
-    if np.any(n_sub != n_sub[0]):
-        raise IntegrationError("BPTT needs equal substep counts across rows within an interval")
     # A non-finite state fails the bounds test, so only a flagged pass holds one.
     if failed[0] and not np.isfinite(states).all():
         k = int(np.argmin(np.isfinite(states).all(axis=(0, 1, 3))))
@@ -144,7 +142,7 @@ def _sysid(theta: np.ndarray, prob: SysIdProblem):
     net = _Pullback(nnet.unflatten(prob.net, theta[None]), prob.net.activation, calls)
     c = len(calls)
     per_step = 1 if cfg.method == "euler" else 4
-    steps = n_sub[0].tolist()
+    steps = counts.tolist()
     gx = 0.0
     for k in reversed(range(len(lengths))):
         gx = gx + gstates[:, :, k + 1]
@@ -204,8 +202,7 @@ def bptt_value_and_gradient(
     control.  Such a finite loss still has a gradient, but the forward map
     would score it :data:`eki.PENALTY_LOSS`.  Raises
     :class:`IntegrationError` when the unfolding takes more than
-    ``max_steps`` steps (tested first), when shooting rows take unequal
-    substep counts in one interval, and on a non-finite state.
+    ``max_steps`` steps (tested first) and on a non-finite state.
     """
     theta = np.asarray(theta, dtype=float)
     # The gradient accumulates in place through (W, b) views of one array,

@@ -257,14 +257,16 @@ def _integrate_loop(field, x0, times, config, states) -> Trajectory:
         for i in range(times.size - 1):
             t0, t1 = times[i], times[i + 1]
             # Subdivide into equal steps no longer than dt (tolerating float
-            # noise when the interval is an exact multiple of dt).
-            n_sub = max(1, int(np.ceil((t1 - t0) / config.dt - 1e-9)))
-            h = (t1 - t0) / n_sub
+            # noise when the interval is an exact multiple of dt).  The count
+            # is a float until it passes max_steps: an overflowing one is inf.
+            n_sub = max(1.0, np.ceil((t1 - t0) / config.dt - 1e-9))
             n_steps += n_sub
             if n_steps > config.max_steps:
                 raise IntegrationError(
                     f"max_steps={config.max_steps} exceeded at t={t0}", t=float(t0), state=x
                 )
+            n_sub = int(n_sub)
+            h = (t1 - t0) / n_sub
             for s in range(n_sub):
                 x = step(field, x, t0 + s * h, h)
                 _check_bounded(x, t0 + (s + 1) * h, config.divergence_limit)
@@ -314,14 +316,15 @@ def integrate_lockstep(field, x0: np.ndarray, times: np.ndarray, config: Integra
     ``field(x)`` maps states ``(J, B, n)`` to their derivatives, member j's
     field acting on ``x[j]``.  ``x0`` is ``(J, B, n)``; row b is sampled at
     ``times[b]``, a ``(B, K+1)`` array strictly increasing along each row.
-    Every row subdivides each of its intervals exactly as :func:`integrate`
-    does, so rows may differ in step length and substep count.
+    Each interval takes the :func:`substeps` count for every row, each row
+    with its own substep length, so a row takes :func:`integrate`'s steps
+    whenever the rows need equal counts there.
 
     Returns ``(states, failed, steps)``: states ``(J, B, K+1, n)``, a ``(J,)``
-    mask and the pass's :func:`substeps` decision.  Member j is flagged
-    exactly when :func:`integrate` would raise for a row: a non-finite
-    state, a component beyond ``divergence_limit`` after any step, or more
-    than ``max_steps`` steps.  Flagged members' states are meaningless.
+    mask and the pass's :func:`substeps` decision.  Member j is flagged for
+    a non-finite state or a component beyond ``divergence_limit`` after any
+    step, as :func:`integrate` raises for them, and every member when the
+    counts sum past ``max_steps``.  Flagged members' states are meaningless.
     """
     if config.method not in FIXED_STEP_METHODS:
         raise ValueError(f"lockstep integration needs euler or rk4, got {config.method!r}")
@@ -334,21 +337,17 @@ def integrate_lockstep(field, x0: np.ndarray, times: np.ndarray, config: Integra
     J, B, n = x.shape
     states = np.empty((J, B, times.shape[1], n))
     states[:, :, 0] = x
-    steps = n_sub, lengths, exceeded = substeps(times, config)
+    steps = counts, lengths, exceeded = substeps(times, config)
     if exceeded:
         # Step counts depend on the grid alone, so every member fails.
         return states, np.ones(J, dtype=bool), steps
-    # Per interval, the fewest and the most substeps of any row.
-    fewest, most = n_sub.min(axis=0).tolist(), n_sub.max(axis=0).tolist()
     step = _lockstep_euler if config.method == "euler" else _lockstep_rk4
     failed = np.zeros(J, dtype=bool)
     with np.errstate(over="ignore", invalid="ignore"):
-        for k, hk in enumerate(lengths):
-            for s in range(most[k]):
-                x_new = step(field, x, hk)
-                # Rows already through their substeps keep their state.
-                x = x_new if s < fewest[k] else np.where((s < n_sub[:, k])[:, None], x_new, x)
-                if s < most[k] - 1:
+        for k, (count, hk) in enumerate(zip(counts.tolist(), lengths)):
+            for s in range(count):
+                x = step(field, x, hk)
+                if s < count - 1:
                     failed |= _out_of_bounds(x, config.divergence_limit, axis=(1, 2))
             states[:, :, k + 1] = x
         # Each interval's last substep lands in ``states``: check them at once.
@@ -357,25 +356,26 @@ def integrate_lockstep(field, x0: np.ndarray, times: np.ndarray, config: Integra
 
 
 def substeps(times: np.ndarray, config: IntegratorConfig):
-    """How a batched fixed-step pass runs over a ``(B, K+1)`` time grid, with
-    :func:`integrate`'s arithmetic: each interval takes equal substeps no
-    longer than ``config.dt``.  Returns ``(n_sub, lengths, exceeded)``: the
-    ``(B, K)`` substep counts; per interval, the substep length, a Python
-    float when every row shares it, else a ``(B, 1)`` column; and whether a
-    row takes more than ``config.max_steps`` substeps.  The counts are
-    formed in floating point, so a quotient past the float range is inf and
-    exceeds; they are integers unless the pass exceeds, and a pass that
-    exceeds takes no step, so no caller reads them then.
+    """How a batched fixed-step pass runs over a ``(B, K+1)`` time grid.
+    Each interval takes one substep count for every row: the most that any
+    row needs for equal substeps no longer than ``config.dt``, by
+    :func:`integrate`'s rule.  Returns ``(counts, lengths, exceeded)``: the
+    ``(K,)`` counts; per interval, each row's substep length, its span over
+    the count (a Python float when every row shares it, else a ``(B, 1)``
+    column); and whether the counts sum past ``config.max_steps``.  The
+    counts are formed in floating point, so a quotient past the float range
+    is inf and exceeds; they are integers unless the pass exceeds, and a
+    pass that exceeds takes no step, so no caller reads them then.
     """
     spans = np.diff(times, axis=1)
     with np.errstate(over="ignore"):
-        n_sub = np.maximum(1.0, np.ceil(spans / config.dt - 1e-9))
-    exceeded = bool(n_sub.sum(axis=1).max() > config.max_steps)
-    n_sub = n_sub if exceeded else n_sub.astype(int)
-    h = spans / n_sub
+        counts = np.maximum(1.0, np.ceil(spans / config.dt - 1e-9)).max(axis=0)
+    exceeded = bool(counts.sum() > config.max_steps)
+    counts = counts if exceeded else counts.astype(int)
+    h = spans / counts
     shared = np.all(h == h[:1], axis=0).tolist()
     lengths = [float(h[0, k]) if shared[k] else h[:, k, None] for k in range(h.shape[1])]
-    return n_sub, lengths, exceeded
+    return counts, lengths, exceeded
 
 
 def _out_of_bounds(x, limit, axis):

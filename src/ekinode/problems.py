@@ -531,12 +531,12 @@ def _read_only(*arrays) -> None:
 
 
 def _control_plan(prob: ControlProblem) -> _ControlPlan:
-    n_sub, (h,), exceeded = ode.substeps(np.array([[0.0, prob.t_final]]), prob.integrator)
+    counts, (h,), exceeded = ode.substeps(np.array([[0.0, prob.t_final]]), prob.integrator)
     quad = prob.quadrature_grid()
     _read_only(quad)
     if exceeded:
         return _ControlPlan(0, h, quad, True)
-    n_steps = int(n_sub[0, 0])
+    n_steps = int(counts[0])
     # The stage layout and the step on it: step k reads u[stride k + i] with coef[i].
     z, hb = h * prob.a, h * prob.b
     if prob.integrator.method == "rk4":

@@ -680,7 +680,8 @@ def run(config: ExperimentConfig, out_dir: str | None = None) -> RunReport:
     then carries the error, the rows logged so far, and the parameters of
     the last of them (none if no row was logged).  The train and test
     columns the loop has not filled are computed after it, for every logged
-    row at once, so a wall-clock budget bounds the loop alone.
+    row at once, so a wall-clock budget bounds the loop alone: its clock
+    starts once the problem is built and its optimizer set up.
 
     Deterministic under the epoch-budget stopping mode: identical
     (config, seed) produce bitwise-identical logs and reports.
@@ -708,7 +709,7 @@ def run(config: ExperimentConfig, out_dir: str | None = None) -> RunReport:
     # the members that result, so numpy stays quiet, as in the integrators.
     try:
         with np.errstate(over="ignore", invalid="ignore"):
-            for _ in _budget(config, started):
+            for _ in _budget(config, time.perf_counter()):
                 logged.append(driver.row())
                 driver.advance()
                 epochs_run += 1

@@ -1,8 +1,8 @@
-"""Smoke test of the benchmark harness: one sample of the cheapest EKI
-workload and one of the gradient workload, plain and traced, must run and
-pass their own output checks.  No timing bound: this only keeps the harness
-and the tracer working against the package, and pins the traced call counts
-the per-layer metrics are read from."""
+"""Smoke test of the benchmark harness: one sample of each workload (EKI
+control, EKI system identification and the gradient run), plain and traced,
+must run and pass their own output checks.  No timing bound: this only keeps
+the harness and the tracer working against the package, and pins the traced
+call counts the per-layer metrics are read from."""
 
 import json
 import os
@@ -29,6 +29,17 @@ TRACED_COUNTS = {
         "problems.metrics.calls": 2,
         "nnet.mlp_apply.calls": 6 + 2,
     },
+    # spiral-eki@15: one forward map per epoch plus the last row's, one
+    # 9-interval rk4 shooting pass of 4 network calls per step each; one
+    # update per epoch; the test column of all 16 rows is one test_mse
+    # call, as for spiral-adam.  One reference grid, built once.
+    "spiral-eki": {
+        "ode.integrate.calls": 1,
+        "problems.forward_map.calls": 16,
+        "eki.step.calls": 15,
+        "problems.metrics.calls": 1,
+        "nnet.mlp_apply.calls": 16 * 36 + 499 * 4,
+    },
     # spiral-adam@50: one BPTT per epoch plus the last row, 36 network calls
     # each.  The train column is the BPTT loss, so no forward map runs;
     # the test column of all 51 rows is one test_mse call, one 499-step rk4
@@ -49,10 +60,13 @@ TRACED_COUNTS = {
     [
         ("control-eki", []),
         ("control-eki", ["--trace"]),
+        ("spiral-eki", []),
+        ("spiral-eki", ["--trace"]),
         ("spiral-adam", []),
         ("spiral-adam", ["--trace"]),
     ],
-    ids=["plain", "traced", "spiral-adam-plain", "spiral-adam-traced"],
+    ids=["plain", "traced", "spiral-eki-plain", "spiral-eki-traced", "spiral-adam-plain",
+         "spiral-adam-traced"],
 )
 def test_sample_runs_clean(tmp_path, workload, extra):
     cmd = [sys.executable, SAMPLE, "--workload", workload, "--seed", "0",

@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from ekinode import gradbase, nnet, ode, problems
+from ekinode import gradbase, nnet, ode, problems, runner
 
 from test_problems import loop_control_states
 
@@ -484,18 +484,26 @@ def two_run_problem(first_spacing, second_spacing, dt):
     )
 
 
-def test_unfold_needs_equal_substep_counts_across_runs():
-    # One substep per interval in the first run, two in the second.
-    prob = two_run_problem(0.05, 0.1, dt=0.05)
-    theta = nnet.mlp_init(prob.net, np.random.default_rng(17))
-    with pytest.raises(ode.IntegrationError, match="equal substep counts"):
-        gradbase.bptt_value_and_gradient(theta, prob)
-    # Equal counts with run-specific substep lengths unfold, exactly.
-    prob = two_run_problem(0.05, 0.04, dt=0.05)
-    loss, grad, _ = gradbase.bptt_value_and_gradient(theta, prob)
-    assert loss == problems.mse(theta, prob)
-    ref = fd_gradient(lambda t: gradbase.bptt_value_and_gradient(t, prob)[0], theta)
-    assert_fd_close(grad, ref)
+def test_unfold_takes_the_most_substeps_across_runs():
+    # Rows that need different counts in an interval all take the most, each
+    # at its own length, and BPTT unfolds that pass exactly: two runs that
+    # need one and two substeps per interval, and the spiral preset at a dt
+    # where its ten runs' spans differ only in their last bits but round to
+    # different counts.  Equal counts at run-specific lengths unfold too.
+    preset = runner.preset("spiral-adam-0.01")
+    preset = replace(preset, seed=0, integrator=replace(preset.integrator, dt=0.0801603205611161))
+    cases = [(two_run_problem(0.05, 0.1, dt=0.05), False),
+             (runner.build_problem(preset), False),
+             (two_run_problem(0.05, 0.04, dt=0.05), True)]
+    for prob, equal in cases:
+        spans = np.diff(problems.sysid_grid(prob)[1], axis=1)
+        needed = np.maximum(1.0, np.ceil(spans / prob.integrator.dt - 1e-9))
+        assert np.all(needed == needed[0]) == equal
+        theta = nnet.mlp_init(prob.net, np.random.default_rng(17))
+        loss, grad, failed = gradbase.bptt_value_and_gradient(theta, prob)
+        assert loss == problems.mse(theta, prob) and not failed
+        ref = fd_gradient(lambda t: gradbase.bptt_value_and_gradient(t, prob)[0], theta)
+        assert_fd_close(grad, ref)
 
 
 def test_adam_first_step_is_signed_learning_rate():

@@ -152,6 +152,13 @@ def test_max_steps_exceeded():
     config = ode.IntegratorConfig(method="euler", dt=0.001, max_steps=10)
     with pytest.raises(ode.IntegrationError):
         ode.integrate(zero_field, np.array([1.0]), np.array([0.0, 1.0]), config)
+    # A step count past the float range is inf: it exceeds max_steps rather
+    # than failing to become an integer.
+    for method in ("euler", "rk4"):
+        for dt in (1e-320, 5e-324):
+            config = ode.IntegratorConfig(method=method, dt=dt)
+            with pytest.raises(ode.IntegrationError, match=r"^max_steps=1000000 exceeded at t=0.0$"):
+                ode.integrate(zero_field, np.array([1.0]), np.array([0.0, 1.0]), config)
 
 
 def test_divergence_limit_aborts():
@@ -222,23 +229,27 @@ def _scalar_reference(matrices, x0, times, config):
 )
 @settings(max_examples=30, deadline=None)
 def test_lockstep_matches_scalar_integrate(s, method, dt, max_steps):
-    # Rows with their own uneven sample times, a dt that forces a different
-    # number of substeps per row and interval, and members whose linear
-    # fields blow past the divergence limit next to members that stay put.
+    # Rows with their own uneven sample times, each interval 1-4 substeps
+    # that every row needs (its spans lie inside one count's band), and
+    # members whose linear fields blow past the divergence limit next to
+    # members that stay put.
     rng = np.random.default_rng(s)
     J, B, K, n = 5, 3, 4, 2
-    times = np.cumsum(rng.uniform(0.05, 0.4, size=(B, K + 1)), axis=1)
+    counts = rng.integers(1, 5, size=K)
+    spans = dt * (counts - rng.uniform(0.05, 0.95, size=(B, K)))
+    times = np.cumsum(np.hstack([rng.uniform(0.0, 1.0, size=(B, 1)), spans]), axis=1)
     x0 = rng.normal(size=(J, B, n))
     rates = np.array([0.5, 0.5, 40.0, 0.5, rng.choice([0.5, 40.0])])
     matrices = rates[:, None, None] * rng.normal(size=(J, n, n))
     config = ode.IntegratorConfig(method=method, dt=dt, max_steps=max_steps,
                                   divergence_limit=20.0)
-    states, failed, (n_sub, _, exceeded) = ode.integrate_lockstep(
+    states, failed, (got_counts, _, exceeded) = ode.integrate_lockstep(
         lambda x: x @ matrices.mT, x0, times, config
     )
     # The pass hands back the substeps decision it ran.
-    ref_sub, _, ref_exceeded = ode.substeps(times, config)
-    assert exceeded == ref_exceeded and np.array_equal(n_sub, ref_sub)
+    ref_counts, _, ref_exceeded = ode.substeps(times, config)
+    assert exceeded == ref_exceeded and np.array_equal(got_counts, ref_counts)
+    assert np.array_equal(got_counts, counts)
     ref_states, ref_failed = _scalar_reference(matrices, x0, times, config)
     assert np.array_equal(failed, ref_failed)
     ok = ~ref_failed
@@ -246,27 +257,65 @@ def test_lockstep_matches_scalar_integrate(s, method, dt, max_steps):
     assert np.all(np.abs(states[ok] - ref_states[ok]) <= 1e-12 * scale)
 
 
+@pytest.mark.parametrize("method", ["euler", "rk4"])
+def test_lockstep_takes_the_most_substeps_any_row_needs(method):
+    # Row 0 needs 4 substeps in the second interval and row 1 needs 3: both
+    # rows take 4 there, each of its own length.  So each row equals the
+    # scalar integrate over one interval at a time, at a dt that gives the
+    # interval's count.
+    times = np.array([[0.0, 0.3, 0.7], [1.0, 1.3, 1.6]])
+    config = ode.IntegratorConfig(method=method, dt=0.1)
+    rng = np.random.default_rng(12)
+    matrices = rng.normal(size=(2, 2, 2))
+    x0 = rng.normal(size=(2, 2, 2))
+    states, failed, (counts, _, _) = ode.integrate_lockstep(
+        lambda x: x @ matrices.mT, x0, times, config
+    )
+    assert counts.tolist() == [3, 4] and not failed.any()
+    for j in range(2):
+        for b in range(2):
+            ref = [x0[j, b]]
+            for k, count in enumerate(counts.tolist()):
+                dt_k = (times[b, k + 1] - times[b, k]) / count * (1.0 + 1e-12)
+                ref.append(ode.integrate(lambda x, t: matrices[j] @ x, ref[-1], times[b, k:k + 2],
+                                         replace(config, dt=dt_k)).states[-1])
+            scale = np.maximum(1.0, np.abs(ref))
+            assert np.all(np.abs(states[j, b] - ref) <= 1e-12 * scale)
+    # At its own count, the scalar integrate of row 1 would end elsewhere.
+    alone = ode.integrate(lambda x, t: matrices[0] @ x, x0[0, 1], times[1], config).states[-1]
+    assert not np.allclose(alone, states[0, 1, -1], rtol=1e-12, atol=0.0)
+
+
 def test_substeps_decides_counts_lengths_and_max_steps():
     # Spans of row 1 are exact multiples of dt up to float noise: their
     # quotients read just above 3, and the 1e-9 tolerance keeps 3 substeps.
+    # Row 0 needs 4 in the second interval, so the interval takes 4.
     times = np.array([[0.0, 0.3, 0.7], [1.0, 1.3, 1.6]])
     config = ode.IntegratorConfig(method="rk4", dt=0.1, max_steps=7)
     assert (1.3 - 1.0) / 0.1 > 3.0 and (1.6 - 1.3) / 0.1 > 3.0
-    n_sub, lengths, exceeded = ode.substeps(times, config)
-    assert n_sub.tolist() == [[3, 4], [3, 3]] and n_sub.dtype.kind == "i" and not exceeded
+    counts, lengths, exceeded = ode.substeps(times, config)
+    assert counts.tolist() == [3, 4] and counts.dtype.kind == "i" and not exceeded
+    # Each row keeps its own length, span / count: no longer than dt, up to
+    # the tolerance.
     spans = np.diff(times, axis=1)
     for k, h in enumerate(lengths):
-        assert np.array_equal(h, (spans[:, k] / n_sub[:, k])[:, None])
+        assert np.array_equal(h, (spans[:, k] / counts[k])[:, None])
+        assert np.all(h <= 0.1 * (1.0 + 1e-9))
     # A length every row shares is a Python float.
     assert ode.substeps(times[:1], config)[1] == [0.3 / 3, (0.7 - 0.3) / 4]
-    # max_steps bounds each row's total: row 0 takes 7 substeps.
+    # max_steps bounds the counts' sum, 7.
     assert ode.substeps(times, replace(config, max_steps=6))[2]
+    # Each row takes every interval's count: here each row needs 7 substeps
+    # but takes 8, past max_steps.
+    crossed = np.array([[0.0, 0.4, 0.7], [1.0, 1.3, 1.7]])
+    counts, _, exceeded = ode.substeps(crossed, config)
+    assert counts.tolist() == [4, 4] and exceeded
     # A quotient past the float range is inf, not a wrapped integer, and
     # exceeds any max_steps, with no RuntimeWarning (the pytest config makes
     # them errors).
     for dt in (5e-324, 1e-320):
-        n_sub, lengths, exceeded = ode.substeps(times, replace(config, dt=dt, max_steps=10**6))
-        assert exceeded and np.isinf(n_sub).all() and lengths == [0.0, 0.0]
+        counts, lengths, exceeded = ode.substeps(times, replace(config, dt=dt, max_steps=10**6))
+        assert exceeded and np.isinf(counts).all() and lengths == [0.0, 0.0]
 
 
 def test_lockstep_rejects_adaptive_method_and_bad_times():

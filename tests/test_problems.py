@@ -124,6 +124,22 @@ def test_pendulum_reference_conserves_energy(pendulum_problem):
     assert np.max(np.abs(energies - energies[0])) < 1e-6
 
 
+@pytest.mark.parametrize("problem", ["spiral", "pendulum"])
+def test_preset_shooting_rows_need_equal_substep_counts(problem):
+    # Every interval of a preset's shooting grid needs, by the scalar rule,
+    # the same substep count in every row, so taking the most any row needs
+    # changes no preset's steps.  The gradient presets build the same grids.
+    for s in range(5):
+        probs = [runner.build_problem(replace(runner.preset(name), seed=s))
+                 for name in (f"{problem}-eki", f"{problem}-adam-0.01", f"{problem}-sgd-0.1")]
+        times, dt = problems.sysid_grid(probs[0])[1], probs[0].integrator.dt
+        needed = np.maximum(1.0, np.ceil(np.diff(times, axis=1) / dt - 1e-9))
+        assert np.all(needed == needed[0]), (problem, s)
+        for prob in probs[1:]:
+            assert np.array_equal(problems.sysid_grid(prob)[1], times)
+            assert prob.integrator.dt == dt
+
+
 def test_shooting_predictions_pin_segment_starts(spiral_problem):
     # Every segment restarts from an observed state, so the first prediction
     # of each segment matches the observation exactly for any parameters.
@@ -343,8 +359,10 @@ def test_make_control_problem_overrides():
 
 def _uneven_sysid_problem(rng, assembly, method, dt, activation):
     # A grid with random spacing, so each shooting subset has its own step
-    # lengths, and a dt that (when small) forces several substeps per interval.
-    grid_times = np.concatenate([[0.0], np.cumsum(rng.uniform(0.05, 0.3, size=29))])
+    # lengths, and a dt that (when small) forces several substeps per
+    # interval.  Every spacing needs the same count at either dt (4 at 0.04,
+    # 1 at 1.0), so each row takes the scalar integrate's own substeps.
+    grid_times = np.concatenate([[0.0], np.cumsum(rng.uniform(0.125, 0.155, size=29))])
     grid_states = 0.5 * rng.normal(size=(30, 2))
     obs = problems.make_observations(grid_times, grid_states, 3, 4, rng)
     return problems.SysIdProblem(

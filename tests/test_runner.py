@@ -8,6 +8,7 @@ import json
 import math
 import os
 import shutil
+import time
 
 import numpy as np
 import pytest
@@ -346,6 +347,23 @@ def test_wall_clock_budget_mode(tmp_path):
     assert report.epochs_run >= 1
     _, rows = read_log(report.log_path)
     assert len(rows) == report.epochs_run + 1
+
+
+def test_wall_clock_budget_starts_after_the_build(tmp_path, monkeypatch):
+    # A build that takes longer than the whole budget still leaves the
+    # training loop its budget; runtime_seconds covers the build as well.
+    build = runner.build_problem
+
+    def slow_build(config):
+        time.sleep(0.2)
+        return build(config)
+
+    monkeypatch.setattr(runner, "build_problem", slow_build)
+    config = dataclasses.replace(
+        runner.preset("spiral-eki"), epochs=None, wall_clock_budget_seconds=0.1
+    )
+    report = runner.run(config, out_dir=str(tmp_path / "r"))
+    assert report.epochs_run >= 1 and report.runtime_seconds >= 0.2
 
 
 def test_table_single_config_matches_report(tmp_path):
