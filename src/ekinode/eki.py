@@ -7,7 +7,7 @@ against its own residual through the parameter/output cross-covariance.
 System identification is the case ``z = y``, ``F = G`` with the scalar
 covariance Gamma.  Optimal control is the energy-regularized problem
 ``z = (y, 0)``, ``F = (G, H)`` with covariance ``diag(Gamma * I, Gamma' / mu)``:
-the energy penalty is one more output channel with its own variance.
+the energy penalty is one more output channel, F's last, with its own variance.
 
 Updates are deterministic (no perturbed observations) explicit Euler steps in
 artificial time; one epoch is one step.  Covariances use the 1/J
@@ -91,30 +91,21 @@ class CovarianceSchedule:
 
 @dataclass
 class ForwardMapOutput:
-    """Stacked predictions ``g`` plus the optional regularization channel.
+    """Stacked predictions ``g``, whose last column is sqrt(control energy)
+    for regularized problems, and ``failed``, the members whose forward
+    evaluation blew up: the update freezes them, they carry :data:`PENALTY_LOSS`.
 
-    ``h`` carries sqrt(control energy) for regularized problems and is None
-    otherwise.  ``failed`` flags members whose forward evaluation blew up;
-    such members are frozen by the update and carry :data:`PENALTY_LOSS`.
-
-    One member's output has ``g`` of shape ``(d,)`` and scalar ``h`` and
-    ``failed``; a batched forward map returns ``g`` ``(J, d)`` with ``h``
-    and ``failed`` of shape ``(J,)``, which is what :func:`eki_step` and
-    :func:`cross_covariance` take.  A scalar ``failed`` applies to every
-    member.
+    One member's output has ``g`` of shape ``(d,)`` and a scalar ``failed``;
+    a batched forward map returns ``g`` ``(J, d)`` with ``failed`` ``(J,)``,
+    which is what :func:`eki_step` and :func:`cross_covariance` take.  A
+    scalar ``failed`` applies to every member.
     """
 
     g: np.ndarray
-    h: float | np.ndarray | None = None
     failed: bool | np.ndarray = False
 
     def __post_init__(self):
         self.g = np.atleast_1d(np.asarray(self.g, dtype=float))
-
-    def stacked(self) -> np.ndarray:
-        if self.h is None:
-            return self.g
-        return np.concatenate([self.g, np.asarray(self.h)[..., None]], axis=-1)
 
 
 def ensemble_mean(ens: Ensemble) -> np.ndarray:
@@ -128,9 +119,8 @@ def cross_covariance(ens: Ensemble, out: ForwardMapOutput) -> np.ndarray:
     """Empirical parameter/output cross-covariance, 1/J normalized.
 
     ``(1/J) * sum_j (theta_j - mean) outer (F_j - mean)`` over the stacked
-    ``(J, d)`` output of a batched forward map (including the h channel
-    when present); shape (N, d).  Note 1/J exactly, not the unbiased
-    1/(J-1).
+    ``(J, d)`` output of a batched forward map; shape (N, d).  Note 1/J
+    exactly, not the unbiased 1/(J-1).
     """
     f = _member_outputs(ens, out)
     theta_c = ens.members - ens.members.mean(axis=0)
@@ -176,10 +166,9 @@ def eki_step(
 
 
 def _member_outputs(ens: Ensemble, out: ForwardMapOutput) -> np.ndarray:
-    f = out.stacked()
-    if f.ndim != 2 or f.shape[0] != ens.size:
+    if out.g.ndim != 2 or out.g.shape[0] != ens.size:
         raise ValueError("outputs must align with members")
-    return f
+    return out.g
 
 
 def gamma_at(schedule: CovarianceSchedule, m: int) -> float:
@@ -196,24 +185,22 @@ def ensemble_expand(
     ens: Ensemble,
     count: int,
     spec: MlpSpec,
-    rng: np.random.Generator | None = None,
     mode: str = "fresh",
 ) -> Ensemble:
     """Append ``count`` new members; existing members untouched.
 
     ``mode="fresh"`` draws independent initializations, enlarging the affine
     span the iteration can search; ``mode="perturb"`` centers the same draws
-    on the current ensemble mean.  Uses the ensemble's own rng unless one is
-    passed.  The expansion is recorded in ``events``.
+    on the current ensemble mean.  Draws from the ensemble's own rng.  The
+    expansion is recorded in ``events``.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
     if mode not in ("fresh", "perturb"):
         raise ValueError(f"expansion mode must be 'fresh' or 'perturb', got {mode!r}")
-    gen = rng if rng is not None else ens.rng
-    if gen is None:
+    if ens.rng is None:
         raise ValueError("no rng available for expansion")
-    fresh = mlp_init(spec, gen, count)
+    fresh = mlp_init(spec, ens.rng, count)
     if fresh.shape[1] != ens.dim:
         raise ValueError("spec parameter count does not match ensemble dimension")
     if mode == "perturb":

@@ -123,11 +123,11 @@ def _sysid(theta: np.ndarray, prob: SysIdProblem):
     calls = []
     states, failed, (counts, lengths, exceeded) = _net_states(theta[None], prob, x0, times, calls)
     if exceeded:
-        raise IntegrationError(f"max_steps={cfg.max_steps} exceeded", t=float(times[0, 0]))
+        raise IntegrationError(f"max_steps={cfg.max_steps} exceeded")
     # A non-finite state fails the bounds test, so only a flagged pass holds one.
     if failed[0] and not np.isfinite(states).all():
         k = int(np.argmin(np.isfinite(states).all(axis=(0, 1, 3))))
-        raise IntegrationError(f"non-finite state at unfold step {k}", t=float(times[0, k]))
+        raise IntegrationError(f"non-finite state at unfold step {k}")
     n = x0.shape[-1]
     out = ForwardMapOutput(g=states.reshape(-1, n)[obs_index].reshape(-1))
     loss = float(sysid_loss(out, prob))
@@ -167,7 +167,7 @@ def _control(theta: np.ndarray, prob: ControlProblem, gamma: float, gamma_prime:
     x, u = float(xs[0, -1]), u[0]
     u_quad = u[plan.quad_cols]
     if not np.isfinite(x) or not np.all(np.isfinite(u_quad)):
-        raise IntegrationError(f"non-finite state at unfold step {plan.n_steps}", t=prob.t_final)
+        raise IntegrationError(f"non-finite state at unfold step {plan.n_steps}")
     loss = float(control_objective(x, float(energy[0]), prob, gamma, gamma_prime))
 
     # Terminal term: x_T is affine in the stage controls.  Energy term:

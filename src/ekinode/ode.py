@@ -45,11 +45,6 @@ FIXED_STEP_METHODS = ("euler", "rk4")
 class IntegrationError(RuntimeError):
     """Raised when a trajectory leaves the finite domain or exhausts max_steps."""
 
-    def __init__(self, message: str, t: float | None = None, state=None):
-        super().__init__(message)
-        self.t = t
-        self.state = state
-
 
 @dataclass(frozen=True)
 class IntegratorConfig:
@@ -102,12 +97,12 @@ class Trajectory:
 
 def _check_finite(x: np.ndarray, t: float, what: str) -> None:
     if not np.all(np.isfinite(x)):
-        raise IntegrationError(f"non-finite {what} at t={t}", t=t, state=x)
+        raise IntegrationError(f"non-finite {what} at t={t}")
 
 
 def _check_bounded(x: np.ndarray, t: float, limit: float) -> None:
     if np.max(np.abs(x)) > limit:
-        raise IntegrationError(f"state magnitude exceeds {limit:g} at t={t}", t=t, state=x)
+        raise IntegrationError(f"state magnitude exceeds {limit:g} at t={t}")
 
 
 def euler_step(field: VectorField, x: np.ndarray, t: float, dt: float) -> np.ndarray:
@@ -194,7 +189,7 @@ def dopri_step(
     # A non-finite last stage counts as a non-finite state at t + h, as in
     # the full 7-weight sum, where its zero weight times inf is NaN.
     if not all(map(math.isfinite, new + k[6].tolist())):
-        raise IntegrationError(f"non-finite state at t={t + h}", t=t + h, state=x_new)
+        raise IntegrationError(f"non-finite state at t={t + h}")
     r2 = []
     for a, b, e in zip(x.tolist(), new, _DP_E.dot(k).tolist()):
         r = h * e / (atol + rtol * max(abs(a), abs(b)))
@@ -262,9 +257,7 @@ def _integrate_loop(field, x0, times, config, states) -> Trajectory:
             n_sub = max(1.0, np.ceil((t1 - t0) / config.dt - 1e-9))
             n_steps += n_sub
             if n_steps > config.max_steps:
-                raise IntegrationError(
-                    f"max_steps={config.max_steps} exceeded at t={t0}", t=float(t0), state=x
-                )
+                raise IntegrationError(f"max_steps={config.max_steps} exceeded at t={t0}")
             n_sub = int(n_sub)
             h = (t1 - t0) / n_sub
             for s in range(n_sub):
@@ -293,16 +286,12 @@ def _integrate_loop(field, x0, times, config, states) -> Trajectory:
             x_new, err, h_next, k_last = dopri_step(field, x, t0 + tau, h_try, rtol, atol, k1)
             n_steps += 1
             if n_steps > config.max_steps:
-                raise IntegrationError(
-                    f"max_steps={config.max_steps} exceeded at t={t0 + tau}", t=t0 + tau, state=x
-                )
+                raise IntegrationError(f"max_steps={config.max_steps} exceeded at t={t0 + tau}")
             if err <= 1.0:
                 tau = target if clipped else tau + h_try
                 x = x_new
                 if max(map(abs, x.tolist())) > limit:
-                    raise IntegrationError(
-                        f"state magnitude exceeds {limit:g} at t={t0 + tau}", t=t0 + tau, state=x
-                    )
+                    raise IntegrationError(f"state magnitude exceeds {limit:g} at t={t0 + tau}")
                 k1 = k_last
             h = h_next
         states[i] = x

@@ -112,7 +112,6 @@ class ObservationSet:
     train_indices: np.ndarray
     num_subsets: int
     subset_length: int
-    seed: int | None = None
 
     @property
     def test_indices(self) -> np.ndarray:
@@ -131,7 +130,6 @@ def make_observations(
     num_subsets: int,
     subset_length: int,
     rng: np.random.Generator,
-    seed: int | None = None,
 ) -> ObservationSet:
     """Select ``num_subsets`` disjoint runs of ``subset_length`` consecutive
     grid points, start indices uniform without replacement.
@@ -163,7 +161,6 @@ def make_observations(
         train_indices=idx,
         num_subsets=num_subsets,
         subset_length=subset_length,
-        seed=seed,
     )
 
 
@@ -217,13 +214,12 @@ def make_spiral_problem(
     subset_length: int = 10,
     net: MlpSpec | None = None,
     integrator: IntegratorConfig | None = None,
-    seed: int | None = None,
     assembly: str = "full",
 ) -> SysIdProblem:
     """Spiral benchmark: 500-point grid on [0, 40], 10 runs of 10 observations."""
     x0 = np.array([1.0, 0.0])
     times, states = _reference_grid(spiral_field, x0, t_final, grid_size)
-    obs = make_observations(times, states, num_subsets, subset_length, data_rng, seed=seed)
+    obs = make_observations(times, states, num_subsets, subset_length, data_rng)
     if net is None:
         net = MlpSpec((2, 10, 2), "tanh")
     if integrator is None:
@@ -240,7 +236,6 @@ def make_pendulum_problem(
     omega: float = 1.0,
     net: MlpSpec | None = None,
     integrator: IntegratorConfig | None = None,
-    seed: int | None = None,
     assembly: str = "full",
 ) -> SysIdProblem:
     """Pendulum benchmark from (pi/4, 0): 200-point grid on [0, 20].
@@ -251,7 +246,7 @@ def make_pendulum_problem(
     x0 = np.array([np.pi / 4.0, 0.0])
     field = lambda x, t: pendulum_field(x, t, omega)
     times, states = _reference_grid(field, x0, t_final, grid_size)
-    obs = make_observations(times, states, num_subsets, subset_length, data_rng, seed=seed)
+    obs = make_observations(times, states, num_subsets, subset_length, data_rng)
     if net is None:
         net = MlpSpec((2, 10, 2), "tanh")
     if integrator is None:
@@ -583,7 +578,7 @@ def _checked_plan(prob: ControlProblem) -> _ControlPlan:
     # The plan of a pass that runs: past max_steps the pass raises.
     plan = prob.plan
     if plan.exceeded:
-        raise ode.IntegrationError(f"max_steps={prob.integrator.max_steps} exceeded", t=0.0)
+        raise ode.IntegrationError(f"max_steps={prob.integrator.max_steps} exceeded")
     return plan
 
 
@@ -647,15 +642,14 @@ def control_forward_map(theta: np.ndarray, prob: ControlProblem) -> ForwardMapOu
     """F(theta) = (x(T; theta), sqrt(E_T[u_theta])) for the extended problem.
 
     ``theta`` is one parameter vector ``(N,)`` or a member matrix ``(J, N)``;
-    ``g`` is ``(..., 1)``, ``h`` and ``failed`` carry the leading shape.
-    Failed members get zero outputs.
+    ``g`` is ``(..., 2)``, its last column the energy channel, and
+    ``failed`` carries the leading shape.  Failed members get zero outputs.
     """
     theta = np.asarray(theta, dtype=float)
     xs, energy, failed, _ = _control_path(np.atleast_2d(theta), prob)
     lead = theta.shape[:-1]
-    g = np.where(failed, 0.0, xs[:, -1]).reshape(lead + (1,))
-    h = np.where(failed, 0.0, np.sqrt(energy)).reshape(lead)
-    return ForwardMapOutput(g=g, h=h, failed=failed.reshape(lead))
+    g = np.where(failed[:, None], 0.0, np.stack([xs[:, -1], np.sqrt(energy)], axis=-1))
+    return ForwardMapOutput(g=g.reshape(lead + (2,)), failed=failed.reshape(lead))
 
 
 def control_mse(theta: np.ndarray, prob: ControlProblem, times: np.ndarray | None = None):

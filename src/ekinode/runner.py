@@ -369,7 +369,6 @@ def build_problem(config: ExperimentConfig):
             num_subsets=po.num_subsets,
             subset_length=po.subset_length,
             assembly=po.assembly,
-            seed=config.seed,
         )
         if po.grid_size is not None:
             kwargs["grid_size"] = po.grid_size
@@ -503,9 +502,8 @@ class _EkiDriver:
 
     # shared mechanics -----------------------------------------------------
     def maybe_expand(self):
-        done = {ep for ep, _ in self.ens.events}
         for ep, count in self.opts.expansions:
-            if self.ens.epoch == ep and ep not in done:
+            if self.ens.epoch == ep:
                 self.ens = eki.ensemble_expand(
                     self.ens, count, self.spec, mode=self.opts.expansion_mode
                 )
@@ -618,8 +616,9 @@ class _ControlDriver(_EkiDriver):
         return gamma
 
     def losses(self, outputs, epoch):
+        g = outputs.g  # the terminal state, then the energy channel
         loss = problems.control_objective(
-            outputs.g[:, 0], outputs.h**2, self.prob, self.gamma_for(epoch), self.opts.gamma_prime
+            g[:, 0], g[:, 1] ** 2, self.prob, self.gamma_for(epoch), self.opts.gamma_prime
         )
         return np.where(outputs.failed, eki.PENALTY_LOSS, loss)
 
@@ -923,15 +922,21 @@ def plot_script(report_dirs, out_dir: str) -> list[str]:
 
     System-identification reports produce ``trajectory.csv`` (learned vs
     reference states), ``observations.csv`` and ``loss_curve.csv``; control
-    reports produce one ``trajectory_mu*.csv`` each (learned and analytic
-    control/state) plus shared loss curves.  Returns the written file names.
+    reports produce ``trajectory_mu*.csv`` and ``loss_curve_mu*.csv``, so two
+    with one mu are a :class:`ConfigError`.  Returns the written file names.
     """
     if isinstance(report_dirs, str):
         report_dirs = [report_dirs]
     reports = [(d, load_report(d)) for d in report_dirs]
+    by_mu = {}  # control files are named by mu alone
     for d, report in reports:
         if report.theta.size == 0:  # a run that failed before its first row
             raise FileNotFoundError(f"report.json under {d} logged no row: no parameters to plot")
+        if report.config.problem == "linear_control":
+            mu = f"{report.config.problem_options.mu:g}"
+            if mu in by_mu:
+                raise ConfigError([f"plot: {by_mu[mu]} and {d} both write trajectory_mu{mu}.csv"])
+            by_mu[mu] = d
     os.makedirs(out_dir, exist_ok=True)
     written = []
 

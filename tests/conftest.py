@@ -34,12 +34,12 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
 
 @pytest.fixture(scope="session")
 def spiral_problem():
-    return problems.make_spiral_problem(np.random.default_rng(0), seed=0, assembly="shooting")
+    return problems.make_spiral_problem(np.random.default_rng(0), assembly="shooting")
 
 
 @pytest.fixture(scope="session")
 def pendulum_problem():
-    return problems.make_pendulum_problem(np.random.default_rng(1), seed=1, assembly="shooting")
+    return problems.make_pendulum_problem(np.random.default_rng(1), assembly="shooting")
 
 
 @pytest.fixture(scope="session")

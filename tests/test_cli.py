@@ -327,6 +327,21 @@ def test_plot_missing_report_is_config_error(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+def test_plot_of_two_reports_with_one_mu_is_config_error(tmp_path, capsys):
+    # Both would write trajectory_mu0.001.csv and loss_curve_mu0.001.csv:
+    # the list is rejected before any file is written.
+    dirs = [str(tmp_path / f"seed{seed}") for seed in (0, 1)]
+    for seed, out in enumerate(dirs):
+        config = dataclasses.replace(runner.preset("control-eki-mu0.001"), epochs=1, seed=seed)
+        runner.run(config, out_dir=out)
+    capsys.readouterr()
+    out = tmp_path / "plots"
+    assert cli.main(["plot", "--report", *dirs, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err == f"config error: plot: {dirs[0]} and {dirs[1]} both write trajectory_mu0.001.csv\n"
+    assert not out.exists()
+
+
 def test_plot_of_a_report_without_rows_is_config_error(tmp_path, capsys):
     # At dt = 1e-300 the first BPTT pass is past max_steps, so the run fails
     # before its first row: its partial report has no parameters to plot.

@@ -116,7 +116,7 @@ def test_regularized_step_scalar_hand_oracle():
     # mu=0.02.  B = (1, 1), Sigma^{-1} = diag(2, 0.2), so the per-member
     # residual products are 2.2 and 6.6.
     ens = make_ensemble([[1.0], [3.0]])
-    outs = eki.ForwardMapOutput(g=[[2.0], [4.0]], h=np.array([1.0, 3.0]))
+    outs = eki.ForwardMapOutput(g=[[2.0, 1.0], [4.0, 3.0]])
     new = eki.eki_step(ens, outs, np.array([1.0, 0.0]), np.array([0.5, 0.1 / 0.02]), h=0.1)
     assert abs(new.members[0, 0] - 0.78) < ORACLE_TOL
     assert abs(new.members[1, 0] - 2.34) < ORACLE_TOL
@@ -124,20 +124,20 @@ def test_regularized_step_scalar_hand_oracle():
 
 def test_regularized_step_zero_residual_is_identity():
     ens = make_ensemble([[1.0], [2.0]])
-    outs = eki.ForwardMapOutput(g=[[3.0], [3.0]], h=np.zeros(2))
+    outs = eki.ForwardMapOutput(g=[[3.0, 0.0], [3.0, 0.0]])
     new = eki.eki_step(ens, outs, np.array([3.0, 0.0]), np.array([1.0, 1.0 / 0.5]))
     assert np.array_equal(new.members, ens.members)
 
 
 def test_regularized_step_reduces_to_plain_step():
-    # Identical h values carry zero deviation, so the energy channel cannot
+    # Identical energy values carry zero deviation, so that channel cannot
     # move members no matter how mu is set.
     rng = np.random.default_rng(11)
     members = rng.normal(size=(4, 3))
     gs = [rng.normal(size=2) for _ in range(4)]
     y = rng.normal(size=2)
     ens = make_ensemble(members)
-    reg_outs = eki.ForwardMapOutput(g=np.stack(gs), h=np.full(4, 0.75))
+    reg_outs = eki.ForwardMapOutput(g=np.column_stack([np.stack(gs), np.full(4, 0.75)]))
     variances = np.array([0.4, 0.4, 0.01 / 123.0])
     reg = eki.eki_step(ens, reg_outs, np.concatenate([y, [0.0]]), variances, h=0.2)
     plain = eki.eki_step(make_ensemble(members), outputs_from(gs), y, gamma=0.4, h=0.2)
@@ -178,7 +178,7 @@ def test_schedule_validation():
 
 def test_eki_step_rejects_nonpositive_gamma():
     ens = make_ensemble([[1.0], [2.0]])
-    outs = eki.ForwardMapOutput(g=[[1.0], [2.0]], h=np.array([0.5, 1.5]))
+    outs = eki.ForwardMapOutput(g=[[1.0, 0.5], [2.0, 1.5]])
     z = np.array([0.0, 0.0])
     for gamma in (0.0, -1.0, np.nan, [0.0, 1.0], [1.0, 0.0], [1.0, -2.0]):
         with pytest.raises(ValueError):

@@ -336,7 +336,7 @@ def test_bptt_loss_matches_problem_losses(small_spiral, control_problem, monkeyp
         theta_c, control_problem, gamma=0.3, gamma_prime=0.01
     )
     out = problems.control_forward_map(theta_c, control_problem)
-    expected = float(problems.control_objective(out.g[0], out.h**2, control_problem, 0.3, 0.01))
+    expected = float(problems.control_objective(out.g[0], out.g[1] ** 2, control_problem, 0.3, 0.01))
     assert abs(loss_c - expected) <= 1e-12 * max(1.0, abs(expected))
 
 

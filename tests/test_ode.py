@@ -163,9 +163,9 @@ def test_max_steps_exceeded():
 
 def test_divergence_limit_aborts():
     config = ode.IntegratorConfig(method="rk4", dt=0.1, divergence_limit=10.0)
-    with pytest.raises(ode.IntegrationError) as info:
+    # The message says where the trajectory left the bound.
+    with pytest.raises(ode.IntegrationError, match=r"^state magnitude exceeds 10 at t=\d"):
         ode.integrate(lambda x, t: 5.0 * x, np.array([1.0]), np.array([0.0, 10.0]), config)
-    assert info.value.t is not None
 
 
 def test_non_finite_field_output_aborts_with_location():
@@ -346,7 +346,7 @@ def _oracle_dopri_step(field, x, t, h, rtol, atol, k1=None):
         k[i] = field(x + h * (ode._DP_A[i] @ k[:i]), t + ode._DP_C[i] * h)
     x_new = x + h * (_ORACLE_B @ k)
     if not np.isfinite(x_new).all():
-        raise ode.IntegrationError(f"non-finite state at t={t + h}", t=t + h, state=x_new)
+        raise ode.IntegrationError(f"non-finite state at t={t + h}")
     r = h * (ode._DP_E @ k) / (atol + rtol * np.maximum(np.abs(x), np.abs(x_new)))
     err = math.sqrt(np.add.reduce(r * r) / r.size)
     if err == 0.0:
@@ -382,16 +382,14 @@ def _oracle_integrate(field, x0, times, config):
                 n_steps += 1
                 if n_steps > config.max_steps:
                     raise ode.IntegrationError(
-                        f"max_steps={config.max_steps} exceeded at t={t0 + tau}",
-                        t=t0 + tau, state=x,
+                        f"max_steps={config.max_steps} exceeded at t={t0 + tau}"
                     )
                 if err <= 1.0:
                     tau = target if clipped else tau + h_try
                     x = x_new
                     if np.abs(x).max() > limit:
                         raise ode.IntegrationError(
-                            f"state magnitude exceeds {limit:g} at t={t0 + tau}",
-                            t=t0 + tau, state=x,
+                            f"state magnitude exceeds {limit:g} at t={t0 + tau}"
                         )
                     k1 = k_last
                 else:
@@ -462,5 +460,4 @@ def test_non_finite_stage_at_step_end_raises_like_oracle():
         ode.integrate(make_field(), np.array([1.0]), times, config)
     with pytest.raises(ode.IntegrationError) as want:
         _oracle_integrate(make_field(), [1.0], times, config)
-    assert str(got.value) == str(want.value)
-    assert got.value.t == want.value.t
+    assert str(got.value) == str(want.value)  # the same failure at the same t

@@ -295,13 +295,13 @@ def test_control_forward_map_zero_controller(control_problem):
     out = problems.control_forward_map(theta, control_problem)
     assert not out.failed
     assert abs(out.g[0]) < ORACLE_TOL  # x stays at x0 = 0
-    assert out.h == 0.0
+    assert out.g[1] == 0.0
 
 
 def control_loss(theta, prob, gamma, gamma_prime):
     # The EKI driver's loss of one member at the given covariance scales.
     out = problems.control_forward_map(theta, prob)
-    return float(problems.control_objective(out.g[0], out.h**2, prob, gamma, gamma_prime))
+    return float(problems.control_objective(out.g[0], out.g[1] ** 2, prob, gamma, gamma_prime))
 
 
 def test_control_loss_zero_controller_examples():
@@ -316,7 +316,7 @@ def test_control_loss_decomposition(control_problem):
     theta = nnet.mlp_init(control_problem.controller, np.random.default_rng(6))
     out = problems.control_forward_map(theta, control_problem)
     energy = problems.control_energy(theta, control_problem)
-    assert abs(out.h - np.sqrt(energy)) < 1e-14
+    assert abs(out.g[1] - np.sqrt(energy)) < 1e-14
     expected = 0.5 * (out.g[0] - 1.0) ** 2 / 0.3 + 0.001 / (2 * 0.01) * energy
     assert abs(control_loss(theta, control_problem, 0.3, 0.01) - expected) < 1e-12
 
@@ -447,7 +447,7 @@ def test_batched_control_forward_map_matches_scalar_formulas(s, method, dt, acti
     )
     members = _mixed_ensemble(rng, prob.controller, 5e3)
     out = problems.control_forward_map(members, prob)
-    assert out.g.shape == (5, 1) and out.h.shape == (5,)
+    assert out.g.shape == (5, 2)
     grid = prob.quadrature_grid()
     for j, theta in enumerate(members):
         layers = nnet.unflatten(prob.controller, theta)
@@ -463,11 +463,11 @@ def test_batched_control_forward_map_matches_scalar_formulas(s, method, dt, acti
             failed_ref = True
         assert out.failed[j] == failed_ref
         if failed_ref:
-            assert out.g[j, 0] == 0.0 and out.h[j] == 0.0
+            assert out.g[j, 0] == 0.0 and out.g[j, 1] == 0.0
             continue
         energy = np.trapezoid(np.array([u(t)[0] for t in grid]) ** 2, grid)
         assert abs(out.g[j, 0] - traj.states[-1, 0]) <= 1e-12 * max(1.0, abs(traj.states[-1, 0]))
-        assert abs(out.h[j] - np.sqrt(energy)) <= 1e-12 * max(1.0, np.sqrt(energy))
+        assert abs(out.g[j, 1] - np.sqrt(energy)) <= 1e-12 * max(1.0, np.sqrt(energy))
     assert out.failed[1] and out.failed[3] and not out.failed[0]
 
 
@@ -600,7 +600,7 @@ def test_control_path_evaluates_the_controller_once(monkeypatch, method, dt, qua
         assert np.array_equal(failed, problems.control_diverged(ref, prob.integrator))
         assert np.array_equal(energy, problems.control_energy(theta, prob))
         assert np.array_equal(out.g[:, 0], np.where(failed, 0.0, ref[:, -1]))
-        assert np.array_equal(out.h, np.where(failed, 0.0, np.sqrt(energy)))
+        assert np.array_equal(out.g[:, 1], np.where(failed, 0.0, np.sqrt(energy)))
         assert not failed[0] and failed[-1] == (members > 1)
 
 
@@ -618,7 +618,7 @@ def test_control_forward_map_past_max_steps_evaluates_nothing(monkeypatch):
     theta = nnet.mlp_init(prob.controller, np.random.default_rng(2), 22)
     out = problems.control_forward_map(theta, prob)
     assert out.failed.shape == (22,) and out.failed.all()
-    assert not out.g.any() and not out.h.any()
+    assert not out.g.any()
     # A pass past max_steps takes no step: its trajectory is the start alone.
     times, states = problems.control_trajectory(theta[0], prob)
     assert times.tolist() == [0.0] and np.isnan(states).all() and states.size == 1
@@ -682,7 +682,7 @@ def test_replaced_problem_gets_its_own_plan(change):
     assert copied.plan is not base.plan
     out_c, bptt_c, mse_c = _control_values(copied, theta)
     out_f, bptt_f, mse_f = _control_values(fresh, theta)
-    assert np.array_equal(out_c.g, out_f.g) and np.array_equal(out_c.h, out_f.h)
+    assert np.array_equal(out_c.g, out_f.g)
     assert np.array_equal(out_c.failed, out_f.failed)
     assert np.array_equal(mse_c, mse_f)
     if isinstance(bptt_f, str):  # past max_steps: every member fails, BPTT raises
@@ -739,4 +739,4 @@ def test_control_pass_past_max_steps_allocates_nothing_of_its_size():
         assert prob.plan.exceeded and prob.plan.n_steps == 0
         assert peak < 2**20, (run, peak)
     assert out.failed.shape == (22,) and out.failed.all()
-    assert not out.g.any() and not out.h.any()
+    assert not out.g.any()

@@ -227,6 +227,16 @@ def test_eki_log_tracks_schedule_expansion_and_gamma_steps(tmp_path):
     assert ["expansion", 3, 20] in [list(e) for e in report.events]
 
 
+def test_two_expansions_at_one_epoch_both_apply(tmp_path):
+    base = runner.preset("control-eki-mu0.001")
+    opts = dataclasses.replace(base.eki, expansions=((3, 5), (3, 7)))
+    report = runner.run(tiny("control-eki-mu0.001", 4, eki=opts), out_dir=str(tmp_path / "r"))
+    _, rows = read_log(report.log_path)
+    assert [int(r[2]) for r in rows] == [2, 2, 2, 14, 14]
+    expansions = [list(e) for e in report.events if e[0] == "expansion"]
+    assert expansions == [["expansion", 3, 5], ["expansion", 3, 7]]
+
+
 def test_stall_holds_the_ensemble(tmp_path):
     # No candidate can beat 1e-12 times the current best loss and no
     # backtrack is allowed, so every epoch stalls and the ensemble stays put.
