@@ -27,7 +27,7 @@ obs = prob.observations
 
 energies = np.array([problems.pendulum_energy(s) for s in obs.grid_states])
 print("=== pendulum reference data ===")
-print(f"grid points:        {obs.grid_times.size} over [0, {prob.t_final:g}]")
+print(f"grid points:        {obs.grid_times.size} over [0, {obs.grid_times[-1]:g}]")
 print(f"observation layout: {obs.num_subsets} subsets x {obs.subset_length} consecutive samples")
 print(f"energy drift:       {np.max(np.abs(energies - energies[0])):.2e} (integrator audit)")
 

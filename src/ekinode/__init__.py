@@ -27,9 +27,7 @@ from .problems import (
     SysIdProblem,
     control_energy,
     control_mse,
-    make_control_problem,
-    make_pendulum_problem,
-    make_spiral_problem,
+    make_sysid_problem,
     mse,
     optimal_control,
     optimal_energy,
@@ -60,9 +58,7 @@ __all__ = [
     "ensemble_expand",
     "gamma_at",
     "integrate",
-    "make_control_problem",
-    "make_pendulum_problem",
-    "make_spiral_problem",
+    "make_sysid_problem",
     "min_loss_member",
     "mlp_init",
     "mse",

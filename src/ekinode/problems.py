@@ -26,9 +26,7 @@ __all__ = [
     "pendulum_field",
     "pendulum_energy",
     "make_observations",
-    "make_spiral_problem",
-    "make_pendulum_problem",
-    "make_control_problem",
+    "make_sysid_problem",
     "sysid_forward_map",
     "sysid_grid",
     "sysid_loss",
@@ -47,16 +45,13 @@ __all__ = [
     "control_trajectory",
     "controller_values",
     "DATA_INTEGRATOR",
-    "GRID_SIZES",
+    "SYSID_BENCHMARKS",
 ]
 
 # Reference trajectories ("discretized solutions") are generated once per
 # problem with a tight adaptive tolerance so that data error is negligible
 # against the training-error scales under study.
 DATA_INTEGRATOR = IntegratorConfig(method="dopri5", rtol=1e-9, atol=1e-12)
-
-# Default reference-grid sizes of the identification benchmarks.
-GRID_SIZES = {"spiral": 500, "pendulum": 200}
 
 # Parameter vectors integrated together by one test_mse pass: bounds its
 # states array at (rows, grid, state) for however many rows a run logged.
@@ -94,6 +89,21 @@ def pendulum_field(state: np.ndarray, t: float = 0.0, omega: float = 1.0) -> np.
 def pendulum_energy(state: np.ndarray, omega: float = 1.0) -> float:
     """First integral v^2/2 - omega * cos(x); conserved along trajectories."""
     return 0.5 * state[..., 1] ** 2 - omega * np.cos(state[..., 0])
+
+
+class _Benchmark(NamedTuple):
+    field: ode.VectorField
+    x0: tuple
+    t_final: float
+    grid_size: int
+
+
+# The identification benchmarks: true field, start, horizon and default
+# reference-grid size of each.
+SYSID_BENCHMARKS = {
+    "spiral": _Benchmark(spiral_field, (1.0, 0.0), 40.0, 500),
+    "pendulum": _Benchmark(pendulum_field, (math.pi / 4.0, 0.0), 20.0, 200),
+}
 
 
 @dataclass
@@ -176,10 +186,7 @@ class SysIdProblem:
     aggressive covariance schedules usable on long horizons.
     """
 
-    name: str
-    true_field: ode.VectorField
     x0: np.ndarray
-    t_final: float
     observations: ObservationSet
     net: MlpSpec
     integrator: IntegratorConfig
@@ -200,58 +207,36 @@ def _check_fixed_step(integrator: IntegratorConfig) -> None:
         raise ValueError(f"training integrates with euler or rk4, got {integrator.method!r}")
 
 
-def _reference_grid(field, x0, t_final, grid_size):
-    times = np.linspace(0.0, t_final, grid_size)
-    traj = integrate(field, x0, times, DATA_INTEGRATOR)
-    return times, traj.states
-
-
-def make_spiral_problem(
+def make_sysid_problem(
+    name: str,
     data_rng: np.random.Generator,
-    grid_size: int = GRID_SIZES["spiral"],
-    t_final: float = 40.0,
+    grid_size: int | None = None,
+    t_final: float | None = None,
     num_subsets: int = 10,
     subset_length: int = 10,
     net: MlpSpec | None = None,
     integrator: IntegratorConfig | None = None,
     assembly: str = "full",
 ) -> SysIdProblem:
-    """Spiral benchmark: 500-point grid on [0, 40], 10 runs of 10 observations."""
-    x0 = np.array([1.0, 0.0])
-    times, states = _reference_grid(spiral_field, x0, t_final, grid_size)
-    obs = make_observations(times, states, num_subsets, subset_length, data_rng)
-    if net is None:
-        net = MlpSpec((2, 10, 2), "tanh")
-    if integrator is None:
-        integrator = IntegratorConfig(method="rk4", dt=times[1] - times[0], divergence_limit=1e3)
-    return SysIdProblem("spiral", spiral_field, x0, t_final, obs, net, integrator, assembly)
+    """The ``name`` benchmark of :data:`SYSID_BENCHMARKS`: the dopri5 grid of
+    its true field from its x0, ``grid_size`` points on [0, t_final] (the
+    table's unless given), observed in ``num_subsets`` runs of
+    ``subset_length`` points drawn from ``data_rng``.
 
-
-def make_pendulum_problem(
-    data_rng: np.random.Generator,
-    grid_size: int = GRID_SIZES["pendulum"],
-    t_final: float = 20.0,
-    num_subsets: int = 10,
-    subset_length: int = 10,
-    omega: float = 1.0,
-    net: MlpSpec | None = None,
-    integrator: IntegratorConfig | None = None,
-    assembly: str = "full",
-) -> SysIdProblem:
-    """Pendulum benchmark from (pi/4, 0): 200-point grid on [0, 20].
-
-    The full (angle, velocity) state is observed; the 2-in/2-out network
-    needs both components as training signal.
+    The full state is observed; the 2-in/2-out network needs both
+    components as training signal.
     """
-    x0 = np.array([np.pi / 4.0, 0.0])
-    field = lambda x, t: pendulum_field(x, t, omega)
-    times, states = _reference_grid(field, x0, t_final, grid_size)
+    bench = SYSID_BENCHMARKS[name]
+    x0 = np.array(bench.x0)
+    times = np.linspace(0.0, bench.t_final if t_final is None else t_final,
+                        bench.grid_size if grid_size is None else grid_size)
+    states = integrate(bench.field, x0, times, DATA_INTEGRATOR).states
     obs = make_observations(times, states, num_subsets, subset_length, data_rng)
     if net is None:
         net = MlpSpec((2, 10, 2), "tanh")
     if integrator is None:
         integrator = IntegratorConfig(method="rk4", dt=times[1] - times[0], divergence_limit=1e3)
-    return SysIdProblem("pendulum", field, x0, t_final, obs, net, integrator, assembly)
+    return SysIdProblem(x0, obs, net, integrator, assembly)
 
 
 def _net_states(theta: np.ndarray, prob: SysIdProblem, x0: np.ndarray, times: np.ndarray,
@@ -415,11 +400,6 @@ class ControlProblem:
         a plant that overflows them fails :func:`control_diverged`, quietly."""
         with np.errstate(over="ignore", invalid="ignore"):
             return _control_plan(self)
-
-
-def make_control_problem(mu: float = 0.001, **kwargs) -> ControlProblem:
-    """Paper setting: x0 = 0 and T = a = b = x_star = 1."""
-    return ControlProblem(mu=mu, **kwargs)
 
 
 def optimal_control(t, a: float, b: float, x0: float, x_star: float, t_final: float):

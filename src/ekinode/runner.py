@@ -168,8 +168,8 @@ class ExperimentConfig:
             msgs.append("problem_options.num_subsets / subset_length: must be positive")
         elif po.grid_size is not None and po.grid_size < 2:
             msgs.append("problem_options.grid_size: need at least 2 points")
-        elif self.problem in problems.GRID_SIZES:
-            grid = po.grid_size if po.grid_size is not None else problems.GRID_SIZES[self.problem]
+        elif self.problem in problems.SYSID_BENCHMARKS:
+            grid = po.grid_size or problems.SYSID_BENCHMARKS[self.problem].grid_size
             if po.num_subsets * po.subset_length >= grid:
                 msgs.append(
                     f"problem_options.num_subsets: {po.num_subsets} disjoint runs of "
@@ -362,18 +362,12 @@ def build_problem(config: ExperimentConfig):
     data_rng = np.random.default_rng(ss_data)
     po = config.problem_options
     if config.problem == "linear_control":
-        prob = problems.make_control_problem(mu=po.mu)
+        prob = problems.ControlProblem(mu=po.mu)
     else:
-        kwargs = dict(
-            data_rng=data_rng,
-            num_subsets=po.num_subsets,
-            subset_length=po.subset_length,
-            assembly=po.assembly,
+        prob = problems.make_sysid_problem(
+            config.problem, data_rng, grid_size=po.grid_size, num_subsets=po.num_subsets,
+            subset_length=po.subset_length, assembly=po.assembly,
         )
-        if po.grid_size is not None:
-            kwargs["grid_size"] = po.grid_size
-        maker = problems.make_spiral_problem if config.problem == "spiral" else problems.make_pendulum_problem
-        prob = maker(**kwargs)
     # The set integrator options replace those of the problem's default.
     overrides = {k: v for k, v in dataclasses.asdict(config.integrator).items() if v is not None}
     if overrides:
@@ -474,7 +468,6 @@ class _EkiDriver:
     toward."""
 
     def __init__(self, config, prob, init_rng):
-        self.config = config
         self.prob = prob
         self.opts = config.eki
         spec = prob.net if hasattr(prob, "net") else prob.controller
@@ -796,12 +789,22 @@ def table(configs: list, replicates: int, out_dir: str) -> list[dict]:
 
     Returns one dict per config with median/min train and test errors, and
     writes ``table.csv`` plus an aligned ``table.txt`` under ``out_dir``.
-    Every config is validated before any replicate runs, so a config error
-    writes nothing; failed replicates are counted per cell, not fatal.
+    Each replicate writes ``<name>-rep<r>`` under ``out_dir``, so a cell
+    name must be a nonempty string of its own, not ``.`` or ``..``, with no
+    path separator.  Every name and config is validated before any
+    replicate runs, so a config error writes nothing; failed replicates are
+    counted per cell, not fatal.
     """
     if replicates < 1:
         raise ConfigError(["replicates: must be >= 1"])
     named = [_named_config(item, i) for i, item in enumerate(configs)]
+    names = [name for name, _ in named]
+    for i, name in enumerate(names):
+        if (not isinstance(name, str) or name in ("", ".", "..")
+                or any(sep and sep in name for sep in (os.sep, os.altsep))):
+            raise ConfigError([f"configs[{i}].name: {name!r} is not a directory name"])
+        if name in names[:i]:
+            raise ConfigError([f"configs[{i}].name: {name!r} repeats configs[{names.index(name)}]"])
     for _, config in named:
         config.validate()
     os.makedirs(out_dir, exist_ok=True)

@@ -34,23 +34,24 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
 
 @pytest.fixture(scope="session")
 def spiral_problem():
-    return problems.make_spiral_problem(np.random.default_rng(0), assembly="shooting")
+    return problems.make_sysid_problem("spiral", np.random.default_rng(0), assembly="shooting")
 
 
 @pytest.fixture(scope="session")
 def pendulum_problem():
-    return problems.make_pendulum_problem(np.random.default_rng(1), assembly="shooting")
+    return problems.make_sysid_problem("pendulum", np.random.default_rng(1), assembly="shooting")
 
 
 @pytest.fixture(scope="session")
 def control_problem():
-    return problems.make_control_problem()
+    return problems.ControlProblem()
 
 
 @pytest.fixture(scope="session")
 def small_spiral():
     # Short horizon and a slim net keep finite-difference sweeps cheap.
-    return problems.make_spiral_problem(
+    return problems.make_sysid_problem(
+        "spiral",
         np.random.default_rng(7),
         grid_size=40,
         t_final=2.0,

@@ -297,6 +297,35 @@ def test_table_rejects_an_invalid_config_before_any_run(tmp_path, capsys):
     assert not (tmp_path / "t").exists()
 
 
+@pytest.mark.parametrize("names, message", [
+    (["x", "x"], "configs[1].name: 'x' repeats configs[0]"),
+    (["../escaped"], "configs[0].name: '../escaped' is not a directory name"),
+    (["fine", os.path.join("sub", "dir")], f"configs[1].name: {os.path.join('sub', 'dir')!r} is not"),
+    ([""], "configs[0].name: '' is not a directory name"),
+    (["."], "configs[0].name: '.' is not a directory name"),
+    ([".."], "configs[0].name: '..' is not a directory name"),
+    ([3], "configs[0].name: 3 is not a directory name"),
+], ids=["repeated", "parent", "subdirectory", "empty", "dot", "dotdot", "not-a-string"])
+def test_table_rejects_a_cell_name_that_is_not_its_own_directory(tmp_path, capsys, names, message):
+    # Each replicate writes <name>-rep<r> under --out: a repeated name would
+    # overwrite another cell's runs, and a path would write outside --out.
+    # Each is a config error before any replicate runs.
+    base = dataclasses.replace(runner.preset("control-eki-mu0.001"), epochs=1)
+    items = []
+    for name, mu in zip(names, (0.001, 0.01)):
+        config = dataclasses.replace(base, problem_options=dataclasses.replace(base.problem_options, mu=mu))
+        items.append({"name": name, **runner.config_to_dict(config)})
+    configs_path = tmp_path / "configs.json"
+    configs_path.write_text(json.dumps(items))
+    code = cli.main(
+        ["table", "--configs", str(configs_path), "--replicates", "1",
+         "--out", str(tmp_path / "t")]
+    )
+    assert code == 1
+    assert f"config error: {message}" in capsys.readouterr().err
+    assert sorted(os.listdir(tmp_path)) == ["configs.json"]
+
+
 def test_table_exits_two_when_cell_fails_entirely(tmp_path, capsys):
     config = dataclasses.replace(
         runner.preset("spiral-sgd-0.1"), epochs=30, gradient=runner.GradientOptions(eta=1e8)

@@ -38,10 +38,7 @@ def zero_field_problem():
     grid_states = np.tile([0.3, -0.7], (20, 1))
     obs = problems.make_observations(grid_times, grid_states, 2, 5, np.random.default_rng(0))
     return problems.SysIdProblem(
-        name="rest",
-        true_field=lambda x, t: np.zeros_like(x),
         x0=np.array([0.3, -0.7]),
-        t_final=1.0,
         observations=obs,
         net=nnet.MlpSpec((2, 4, 2), "tanh"),
         integrator=ode.IntegratorConfig(method="rk4", dt=0.05),
@@ -177,8 +174,8 @@ def test_merged_control_record_matches_two_records(method, dt, quadrature_points
     # lacks most of them; 0.003 takes 334 steps, more than one block.
     for a, mu, (gamma, gamma_prime) in ((1.0, 0.001, (1.0, 1.0)), (0.5, 0.01, (0.3, 0.01)),
                                         (-2.0, 0.0075, (0.15, 0.01))):
-        prob = problems.make_control_problem(
-            mu, a=a, quadrature_points=quadrature_points,
+        prob = problems.ControlProblem(
+            mu=mu, a=a, quadrature_points=quadrature_points,
             integrator=ode.IntegratorConfig(method=method, dt=dt, divergence_limit=1e3),
         )
         for s in (0, 1, 2):
@@ -240,7 +237,7 @@ def test_control_gradient_matches_reverse_recurrence(method, dt):
     # 0.003 takes 334 steps: more than one propagator block.
     for a, x0, (gamma, gamma_prime) in ((1.0, 0.0, (1.0, 1.0)), (0.5, 0.7, (0.3, 0.01)),
                                         (-2.0, 0.7, (0.15, 0.01))):
-        prob = problems.make_control_problem(
+        prob = problems.ControlProblem(
             a=a, x0=x0, integrator=ode.IntegratorConfig(method=method, dt=dt, divergence_limit=1e3)
         )
         for s in (0, 1):
@@ -294,7 +291,7 @@ def test_stacked_accumulation_is_bitwise_per_call(spiral_problem, small_spiral, 
     ]
     n_sub, _, _ = ode.substeps(problems.sysid_grid(cases[4][0])[1], fine)
     assert n_sub.min() >= 2
-    for prob, kw in cases:
+    for case, (prob, kw) in enumerate(cases):
         spec = prob.controller if isinstance(prob, problems.ControlProblem) else prob.net
         for s in (0, 1, 2):
             theta = (1.0 + s) * nnet.mlp_init(spec, np.random.default_rng(20 + s))
@@ -302,7 +299,7 @@ def test_stacked_accumulation_is_bitwise_per_call(spiral_problem, small_spiral, 
                 m.setattr(gradbase, "_Pullback", PerCallPullback)
                 ref = gradbase.bptt_value_and_gradient(theta, prob, **kw)[1]
             grad = gradbase.bptt_value_and_gradient(theta, prob, **kw)[1]
-            assert np.array_equal(grad, ref), (prob.name, spec, s)
+            assert np.array_equal(grad, ref), (case, s)
 
 
 def test_bptt_loss_matches_problem_losses(small_spiral, control_problem, monkeypatch):
@@ -345,7 +342,7 @@ def test_bptt_loss_matches_problem_losses(small_spiral, control_problem, monkeyp
 def test_control_bptt_runs_the_forward_maps_pass(method, dt):
     # The BPTT loss and flag are those of the forward map's own pass for the
     # same theta, bitwise; the last scale takes the state past the limit.
-    prob = problems.make_control_problem(
+    prob = problems.ControlProblem(
         integrator=ode.IntegratorConfig(method=method, dt=dt, divergence_limit=1e3)
     )
     for s, scale in enumerate((1.0, 2.0, 1e3)):
@@ -449,7 +446,7 @@ def test_control_tape_follows_forward_map_failure_rule(integrator):
     # The control forward map flags each of these.  Past max_steps the BPTT
     # pass raises, as the system-identification pass does; a state past the
     # divergence limit is flagged but trains like the unflagged unfolding.
-    prob = problems.make_control_problem(0.001, integrator=integrator)
+    prob = problems.ControlProblem(mu=0.001, integrator=integrator)
     theta = nnet.mlp_init(prob.controller, np.random.default_rng(0))
     assert problems.control_forward_map(theta, prob).failed
     if integrator.max_steps == 10:
@@ -473,10 +470,7 @@ def two_run_problem(first_spacing, second_spacing, dt):
     grid_states = problems.spiral_solution(grid_times)
     obs = problems.make_observations(grid_times, grid_states, 2, 10, np.random.default_rng(0))
     return problems.SysIdProblem(
-        name="two-runs",
-        true_field=problems.spiral_field,
         x0=np.array([1.0, 0.0]),
-        t_final=float(grid_times[-1]),
         observations=obs,
         net=nnet.MlpSpec((2, 4, 2), "tanh"),
         integrator=ode.IntegratorConfig(method="rk4", dt=dt),

@@ -305,7 +305,7 @@ def control_loss(theta, prob, gamma, gamma_prime):
 
 
 def test_control_loss_zero_controller_examples():
-    prob = problems.make_control_problem()
+    prob = problems.ControlProblem()
     theta = np.zeros(nnet.param_count(prob.controller))
     unit = replace(prob, mu=0.0)
     assert abs(control_loss(theta, unit, 1.0, 0.01) - 0.5) < ORACLE_TOL
@@ -347,14 +347,14 @@ def test_stacked_control_mse_matches_per_row_calls(control_problem, rows):
         assert batched.tolist() == alone
 
 
-def test_make_control_problem_overrides():
-    prob = problems.make_control_problem(mu=0.0075, quadrature_points=50)
+def test_control_problem_overrides():
+    prob = problems.ControlProblem(mu=0.0075, quadrature_points=50)
     assert prob.mu == 0.0075
     assert prob.quadrature_grid().shape == (51,)
     with pytest.raises(ValueError):
-        problems.make_control_problem(b=0.0)
+        problems.ControlProblem(b=0.0)
     with pytest.raises(ValueError):
-        problems.make_control_problem(t_final=-1.0)
+        problems.ControlProblem(t_final=-1.0)
 
 
 def _uneven_sysid_problem(rng, assembly, method, dt, activation):
@@ -366,8 +366,7 @@ def _uneven_sysid_problem(rng, assembly, method, dt, activation):
     grid_states = 0.5 * rng.normal(size=(30, 2))
     obs = problems.make_observations(grid_times, grid_states, 3, 4, rng)
     return problems.SysIdProblem(
-        "uneven", problems.spiral_field, grid_states[0], float(grid_times[-1]), obs,
-        nnet.MlpSpec((2, 6, 2), activation),
+        grid_states[0], obs, nnet.MlpSpec((2, 6, 2), activation),
         ode.IntegratorConfig(method=method, dt=dt, divergence_limit=50.0), assembly,
     )
 
@@ -441,7 +440,7 @@ def test_batched_sysid_forward_map_matches_scalar_integrate(s, assembly, method,
 @settings(max_examples=30, deadline=None)
 def test_batched_control_forward_map_matches_scalar_formulas(s, method, dt, activation):
     rng = np.random.default_rng(s)
-    prob = problems.make_control_problem(
+    prob = problems.ControlProblem(
         controller=nnet.MlpSpec((1, 5, 5, 1), activation),
         integrator=ode.IntegratorConfig(method=method, dt=dt, divergence_limit=1e3),
     )
@@ -504,7 +503,7 @@ PROPAGATOR_TOL = 1e-14
 
 
 def _control_case(method, dt, a, x0):
-    prob = problems.make_control_problem(
+    prob = problems.ControlProblem(
         a=a, x0=x0, integrator=ode.IntegratorConfig(method=method, dt=dt, divergence_limit=1e3)
     )
     plan = prob.plan
@@ -566,7 +565,7 @@ def test_control_path_evaluates_the_controller_once(monkeypatch, method, dt, qua
     # lacks gives bitwise the states and energies of a pass on each grid
     # alone.  At dt = 1/37 the stage grid lacks most quadrature points; at
     # dt = 0.01 it holds all of them.
-    prob = problems.make_control_problem(
+    prob = problems.ControlProblem(
         quadrature_points=quadrature_points,
         integrator=ode.IntegratorConfig(method=method, dt=dt, divergence_limit=1e3),
     )
@@ -607,7 +606,7 @@ def test_control_path_evaluates_the_controller_once(monkeypatch, method, dt, qua
 def test_control_forward_map_past_max_steps_evaluates_nothing(monkeypatch):
     # The step count alone decides the max_steps rule: every member fails
     # with zeroed outputs before the controller is evaluated.
-    prob = problems.make_control_problem(
+    prob = problems.ControlProblem(
         integrator=ode.IntegratorConfig(method="rk4", dt=1e-4, max_steps=10)
     )
 
@@ -632,7 +631,7 @@ def test_plan_decides_max_steps_from_the_step_count(method):
     # records the decision and its readers act on it.  An exceeded pass
     # takes no step.
     for max_steps, exceeded in ((10, False), (9, True)):
-        prob = problems.make_control_problem(
+        prob = problems.ControlProblem(
             integrator=ode.IntegratorConfig(method=method, dt=0.1, max_steps=max_steps)
         )
         assert prob.plan.n_steps == (0 if exceeded else 10) and prob.plan.exceeded == exceeded
@@ -675,10 +674,10 @@ def _control_values(prob, theta):
 def test_replaced_problem_gets_its_own_plan(change):
     # A problem copied with dataclasses.replace evaluates bitwise as one
     # built with those fields, after the original's plan was built and used.
-    base = problems.make_control_problem()
+    base = problems.ControlProblem()
     theta = nnet.mlp_init(base.controller, np.random.default_rng(4), 5)
     _control_values(base, theta)
-    copied, fresh = replace(base, **change), problems.make_control_problem(**change)
+    copied, fresh = replace(base, **change), problems.ControlProblem(**change)
     assert copied.plan is not base.plan
     out_c, bptt_c, mse_c = _control_values(copied, theta)
     out_f, bptt_f, mse_f = _control_values(fresh, theta)
@@ -723,9 +722,9 @@ def test_control_pass_past_max_steps_allocates_nothing_of_its_size():
     # and the BPTT pass raises, each within a traced peak of 1 MB, plan
     # build included (the stage grid alone would be 16 MB).
     integrator = ode.IntegratorConfig(method="rk4", dt=1e-6, max_steps=10)
-    theta = nnet.mlp_init(problems.make_control_problem().controller, np.random.default_rng(1), 22)
+    theta = nnet.mlp_init(problems.ControlProblem().controller, np.random.default_rng(1), 22)
     for run in ("map", "bptt"):
-        prob = problems.make_control_problem(integrator=integrator)
+        prob = problems.ControlProblem(integrator=integrator)
         tracemalloc.start()
         try:
             if run == "map":
