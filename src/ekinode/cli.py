@@ -42,9 +42,19 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _read_json(path: str, what: str):
+    # A config file that cannot be read or decoded is a config error; the
+    # same errors raised later, by the run itself, stay runtime failures.
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError([f"{what}: cannot read {path!r}: {exc}"])
+
+
 def _load_run_config(arg: str) -> runner.ExperimentConfig:
     if os.path.exists(arg):
-        return runner.load_config(arg)
+        return runner.config_from_dict(_read_json(arg, "--config"))
     return runner.preset(arg)
 
 
@@ -84,8 +94,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_table(args) -> int:
-    with open(args.configs) as fh:
-        items = json.load(fh)
+    items = _read_json(args.configs, "--configs")
     if not isinstance(items, list):
         raise ConfigError(["--configs: top-level JSON value must be a list"])
     summary = runner.table(items, args.replicates, args.out)

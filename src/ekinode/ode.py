@@ -2,12 +2,15 @@
 adaptive Dormand-Prince 5(4) pair with FSAL.
 
 A vector field is any callable ``field(x, t) -> dx/dt`` with fixed state
-dimension.  :func:`integrate` samples the solution exactly at the requested
-times: adaptive steps are clipped to land on them, fixed-step methods
-subdivide each inter-sample interval into equal steps.  It is the scalar
-reference path: one trajectory of one field per call.  With dopri5 it makes
-the identification problems' reference grids, bitwise those of the textbook
-array step (see :func:`dopri_step`).
+dimension that returns a float sequence.  euler and rk4 hand it the state
+as a 1-D array, dopri5 as a list of floats.  :func:`integrate` samples the
+solution exactly at the requested times: adaptive steps are clipped to land
+on them, fixed-step methods subdivide each inter-sample interval into equal
+steps.  It is the scalar reference path: one trajectory of one field per
+call.  With dopri5 it makes the identification problems' reference grids.
+Their state and step control run on Python floats around BLAS stage sums,
+and the grids are bitwise those of the textbook array step (see
+:func:`dopri_step`).
 
 :func:`integrate_lockstep` is the batched fixed-step core.  It advances a
 ``(members, trajectories, state)`` array of autonomous fields in lockstep
@@ -19,7 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -35,7 +38,7 @@ __all__ = [
     "substeps",
 ]
 
-VectorField = Callable[[np.ndarray, float], np.ndarray]
+VectorField = Callable[[Sequence[float], float], Sequence[float]]
 
 METHODS = ("euler", "rk4", "dopri5")
 # The methods that integrate_lockstep runs, and so every training run.
@@ -152,46 +155,67 @@ _FAC_MAX = 5.0
 
 def dopri_step(
     field: VectorField,
-    x: np.ndarray,
+    x: Sequence[float],
     t: float,
     h: float,
     rtol: float,
     atol: float,
-    k1: np.ndarray | None = None,
+    k1: Sequence[float] | None = None,
 ):
     """One trial Dormand-Prince step of size ``h`` from the 1-D state ``x``.
 
-    Returns ``(x_new, err, h_next, k_last)``.  ``err`` is the RMS of the
-    embedded error estimate scaled componentwise by
-    ``atol + rtol * max(|x|, |x_new|)``; the step is accepted iff
+    Returns ``(x_new, err, h_next, k_last)``, ``x_new`` a list of floats.
+    ``err`` is the RMS of the embedded error estimate scaled componentwise
+    by ``atol + rtol * max(|x|, |x_new|)``; the step is accepted iff
     ``err <= 1``.  ``h_next = h * clamp(0.9 * err**(-1/5), 0.2, 5.0)``.
     ``k1`` may carry the FSAL stage of the previous accepted step;
     ``k_last`` is the stage at ``(x_new, t + h)`` for reuse.
 
-    The stage sums are BLAS matrix-vector products.  Their FMA blocking
-    rounds differently from a sum of Python floats, so they stay products;
-    the elementwise work around them (finiteness, the error norm) runs on
-    Python floats, where IEEE arithmetic gives the same bits with less
-    per-call overhead on short state vectors.
+    The field sees each stage argument as a list of floats and may return
+    any float sequence.  The stage and error sums are BLAS matrix-vector
+    products over a ``(7, n)`` stage buffer: their FMA blocking rounds
+    differently from a sum of Python floats, so they stay products.  The
+    rest of the step (the stage arguments, the new state, finiteness, the
+    error norm and the step control) runs on Python floats, where IEEE
+    arithmetic gives the textbook array step's bits without a NumPy call
+    per operation.  :func:`integrate` runs the same step on one buffer for
+    all its steps.
     """
+    x = np.asarray(x, dtype=float).reshape(-1).tolist()
+    k = np.empty((7, len(x)))
+    k[0] = _first_stage(field, x, t) if k1 is None else k1
+    x_new, err, h_next = _dopri_stages(field, x, t, h, rtol, atol, k, _stage_prefixes(k))
+    return x_new, err, h_next, k[6]
+
+
+def _stage_prefixes(k):
+    # The row prefixes k[:1] ... k[:6] that the stage sums of _DP_A read.
+    return [k[:i] for i in range(1, 7)]
+
+
+def _first_stage(field, x, t):
+    k1 = np.asarray(field(x, t), dtype=float)
+    _check_finite(k1, t, "field output")
+    return k1
+
+
+def _dopri_stages(field, x, t, h, rtol, atol, k, prefixes):
+    # dopri_step from the list x, with row 0 of the stage buffer k holding
+    # the first stage: fills rows 1-6 and returns (x_new, err, h_next).
     if not h > 0:
         raise ValueError("step size must be positive")
-    k = np.empty((7, np.size(x)))
-    if k1 is None:
-        k1 = np.asarray(field(x, t), dtype=float)
-        _check_finite(k1, t, "field output")
-    k[0] = k1
     for i in range(1, 6):
-        k[i] = field(x + h * _DP_A[i].dot(k[:i]), t + _DP_C[i] * h)
-    x_new = x + h * _DP_A[6].dot(k[:6])
-    k[6] = field(x_new, t + h)
-    new = x_new.tolist()
+        s = _DP_A[i].dot(prefixes[i - 1]).tolist()
+        k[i] = field([a + h * b for a, b in zip(x, s)], t + _DP_C[i] * h)
+    s = _DP_A[6].dot(prefixes[5]).tolist()
+    new = [a + h * b for a, b in zip(x, s)]
+    k[6] = field(new, t + h)
     # A non-finite last stage counts as a non-finite state at t + h, as in
     # the full 7-weight sum, where its zero weight times inf is NaN.
     if not all(map(math.isfinite, new + k[6].tolist())):
         raise IntegrationError(f"non-finite state at t={t + h}")
     r2 = []
-    for a, b, e in zip(x.tolist(), new, _DP_E.dot(k).tolist()):
+    for a, b, e in zip(x, new, _DP_E.dot(k).tolist()):
         r = h * e / (atol + rtol * max(abs(a), abs(b)))
         r2.append(r * r)
     err = math.sqrt(np.add.reduce(r2) / len(r2))
@@ -199,14 +223,14 @@ def dopri_step(
         factor = _FAC_MAX
     else:
         factor = min(_FAC_MAX, max(_FAC_MIN, _SAFETY * err ** -0.2))
-    return x_new, err, h * factor, k[6]
+    return new, err, h * factor
 
 
 def _initial_step(field, x0, t0, rtol, atol):
     # Cheap variant of the classic starting-step heuristic: balance the
     # first derivative against the tolerance scale.
-    f0 = np.asarray(field(x0, t0), dtype=float)
-    _check_finite(f0, t0, "field output")
+    f0 = _first_stage(field, x0, t0)
+    x0 = np.asarray(x0, dtype=float)
     scale = atol + rtol * np.abs(x0)
     d0 = np.sqrt(np.mean((x0 / scale) ** 2))
     d1 = np.sqrt(np.mean((f0 / scale) ** 2))
@@ -228,6 +252,11 @@ def integrate(
     ``times`` must be strictly increasing with ``times[0]`` the initial
     time.  The returned trajectory carries the requested times verbatim;
     its first state is ``x0`` exactly.
+
+    With dopri5 the field sees every state as a list of floats, and the
+    steps of one call share one ``(7, n)`` stage buffer (see
+    :func:`dopri_step`), so a step costs its seven BLAS sums and little
+    NumPy besides.
     """
     times = np.asarray(times, dtype=float)
     if times.size == 0:
@@ -269,13 +298,16 @@ def _integrate_loop(field, x0, times, config, states) -> Trajectory:
     # dopri5: adaptive steps clipped so every sample time is hit exactly.
     # Step bookkeeping runs in time elapsed since times[0] so that shifting
     # an autonomous problem in time cannot perturb the clip arithmetic; the
-    # field and error reports still see absolute time.  A scalar x0 runs
-    # as a 1-vector, the shape dopri_step takes.
-    x = x0.reshape(-1)
+    # field and error reports still see absolute time.  The state is a list
+    # of floats (a scalar x0 runs as a 1-list), and every step fills the one
+    # stage buffer, whose first row carries the FSAL stage between steps.
+    x = x0.reshape(-1).tolist()
     t0 = float(times[0])
     tau = 0.0
     rtol, atol, limit = config.rtol, config.atol, config.divergence_limit
-    h, k1 = _initial_step(field, x, t0, rtol, atol)
+    k = np.empty((7, len(x)))
+    prefixes = _stage_prefixes(k)
+    h, k[0] = _initial_step(field, x, t0, rtol, atol)
     h = float(h)
     n_steps = 0
     for i, t_i in enumerate(times[1:].tolist(), start=1):
@@ -283,16 +315,16 @@ def _integrate_loop(field, x0, times, config, states) -> Trajectory:
         while tau < target:
             clipped = h >= target - tau
             h_try = min(h, target - tau)
-            x_new, err, h_next, k_last = dopri_step(field, x, t0 + tau, h_try, rtol, atol, k1)
+            x_new, err, h_next = _dopri_stages(field, x, t0 + tau, h_try, rtol, atol, k, prefixes)
             n_steps += 1
             if n_steps > config.max_steps:
                 raise IntegrationError(f"max_steps={config.max_steps} exceeded at t={t0 + tau}")
             if err <= 1.0:
                 tau = target if clipped else tau + h_try
                 x = x_new
-                if max(map(abs, x.tolist())) > limit:
+                if max(map(abs, x)) > limit:
                     raise IntegrationError(f"state magnitude exceeds {limit:g} at t={t0 + tau}")
-                k1 = k_last
+                k[0] = k[6]
             h = h_next
         states[i] = x
     return Trajectory(times=times.copy(), states=states)

@@ -8,7 +8,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -63,10 +63,11 @@ TEST_CHUNK_ROWS = 256
 PROPAGATOR_STEPS = 128
 
 
-def spiral_field(x: np.ndarray, t: float = 0.0) -> np.ndarray:
-    """Linear damped-rotation field ((-0.05 x1 + x2), (-x1 - 0.05 x2))."""
-    x1, x2 = x.tolist()
-    return np.array([-0.05 * x1 + x2, -x1 - 0.05 * x2])
+def spiral_field(x: Sequence[float], t: float = 0.0) -> tuple:
+    """Linear damped-rotation field ((-0.05 x1 + x2), (-x1 - 0.05 x2)) of a
+    2-sequence: a list of floats from the dopri5 path or a 1-D array."""
+    x1, x2 = x
+    return -0.05 * x1 + x2, -x1 - 0.05 * x2
 
 
 def spiral_solution(t) -> np.ndarray:
@@ -80,10 +81,11 @@ def spiral_solution(t) -> np.ndarray:
     return out
 
 
-def pendulum_field(state: np.ndarray, t: float = 0.0, omega: float = 1.0) -> np.ndarray:
-    """Simple pendulum as a first-order system: (v, -omega * sin x)."""
-    x, v = state.tolist()
-    return np.array([v, -omega * np.sin(x)])
+def pendulum_field(state: Sequence[float], t: float = 0.0, omega: float = 1.0) -> tuple:
+    """Simple pendulum as a first-order system: (v, -omega * sin x), of a
+    2-sequence like :func:`spiral_field`."""
+    x, v = state
+    return v, -omega * np.sin(x)
 
 
 def pendulum_energy(state: np.ndarray, omega: float = 1.0) -> float:
@@ -246,7 +248,10 @@ def _net_states(theta: np.ndarray, prob: SysIdProblem, x0: np.ndarray, times: np
     ``theta`` is a ``(J, N)`` member matrix.  Each field evaluation appends
     one list to ``record``, if one is passed, for :func:`nnet.mlp_apply` to fill."""
     act = prob.net.activation
-    layers = nnet.unflatten(prob.net, theta)
+    # The bias views of a member matrix are strided by N across members:
+    # contiguous copies, made once, keep every bias add of the pass on a
+    # contiguous loop.
+    layers = [(w, np.ascontiguousarray(b)) for w, b in nnet.unflatten(prob.net, theta)]
     x0 = np.broadcast_to(x0, (theta.shape[0],) + x0.shape)
 
     def field(x):

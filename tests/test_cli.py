@@ -91,6 +91,26 @@ def test_invalid_json_is_config_error(tmp_path, capsys):
     assert "invalid JSON" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["run", "table"])
+@pytest.mark.parametrize("unreadable", ["directory", "undecodable"])
+def test_unreadable_config_file_is_config_error(tmp_path, capsys, command, unreadable):
+    # A directory, or a file whose bytes are not text, as the config file.
+    path = tmp_path / "configs"
+    if unreadable == "directory":
+        path.mkdir()
+    else:
+        path.write_bytes(b'["spiral-eki\xff"]')
+    flag = "--config" if command == "run" else "--configs"
+    argv = [command, flag, str(path), "--out", str(tmp_path / "out")]
+    if command == "table":
+        argv += ["--replicates", "1"]
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {flag}: cannot read {str(path)!r}: ")
+    assert "runtime failure" not in err and "no report" not in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_invalid_config_reports_each_message(tmp_path, capsys):
     path = tmp_path / "c.json"
     data = runner.config_to_dict(runner.preset("spiral-eki"))

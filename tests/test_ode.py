@@ -442,6 +442,37 @@ def test_dopri_integrate_matches_oracle_bitwise(name):
     assert rejected >= (not name.startswith("exp"))
 
 
+def test_dopri_hands_the_field_a_list_of_floats():
+    seen = []
+
+    def field(x, t):
+        seen.append(type(x))
+        return spiral_field(x, t)
+
+    config = problems.DATA_INTEGRATOR
+    ode.integrate(field, np.array([1.0, 0.0]), np.linspace(0.0, 2.0, 5), config)
+    assert seen and set(seen) == {list}
+
+
+@pytest.mark.parametrize("field", [spiral_field, pendulum_field])
+def test_benchmark_fields_agree_bitwise_on_any_sequence(field):
+    rng = np.random.default_rng(5)
+    for x in rng.normal(size=(20, 2)) * 10.0 ** rng.integers(-3, 4, size=(20, 1)):
+        values = [np.asarray(field(state, 0.0)) for state in (x.tolist(), tuple(x.tolist()), x)]
+        assert all(v.dtype == float and v.shape == (2,) for v in values)
+        assert values[0].tobytes() == values[1].tobytes() == values[2].tobytes()
+
+
+def test_dopri_grid_is_one_whatever_sequence_the_field_returns():
+    times = np.linspace(0.0, 40.0, 500)
+    grids = [
+        ode.integrate(lambda x, t: wrap(spiral_field(x, t)), [1.0, 0.0], times,
+                      problems.DATA_INTEGRATOR).states
+        for wrap in (tuple, list, np.array)
+    ]
+    assert grids[0].tobytes() == grids[1].tobytes() == grids[2].tobytes()
+
+
 def test_non_finite_stage_at_step_end_raises_like_oracle():
     # The field turns infinite on its 7th call: the last stage of the first
     # step, evaluated at the step's new state.

@@ -171,6 +171,9 @@ def test_divergent_candidate_scores_the_penalty(spiral_problem):
 
 @pytest.mark.parametrize("fixture, rows", [
     ("spiral_problem", 5),
+    # The logged-row counts of the benchmark's spiral-eki and spiral-adam runs.
+    ("spiral_problem", 16),
+    ("spiral_problem", 51),
     ("small_spiral", problems.TEST_CHUNK_ROWS + 3),
 ])
 def test_batched_test_mse_matches_per_row_calls(request, fixture, rows):
