@@ -21,7 +21,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .nnet import MlpSpec, mlp_init
+from .nnet import MlpSpec, mlp_init, param_count
 
 __all__ = [
     "Ensemble",
@@ -200,9 +200,9 @@ def ensemble_expand(
         raise ValueError(f"expansion mode must be 'fresh' or 'perturb', got {mode!r}")
     if ens.rng is None:
         raise ValueError("no rng available for expansion")
-    fresh = mlp_init(spec, ens.rng, count)
-    if fresh.shape[1] != ens.dim:
+    if param_count(spec) != ens.dim:
         raise ValueError("spec parameter count does not match ensemble dimension")
+    fresh = mlp_init(spec, ens.rng, count)
     if mode == "perturb":
         fresh = fresh + ensemble_mean(ens)
     return replace(

@@ -81,7 +81,9 @@ class _Pullback:
 
     def accumulate(self, acc) -> None:
         """Add the swept calls' layer gradients into ``acc``, per-layer
-        (W, b) arrays shaped like the recorded layers."""
+        (W, b) arrays shaped like the recorded layers.  ``_sysid`` and
+        ``_control`` pass :func:`nnet.unflatten` views of one flat gradient,
+        so the sums land in place."""
         if not self.swept:  # no field evaluation, as in one-point shooting runs
             return
         for (dw, db), gz, a in zip(acc, self.gz, self.inputs):
@@ -205,8 +207,6 @@ def bptt_value_and_gradient(
     ``max_steps`` steps (tested first) and on a non-finite state.
     """
     theta = np.asarray(theta, dtype=float)
-    # The gradient accumulates in place through (W, b) views of one array,
-    # laid out like the layers the forward pass recorded through.
     with np.errstate(over="ignore", invalid="ignore"):
         if isinstance(problem, SysIdProblem):
             return _sysid(theta, problem)

@@ -388,9 +388,10 @@ def reevaluate(config: ExperimentConfig, theta: np.ndarray) -> tuple[float, floa
 
 def _errors(thetas: np.ndarray, prob, train) -> tuple[list, list]:
     """The logged (train, test) columns of the parameter vectors ``thetas``
-    ``(R, N)``, for every optimizer.  ``train`` holds, per row, the training
-    error its driver already read off its own evaluation, or None; only the
-    missing ones are computed here.
+    ``(R, N)``, for every optimizer.  ``train`` holds, per row, the loss its
+    driver read off its own evaluation, or None.  A system-identification
+    row's loss is its training error, so only the missing ones are computed
+    here; a control row's loss is not, so its value is discarded.
 
     System identification: :func:`problems.mse` and :func:`problems.test_mse`,
     the MSE at the observations and on the rest of the reference grid; the
@@ -399,7 +400,6 @@ def _errors(thetas: np.ndarray, prob, train) -> tuple[list, list]:
     ``DENSE_CONTROL_FACTOR`` times denser, each column one batched pass.
     """
     if isinstance(prob, problems.ControlProblem):
-        # Neither driver reads a control row's error off its own evaluation.
         dense = np.linspace(0.0, prob.t_final, DENSE_CONTROL_FACTOR * prob.quadrature_points + 1)
         train = problems.control_mse(thetas, prob).tolist()
         return train, problems.control_mse(thetas, prob, dense).tolist()
@@ -440,7 +440,14 @@ def load_report(report_dir: str) -> RunReport:
         raise FileNotFoundError(f"no report.json under {report_dir}")
     with open(path) as fh:
         raw = json.load(fh)
-    # Keys a report lacks, such as ``error`` in older ones, take the default.
+    if not isinstance(raw, dict):
+        raise ConfigError([f"{path}: expected a JSON object, got {type(raw).__name__}"])
+    # Keys a report lacks, such as ``error`` in older ones, take the default;
+    # a field without one must be there.
+    missing = [f.name for f in dataclasses.fields(RunReport)
+               if f.name not in raw and f.default is dataclasses.MISSING]
+    if missing:
+        raise ConfigError([f"{path}: not a run report, missing {', '.join(missing)}"])
     kwargs = {f.name: raw[f.name] for f in dataclasses.fields(RunReport) if f.name in raw}
     kwargs["config"] = config_from_dict(raw["config"])
     kwargs["theta"] = np.asarray(raw["theta"], dtype=float)
@@ -464,8 +471,13 @@ def _versions() -> dict:
 class _EkiDriver:
     """Shared mechanics for both problem families: evaluate members, log the
     best one, and advance one controlled explicit-Euler step per epoch.
-    Subclasses set ``target``, the data vector the update pulls the outputs
-    toward."""
+
+    A family's subclass provides ``target``, the data vector the update pulls
+    the outputs toward; ``forward(members)``, the batched forward-map output
+    of a (J, N) member matrix; ``losses(outputs, epoch)``, per-member losses
+    (J,) with failed members at PENALTY_LOSS; ``gamma_for(epoch)``, the
+    covariance scale; and ``variances(gamma)``, the diagonal of the noise
+    covariance at that scale."""
 
     def __init__(self, config, prob, init_rng):
         self.prob = prob
@@ -477,23 +489,6 @@ class _EkiDriver:
         self.outputs = None
         self.events = []
 
-    # problem family hooks -------------------------------------------------
-    def forward(self, members):
-        """Batched forward-map output of a (J, N) member matrix."""
-        raise NotImplementedError
-
-    def losses(self, outputs, epoch):
-        """Per-member losses (J,); failed members score PENALTY_LOSS."""
-        raise NotImplementedError
-
-    def gamma_for(self, epoch) -> float:
-        raise NotImplementedError
-
-    def variances(self, gamma):
-        """Diagonal of the noise covariance at data scale ``gamma``."""
-        return gamma
-
-    # shared mechanics -----------------------------------------------------
     def maybe_expand(self):
         for ep, count in self.opts.expansions:
             if self.ens.epoch == ep:
@@ -504,8 +499,9 @@ class _EkiDriver:
 
     def row(self):
         """Log row of the ensemble, expanded and evaluated first if due, up
-        to its error columns; the training error of its best member, None
-        if the losses are not that; and the member's parameters."""
+        to its error columns; the best member's loss, which :func:`_errors`
+        takes as a system-identification row's training error; and the
+        member's parameters."""
         self.maybe_expand()
         if self.outputs is None:
             self.outputs = self.forward(self.ens.members)
@@ -515,9 +511,7 @@ class _EkiDriver:
         idx, min_loss = eki.min_loss_member(losses)
         mean_loss = float(np.mean(valid if valid.size else losses))
         theta = self.ens.members[idx].copy()
-        # A system-identification member's loss is its training MSE.
-        train = min_loss if isinstance(self.prob, problems.SysIdProblem) else None
-        return [epoch, self.gamma_for(epoch), self.ens.size, min_loss, mean_loss], train, theta
+        return [epoch, self.gamma_for(epoch), self.ens.size, min_loss, mean_loss], min_loss, theta
 
     def advance(self):
         """One epoch: try the full step, backtrack while it makes the
@@ -545,7 +539,7 @@ class _EkiDriver:
             # Such a member fails in every candidate, so no step length is usable.
             raise RuntimeError(f"non-finite EKI update at epoch {epoch}")
         rel = np.max(np.abs(delta), axis=1) / (np.max(np.abs(self.ens.members), axis=1) + 1.0)
-        maxrel = float(rel.max()) if rel.size else 0.0
+        maxrel = float(rel.max())
         if maxrel == 0.0:
             self.ens = unit
             return
@@ -592,6 +586,10 @@ class _SysIdDriver(_EkiDriver):
     def gamma_for(self, epoch):
         return eki.gamma_at(self.schedule, epoch)
 
+    def variances(self, gamma):
+        # The plain problem: one variance, gamma, for every channel.
+        return gamma
+
 
 class _ControlDriver(_EkiDriver):
     def __init__(self, config, prob, init_rng):
@@ -637,16 +635,15 @@ class _GradientDriver:
 
     def row(self):
         """Log row of the current parameters up to its error columns, the
-        training error if the BPTT loss is that, and the parameters.  The
-        gradient is the one the next ``advance`` applies."""
+        training error :func:`_errors` takes for a system-identification row,
+        and the parameters.  The gradient is the one the next ``advance``
+        applies."""
         # Gradient baseline trains control at unit covariance scales.
         loss, self.grad, failed = gradbase.bptt_value_and_gradient(self.theta, self.prob)
         if not math.isfinite(loss):
             raise RuntimeError(f"non-finite loss at epoch {self.epoch}")
-        # The BPTT loss is the training MSE: the same core, grid and loss.
-        train = None
-        if isinstance(self.prob, problems.SysIdProblem):
-            train = eki.PENALTY_LOSS if failed else loss
+        # The sysid BPTT loss is the training MSE: the same core, grid and loss.
+        train = eki.PENALTY_LOSS if failed else loss
         return [self.epoch, None, 1, loss, loss], train, self.theta
 
     def advance(self):

@@ -409,6 +409,19 @@ def test_plot_of_a_report_without_rows_is_config_error(tmp_path, capsys):
     assert not (out / "plots").exists()
 
 
+@pytest.mark.parametrize("content, problem", [
+    ([1, 2], "expected a JSON object, got list"),
+    ({"config": {}}, "not a run report, missing final_train_error, final_test_error, log_path, "
+                     "theta, epochs_run, runtime_seconds, versions, rng, events"),
+], ids=["not-an-object", "missing-fields"])
+def test_plot_of_a_json_file_that_is_not_a_report_is_config_error(tmp_path, capsys, content, problem):
+    path = tmp_path / "report.json"
+    path.write_text(json.dumps(content))
+    assert cli.main(["plot", "--report", str(tmp_path)]) == 1
+    assert capsys.readouterr().err == f"config error: {path}: {problem}\n"
+    assert not (tmp_path / "plots").exists()
+
+
 # The contract fuzz: a valid config run for one to five epochs, so that
 # failures reached only after the first epoch (covariance underflow,
 # expansions, stalled backtracking, epochs without an update) are in reach,

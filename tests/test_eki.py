@@ -38,6 +38,22 @@ def test_ensemble_mean_matches_brute_force():
     assert np.allclose(eki.ensemble_mean(ens), brute, rtol=1e-15, atol=0.0)
 
 
+def test_ensemble_mean_of_no_members_raises():
+    with pytest.raises(ValueError, match="empty ensemble"):
+        eki.ensemble_mean(make_ensemble(np.empty((0, 3))))
+
+
+def test_outputs_must_align_with_members():
+    # One output row per member, as a batched forward map returns them.
+    ens = make_ensemble([[1.0], [2.0]])
+    for g in ([[1.0]], [[1.0], [2.0], [3.0]], [1.0, 2.0]):
+        out = eki.ForwardMapOutput(g=g)
+        with pytest.raises(ValueError, match="align"):
+            eki.cross_covariance(ens, out)
+        with pytest.raises(ValueError, match="align"):
+            eki.eki_step(ens, out, np.zeros(1), 1.0)
+
+
 def test_cross_covariance_single_member_is_zero():
     ens = make_ensemble([[1.0, 2.0]])
     cov = eki.cross_covariance(ens, outputs_from([[3.0]]))
@@ -174,6 +190,8 @@ def test_schedule_validation():
         eki.CovarianceSchedule(gamma0=0.9, alpha=-1.0)
     with pytest.raises(ValueError):
         eki.CovarianceSchedule(gamma0=0.9, alpha=0.35, period=0)
+    with pytest.raises(ValueError, match="nonnegative"):
+        eki.gamma_at(eki.CovarianceSchedule(gamma0=0.9, alpha=0.35), -1)
 
 
 def test_eki_step_rejects_nonpositive_gamma():
@@ -218,6 +236,22 @@ def test_ensemble_expand_perturb_mode_centers_on_mean():
     assert np.allclose(shifted.members[2:], fresh.members[2:] + 5.0, atol=1e-15)
     with pytest.raises(ValueError):
         eki.ensemble_expand(make_ensemble(members, rng=np.random.default_rng(1)), 3, spec, mode="x")
+
+
+@pytest.mark.parametrize("count, rng_seed, layer_sizes, message", [
+    (0, 3, (2, 3, 2), "count"),
+    (1, None, (2, 3, 2), "no rng"),
+    (1, 3, (2, 4, 2), "parameter count"),
+], ids=["no-members", "no-rng", "wrong-spec"])
+def test_ensemble_expand_rejects_before_drawing(count, rng_seed, layer_sizes, message):
+    # A rejected call leaves the ensemble's generator where it was.
+    rng = None if rng_seed is None else np.random.default_rng(rng_seed)
+    members = np.zeros((2, nnet.param_count(nnet.MlpSpec((2, 3, 2)))))
+    ens = make_ensemble(members, rng=rng)
+    state = None if rng is None else rng.bit_generator.state
+    with pytest.raises(ValueError, match=message):
+        eki.ensemble_expand(ens, count, nnet.MlpSpec(layer_sizes))
+    assert (None if rng is None else rng.bit_generator.state) == state
 
 
 def test_min_loss_member_examples():

@@ -46,6 +46,16 @@ def test_unflatten_rejects_wrong_length():
         nnet.unflatten(SPIRAL_SPEC, np.zeros(51))
 
 
+def test_flatten_rejects_layers_that_do_not_match_the_spec():
+    # Stacked (J, ...) layers of a member matrix flatten one member at a time.
+    n = nnet.param_count(SPIRAL_SPEC)
+    stacked = nnet.unflatten(SPIRAL_SPEC, np.zeros((2, n)))
+    transposed = [(w.T, b) for w, b in nnet.unflatten(SPIRAL_SPEC, np.zeros(n))]
+    for layers in (stacked, transposed):
+        with pytest.raises(ValueError, match="do not match spec"):
+            nnet.flatten(SPIRAL_SPEC, layers)
+
+
 @seed(1)
 @given(st.integers(0, 2**32 - 1))
 @settings(max_examples=20, deadline=None)

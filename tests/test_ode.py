@@ -96,6 +96,12 @@ def test_dopri_step_exponential():
     assert err <= 1.0
 
 
+@pytest.mark.parametrize("h", [0.0, -0.1, math.nan])
+def test_dopri_step_rejects_a_nonpositive_step(h):
+    with pytest.raises(ValueError, match="step size must be positive"):
+        ode.dopri_step(exp_field, np.array([1.0]), 0.0, h, rtol=1e-6, atol=1e-8)
+
+
 def test_dopri_step_unscaled_error_norm():
     # rtol=0, atol=1 makes the scale vector identically 1, so err is the raw
     # RMS of the embedded difference.
@@ -159,13 +165,19 @@ def test_max_steps_exceeded():
             config = ode.IntegratorConfig(method=method, dt=dt)
             with pytest.raises(ode.IntegrationError, match=r"^max_steps=1000000 exceeded at t=0.0$"):
                 ode.integrate(zero_field, np.array([1.0]), np.array([0.0, 1.0]), config)
+    # dopri5 counts every attempted step, rejected ones included.
+    config = ode.IntegratorConfig(method="dopri5", max_steps=5)
+    with pytest.raises(ode.IntegrationError, match=r"^max_steps=5 exceeded at t=\d"):
+        ode.integrate(spiral_field, np.array([1.0, 0.0]), np.array([0.0, 10.0]), config)
 
 
 def test_divergence_limit_aborts():
-    config = ode.IntegratorConfig(method="rk4", dt=0.1, divergence_limit=10.0)
     # The message says where the trajectory left the bound.
-    with pytest.raises(ode.IntegrationError, match=r"^state magnitude exceeds 10 at t=\d"):
-        ode.integrate(lambda x, t: 5.0 * x, np.array([1.0]), np.array([0.0, 10.0]), config)
+    for method in ("rk4", "dopri5"):
+        config = ode.IntegratorConfig(method=method, dt=0.1, divergence_limit=10.0)
+        with pytest.raises(ode.IntegrationError, match=r"^state magnitude exceeds 10 at t=\d"):
+            ode.integrate(lambda x, t: [5.0 * v for v in x], np.array([1.0]), np.array([0.0, 10.0]),
+                          config)
 
 
 def test_non_finite_field_output_aborts_with_location():
@@ -198,6 +210,8 @@ def test_config_validation():
         ode.IntegratorConfig(rtol=-1.0)
     with pytest.raises(ValueError):
         ode.IntegratorConfig(max_steps=0)
+    with pytest.raises(ValueError):
+        ode.IntegratorConfig(divergence_limit=0.0)
 
 
 def test_trajectory_validation():
@@ -322,9 +336,10 @@ def test_lockstep_rejects_adaptive_method_and_bad_times():
     with pytest.raises(ValueError):
         ode.integrate_lockstep(lambda x: x, np.zeros((1, 1, 1)), np.array([[0.0, 1.0]]),
                                ode.IntegratorConfig(method="dopri5"))
-    with pytest.raises(ValueError):
-        ode.integrate_lockstep(lambda x: x, np.zeros((1, 1, 1)), np.array([[0.0, 0.0]]),
-                               ode.IntegratorConfig(method="rk4"))
+    for times in (np.array([0.0, 1.0]), np.empty((1, 0)), np.array([[0.0, 0.0]])):
+        with pytest.raises(ValueError, match="times must be"):
+            ode.integrate_lockstep(lambda x: x, np.zeros((1, 1, 1)), times,
+                                   ode.IntegratorConfig(method="rk4"))
 
 
 # Oracle for the adaptive path: the textbook Dormand-Prince step with every

@@ -9,7 +9,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, seed, settings, strategies as st
+from hypothesis import example, given, seed, settings, strategies as st
 
 from ekinode import eki, gradbase, nnet, ode, problems, runner
 
@@ -38,19 +38,26 @@ def test_pendulum_energy_is_conserved_by_field():
 
 
 @seed(7)
-@given(st.integers(0, 2**32 - 1))
-@settings(max_examples=25, deadline=None)
-def test_observation_runs_are_disjoint_consecutive_and_aligned(s):
+@given(st.integers(0, 2**32 - 1), st.integers(1, 8), st.integers(1, 8), st.integers(0, 12))
+@example(0, 8, 8, 0)
+@example(5, 1, 1, 0)
+@example(9, 1, 8, 0)
+@settings(max_examples=200, deadline=None)
+def test_observation_runs_are_disjoint_consecutive_and_aligned(s, num_subsets, subset_length, spare):
+    # make_observations neither sorts nor checks its index list: this pins,
+    # over layouts down to ones that fill the grid (spare = 0), that the runs
+    # come out disjoint and in grid order.
+    grid_size = num_subsets * subset_length + spare
     rng = np.random.default_rng(s)
-    grid_times = np.linspace(0.0, 4.0, 50)
-    grid_states = np.random.default_rng(1).normal(size=(50, 2))
-    obs = problems.make_observations(grid_times, grid_states, 3, 5, rng)
+    grid_times = np.linspace(0.0, 4.0, grid_size)
+    grid_states = np.random.default_rng(1).normal(size=(grid_size, 2))
+    obs = problems.make_observations(grid_times, grid_states, num_subsets, subset_length, rng)
     idx = obs.train_indices
-    assert idx.shape == (15,)
-    assert np.unique(idx).size == 15
-    runs = idx.reshape(3, 5)
+    assert idx.shape == (num_subsets * subset_length,)
+    assert 0 <= idx[0] and idx[-1] < grid_size
+    assert np.all(np.diff(idx) > 0)  # strictly increasing, so distinct
+    runs = idx.reshape(num_subsets, subset_length)
     assert np.all(np.diff(runs, axis=1) == 1)  # consecutive within each run
-    assert np.all(runs[1:, 0] > runs[:-1, -1])  # sorted and disjoint across runs
     assert np.array_equal(obs.times, grid_times[idx])
     assert np.array_equal(obs.values, grid_states[idx])
 
@@ -73,7 +80,8 @@ def _leaves_numpy_ma_unimported(statement):
 
 
 def test_building_a_sysid_problem_leaves_numpy_ma_unimported():
-    # The overlap check of make_observations must not go through np.unique.
+    # Neither the reference grid nor the observation draw may go through
+    # np.unique or np.union1d.
     assert _leaves_numpy_ma_unimported("runner.build_problem(runner.preset('spiral-eki'))")
 
 
@@ -109,6 +117,13 @@ def test_spiral_problem_layout(spiral_problem):
     assert obs.test_indices.size == 400
     assert np.array_equal(obs.grid_states[0], np.array([1.0, 0.0]))
     assert np.intersect1d(obs.train_indices, obs.test_indices).size == 0
+
+
+def test_sysid_problem_rejects_a_mismatched_net_and_an_unknown_assembly(spiral_problem):
+    with pytest.raises(ValueError, match="state dimension"):
+        replace(spiral_problem, net=nnet.MlpSpec((3, 10, 3)))
+    with pytest.raises(ValueError, match="assembly must be"):
+        replace(spiral_problem, assembly="multiple")
 
 
 def test_spiral_reference_matches_closed_form(spiral_problem):
@@ -241,6 +256,8 @@ def test_optimal_control_requires_nonzero_drift():
     with pytest.raises(ValueError):
         problems.optimal_control(0.5, 0.0, 1.0, 0.0, 1.0, 1.0)
     with pytest.raises(ValueError):
+        problems.optimal_state(0.5, 0.0, 1.0, 0.0, 1.0, 1.0)
+    with pytest.raises(ValueError):
         problems.optimal_energy(0.0, 1.0, 0.0, 1.0, 1.0)
 
 
@@ -358,6 +375,8 @@ def test_control_problem_overrides():
         problems.ControlProblem(b=0.0)
     with pytest.raises(ValueError):
         problems.ControlProblem(t_final=-1.0)
+    with pytest.raises(ValueError, match="mu must be nonnegative"):
+        problems.ControlProblem(mu=-1.0)
 
 
 def _uneven_sysid_problem(rng, assembly, method, dt, activation):
@@ -529,6 +548,8 @@ def test_control_states_match_the_recurrence(method, dt):
                 err = np.abs(xs - ref) / np.maximum(1.0, np.abs(ref))
                 assert np.max(err) <= PROPAGATOR_TOL, (a, x0, shape, np.max(err))
                 assert np.all(xs[..., 0] == x0)
+            with pytest.raises(ValueError, match=f"the pass reads {stages}"):
+                problems.control_states(np.zeros(stages + 1), prob)
 
 
 @pytest.mark.parametrize("method", ["euler", "rk4"])

@@ -13,7 +13,7 @@ import time
 import numpy as np
 import pytest
 
-from ekinode import cli, nnet, problems, runner
+from ekinode import cli, gradbase, nnet, problems, runner
 from ekinode.ode import IntegrationError
 
 CSV_HEADER = ["epoch", "gamma", "J", "min_loss", "mean_loss", "train_mse", "test_mse"]
@@ -89,9 +89,16 @@ def test_validation_collects_all_errors():
         # Training integrates in lockstep, with either optimizer.
         {"integrator": runner.IntegratorOptions(method="dopri5")},
         {"optimizer": "adam", "integrator": runner.IntegratorOptions(method="dopri5")},
+        {"epochs": None, "wall_clock_budget_seconds": -1.0},
+        {"eki": runner.EkiOptions(schedule_period=0)},
+        {"problem_options": runner.ProblemOptions(subset_length=0)},
+        {"problem_options": runner.ProblemOptions(grid_size=1)},
+        # EKI's energy channel has variance gamma_prime / mu.
+        {"problem": "linear_control", "problem_options": runner.ProblemOptions(mu=0.0)},
     ):
-        with pytest.raises(runner.ConfigError):
+        with pytest.raises(runner.ConfigError) as info:
             dataclasses.replace(runner.preset("spiral-eki"), **overrides).validate()
+        assert len(info.value.messages) == 1, info.value.messages
 
 
 def test_validation_requires_exactly_one_stopping_criterion():
@@ -251,6 +258,25 @@ def test_stall_holds_the_ensemble(tmp_path):
     assert all(row[3:] == rows[0][3:] for row in rows)
 
 
+def test_a_vanishing_step_stalls_without_more_backtracks(tmp_path, monkeypatch):
+    # From h = 1e-16 one halving is already below the smallest usable step,
+    # so each epoch tries one candidate and stalls, whatever max_backtracks
+    # allows: the first row's evaluation and two candidates in all.
+    real, calls = problems.sysid_forward_map, []
+
+    def counted(members, prob):
+        calls.append(None)
+        return real(members, prob)
+
+    monkeypatch.setattr(problems, "sysid_forward_map", counted)
+    eki_opts = dataclasses.replace(
+        runner.preset("spiral-eki").eki, step_size=1e-16, accept_factor=0.5, max_backtracks=1000
+    )
+    report = runner.run(tiny("spiral-eki", 2, eki=eki_opts), out_dir=str(tmp_path / "r"))
+    assert [list(e) for e in report.events] == [["stall", 0], ["stall", 1]]
+    assert len(calls) == 3
+
+
 def test_sysid_gamma_schedule_in_log(tmp_path):
     config = tiny("spiral-eki", 3)
     report = runner.run(config, out_dir=str(tmp_path / "r"))
@@ -408,6 +434,23 @@ def test_table_medians_match_manual_sort(tmp_path):
     assert cell["replicates"] == 3
 
 
+def test_table_takes_preset_names_and_rejects_other_cells(tmp_path):
+    # A preset name is a cell of its own name, run at the preset's length.
+    summary = runner.table(["control-eki-mu0.001"], 1, str(tmp_path / "t"))
+    report = runner.load_report(str(tmp_path / "t" / "control-eki-mu0.001-rep0"))
+    assert report.config == runner.preset("control-eki-mu0.001")
+    assert summary[0]["name"] == "control-eki-mu0.001"
+    assert summary[0]["median_train"] == report.final_train_error
+    for configs, replicates, message in (
+        ([3], 1, "configs[0]: expected preset name or config object"),
+        (["control-eki-mu0.001"], 0, "replicates: must be >= 1"),
+    ):
+        with pytest.raises(runner.ConfigError) as info:
+            runner.table(configs, replicates, str(tmp_path / "u"))
+        assert info.value.messages == [message]
+    assert not (tmp_path / "u").exists()
+
+
 def test_table_counts_failed_replicates(tmp_path):
     bad = dataclasses.replace(
         tiny("spiral-sgd-0.1", 30),
@@ -422,6 +465,10 @@ def test_plot_script_sysid_manifest(tmp_path):
     report = runner.run(tiny("spiral-eki", 2), out_dir=str(tmp_path / "run"))
     files = runner.plot_script([str(tmp_path / "run")], str(tmp_path / "plots"))
     assert set(files) == {"trajectory.csv", "observations.csv", "loss_curve.csv", "plot.py"}
+    # One directory may be given as a string.
+    assert runner.plot_script(str(tmp_path / "run"), str(tmp_path / "again")) == files
+    for name in files:
+        assert (tmp_path / "again" / name).read_bytes() == (tmp_path / "plots" / name).read_bytes()
     with open(tmp_path / "plots" / "loss_curve.csv", newline="") as fh:
         rows = list(csv.reader(fh))
     assert rows[0] == ["epoch", "min_loss", "train_mse", "test_mse"]
@@ -508,6 +555,9 @@ def test_integrator_options_replace_the_problem_default(tmp_path):
 def test_run_rejects_invalid_config(tmp_path):
     with pytest.raises(runner.ConfigError):
         runner.run(runner.ExperimentConfig(problem="nope", epochs=1), out_dir=str(tmp_path / "r"))
+    # Neither the argument nor the config names an output directory.
+    with pytest.raises(runner.ConfigError, match="no output directory"):
+        runner.run(runner.ExperimentConfig(epochs=1))
 
 
 def test_gradient_failure_is_recorded_not_raised(tmp_path):
@@ -530,6 +580,29 @@ def test_gradient_failure_is_recorded_not_raised(tmp_path):
         assert runner.reevaluate(loaded.config, loaded.theta) == (
             loaded.final_train_error, loaded.final_test_error
         )
+
+
+def test_non_finite_gradient_is_recorded_not_raised(tmp_path, monkeypatch, capsys):
+    # A finite loss with an infinite gradient: the row is logged, the step
+    # is refused, and the run ends with a partial report (exit 2).
+    def bptt(theta, prob):
+        return 1.0, np.full(theta.size, np.inf), False
+
+    monkeypatch.setattr(gradbase, "bptt_value_and_gradient", bptt)
+    config = tiny("spiral-adam-0.01", 3)
+    report = runner.run(config, out_dir=str(tmp_path / "r"))
+    assert report.error == "non-finite gradient at epoch 0"
+    assert report.epochs_run == 0
+    _, rows = read_log(report.log_path)
+    assert len(rows) == 1 and float(rows[0][5]) == 1.0
+    loaded = runner.load_report(str(tmp_path / "r"))
+    assert loaded.error == report.error and np.array_equal(loaded.theta, report.theta)
+
+    path = tmp_path / "c.json"
+    runner.save_config(config, str(path))
+    assert cli.main(["run", "--config", str(path), "--out", str(tmp_path / "x")]) == 2
+    assert "run failed: non-finite gradient at epoch 0" in capsys.readouterr().err
+    assert runner.load_report(str(tmp_path / "x")).error == report.error
 
 
 def test_eki_failure_is_recorded_not_raised(tmp_path, monkeypatch, capsys):
