@@ -107,6 +107,9 @@ SYSID_BENCHMARKS = {
     "pendulum": _Benchmark(pendulum_field, (math.pi / 4.0, 0.0), 20.0, 200),
 }
 
+# The field network both benchmarks train unless given another.
+_SYSID_NET = MlpSpec((2, 10, 2), "tanh")
+
 
 @dataclass
 class ObservationSet:
@@ -215,7 +218,7 @@ def make_sysid_problem(
     t_final: float | None = None,
     num_subsets: int = 10,
     subset_length: int = 10,
-    net: MlpSpec | None = None,
+    net: MlpSpec = _SYSID_NET,
     integrator: IntegratorConfig | None = None,
     assembly: str = "full",
 ) -> SysIdProblem:
@@ -233,8 +236,6 @@ def make_sysid_problem(
                         bench.grid_size if grid_size is None else grid_size)
     states = integrate(bench.field, x0, times, DATA_INTEGRATOR).states
     obs = make_observations(times, states, num_subsets, subset_length, data_rng)
-    if net is None:
-        net = MlpSpec((2, 10, 2), "tanh")
     if integrator is None:
         integrator = IntegratorConfig(method="rk4", dt=times[1] - times[0], divergence_limit=1e3)
     return SysIdProblem(x0, obs, net, integrator, assembly)
@@ -247,16 +248,29 @@ def _net_states(theta: np.ndarray, prob: SysIdProblem, x0: np.ndarray, times: np
     ``theta`` is a ``(J, N)`` member matrix.  Each field evaluation appends
     one list to ``record``, if one is passed, for :func:`nnet.mlp_apply` to fill."""
     act = prob.net.activation
-    # The bias views of a member matrix are strided by N across members:
-    # contiguous copies, made once, keep every bias add of the pass on a
-    # contiguous loop.
-    layers = [(w, np.ascontiguousarray(b)) for w, b in nnet.unflatten(prob.net, theta)]
-    x0 = np.broadcast_to(x0, (theta.shape[0],) + x0.shape)
+    J, B = theta.shape[0], x0.shape[0]
+    # The layers are laid out once per pass.  The bias views of a member
+    # matrix are strided by N across members: contiguous copies keep every
+    # bias add on a contiguous loop.  With more than one row per member each
+    # product is a BLAS gemm, whose bits do not depend on operand layout, so
+    # the weights become C-ordered copies of W^T (handed over as their .mT
+    # views, shaped as W) and the biases take the pass's (J, B, out) shape.
+    # A one-row product is a gemv, whose bits do: it keeps the views.
+    layers = nnet.unflatten(prob.net, theta)
+    if B > 1:
+        layers = [(np.ascontiguousarray(w.mT).mT, np.broadcast_to(b, (J, B, b.shape[-1])).copy())
+                  for w, b in layers]
+    else:
+        layers = [(w, np.ascontiguousarray(b)) for w, b in layers]
+    x0 = np.broadcast_to(x0, (J,) + x0.shape)
 
-    def field(x):
-        if record is not None:
+    if record is None:
+        def field(x):
+            return nnet.mlp_apply(layers, x, act)
+    else:
+        def field(x):
             record.append([])
-        return nnet.mlp_apply(layers, x, act, None if record is None else record[-1])
+            return nnet.mlp_apply(layers, x, act, record[-1])
 
     return ode.integrate_lockstep(field, x0, times, prob.integrator)
 

@@ -449,8 +449,16 @@ def load_report(report_dir: str) -> RunReport:
     if missing:
         raise ConfigError([f"{path}: not a run report, missing {', '.join(missing)}"])
     kwargs = {f.name: raw[f.name] for f in dataclasses.fields(RunReport) if f.name in raw}
-    kwargs["config"] = config_from_dict(raw["config"])
-    kwargs["theta"] = np.asarray(raw["theta"], dtype=float)
+    kwargs["config"] = config = config_from_dict(raw["config"])
+    # A run that failed before its first row reports no parameters.
+    theta = raw["theta"]
+    size = nnet.param_count(
+        problems.ControlProblem().controller if config.problem == "linear_control" else problems._SYSID_NET
+    )
+    if not (isinstance(theta, list) and len(theta) in (0, size)
+            and all(isinstance(v, float) or _type_ok(v, "float") for v in theta)):
+        raise ConfigError([f"{path}: theta must be a list of 0 or {size} numbers"])
+    kwargs["theta"] = np.asarray(theta, dtype=float)
     return RunReport(**kwargs)
 
 

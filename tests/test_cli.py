@@ -422,6 +422,21 @@ def test_plot_of_a_json_file_that_is_not_a_report_is_config_error(tmp_path, caps
     assert not (tmp_path / "plots").exists()
 
 
+@pytest.mark.parametrize("theta", ["x", [0.1, 0.2, 0.3], None], ids=["string", "wrong-length", "null"])
+def test_plot_of_a_report_with_a_malformed_theta_is_config_error(tmp_path, capsys, theta):
+    # The controller has 76 parameters; a report lists them all or none.
+    out = tmp_path / "r"
+    runner.run(dataclasses.replace(runner.preset("control-eki-mu0.001"), epochs=1), out_dir=str(out))
+    path = out / "report.json"
+    raw = json.loads(path.read_text())
+    raw["theta"] = theta
+    path.write_text(json.dumps(raw))
+    capsys.readouterr()
+    assert cli.main(["plot", "--report", str(out)]) == 1
+    assert capsys.readouterr().err == f"config error: {path}: theta must be a list of 0 or 76 numbers\n"
+    assert not (out / "plots").exists()
+
+
 # The contract fuzz: a valid config run for one to five epochs, so that
 # failures reached only after the first epoch (covariance underflow,
 # expansions, stalled backtracking, epochs without an update) are in reach,

@@ -492,6 +492,104 @@ def test_batched_control_forward_map_matches_scalar_formulas(s, method, dt, acti
     assert out.failed[1] and out.failed[3] and not out.failed[0]
 
 
+def _view_pass(theta, prob, x0, times, record=None):
+    # problems._net_states as it reads with no layout: the member matrix's
+    # own unflatten views straight into mlp_apply, one record list per call.
+    layers = nnet.unflatten(prob.net, theta)
+
+    def field(x):
+        if record is not None:
+            record.append([])
+        return nnet.mlp_apply(layers, x, prob.net.activation, None if record is None else record[-1])
+
+    x0 = np.broadcast_to(x0, (theta.shape[0],) + x0.shape)
+    return ode.integrate_lockstep(field, x0, times, prob.integrator)
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def _bptt(theta, prob):
+    try:
+        return gradbase.bptt_value_and_gradient(theta, prob)
+    except ode.IntegrationError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("activation", ["tanh", "elu"])
+@pytest.mark.parametrize("method", ["euler", "rk4"])
+@pytest.mark.parametrize("members, rows", [(22, 10), (1, 10), (5, 3), (5, 1), (1, 1)])
+def test_laid_out_pass_matches_the_view_pass(monkeypatch, members, rows, method, activation):
+    # A pass of more than one row per member lays its layers out for gemm;
+    # a one-row pass keeps the views.  Either way its states, failure flags
+    # and BPTT gradients are the view pass's bits, NaNs included: member 0
+    # overflows to non-finite states and the last one passes the limit.
+    prob = problems.make_sysid_problem(
+        "spiral", np.random.default_rng(rows), grid_size=60, t_final=6.0,
+        num_subsets=rows, subset_length=5, net=nnet.MlpSpec((2, 10, 2), activation),
+        integrator=ode.IntegratorConfig(method=method, dt=0.05, divergence_limit=1e3),
+        assembly="shooting" if rows > 1 else "full",
+    )
+    x0, times, _ = problems.sysid_grid(prob)
+    assert x0.shape[0] == rows
+    theta = nnet.mlp_init(prob.net, np.random.default_rng(members), members)
+    if members > 1:
+        theta[0] *= 1e200
+        theta[-1, -2:] += 1e6
+    got = problems._net_states(theta, prob, x0, times)
+    ref = _view_pass(theta, prob, x0, times)
+    assert _same_bits(got[0], ref[0]) and _same_bits(got[1], ref[1])
+    assert got[1].tolist() == ([True] + [False] * (members - 2) + [True] if members > 1 else [False])
+    grads = [_bptt(t, prob) for t in theta]
+    monkeypatch.setattr(gradbase, "_net_states", _view_pass)
+    for grad, ref_grad in zip(grads, [_bptt(t, prob) for t in theta]):
+        assert type(grad) is type(ref_grad)
+        if isinstance(grad, str):
+            assert grad == ref_grad
+        else:
+            assert grad[0] == ref_grad[0] and _same_bits(grad[1], ref_grad[1]) and grad[2] == ref_grad[2]
+
+
+def _openblas_core():
+    # The kernel OpenBLAS picked, read from NumPy's bundled library; None
+    # where NumPy links another BLAS or the library does not say.
+    import ctypes
+    import glob
+
+    libs = glob.glob(os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs", "*openblas*"))
+    for lib in libs:
+        corename = getattr(ctypes.CDLL(lib), "scipy_openblas_get_corename64_", None)
+        if corename is not None:
+            corename.argtypes, corename.restype = [], ctypes.c_char_p
+            return corename().decode()
+    return None
+
+
+@pytest.mark.parametrize("core", ["Nehalem", "Haswell"])
+def test_laid_out_pass_matches_the_view_pass_under_another_blas_kernel(core):
+    # OPENBLAS_CORETYPE picks the kernel another CPU would get, in the child
+    # alone.  One-row products (gemv) change bits between kernels; the laid
+    # out passes run gemm only, so they match the view pass under each.
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = dict(os.environ, OPENBLAS_CORETYPE=core)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [os.path.join(root, "src"), env.get("PYTHONPATH")]))
+    code = (
+        "import sys, pytest\n"
+        f"sys.path.insert(0, {os.path.dirname(os.path.abspath(__file__))!r})\n"
+        "from test_problems import _openblas_core\n"
+        "print('core', _openblas_core())\n"
+        "sys.exit(pytest.main(['-q', '-p', 'no:cacheprovider',"
+        f" {os.path.abspath(__file__) + '::test_laid_out_pass_matches_the_view_pass'!r}]))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], cwd=root, env=env, capture_output=True,
+                          text=True, timeout=600)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    if _openblas_core() is not None:
+        assert proc.stdout.startswith(f"core {core}\n")
+
+
 
 def loop_control_states(u_stage, prob, h, method):
     """Reference for ``problems.control_states``: the scalar euler/rk4
