@@ -74,7 +74,6 @@ def _apply_seed(config, cli_seed):
 
 def _cmd_run(args) -> int:
     config = _apply_seed(_load_run_config(args.config), args.seed)
-    config.validate()
     out = args.out
     if out is None and config.out_dir is None:
         name = args.config if not os.path.exists(args.config) else "run"

@@ -12,12 +12,14 @@ the energy penalty is one more output channel, F's last, with its own variance.
 Updates are deterministic (no perturbed observations) explicit Euler steps in
 artificial time; one epoch is one step.  Covariances use the 1/J
 normalization throughout.  All reductions run in fixed member order, so runs
-are bitwise reproducible.
+are bitwise reproducible.  The training loop's bookkeeping (the epoch, the
+generator expansions draw from, and the log of expansions, stalls and
+skipped updates) belongs to its driver, :class:`ekinode.runner._EkiDriver`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -43,16 +45,10 @@ PENALTY_LOSS = 1e12
 
 @dataclass
 class Ensemble:
-    """EKI state: member parameter vectors (rows), epoch counter, rng.
-
-    The rng is only consumed by :func:`ensemble_expand`; updates themselves
-    are deterministic.  ``events`` records expansions as (epoch, count).
-    """
+    """EKI state: the member parameter vectors, one per row, and nothing
+    else; :func:`eki_step` and :func:`ensemble_expand` return new ones."""
 
     members: np.ndarray  # (J, N)
-    epoch: int = 0
-    rng: np.random.Generator | None = None
-    events: list = field(default_factory=list)
 
     def __post_init__(self):
         self.members = np.atleast_2d(np.asarray(self.members, dtype=float))
@@ -142,8 +138,7 @@ def eki_step(
     ``gamma`` is the diagonal of Sigma: a scalar for the plain problem, or
     one variance per output channel, e.g. ``(Gamma, ..., Gamma, Gamma'/mu)``
     for the energy-regularized one.  Members flagged as failed are frozen
-    and excluded from the covariance statistics for this step.  The epoch
-    counter increments.
+    and excluded from the covariance statistics for this step.
     """
     f = _member_outputs(ens, out)
     gamma = np.asarray(gamma, dtype=float)
@@ -162,7 +157,7 @@ def eki_step(
         # Delta_j = -(h/J) Theta_c^T (F_c resid_j): a combination of member
         # deviations, so every update stays in the ensemble's affine span.
         new_members[valid] = theta - (h / theta.shape[0]) * (resid @ f_c.T) @ theta_c
-    return replace(ens, members=new_members, epoch=ens.epoch + 1)
+    return Ensemble(new_members)
 
 
 def _member_outputs(ens: Ensemble, out: ForwardMapOutput) -> np.ndarray:
@@ -185,31 +180,26 @@ def ensemble_expand(
     ens: Ensemble,
     count: int,
     spec: MlpSpec,
+    rng: np.random.Generator,
     mode: str = "fresh",
 ) -> Ensemble:
-    """Append ``count`` new members; existing members untouched.
+    """Append ``count`` new members drawn from ``rng``; existing members
+    untouched.
 
     ``mode="fresh"`` draws independent initializations, enlarging the affine
     span the iteration can search; ``mode="perturb"`` centers the same draws
-    on the current ensemble mean.  Draws from the ensemble's own rng.  The
-    expansion is recorded in ``events``.
+    on the current ensemble mean.  A rejected call draws nothing.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
     if mode not in ("fresh", "perturb"):
         raise ValueError(f"expansion mode must be 'fresh' or 'perturb', got {mode!r}")
-    if ens.rng is None:
-        raise ValueError("no rng available for expansion")
     if param_count(spec) != ens.dim:
         raise ValueError("spec parameter count does not match ensemble dimension")
-    fresh = mlp_init(spec, ens.rng, count)
+    fresh = mlp_init(spec, rng, count)
     if mode == "perturb":
         fresh = fresh + ensemble_mean(ens)
-    return replace(
-        ens,
-        members=np.vstack([ens.members, fresh]),
-        events=ens.events + [(ens.epoch, count)],
-    )
+    return Ensemble(np.vstack([ens.members, fresh]))
 
 
 def min_loss_member(losses) -> tuple[int, float]:

@@ -63,7 +63,7 @@ class _Pullback:
         # Every call's input to each layer, stacked; a hidden layer's
         # activated output is the next layer's input, so the derivatives of
         # all calls take one elementwise pass per hidden layer.
-        self.inputs = [np.array([r[i][0] for r in records]) for i in range(len(layers))]
+        self.inputs = [np.array([r[i] for r in records]) for i in range(len(layers))]
         derivs = [_act_deriv(a, activation) for a in self.inputs[1:]] + [None]
         self.gz = [[] for _ in layers]
         self.swept = []  # record indices in sweep order
@@ -217,17 +217,21 @@ def bptt_value_and_gradient(
 # Parameter updates
 
 
+# Adam's fixed constants: the moment decay rates and the denominator's guard.
+BETA1 = 0.9
+BETA2 = 0.999
+EPS = 1e-8
+
+
 @dataclass(frozen=True)
 class AdamState:
-    """Adam moments and hyperparameters; advance with :func:`adam_step`."""
+    """What an Adam step changes: the first and second moments and the step
+    count.  The decay rates and the guard are the constants :data:`BETA1`,
+    :data:`BETA2` and :data:`EPS`; the learning rate comes with each step."""
 
     m: np.ndarray
     v: np.ndarray
     tau: int = 0
-    eta: float = 0.01
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
     def __post_init__(self):
         if self.m.shape != self.v.shape:
@@ -236,28 +240,26 @@ class AdamState:
             raise ValueError("step count must be nonnegative")
 
 
-def adam_init(dim: int, eta: float = 0.01, beta1: float = 0.9, beta2: float = 0.999,
-              eps: float = 1e-8) -> AdamState:
-    return AdamState(m=np.zeros(dim), v=np.zeros(dim), tau=0, eta=eta,
-                     beta1=beta1, beta2=beta2, eps=eps)
+def adam_init(dim: int) -> AdamState:
+    return AdamState(m=np.zeros(dim), v=np.zeros(dim))
 
 
-def adam_step(state: AdamState, theta: np.ndarray, g: np.ndarray) -> tuple[AdamState, np.ndarray]:
-    """One bias-corrected Adam update; tau increments before the corrections."""
+def adam_step(state: AdamState, theta: np.ndarray, g: np.ndarray,
+              eta: float) -> tuple[AdamState, np.ndarray]:
+    """One bias-corrected Adam update with learning rate ``eta``; tau
+    increments before the corrections."""
     if theta.shape != g.shape or theta.shape != state.m.shape:
         raise ValueError("theta, gradient and moments must share a shape")
     tau = state.tau + 1
     # An overflowing step yields inf/NaN parameters, which the next BPTT pass
     # reports as a non-finite state, so keep numpy quiet about it.
     with np.errstate(over="ignore", invalid="ignore"):
-        m = state.beta1 * state.m + (1.0 - state.beta1) * g
-        v = state.beta2 * state.v + (1.0 - state.beta2) * g * g
-        m_hat = m / (1.0 - state.beta1**tau)
-        v_hat = v / (1.0 - state.beta2**tau)
-        new_theta = theta - state.eta * m_hat / (np.sqrt(v_hat) + state.eps)
-    new_state = AdamState(m=m, v=v, tau=tau, eta=state.eta, beta1=state.beta1,
-                          beta2=state.beta2, eps=state.eps)
-    return new_state, new_theta
+        m = BETA1 * state.m + (1.0 - BETA1) * g
+        v = BETA2 * state.v + (1.0 - BETA2) * g * g
+        m_hat = m / (1.0 - BETA1**tau)
+        v_hat = v / (1.0 - BETA2**tau)
+        new_theta = theta - eta * m_hat / (np.sqrt(v_hat) + EPS)
+    return AdamState(m=m, v=v, tau=tau), new_theta
 
 
 def sgd_step(theta: np.ndarray, g: np.ndarray, eta: float) -> np.ndarray:

@@ -147,10 +147,10 @@ def mlp_apply(
     from a member matrix, ``x`` is ``(J, rows, in)`` (or broadcasts to it)
     and row block j goes through member j's weights.
 
-    ``record``, when a list is passed, receives one ``(input, output)`` pair
-    per layer: the layer's input and its activated output, None for the
-    affine last layer.  That is what a reverse pass through the network
-    needs; the returned value is the same with or without it.
+    ``record``, when a list is passed, receives each layer's input.  A
+    hidden layer's activated output is the next layer's input, so that is
+    all a reverse pass through the network needs; the returned value is the
+    same with or without it.
     """
     h = x
     last = len(layers) - 1
@@ -158,11 +158,9 @@ def mlp_apply(
         # Without a record, a layer's input is freed before its activation
         # runs: that bounds the peak memory of large ensemble batches.
         if record is not None:
-            record.append([h, None])
+            record.append(h)
         h = h @ w.mT + b
         if i != last:
             h = _activate(h, activation)
-            if record is not None:
-                record[-1][1] = h
     return h
 

@@ -450,6 +450,7 @@ def load_report(report_dir: str) -> RunReport:
         raise ConfigError([f"{path}: not a run report, missing {', '.join(missing)}"])
     kwargs = {f.name: raw[f.name] for f in dataclasses.fields(RunReport) if f.name in raw}
     kwargs["config"] = config = config_from_dict(raw["config"])
+    config.validate()
     # A run that failed before its first row reports no parameters.
     theta = raw["theta"]
     size = nnet.param_count(
@@ -480,6 +481,11 @@ class _EkiDriver:
     """Shared mechanics for both problem families: evaluate members, log the
     best one, and advance one controlled explicit-Euler step per epoch.
 
+    The driver owns the loop's bookkeeping: the epoch, the init generator,
+    which the initial members and every expansion draw from, and ``events``,
+    one log of ``("expansion", epoch, count)``, ``("no_update", epoch,
+    valid)`` and ``("stall", epoch)`` entries in the order they happen.
+
     A family's subclass provides ``target``, the data vector the update pulls
     the outputs toward; ``forward(members)``, the batched forward-map output
     of a (J, N) member matrix; ``losses(outputs, epoch)``, per-member losses
@@ -490,19 +496,20 @@ class _EkiDriver:
     def __init__(self, config, prob, init_rng):
         self.prob = prob
         self.opts = config.eki
-        spec = prob.net if hasattr(prob, "net") else prob.controller
-        self.spec = spec
-        members = nnet.mlp_init(spec, init_rng, self.opts.ensemble_size)
-        self.ens = eki.Ensemble(members=members, rng=init_rng)
+        self.spec = prob.net if hasattr(prob, "net") else prob.controller
+        self.rng = init_rng
+        self.ens = eki.Ensemble(nnet.mlp_init(self.spec, init_rng, self.opts.ensemble_size))
         self.outputs = None
+        self.epoch = 0
         self.events = []
 
     def maybe_expand(self):
         for ep, count in self.opts.expansions:
-            if self.ens.epoch == ep:
+            if self.epoch == ep:
                 self.ens = eki.ensemble_expand(
-                    self.ens, count, self.spec, mode=self.opts.expansion_mode
+                    self.ens, count, self.spec, self.rng, mode=self.opts.expansion_mode
                 )
+                self.events.append(("expansion", ep, count))
                 self.outputs = None
 
     def row(self):
@@ -513,7 +520,7 @@ class _EkiDriver:
         self.maybe_expand()
         if self.outputs is None:
             self.outputs = self.forward(self.ens.members)
-        epoch = self.ens.epoch
+        epoch = self.epoch
         losses = self.losses(self.outputs, epoch)
         valid = losses[~self.outputs.failed]
         idx, min_loss = eki.min_loss_member(losses)
@@ -528,7 +535,8 @@ class _EkiDriver:
         as a ``no_update`` event and burnt, since a later expansion may still
         bring in valid members."""
         opts = self.opts
-        epoch = self.ens.epoch
+        epoch = self.epoch
+        self.epoch += 1  # an update, a stall and a skipped update each spend it
         gamma = self.gamma_for(epoch)
         cur_losses = self.losses(self.outputs, epoch)
         cur_fail = np.count_nonzero(self.outputs.failed)
@@ -556,9 +564,7 @@ class _EkiDriver:
         if opts.step_cap_rel is not None:
             h = min(h, opts.step_cap_rel / maxrel)
         for _ in range(opts.max_backtracks + 1):
-            cand = dataclasses.replace(
-                self.ens, members=self.ens.members + h * delta, epoch=epoch + 1
-            )
+            cand = eki.Ensemble(self.ens.members + h * delta)
             cand_outputs = self.forward(cand.members)
             cand_losses = self.losses(cand_outputs, epoch)
             cand_fail = np.count_nonzero(cand_outputs.failed)
@@ -571,7 +577,6 @@ class _EkiDriver:
                 break
         # No step survived: hold position, burn the epoch.
         self.events.append(("stall", epoch))
-        self.ens = dataclasses.replace(self.ens, epoch=epoch + 1)
 
 
 class _SysIdDriver(_EkiDriver):
@@ -627,19 +632,16 @@ class _ControlDriver(_EkiDriver):
 
 
 class _GradientDriver:
-    """Full-batch BPTT with Adam or plain SGD."""
+    """Full-batch BPTT with Adam or plain SGD; no event to log."""
 
     def __init__(self, config, prob, init_rng):
         self.config = config
         self.prob = prob
         spec = prob.net if hasattr(prob, "net") else prob.controller
         self.theta = nnet.mlp_init(spec, init_rng)
-        self.adam = (
-            gradbase.adam_init(self.theta.size, eta=config.gradient.eta)
-            if config.optimizer == "adam"
-            else None
-        )
+        self.adam = gradbase.adam_init(self.theta.size) if config.optimizer == "adam" else None
         self.epoch = 0
+        self.events = []
 
     def row(self):
         """Log row of the current parameters up to its error columns, the
@@ -658,7 +660,9 @@ class _GradientDriver:
         if not np.all(np.isfinite(self.grad)):
             raise RuntimeError(f"non-finite gradient at epoch {self.epoch}")
         if self.adam is not None:
-            self.adam, self.theta = gradbase.adam_step(self.adam, self.theta, self.grad)
+            self.adam, self.theta = gradbase.adam_step(
+                self.adam, self.theta, self.grad, self.config.gradient.eta
+            )
         else:
             self.theta = gradbase.sgd_step(self.theta, self.grad, self.config.gradient.eta)
         self.epoch += 1
@@ -720,9 +724,6 @@ def run(config: ExperimentConfig, out_dir: str | None = None) -> RunReport:
         errors = zip(*_errors(np.stack(thetas), prob, train))
         rows = [head + list(pair) for head, pair in zip(heads, errors)]
         theta = thetas[-1]
-    events = []
-    if isinstance(driver, _EkiDriver):
-        events = [("expansion", ep, c) for ep, c in driver.ens.events] + driver.events
 
     log_path = os.path.join(out, "log.csv")
     log = _csv_text(CSV_HEADER, (
@@ -745,7 +746,7 @@ def run(config: ExperimentConfig, out_dir: str | None = None) -> RunReport:
             "seed": config.seed,
             "streams": ["data", "init"],
         },
-        events=[list(e) for e in events],
+        events=[list(e) for e in driver.events],
         error=error,
     )
     # Both files are serialized before either is replaced, so a value that

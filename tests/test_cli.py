@@ -437,6 +437,26 @@ def test_plot_of_a_report_with_a_malformed_theta_is_config_error(tmp_path, capsy
     assert not (out / "plots").exists()
 
 
+@pytest.mark.parametrize("block, key, value, message", [
+    (None, "problem_options", 5, "problem_options: expected ProblemOptions, got 5"),
+    (None, "problem", "foo", "problem: 'foo' not in ('spiral', 'pendulum', 'linear_control')"),
+    ("eki", "ensemble_size", "x", "eki.ensemble_size: expected int, got str"),
+], ids=["options-not-an-object", "unknown-problem", "wrong-type"])
+def test_plot_of_a_report_with_an_invalid_config_is_config_error(tmp_path, capsys, block, key,
+                                                                  value, message):
+    # The report's config is validated as a run's is, before theta is checked.
+    out = tmp_path / "r"
+    runner.run(dataclasses.replace(runner.preset("control-eki-mu0.001"), epochs=1), out_dir=str(out))
+    path = out / "report.json"
+    raw = json.loads(path.read_text())
+    (raw["config"] if block is None else raw["config"][block])[key] = value
+    path.write_text(json.dumps(raw))
+    capsys.readouterr()
+    assert cli.main(["plot", "--report", str(out)]) == 1
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not (out / "plots").exists()
+
+
 # The contract fuzz: a valid config run for one to five epochs, so that
 # failures reached only after the first epoch (covariance underflow,
 # expansions, stalled backtracking, epochs without an update) are in reach,

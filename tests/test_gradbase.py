@@ -258,9 +258,12 @@ class PerCallPullback:
         self.products = []
 
     def vjp(self, call, gout):
+        # A hidden layer's activated output is the next layer's input; the
+        # affine last layer has none.
+        inputs = self.records[call]
         g = gout
         products = []
-        for (w, _), (a, y) in zip(reversed(self.layers), reversed(self.records[call])):
+        for (w, _), a, y in zip(reversed(self.layers), reversed(inputs), reversed(inputs[1:] + [None])):
             gz = g if y is None else g * gradbase._act_deriv(y, self.activation)
             products.append((gz.mT @ a, gz.sum(axis=-2)))
             g = gz @ w
@@ -505,8 +508,8 @@ def test_adam_first_step_is_signed_learning_rate():
     # gradients well above eps that is -eta * sign(g).
     g = np.array([3.0, -0.25, 0.04])
     theta = np.zeros(3)
-    state = gradbase.adam_init(3, eta=0.01)
-    new_state, new_theta = gradbase.adam_step(state, theta, g)
+    state = gradbase.adam_init(3)
+    new_state, new_theta = gradbase.adam_step(state, theta, g, 0.01)
     delta = new_theta - theta
     assert np.max(np.abs(delta / (-0.01 * np.sign(g)) - 1.0)) < 1e-6
     assert np.allclose(delta, -0.01 * g / (np.abs(g) + 1e-8), rtol=1e-14, atol=0.0)
@@ -516,15 +519,15 @@ def test_adam_first_step_is_signed_learning_rate():
 def test_adam_zero_gradient_is_identity():
     theta = np.array([1.0, -2.0])
     state = gradbase.adam_init(2)
-    _, new_theta = gradbase.adam_step(state, theta, np.zeros(2))
+    _, new_theta = gradbase.adam_step(state, theta, np.zeros(2), 0.01)
     assert np.array_equal(new_theta, theta)
 
 
 def test_adam_zero_eta_updates_moments_only():
     theta = np.array([1.0, -2.0])
     g = np.array([0.5, 0.5])
-    state = gradbase.adam_init(2, eta=0.0)
-    new_state, new_theta = gradbase.adam_step(state, theta, g)
+    state = gradbase.adam_init(2)
+    new_state, new_theta = gradbase.adam_step(state, theta, g, 0.0)
     assert np.array_equal(new_theta, theta)
     assert np.allclose(new_state.m, 0.1 * g, rtol=1e-15)
     assert np.allclose(new_state.v, 0.001 * g * g, rtol=1e-15)
@@ -534,12 +537,12 @@ def test_adam_recurrences_match_reference():
     # Two steps against a direct transcription of the update equations.
     rng = np.random.default_rng(13)
     theta = rng.normal(size=4)
-    state = gradbase.adam_init(4, eta=0.05)
+    state = gradbase.adam_init(4)
     m = np.zeros(4)
     v = np.zeros(4)
     for tau in (1, 2):
         g = rng.normal(size=4)
-        state, theta_new = gradbase.adam_step(state, theta, g)
+        state, theta_new = gradbase.adam_step(state, theta, g, 0.05)
         m = 0.9 * m + 0.1 * g
         v = 0.999 * v + 0.001 * g * g
         ref = theta - 0.05 * (m / (1 - 0.9**tau)) / (np.sqrt(v / (1 - 0.999**tau)) + 1e-8)
@@ -553,7 +556,7 @@ def test_adam_state_validation():
     with pytest.raises(ValueError):
         gradbase.AdamState(m=np.zeros(3), v=np.zeros(3), tau=-1)
     with pytest.raises(ValueError):
-        gradbase.adam_step(gradbase.adam_init(2), np.zeros(3), np.zeros(3))
+        gradbase.adam_step(gradbase.adam_init(2), np.zeros(3), np.zeros(3), 0.01)
 
 
 def test_sgd_examples():
@@ -590,10 +593,10 @@ def test_sgd_descends_at_random_parameters(small_spiral):
 def test_optimizer_trajectories_are_deterministic(small_spiral):
     def run():
         theta = nnet.mlp_init(small_spiral.net, np.random.default_rng(15))
-        state = gradbase.adam_init(theta.size, eta=0.01)
+        state = gradbase.adam_init(theta.size)
         for _ in range(5):
             _, grad, _ = gradbase.bptt_value_and_gradient(theta, small_spiral)
-            state, theta = gradbase.adam_step(state, theta, grad)
+            state, theta = gradbase.adam_step(state, theta, grad, 0.01)
         return theta
 
     assert np.array_equal(run(), run())

@@ -258,6 +258,18 @@ def test_stall_holds_the_ensemble(tmp_path):
     assert all(row[3:] == rows[0][3:] for row in rows)
 
 
+def test_events_are_logged_in_epoch_order(tmp_path):
+    # Expansions, stalls and skipped updates go into one log as they happen:
+    # the expansion at epoch 3 comes after the stalls before it.
+    eki_opts = dataclasses.replace(
+        runner.preset("control-eki-mu0.001").eki, accept_factor=1e-12, max_backtracks=1
+    )
+    report = runner.run(tiny("control-eki-mu0.001", 5, eki=eki_opts), out_dir=str(tmp_path / "r"))
+    assert [list(e) for e in report.events] == [
+        ["stall", 0], ["stall", 1], ["stall", 2], ["expansion", 3, 20], ["stall", 3], ["stall", 4]
+    ]
+
+
 def test_a_vanishing_step_stalls_without_more_backtracks(tmp_path, monkeypatch):
     # From h = 1e-16 one halving is already below the smallest usable step,
     # so each epoch tries one candidate and stalls, whatever max_backtracks
