@@ -66,7 +66,6 @@ class _Pullback:
         self.inputs = [np.array([r[i] for r in records]) for i in range(len(layers))]
         derivs = [_act_deriv(a, activation) for a in self.inputs[1:]] + [None]
         self.gz = [[] for _ in layers]
-        self.swept = []  # record indices in sweep order
         self._reverse = list(zip([w for w, _ in layers], derivs, self.gz))[::-1]
 
     def vjp(self, call: int, gout: np.ndarray) -> np.ndarray:
@@ -76,19 +75,19 @@ class _Pullback:
                 g = g * deriv[call]
             log.append(g)
             g = g @ w
-        self.swept.append(call)
         return g
 
     def accumulate(self, acc) -> None:
         """Add the swept calls' layer gradients into ``acc``, per-layer
         (W, b) arrays shaped like the recorded layers.  ``_sysid`` and
         ``_control`` pass :func:`nnet.unflatten` views of one flat gradient,
-        so the sums land in place."""
-        if not self.swept:  # no field evaluation, as in one-point shooting runs
+        so the sums land in place.  Both sweep every recorded call once, last
+        call first, so the logged gradients pair with the inputs reversed."""
+        if not self.gz[0]:  # no field evaluation, as in one-point shooting runs
             return
         for (dw, db), gz, a in zip(acc, self.gz, self.inputs):
             gz = np.array(gz)
-            dw += np.add.reduce(gz.mT @ a[self.swept])
+            dw += np.add.reduce(gz.mT @ a[::-1])
             db += np.add.reduce(gz.sum(axis=-2))
 
 

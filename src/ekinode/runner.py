@@ -272,11 +272,6 @@ def save_config(config: ExperimentConfig, path: str) -> None:
     _replace_file(path, json.dumps(config_to_dict(config), indent=2) + "\n")
 
 
-def load_config(path: str) -> ExperimentConfig:
-    with open(path) as fh:
-        return config_from_dict(json.load(fh))
-
-
 # ---------------------------------------------------------------------------
 # Presets: the paper-default configurations, by name
 
@@ -486,12 +481,12 @@ class _EkiDriver:
     one log of ``("expansion", epoch, count)``, ``("no_update", epoch,
     valid)`` and ``("stall", epoch)`` entries in the order they happen.
 
-    A family's subclass provides ``target``, the data vector the update pulls
-    the outputs toward; ``forward(members)``, the batched forward-map output
-    of a (J, N) member matrix; ``losses(outputs, epoch)``, per-member losses
-    (J,) with failed members at PENALTY_LOSS; ``gamma_for(epoch)``, the
-    covariance scale; and ``variances(gamma)``, the diagonal of the noise
-    covariance at that scale."""
+    A family's subclass provides four hooks: ``target``, the data vector the
+    update pulls the outputs toward; ``forward(members)``, the batched
+    forward-map output of a (J, N) member matrix; ``losses(outputs, gamma)``,
+    per-member losses (J,) at covariance scale ``gamma``, with failed members
+    at PENALTY_LOSS; and ``noise(epoch)``, the epoch's covariance scale and
+    the diagonal of the noise covariance at that scale."""
 
     def __init__(self, config, prob, init_rng):
         self.prob = prob
@@ -503,53 +498,49 @@ class _EkiDriver:
         self.epoch = 0
         self.events = []
 
-    def maybe_expand(self):
+    def row(self):
+        """Log row of the ensemble, expanded and evaluated first if due, up
+        to its error columns; the best member's loss, which :func:`_errors`
+        takes as a system-identification row's training error; and the
+        member's parameters.  The epoch's scale and variances, the best loss
+        and the failure count stay on the driver for the next ``advance``."""
+        epoch = self.epoch
         for ep, count in self.opts.expansions:
-            if self.epoch == ep:
+            if epoch == ep:
                 self.ens = eki.ensemble_expand(
                     self.ens, count, self.spec, self.rng, mode=self.opts.expansion_mode
                 )
                 self.events.append(("expansion", ep, count))
                 self.outputs = None
-
-    def row(self):
-        """Log row of the ensemble, expanded and evaluated first if due, up
-        to its error columns; the best member's loss, which :func:`_errors`
-        takes as a system-identification row's training error; and the
-        member's parameters."""
-        self.maybe_expand()
         if self.outputs is None:
             self.outputs = self.forward(self.ens.members)
-        epoch = self.epoch
-        losses = self.losses(self.outputs, epoch)
+        # Rescored every epoch: a control score depends on the epoch's scale.
+        self.gamma, self.variances = self.noise(epoch)
+        losses = self.losses(self.outputs, self.gamma)
+        self.n_failed = int(np.count_nonzero(self.outputs.failed))
+        idx, self.best = eki.min_loss_member(losses)
         valid = losses[~self.outputs.failed]
-        idx, min_loss = eki.min_loss_member(losses)
         mean_loss = float(np.mean(valid if valid.size else losses))
         theta = self.ens.members[idx].copy()
-        return [epoch, self.gamma_for(epoch), self.ens.size, min_loss, mean_loss], min_loss, theta
+        return [epoch, self.gamma, self.ens.size, self.best, mean_loss], self.best, theta
 
     def advance(self):
-        """One epoch: try the full step, backtrack while it makes the
-        ensemble worse, stall if no usable step length remains.  With fewer
-        than two valid members the update moves nobody: the epoch is logged
-        as a ``no_update`` event and burnt, since a later expansion may still
-        bring in valid members."""
+        """One epoch from the state ``row`` scored: try the full step,
+        backtrack while it makes the ensemble worse, stall if no usable step
+        length remains.  With fewer than two valid members the update moves
+        nobody: the epoch is logged as a ``no_update`` event and burnt, since
+        a later expansion may still bring in valid members."""
         opts = self.opts
         epoch = self.epoch
         self.epoch += 1  # an update, a stall and a skipped update each spend it
-        gamma = self.gamma_for(epoch)
-        cur_losses = self.losses(self.outputs, epoch)
-        cur_fail = np.count_nonzero(self.outputs.failed)
-        cur_best = cur_losses.min()
-        n_valid = self.ens.size - int(cur_fail)
+        n_valid = self.ens.size - self.n_failed
         if n_valid < 2:
             self.events.append(("no_update", epoch, n_valid))
 
-        variances = self.variances(gamma)
-        if not np.all(variances > 0):
+        if not np.all(self.variances > 0):
             # The exponential schedule reaches 0.0 once alpha * epoch passes ~745.
-            raise RuntimeError(f"noise variance {gamma!r} is not positive at epoch {epoch}")
-        unit = eki.eki_step(self.ens, self.outputs, self.target, variances)
+            raise RuntimeError(f"noise variance {self.gamma!r} is not positive at epoch {epoch}")
+        unit = eki.eki_step(self.ens, self.outputs, self.target, self.variances)
         delta = unit.members - self.ens.members
         if not np.all(np.isfinite(delta)):
             # Such a member fails in every candidate, so no step length is usable.
@@ -566,9 +557,9 @@ class _EkiDriver:
         for _ in range(opts.max_backtracks + 1):
             cand = eki.Ensemble(self.ens.members + h * delta)
             cand_outputs = self.forward(cand.members)
-            cand_losses = self.losses(cand_outputs, epoch)
+            cand_losses = self.losses(cand_outputs, self.gamma)
             cand_fail = np.count_nonzero(cand_outputs.failed)
-            if cand_fail <= cur_fail and cand_losses.min() <= opts.accept_factor * cur_best:
+            if cand_fail <= self.n_failed and cand_losses.min() <= opts.accept_factor * self.best:
                 self.ens = cand
                 self.outputs = cand_outputs
                 return
@@ -593,15 +584,13 @@ class _SysIdDriver(_EkiDriver):
     def forward(self, members):
         return problems.sysid_forward_map(members, self.prob)
 
-    def losses(self, outputs, epoch):
+    def losses(self, outputs, gamma):
         return problems.sysid_loss(outputs, self.prob)
 
-    def gamma_for(self, epoch):
-        return eki.gamma_at(self.schedule, epoch)
-
-    def variances(self, gamma):
+    def noise(self, epoch):
         # The plain problem: one variance, gamma, for every channel.
-        return gamma
+        gamma = eki.gamma_at(self.schedule, epoch)
+        return gamma, gamma
 
 
 class _ControlDriver(_EkiDriver):
@@ -612,23 +601,20 @@ class _ControlDriver(_EkiDriver):
     def forward(self, members):
         return problems.control_forward_map(members, self.prob)
 
-    def gamma_for(self, epoch):
+    def noise(self, epoch):
         gamma = self.opts.gamma
         for ep, value in self.opts.gamma_steps:
             if epoch >= ep:
                 gamma = value
-        return gamma
+        # The energy channel's variance is Gamma' / mu: the regularized problem.
+        return gamma, np.array([gamma, self.opts.gamma_prime / self.prob.mu])
 
-    def losses(self, outputs, epoch):
+    def losses(self, outputs, gamma):
         g = outputs.g  # the terminal state, then the energy channel
         loss = problems.control_objective(
-            g[:, 0], g[:, 1] ** 2, self.prob, self.gamma_for(epoch), self.opts.gamma_prime
+            g[:, 0], g[:, 1] ** 2, self.prob, gamma, self.opts.gamma_prime
         )
         return np.where(outputs.failed, eki.PENALTY_LOSS, loss)
-
-    def variances(self, gamma):
-        # The energy channel's variance is Gamma' / mu: the regularized problem.
-        return np.array([gamma, self.opts.gamma_prime / self.prob.mu])
 
 
 class _GradientDriver:

@@ -115,7 +115,7 @@ def test_config_round_trip_and_file_round_trip(tmp_path):
     assert runner.config_from_dict(runner.config_to_dict(config)) == config
     path = tmp_path / "config.json"
     runner.save_config(config, path)
-    assert runner.load_config(path) == config
+    assert runner.config_from_dict(json.loads(path.read_text())) == config
     # JSON serialization must be lossless for floats.
     raw = json.loads(path.read_text())
     assert raw["eki"]["gamma_steps"] == [[3, 0.15]]
@@ -287,6 +287,39 @@ def test_a_vanishing_step_stalls_without_more_backtracks(tmp_path, monkeypatch):
     report = runner.run(tiny("spiral-eki", 2, eki=eki_opts), out_dir=str(tmp_path / "r"))
     assert [list(e) for e in report.events] == [["stall", 0], ["stall", 1]]
     assert len(calls) == 3
+
+
+@pytest.mark.parametrize("name,epochs", [("spiral-eki", 3), ("control-eki-mu0.001", 4)])
+def test_each_evaluation_is_scored_once(tmp_path, monkeypatch, name, epochs):
+    # row() scores the ensemble it logs, once, at the scale noise() gives for
+    # its epoch; advance() steps from that score and scores each candidate
+    # it evaluates, once, asking for no scale of its own.
+    config = tiny(name, epochs)
+    driver = runner._ControlDriver if config.problem == "linear_control" else runner._SysIdDriver
+    calls = []  # per row()/advance() call: [method, forward, losses, noise]
+
+    def spy(method, column=None):
+        real = getattr(driver, method)
+
+        def wrapped(self, *args):
+            if column is None:
+                calls.append([method, 0, 0, 0])
+            else:
+                calls[-1][column] += 1
+            return real(self, *args)
+
+        monkeypatch.setattr(driver, method, wrapped)
+
+    for method, column in (("row", None), ("advance", None), ("forward", 1), ("losses", 2), ("noise", 3)):
+        spy(method, column)
+    runner.run(config, out_dir=str(tmp_path / "r"))
+    rows = [c[1:] for c in calls if c[0] == "row"]
+    steps = [c[1:] for c in calls if c[0] == "advance"]
+    expanding = {ep for ep, _ in config.eki.expansions}
+    assert rows == [[int(e == 0 or e in expanding), 1, 1] for e in range(epochs + 1)]
+    assert len(steps) == epochs
+    assert all(losses == forward and noise == 0 for forward, losses, noise in steps)
+    assert all(forward >= 1 for forward, _, _ in steps)
 
 
 def test_sysid_gamma_schedule_in_log(tmp_path):
