@@ -2,12 +2,13 @@
 
 Reverse-mode differentiation through the time-unfolded network.  Each
 forward pass is the forward map's own, for one member, with every network
-evaluation recorded: :func:`ekinode.problems._net_states` for system
-identification, whose step counts and lengths the reverse sweep
-(:func:`_step_reverse`) walks back, and :func:`ekinode.problems._control_path`
-for control, whose terminal state's gradient with respect to the stage
-controls is the last row of the problem's linear propagator; the energy's
-is added on the quadrature columns, and one pullback carries both back.
+evaluation recorded into one list: :func:`ekinode.problems._net_states` for
+system identification, whose step counts and lengths the reverse sweep
+(:func:`_step_reverse`) walks back, popping the recorded calls last first,
+and :func:`ekinode.problems._control_path` for control, whose terminal
+state's gradient with respect to the stage controls is the last row of the
+problem's linear propagator; the energy's is added on the quadrature
+columns, and the pullback carries both back through the one call.
 The gradient is therefore exact for the discrete losses the problems module
 reports, :func:`ekinode.problems.sysid_loss` and
 :func:`ekinode.problems.control_objective`, each unfolding the problem's own
@@ -49,66 +50,70 @@ def _act_deriv(y: np.ndarray, activation: str) -> np.ndarray:
 
 
 class _Pullback:
-    """Reverse pass through recorded :func:`nnet.mlp_apply` calls.
+    """Reverse pass through one recorded pass of :func:`nnet.mlp_apply` calls.
 
-    :meth:`vjp` carries one call's output gradient back to its input: one
+    ``record`` holds every call's layer inputs in call order, so layer i's
+    inputs are ``record[i::L]``.  :meth:`vjp` pops the calls last first: one
     multiply by the activation derivative and one ``@ W`` per layer, logging
-    each layer's output gradient.  :meth:`accumulate` then adds the weight
-    and bias gradients of every logged call at once.  Each stacked product
-    is the per-call BLAS product and each reduction adds the calls in sweep
-    order, so the gradient equals per-call accumulation bitwise.
+    each layer's output gradient.  :meth:`gradient` then adds the weight and
+    bias gradients of every swept call at once.  Each stacked product is the
+    per-call BLAS product and each reduction adds the calls in sweep order,
+    so the gradient equals per-call accumulation bitwise.
     """
 
-    def __init__(self, layers, activation: str, records):
+    def __init__(self, spec: nnet.MlpSpec, theta: np.ndarray, record: list):
+        self.spec = spec
+        layers = nnet.unflatten(spec, theta[None])
         # Every call's input to each layer, stacked; a hidden layer's
         # activated output is the next layer's input, so the derivatives of
         # all calls take one elementwise pass per hidden layer.
-        self.inputs = [np.array([r[i] for r in records]) for i in range(len(layers))]
-        derivs = [_act_deriv(a, activation) for a in self.inputs[1:]] + [None]
+        self.inputs = [np.array(record[i::len(layers)]) for i in range(len(layers))]
+        derivs = [_act_deriv(a, spec.activation) for a in self.inputs[1:]] + [None]
         self.gz = [[] for _ in layers]
         self._reverse = list(zip([w for w, _ in layers], derivs, self.gz))[::-1]
+        self._unswept = len(self.inputs[0])
 
-    def vjp(self, call: int, gout: np.ndarray) -> np.ndarray:
+    def vjp(self, gout: np.ndarray) -> np.ndarray:
+        """Pull ``gout`` back through the last call not yet swept, to its input."""
+        self._unswept -= 1
         g = gout
         for w, deriv, log in self._reverse:
             if deriv is not None:
-                g = g * deriv[call]
+                g = g * deriv[self._unswept]
             log.append(g)
             g = g @ w
         return g
 
-    def accumulate(self, acc) -> None:
-        """Add the swept calls' layer gradients into ``acc``, per-layer
-        (W, b) arrays shaped like the recorded layers.  ``_sysid`` and
-        ``_control`` pass :func:`nnet.unflatten` views of one flat gradient,
-        so the sums land in place.  Both sweep every recorded call once, last
-        call first, so the logged gradients pair with the inputs reversed."""
-        if not self.gz[0]:  # no field evaluation, as in one-point shooting runs
-            return
-        for (dw, db), gz, a in zip(acc, self.gz, self.inputs):
-            gz = np.array(gz)
-            dw += np.add.reduce(gz.mT @ a[::-1])
-            db += np.add.reduce(gz.sum(axis=-2))
+    def gradient(self) -> np.ndarray:
+        """The flat ``(N,)`` gradient of the swept calls; they were swept
+        last first, so the logged gradients pair with the inputs reversed."""
+        grad = np.zeros((1, nnet.param_count(self.spec)))
+        if self.gz[0]:  # no field evaluation in one-point shooting runs
+            for (dw, db), gz, a in zip(nnet.unflatten(self.spec, grad), self.gz, self.inputs):
+                gz = np.array(gz)
+                dw += np.add.reduce(gz.mT @ a[::-1])
+                db += np.add.reduce(gz.sum(axis=-2))
+        return grad.reshape(-1)
 
 
-def _step_reverse(gx, h, method, net, c):
+def _step_reverse(gx, h, method, net):
     """Carry the state gradient of the system-identification sweep back
     through one step of :func:`ode._lockstep_euler` or :func:`ode._lockstep_rk4`.
 
-    The step's i-th field evaluation is ``net``'s recorded call ``c + i``;
-    the stages are visited last first.
+    The step's field evaluations are the last calls ``net`` has not swept;
+    it pops them last stage first.
     """
     if method == "euler":
-        return gx + net.vjp(c, h * gx)
+        return gx + net.vjp(h * gx)
     half = 0.5 * h
     g6, g3 = (h / 6.0) * gx, (h / 3.0) * gx
-    gin = net.vjp(c + 3, g6)
+    gin = net.vjp(g6)
     xbar = gx + gin
-    gin = net.vjp(c + 2, g3 + h * gin)
+    gin = net.vjp(g3 + h * gin)
     xbar += gin
-    gin = net.vjp(c + 1, g3 + half * gin)
+    gin = net.vjp(g3 + half * gin)
     xbar += gin
-    gin = net.vjp(c, g6 + half * gin)
+    gin = net.vjp(g6 + half * gin)
     return xbar + gin
 
 
@@ -121,8 +126,8 @@ def _sysid(theta: np.ndarray, prob: SysIdProblem):
     # recorded: its states and flag are those of problems.sysid_forward_map.
     cfg = prob.integrator
     x0, times, obs_index = sysid_grid(prob)
-    calls = []
-    states, failed, (counts, lengths, exceeded) = _net_states(theta[None], prob, x0, times, calls)
+    record = []
+    states, failed, (counts, lengths, exceeded) = _net_states(theta[None], prob, x0, times, record)
     if exceeded:
         raise IntegrationError(f"max_steps={cfg.max_steps} exceeded")
     # A non-finite state fails the bounds test, so only a flagged pass holds one.
@@ -138,21 +143,16 @@ def _sysid(theta: np.ndarray, prob: SysIdProblem):
     gstates = np.zeros(states.shape)
     resid = out.g - obs.stacked_values()
     gstates.reshape(-1, n)[obs_index] = (2.0 / obs.values.shape[0]) * resid.reshape(-1, n)
-    # The field evaluations of each substep, last substep first; the sweep
-    # carries the state gradient alone.
-    net = _Pullback(nnet.unflatten(prob.net, theta[None]), prob.net.activation, calls)
-    c = len(calls)
-    per_step = 1 if cfg.method == "euler" else 4
+    # The substeps are swept last first, and each pops its own field
+    # evaluations; the sweep carries the state gradient alone.
+    net = _Pullback(prob.net, theta, record)
     steps = counts.tolist()
     gx = 0.0
     for k in reversed(range(len(lengths))):
         gx = gx + gstates[:, :, k + 1]
         for _ in range(steps[k]):
-            c -= per_step
-            gx = _step_reverse(gx, lengths[k], cfg.method, net, c)
-    grad = np.zeros((1, theta.size))
-    net.accumulate(nnet.unflatten(prob.net, grad))
-    return loss, grad.reshape(-1), bool(failed[0])
+            gx = _step_reverse(gx, lengths[k], cfg.method, net)
+    return loss, net.gradient(), bool(failed[0])
 
 
 # ---------------------------------------------------------------------------
@@ -177,11 +177,9 @@ def _control(theta: np.ndarray, prob: ControlProblem, gamma: float, gamma_prime:
     gu = np.zeros(u.size)
     gu[:plan.stages] = ((x - prob.x_star) / gamma) * plan.final_row
     gu[plan.quad_cols] += (prob.mu / (2.0 * gamma_prime)) * 2.0 * plan.quad_weights * u_quad
-    net = _Pullback(nnet.unflatten(prob.controller, theta[None]), prob.controller.activation, [record])
-    net.vjp(0, gu[None, :, None])
-    grad = np.zeros((1, theta.size))
-    net.accumulate(nnet.unflatten(prob.controller, grad))
-    return loss, grad.reshape(-1), bool(failed[0])
+    net = _Pullback(prob.controller, theta, record)
+    net.vjp(gu[None, :, None])
+    return loss, net.gradient(), bool(failed[0])
 
 
 # ---------------------------------------------------------------------------

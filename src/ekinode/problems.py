@@ -228,12 +228,16 @@ def make_sysid_problem(
     ``subset_length`` points drawn from ``data_rng``.
 
     The full state is observed; the 2-in/2-out network needs both
-    components as training signal.
+    components as training signal.  The runs must leave at least one grid
+    point held out for :func:`test_mse`.
     """
     bench = SYSID_BENCHMARKS[name]
+    grid_size = bench.grid_size if grid_size is None else grid_size
+    if num_subsets * subset_length >= grid_size:
+        raise ValueError(f"{num_subsets} disjoint runs of {subset_length} must leave a held-out"
+                         f" point in {grid_size} grid points")
     x0 = np.array(bench.x0)
-    times = np.linspace(0.0, bench.t_final if t_final is None else t_final,
-                        bench.grid_size if grid_size is None else grid_size)
+    times = np.linspace(0.0, bench.t_final if t_final is None else t_final, grid_size)
     states = integrate(bench.field, x0, times, DATA_INTEGRATOR).states
     obs = make_observations(times, states, num_subsets, subset_length, data_rng)
     if integrator is None:
@@ -245,8 +249,9 @@ def _net_states(theta: np.ndarray, prob: SysIdProblem, x0: np.ndarray, times: np
                 record: list | None = None):
     """:func:`ode.integrate_lockstep` of every member's network field from
     the starts ``x0`` ``(B, n)`` over the rows of ``times`` ``(B, K+1)``;
-    ``theta`` is a ``(J, N)`` member matrix.  Each field evaluation appends
-    one list to ``record``, if one is passed, for :func:`nnet.mlp_apply` to fill."""
+    ``theta`` is a ``(J, N)`` member matrix.  ``record``, if a list is
+    passed, receives every field evaluation's layer inputs from
+    :func:`nnet.mlp_apply`, in call order."""
     act = prob.net.activation
     J, B = theta.shape[0], x0.shape[0]
     # The layers are laid out once per pass.  The bias views of a member
@@ -264,13 +269,8 @@ def _net_states(theta: np.ndarray, prob: SysIdProblem, x0: np.ndarray, times: np
         layers = [(w, np.ascontiguousarray(b)) for w, b in layers]
     x0 = np.broadcast_to(x0, (J,) + x0.shape)
 
-    if record is None:
-        def field(x):
-            return nnet.mlp_apply(layers, x, act)
-    else:
-        def field(x):
-            record.append([])
-            return nnet.mlp_apply(layers, x, act, record[-1])
+    def field(x):
+        return nnet.mlp_apply(layers, x, act, record)
 
     return ode.integrate_lockstep(field, x0, times, prob.integrator)
 

@@ -108,6 +108,17 @@ def test_observation_sampler_can_fill_the_grid():
     assert np.array_equal(obs.train_indices, np.arange(12))
 
 
+def test_sysid_problem_leaves_a_held_out_point():
+    # Ten runs of ten fill a 100-point grid and would leave test_mse no point.
+    with pytest.raises(ValueError, match="10 disjoint runs of 10 must leave a held-out point in 100 grid"):
+        problems.make_sysid_problem("spiral", np.random.default_rng(0), grid_size=100)
+    prob = problems.make_sysid_problem("spiral", np.random.default_rng(0), grid_size=101)
+    (held_out,) = prob.observations.test_indices
+    # A zero field holds x0, whose error at the one held-out point is scored.
+    miss = prob.observations.grid_states[held_out] - prob.x0
+    assert problems.test_mse(np.zeros(nnet.param_count(prob.net)), prob) == np.sum(miss * miss)
+
+
 def test_spiral_problem_layout(spiral_problem):
     obs = spiral_problem.observations
     assert obs.grid_times.shape == (500,)
@@ -494,13 +505,11 @@ def test_batched_control_forward_map_matches_scalar_formulas(s, method, dt, acti
 
 def _view_pass(theta, prob, x0, times, record=None):
     # problems._net_states as it reads with no layout: the member matrix's
-    # own unflatten views straight into mlp_apply, one record list per call.
+    # own unflatten views straight into mlp_apply, every call into one record.
     layers = nnet.unflatten(prob.net, theta)
 
     def field(x):
-        if record is not None:
-            record.append([])
-        return nnet.mlp_apply(layers, x, prob.net.activation, None if record is None else record[-1])
+        return nnet.mlp_apply(layers, x, prob.net.activation, record)
 
     x0 = np.broadcast_to(x0, (theta.shape[0],) + x0.shape)
     return ode.integrate_lockstep(field, x0, times, prob.integrator)
@@ -567,21 +576,33 @@ def _openblas_core():
     return None
 
 
-@pytest.mark.parametrize("core", ["Nehalem", "Haswell"])
-def test_laid_out_pass_matches_the_view_pass_under_another_blas_kernel(core):
+# OpenBLAS kernels on which a row's product with a weight matrix has the
+# same bits whatever the number of rows sharing the call.  These FMA kernels
+# were probed; under Nehalem, Sandybridge and Prescott a prefix of rows
+# evaluated alone differs from the same rows inside a longer call.
+FMA_CORES = ("SkylakeX", "Haswell", "Zen")
+
+
+def _fma_kernel():
+    # The precondition of every assertion comparing values from two call
+    # layouts, such as a merged controller call and a call per grid.
+    return _openblas_core() in FMA_CORES
+
+
+def _passes_under_blas_kernel(core, test):
     # OPENBLAS_CORETYPE picks the kernel another CPU would get, in the child
-    # alone.  One-row products (gemv) change bits between kernels; the laid
-    # out passes run gemm only, so they match the view pass under each.
-    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    # alone, which runs ``test`` (a node id under this directory).
+    here = os.path.dirname(os.path.abspath(__file__))
+    root = os.path.dirname(here)
     env = dict(os.environ, OPENBLAS_CORETYPE=core)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [os.path.join(root, "src"), env.get("PYTHONPATH")]))
     code = (
         "import sys, pytest\n"
-        f"sys.path.insert(0, {os.path.dirname(os.path.abspath(__file__))!r})\n"
+        f"sys.path.insert(0, {here!r})\n"
         "from test_problems import _openblas_core\n"
         "print('core', _openblas_core())\n"
         "sys.exit(pytest.main(['-q', '-p', 'no:cacheprovider',"
-        f" {os.path.abspath(__file__) + '::test_laid_out_pass_matches_the_view_pass'!r}]))\n"
+        f" {os.path.join(here, test)!r}]))\n"
     )
     proc = subprocess.run([sys.executable, "-c", code], cwd=root, env=env, capture_output=True,
                           text=True, timeout=600)
@@ -589,6 +610,12 @@ def test_laid_out_pass_matches_the_view_pass_under_another_blas_kernel(core):
     if _openblas_core() is not None:
         assert proc.stdout.startswith(f"core {core}\n")
 
+
+@pytest.mark.parametrize("core", ["Nehalem", "Haswell"])
+def test_laid_out_pass_matches_the_view_pass_under_another_blas_kernel(core):
+    # One-row products (gemv) change bits between kernels; the laid out
+    # passes run gemm only, so they match the view pass under each.
+    _passes_under_blas_kernel(core, "test_problems.py::test_laid_out_pass_matches_the_view_pass")
 
 
 def loop_control_states(u_stage, prob, h, method):
@@ -684,9 +711,9 @@ def test_control_diverged_agrees_with_the_recurrence(method, dt):
 @pytest.mark.parametrize("quadrature_points", [100, 50])
 def test_control_path_evaluates_the_controller_once(monkeypatch, method, dt, quadrature_points):
     # One controller pass over the stage grid and the quadrature points it
-    # lacks gives bitwise the states and energies of a pass on each grid
-    # alone.  At dt = 1/37 the stage grid lacks most quadrature points; at
-    # dt = 0.01 it holds all of them.
+    # lacks gives bitwise the states and energies of its own u columns and,
+    # on an FMA kernel, of a pass on each grid alone.  At dt = 1/37 the stage
+    # grid lacks most quadrature points; at dt = 0.01 it holds all of them.
     prob = problems.ControlProblem(
         quadrature_points=quadrature_points,
         integrator=ode.IntegratorConfig(method=method, dt=dt, divergence_limit=1e3),
@@ -716,13 +743,25 @@ def test_control_path_evaluates_the_controller_once(monkeypatch, method, dt, qua
         times, _ = problems.control_trajectory(theta[0], prob)
         assert np.array_equal(times, h * np.arange(n_steps + 1))
         assert np.array_equal(u, real(theta, prob, plan.eval_times))
-        ref = problems.control_states(real(theta, prob, stage_times), prob)
-        assert np.array_equal(xs, ref)
-        assert np.array_equal(failed, problems.control_diverged(ref, prob.integrator))
-        assert np.array_equal(energy, problems.control_energy(theta, prob))
-        assert np.array_equal(out.g[:, 0], np.where(failed, 0.0, ref[:, -1]))
+        # The states and energies are those of the pass's own u columns.
+        u_quad = np.ascontiguousarray(u[:, plan.quad_cols])
+        assert np.array_equal(xs, problems.control_states(u[:, :plan.stages], prob))
+        assert np.array_equal(failed, problems.control_diverged(xs, prob.integrator))
+        assert np.array_equal(energy, np.trapezoid(u_quad * u_quad, plan.quad, axis=-1))
+        assert np.array_equal(out.g[:, 0], np.where(failed, 0.0, xs[:, -1]))
         assert np.array_equal(out.g[:, 1], np.where(failed, 0.0, np.sqrt(energy)))
         assert not failed[0] and failed[-1] == (members > 1)
+        if _fma_kernel():
+            ref = problems.control_states(real(theta, prob, stage_times), prob)
+            assert np.array_equal(xs, ref)
+            assert np.array_equal(failed, problems.control_diverged(ref, prob.integrator))
+            assert np.array_equal(energy, problems.control_energy(theta, prob))
+
+
+def test_control_path_evaluates_the_controller_once_under_a_non_fma_kernel():
+    # Under Nehalem the comparisons with a pass on each grid alone are left
+    # out; those from the pass's own layout must hold.
+    _passes_under_blas_kernel("Nehalem", "test_problems.py::test_control_path_evaluates_the_controller_once")
 
 
 def test_control_forward_map_past_max_steps_evaluates_nothing(monkeypatch):
