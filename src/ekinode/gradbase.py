@@ -3,9 +3,10 @@
 Reverse-mode differentiation through the time-unfolded network.  Each
 forward pass is the forward map's own, for one member, with every network
 evaluation recorded into one list: :func:`ekinode.problems._net_states` for
-system identification, whose step counts and lengths the reverse sweep
-(:func:`_step_reverse`) walks back, popping the recorded calls last first,
-and :func:`ekinode.problems._control_path` for control, whose terminal
+system identification, whose steps, with the counts and coefficients of the
+problem's plan, the reverse sweep (:func:`_step_reverse`) walks back,
+popping the recorded calls last first, and
+:func:`ekinode.problems._control_path` for control, whose terminal
 state's gradient with respect to the stage controls is the last row of the
 problem's linear propagator; the energy's is added on the quadrature
 columns, and the pullback carries both back through the one call.
@@ -25,7 +26,7 @@ from . import nnet
 from .eki import ForwardMapOutput
 from .ode import IntegrationError
 from .problems import ControlProblem, SysIdProblem, _checked_plan, _control_path, _net_states
-from .problems import control_objective, sysid_grid, sysid_loss
+from .problems import control_objective, sysid_loss
 
 __all__ = [
     "AdamState",
@@ -96,17 +97,20 @@ class _Pullback:
         return grad.reshape(-1)
 
 
-def _step_reverse(gx, h, method, net):
+def _step_reverse(gx, c, method, net):
     """Carry the state gradient of the system-identification sweep back
     through one step of :func:`ode._lockstep_euler` or :func:`ode._lockstep_rk4`.
 
-    The step's field evaluations are the last calls ``net`` has not swept;
-    it pops them last stage first.
+    ``c`` is the step's coefficients ``(h, h/2, h/6, h/3)`` from the pass's
+    :meth:`ode.LockstepPlan.coefficients`: floats, or arrays of ``gx``'s
+    ``(1, B, n)`` shape, the pass's one member.  The step's field
+    evaluations are the last calls ``net`` has not swept; it pops them last
+    stage first.
     """
+    h, half, sixth, third = c
     if method == "euler":
         return gx + net.vjp(h * gx)
-    half = 0.5 * h
-    g6, g3 = (h / 6.0) * gx, (h / 3.0) * gx
+    g6, g3 = sixth * gx, third * gx
     gin = net.vjp(g6)
     xbar = gx + gin
     gin = net.vjp(g3 + h * gin)
@@ -124,34 +128,36 @@ def _step_reverse(gx, h, method, net):
 def _sysid(theta: np.ndarray, prob: SysIdProblem):
     # The forward map's own pass for one member, every field evaluation
     # recorded: its states and flag are those of problems.sysid_forward_map.
-    cfg = prob.integrator
-    x0, times, obs_index = sysid_grid(prob)
-    record = []
-    states, failed, (counts, lengths, exceeded) = _net_states(theta[None], prob, x0, times, record)
-    if exceeded:
+    cfg, plan = prob.integrator, prob.plan
+    steps = plan.steps
+    if steps.exceeded:
         raise IntegrationError(f"max_steps={cfg.max_steps} exceeded")
+    record = []
+    states, failed = _net_states(theta[None], prob, plan.x0, steps, record)
     # A non-finite state fails the bounds test, so only a flagged pass holds one.
     if failed[0] and not np.isfinite(states).all():
         k = int(np.argmin(np.isfinite(states).all(axis=(0, 1, 3))))
         raise IntegrationError(f"non-finite state at unfold step {k}")
-    n = x0.shape[-1]
-    out = ForwardMapOutput(g=states.reshape(-1, n)[obs_index].reshape(-1))
+    n = plan.x0.shape[-1]
+    out = ForwardMapOutput(g=states.reshape(-1, n)[plan.obs_index].reshape(-1))
     loss = float(sysid_loss(out, prob))
 
     # dL/d(state) is 2 (xhat - x) / M at the observations, zero elsewhere.
     obs = prob.observations
     gstates = np.zeros(states.shape)
     resid = out.g - obs.stacked_values()
-    gstates.reshape(-1, n)[obs_index] = (2.0 / obs.values.shape[0]) * resid.reshape(-1, n)
+    gstates.reshape(-1, n)[plan.obs_index] = (2.0 / obs.values.shape[0]) * resid.reshape(-1, n)
     # The substeps are swept last first, and each pops its own field
-    # evaluations; the sweep carries the state gradient alone.
+    # evaluations; the sweep carries the state gradient alone, with the
+    # coefficients the forward pass stepped with.
     net = _Pullback(prob.net, theta, record)
-    steps = counts.tolist()
+    coefficients = steps.coefficients(states[:, :, 0].shape)
+    counts = steps.counts.tolist()
     gx = 0.0
-    for k in reversed(range(len(lengths))):
+    for k in reversed(range(len(counts))):
         gx = gx + gstates[:, :, k + 1]
-        for _ in range(steps[k]):
-            gx = _step_reverse(gx, lengths[k], cfg.method, net)
+        for _ in range(counts[k]):
+            gx = _step_reverse(gx, coefficients[k], cfg.method, net)
     return loss, net.gradient(), bool(failed[0])
 
 

@@ -15,7 +15,8 @@ and the grids are bitwise those of the textbook array step (see
 :func:`integrate_lockstep` is the batched fixed-step core.  It advances a
 ``(members, trajectories, state)`` array of autonomous fields in lockstep
 with the same step arithmetic, and reports divergence as a per-member mask
-instead of raising.
+instead of raising.  A :class:`LockstepPlan` holds what its passes over one
+time grid share: the step counts and every step's coefficients.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ __all__ = [
     "dopri_step",
     "integrate",
     "integrate_lockstep",
+    "LockstepPlan",
     "substeps",
 ]
 
@@ -330,50 +332,89 @@ def _integrate_loop(field, x0, times, config, states) -> Trajectory:
     return Trajectory(times=times.copy(), states=states)
 
 
-def integrate_lockstep(field, x0: np.ndarray, times: np.ndarray, config: IntegratorConfig):
+class LockstepPlan:
+    """How batched fixed-step passes run over one ``(B, K+1)`` time grid
+    under one config, decided once: the grid, checked strictly increasing
+    along each row, the :func:`substeps` decision (``counts`` and
+    ``exceeded``) and, per state shape, every interval's step coefficients.
+
+    The steps of :func:`integrate_lockstep` and their reverse read the
+    coefficients as they are and form none, so a grid that many passes
+    share pays for its plan once.
+    """
+
+    def __init__(self, times: np.ndarray, config: IntegratorConfig):
+        if config.method not in FIXED_STEP_METHODS:
+            raise ValueError(f"lockstep integration needs euler or rk4, got {config.method!r}")
+        times = np.asarray(times, dtype=float)
+        if times.ndim != 2 or times.shape[1] == 0:
+            raise ValueError("times must be a nonempty (trajectories, samples) array")
+        if np.any(np.diff(times, axis=1) <= 0):
+            raise ValueError("times must be strictly increasing")
+        self.times, self.config = times, config
+        self.counts, self._lengths, self.exceeded = substeps(times, config)
+        self._coefficients = {}
+
+    def coefficients(self, shape: tuple) -> list:
+        """Per interval, the substep coefficients ``(h, h/2, h/6, h/3)`` of a
+        pass on states of ``shape`` ``(J, B, n)``: Python floats where every
+        row shares the length ``h``, else read-only arrays of ``shape`` whose
+        row b holds row b's.  Built on the first pass of each shape."""
+        coefficients = self._coefficients.get(shape)
+        if coefficients is None:
+            coefficients = self._coefficients[shape] = [
+                tuple(c if isinstance(c, float) else _laid_out(c, shape)
+                      for c in (h, 0.5 * h, h / 6.0, h / 3.0))
+                for h in self._lengths
+            ]
+        return coefficients
+
+
+def _laid_out(column, shape):
+    # A (B, 1) column as an array of the state's own shape: a product with
+    # the state then runs one loop, not one per (member, row).
+    out = np.broadcast_to(column, shape).copy()
+    out.setflags(write=False)
+    return out
+
+
+def integrate_lockstep(field, x0: np.ndarray, plan: LockstepPlan):
     """Fixed-step (euler/rk4) integration of J autonomous fields over B
     trajectories each, all advanced in lockstep.
 
     ``field(x)`` maps states ``(J, B, n)`` to their derivatives, member j's
     field acting on ``x[j]``.  ``x0`` is ``(J, B, n)``; row b is sampled at
-    ``times[b]``, a ``(B, K+1)`` array strictly increasing along each row.
-    Each interval takes the :func:`substeps` count for every row, each row
-    with its own substep length, so a row takes :func:`integrate`'s steps
-    whenever the rows need equal counts there.
+    ``plan.times[b]``.  Each interval takes the :func:`substeps` count for
+    every row, each row with its own substep length, so a row takes
+    :func:`integrate`'s steps whenever the rows need equal counts there.
 
-    Returns ``(states, failed, steps)``: states ``(J, B, K+1, n)``, a ``(J,)``
-    mask and the pass's :func:`substeps` decision.  Member j is flagged for
-    a non-finite state or a component beyond ``divergence_limit`` after any
-    step, as :func:`integrate` raises for them, and every member when the
-    counts sum past ``max_steps``.  Flagged members' states are meaningless.
+    Returns ``(states, failed)``: states ``(J, B, K+1, n)`` and a ``(J,)``
+    mask; the steps it took are ``plan.counts``, with the coefficients
+    ``plan.coefficients(x0.shape)``.  Member j is flagged for a non-finite
+    state or a component beyond ``divergence_limit`` after any step, as
+    :func:`integrate` raises for them, and every member when the plan is
+    ``exceeded``.  Flagged members' states are meaningless.
     """
-    if config.method not in FIXED_STEP_METHODS:
-        raise ValueError(f"lockstep integration needs euler or rk4, got {config.method!r}")
-    times = np.asarray(times, dtype=float)
-    if times.ndim != 2 or times.shape[1] == 0:
-        raise ValueError("times must be a nonempty (trajectories, samples) array")
-    if np.any(np.diff(times, axis=1) <= 0):
-        raise ValueError("times must be strictly increasing")
     x = np.asarray(x0, dtype=float)
     J, B, n = x.shape
-    states = np.empty((J, B, times.shape[1], n))
+    states = np.empty((J, B, plan.times.shape[1], n))
     states[:, :, 0] = x
-    steps = counts, lengths, exceeded = substeps(times, config)
-    if exceeded:
+    if plan.exceeded:
         # Step counts depend on the grid alone, so every member fails.
-        return states, np.ones(J, dtype=bool), steps
-    step = _lockstep_euler if config.method == "euler" else _lockstep_rk4
+        return states, np.ones(J, dtype=bool)
+    limit = plan.config.divergence_limit
+    step = _lockstep_euler if plan.config.method == "euler" else _lockstep_rk4
     failed = np.zeros(J, dtype=bool)
     with np.errstate(over="ignore", invalid="ignore"):
-        for k, (count, hk) in enumerate(zip(counts.tolist(), lengths)):
+        for k, (count, c) in enumerate(zip(plan.counts.tolist(), plan.coefficients(x.shape))):
             for s in range(count):
-                x = step(field, x, hk)
+                x = step(field, x, c)
                 if s < count - 1:
-                    failed |= _out_of_bounds(x, config.divergence_limit, axis=(1, 2))
+                    failed |= _out_of_bounds(x, limit, axis=(1, 2))
             states[:, :, k + 1] = x
         # Each interval's last substep lands in ``states``: check them at once.
-        failed |= _out_of_bounds(states[:, :, 1:], config.divergence_limit, axis=(1, 2, 3))
-    return states, failed, steps
+        failed |= _out_of_bounds(states[:, :, 1:], limit, axis=(1, 2, 3))
+    return states, failed
 
 
 def substeps(times: np.ndarray, config: IntegratorConfig):
@@ -383,10 +424,11 @@ def substeps(times: np.ndarray, config: IntegratorConfig):
     :func:`integrate`'s rule.  Returns ``(counts, lengths, exceeded)``: the
     ``(K,)`` counts; per interval, each row's substep length, its span over
     the count (a Python float when every row shares it, else a ``(B, 1)``
-    column); and whether the counts sum past ``config.max_steps``.  The
-    counts are formed in floating point, so a quotient past the float range
-    is inf and exceeds; they are integers unless the pass exceeds, and a
-    pass that exceeds takes no step, so no caller reads them then.
+    column, which :class:`LockstepPlan` lays out once per state shape); and
+    whether the counts sum past ``config.max_steps``.  The counts are formed
+    in floating point, so a quotient past the float range is inf and
+    exceeds; they are integers unless the pass exceeds, and a pass that
+    exceeds takes no step, so no caller reads them then.
     """
     spans = np.diff(times, axis=1)
     with np.errstate(over="ignore"):
@@ -404,13 +446,19 @@ def _out_of_bounds(x, limit, axis):
     return ~np.all(np.abs(x) <= limit, axis=axis)
 
 
-def _lockstep_euler(field, x, h):
-    return x + h * field(x)
+# A step reads its interval's coefficients (h, h/2, h/6, h/3) of the state's
+# shape, or floats, from LockstepPlan.coefficients: each product is the
+# column arithmetic's, elementwise, with its operands in the same order.
 
 
-def _lockstep_rk4(field, x, h):
+def _lockstep_euler(field, x, c):
+    return x + c[0] * field(x)
+
+
+def _lockstep_rk4(field, x, c):
+    h, half, sixth, _ = c
     k1 = field(x)
-    k2 = field(x + 0.5 * h * k1)
-    k3 = field(x + 0.5 * h * k2)
+    k2 = field(x + half * k1)
+    k3 = field(x + half * k2)
     k4 = field(x + h * k3)
-    return x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return x + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)

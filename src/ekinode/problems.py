@@ -178,7 +178,7 @@ def make_observations(
     )
 
 
-@dataclass
+@dataclass(frozen=True)
 class SysIdProblem:
     """System-identification task: fit a network vector field to observations.
 
@@ -187,7 +187,11 @@ class SysIdProblem:
     ``"shooting"`` re-initializes each observation subset at its first
     observed state and integrates only across that subset.  Shooting keeps
     every residual component bounded by the subset span, which is what makes
-    aggressive covariance schedules usable on long horizons.
+    aggressive covariance schedules usable on long horizons.  The
+    observation runs must leave a grid point held out for :func:`test_mse`.
+
+    Frozen, so that :attr:`plan`, derived once from the fields, stays theirs:
+    ``dataclasses.replace`` makes a new problem with a plan of its own.
     """
 
     x0: np.ndarray
@@ -202,7 +206,33 @@ class SysIdProblem:
             raise ValueError("network input/output dims must equal the state dimension")
         if self.assembly not in ("full", "shooting"):
             raise ValueError("assembly must be 'full' or 'shooting'")
+        obs = self.observations
+        _check_held_out(obs.num_subsets, obs.subset_length, obs.grid_times.size)
         _check_fixed_step(self.integrator)
+
+    @functools.cached_property
+    def plan(self) -> _SysIdPlan:
+        """The training pass's grid and :class:`ode.LockstepPlan`, built on
+        first use and shared by every forward map and BPTT pass."""
+        x0, times, obs_index = sysid_grid(self)
+        return _SysIdPlan(x0, obs_index, ode.LockstepPlan(times, self.integrator))
+
+
+class _SysIdPlan(NamedTuple):
+    """The constants of a system-identification problem's training pass
+    (:attr:`SysIdProblem.plan`): the starts ``(B, n)`` and observation
+    indices of :func:`sysid_grid`, and the steps over its times."""
+
+    x0: np.ndarray
+    obs_index: np.ndarray
+    steps: ode.LockstepPlan
+
+
+def _check_held_out(num_subsets: int, subset_length: int, grid_size: int) -> None:
+    # The test error is taken on the grid points no observation run covers.
+    if num_subsets * subset_length >= grid_size:
+        raise ValueError(f"{num_subsets} disjoint runs of {subset_length} must leave a held-out"
+                         f" point in {grid_size} grid points")
 
 
 def _check_fixed_step(integrator: IntegratorConfig) -> None:
@@ -233,9 +263,7 @@ def make_sysid_problem(
     """
     bench = SYSID_BENCHMARKS[name]
     grid_size = bench.grid_size if grid_size is None else grid_size
-    if num_subsets * subset_length >= grid_size:
-        raise ValueError(f"{num_subsets} disjoint runs of {subset_length} must leave a held-out"
-                         f" point in {grid_size} grid points")
+    _check_held_out(num_subsets, subset_length, grid_size)
     x0 = np.array(bench.x0)
     times = np.linspace(0.0, bench.t_final if t_final is None else t_final, grid_size)
     states = integrate(bench.field, x0, times, DATA_INTEGRATOR).states
@@ -245,13 +273,15 @@ def make_sysid_problem(
     return SysIdProblem(x0, obs, net, integrator, assembly)
 
 
-def _net_states(theta: np.ndarray, prob: SysIdProblem, x0: np.ndarray, times: np.ndarray,
+def _net_states(theta: np.ndarray, prob: SysIdProblem, x0: np.ndarray, plan: ode.LockstepPlan,
                 record: list | None = None):
     """:func:`ode.integrate_lockstep` of every member's network field from
-    the starts ``x0`` ``(B, n)`` over the rows of ``times`` ``(B, K+1)``;
-    ``theta`` is a ``(J, N)`` member matrix.  ``record``, if a list is
-    passed, receives every field evaluation's layer inputs from
-    :func:`nnet.mlp_apply`, in call order."""
+    the starts ``x0`` ``(B, n)`` over the plan's ``(B, K+1)`` grid;
+    ``theta`` is a ``(J, N)`` member matrix.  Training passes take the
+    problem's :attr:`~SysIdProblem.plan`, whose coefficients are laid out
+    once per ensemble size; a pass over another grid brings a plan of its
+    own.  ``record``, if a list is passed, receives every field
+    evaluation's layer inputs from :func:`nnet.mlp_apply`, in call order."""
     act = prob.net.activation
     J, B = theta.shape[0], x0.shape[0]
     # The layers are laid out once per pass.  The bias views of a member
@@ -272,7 +302,14 @@ def _net_states(theta: np.ndarray, prob: SysIdProblem, x0: np.ndarray, times: np
     def field(x):
         return nnet.mlp_apply(layers, x, act, record)
 
-    return ode.integrate_lockstep(field, x0, times, prob.integrator)
+    return ode.integrate_lockstep(field, x0, plan)
+
+
+def _grid_pass(prob: SysIdProblem):
+    # The start x0 (1, n) and a plan over the whole reference grid: the pass
+    # that test_mse and a trajectory plot integrate.
+    grid = prob.observations.grid_times[None]
+    return np.asarray(prob.x0, dtype=float)[None], ode.LockstepPlan(grid, prob.integrator)
 
 
 def sysid_grid(prob: SysIdProblem):
@@ -303,9 +340,9 @@ def sysid_forward_map(theta: np.ndarray, prob: SysIdProblem) -> ForwardMapOutput
     # A single vector runs as a one-member ensemble: every member's result
     # is then the same whatever the ensemble it is evaluated in.
     members = np.atleast_2d(theta)
-    x0, times, obs_index = sysid_grid(prob)
-    states, failed, _ = _net_states(members, prob, x0, times)
-    pred = states.reshape(members.shape[0], -1, states.shape[-1])[:, obs_index]
+    plan = prob.plan
+    states, failed = _net_states(members, prob, plan.x0, plan.steps)
+    pred = states.reshape(members.shape[0], -1, states.shape[-1])[:, plan.obs_index]
     g = np.where(failed[:, None], 0.0, pred.reshape(members.shape[0], -1))
     lead = theta.shape[:-1]
     return ForwardMapOutput(g=g.reshape(lead + g.shape[-1:]), failed=failed.reshape(lead))
@@ -352,15 +389,15 @@ def test_mse(theta: np.ndarray, prob: SysIdProblem):
     ``(R, N)``, giving ``(R,)`` errors.  The rows are integrated as the
     members of one lockstep pass per :data:`TEST_CHUNK_ROWS` of them and
     reduced one by one, so each error is bitwise the one its row gets alone.
+    The grid's plan is decided once per call.
     """
     theta = np.asarray(theta, dtype=float)
     rows = np.atleast_2d(theta)
-    grid = prob.observations.grid_times
-    x0 = np.asarray(prob.x0, dtype=float)[None]
+    x0, plan = _grid_pass(prob)
     test = prob.observations.test_indices
     errors = np.empty(rows.shape[0])
     for start in range(0, rows.shape[0], TEST_CHUNK_ROWS):
-        states, failed, _ = _net_states(rows[start:start + TEST_CHUNK_ROWS], prob, x0, grid[None])
+        states, failed = _net_states(rows[start:start + TEST_CHUNK_ROWS], prob, x0, plan)
         for r, (row_states, row_failed) in enumerate(zip(states[:, 0], failed)):
             errors[start + r] = (
                 PENALTY_LOSS if row_failed else _penalized(mse_from_states(row_states, prob, test))

@@ -170,11 +170,10 @@ class ExperimentConfig:
             msgs.append("problem_options.grid_size: need at least 2 points")
         elif self.problem in problems.SYSID_BENCHMARKS:
             grid = po.grid_size or problems.SYSID_BENCHMARKS[self.problem].grid_size
-            if po.num_subsets * po.subset_length >= grid:
-                msgs.append(
-                    f"problem_options.num_subsets: {po.num_subsets} disjoint runs of "
-                    f"{po.subset_length} must leave a held-out point in {grid} grid points"
-                )
+            try:
+                problems._check_held_out(po.num_subsets, po.subset_length, grid)
+            except ValueError as exc:
+                msgs.append(f"problem_options.num_subsets: {exc}")
         if self.problem == "linear_control" and not (
             po.mu > 0 if self.optimizer == "eki" else po.mu >= 0
         ):
@@ -958,9 +957,8 @@ def plot_script(report_dirs, out_dir: str) -> list[str]:
             suffix = f"_{i}" if len(reports) > 1 else ""
             obs = prob.observations
             # The field integrated from x0 over the grid, NaN if it diverged.
-            x0 = np.asarray(prob.x0, dtype=float)[None]
-            theta = report.theta[None]
-            states, failed, _ = problems._net_states(theta, prob, x0, obs.grid_times[None])
+            x0, plan = problems._grid_pass(prob)
+            states, failed = problems._net_states(report.theta[None], prob, x0, plan)
             learned = np.where(failed[0], np.nan, states[0, 0])
             n = obs.grid_states.shape[1]
             emit(

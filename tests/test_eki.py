@@ -187,6 +187,9 @@ def test_schedule_validation():
         eki.CovarianceSchedule(gamma0=0.0, alpha=0.35)
     with pytest.raises(ValueError):
         eki.CovarianceSchedule(gamma0=0.9, alpha=-1.0)
+    # alpha = 0 would hold gamma0 for good: the boundary is rejected too.
+    with pytest.raises(ValueError, match="alpha must be positive"):
+        eki.CovarianceSchedule(gamma0=0.9, alpha=0.0)
     with pytest.raises(ValueError):
         eki.CovarianceSchedule(gamma0=0.9, alpha=0.35, period=0)
     with pytest.raises(ValueError, match="nonnegative"):

@@ -1,5 +1,6 @@
 """Unit tests for the BPTT gradient baseline and its optimizers."""
 
+import json
 from dataclasses import replace
 
 import numpy as np
@@ -7,7 +8,9 @@ import pytest
 
 from ekinode import gradbase, nnet, ode, problems, runner
 
-from test_problems import _fma_kernel, _passes_under_blas_kernel, loop_control_states
+from test_ode import column_lockstep, same_bits
+from test_problems import _fma_kernel, _passes_under_blas_kernel, _uneven_sysid_problem
+from test_problems import loop_control_states
 
 FD_EPS = 1e-6
 FD_REL_TOL = 1e-5
@@ -312,31 +315,148 @@ def test_stacked_accumulation_is_bitwise_per_call(spiral_problem, small_spiral, 
             assert np.array_equal(grad, ref), (case, s)
 
 
+def column_step_reverse(gx, h, method, net):
+    # Reference for gradbase._step_reverse: the column arithmetic it
+    # replaced, forming every coefficient from the substep length h, a
+    # Python float or each row's length as a (B, 1) column.
+    if method == "euler":
+        return gx + net.vjp(h * gx)
+    half = 0.5 * h
+    g6, g3 = (h / 6.0) * gx, (h / 3.0) * gx
+    gin = net.vjp(g6)
+    xbar = gx + gin
+    gin = net.vjp(g3 + h * gin)
+    xbar += gin
+    gin = net.vjp(g3 + half * gin)
+    xbar += gin
+    gin = net.vjp(g6 + half * gin)
+    return xbar + gin
+
+
+def use_column_oracle(m):
+    # Every lockstep pass and reverse step of the package as the column
+    # arithmetic runs them: the pass decides its own substeps, and each
+    # reverse step reads its length back from the laid-out h, whose rows
+    # hold their lengths across members and components.
+    def step_reverse(gx, c, method, net):
+        h = c[0]
+        if not isinstance(h, float):
+            assert h.shape == gx.shape and np.all(h == h[:1, :, :1])
+            h = h[0, :, :1]
+        return column_step_reverse(gx, h, method, net)
+
+    m.setattr(ode, "integrate_lockstep",
+              lambda field, x0, plan: column_lockstep(field, x0, plan.times, plan.config))
+    m.setattr(gradbase, "_step_reverse", step_reverse)
+
+
+def _evaluations(prob, thetas):
+    # Forward maps of the whole stack and of its first row alone, and the
+    # BPTT pass of every row.
+    return (problems.sysid_forward_map(thetas, prob), problems.sysid_forward_map(thetas[0], prob),
+            [gradbase.bptt_value_and_gradient(t, prob) for t in thetas])
+
+
+@pytest.mark.parametrize("method", ["euler", "rk4"])
+def test_passes_match_the_column_oracle_bitwise(spiral_problem, monkeypatch, method):
+    # Shooting grids with per-row substep lengths: random spacing at several
+    # substeps per interval, and the spiral preset, whose subsets' spans
+    # differ in their last bits.  Forward maps of 5 members and of 1, and
+    # the BPTT loss, gradient and flag, equal the column arithmetic's bitwise.
+    uneven = _uneven_sysid_problem(np.random.default_rng(5), "shooting", method, 0.04, "tanh")
+    spiral = replace(spiral_problem, integrator=replace(spiral_problem.integrator, method=method))
+    for prob in (uneven, spiral):
+        steps = prob.plan.steps
+        assert steps.counts.max() > 1 or prob is spiral
+        assert any(not isinstance(h, float) for h in ode.substeps(steps.times, steps.config)[1])
+        thetas = nnet.mlp_init(prob.net, np.random.default_rng(24), 5)
+        got = _evaluations(prob, thetas)
+        with monkeypatch.context() as m:
+            use_column_oracle(m)
+            ref = _evaluations(prob, thetas)
+        for out, ref_out in zip(got[:2], ref[:2]):
+            assert same_bits(out.g, ref_out.g) and same_bits(out.failed, ref_out.failed)
+        for (loss, grad, flag), (ref_loss, ref_grad, ref_flag) in zip(got[2], ref[2]):
+            assert loss == ref_loss and same_bits(grad, ref_grad) and flag == ref_flag
+
+
+def _run_files(config, out_dir):
+    runner.run(config, out_dir=str(out_dir))
+    with open(out_dir / "report.json") as f:
+        report = json.load(f)
+    del report["runtime_seconds"], report["log_path"]
+    return (out_dir / "log.csv").read_bytes(), report
+
+
+@pytest.mark.parametrize("expanding", [True, False], ids=["eki-expanding", "adam"])
+def test_runs_match_the_column_oracle_bitwise(tmp_path, monkeypatch, expanding):
+    # The EKI ensemble grows 22 -> 25 -> 27 mid-run, so the problem's plan
+    # lays its coefficients out for three ensemble sizes.
+    if expanding:
+        config = runner.preset("spiral-eki")
+        config = replace(config, epochs=5, eki=replace(config.eki, expansions=((2, 3), (4, 2))))
+    else:
+        config = replace(runner.preset("spiral-adam-0.01"), epochs=5)
+    got = _run_files(config, tmp_path / "plan")
+    with monkeypatch.context() as m:
+        use_column_oracle(m)
+        ref = _run_files(config, tmp_path / "column")
+    assert got == ref
+    assert got[1]["error"] is None
+    if expanding:
+        assert [line.split(b",")[2] for line in got[0].splitlines()[2::2]] == [b"22", b"25", b"27"]
+
+
+@pytest.mark.parametrize("method", ["euler", "rk4"])
+def test_every_step_reads_floats_or_state_shaped_coefficients(spiral_problem, monkeypatch, method):
+    # No (B, 1) column reaches a step: every coefficient of a forward step
+    # or a reverse step is a float or an array of the state's own shape.
+    prob = replace(spiral_problem, integrator=replace(spiral_problem.integrator, method=method))
+    seen = []
+
+    def checked(step, reverse):
+        def wrapped(*args):
+            x, c = args[:2] if reverse else args[1:3]
+            assert len(c) == 4
+            for v in c:
+                assert isinstance(v, float) or (type(v) is np.ndarray and v.shape == x.shape)
+            seen.extend(type(v) for v in c)
+            return step(*args)
+        return wrapped
+
+    for module, name in ((ode, "_lockstep_euler"), (ode, "_lockstep_rk4"), (gradbase, "_step_reverse")):
+        monkeypatch.setattr(module, name, checked(getattr(module, name), module is gradbase))
+    thetas = nnet.mlp_init(prob.net, np.random.default_rng(25), 5)
+    _evaluations(prob, thetas)
+    arrays = seen.count(np.ndarray)
+    problems.test_mse(thetas, prob)  # the full grid: every row shares its lengths
+    assert arrays > 0 and seen.count(np.ndarray) == arrays and float in seen
+
+
 def test_bptt_loss_matches_problem_losses(small_spiral, control_problem, monkeypatch):
     # BPTT runs the forward map's own pass, grid and loss, so its loss is
-    # the training MSE and its flag the forward map's, bitwise, and the pass
-    # decides its substeps once.  The larger scale takes a state past the
-    # divergence limit.
+    # the training MSE and its flag the forward map's, bitwise, and the
+    # problem decides its substeps once, for every BPTT pass and forward
+    # map it runs.  The larger scale takes a state past the divergence limit.
     substeps, decided = ode.substeps, []
 
     def counted_substeps(*args):
         decided.append(args)
         return substeps(*args)
 
+    monkeypatch.setattr(ode, "substeps", counted_substeps)
     theta = nnet.mlp_init(small_spiral.net, np.random.default_rng(8))
     for assembly in ("shooting", "full"):
         for method in ("rk4", "euler"):
             integrator = replace(small_spiral.integrator, method=method, divergence_limit=5.0)
             prob = replace(small_spiral, assembly=assembly, integrator=integrator)
             for scale in (1.0, 30.0):
-                with monkeypatch.context() as m:
-                    m.setattr(ode, "substeps", counted_substeps)
-                    loss, _, flag = gradbase.bptt_value_and_gradient(scale * theta, prob)
-                assert len(decided) == 1, (assembly, method, scale)
-                del decided[:]
+                loss, _, flag = gradbase.bptt_value_and_gradient(scale * theta, prob)
                 assert flag == problems.sysid_forward_map(scale * theta, prob).failed
                 assert flag == (scale == 30.0)
                 assert flag or loss == problems.mse(scale * theta, prob), (assembly, method)
+            assert len(decided) == 1, (assembly, method)
+            del decided[:]
 
     theta_c = nnet.mlp_init(control_problem.controller, np.random.default_rng(9))
     loss_c, _, _ = gradbase.bptt_value_and_gradient(
@@ -431,8 +551,8 @@ def test_sysid_max_steps_boundary(small_spiral, method, assembly):
                                           divergence_limit=1e3)
         prob = replace(small_spiral, assembly=assembly, integrator=integrator)
         x0, times, _ = problems.sysid_grid(prob)
-        _, failed, _ = ode.integrate_lockstep(np.negative, np.broadcast_to(x0, (3,) + x0.shape),
-                                              times, integrator)
+        _, failed = ode.integrate_lockstep(np.negative, np.broadcast_to(x0, (3,) + x0.shape),
+                                           ode.LockstepPlan(times, integrator))
         out = problems.sysid_forward_map(theta, prob)
         assert failed.tolist() == out.failed.tolist() == [exceeded] * 3
         if exceeded:
@@ -474,11 +594,14 @@ def test_control_tape_follows_forward_map_failure_rule(integrator):
 
 
 def two_run_problem(first_spacing, second_spacing, dt):
-    # Two shooting runs of 10 observations that fill a 20-point grid.
+    # Two shooting runs of 10 observations over the first 20 points of a
+    # 21-point grid, whose last point is held out.
     first = first_spacing * np.arange(10)
-    grid_times = np.concatenate([first, first[-1] + second_spacing * np.arange(1, 11)])
+    grid_times = np.concatenate([first, first[-1] + second_spacing * np.arange(1, 12)])
     grid_states = problems.spiral_solution(grid_times)
-    obs = problems.make_observations(grid_times, grid_states, 2, 10, np.random.default_rng(0))
+    train = np.arange(20)
+    obs = problems.ObservationSet(grid_times[train], grid_states[train], grid_times, grid_states,
+                                  train, num_subsets=2, subset_length=10)
     return problems.SysIdProblem(
         x0=np.array([1.0, 0.0]),
         observations=obs,

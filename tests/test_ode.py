@@ -257,13 +257,12 @@ def test_lockstep_matches_scalar_integrate(s, method, dt, max_steps):
     matrices = rates[:, None, None] * rng.normal(size=(J, n, n))
     config = ode.IntegratorConfig(method=method, dt=dt, max_steps=max_steps,
                                   divergence_limit=20.0)
-    states, failed, (got_counts, _, exceeded) = ode.integrate_lockstep(
-        lambda x: x @ matrices.mT, x0, times, config
-    )
-    # The pass hands back the substeps decision it ran.
+    plan = ode.LockstepPlan(times, config)
+    states, failed = ode.integrate_lockstep(lambda x: x @ matrices.mT, x0, plan)
+    # The plan holds the substeps decision the pass ran.
     ref_counts, _, ref_exceeded = ode.substeps(times, config)
-    assert exceeded == ref_exceeded and np.array_equal(got_counts, ref_counts)
-    assert np.array_equal(got_counts, counts)
+    assert plan.exceeded == ref_exceeded and np.array_equal(plan.counts, ref_counts)
+    assert np.array_equal(plan.counts, counts)
     ref_states, ref_failed = _scalar_reference(matrices, x0, times, config)
     assert np.array_equal(failed, ref_failed)
     ok = ~ref_failed
@@ -282,9 +281,9 @@ def test_lockstep_takes_the_most_substeps_any_row_needs(method):
     rng = np.random.default_rng(12)
     matrices = rng.normal(size=(2, 2, 2))
     x0 = rng.normal(size=(2, 2, 2))
-    states, failed, (counts, _, _) = ode.integrate_lockstep(
-        lambda x: x @ matrices.mT, x0, times, config
-    )
+    plan = ode.LockstepPlan(times, config)
+    states, failed = ode.integrate_lockstep(lambda x: x @ matrices.mT, x0, plan)
+    counts = plan.counts
     assert counts.tolist() == [3, 4] and not failed.any()
     for j in range(2):
         for b in range(2):
@@ -334,13 +333,126 @@ def test_substeps_decides_counts_lengths_and_max_steps():
 
 def test_lockstep_rejects_adaptive_method_and_bad_times():
     with pytest.raises(ValueError):
-        ode.integrate_lockstep(lambda x: x, np.zeros((1, 1, 1)), np.array([[0.0, 1.0]]),
-                               ode.IntegratorConfig(method="dopri5"))
+        ode.LockstepPlan(np.array([[0.0, 1.0]]), ode.IntegratorConfig(method="dopri5"))
     for times in (np.array([0.0, 1.0]), np.empty((1, 0)), np.array([[0.0, 0.0]])):
         with pytest.raises(ValueError, match="times must be"):
-            ode.integrate_lockstep(lambda x: x, np.zeros((1, 1, 1)), times,
-                                   ode.IntegratorConfig(method="rk4"))
+            ode.LockstepPlan(times, ode.IntegratorConfig(method="rk4"))
 
+
+
+# Oracle for the lockstep steps: the column arithmetic they replaced.  Each
+# step forms its coefficients from the substep length, a Python float or
+# each row's length as a (B, 1) column, and broadcasts them over the state.
+
+
+def column_euler(field, x, h):
+    return x + h * field(x)
+
+
+def column_rk4(field, x, h):
+    k1 = field(x)
+    k2 = field(x + 0.5 * h * k1)
+    k3 = field(x + 0.5 * h * k2)
+    k4 = field(x + h * k3)
+    return x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def column_lockstep(field, x0, times, config):
+    """Reference for ``integrate_lockstep``: the pass deciding its substeps
+    itself and stepping with the column arithmetic; ``(states, failed)``."""
+    x = np.asarray(x0, dtype=float)
+    J, B, n = x.shape
+    states = np.empty((J, B, times.shape[1], n))
+    states[:, :, 0] = x
+    counts, lengths, exceeded = ode.substeps(times, config)
+    if exceeded:
+        return states, np.ones(J, dtype=bool)
+    step = column_euler if config.method == "euler" else column_rk4
+    failed = np.zeros(J, dtype=bool)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k, (count, h) in enumerate(zip(counts.tolist(), lengths)):
+            for s in range(count):
+                x = step(field, x, h)
+                if s < count - 1:
+                    failed |= ~np.all(np.abs(x) <= config.divergence_limit, axis=(1, 2))
+            states[:, :, k + 1] = x
+        failed |= ~np.all(np.abs(states[:, :, 1:]) <= config.divergence_limit, axis=(1, 2, 3))
+    return states, failed
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("method", ["euler", "rk4"])
+@pytest.mark.parametrize("members", [1, 5])
+def test_lockstep_matches_the_column_oracle_bitwise(method, members):
+    # Rows with their own uneven times, so most intervals have per-row
+    # lengths, some intervals of several substeps, and a nonlinear field
+    # that sends one member of five past the divergence limit.  One plan
+    # serves two passes, the second reading the coefficients the first laid out.
+    rng = np.random.default_rng(31 + members)
+    B, K, n = 4, 6, 2
+    spans = 0.1 * (rng.integers(1, 4, size=K) - rng.uniform(0.05, 0.95, size=(B, K)))
+    times = np.cumsum(np.hstack([rng.uniform(0.0, 1.0, size=(B, 1)), spans]), axis=1)
+    config = ode.IntegratorConfig(method=method, dt=0.1, divergence_limit=30.0)
+    plan = ode.LockstepPlan(times, config)
+    assert plan.counts.max() > 1
+    a = rng.normal(size=(members, n, n))
+    rates = np.array([0.3, 0.3, 20.0, 0.3, 0.3])[:members, None, None]
+
+    def field(x):
+        return np.tanh(x @ a.mT) + rates * x
+
+    for _ in range(2):
+        x0 = rng.normal(size=(members, B, n))
+        states, failed = ode.integrate_lockstep(field, x0, plan)
+        ref_states, ref_failed = column_lockstep(field, x0, times, config)
+        assert same_bits(states, ref_states) and np.array_equal(failed, ref_failed)
+    assert failed.tolist() == [False, False, True, False, False][:members]
+    coefficients = plan.coefficients((members, B, n))
+    assert coefficients is plan.coefficients((members, B, n))
+    assert any(not isinstance(c[0], float) for c in coefficients)
+
+
+def test_lockstep_plan_lays_out_each_coefficient_once_per_state_shape():
+    # Per state shape, each interval's (h, h/2, h/6, h/3): a float where every
+    # row shares h, else a read-only array of that shape, row b holding row b's.
+    times = np.array([[0.0, 0.3, 0.7], [1.0, 1.3, 1.6]])
+    plan = ode.LockstepPlan(times, ode.IntegratorConfig(method="rk4", dt=0.1))
+    _, lengths, _ = ode.substeps(times, plan.config)
+    for shape in ((1, 2, 3), (4, 2, 3)):
+        coefficients = plan.coefficients(shape)
+        assert coefficients is plan.coefficients(shape) and len(coefficients) == 2
+        for h, c in zip(lengths, coefficients):
+            for got, want in zip(c, (h, 0.5 * h, h / 6.0, h / 3.0)):
+                if isinstance(h, float):
+                    assert type(got) is float and got == want
+                else:
+                    assert got.shape == shape and not got.flags.writeable
+                    assert same_bits(got, np.broadcast_to(want, shape))
+    assert isinstance(ode.LockstepPlan(times[:1], plan.config).coefficients((1, 1, 3))[0][0], float)
+
+
+def test_dopri_max_steps_counts_every_step_it_takes():
+    # max_steps bounds the attempted steps, rejected ones included: a budget
+    # of exactly the steps a call takes passes, one fewer raises.  Each step
+    # evaluates the field six times, after one first-stage evaluation.
+    calls = []
+
+    def counted(x, t):
+        calls.append(t)
+        return spiral_field(x, t)
+
+    x0, times = np.array([1.0, 0.0]), np.array([0.0, 2.0, 5.0])
+    reference = ode.integrate(counted, x0, times, ode.IntegratorConfig(method="dopri5"))
+    steps, rest = divmod(len(calls) - 1, 6)
+    assert rest == 0 and steps > 2
+    exact = ode.integrate(spiral_field, x0, times, ode.IntegratorConfig(method="dopri5", max_steps=steps))
+    assert same_bits(exact.states, reference.states)
+    with pytest.raises(ode.IntegrationError, match=rf"^max_steps={steps - 1} exceeded"):
+        ode.integrate(spiral_field, x0, times, ode.IntegratorConfig(method="dopri5", max_steps=steps - 1))
 
 # Oracle for the adaptive path: the textbook Dormand-Prince step with every
 # operation on NumPy arrays (each stage sum and the full 7-weight 5th-order

@@ -119,6 +119,20 @@ def test_sysid_problem_leaves_a_held_out_point():
     assert problems.test_mse(np.zeros(nnet.param_count(prob.net)), prob) == np.sum(miss * miss)
 
 
+def test_sysid_problem_built_from_filling_observations_is_rejected(spiral_problem):
+    # Observations drawn directly, ten runs of ten over 100 grid points,
+    # leave test_mse no point: the problem itself refuses them, with the
+    # rule make_sysid_problem states.
+    obs = spiral_problem.observations
+    full = problems.make_observations(obs.grid_times[:100], obs.grid_states[:100], 10, 10,
+                                      np.random.default_rng(0))
+    assert full.test_indices.size == 0
+    with pytest.raises(ValueError, match="10 disjoint runs of 10 must leave a held-out point in 100 grid"):
+        replace(spiral_problem, observations=full)
+    with pytest.raises(ValueError, match="must leave a held-out point"):
+        problems.SysIdProblem(spiral_problem.x0, full, spiral_problem.net, spiral_problem.integrator)
+
+
 def test_spiral_problem_layout(spiral_problem):
     obs = spiral_problem.observations
     assert obs.grid_times.shape == (500,)
@@ -386,6 +400,8 @@ def test_control_problem_overrides():
         problems.ControlProblem(b=0.0)
     with pytest.raises(ValueError):
         problems.ControlProblem(t_final=-1.0)
+    with pytest.raises(ValueError, match="t_final must be positive"):
+        problems.ControlProblem(t_final=0.0)
     with pytest.raises(ValueError, match="mu must be nonnegative"):
         problems.ControlProblem(mu=-1.0)
 
@@ -503,7 +519,7 @@ def test_batched_control_forward_map_matches_scalar_formulas(s, method, dt, acti
     assert out.failed[1] and out.failed[3] and not out.failed[0]
 
 
-def _view_pass(theta, prob, x0, times, record=None):
+def _view_pass(theta, prob, x0, plan, record=None):
     # problems._net_states as it reads with no layout: the member matrix's
     # own unflatten views straight into mlp_apply, every call into one record.
     layers = nnet.unflatten(prob.net, theta)
@@ -512,7 +528,7 @@ def _view_pass(theta, prob, x0, times, record=None):
         return nnet.mlp_apply(layers, x, prob.net.activation, record)
 
     x0 = np.broadcast_to(x0, (theta.shape[0],) + x0.shape)
-    return ode.integrate_lockstep(field, x0, times, prob.integrator)
+    return ode.integrate_lockstep(field, x0, plan)
 
 
 def _same_bits(a, b):
@@ -541,14 +557,14 @@ def test_laid_out_pass_matches_the_view_pass(monkeypatch, members, rows, method,
         integrator=ode.IntegratorConfig(method=method, dt=0.05, divergence_limit=1e3),
         assembly="shooting" if rows > 1 else "full",
     )
-    x0, times, _ = problems.sysid_grid(prob)
+    x0, plan = prob.plan.x0, prob.plan.steps
     assert x0.shape[0] == rows
     theta = nnet.mlp_init(prob.net, np.random.default_rng(members), members)
     if members > 1:
         theta[0] *= 1e200
         theta[-1, -2:] += 1e6
-    got = problems._net_states(theta, prob, x0, times)
-    ref = _view_pass(theta, prob, x0, times)
+    got = problems._net_states(theta, prob, x0, plan)
+    ref = _view_pass(theta, prob, x0, plan)
     assert _same_bits(got[0], ref[0]) and _same_bits(got[1], ref[1])
     assert got[1].tolist() == ([True] + [False] * (members - 2) + [True] if members > 1 else [False])
     grads = [_bptt(t, prob) for t in theta]
