@@ -77,10 +77,9 @@ class CovarianceSchedule:
     enabled: bool = True
 
     def __post_init__(self):
-        if not self.gamma0 > 0:
-            raise ValueError("gamma0 must be positive")
-        if not self.alpha > 0:
-            raise ValueError("alpha must be positive")
+        for name in ("gamma0", "alpha"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be positive")
         if self.period < 1:
             raise ValueError("period must be a positive integer")
 
@@ -192,14 +191,18 @@ def ensemble_expand(
     """
     if count < 1:
         raise ValueError("count must be >= 1")
-    if mode not in ("fresh", "perturb"):
-        raise ValueError(f"expansion mode must be 'fresh' or 'perturb', got {mode!r}")
+    _check_expansion_mode(mode)
     if param_count(spec) != ens.dim:
         raise ValueError("spec parameter count does not match ensemble dimension")
     fresh = mlp_init(spec, rng, count)
     if mode == "perturb":
         fresh = fresh + ensemble_mean(ens)
     return Ensemble(np.vstack([ens.members, fresh]))
+
+
+def _check_expansion_mode(mode: str) -> None:
+    if mode not in ("fresh", "perturb"):
+        raise ValueError(f"expansion mode must be 'fresh' or 'perturb', got {mode!r}")
 
 
 def min_loss_member(losses) -> tuple[int, float]:

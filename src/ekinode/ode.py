@@ -47,6 +47,11 @@ METHODS = ("euler", "rk4", "dopri5")
 FIXED_STEP_METHODS = ("euler", "rk4")
 
 
+def _check_fixed_step(method: str) -> None:
+    if method not in FIXED_STEP_METHODS:
+        raise ValueError(f"training integrates with euler or rk4, got {method!r}")
+
+
 class IntegrationError(RuntimeError):
     """Raised when a trajectory leaves the finite domain or exhausts max_steps."""
 
@@ -74,14 +79,11 @@ class IntegratorConfig:
     def __post_init__(self):
         if self.method not in METHODS:
             raise ValueError(f"method must be one of {METHODS}, got {self.method!r}")
-        if not self.dt > 0:
-            raise ValueError("dt must be positive")
-        if not (self.rtol > 0 and self.atol > 0):
-            raise ValueError("tolerances must be positive")
+        for name in ("dt", "rtol", "atol", "divergence_limit"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be positive")
         if self.max_steps < 1:
             raise ValueError("max_steps must be positive")
-        if not self.divergence_limit > 0:
-            raise ValueError("divergence_limit must be positive")
 
 
 @dataclass
@@ -243,6 +245,9 @@ def _initial_step(field, x0, t0, rtol, atol):
     return h0, f0
 
 
+# Overflow inside a step surfaces as an IntegrationError from the finite
+# check rather than a warning, so keep numpy quiet about it.
+@np.errstate(over="ignore", invalid="ignore")
 def integrate(
     field: VectorField,
     x0: np.ndarray,
@@ -263,20 +268,11 @@ def integrate(
     times = np.asarray(times, dtype=float)
     if times.size == 0:
         raise ValueError("times must be nonempty")
-    if np.any(np.diff(times) <= 0):
-        raise ValueError("times must be strictly increasing")
     x0 = np.asarray(x0, dtype=float)
-    states = np.empty((times.size, x0.size))
-    states[0] = x0
-
-    # Overflow inside a step surfaces as an IntegrationError from the finite
-    # check rather than a warning, so keep numpy quiet about it.
-    with np.errstate(over="ignore", invalid="ignore"):
-        return _integrate_loop(field, x0, times, config, states)
-
-
-def _integrate_loop(field, x0, times, config, states) -> Trajectory:
-    if config.method in ("euler", "rk4"):
+    # The trajectory checks the times; the steps fill its states in place.
+    trajectory = Trajectory(times=times.copy(), states=np.empty((times.size, x0.size)))
+    trajectory.states[0] = x0
+    if config.method in FIXED_STEP_METHODS:
         step = euler_step if config.method == "euler" else rk4_step
         x = x0
         n_steps = 0
@@ -294,8 +290,8 @@ def _integrate_loop(field, x0, times, config, states) -> Trajectory:
             for s in range(n_sub):
                 x = step(field, x, t0 + s * h, h)
                 _check_bounded(x, t0 + (s + 1) * h, config.divergence_limit)
-            states[i + 1] = x
-        return Trajectory(times=times.copy(), states=states)
+            trajectory.states[i + 1] = x
+        return trajectory
 
     # dopri5: adaptive steps clipped so every sample time is hit exactly.
     # Step bookkeeping runs in time elapsed since times[0] so that shifting
@@ -328,8 +324,8 @@ def _integrate_loop(field, x0, times, config, states) -> Trajectory:
                     raise IntegrationError(f"state magnitude exceeds {limit:g} at t={t0 + tau}")
                 k[0] = k[6]
             h = h_next
-        states[i] = x
-    return Trajectory(times=times.copy(), states=states)
+        trajectory.states[i] = x
+    return trajectory
 
 
 class LockstepPlan:
@@ -344,8 +340,7 @@ class LockstepPlan:
     """
 
     def __init__(self, times: np.ndarray, config: IntegratorConfig):
-        if config.method not in FIXED_STEP_METHODS:
-            raise ValueError(f"lockstep integration needs euler or rk4, got {config.method!r}")
+        _check_fixed_step(config.method)
         times = np.asarray(times, dtype=float)
         if times.ndim != 2 or times.shape[1] == 0:
             raise ValueError("times must be a nonempty (trajectories, samples) array")

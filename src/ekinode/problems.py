@@ -15,7 +15,7 @@ import numpy as np
 from . import nnet, ode
 from .eki import PENALTY_LOSS, ForwardMapOutput
 from .nnet import MlpSpec
-from .ode import FIXED_STEP_METHODS, IntegratorConfig, integrate
+from .ode import IntegratorConfig, integrate
 
 __all__ = [
     "ObservationSet",
@@ -139,6 +139,11 @@ class ObservationSet:
         return self.values.reshape(-1)
 
 
+def _check_runs(num_subsets: int, subset_length: int) -> None:
+    if num_subsets < 1 or subset_length < 1:
+        raise ValueError("num_subsets and subset_length must be positive")
+
+
 def make_observations(
     grid_times: np.ndarray,
     grid_states: np.ndarray,
@@ -154,8 +159,7 @@ def make_observations(
     to rejection-resampling overlapping draws, without the rejection loop).
     """
     grid_size = grid_times.size
-    if num_subsets < 1 or subset_length < 1:
-        raise ValueError("num_subsets and subset_length must be positive")
+    _check_runs(num_subsets, subset_length)
     if num_subsets * subset_length > grid_size:
         raise ValueError(
             f"cannot place {num_subsets} disjoint runs of {subset_length} in {grid_size} points"
@@ -204,11 +208,10 @@ class SysIdProblem:
         n = np.asarray(self.x0).size
         if self.net.in_dim != n or self.net.out_dim != n:
             raise ValueError("network input/output dims must equal the state dimension")
-        if self.assembly not in ("full", "shooting"):
-            raise ValueError("assembly must be 'full' or 'shooting'")
+        _check_assembly(self.assembly)
         obs = self.observations
         _check_held_out(obs.num_subsets, obs.subset_length, obs.grid_times.size)
-        _check_fixed_step(self.integrator)
+        ode._check_fixed_step(self.integrator.method)
 
     @functools.cached_property
     def plan(self) -> _SysIdPlan:
@@ -235,10 +238,9 @@ def _check_held_out(num_subsets: int, subset_length: int, grid_size: int) -> Non
                          f" point in {grid_size} grid points")
 
 
-def _check_fixed_step(integrator: IntegratorConfig) -> None:
-    # Forward maps and BPTT passes advance every member in lockstep.
-    if integrator.method not in FIXED_STEP_METHODS:
-        raise ValueError(f"training integrates with euler or rk4, got {integrator.method!r}")
+def _check_assembly(assembly: str) -> None:
+    if assembly not in ("full", "shooting"):
+        raise ValueError("assembly must be 'full' or 'shooting'")
 
 
 def make_sysid_problem(
@@ -441,10 +443,12 @@ class ControlProblem:
             raise ValueError("t_final must be positive")
         if self.mu < 0:
             raise ValueError("mu must be nonnegative")
+        if self.quadrature_points < 1:
+            raise ValueError("quadrature_points must be at least 1")
         if self.integrator is None:
             default = IntegratorConfig(method="rk4", dt=self.t_final / 100.0, divergence_limit=1e3)
             object.__setattr__(self, "integrator", default)
-        _check_fixed_step(self.integrator)
+        ode._check_fixed_step(self.integrator.method)
 
     def quadrature_grid(self) -> np.ndarray:
         return np.linspace(0.0, self.t_final, self.quadrature_points + 1)

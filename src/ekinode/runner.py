@@ -24,8 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import eki, gradbase, nnet, problems
-from .ode import FIXED_STEP_METHODS
+from . import eki, gradbase, nnet, ode, problems
 
 PROBLEMS = ("spiral", "pendulum", "linear_control")
 OPTIMIZERS = ("eki", "adam", "sgd")
@@ -143,13 +142,14 @@ class ExperimentConfig:
         ek = self.eki
         if ek.ensemble_size < 2:
             msgs.append("eki.ensemble_size: need at least 2 members")
-        if ek.expansion_mode not in ("fresh", "perturb"):
-            msgs.append("eki.expansion_mode: must be 'fresh' or 'perturb'")
-        for name in ("gamma0", "alpha", "gamma", "gamma_prime", "step_size", "accept_factor"):
+        msgs += _rule_errors("eki.expansion_mode", eki._check_expansion_mode, ek.expansion_mode)
+        # One schedule per field, valid elsewhere, for one message per offending field.
+        msgs += _rule_errors("eki.gamma0", eki.CovarianceSchedule, ek.gamma0, 1.0)
+        msgs += _rule_errors("eki.alpha", eki.CovarianceSchedule, 1.0, ek.alpha)
+        msgs += _rule_errors("eki.schedule_period", eki.CovarianceSchedule, 1.0, 1.0, ek.schedule_period)
+        for name in ("gamma", "gamma_prime", "step_size", "accept_factor"):
             if not getattr(ek, name) > 0:
                 msgs.append(f"eki.{name}: must be positive")
-        if ek.schedule_period < 1:
-            msgs.append("eki.schedule_period: must be at least 1")
         if ek.step_cap_rel is not None and not ek.step_cap_rel > 0:
             msgs.append("eki.step_cap_rel: must be positive or null")
         if ek.max_backtracks < 0:
@@ -162,31 +162,39 @@ class ExperimentConfig:
         if not _pairs(ek.expansions, "int", lambda epoch, count: epoch >= 0 and count >= 1):
             msgs.append("eki.expansions: need [epoch >= 0, count >= 1] integer pairs")
         po = self.problem_options
-        if po.assembly not in ("full", "shooting"):
-            msgs.append("problem_options.assembly: must be 'full' or 'shooting'")
-        if po.num_subsets < 1 or po.subset_length < 1:
-            msgs.append("problem_options.num_subsets / subset_length: must be positive")
+        msgs += _rule_errors("problem_options.assembly", problems._check_assembly, po.assembly)
+        if runs := _rule_errors("problem_options.num_subsets / subset_length", problems._check_runs,
+                                po.num_subsets, po.subset_length):
+            msgs += runs
         elif po.grid_size is not None and po.grid_size < 2:
             msgs.append("problem_options.grid_size: need at least 2 points")
         elif self.problem in problems.SYSID_BENCHMARKS:
             grid = po.grid_size or problems.SYSID_BENCHMARKS[self.problem].grid_size
-            try:
-                problems._check_held_out(po.num_subsets, po.subset_length, grid)
-            except ValueError as exc:
-                msgs.append(f"problem_options.num_subsets: {exc}")
-        if self.problem == "linear_control" and not (
-            po.mu > 0 if self.optimizer == "eki" else po.mu >= 0
-        ):
-            msgs.append("problem_options.mu: must be positive for EKI, nonnegative otherwise")
+            msgs += _rule_errors("problem_options.num_subsets", problems._check_held_out,
+                                 po.num_subsets, po.subset_length, grid)
+        if self.problem == "linear_control":
+            if self.optimizer == "eki" and not po.mu > 0:
+                msgs.append("problem_options.mu: must be positive for EKI (variance gamma_prime / mu)")
+            else:
+                msgs += _rule_errors("problem_options.mu", problems.ControlProblem, mu=po.mu)
         io = self.integrator
-        if io.method is not None and io.method not in FIXED_STEP_METHODS:
-            msgs.append(f"integrator.method: training integrates with euler or rk4, got {io.method!r}")
-        if io.dt is not None and not io.dt > 0:
-            msgs.append("integrator.dt: must be positive")
+        if io.method is not None:
+            msgs += _rule_errors("integrator.method", ode._check_fixed_step, io.method)
+        if io.dt is not None:
+            msgs += _rule_errors("integrator.dt", ode.IntegratorConfig, dt=io.dt)
         if self.gradient.eta <= 0:
             msgs.append("gradient.eta: must be positive")
         if msgs:
             raise ConfigError(msgs)
+
+
+def _rule_errors(path: str, rule, *args, **kwargs) -> list[str]:
+    # The ValueError of a rule kept beside its record, as a config message.
+    try:
+        rule(*args, **kwargs)
+    except ValueError as exc:
+        return [f"{path}: {exc}"]
+    return []
 
 
 def _pairs(items, annotation: str, ok) -> bool:

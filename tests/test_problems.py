@@ -404,6 +404,13 @@ def test_control_problem_overrides():
         problems.ControlProblem(t_final=0.0)
     with pytest.raises(ValueError, match="mu must be nonnegative"):
         problems.ControlProblem(mu=-1.0)
+    # The trapezoid rule needs at least one interval.
+    for points in (0, -3):
+        with pytest.raises(ValueError, match="quadrature_points must be at least 1"):
+            problems.ControlProblem(quadrature_points=points)
+    one = problems.ControlProblem(quadrature_points=1)
+    assert one.quadrature_grid().tolist() == [0.0, 1.0]
+    assert np.isfinite(problems.control_forward_map(np.zeros((1, nnet.param_count(one.controller))), one).g).all()
 
 
 def _uneven_sysid_problem(rng, assembly, method, dt, activation):

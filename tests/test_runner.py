@@ -92,13 +92,64 @@ def test_validation_collects_all_errors():
         {"epochs": None, "wall_clock_budget_seconds": -1.0},
         {"eki": runner.EkiOptions(schedule_period=0)},
         {"problem_options": runner.ProblemOptions(subset_length=0)},
+        {"problem_options": runner.ProblemOptions(num_subsets=0)},
         {"problem_options": runner.ProblemOptions(grid_size=1)},
+        {"eki": runner.EkiOptions(alpha=0.0)},
+        {"eki": runner.EkiOptions(expansion_mode="clone")},
+        {"problem_options": runner.ProblemOptions(assembly="multiple")},
+        {"integrator": runner.IntegratorOptions(dt=0.0)},
+        {"problem": "linear_control", "optimizer": "adam",
+         "problem_options": runner.ProblemOptions(mu=-1e-3)},
         # EKI's energy channel has variance gamma_prime / mu.
         {"problem": "linear_control", "problem_options": runner.ProblemOptions(mu=0.0)},
     ):
         with pytest.raises(runner.ConfigError) as info:
             dataclasses.replace(runner.preset("spiral-eki"), **overrides).validate()
         assert len(info.value.messages) == 1, info.value.messages
+    # One message per offending field, also where one record holds both.
+    with pytest.raises(runner.ConfigError) as info:
+        dataclasses.replace(runner.preset("spiral-eki"),
+                            eki=runner.EkiOptions(gamma0=-1.0, alpha=-1.0)).validate()
+    assert [m.split(":")[0] for m in info.value.messages] == ["eki.gamma0", "eki.alpha"]
+    # Values just inside each boundary are accepted.
+    for overrides in (
+        {"eki": runner.EkiOptions(gamma0=5e-324)},
+        {"eki": runner.EkiOptions(alpha=5e-324)},
+        {"eki": runner.EkiOptions(schedule_period=1)},
+        {"eki": runner.EkiOptions(expansion_mode="perturb")},
+        {"problem_options": runner.ProblemOptions(num_subsets=1, subset_length=1)},
+        {"problem_options": runner.ProblemOptions(assembly="full")},
+        {"integrator": runner.IntegratorOptions(method="euler", dt=5e-324)},
+        {"problem": "linear_control", "optimizer": "adam",
+         "problem_options": runner.ProblemOptions(mu=0.0)},
+        # mu applies to linear_control only.
+        {"problem_options": runner.ProblemOptions(mu=-1.0)},
+    ):
+        dataclasses.replace(runner.preset("spiral-eki"), **overrides).validate()
+    # Adam reads no schedule, and its gamma0 is checked all the same.
+    with pytest.raises(runner.ConfigError, match="eki.gamma0"):
+        dataclasses.replace(runner.preset("spiral-adam-0.01"), eki=runner.EkiOptions(gamma0=0.0)).validate()
+
+
+def test_validation_builds_no_reference_grid(monkeypatch):
+    # table validates every cell before any run, so validate never
+    # integrates a problem's data.
+    def refuse(*args, **kwargs):
+        raise AssertionError("validate built a reference grid")
+
+    monkeypatch.setattr(problems, "integrate", refuse)
+    for config in runner.presets().values():
+        config.validate()
+    spiral = runner.preset("spiral-eki")
+    dataclasses.replace(spiral, problem_options=runner.ProblemOptions(grid_size=101)).validate()
+    for options in (
+        runner.ProblemOptions(num_subsets=100),
+        runner.ProblemOptions(num_subsets=50),
+        runner.ProblemOptions(grid_size=2, num_subsets=1, subset_length=2),
+        runner.ProblemOptions(grid_size=1),
+    ):
+        with pytest.raises(runner.ConfigError):
+            dataclasses.replace(spiral, problem_options=options).validate()
 
 
 def test_validation_requires_exactly_one_stopping_criterion():
