@@ -1,22 +1,22 @@
-"""Initial-value-problem integrators: forward Euler, classic RK4, and an
-adaptive Dormand-Prince 5(4) pair with FSAL.
+"""Initial-value-problem integrators: the batched fixed-step (forward Euler,
+classic RK4) core that every training pass runs, and an adaptive
+Dormand-Prince 5(4) pair with FSAL that makes the reference data.
 
-A vector field is any callable ``field(x, t) -> dx/dt`` with fixed state
-dimension that returns a float sequence.  euler and rk4 hand it the state
-as a 1-D array, dopri5 as a list of floats.  :func:`integrate` samples the
-solution exactly at the requested times: adaptive steps are clipped to land
-on them, fixed-step methods subdivide each inter-sample interval into equal
-steps.  It is the scalar reference path: one trajectory of one field per
-call.  With dopri5 it makes the identification problems' reference grids.
-Their state and step control run on Python floats around BLAS stage sums,
-and the grids are bitwise those of the textbook array step (see
-:func:`dopri_step`).
+A vector field for :func:`integrate` is any callable ``field(x, t) ->
+dx/dt`` with fixed state dimension that takes the state as a list of floats
+and returns a float sequence.  :func:`integrate` runs dopri5 alone and
+samples the solution exactly at the requested times, its adaptive steps
+clipped to land on them: one trajectory of one field per call.  It makes
+the identification problems' reference grids.  Its state and step control
+run on Python floats around BLAS stage sums, and the grids are bitwise
+those of the textbook array step (see :func:`dopri_step`).
 
 :func:`integrate_lockstep` is the batched fixed-step core.  It advances a
-``(members, trajectories, state)`` array of autonomous fields in lockstep
-with the same step arithmetic, and reports divergence as a per-member mask
-instead of raising.  A :class:`LockstepPlan` holds what its passes over one
-time grid share: the step counts and every step's coefficients.
+``(members, trajectories, state)`` array of autonomous fields in lockstep,
+each inter-sample interval in equal substeps, and reports divergence as a
+per-member mask instead of raising.  A :class:`LockstepPlan` holds what its
+passes over one time grid share: the step counts and every step's
+coefficients.
 """
 
 from __future__ import annotations
@@ -31,8 +31,6 @@ __all__ = [
     "IntegrationError",
     "IntegratorConfig",
     "Trajectory",
-    "euler_step",
-    "rk4_step",
     "dopri_step",
     "integrate",
     "integrate_lockstep",
@@ -60,13 +58,16 @@ class IntegrationError(RuntimeError):
 class IntegratorConfig:
     """Method selection plus step-size / tolerance knobs.
 
-    ``dt`` drives euler/rk4; ``rtol``/``atol`` drive dopri5.  ``max_steps``
-    bounds the total step count of one :func:`integrate` call, guarding
-    against runaway adaptive stepping on wild parameter draws.  States whose
-    magnitude exceeds ``divergence_limit`` abort the integration with an
-    :class:`IntegrationError`; set the limit a few orders above the expected
-    state scale so hopeless candidate fields fail fast instead of dragging
-    enormous-but-finite values into downstream statistics.
+    ``dt`` drives the euler/rk4 passes of :func:`integrate_lockstep`;
+    ``rtol``/``atol`` drive dopri5, which :func:`integrate` runs.
+    ``max_steps`` bounds the total step count of one integration, guarding
+    against runaway stepping: :func:`integrate` raises an
+    :class:`IntegrationError` past it, and a lockstep pass whose
+    :func:`substeps` counts sum past it flags every member.  A state with a
+    component beyond ``divergence_limit`` makes :func:`integrate` raise and
+    flags its member in a lockstep pass; set the limit a few orders above
+    the expected state scale so hopeless candidate fields fail fast instead
+    of dragging enormous-but-finite values into downstream statistics.
     """
 
     method: str = "dopri5"
@@ -98,36 +99,13 @@ class Trajectory:
         self.states = np.atleast_2d(np.asarray(self.states, dtype=float))
         if self.states.shape[0] != self.times.shape[0]:
             raise ValueError("states count must equal times count")
-        if np.any(np.diff(self.times) <= 0):
-            raise ValueError("times must be strictly increasing")
+        _check_increasing(self.times)
 
 
-def _check_finite(x: np.ndarray, t: float, what: str) -> None:
-    if not np.all(np.isfinite(x)):
-        raise IntegrationError(f"non-finite {what} at t={t}")
-
-
-def _check_bounded(x: np.ndarray, t: float, limit: float) -> None:
-    if np.max(np.abs(x)) > limit:
-        raise IntegrationError(f"state magnitude exceeds {limit:g} at t={t}")
-
-
-def euler_step(field: VectorField, x: np.ndarray, t: float, dt: float) -> np.ndarray:
-    """One forward-Euler step ``x + dt * field(x, t)``."""
-    k = np.asarray(field(x, t), dtype=float)
-    _check_finite(k, t, "field output")
-    return x + dt * k
-
-
-def rk4_step(field: VectorField, x: np.ndarray, t: float, dt: float) -> np.ndarray:
-    """One classic fourth-order Runge-Kutta step."""
-    k1 = np.asarray(field(x, t), dtype=float)
-    k2 = np.asarray(field(x + 0.5 * dt * k1, t + 0.5 * dt), dtype=float)
-    k3 = np.asarray(field(x + 0.5 * dt * k2, t + 0.5 * dt), dtype=float)
-    k4 = np.asarray(field(x + dt * k3, t + dt), dtype=float)
-    x_new = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    _check_finite(x_new, t + dt, "state")
-    return x_new
+def _check_increasing(times: np.ndarray) -> None:
+    # Along the last axis: one sample grid, or each row of a (B, K+1) grid.
+    if np.any(np.diff(times) <= 0):
+        raise ValueError("times must be strictly increasing")
 
 
 # Dormand-Prince 5(4) tableau (DOPRI5).  The last stage row equals the 5th
@@ -199,7 +177,8 @@ def _stage_prefixes(k):
 
 def _first_stage(field, x, t):
     k1 = np.asarray(field(x, t), dtype=float)
-    _check_finite(k1, t, "field output")
+    if not np.all(np.isfinite(k1)):
+        raise IntegrationError(f"non-finite field output at t={t}")
     return k1
 
 
@@ -245,6 +224,12 @@ def _initial_step(field, x0, t0, rtol, atol):
     return h0, f0
 
 
+def _check_dopri5(method: str) -> None:
+    if method != "dopri5":
+        raise ValueError(f"integrate runs dopri5, got {method!r}; euler and rk4 run in"
+                         " integrate_lockstep")
+
+
 # Overflow inside a step surfaces as an IntegrationError from the finite
 # check rather than a warning, so keep numpy quiet about it.
 @np.errstate(over="ignore", invalid="ignore")
@@ -254,17 +239,20 @@ def integrate(
     times: np.ndarray,
     config: IntegratorConfig,
 ) -> Trajectory:
-    """Integrate ``field`` from ``x0`` and sample at ``times``.
+    """Integrate ``field`` from ``x0`` with dopri5 and sample at ``times``.
 
+    ``config.method`` must be dopri5: a fixed-step method raises
+    ``ValueError``, since euler and rk4 run in :func:`integrate_lockstep`.
     ``times`` must be strictly increasing with ``times[0]`` the initial
     time.  The returned trajectory carries the requested times verbatim;
     its first state is ``x0`` exactly.
 
-    With dopri5 the field sees every state as a list of floats, and the
-    steps of one call share one ``(7, n)`` stage buffer (see
-    :func:`dopri_step`), so a step costs its seven BLAS sums and little
-    NumPy besides.
+    The field sees every state as a list of floats, and the steps of one
+    call share one ``(7, n)`` stage buffer (see :func:`dopri_step`), so a
+    step costs its seven BLAS sums and little NumPy besides.  Adaptive
+    steps are clipped so every sample time is hit exactly.
     """
+    _check_dopri5(config.method)
     times = np.asarray(times, dtype=float)
     if times.size == 0:
         raise ValueError("times must be nonempty")
@@ -272,28 +260,6 @@ def integrate(
     # The trajectory checks the times; the steps fill its states in place.
     trajectory = Trajectory(times=times.copy(), states=np.empty((times.size, x0.size)))
     trajectory.states[0] = x0
-    if config.method in FIXED_STEP_METHODS:
-        step = euler_step if config.method == "euler" else rk4_step
-        x = x0
-        n_steps = 0
-        for i in range(times.size - 1):
-            t0, t1 = times[i], times[i + 1]
-            # Subdivide into equal steps no longer than dt (tolerating float
-            # noise when the interval is an exact multiple of dt).  The count
-            # is a float until it passes max_steps: an overflowing one is inf.
-            n_sub = max(1.0, np.ceil((t1 - t0) / config.dt - 1e-9))
-            n_steps += n_sub
-            if n_steps > config.max_steps:
-                raise IntegrationError(f"max_steps={config.max_steps} exceeded at t={t0}")
-            n_sub = int(n_sub)
-            h = (t1 - t0) / n_sub
-            for s in range(n_sub):
-                x = step(field, x, t0 + s * h, h)
-                _check_bounded(x, t0 + (s + 1) * h, config.divergence_limit)
-            trajectory.states[i + 1] = x
-        return trajectory
-
-    # dopri5: adaptive steps clipped so every sample time is hit exactly.
     # Step bookkeeping runs in time elapsed since times[0] so that shifting
     # an autonomous problem in time cannot perturb the clip arithmetic; the
     # field and error reports still see absolute time.  The state is a list
@@ -344,8 +310,7 @@ class LockstepPlan:
         times = np.asarray(times, dtype=float)
         if times.ndim != 2 or times.shape[1] == 0:
             raise ValueError("times must be a nonempty (trajectories, samples) array")
-        if np.any(np.diff(times, axis=1) <= 0):
-            raise ValueError("times must be strictly increasing")
+        _check_increasing(times)
         self.times, self.config = times, config
         self.counts, self._lengths, self.exceeded = substeps(times, config)
         self._coefficients = {}
@@ -380,15 +345,14 @@ def integrate_lockstep(field, x0: np.ndarray, plan: LockstepPlan):
     ``field(x)`` maps states ``(J, B, n)`` to their derivatives, member j's
     field acting on ``x[j]``.  ``x0`` is ``(J, B, n)``; row b is sampled at
     ``plan.times[b]``.  Each interval takes the :func:`substeps` count for
-    every row, each row with its own substep length, so a row takes
-    :func:`integrate`'s steps whenever the rows need equal counts there.
+    every row, each row with its own substep length.
 
     Returns ``(states, failed)``: states ``(J, B, K+1, n)`` and a ``(J,)``
     mask; the steps it took are ``plan.counts``, with the coefficients
     ``plan.coefficients(x0.shape)``.  Member j is flagged for a non-finite
-    state or a component beyond ``divergence_limit`` after any step, as
-    :func:`integrate` raises for them, and every member when the plan is
-    ``exceeded``.  Flagged members' states are meaningless.
+    state or a component beyond ``divergence_limit`` after any step, and
+    every member when the plan is ``exceeded``.  Flagged members' states
+    are meaningless.
     """
     x = np.asarray(x0, dtype=float)
     J, B, n = x.shape
@@ -415,8 +379,9 @@ def integrate_lockstep(field, x0: np.ndarray, plan: LockstepPlan):
 def substeps(times: np.ndarray, config: IntegratorConfig):
     """How a batched fixed-step pass runs over a ``(B, K+1)`` time grid.
     Each interval takes one substep count for every row: the most that any
-    row needs for equal substeps no longer than ``config.dt``, by
-    :func:`integrate`'s rule.  Returns ``(counts, lengths, exceeded)``: the
+    row needs for equal substeps no longer than ``config.dt`` (at least
+    one, with ``1e-9`` of float noise forgiven when a span is an exact
+    multiple of ``dt``).  Returns ``(counts, lengths, exceeded)``: the
     ``(K,)`` counts; per interval, each row's substep length, its span over
     the count (a Python float when every row shares it, else a ``(B, 1)``
     column, which :class:`LockstepPlan` lays out once per state shape); and

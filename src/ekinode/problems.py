@@ -65,7 +65,8 @@ PROPAGATOR_STEPS = 128
 
 def spiral_field(x: Sequence[float], t: float = 0.0) -> tuple:
     """Linear damped-rotation field ((-0.05 x1 + x2), (-x1 - 0.05 x2)) of a
-    2-sequence: a list of floats from the dopri5 path or a 1-D array."""
+    2-sequence: the list of floats that :func:`ode.integrate` hands it, or
+    any other, such as a 1-D array."""
     x1, x2 = x
     return -0.05 * x1 + x2, -x1 - 0.05 * x2
 
@@ -82,8 +83,9 @@ def spiral_solution(t) -> np.ndarray:
 
 
 def pendulum_field(state: Sequence[float], t: float = 0.0, omega: float = 1.0) -> tuple:
-    """Simple pendulum as a first-order system: (v, -omega * sin x), of a
-    2-sequence like :func:`spiral_field`."""
+    """Simple pendulum as a first-order system: (v, -omega * sin x), of any
+    2-sequence, the list from :func:`ode.integrate` as well as a 1-D array,
+    like :func:`spiral_field`."""
     x, v = state
     return v, -omega * np.sin(x)
 
@@ -265,6 +267,7 @@ def make_sysid_problem(
     """
     bench = SYSID_BENCHMARKS[name]
     grid_size = bench.grid_size if grid_size is None else grid_size
+    _check_runs(num_subsets, subset_length)
     _check_held_out(num_subsets, subset_length, grid_size)
     x0 = np.array(bench.x0)
     times = np.linspace(0.0, bench.t_final if t_final is None else t_final, grid_size)

@@ -1,12 +1,15 @@
-"""Unit tests for the fixed-step and adaptive integrators."""
+"""Unit tests for the adaptive integrator and the batched fixed-step core,
+with the scalar oracles they are checked against."""
 
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, seed, settings, strategies as st
 
+import ekinode
 from ekinode import ode, problems
 from ekinode.problems import pendulum_energy, pendulum_field, spiral_field, spiral_solution
 
@@ -21,40 +24,125 @@ def zero_field(x, t):
     return np.zeros_like(x)
 
 
+# Oracle for the fixed-step path: one trajectory of one field per call,
+# stepped on 1-D arrays, each interval in equal substeps no longer than dt.
+# It raises where integrate_lockstep flags a member.  Its closed-form tests
+# follow.
+
+
+def _check_finite(x, t, what):
+    if not np.all(np.isfinite(x)):
+        raise ode.IntegrationError(f"non-finite {what} at t={t}")
+
+
+def euler_step(field, x, t, dt):
+    """One forward-Euler step ``x + dt * field(x, t)``."""
+    k = np.asarray(field(x, t), dtype=float)
+    _check_finite(k, t, "field output")
+    return x + dt * k
+
+
+def rk4_step(field, x, t, dt):
+    """One classic fourth-order Runge-Kutta step."""
+    k1 = np.asarray(field(x, t), dtype=float)
+    k2 = np.asarray(field(x + 0.5 * dt * k1, t + 0.5 * dt), dtype=float)
+    k3 = np.asarray(field(x + 0.5 * dt * k2, t + 0.5 * dt), dtype=float)
+    k4 = np.asarray(field(x + dt * k3, t + dt), dtype=float)
+    x_new = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    _check_finite(x_new, t + dt, "state")
+    return x_new
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def fixed_step_integrate(field, x0, times, config):
+    """The scalar euler/rk4 integration of ``field(x, t)`` from ``x0``,
+    sampled at ``times``: a :class:`ode.Trajectory`, or an
+    :class:`ode.IntegrationError` for a non-finite state, a state beyond
+    ``divergence_limit`` or a step count past ``max_steps``."""
+    assert config.method in ode.FIXED_STEP_METHODS
+    times = np.asarray(times, dtype=float)
+    if times.size == 0:
+        raise ValueError("times must be nonempty")
+    x0 = np.asarray(x0, dtype=float)
+    trajectory = ode.Trajectory(times=times.copy(), states=np.empty((times.size, x0.size)))
+    trajectory.states[0] = x0
+    step = euler_step if config.method == "euler" else rk4_step
+    x = x0
+    n_steps = 0
+    for i in range(times.size - 1):
+        t0, t1 = times[i], times[i + 1]
+        # Subdivide into equal steps no longer than dt (tolerating float
+        # noise when the interval is an exact multiple of dt).  The count
+        # is a float until it passes max_steps: an overflowing one is inf.
+        n_sub = max(1.0, np.ceil((t1 - t0) / config.dt - 1e-9))
+        n_steps += n_sub
+        if n_steps > config.max_steps:
+            raise ode.IntegrationError(f"max_steps={config.max_steps} exceeded at t={t0}")
+        n_sub = int(n_sub)
+        h = (t1 - t0) / n_sub
+        for s in range(n_sub):
+            x = step(field, x, t0 + s * h, h)
+            if np.max(np.abs(x)) > config.divergence_limit:
+                raise ode.IntegrationError(
+                    f"state magnitude exceeds {config.divergence_limit:g} at t={t0 + (s + 1) * h}"
+                )
+        trajectory.states[i + 1] = x
+    return trajectory
+
+
 def test_euler_step_zero_field():
-    out = ode.euler_step(zero_field, np.array([1.0, 0.0]), 0.0, 0.1)
+    out = euler_step(zero_field, np.array([1.0, 0.0]), 0.0, 0.1)
     assert np.array_equal(out, np.array([1.0, 0.0]))
 
 
 def test_euler_step_exponential():
-    out = ode.euler_step(exp_field, np.array([1.0]), 0.0, 0.5)
+    out = euler_step(exp_field, np.array([1.0]), 0.0, 0.5)
     assert abs(out[0] - 1.5) < ATOL
 
 
 def test_euler_step_spiral():
-    out = ode.euler_step(spiral_field, np.array([1.0, 0.0]), 0.0, 0.1)
+    out = euler_step(spiral_field, np.array([1.0, 0.0]), 0.0, 0.1)
     assert np.allclose(out, [0.995, -0.1], atol=ATOL)
 
 
 def test_rk4_step_matches_exponential_to_fifth_order():
-    out = ode.rk4_step(exp_field, np.array([1.0]), 0.0, 0.1)
+    out = rk4_step(exp_field, np.array([1.0]), 0.0, 0.1)
     # Local truncation error of RK4 is O(h^5).
     assert abs(out[0] - np.exp(0.1)) < 1e-7
 
 
+# The scalar paths: integrate, which runs dopri5, and the fixed-step oracle.
+SCALAR_PATHS = ((ode.integrate, "dopri5"), (fixed_step_integrate, "euler"),
+                (fixed_step_integrate, "rk4"))
+
+
 def test_integrate_zero_field_constant_states():
-    traj = ode.integrate(zero_field, np.array([1.0, 0.0]), np.array([0.0, 1.0, 2.0]),
-                         ode.IntegratorConfig(method="euler", dt=0.1))
-    assert np.array_equal(traj.states, np.tile([1.0, 0.0], (3, 1)))
+    for integrate, method in SCALAR_PATHS:
+        traj = integrate(zero_field, np.array([1.0, 0.0]), np.array([0.0, 1.0, 2.0]),
+                         ode.IntegratorConfig(method=method, dt=0.1))
+        assert np.array_equal(traj.states, np.tile([1.0, 0.0], (3, 1)))
 
 
 def test_integrate_returns_requested_times_bitwise():
     # Irrational-looking grid: float noise must be carried through verbatim.
     times = np.sqrt(np.arange(17, dtype=float))
-    traj = ode.integrate(spiral_field, np.array([1.0, 0.0]), times,
-                         ode.IntegratorConfig(method="rk4", dt=0.05))
-    assert np.array_equal(traj.times, times)
-    assert np.array_equal(traj.states[0], np.array([1.0, 0.0]))
+    for integrate, method in SCALAR_PATHS:
+        traj = integrate(spiral_field, np.array([1.0, 0.0]), times,
+                         ode.IntegratorConfig(method=method, dt=0.05))
+        assert np.array_equal(traj.times, times)
+        assert np.array_equal(traj.states[0], np.array([1.0, 0.0]))
+
+
+@pytest.mark.parametrize("method", ["euler", "rk4"])
+def test_integrate_runs_dopri5_alone(method):
+    # A fixed-step config is refused before the field is called.
+    def field(x, t):
+        raise AssertionError("integrate called the field")
+
+    config = ode.IntegratorConfig(method=method)
+    for integrate in (ode.integrate, ekinode.integrate):
+        with pytest.raises(ValueError, match=rf"^integrate runs dopri5, got '{method}'"):
+            integrate(field, np.array([1.0, 0.0]), np.array([0.0, 1.0]), config)
 
 
 def test_dopri_spiral_at_pi():
@@ -118,7 +206,7 @@ def order_ratio(method, dt):
     errs = []
     for step in (dt, dt / 2.0):
         config = ode.IntegratorConfig(method=method, dt=step)
-        traj = ode.integrate(spiral_field, np.array([1.0, 0.0]), times, config)
+        traj = fixed_step_integrate(spiral_field, np.array([1.0, 0.0]), times, config)
         errs.append(np.max(np.abs(traj.states[-1] - ref)))
     return errs[0] / errs[1]
 
@@ -139,15 +227,15 @@ def test_autonomous_shift_invariance(quarter_shifts):
     # Dyadic shifts keep the grid intervals exactly representable.
     shift = quarter_shifts * 0.25
     times = np.linspace(0.0, 2.0, 9)
-    for method in ("rk4", "dopri5"):
+    for integrate, method in ((fixed_step_integrate, "rk4"), (ode.integrate, "dopri5")):
         config = ode.IntegratorConfig(method=method, dt=0.01)
-        a = ode.integrate(spiral_field, np.array([1.0, 0.0]), times, config)
-        b = ode.integrate(spiral_field, np.array([1.0, 0.0]), times + shift, config)
+        a = integrate(spiral_field, np.array([1.0, 0.0]), times, config)
+        b = integrate(spiral_field, np.array([1.0, 0.0]), times + shift, config)
         assert np.array_equal(a.states, b.states)
 
 
 def test_integrate_validates_times():
-    config = ode.IntegratorConfig(method="euler", dt=0.1)
+    config = ode.IntegratorConfig(method="dopri5")
     with pytest.raises(ValueError):
         ode.integrate(zero_field, np.array([1.0]), np.array([]), config)
     with pytest.raises(ValueError):
@@ -157,14 +245,14 @@ def test_integrate_validates_times():
 def test_max_steps_exceeded():
     config = ode.IntegratorConfig(method="euler", dt=0.001, max_steps=10)
     with pytest.raises(ode.IntegrationError):
-        ode.integrate(zero_field, np.array([1.0]), np.array([0.0, 1.0]), config)
+        fixed_step_integrate(zero_field, np.array([1.0]), np.array([0.0, 1.0]), config)
     # A step count past the float range is inf: it exceeds max_steps rather
     # than failing to become an integer.
     for method in ("euler", "rk4"):
         for dt in (1e-320, 5e-324):
             config = ode.IntegratorConfig(method=method, dt=dt)
             with pytest.raises(ode.IntegrationError, match=r"^max_steps=1000000 exceeded at t=0.0$"):
-                ode.integrate(zero_field, np.array([1.0]), np.array([0.0, 1.0]), config)
+                fixed_step_integrate(zero_field, np.array([1.0]), np.array([0.0, 1.0]), config)
     # dopri5 counts every attempted step, rejected ones included.
     config = ode.IntegratorConfig(method="dopri5", max_steps=5)
     with pytest.raises(ode.IntegrationError, match=r"^max_steps=5 exceeded at t=\d"):
@@ -173,32 +261,31 @@ def test_max_steps_exceeded():
 
 def test_divergence_limit_aborts():
     # The message says where the trajectory left the bound.
-    for method in ("rk4", "dopri5"):
+    for integrate, method in ((fixed_step_integrate, "rk4"), (ode.integrate, "dopri5")):
         config = ode.IntegratorConfig(method=method, dt=0.1, divergence_limit=10.0)
         with pytest.raises(ode.IntegrationError, match=r"^state magnitude exceeds 10 at t=\d"):
-            ode.integrate(lambda x, t: [5.0 * v for v in x], np.array([1.0]), np.array([0.0, 10.0]),
-                          config)
+            integrate(lambda x, t: [5.0 * v for v in x], np.array([1.0]), np.array([0.0, 10.0]),
+                      config)
 
 
 def test_non_finite_field_output_aborts_with_location():
     def bad_field(x, t):
         return np.array([np.inf])
 
-    config = ode.IntegratorConfig(method="euler", dt=0.1)
-    with pytest.raises(ode.IntegrationError):
-        ode.integrate(bad_field, np.array([1.0]), np.array([0.0, 1.0]), config)
+    for integrate, method in ((fixed_step_integrate, "euler"), (ode.integrate, "dopri5")):
+        config = ode.IntegratorConfig(method=method, dt=0.1)
+        with pytest.raises(ode.IntegrationError, match=r"^non-finite field output at t=0\.0$"):
+            integrate(bad_field, np.array([1.0]), np.array([0.0, 1.0]), config)
 
 
 def test_overflowing_field_aborts_instead_of_warning():
-    # Cubic blowup overflows float64 quickly; integrate must turn that into
+    # Cubic blowup overflows float64 quickly; the oracle must turn that into
     # an IntegrationError without emitting numpy warnings.
     config = ode.IntegratorConfig(method="rk4", dt=0.5, divergence_limit=1e300)
-    import warnings
-
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ode.IntegrationError):
-            ode.integrate(lambda x, t: x ** 3, np.array([2.0]), np.array([0.0, 50.0]), config)
+            fixed_step_integrate(lambda x, t: x ** 3, np.array([2.0]), np.array([0.0, 50.0]), config)
 
 
 def test_config_validation():
@@ -222,13 +309,13 @@ def test_trajectory_validation():
 
 
 def _scalar_reference(matrices, x0, times, config):
-    # Per member and row, the scalar path: member j fails if any row raises.
+    # Per member and row, the scalar oracle: member j fails if any row raises.
     states = np.zeros((len(matrices),) + times.shape + x0.shape[-1:])
     failed = np.zeros(len(matrices), dtype=bool)
     for j, a in enumerate(matrices):
         try:
             for b in range(times.shape[0]):
-                states[j, b] = ode.integrate(lambda x, t: a @ x, x0[j, b], times[b], config).states
+                states[j, b] = fixed_step_integrate(lambda x, t: a @ x, x0[j, b], times[b], config).states
         except ode.IntegrationError:
             failed[j] = True
     return states, failed
@@ -274,7 +361,7 @@ def test_lockstep_matches_scalar_integrate(s, method, dt, max_steps):
 def test_lockstep_takes_the_most_substeps_any_row_needs(method):
     # Row 0 needs 4 substeps in the second interval and row 1 needs 3: both
     # rows take 4 there, each of its own length.  So each row equals the
-    # scalar integrate over one interval at a time, at a dt that gives the
+    # scalar oracle over one interval at a time, at a dt that gives the
     # interval's count.
     times = np.array([[0.0, 0.3, 0.7], [1.0, 1.3, 1.6]])
     config = ode.IntegratorConfig(method=method, dt=0.1)
@@ -290,12 +377,12 @@ def test_lockstep_takes_the_most_substeps_any_row_needs(method):
             ref = [x0[j, b]]
             for k, count in enumerate(counts.tolist()):
                 dt_k = (times[b, k + 1] - times[b, k]) / count * (1.0 + 1e-12)
-                ref.append(ode.integrate(lambda x, t: matrices[j] @ x, ref[-1], times[b, k:k + 2],
-                                         replace(config, dt=dt_k)).states[-1])
+                ref.append(fixed_step_integrate(lambda x, t: matrices[j] @ x, ref[-1],
+                                                times[b, k:k + 2], replace(config, dt=dt_k)).states[-1])
             scale = np.maximum(1.0, np.abs(ref))
             assert np.all(np.abs(states[j, b] - ref) <= 1e-12 * scale)
-    # At its own count, the scalar integrate of row 1 would end elsewhere.
-    alone = ode.integrate(lambda x, t: matrices[0] @ x, x0[0, 1], times[1], config).states[-1]
+    # At its own count, the scalar oracle's row 1 would end elsewhere.
+    alone = fixed_step_integrate(lambda x, t: matrices[0] @ x, x0[0, 1], times[1], config).states[-1]
     assert not np.allclose(alone, states[0, 1, -1], rtol=1e-12, atol=0.0)
 
 
@@ -467,7 +554,7 @@ def _oracle_dopri_step(field, x, t, h, rtol, atol, k1=None):
     k = np.empty((7, np.size(x)))
     if k1 is None:
         k1 = np.asarray(field(x, t), dtype=float)
-        ode._check_finite(k1, t, "field output")
+        _check_finite(k1, t, "field output")
     k[0] = k1
     for i in range(1, 7):
         k[i] = field(x + h * (ode._DP_A[i] @ k[:i]), t + ode._DP_C[i] * h)

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import example, given, seed, settings, strategies as st
 
 from ekinode import eki, gradbase, nnet, ode, problems, runner
+from test_ode import fixed_step_integrate
 
 ORACLE_TOL = 1e-12
 
@@ -117,6 +118,16 @@ def test_sysid_problem_leaves_a_held_out_point():
     # A zero field holds x0, whose error at the one held-out point is scored.
     miss = prob.observations.grid_states[held_out] - prob.x0
     assert problems.test_mse(np.zeros(nnet.param_count(prob.net)), prob) == np.sum(miss * miss)
+
+
+@pytest.mark.parametrize("runs", [{"num_subsets": 0}, {"subset_length": 0}])
+def test_sysid_problem_checks_its_runs_before_the_reference_grid(monkeypatch, runs):
+    def refuse(*args, **kwargs):
+        raise AssertionError("make_sysid_problem built a reference grid")
+
+    monkeypatch.setattr(problems, "integrate", refuse)
+    with pytest.raises(ValueError, match="^num_subsets and subset_length must be positive$"):
+        problems.make_sysid_problem("spiral", np.random.default_rng(0), **runs)
 
 
 def test_sysid_problem_built_from_filling_observations_is_rejected(spiral_problem):
@@ -417,7 +428,7 @@ def _uneven_sysid_problem(rng, assembly, method, dt, activation):
     # A grid with random spacing, so each shooting subset has its own step
     # lengths, and a dt that (when small) forces several substeps per
     # interval.  Every spacing needs the same count at either dt (4 at 0.04,
-    # 1 at 1.0), so each row takes the scalar integrate's own substeps.
+    # 1 at 1.0), so each row takes the scalar oracle's own substeps.
     grid_times = np.concatenate([[0.0], np.cumsum(rng.uniform(0.125, 0.155, size=29))])
     grid_states = 0.5 * rng.normal(size=(30, 2))
     obs = problems.make_observations(grid_times, grid_states, 3, 4, rng)
@@ -446,11 +457,11 @@ def _scalar_sysid(theta, prob):
     obs = prob.observations
     try:
         if prob.assembly == "full":
-            traj = ode.integrate(field, prob.x0, obs.grid_times, prob.integrator)
+            traj = fixed_step_integrate(field, prob.x0, obs.grid_times, prob.integrator)
             return traj.states[obs.train_indices].reshape(-1), False
         L = obs.subset_length
         parts = [
-            ode.integrate(field, obs.values[i], obs.times[i:i + L], prob.integrator).states
+            fixed_step_integrate(field, obs.values[i], obs.times[i:i + L], prob.integrator).states
             for i in range(0, obs.times.size, L)
         ]
         return np.concatenate(parts).reshape(-1), False
@@ -511,8 +522,8 @@ def test_batched_control_forward_map_matches_scalar_formulas(s, method, dt, acti
             return nnet.mlp_apply(layers, np.array([t]), activation)
 
         try:
-            traj = ode.integrate(lambda x, t: prob.a * x + prob.b * u(t), np.array([prob.x0]),
-                                 np.array([0.0, prob.t_final]), prob.integrator)
+            traj = fixed_step_integrate(lambda x, t: prob.a * x + prob.b * u(t), np.array([prob.x0]),
+                                        np.array([0.0, prob.t_final]), prob.integrator)
             failed_ref = False
         except ode.IntegrationError:
             failed_ref = True
