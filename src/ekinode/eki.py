@@ -9,12 +9,12 @@ covariance Gamma.  Optimal control is the energy-regularized problem
 ``z = (y, 0)``, ``F = (G, H)`` with covariance ``diag(Gamma * I, Gamma' / mu)``:
 the energy penalty is one more output channel, F's last, with its own variance.
 
-Updates are deterministic (no perturbed observations) explicit Euler steps in
-artificial time; one epoch is one step.  Covariances use the 1/J
-normalization throughout.  All reductions run in fixed member order, so runs
-are bitwise reproducible.  The training loop's bookkeeping (the epoch, the
-generator expansions draw from, and the log of expansions, stalls and
-skipped updates) belongs to its driver, :class:`ekinode.runner._EkiDriver`.
+Updates are deterministic explicit Euler steps in artificial time, one per
+epoch, with 1/J covariances reduced in fixed member order: bitwise
+reproducible.  The loop's validity and failure rules live here, once, for the
+runner's config checks and driver to call: an expansion adds at least one
+member, noise variances are positive, a failed member's outputs are zero and
+its loss PENALTY_LOSS.  :class:`ekinode.runner._EkiDriver` keeps the bookkeeping.
 """
 
 from __future__ import annotations
@@ -41,6 +41,10 @@ __all__ = [
 # Finite stand-in loss for members whose forward evaluation failed; keeps
 # min/mean reductions well defined without aborting a run.
 PENALTY_LOSS = 1e12
+
+
+def _penalize_failed(loss, failed):
+    return np.where(failed, PENALTY_LOSS, loss)
 
 
 @dataclass
@@ -88,12 +92,12 @@ class CovarianceSchedule:
 class ForwardMapOutput:
     """Stacked predictions ``g``, whose last column is sqrt(control energy)
     for regularized problems, and ``failed``, the members whose forward
-    evaluation blew up: the update freezes them, they carry :data:`PENALTY_LOSS`.
+    evaluation blew up: zero ``g``, frozen by the update, :data:`PENALTY_LOSS`.
 
-    One member's output has ``g`` of shape ``(d,)`` and a scalar ``failed``;
-    a batched forward map returns ``g`` ``(J, d)`` with ``failed`` ``(J,)``,
-    which is what :func:`eki_step` and :func:`cross_covariance` take.  A
-    scalar ``failed`` applies to every member.
+    A member matrix gives ``g`` ``(J, d)`` and ``failed`` ``(J,)``, which
+    :func:`eki_step` and :func:`cross_covariance` take; one vector runs as a
+    one-member ensemble (its result that of any ensemble) and gives ``g``
+    ``(d,)`` and a scalar ``failed``, which applies to every member.
     """
 
     g: np.ndarray
@@ -101,6 +105,13 @@ class ForwardMapOutput:
 
     def __post_init__(self):
         self.g = np.atleast_1d(np.asarray(self.g, dtype=float))
+
+    @classmethod
+    def of_members(cls, theta: np.ndarray, g: np.ndarray, failed: np.ndarray) -> ForwardMapOutput:
+        """A forward map's output for ``theta`` from the ``(J, d)`` ``g`` and ``failed`` of its rows."""
+        lead = np.shape(theta)[:-1]
+        g = np.where(failed[:, None], 0.0, g)
+        return cls(g=g.reshape(lead + g.shape[-1:]), failed=failed.reshape(lead))
 
 
 def ensemble_mean(ens: Ensemble) -> np.ndarray:
@@ -141,10 +152,7 @@ def eki_step(
     """
     f = _member_outputs(ens, out)
     gamma = np.asarray(gamma, dtype=float)
-    if gamma.shape not in ((), f.shape[1:]):
-        raise ValueError("gamma must be a scalar or one variance per output channel")
-    if not np.all(gamma > 0):
-        raise ValueError("gamma must be positive")
+    _check_variances(gamma, f.shape[1:])
     valid = ~np.broadcast_to(np.asarray(out.failed, dtype=bool), (ens.size,))
     new_members = ens.members.copy()
     if valid.sum() >= 2:
@@ -157,6 +165,14 @@ def eki_step(
         # deviations, so every update stays in the ensemble's affine span.
         new_members[valid] = theta - (h / theta.shape[0]) * (resid @ f_c.T) @ theta_c
     return Ensemble(new_members)
+
+
+def _check_variances(gamma, channels=()) -> None:
+    if np.shape(gamma) not in ((), channels):
+        raise ValueError("gamma must be a scalar or one variance per output channel")
+    for v in np.ravel(gamma):
+        if not v > 0:  # NaN fails too
+            raise ValueError(f"noise variance {float(v)!r} is not positive")
 
 
 def _member_outputs(ens: Ensemble, out: ForwardMapOutput) -> np.ndarray:
@@ -189,9 +205,7 @@ def ensemble_expand(
     span the iteration can search; ``mode="perturb"`` centers the same draws
     on the current ensemble mean.  A rejected call draws nothing.
     """
-    if count < 1:
-        raise ValueError("count must be >= 1")
-    _check_expansion_mode(mode)
+    _check_expansion(count, mode)
     if param_count(spec) != ens.dim:
         raise ValueError("spec parameter count does not match ensemble dimension")
     fresh = mlp_init(spec, rng, count)
@@ -200,7 +214,9 @@ def ensemble_expand(
     return Ensemble(np.vstack([ens.members, fresh]))
 
 
-def _check_expansion_mode(mode: str) -> None:
+def _check_expansion(count: int, mode: str = "fresh") -> None:
+    if count < 1:
+        raise ValueError("count must be >= 1")
     if mode not in ("fresh", "perturb"):
         raise ValueError(f"expansion mode must be 'fresh' or 'perturb', got {mode!r}")
 

@@ -13,7 +13,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from . import nnet, ode
-from .eki import PENALTY_LOSS, ForwardMapOutput
+from .eki import PENALTY_LOSS, ForwardMapOutput, _penalize_failed
 from .nnet import MlpSpec
 from .ode import IntegratorConfig, integrate
 
@@ -334,23 +334,14 @@ def sysid_grid(prob: SysIdProblem):
 
 
 def sysid_forward_map(theta: np.ndarray, prob: SysIdProblem) -> ForwardMapOutput:
-    """G(theta): candidate states stacked at the observation times (time-major).
-
-    ``theta`` is one parameter vector ``(N,)`` or a member matrix ``(J, N)``,
-    integrated in lockstep; ``g`` and ``failed`` carry the same leading
-    shape.  Integration failures are returned as flagged, zeroed outputs
-    rather than raised, so ensemble updates can freeze the offending member.
+    """G(theta): candidate states stacked at the observation times (time-major)
+    of one parameter vector ``(N,)`` or a member matrix ``(J, N)``, integrated
+    in lockstep; failures come back flagged (:class:`eki.ForwardMapOutput`).
     """
-    theta = np.asarray(theta, dtype=float)
-    # A single vector runs as a one-member ensemble: every member's result
-    # is then the same whatever the ensemble it is evaluated in.
-    members = np.atleast_2d(theta)
-    plan = prob.plan
-    states, failed = _net_states(members, prob, plan.x0, plan.steps)
-    pred = states.reshape(members.shape[0], -1, states.shape[-1])[:, plan.obs_index]
-    g = np.where(failed[:, None], 0.0, pred.reshape(members.shape[0], -1))
-    lead = theta.shape[:-1]
-    return ForwardMapOutput(g=g.reshape(lead + g.shape[-1:]), failed=failed.reshape(lead))
+    members = np.atleast_2d(np.asarray(theta, dtype=float))
+    states, failed = _net_states(members, prob, prob.plan.x0, prob.plan.steps)
+    pred = states.reshape(members.shape[0], -1, states.shape[-1])[:, prob.plan.obs_index]
+    return ForwardMapOutput.of_members(theta, pred.reshape(members.shape[0], -1), failed)
 
 
 def sysid_loss(out: ForwardMapOutput, prob: SysIdProblem):
@@ -360,7 +351,7 @@ def sysid_loss(out: ForwardMapOutput, prob: SysIdProblem):
     this one reduction, so they agree bitwise."""
     resid = out.g - prob.observations.stacked_values()
     loss = np.sum(resid * resid, axis=-1) / prob.observations.values.shape[0]
-    return np.where(out.failed, PENALTY_LOSS, loss)
+    return _penalize_failed(loss, out.failed)
 
 
 def mse_from_states(states: np.ndarray, prob: SysIdProblem, indices: np.ndarray) -> float:
@@ -403,10 +394,9 @@ def test_mse(theta: np.ndarray, prob: SysIdProblem):
     errors = np.empty(rows.shape[0])
     for start in range(0, rows.shape[0], TEST_CHUNK_ROWS):
         states, failed = _net_states(rows[start:start + TEST_CHUNK_ROWS], prob, x0, plan)
-        for r, (row_states, row_failed) in enumerate(zip(states[:, 0], failed)):
-            errors[start + r] = (
-                PENALTY_LOSS if row_failed else _penalized(mse_from_states(row_states, prob, test))
-            )
+        for r in np.flatnonzero(~failed):
+            errors[start + r] = _penalized(mse_from_states(states[r, 0], prob, test))
+        errors[start:start + failed.size] = _penalize_failed(errors[start:start + failed.size], failed)
     return errors if theta.ndim == 2 else float(errors[0])
 
 
@@ -681,17 +671,11 @@ def control_trajectory(theta: np.ndarray, prob: ControlProblem):
 
 
 def control_forward_map(theta: np.ndarray, prob: ControlProblem) -> ForwardMapOutput:
-    """F(theta) = (x(T; theta), sqrt(E_T[u_theta])) for the extended problem.
-
-    ``theta`` is one parameter vector ``(N,)`` or a member matrix ``(J, N)``;
-    ``g`` is ``(..., 2)``, its last column the energy channel, and
-    ``failed`` carries the leading shape.  Failed members get zero outputs.
-    """
-    theta = np.asarray(theta, dtype=float)
-    xs, energy, failed, _ = _control_path(np.atleast_2d(theta), prob)
-    lead = theta.shape[:-1]
-    g = np.where(failed[:, None], 0.0, np.stack([xs[:, -1], np.sqrt(energy)], axis=-1))
-    return ForwardMapOutput(g=g.reshape(lead + (2,)), failed=failed.reshape(lead))
+    """F(theta) = (x(T; theta), sqrt(E_T[u_theta])) for the extended problem, of one
+    parameter vector ``(N,)`` or a member matrix ``(J, N)``: ``g`` is ``(..., 2)``,
+    its last column the energy channel (:class:`eki.ForwardMapOutput`)."""
+    xs, energy, failed, _ = _control_path(np.atleast_2d(np.asarray(theta, dtype=float)), prob)
+    return ForwardMapOutput.of_members(theta, np.stack([xs[:, -1], np.sqrt(energy)], axis=-1), failed)
 
 
 def control_mse(theta: np.ndarray, prob: ControlProblem, times: np.ndarray | None = None):

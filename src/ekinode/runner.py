@@ -142,24 +142,26 @@ class ExperimentConfig:
         ek = self.eki
         if ek.ensemble_size < 2:
             msgs.append("eki.ensemble_size: need at least 2 members")
-        msgs += _rule_errors("eki.expansion_mode", eki._check_expansion_mode, ek.expansion_mode)
+        msgs += _rule_errors("eki.expansion_mode", eki._check_expansion, 1, ek.expansion_mode)
         # One schedule per field, valid elsewhere, for one message per offending field.
         msgs += _rule_errors("eki.gamma0", eki.CovarianceSchedule, ek.gamma0, 1.0)
         msgs += _rule_errors("eki.alpha", eki.CovarianceSchedule, 1.0, ek.alpha)
         msgs += _rule_errors("eki.schedule_period", eki.CovarianceSchedule, 1.0, 1.0, ek.schedule_period)
-        for name in ("gamma", "gamma_prime", "step_size", "accept_factor"):
+        for name in ("gamma", "gamma_prime"):
+            msgs += _rule_errors(f"eki.{name}", eki._check_variances, getattr(ek, name))
+        for name in ("step_size", "accept_factor"):
             if not getattr(ek, name) > 0:
                 msgs.append(f"eki.{name}: must be positive")
         if ek.step_cap_rel is not None and not ek.step_cap_rel > 0:
             msgs.append("eki.step_cap_rel: must be positive or null")
         if ek.max_backtracks < 0:
             msgs.append("eki.max_backtracks: must be nonnegative")
-        if not _pairs(ek.gamma_steps, "float", lambda epoch, value: epoch >= 0 and value > 0):
+        if not _pairs(ek.gamma_steps, "float", eki._check_variances):
             msgs.append("eki.gamma_steps: need [epoch >= 0, gamma > 0] pairs, integer epochs")
         elif any(a[0] >= b[0] for a, b in zip(ek.gamma_steps, ek.gamma_steps[1:])):
             msgs.append("eki.gamma_steps: epochs must be strictly increasing")
         # An expansion fires when the epoch equals its own and adds whole members.
-        if not _pairs(ek.expansions, "int", lambda epoch, count: epoch >= 0 and count >= 1):
+        if not _pairs(ek.expansions, "int", eki._check_expansion):
             msgs.append("eki.expansions: need [epoch >= 0, count >= 1] integer pairs")
         po = self.problem_options
         msgs += _rule_errors("problem_options.assembly", problems._check_assembly, po.assembly)
@@ -197,11 +199,11 @@ def _rule_errors(path: str, rule, *args, **kwargs) -> list[str]:
     return []
 
 
-def _pairs(items, annotation: str, ok) -> bool:
-    # Each pair is an integer epoch and a value of the given type.
+def _pairs(items, annotation: str, rule) -> bool:
+    # Each pair is an integer epoch >= 0 and a value of the given type that passes the rule.
     return all(
-        isinstance(item, (tuple, list)) and len(item) == 2
-        and _type_ok(item[0], "int") and _type_ok(item[1], annotation) and ok(*item)
+        isinstance(item, (tuple, list)) and len(item) == 2 and _type_ok(item[0], "int")
+        and _type_ok(item[1], annotation) and item[0] >= 0 and not _rule_errors("", rule, item[1])
         for item in items
     )
 
@@ -377,6 +379,11 @@ def build_problem(config: ExperimentConfig):
     return prob
 
 
+def _network(problem: str) -> nnet.MlpSpec:
+    # What build_problem gives the named problem to train; no grid is built.
+    return problems.ControlProblem().controller if problem == "linear_control" else problems._SYSID_NET
+
+
 def reevaluate(config: ExperimentConfig, theta: np.ndarray) -> tuple[float, float]:
     """Train/test errors of a parameter vector under the config's problem.
 
@@ -455,9 +462,7 @@ def load_report(report_dir: str) -> RunReport:
     config.validate()
     # A run that failed before its first row reports no parameters.
     theta = raw["theta"]
-    size = nnet.param_count(
-        problems.ControlProblem().controller if config.problem == "linear_control" else problems._SYSID_NET
-    )
+    size = nnet.param_count(_network(config.problem))
     if not (isinstance(theta, list) and len(theta) in (0, size)
             and all(isinstance(v, float) or _type_ok(v, "float") for v in theta)):
         raise ConfigError([f"{path}: theta must be a list of 0 or {size} numbers"])
@@ -498,7 +503,7 @@ class _EkiDriver:
     def __init__(self, config, prob, init_rng):
         self.prob = prob
         self.opts = config.eki
-        self.spec = prob.net if hasattr(prob, "net") else prob.controller
+        self.spec = _network(config.problem)
         self.rng = init_rng
         self.ens = eki.Ensemble(nnet.mlp_init(self.spec, init_rng, self.opts.ensemble_size))
         self.outputs = None
@@ -514,9 +519,7 @@ class _EkiDriver:
         epoch = self.epoch
         for ep, count in self.opts.expansions:
             if epoch == ep:
-                self.ens = eki.ensemble_expand(
-                    self.ens, count, self.spec, self.rng, mode=self.opts.expansion_mode
-                )
+                self.ens = eki.ensemble_expand(self.ens, count, self.spec, self.rng, self.opts.expansion_mode)
                 self.events.append(("expansion", ep, count))
                 self.outputs = None
         if self.outputs is None:
@@ -544,10 +547,11 @@ class _EkiDriver:
         if n_valid < 2:
             self.events.append(("no_update", epoch, n_valid))
 
-        if not np.all(self.variances > 0):
-            # The exponential schedule reaches 0.0 once alpha * epoch passes ~745.
-            raise RuntimeError(f"noise variance {self.gamma!r} is not positive at epoch {epoch}")
-        unit = eki.eki_step(self.ens, self.outputs, self.target, self.variances)
+        try:
+            unit = eki.eki_step(self.ens, self.outputs, self.target, self.variances)
+        except ValueError as exc:
+            # eki_step's one reachable refusal: a noise variance that underflowed to 0.0.
+            raise RuntimeError(f"{exc} at epoch {epoch}") from None
         delta = unit.members - self.ens.members
         if not np.all(np.isfinite(delta)):
             # Such a member fails in every candidate, so no step length is usable.
@@ -617,11 +621,9 @@ class _ControlDriver(_EkiDriver):
         return gamma, np.array([gamma, self.opts.gamma_prime / self.prob.mu])
 
     def losses(self, outputs, gamma):
-        g = outputs.g  # the terminal state, then the energy channel
-        loss = problems.control_objective(
-            g[:, 0], g[:, 1] ** 2, self.prob, gamma, self.opts.gamma_prime
-        )
-        return np.where(outputs.failed, eki.PENALTY_LOSS, loss)
+        x_final, root_energy = outputs.g.T  # the terminal state, then the energy channel
+        loss = problems.control_objective(x_final, root_energy ** 2, self.prob, gamma, self.opts.gamma_prime)
+        return eki._penalize_failed(loss, outputs.failed)
 
 
 class _GradientDriver:
@@ -630,8 +632,7 @@ class _GradientDriver:
     def __init__(self, config, prob, init_rng):
         self.config = config
         self.prob = prob
-        spec = prob.net if hasattr(prob, "net") else prob.controller
-        self.theta = nnet.mlp_init(spec, init_rng)
+        self.theta = nnet.mlp_init(_network(config.problem), init_rng)
         self.adam = gradbase.adam_init(self.theta.size) if config.optimizer == "adam" else None
         self.epoch = 0
         self.events = []
@@ -646,8 +647,7 @@ class _GradientDriver:
         if not math.isfinite(loss):
             raise RuntimeError(f"non-finite loss at epoch {self.epoch}")
         # The sysid BPTT loss is the training MSE: the same core, grid and loss.
-        train = eki.PENALTY_LOSS if failed else loss
-        return [self.epoch, None, 1, loss, loss], train, self.theta
+        return [self.epoch, None, 1, loss, loss], float(eki._penalize_failed(loss, failed)), self.theta
 
     def advance(self):
         if not np.all(np.isfinite(self.grad)):

@@ -9,7 +9,7 @@ import warnings
 import pytest
 from hypothesis import given, seed, settings, strategies as st
 
-from ekinode import cli, runner
+from ekinode import cli, eki, runner
 
 
 def write_config(path, name, epochs, **overrides):
@@ -201,15 +201,36 @@ def test_covariance_underflow_is_runtime_failure(tmp_path, capsys):
     ) == (report.final_train_error, report.final_test_error)
 
 
+def test_energy_variance_underflow_names_the_zero_variance(tmp_path, capsys):
+    # gamma_prime / mu = 5e-324 / 2 rounds to 0.0: a valid config whose
+    # energy channel has no variance.  The failure names that variance, not
+    # the positive scale gamma beside it.
+    config = write_config(
+        tmp_path / "c.json", "control-eki-mu0.001", 3,
+        eki=dataclasses.replace(runner.preset("control-eki-mu0.001").eki, gamma_prime=5e-324),
+        problem_options=runner.ProblemOptions(mu=2.0),
+    )
+    config.validate()
+    assert cli.main(["run", "--config", str(tmp_path / "c.json"), "--out", str(tmp_path / "x")]) == 2
+    assert "run failed: noise variance 0.0 is not positive at epoch 0" in capsys.readouterr().err
+    report = runner.load_report(str(tmp_path / "x"))
+    assert report.epochs_run == 0 and report.error == "noise variance 0.0 is not positive at epoch 0"
+
+
 def test_epochs_without_two_valid_members_are_logged(tmp_path):
     # dt=1e-12 puts every member past max_steps: no epoch can update, the
-    # run still completes, and each epoch says why it moved nobody.
-    path = tmp_path / "c.json"
-    path.write_text(json.dumps({"problem": "spiral", "epochs": 3, "integrator": {"dt": 1e-12}}))
-    assert cli.main(["run", "--config", str(path), "--out", str(tmp_path / "x")]) == 0
-    report = runner.load_report(str(tmp_path / "x"))
-    assert report.epochs_run == 3
-    assert report.events == [["no_update", epoch, 0] for epoch in range(3)]
+    # run still completes, and each epoch says why it moved nobody.  Every
+    # member scores the penalty, in either problem family's driver.
+    for problem in ("spiral", "linear_control"):
+        path, out = tmp_path / f"{problem}.json", tmp_path / problem
+        path.write_text(json.dumps({"problem": problem, "epochs": 3, "integrator": {"dt": 1e-12}}))
+        assert cli.main(["run", "--config", str(path), "--out", str(out)]) == 0
+        report = runner.load_report(str(out))
+        assert report.epochs_run == 3
+        assert report.events == [["no_update", epoch, 0] for epoch in range(3)]
+        with open(out / "log.csv") as fh:
+            rows = [line.split(",") for line in fh.read().splitlines()[1:]]
+        assert [row[3:5] for row in rows] == [[repr(eki.PENALTY_LOSS)] * 2] * 4
 
 
 @pytest.mark.parametrize("problem", ["spiral", "linear_control"])

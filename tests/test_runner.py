@@ -74,8 +74,9 @@ def test_validation_collects_all_errors():
         # Expansions fire at an integer epoch and add whole members.
         {"eki": runner.EkiOptions(expansions=((3.5, 20),))},
         {"eki": runner.EkiOptions(expansions=((3, 2.5),))},
-        # So do covariance drops.
+        # So do covariance drops, each to a positive variance.
         {"eki": runner.EkiOptions(gamma_steps=((1.5, 0.1),))},
+        {"eki": runner.EkiOptions(gamma_steps=((1, 0.0),))},
         # SeedSequence takes no negative seed.
         {"seed": -1},
         # No float field takes an infinity or NaN.
@@ -111,12 +112,21 @@ def test_validation_collects_all_errors():
         dataclasses.replace(runner.preset("spiral-eki"),
                             eki=runner.EkiOptions(gamma0=-1.0, alpha=-1.0)).validate()
     assert [m.split(":")[0] for m in info.value.messages] == ["eki.gamma0", "eki.alpha"]
+    # The noise-variance rule is eki's, and its message names the value.
+    with pytest.raises(runner.ConfigError) as info:
+        dataclasses.replace(runner.preset("control-eki-mu0.001"),
+                            eki=runner.EkiOptions(gamma=0.0, gamma_prime=-1e-3)).validate()
+    assert info.value.messages == ["eki.gamma: noise variance 0.0 is not positive",
+                                   "eki.gamma_prime: noise variance -0.001 is not positive"]
     # Values just inside each boundary are accepted.
     for overrides in (
         {"eki": runner.EkiOptions(gamma0=5e-324)},
         {"eki": runner.EkiOptions(alpha=5e-324)},
         {"eki": runner.EkiOptions(schedule_period=1)},
         {"eki": runner.EkiOptions(expansion_mode="perturb")},
+        # Drops and expansions may start at epoch 0; an expansion of one member.
+        {"eki": runner.EkiOptions(gamma=5e-324, gamma_prime=5e-324, gamma_steps=((0, 5e-324),),
+                                  expansions=((0, 1),))},
         {"problem_options": runner.ProblemOptions(num_subsets=1, subset_length=1)},
         {"problem_options": runner.ProblemOptions(assembly="full")},
         {"integrator": runner.IntegratorOptions(method="euler", dt=5e-324)},
