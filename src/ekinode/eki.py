@@ -13,8 +13,9 @@ Updates are deterministic explicit Euler steps in artificial time, one per
 epoch, with 1/J covariances reduced in fixed member order: bitwise
 reproducible.  The loop's validity and failure rules live here, once, for the
 runner's config checks and driver to call: an expansion adds at least one
-member, noise variances are positive, a failed member's outputs are zero and
-its loss PENALTY_LOSS.  :class:`ekinode.runner._EkiDriver` keeps the bookkeeping.
+member, noise variances are positive, an update needs two valid members, a
+failed member's outputs are zero and its loss PENALTY_LOSS.
+:class:`ekinode.runner._EkiDriver` keeps the bookkeeping.
 """
 
 from __future__ import annotations
@@ -41,10 +42,16 @@ __all__ = [
 # Finite stand-in loss for members whose forward evaluation failed; keeps
 # min/mean reductions well defined without aborting a run.
 PENALTY_LOSS = 1e12
+# The fewest valid members an update moves: one alone has no spread to move along.
+_QUORUM = 2
 
 
 def _penalize_failed(loss, failed):
     return np.where(failed, PENALTY_LOSS, loss)
+
+
+def _quorate(count) -> bool:
+    return count >= _QUORUM
 
 
 @dataclass
@@ -148,14 +155,15 @@ def eki_step(
     ``gamma`` is the diagonal of Sigma: a scalar for the plain problem, or
     one variance per output channel, e.g. ``(Gamma, ..., Gamma, Gamma'/mu)``
     for the energy-regularized one.  Members flagged as failed are frozen
-    and excluded from the covariance statistics for this step.
+    and excluded from the covariance statistics for this step; without a
+    quorum of valid ones (:func:`_quorate`) nobody moves.
     """
     f = _member_outputs(ens, out)
     gamma = np.asarray(gamma, dtype=float)
     _check_variances(gamma, f.shape[1:])
     valid = ~np.broadcast_to(np.asarray(out.failed, dtype=bool), (ens.size,))
     new_members = ens.members.copy()
-    if valid.sum() >= 2:
+    if _quorate(valid.sum()):
         theta = ens.members[valid]
         f = f[valid]
         theta_c = theta - theta.mean(axis=0)

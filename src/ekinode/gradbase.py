@@ -1,19 +1,17 @@
 """Gradient-based training baseline: BPTT plus Adam / plain SGD.
 
-Reverse-mode differentiation through the time-unfolded network.  Each
-forward pass is the forward map's own, for one member, with every network
-evaluation recorded into one list: :func:`ekinode.problems._net_states` for
-system identification, whose steps, with the counts and coefficients of the
-problem's plan, the reverse sweep (:func:`_step_reverse`) walks back,
-popping the recorded calls last first, and
-:func:`ekinode.problems._control_path` for control, whose terminal
-state's gradient with respect to the stage controls is the last row of the
-problem's linear propagator; the energy's is added on the quadrature
-columns, and the pullback carries both back through the one call.
-The gradient is therefore exact for the discrete losses the problems module
-reports, :func:`ekinode.problems.sysid_loss` and
-:func:`ekinode.problems.control_objective`, each unfolding the problem's own
-fixed-step (euler or rk4) integrator.
+Reverse-mode differentiation through the time-unfolded network.  Each pass
+is the forward map's own for one member, with every network evaluation
+recorded into one list: :func:`ekinode.problems._net_states`, whose steps
+the reverse sweep (:func:`_step_reverse`) walks back with the counts and
+coefficients of the problem's plan, and :func:`ekinode.problems._control_path`,
+whose terminal state's gradient with respect to the stage controls is the
+last row of the linear propagator.  So the gradient is exact for the
+discrete losses :func:`ekinode.problems.sysid_loss` and
+:func:`ekinode.problems.control_objective`.  A pass fails as its forward
+map does, and raises where a gradient needs states it cannot have: past
+``max_steps`` (:func:`ekinode.ode._check_max_steps`), and at a non-finite
+state, each family finding its unfold step (:func:`_non_finite`).
 """
 
 from __future__ import annotations
@@ -22,10 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import nnet
+from . import nnet, ode
 from .eki import ForwardMapOutput
-from .ode import IntegrationError
-from .problems import ControlProblem, SysIdProblem, _checked_plan, _control_path, _net_states
+from .problems import ControlProblem, SysIdProblem, _control_path, _net_states
 from .problems import control_objective, sysid_loss
 
 __all__ = [
@@ -121,6 +118,11 @@ def _step_reverse(gx, c, method, net):
     return xbar + gin
 
 
+def _non_finite(step: int) -> ode.IntegrationError:
+    # The refusal of a pass that reached a non-finite state, at its unfold step.
+    return ode.IntegrationError(f"non-finite state at unfold step {step}")
+
+
 # ---------------------------------------------------------------------------
 # System identification: MSE through the unfolded trajectory
 
@@ -130,14 +132,12 @@ def _sysid(theta: np.ndarray, prob: SysIdProblem):
     # recorded: its states and flag are those of problems.sysid_forward_map.
     cfg, plan = prob.integrator, prob.plan
     steps = plan.steps
-    if steps.exceeded:
-        raise IntegrationError(f"max_steps={cfg.max_steps} exceeded")
+    ode._check_max_steps(steps.exceeded, cfg)
     record = []
     states, failed = _net_states(theta[None], prob, plan.x0, steps, record)
     # A non-finite state fails the bounds test, so only a flagged pass holds one.
     if failed[0] and not np.isfinite(states).all():
-        k = int(np.argmin(np.isfinite(states).all(axis=(0, 1, 3))))
-        raise IntegrationError(f"non-finite state at unfold step {k}")
+        raise _non_finite(int(np.argmin(np.isfinite(states).all(axis=(0, 1, 3)))))
     n = plan.x0.shape[-1]
     out = ForwardMapOutput(g=states.reshape(-1, n)[plan.obs_index].reshape(-1))
     loss = float(sysid_loss(out, prob))
@@ -168,13 +168,14 @@ def _sysid(theta: np.ndarray, prob: SysIdProblem):
 def _control(theta: np.ndarray, prob: ControlProblem, gamma: float, gamma_prime: float):
     # The forward map's own pass for one member, its controller recorded on
     # the plan's grid: the stage grid, then the quadrature points it lacks.
-    plan = _checked_plan(prob)
+    plan = prob.plan
+    ode._check_max_steps(plan.exceeded, prob.integrator)
     record = []
     xs, energy, failed, u = _control_path(theta[None], prob, record)
     x, u = float(xs[0, -1]), u[0]
     u_quad = u[plan.quad_cols]
     if not np.isfinite(x) or not np.all(np.isfinite(u_quad)):
-        raise IntegrationError(f"non-finite state at unfold step {plan.n_steps}")
+        raise _non_finite(plan.n_steps)
     loss = float(control_objective(x, float(energy[0]), prob, gamma, gamma_prime))
 
     # Terminal term: x_T is affine in the stage controls.  Energy term:

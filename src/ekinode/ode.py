@@ -330,6 +330,12 @@ class LockstepPlan:
         return coefficients
 
 
+def _check_max_steps(exceeded: bool, config: IntegratorConfig) -> None:
+    # The refusal of a pass that exceeds (see substeps) where a caller needs its steps.
+    if exceeded:
+        raise IntegrationError(f"max_steps={config.max_steps} exceeded")
+
+
 def _laid_out(column, shape):
     # A (B, 1) column as an array of the state's own shape: a product with
     # the state then runs one loop, not one per (member, row).

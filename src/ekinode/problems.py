@@ -30,6 +30,7 @@ __all__ = [
     "sysid_forward_map",
     "sysid_grid",
     "sysid_loss",
+    "sysid_trajectory",
     "mse",
     "test_mse",
     "mse_from_states",
@@ -310,13 +311,6 @@ def _net_states(theta: np.ndarray, prob: SysIdProblem, x0: np.ndarray, plan: ode
     return ode.integrate_lockstep(field, x0, plan)
 
 
-def _grid_pass(prob: SysIdProblem):
-    # The start x0 (1, n) and a plan over the whole reference grid: the pass
-    # that test_mse and a trajectory plot integrate.
-    grid = prob.observations.grid_times[None]
-    return np.asarray(prob.x0, dtype=float)[None], ode.LockstepPlan(grid, prob.integrator)
-
-
 def sysid_grid(prob: SysIdProblem):
     """Where the forward map integrates under the problem's assembly mode.
 
@@ -376,28 +370,33 @@ def mse(theta: np.ndarray, prob: SysIdProblem) -> float:
     return _penalized(sysid_loss(sysid_forward_map(theta, prob), prob))
 
 
+def sysid_trajectory(theta: np.ndarray, prob: SysIdProblem) -> np.ndarray:
+    """States on the reference grid of the field integrated from the known
+    x0, NaN where the integration failed: ``(M, n)`` for one parameter
+    vector ``(N,)``, ``(R, M, n)`` for a stack ``(R, N)``, whose rows are
+    the members of one lockstep pass over a plan of its own."""
+    theta = np.asarray(theta, dtype=float)
+    plan = ode.LockstepPlan(prob.observations.grid_times[None], prob.integrator)
+    states, failed = _net_states(np.atleast_2d(theta), prob, np.asarray(prob.x0, dtype=float)[None], plan)
+    states[failed] = np.nan
+    return states[:, 0] if theta.ndim == 2 else states[0, 0]
+
+
 def test_mse(theta: np.ndarray, prob: SysIdProblem):
-    """Same error on the reference grid minus the training points, with the
-    same penalty value, of the field integrated from the known x0 over the
-    whole grid.
+    """Same error on the reference grid minus the training points, of
+    :func:`sysid_trajectory`, whose NaN rows score the penalty value.
 
     ``theta`` is one parameter vector ``(N,)``, giving a float, or a stack
-    ``(R, N)``, giving ``(R,)`` errors.  The rows are integrated as the
-    members of one lockstep pass per :data:`TEST_CHUNK_ROWS` of them and
-    reduced one by one, so each error is bitwise the one its row gets alone.
-    The grid's plan is decided once per call.
+    ``(R, N)``, giving ``(R,)`` errors.  Each :data:`TEST_CHUNK_ROWS` rows
+    are one pass, reduced row by row, so each error is bitwise the one its
+    row gets alone.
     """
     theta = np.asarray(theta, dtype=float)
-    rows = np.atleast_2d(theta)
-    x0, plan = _grid_pass(prob)
-    test = prob.observations.test_indices
-    errors = np.empty(rows.shape[0])
-    for start in range(0, rows.shape[0], TEST_CHUNK_ROWS):
-        states, failed = _net_states(rows[start:start + TEST_CHUNK_ROWS], prob, x0, plan)
-        for r in np.flatnonzero(~failed):
-            errors[start + r] = _penalized(mse_from_states(states[r, 0], prob, test))
-        errors[start:start + failed.size] = _penalize_failed(errors[start:start + failed.size], failed)
-    return errors if theta.ndim == 2 else float(errors[0])
+    rows, test = np.atleast_2d(theta), prob.observations.test_indices
+    errors = [_penalized(mse_from_states(states, prob, test))
+              for start in range(0, rows.shape[0], TEST_CHUNK_ROWS)
+              for states in sysid_trajectory(rows[start:start + TEST_CHUNK_ROWS], prob)]
+    return np.array(errors) if theta.ndim == 2 else errors[0]
 
 
 # ---------------------------------------------------------------------------
@@ -606,14 +605,6 @@ def _control_plan(prob: ControlProblem) -> _ControlPlan:
     return _ControlPlan(n_steps, h, quad, False, stages, evals, col, w, tuple(blocks), final_row)
 
 
-def _checked_plan(prob: ControlProblem) -> _ControlPlan:
-    # The plan of a pass that runs: past max_steps the pass raises.
-    plan = prob.plan
-    if plan.exceeded:
-        raise ode.IntegrationError(f"max_steps={prob.integrator.max_steps} exceeded")
-    return plan
-
-
 def control_states(u_stage: np.ndarray, prob: ControlProblem) -> np.ndarray:
     """States of ``xdot = a x + b u`` at the step times, ``(..., n_steps + 1)``,
     given u on the plan's stage grid (the step starts, for rk4 also the
@@ -621,7 +612,8 @@ def control_states(u_stage: np.ndarray, prob: ControlProblem) -> np.ndarray:
     :func:`control_propagator` per :data:`PROPAGATOR_STEPS` steps, over the
     leading (member) axes, from the problem's plan.  A pass past
     ``max_steps`` raises :class:`ode.IntegrationError`."""
-    plan = _checked_plan(prob)
+    plan = prob.plan
+    ode._check_max_steps(plan.exceeded, prob.integrator)
     u = np.asarray(u_stage, dtype=float)
     if u.shape[-1] != plan.stages:
         raise ValueError(f"u has {u.shape[-1]} stage values, the pass reads {plan.stages}")

@@ -140,8 +140,8 @@ class ExperimentConfig:
         if self.wall_clock_budget_seconds is not None and self.wall_clock_budget_seconds <= 0:
             msgs.append("wall_clock_budget_seconds: must be positive")
         ek = self.eki
-        if ek.ensemble_size < 2:
-            msgs.append("eki.ensemble_size: need at least 2 members")
+        if not eki._quorate(ek.ensemble_size):
+            msgs.append(f"eki.ensemble_size: need at least {eki._QUORUM} members")
         msgs += _rule_errors("eki.expansion_mode", eki._check_expansion, 1, ek.expansion_mode)
         # One schedule per field, valid elsewhere, for one message per offending field.
         msgs += _rule_errors("eki.gamma0", eki.CovarianceSchedule, ek.gamma0, 1.0)
@@ -544,7 +544,7 @@ class _EkiDriver:
         epoch = self.epoch
         self.epoch += 1  # an update, a stall and a skipped update each spend it
         n_valid = self.ens.size - self.n_failed
-        if n_valid < 2:
+        if not eki._quorate(n_valid):
             self.events.append(("no_update", epoch, n_valid))
 
         try:
@@ -964,23 +964,12 @@ def plot_script(report_dirs, out_dir: str) -> list[str]:
         else:
             suffix = f"_{i}" if len(reports) > 1 else ""
             obs = prob.observations
-            # The field integrated from x0 over the grid, NaN if it diverged.
-            x0, plan = problems._grid_pass(prob)
-            states, failed = problems._net_states(report.theta[None], prob, x0, plan)
-            learned = np.where(failed[0], np.nan, states[0, 0])
-            n = obs.grid_states.shape[1]
-            emit(
-                f"trajectory{suffix}.csv",
-                ["t"]
-                + [f"x{i + 1}_learned" for i in range(n)]
-                + [f"x{i + 1}_reference" for i in range(n)],
-                [obs.grid_times] + [learned[:, i] for i in range(n)] + [obs.grid_states[:, i] for i in range(n)],
-            )
-            emit(
-                f"observations{suffix}.csv",
-                ["t"] + [f"obs_x{i + 1}" for i in range(n)],
-                [obs.times] + [obs.values[:, i] for i in range(n)],
-            )
+            learned = problems.sysid_trajectory(report.theta, prob)
+            names = [f"x{i + 1}" for i in range(obs.grid_states.shape[1])]
+            emit(f"trajectory{suffix}.csv",
+                 ["t"] + [f"{x}_learned" for x in names] + [f"{x}_reference" for x in names],
+                 [obs.grid_times, *learned.T, *obs.grid_states.T])
+            emit(f"observations{suffix}.csv", ["t"] + [f"obs_{x}" for x in names], [obs.times, *obs.values.T])
         log = _read_log(os.path.join(report_dir, "log.csv"))
         emit(
             f"loss_curve{suffix}.csv",

@@ -83,8 +83,16 @@ def test_eki_step_zero_residual_is_identity():
 
 
 def test_eki_step_single_member_is_identity():
+    # Below the quorum of two valid members nobody moves, also where the one
+    # valid member's residual overflows: its zero spread would scale inf to NaN.
     ens = make_ensemble([[1.0, 2.0]])
-    new = eki.eki_step(ens, outputs_from([[9.0]]), np.array([0.0]), gamma=1.0)
+    for gamma in (1.0, 5e-324):
+        new = eki.eki_step(ens, outputs_from([[9.0]]), np.array([0.0]), gamma=gamma)
+        assert np.array_equal(new.members, ens.members)
+    ens = make_ensemble([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
+    outs = outputs_from([[9.0], [0.0], [0.0]])
+    outs.failed = np.array([False, True, True])
+    new = eki.eki_step(ens, outs, np.array([0.0]), gamma=5e-324)
     assert np.array_equal(new.members, ens.members)
 
 

@@ -246,6 +246,28 @@ def test_batched_test_mse_matches_per_row_calls(request, fixture, rows):
     assert np.all(healthy < eki.PENALTY_LOSS)
 
 
+def test_sysid_trajectory_is_the_test_pass_with_failed_rows_nan(spiral_problem):
+    # A stack of a diverged row and a finite one: the finite row follows the
+    # scalar oracle over the whole grid and its held-out states give test_mse
+    # bitwise; the diverged row is NaN throughout and scores the penalty; a
+    # row alone is its row of the stack, bitwise.
+    prob, obs = spiral_problem, spiral_problem.observations
+    thetas = np.stack([np.full(nnet.param_count(prob.net), 1e6),
+                       nnet.mlp_init(prob.net, np.random.default_rng(5))])
+    states = problems.sysid_trajectory(thetas, prob)
+    assert states.shape == (2,) + obs.grid_states.shape
+    assert np.isnan(states[0]).all() and np.isfinite(states[1]).all()
+    test = obs.test_indices
+    diff = states[1][test] - obs.grid_states[test]
+    assert problems.test_mse(thetas, prob).tolist() == [eki.PENALTY_LOSS, np.mean(np.sum(diff * diff, axis=1))]
+    layers = nnet.unflatten(prob.net, thetas[1])
+    oracle = fixed_step_integrate(lambda x, t: nnet.mlp_apply(layers, x, prob.net.activation),
+                                  prob.x0, obs.grid_times, prob.integrator).states
+    assert np.all(np.abs(states[1] - oracle) <= 1e-12 * np.maximum(1.0, np.abs(oracle)))
+    for theta, row in zip(thetas, states):
+        assert _same_bits(problems.sysid_trajectory(theta, prob), row)
+
+
 def test_mse_agrees_with_forward_map_residuals(spiral_problem):
     # mse averages squared Euclidean mismatch over the 100 observations, so it
     # is computable from the stacked forward-map residual.

@@ -584,6 +584,22 @@ def test_plot_script_sysid_manifest(tmp_path):
     assert len(obs_rows) - 1 == 100
 
 
+def test_plot_of_a_diverged_sysid_run_writes_nan_beside_the_reference(tmp_path):
+    # At eta = 1e8 plain SGD diverges within an epoch: the final parameters'
+    # field fails on the reference grid, so every learned state reads NaN,
+    # t = 0 included, and the reference columns are the grid itself.
+    config = tiny("spiral-sgd-0.1", 3, gradient=runner.GradientOptions(eta=1e8))
+    report = runner.run(config, out_dir=str(tmp_path / "run"))
+    assert report.error is None and report.final_test_error == 1e12
+    runner.plot_script([str(tmp_path / "run")], str(tmp_path / "plots"))
+    header, rows = read_log(tmp_path / "plots" / "trajectory.csv")
+    assert header == ["t", "x1_learned", "x2_learned", "x1_reference", "x2_reference"]
+    obs = runner.build_problem(config).observations
+    assert [float(r[0]) for r in rows] == obs.grid_times.tolist()
+    assert all(r[1:3] == ["nan", "nan"] for r in rows)
+    assert [[float(v) for v in r[3:]] for r in rows] == obs.grid_states.tolist()
+
+
 def test_plot_script_control_mu_sweep(tmp_path):
     dirs = []
     for mu in MUS:
