@@ -199,34 +199,19 @@ def gamma_at(schedule: CovarianceSchedule, m: int) -> float:
     return schedule.gamma0 * float(np.exp(-schedule.alpha * m_eff))
 
 
-def ensemble_expand(
-    ens: Ensemble,
-    count: int,
-    spec: MlpSpec,
-    rng: np.random.Generator,
-    mode: str = "fresh",
-) -> Ensemble:
-    """Append ``count`` new members drawn from ``rng``; existing members
-    untouched.
-
-    ``mode="fresh"`` draws independent initializations, enlarging the affine
-    span the iteration can search; ``mode="perturb"`` centers the same draws
-    on the current ensemble mean.  A rejected call draws nothing.
-    """
-    _check_expansion(count, mode)
+def ensemble_expand(ens: Ensemble, count: int, spec: MlpSpec, rng: np.random.Generator) -> Ensemble:
+    """Append ``count`` independent initializations drawn from ``rng``,
+    enlarging the affine span the iteration can search; existing members
+    untouched.  A rejected call draws nothing."""
+    _check_expansion(count)
     if param_count(spec) != ens.dim:
         raise ValueError("spec parameter count does not match ensemble dimension")
-    fresh = mlp_init(spec, rng, count)
-    if mode == "perturb":
-        fresh = fresh + ensemble_mean(ens)
-    return Ensemble(np.vstack([ens.members, fresh]))
+    return Ensemble(np.vstack([ens.members, mlp_init(spec, rng, count)]))
 
 
-def _check_expansion(count: int, mode: str = "fresh") -> None:
+def _check_expansion(count: int) -> None:
     if count < 1:
         raise ValueError("count must be >= 1")
-    if mode not in ("fresh", "perturb"):
-        raise ValueError(f"expansion mode must be 'fresh' or 'perturb', got {mode!r}")
 
 
 def min_loss_member(losses) -> tuple[int, float]:

@@ -138,15 +138,13 @@ def _sysid(theta: np.ndarray, prob: SysIdProblem):
     # A non-finite state fails the bounds test, so only a flagged pass holds one.
     if failed[0] and not np.isfinite(states).all():
         raise _non_finite(int(np.argmin(np.isfinite(states).all(axis=(0, 1, 3)))))
-    n = plan.x0.shape[-1]
-    out = ForwardMapOutput(g=states.reshape(-1, n)[plan.obs_index].reshape(-1))
+    out = ForwardMapOutput(g=states.reshape(-1))
     loss = float(sysid_loss(out, prob))
 
-    # dL/d(state) is 2 (xhat - x) / M at the observations, zero elsewhere.
+    # dL/d(state) is 2 (xhat - x) / M: every sample is an observation.
     obs = prob.observations
-    gstates = np.zeros(states.shape)
     resid = out.g - obs.stacked_values()
-    gstates.reshape(-1, n)[plan.obs_index] = (2.0 / obs.values.shape[0]) * resid.reshape(-1, n)
+    gstates = ((2.0 / obs.values.shape[0]) * resid).reshape(states.shape)
     # The substeps are swept last first, and each pops its own field
     # evaluations; the sweep carries the state gradient alone, with the
     # coefficients the forward pass stepped with.

@@ -261,7 +261,7 @@ def integrate(
     trajectory = Trajectory(times=times.copy(), states=np.empty((times.size, x0.size)))
     trajectory.states[0] = x0
     # Step bookkeeping runs in time elapsed since times[0] so that shifting
-    # an autonomous problem in time cannot perturb the clip arithmetic; the
+    # an autonomous problem in time cannot change the clip arithmetic; the
     # field and error reports still see absolute time.  The state is a list
     # of floats (a scalar x0 runs as a 1-list), and every step fills the one
     # stage buffer, whose first row carries the FSAL stage between steps.

@@ -189,13 +189,13 @@ def make_observations(
 class SysIdProblem:
     """System-identification task: fit a network vector field to observations.
 
-    ``assembly`` selects how the forward map builds its prediction vector:
-    ``"full"`` integrates one trajectory from x0 over the whole horizon,
-    ``"shooting"`` re-initializes each observation subset at its first
-    observed state and integrates only across that subset.  Shooting keeps
-    every residual component bounded by the subset span, which is what makes
-    aggressive covariance schedules usable on long horizons.  The
-    observation runs must leave a grid point held out for :func:`test_mse`.
+    The forward map shoots (:func:`sysid_grid`): it re-initializes each
+    observation subset at its first observed state and integrates only
+    across that subset.  Shooting keeps every residual component bounded by
+    the subset span, which is what makes aggressive covariance schedules
+    usable on long horizons.  ``x0`` starts the whole-grid pass of
+    :func:`sysid_trajectory`.  The observation runs must leave a grid point
+    held out for :func:`test_mse`.
 
     Frozen, so that :attr:`plan`, derived once from the fields, stays theirs:
     ``dataclasses.replace`` makes a new problem with a plan of its own.
@@ -205,13 +205,11 @@ class SysIdProblem:
     observations: ObservationSet
     net: MlpSpec
     integrator: IntegratorConfig
-    assembly: str = "full"
 
     def __post_init__(self):
         n = np.asarray(self.x0).size
         if self.net.in_dim != n or self.net.out_dim != n:
             raise ValueError("network input/output dims must equal the state dimension")
-        _check_assembly(self.assembly)
         obs = self.observations
         _check_held_out(obs.num_subsets, obs.subset_length, obs.grid_times.size)
         ode._check_fixed_step(self.integrator.method)
@@ -220,17 +218,16 @@ class SysIdProblem:
     def plan(self) -> _SysIdPlan:
         """The training pass's grid and :class:`ode.LockstepPlan`, built on
         first use and shared by every forward map and BPTT pass."""
-        x0, times, obs_index = sysid_grid(self)
-        return _SysIdPlan(x0, obs_index, ode.LockstepPlan(times, self.integrator))
+        x0, times = sysid_grid(self)
+        return _SysIdPlan(x0, ode.LockstepPlan(times, self.integrator))
 
 
 class _SysIdPlan(NamedTuple):
     """The constants of a system-identification problem's training pass
-    (:attr:`SysIdProblem.plan`): the starts ``(B, n)`` and observation
-    indices of :func:`sysid_grid`, and the steps over its times."""
+    (:attr:`SysIdProblem.plan`): the starts ``(B, n)`` of
+    :func:`sysid_grid`, and the steps over its times."""
 
     x0: np.ndarray
-    obs_index: np.ndarray
     steps: ode.LockstepPlan
 
 
@@ -239,11 +236,6 @@ def _check_held_out(num_subsets: int, subset_length: int, grid_size: int) -> Non
     if num_subsets * subset_length >= grid_size:
         raise ValueError(f"{num_subsets} disjoint runs of {subset_length} must leave a held-out"
                          f" point in {grid_size} grid points")
-
-
-def _check_assembly(assembly: str) -> None:
-    if assembly not in ("full", "shooting"):
-        raise ValueError("assembly must be 'full' or 'shooting'")
 
 
 def make_sysid_problem(
@@ -255,7 +247,6 @@ def make_sysid_problem(
     subset_length: int = 10,
     net: MlpSpec = _SYSID_NET,
     integrator: IntegratorConfig | None = None,
-    assembly: str = "full",
 ) -> SysIdProblem:
     """The ``name`` benchmark of :data:`SYSID_BENCHMARKS`: the dopri5 grid of
     its true field from its x0, ``grid_size`` points on [0, t_final] (the
@@ -276,7 +267,7 @@ def make_sysid_problem(
     obs = make_observations(times, states, num_subsets, subset_length, data_rng)
     if integrator is None:
         integrator = IntegratorConfig(method="rk4", dt=times[1] - times[0], divergence_limit=1e3)
-    return SysIdProblem(x0, obs, net, integrator, assembly)
+    return SysIdProblem(x0, obs, net, integrator)
 
 
 def _net_states(theta: np.ndarray, prob: SysIdProblem, x0: np.ndarray, plan: ode.LockstepPlan,
@@ -312,19 +303,14 @@ def _net_states(theta: np.ndarray, prob: SysIdProblem, x0: np.ndarray, plan: ode
 
 
 def sysid_grid(prob: SysIdProblem):
-    """Where the forward map integrates under the problem's assembly mode.
-
-    Returns the starts ``(B, n)``, the sample times ``(B, K+1)`` and the
-    indices of the M observations among the ``B (K+1)`` samples, row-major.
-    Shooting starts each of the B subsets at its first observed state and
-    samples it at its observation times; full assembly integrates one row
-    from x0 over the reference grid.
+    """Where the forward map integrates: the starts ``(B, n)`` and sample
+    times ``(B, L)`` of the B observation subsets, each started at its first
+    observed state and sampled at its L observation times.  Row-major, the
+    samples are the observations in order.
     """
     obs = prob.observations
-    if prob.assembly == "shooting":
-        L = obs.subset_length
-        return obs.values[::L], obs.times.reshape(-1, L), np.arange(obs.times.size)
-    return np.asarray(prob.x0, dtype=float)[None], obs.grid_times[None], obs.train_indices
+    L = obs.subset_length
+    return obs.values[::L], obs.times.reshape(-1, L)
 
 
 def sysid_forward_map(theta: np.ndarray, prob: SysIdProblem) -> ForwardMapOutput:
@@ -334,8 +320,7 @@ def sysid_forward_map(theta: np.ndarray, prob: SysIdProblem) -> ForwardMapOutput
     """
     members = np.atleast_2d(np.asarray(theta, dtype=float))
     states, failed = _net_states(members, prob, prob.plan.x0, prob.plan.steps)
-    pred = states.reshape(members.shape[0], -1, states.shape[-1])[:, prob.plan.obs_index]
-    return ForwardMapOutput.of_members(theta, pred.reshape(members.shape[0], -1), failed)
+    return ForwardMapOutput.of_members(theta, states.reshape(members.shape[0], -1), failed)
 
 
 def sysid_loss(out: ForwardMapOutput, prob: SysIdProblem):
@@ -363,7 +348,7 @@ def _penalized(value) -> float:
 def mse(theta: np.ndarray, prob: SysIdProblem) -> float:
     """Training loss: (1/M) sum_l ||xhat(t_l) - x(t_l; theta)||^2.
 
-    The predictions x(t_l; theta) follow the problem's assembly mode, so the
+    The predictions x(t_l; theta) are the shooting forward map's, so the
     reported training error is exactly the quantity training minimizes.
     A failed or non-finite value is :data:`eki.PENALTY_LOSS`.
     """

@@ -56,15 +56,14 @@ class EkiOptions:
     scheduler for system identification; ``gamma``/``gamma_prime`` are the
     block covariance scales of the regularized control problem, with
     ``gamma_steps`` applying piecewise drops (integer epoch, new value).
-    ``expansions`` holds integer (epoch, count) pairs: count members are
-    appended at that epoch, drawn per ``expansion_mode`` (fresh
-    initializations, or the same draws recentered on the ensemble mean).
-
-    ``step_size`` is the artificial-time step h.  ``step_cap_rel`` caps the
+    ``expansions`` holds integer (epoch, count) pairs: count fresh
+    initializations are appended at that epoch.  ``step_cap_rel`` caps the
     first attempted step so no member moves more than that fraction of its
-    own scale; on rejection (more failures, or best loss worse than
-    ``accept_factor`` times the current best) the step is halved up to
-    ``max_backtracks`` times before the epoch stalls.
+    own scale; None leaves it at :data:`STEP_SIZE`.
+
+    No preset sets ``schedule_period`` or ``schedule_enabled``; each stays for
+    a reader beyond the tests: the period of the README's schedule formula,
+    and acceptance criterion 4's ablation of the schedule.
     """
 
     ensemble_size: int = 22
@@ -76,11 +75,7 @@ class EkiOptions:
     gamma_prime: float = 0.01
     gamma_steps: tuple = ()
     expansions: tuple = ()
-    expansion_mode: str = "fresh"
-    step_size: float = 1.0
     step_cap_rel: float | None = 0.5
-    accept_factor: float = 10.0
-    max_backtracks: int = 30
 
 
 @dataclass(frozen=True)
@@ -91,9 +86,11 @@ class GradientOptions:
 @dataclass(frozen=True)
 class ProblemOptions:
     """Problem construction knobs; ``mu`` only applies to linear_control,
-    the rest only to system identification."""
+    the rest only to system identification.  No preset sets those three, and
+    the README's design notes read each: ``grid_size`` the grid of
+    "Reference data", ``num_subsets``/``subset_length`` the runs that
+    "Shooting" starts from."""
 
-    assembly: str = "shooting"
     mu: float = 0.001
     grid_size: int | None = None
     num_subsets: int = 10
@@ -103,7 +100,8 @@ class ProblemOptions:
 @dataclass(frozen=True)
 class IntegratorOptions:
     """Overrides for the problem's default fixed-step integrator (method
-    euler or rk4, step ``dt``); None keeps the default."""
+    euler or rk4, step ``dt``); None keeps the default.  No preset sets
+    either; the README's config paragraph states the block's ``dt`` contract."""
 
     method: str | None = None
     dt: float | None = None
@@ -142,20 +140,14 @@ class ExperimentConfig:
         ek = self.eki
         if not eki._quorate(ek.ensemble_size):
             msgs.append(f"eki.ensemble_size: need at least {eki._QUORUM} members")
-        msgs += _rule_errors("eki.expansion_mode", eki._check_expansion, 1, ek.expansion_mode)
         # One schedule per field, valid elsewhere, for one message per offending field.
         msgs += _rule_errors("eki.gamma0", eki.CovarianceSchedule, ek.gamma0, 1.0)
         msgs += _rule_errors("eki.alpha", eki.CovarianceSchedule, 1.0, ek.alpha)
         msgs += _rule_errors("eki.schedule_period", eki.CovarianceSchedule, 1.0, 1.0, ek.schedule_period)
         for name in ("gamma", "gamma_prime"):
             msgs += _rule_errors(f"eki.{name}", eki._check_variances, getattr(ek, name))
-        for name in ("step_size", "accept_factor"):
-            if not getattr(ek, name) > 0:
-                msgs.append(f"eki.{name}: must be positive")
         if ek.step_cap_rel is not None and not ek.step_cap_rel > 0:
             msgs.append("eki.step_cap_rel: must be positive or null")
-        if ek.max_backtracks < 0:
-            msgs.append("eki.max_backtracks: must be nonnegative")
         if not _pairs(ek.gamma_steps, "float", eki._check_variances):
             msgs.append("eki.gamma_steps: need [epoch >= 0, gamma > 0] pairs, integer epochs")
         elif any(a[0] >= b[0] for a, b in zip(ek.gamma_steps, ek.gamma_steps[1:])):
@@ -164,7 +156,6 @@ class ExperimentConfig:
         if not _pairs(ek.expansions, "int", eki._check_expansion):
             msgs.append("eki.expansions: need [epoch >= 0, count >= 1] integer pairs")
         po = self.problem_options
-        msgs += _rule_errors("problem_options.assembly", problems._check_assembly, po.assembly)
         if runs := _rule_errors("problem_options.num_subsets / subset_length", problems._check_runs,
                                 po.num_subsets, po.subset_length):
             msgs += runs
@@ -249,11 +240,14 @@ def config_to_dict(config: ExperimentConfig) -> dict:
 
 
 def config_from_dict(data: dict) -> ExperimentConfig:
+    """The config a JSON object describes.  Every key that names no field,
+    such as one an older version had, is a :class:`ConfigError`: one message
+    per block, all blocks checked before any is built."""
+    def unknown(cls, block):
+        keys = set(block) - {f.name for f in dataclasses.fields(cls)}
+        return [f"{cls.__name__}: unknown keys {sorted(keys)}"] if keys else []
+
     def build(cls, block):
-        fields = {f.name: f for f in dataclasses.fields(cls)}
-        unknown = set(block) - set(fields)
-        if unknown:
-            raise ConfigError([f"{cls.__name__}: unknown keys {sorted(unknown)}"])
         kwargs = {}
         for key, value in block.items():
             if key in ("gamma_steps", "expansions") and isinstance(value, list):
@@ -265,16 +259,16 @@ def config_from_dict(data: dict) -> ExperimentConfig:
     if not isinstance(data, dict):
         raise ConfigError([f"config: expected a JSON object, got {type(data).__name__}"])
 
-    data = dict(data)
-    for key, cls in (
+    blocks = [(key, cls) for key, cls in (
         ("eki", EkiOptions),
         ("gradient", GradientOptions),
         ("problem_options", ProblemOptions),
         ("integrator", IntegratorOptions),
-    ):
-        if key in data and isinstance(data[key], dict):
-            data[key] = build(cls, data[key])
-    return build(ExperimentConfig, data)
+    ) if isinstance(data.get(key), dict)]
+    msgs = [m for key, cls in blocks for m in unknown(cls, data[key])] + unknown(ExperimentConfig, data)
+    if msgs:
+        raise ConfigError(msgs)
+    return build(ExperimentConfig, {**data, **{key: build(cls, data[key]) for key, cls in blocks}})
 
 
 def save_config(config: ExperimentConfig, path: str) -> None:
@@ -370,7 +364,7 @@ def build_problem(config: ExperimentConfig):
     else:
         prob = problems.make_sysid_problem(
             config.problem, data_rng, grid_size=po.grid_size, num_subsets=po.num_subsets,
-            subset_length=po.subset_length, assembly=po.assembly,
+            subset_length=po.subset_length,
         )
     # The set integrator options replace those of the problem's default.
     overrides = {k: v for k, v in dataclasses.asdict(config.integrator).items() if v is not None}
@@ -483,6 +477,14 @@ def _versions() -> dict:
 # ---------------------------------------------------------------------------
 # Drivers: one per optimizer, each a row() / advance() pair for run()'s loop
 
+# The EKI step control: the artificial-time step first tried (before
+# step_cap_rel), and the rejection rule.  A candidate with more failed
+# members, or whose best loss is worse than ACCEPT_FACTOR times the current
+# best, halves the step, at most MAX_BACKTRACKS times before the epoch stalls.
+STEP_SIZE = 1.0
+ACCEPT_FACTOR = 10.0
+MAX_BACKTRACKS = 30
+
 
 class _EkiDriver:
     """Shared mechanics for both problem families: evaluate members, log the
@@ -519,7 +521,7 @@ class _EkiDriver:
         epoch = self.epoch
         for ep, count in self.opts.expansions:
             if epoch == ep:
-                self.ens = eki.ensemble_expand(self.ens, count, self.spec, self.rng, self.opts.expansion_mode)
+                self.ens = eki.ensemble_expand(self.ens, count, self.spec, self.rng)
                 self.events.append(("expansion", ep, count))
                 self.outputs = None
         if self.outputs is None:
@@ -562,15 +564,15 @@ class _EkiDriver:
             self.ens = unit
             return
 
-        h = opts.step_size
+        h = STEP_SIZE
         if opts.step_cap_rel is not None:
             h = min(h, opts.step_cap_rel / maxrel)
-        for _ in range(opts.max_backtracks + 1):
+        for _ in range(MAX_BACKTRACKS + 1):
             cand = eki.Ensemble(self.ens.members + h * delta)
             cand_outputs = self.forward(cand.members)
             cand_losses = self.losses(cand_outputs, self.gamma)
             cand_fail = np.count_nonzero(cand_outputs.failed)
-            if cand_fail <= self.n_failed and cand_losses.min() <= opts.accept_factor * self.best:
+            if cand_fail <= self.n_failed and cand_losses.min() <= ACCEPT_FACTOR * self.best:
                 self.ens = cand
                 self.outputs = cand_outputs
                 return
@@ -895,8 +897,10 @@ for name in sorted(os.listdir(HERE)):
         for label, series in cols.items():
             style = "--" if "reference" in label or "optimal" in label else "-"
             ax.plot(t, series, style, label=label)
-        if os.path.exists(os.path.join(HERE, "observations.csv")):
-            obs = read("observations.csv")
+        # A trajectory's observations carry its suffix: trajectory_0.csv, observations_0.csv.
+        observations = "observations" + name[len("trajectory"):]
+        if os.path.exists(os.path.join(HERE, observations)):
+            obs = read(observations)
             t_obs = obs.pop("t")
             for label, series in obs.items():
                 ax.plot(t_obs, series, "r.", ms=4,
@@ -923,7 +927,8 @@ def plot_script(report_dirs, out_dir: str) -> list[str]:
     """Emit plot data CSVs plus one matplotlib script under ``out_dir``.
 
     System-identification reports produce ``trajectory.csv`` (learned vs
-    reference states), ``observations.csv`` and ``loss_curve.csv``; control
+    reference states), ``observations.csv`` and ``loss_curve.csv``, each
+    name suffixed ``_i`` when i is one of several reports plotted; control
     reports produce ``trajectory_mu*.csv`` and ``loss_curve_mu*.csv``, so two
     with one mu are a :class:`ConfigError`.  Returns the written file names.
     """

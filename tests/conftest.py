@@ -34,12 +34,12 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
 
 @pytest.fixture(scope="session")
 def spiral_problem():
-    return problems.make_sysid_problem("spiral", np.random.default_rng(0), assembly="shooting")
+    return problems.make_sysid_problem("spiral", np.random.default_rng(0))
 
 
 @pytest.fixture(scope="session")
 def pendulum_problem():
-    return problems.make_sysid_problem("pendulum", np.random.default_rng(1), assembly="shooting")
+    return problems.make_sysid_problem("pendulum", np.random.default_rng(1))
 
 
 @pytest.fixture(scope="session")
@@ -58,5 +58,4 @@ def small_spiral():
         num_subsets=2,
         subset_length=5,
         net=nnet.MlpSpec((2, 4, 2), "tanh"),
-        assembly="shooting",
     )

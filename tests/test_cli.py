@@ -126,7 +126,7 @@ def test_invalid_config_reports_each_message(tmp_path, capsys):
     # and no run starts.
     for key, value, field in (
         ("eki", {"expansions": [3]}, "eki.expansions"),
-        ("eki", {"step_size": "big"}, "eki.step_size"),
+        ("eki", {"step_cap_rel": "big"}, "eki.step_cap_rel"),
         ("epochs", "2", "epochs"),
         ("eki", {"ensemble_size": 2.5}, "eki.ensemble_size"),
         ("eki", [1], "eki"),
@@ -139,7 +139,7 @@ def test_invalid_config_reports_each_message(tmp_path, capsys):
         ("seed", -1, "seed"),
         # JSON Infinity and NaN parse, and no float field takes them.
         ("wall_clock_budget_seconds", math.inf, "wall_clock_budget_seconds"),
-        ("eki", {"step_size": math.inf, "step_cap_rel": None}, "eki.step_size"),
+        ("eki", {"step_cap_rel": math.inf}, "eki.step_cap_rel"),
         ("eki", {"gamma0": math.nan}, "eki.gamma0"),
         # Every grid point observed leaves no test error.
         ("problem_options", {"grid_size": 2, "num_subsets": 1, "subset_length": 2},
@@ -156,6 +156,41 @@ def test_invalid_config_reports_each_message(tmp_path, capsys):
         assert cli.main(["run", "--config", str(path), "--out", str(out)]) == 1
         assert f"config error: {field}:" in capsys.readouterr().err
         assert not (out / "report.json").exists()
+
+
+# Keys an earlier config format had, at the values it wrote, by block.
+REMOVED_KEYS = {
+    "eki": {"expansion_mode": "fresh", "step_size": 1.0, "accept_factor": 10.0, "max_backtracks": 30},
+    "problem_options": {"assembly": "shooting"},
+}
+REMOVED_KEY_ERRORS = [
+    "config error: EkiOptions: unknown keys ['accept_factor', 'expansion_mode', 'max_backtracks', 'step_size']",
+    "config error: ProblemOptions: unknown keys ['assembly']",
+]
+
+
+def test_removed_keys_are_config_errors(tmp_path, capsys):
+    # A config file or a report in the earlier format is refused, not read
+    # with its removed keys ignored: exit 1, each key named under its block.
+    def with_removed_keys(config):
+        for block, keys in REMOVED_KEYS.items():
+            config[block].update(keys)
+        return config
+
+    path, out = tmp_path / "c.json", tmp_path / "x"
+    path.write_text(json.dumps(with_removed_keys(runner.config_to_dict(runner.preset("spiral-eki")))))
+    assert cli.main(["run", "--config", str(path), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.splitlines() == REMOVED_KEY_ERRORS
+    assert not out.exists()
+    run_dir = tmp_path / "r"
+    runner.run(dataclasses.replace(runner.preset("spiral-eki"), epochs=1), out_dir=str(run_dir))
+    raw = json.loads((run_dir / "report.json").read_text())
+    with_removed_keys(raw["config"])
+    (run_dir / "report.json").write_text(json.dumps(raw))
+    capsys.readouterr()
+    assert cli.main(["plot", "--report", str(run_dir)]) == 1
+    assert capsys.readouterr().err.splitlines() == REMOVED_KEY_ERRORS
+    assert not (run_dir / "plots").exists()
 
 
 def test_runtime_failure_exits_two(tmp_path, capsys):

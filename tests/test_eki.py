@@ -236,18 +236,6 @@ def test_ensemble_expand_mean_recomputed_over_all_members():
     assert np.allclose(eki.ensemble_mean(grown), brute, rtol=1e-15, atol=0.0)
 
 
-def test_ensemble_expand_perturb_mode_centers_on_mean():
-    spec = nnet.MlpSpec((2, 3, 2), "tanh")
-    members = np.ones((2, nnet.param_count(spec))) * 5.0
-    fresh = eki.ensemble_expand(make_ensemble(members), 3, spec, np.random.default_rng(1))
-    shifted = eki.ensemble_expand(
-        make_ensemble(members), 3, spec, np.random.default_rng(1), mode="perturb"
-    )
-    assert np.allclose(shifted.members[2:], fresh.members[2:] + 5.0, atol=1e-15)
-    with pytest.raises(ValueError):
-        eki.ensemble_expand(make_ensemble(members), 3, spec, np.random.default_rng(1), mode="x")
-
-
 @pytest.mark.parametrize("count, layer_sizes, message", [
     (0, (2, 3, 2), "count"),
     (1, (2, 4, 2), "parameter count"),

@@ -45,7 +45,6 @@ def zero_field_problem():
         observations=obs,
         net=nnet.MlpSpec((2, 4, 2), "tanh"),
         integrator=ode.IntegratorConfig(method="rk4", dt=0.05),
-        assembly="shooting",
     )
 
 
@@ -75,14 +74,6 @@ def test_sysid_gradient_matches_finite_differences(small_spiral):
         grad = gradbase.bptt_value_and_gradient(theta, small_spiral)[1]
         ref = fd_gradient(lambda t: gradbase.bptt_value_and_gradient(t, small_spiral)[0], theta)
         assert_fd_close(grad, ref)
-
-
-def test_sysid_gradient_matches_finite_differences_full_assembly(small_spiral):
-    prob = replace(small_spiral, assembly="full")
-    theta = nnet.mlp_init(prob.net, np.random.default_rng(2))
-    grad = gradbase.bptt_value_and_gradient(theta, prob)[1]
-    ref = fd_gradient(lambda t: gradbase.bptt_value_and_gradient(t, prob)[0], theta)
-    assert_fd_close(grad, ref)
 
 
 def test_sysid_gradient_matches_finite_differences_euler(small_spiral):
@@ -293,9 +284,12 @@ def test_stacked_accumulation_is_bitwise_per_call(spiral_problem, small_spiral, 
     # exactly: each stacked product is the per-call product and the calls
     # are reduced in sweep order.
     fine = ode.IntegratorConfig(method="rk4", dt=small_spiral.integrator.dt / 2.5)
+    obs = spiral_problem.observations
+    one_run = problems.make_observations(obs.grid_times, obs.grid_states, 1, 100, np.random.default_rng(0))
     cases = [
         (spiral_problem, {}),
-        (replace(spiral_problem, assembly="full"), {}),
+        # A single shooting run is a one-row pass, whose products are gemv.
+        (replace(spiral_problem, observations=one_run), {}),
         (replace(small_spiral, integrator=replace(small_spiral.integrator, method="euler")), {}),
         (replace(small_spiral, net=nnet.MlpSpec((2, 6, 5, 2), "elu")), {}),
         (replace(small_spiral, integrator=fine), {}),
@@ -363,7 +357,7 @@ def test_passes_match_the_column_oracle_bitwise(spiral_problem, monkeypatch, met
     # substeps per interval, and the spiral preset, whose subsets' spans
     # differ in their last bits.  Forward maps of 5 members and of 1, and
     # the BPTT loss, gradient and flag, equal the column arithmetic's bitwise.
-    uneven = _uneven_sysid_problem(np.random.default_rng(5), "shooting", method, 0.04, "tanh")
+    uneven = _uneven_sysid_problem(np.random.default_rng(5), method, 0.04, "tanh")
     spiral = replace(spiral_problem, integrator=replace(spiral_problem.integrator, method=method))
     for prob in (uneven, spiral):
         steps = prob.plan.steps
@@ -446,17 +440,16 @@ def test_bptt_loss_matches_problem_losses(small_spiral, control_problem, monkeyp
 
     monkeypatch.setattr(ode, "substeps", counted_substeps)
     theta = nnet.mlp_init(small_spiral.net, np.random.default_rng(8))
-    for assembly in ("shooting", "full"):
-        for method in ("rk4", "euler"):
-            integrator = replace(small_spiral.integrator, method=method, divergence_limit=5.0)
-            prob = replace(small_spiral, assembly=assembly, integrator=integrator)
-            for scale in (1.0, 30.0):
-                loss, _, flag = gradbase.bptt_value_and_gradient(scale * theta, prob)
-                assert flag == problems.sysid_forward_map(scale * theta, prob).failed
-                assert flag == (scale == 30.0)
-                assert flag or loss == problems.mse(scale * theta, prob), (assembly, method)
-            assert len(decided) == 1, (assembly, method)
-            del decided[:]
+    for method in ("rk4", "euler"):
+        integrator = replace(small_spiral.integrator, method=method, divergence_limit=5.0)
+        prob = replace(small_spiral, integrator=integrator)
+        for scale in (1.0, 30.0):
+            loss, _, flag = gradbase.bptt_value_and_gradient(scale * theta, prob)
+            assert flag == problems.sysid_forward_map(scale * theta, prob).failed
+            assert flag == (scale == 30.0)
+            assert flag or loss == problems.mse(scale * theta, prob), method
+        assert len(decided) == 1, method
+        del decided[:]
 
     theta_c = nnet.mlp_init(control_problem.controller, np.random.default_rng(9))
     loss_c, _, _ = gradbase.bptt_value_and_gradient(
@@ -537,20 +530,19 @@ def test_unfold_beyond_max_steps_raises(small_spiral):
 
 
 @pytest.mark.parametrize("method", ["euler", "rk4"])
-@pytest.mark.parametrize("assembly", ["shooting", "full"])
-def test_sysid_max_steps_boundary(small_spiral, method, assembly):
+def test_sysid_max_steps_boundary(small_spiral, method):
     # A dt of 1/2.5 of the grid spacing takes 3 substeps per interval: 12 per
-    # shooting run of 5 observations, 117 over the 40-point full grid.  At
-    # exactly that many steps the forward map, the lockstep core and the BPTT
-    # pass run; at one more than max_steps every member fails and BPTT raises.
+    # shooting run of 5 observations.  At exactly that many steps the forward
+    # map, the lockstep core and the BPTT pass run; at one more than
+    # max_steps every member fails and BPTT raises.
     spacing = small_spiral.observations.grid_times[1]
-    steps = 3 * (4 if assembly == "shooting" else 39)
+    steps = 3 * 4
     theta = nnet.mlp_init(small_spiral.net, np.random.default_rng(23), 3)
     for max_steps, exceeded in ((steps, False), (steps - 1, True)):
         integrator = ode.IntegratorConfig(method=method, dt=spacing / 2.5, max_steps=max_steps,
                                           divergence_limit=1e3)
-        prob = replace(small_spiral, assembly=assembly, integrator=integrator)
-        x0, times, _ = problems.sysid_grid(prob)
+        prob = replace(small_spiral, integrator=integrator)
+        x0, times = problems.sysid_grid(prob)
         _, failed = ode.integrate_lockstep(np.negative, np.broadcast_to(x0, (3,) + x0.shape),
                                            ode.LockstepPlan(times, integrator))
         out = problems.sysid_forward_map(theta, prob)
@@ -607,7 +599,6 @@ def two_run_problem(first_spacing, second_spacing, dt):
         observations=obs,
         net=nnet.MlpSpec((2, 4, 2), "tanh"),
         integrator=ode.IntegratorConfig(method="rk4", dt=dt),
-        assembly="shooting",
     )
 
 

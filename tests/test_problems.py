@@ -156,10 +156,12 @@ def test_spiral_problem_layout(spiral_problem):
 
 
 def test_sysid_problem_rejects_a_mismatched_net_and_an_unknown_assembly(spiral_problem):
+    # Shooting is the only forward map, so the problem takes no assembly at all.
     with pytest.raises(ValueError, match="state dimension"):
         replace(spiral_problem, net=nnet.MlpSpec((3, 10, 3)))
-    with pytest.raises(ValueError, match="assembly must be"):
-        replace(spiral_problem, assembly="multiple")
+    for assembly in ("multiple", "full", "shooting"):
+        with pytest.raises(TypeError, match="assembly"):
+            replace(spiral_problem, assembly=assembly)
 
 
 def test_spiral_reference_matches_closed_form(spiral_problem):
@@ -275,17 +277,6 @@ def test_mse_agrees_with_forward_map_residuals(spiral_problem):
     out = problems.sysid_forward_map(theta, spiral_problem)
     y = spiral_problem.observations.values.reshape(-1)
     assert abs(problems.mse(theta, spiral_problem) - np.sum((out.g - y) ** 2) / 100.0) < 1e-15
-
-
-def test_full_assembly_differs_from_shooting(spiral_problem):
-    from dataclasses import replace
-
-    full = replace(spiral_problem, assembly="full")
-    theta = nnet.mlp_init(spiral_problem.net, np.random.default_rng(4))
-    a = problems.sysid_forward_map(theta, spiral_problem)
-    b = problems.sysid_forward_map(theta, full)
-    assert a.g.shape == b.g.shape
-    assert not np.array_equal(a.g, b.g)
 
 
 def test_test_mse_covers_held_out_points_only(spiral_problem):
@@ -446,7 +437,7 @@ def test_control_problem_overrides():
     assert np.isfinite(problems.control_forward_map(np.zeros((1, nnet.param_count(one.controller))), one).g).all()
 
 
-def _uneven_sysid_problem(rng, assembly, method, dt, activation):
+def _uneven_sysid_problem(rng, method, dt, activation):
     # A grid with random spacing, so each shooting subset has its own step
     # lengths, and a dt that (when small) forces several substeps per
     # interval.  Every spacing needs the same count at either dt (4 at 0.04,
@@ -456,7 +447,7 @@ def _uneven_sysid_problem(rng, assembly, method, dt, activation):
     obs = problems.make_observations(grid_times, grid_states, 3, 4, rng)
     return problems.SysIdProblem(
         grid_states[0], obs, nnet.MlpSpec((2, 6, 2), activation),
-        ode.IntegratorConfig(method=method, dt=dt, divergence_limit=50.0), assembly,
+        ode.IntegratorConfig(method=method, dt=dt, divergence_limit=50.0),
     )
 
 
@@ -478,9 +469,6 @@ def _scalar_sysid(theta, prob):
 
     obs = prob.observations
     try:
-        if prob.assembly == "full":
-            traj = fixed_step_integrate(field, prob.x0, obs.grid_times, prob.integrator)
-            return traj.states[obs.train_indices].reshape(-1), False
         L = obs.subset_length
         parts = [
             fixed_step_integrate(field, obs.values[i], obs.times[i:i + L], prob.integrator).states
@@ -494,15 +482,14 @@ def _scalar_sysid(theta, prob):
 @seed(10)
 @given(
     st.integers(0, 2**32 - 1),
-    st.sampled_from(["full", "shooting"]),
     st.sampled_from(["euler", "rk4"]),
     st.sampled_from([1.0, 0.04]),
     st.sampled_from(["tanh", "elu"]),
 )
 @settings(max_examples=30, deadline=None)
-def test_batched_sysid_forward_map_matches_scalar_integrate(s, assembly, method, dt, activation):
+def test_batched_sysid_forward_map_matches_scalar_integrate(s, method, dt, activation):
     rng = np.random.default_rng(s)
-    prob = _uneven_sysid_problem(rng, assembly, method, dt, activation)
+    prob = _uneven_sysid_problem(rng, method, dt, activation)
     members = _mixed_ensemble(rng, prob.net, 1e3)
     out = problems.sysid_forward_map(members, prob)
     assert out.g.shape == (5, prob.observations.values.size)
@@ -588,14 +575,13 @@ def _bptt(theta, prob):
 @pytest.mark.parametrize("members, rows", [(22, 10), (1, 10), (5, 3), (5, 1), (1, 1)])
 def test_laid_out_pass_matches_the_view_pass(monkeypatch, members, rows, method, activation):
     # A pass of more than one row per member lays its layers out for gemm;
-    # a one-row pass keeps the views.  Either way its states, failure flags
+    # a one-row pass, a single shooting run here, keeps the views.  Either way its states, failure flags
     # and BPTT gradients are the view pass's bits, NaNs included: member 0
     # overflows to non-finite states and the last one passes the limit.
     prob = problems.make_sysid_problem(
         "spiral", np.random.default_rng(rows), grid_size=60, t_final=6.0,
         num_subsets=rows, subset_length=5, net=nnet.MlpSpec((2, 10, 2), activation),
         integrator=ode.IntegratorConfig(method=method, dt=0.05, divergence_limit=1e3),
-        assembly="shooting" if rows > 1 else "full",
     )
     x0, plan = prob.plan.x0, prob.plan.steps
     assert x0.shape[0] == rows

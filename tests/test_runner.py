@@ -8,6 +8,8 @@ import json
 import math
 import os
 import shutil
+import subprocess
+import sys
 import time
 
 import numpy as np
@@ -45,10 +47,10 @@ def test_validation_collects_all_errors():
         epochs=-1,
         eki=runner.EkiOptions(
             ensemble_size=1,
-            expansion_mode="clone",
+            schedule_period=0,
             gamma0=-1.0,
             expansions=((1, 0),),
-            step_size=-1.0,
+            step_cap_rel=-1.0,
         ),
         gradient=runner.GradientOptions(eta=0.0),
         problem_options=runner.ProblemOptions(num_subsets=100),
@@ -58,8 +60,8 @@ def test_validation_collects_all_errors():
         config.validate()
     joined = "\n".join(info.value.messages)
     needles = (
-        "problem", "optimizer", "epochs", "ensemble_size", "expansion_mode", "eta",
-        "gamma0", "expansions", "step_size", "integrator.method", "integrator.dt",
+        "problem", "optimizer", "epochs", "ensemble_size", "schedule_period", "eta",
+        "gamma0", "expansions", "step_cap_rel", "integrator.method", "integrator.dt",
     )
     for needle in needles:
         assert needle in joined
@@ -70,7 +72,7 @@ def test_validation_collects_all_errors():
         {"problem_options": runner.ProblemOptions(num_subsets=100)},
         {"eki": runner.EkiOptions(gamma0=-1.0)},
         {"eki": runner.EkiOptions(expansions=((1, 0),))},
-        {"eki": runner.EkiOptions(step_size=-1.0)},
+        {"eki": runner.EkiOptions(step_cap_rel=-1.0)},
         # Expansions fire at an integer epoch and add whole members.
         {"eki": runner.EkiOptions(expansions=((3.5, 20),))},
         {"eki": runner.EkiOptions(expansions=((3, 2.5),))},
@@ -81,7 +83,7 @@ def test_validation_collects_all_errors():
         {"seed": -1},
         # No float field takes an infinity or NaN.
         {"epochs": None, "wall_clock_budget_seconds": math.inf},
-        {"eki": runner.EkiOptions(step_size=math.inf, step_cap_rel=None)},
+        {"eki": runner.EkiOptions(step_cap_rel=math.inf)},
         {"eki": runner.EkiOptions(gamma_steps=((1, math.nan),))},
         {"integrator": runner.IntegratorOptions(dt=math.nan)},
         # The test error needs at least one held-out grid point.
@@ -96,8 +98,8 @@ def test_validation_collects_all_errors():
         {"problem_options": runner.ProblemOptions(num_subsets=0)},
         {"problem_options": runner.ProblemOptions(grid_size=1)},
         {"eki": runner.EkiOptions(alpha=0.0)},
-        {"eki": runner.EkiOptions(expansion_mode="clone")},
-        {"problem_options": runner.ProblemOptions(assembly="multiple")},
+        {"integrator": runner.IntegratorOptions(method="midpoint")},
+        {"problem": "lorenz"},
         {"integrator": runner.IntegratorOptions(dt=0.0)},
         {"problem": "linear_control", "optimizer": "adam",
          "problem_options": runner.ProblemOptions(mu=-1e-3)},
@@ -123,12 +125,12 @@ def test_validation_collects_all_errors():
         {"eki": runner.EkiOptions(gamma0=5e-324)},
         {"eki": runner.EkiOptions(alpha=5e-324)},
         {"eki": runner.EkiOptions(schedule_period=1)},
-        {"eki": runner.EkiOptions(expansion_mode="perturb")},
+        {"eki": runner.EkiOptions(step_cap_rel=5e-324)},
         # Drops and expansions may start at epoch 0; an expansion of one member.
         {"eki": runner.EkiOptions(gamma=5e-324, gamma_prime=5e-324, gamma_steps=((0, 5e-324),),
                                   expansions=((0, 1),))},
         {"problem_options": runner.ProblemOptions(num_subsets=1, subset_length=1)},
-        {"problem_options": runner.ProblemOptions(assembly="full")},
+        {"problem": "pendulum", "optimizer": "sgd"},
         {"integrator": runner.IntegratorOptions(method="euler", dt=5e-324)},
         {"problem": "linear_control", "optimizer": "adam",
          "problem_options": runner.ProblemOptions(mu=0.0)},
@@ -305,13 +307,12 @@ def test_two_expansions_at_one_epoch_both_apply(tmp_path):
     assert expansions == [["expansion", 3, 5], ["expansion", 3, 7]]
 
 
-def test_stall_holds_the_ensemble(tmp_path):
+def test_stall_holds_the_ensemble(tmp_path, monkeypatch):
     # No candidate can beat 1e-12 times the current best loss and no
     # backtrack is allowed, so every epoch stalls and the ensemble stays put.
-    eki_opts = dataclasses.replace(
-        runner.preset("spiral-eki").eki, accept_factor=1e-12, max_backtracks=0
-    )
-    runner.run(tiny("spiral-eki", 2, eki=eki_opts), out_dir=str(tmp_path / "r"))
+    monkeypatch.setattr(runner, "ACCEPT_FACTOR", 1e-12)
+    monkeypatch.setattr(runner, "MAX_BACKTRACKS", 0)
+    runner.run(tiny("spiral-eki", 2), out_dir=str(tmp_path / "r"))
     report = json.loads((tmp_path / "r" / "report.json").read_text())
     assert report["events"] == [["stall", 0], ["stall", 1]]
     _, rows = read_log(str(tmp_path / "r" / "log.csv"))
@@ -319,13 +320,12 @@ def test_stall_holds_the_ensemble(tmp_path):
     assert all(row[3:] == rows[0][3:] for row in rows)
 
 
-def test_events_are_logged_in_epoch_order(tmp_path):
+def test_events_are_logged_in_epoch_order(tmp_path, monkeypatch):
     # Expansions, stalls and skipped updates go into one log as they happen:
     # the expansion at epoch 3 comes after the stalls before it.
-    eki_opts = dataclasses.replace(
-        runner.preset("control-eki-mu0.001").eki, accept_factor=1e-12, max_backtracks=1
-    )
-    report = runner.run(tiny("control-eki-mu0.001", 5, eki=eki_opts), out_dir=str(tmp_path / "r"))
+    monkeypatch.setattr(runner, "ACCEPT_FACTOR", 1e-12)
+    monkeypatch.setattr(runner, "MAX_BACKTRACKS", 1)
+    report = runner.run(tiny("control-eki-mu0.001", 5), out_dir=str(tmp_path / "r"))
     assert [list(e) for e in report.events] == [
         ["stall", 0], ["stall", 1], ["stall", 2], ["expansion", 3, 20], ["stall", 3], ["stall", 4]
     ]
@@ -333,7 +333,7 @@ def test_events_are_logged_in_epoch_order(tmp_path):
 
 def test_a_vanishing_step_stalls_without_more_backtracks(tmp_path, monkeypatch):
     # From h = 1e-16 one halving is already below the smallest usable step,
-    # so each epoch tries one candidate and stalls, whatever max_backtracks
+    # so each epoch tries one candidate and stalls, whatever MAX_BACKTRACKS
     # allows: the first row's evaluation and two candidates in all.
     real, calls = problems.sysid_forward_map, []
 
@@ -342,10 +342,10 @@ def test_a_vanishing_step_stalls_without_more_backtracks(tmp_path, monkeypatch):
         return real(members, prob)
 
     monkeypatch.setattr(problems, "sysid_forward_map", counted)
-    eki_opts = dataclasses.replace(
-        runner.preset("spiral-eki").eki, step_size=1e-16, accept_factor=0.5, max_backtracks=1000
-    )
-    report = runner.run(tiny("spiral-eki", 2, eki=eki_opts), out_dir=str(tmp_path / "r"))
+    monkeypatch.setattr(runner, "STEP_SIZE", 1e-16)
+    monkeypatch.setattr(runner, "ACCEPT_FACTOR", 0.5)
+    monkeypatch.setattr(runner, "MAX_BACKTRACKS", 1000)
+    report = runner.run(tiny("spiral-eki", 2), out_dir=str(tmp_path / "r"))
     assert [list(e) for e in report.events] == [["stall", 0], ["stall", 1]]
     assert len(calls) == 3
 
@@ -624,6 +624,72 @@ def test_plot_reads_the_log_beside_the_report(tmp_path):
     runner.plot_script([str(tmp_path / "b")], str(tmp_path / "pb"))
     curve = "loss_curve_mu0.001.csv"
     assert (tmp_path / "pb" / curve).read_bytes() == (tmp_path / "pa" / curve).read_bytes()
+
+
+# A stand-in for matplotlib, which the package does not depend on: each
+# figure records its axes' and its own method calls, written out at exit.
+STUB_PYPLOT = '''\
+import atexit
+import json
+import os
+
+figures = []
+
+
+class _Recorder:
+    def __init__(self, calls):
+        self.calls = calls
+
+    def __getattr__(self, name):
+        return lambda *args, **kwargs: self.calls.append([name, list(args), kwargs])
+
+
+def subplots():
+    figures.append([])
+    return _Recorder(figures[-1]), _Recorder(figures[-1])
+
+
+def close(fig):
+    pass
+
+
+atexit.register(lambda: json.dump(figures, open(os.environ["PLOT_CALLS"], "w")))
+'''
+
+
+def test_emitted_plot_script_draws_each_trajectory_with_its_own_observations(tmp_path):
+    # Two spiral reports and one control report: the sysid files take the
+    # suffixes _0 and _1, and each trajectory figure plots the observations
+    # of its own suffix; the control figure plots none.  Every trajectory
+    # and loss-curve CSV gives one PNG (observations are drawn into their
+    # trajectory's figure).  The script runs in a child under the stub.
+    dirs = [str(tmp_path / name) for name in ("s0", "s1", "c")]
+    for seed, out in enumerate(dirs[:2]):
+        runner.run(tiny("spiral-eki", 1, seed=seed), out_dir=out)
+    runner.run(tiny("control-eki-mu0.001", 1), out_dir=dirs[2])
+    plots = tmp_path / "plots"
+    written = runner.plot_script(dirs, str(plots))
+    stub = tmp_path / "stub" / "matplotlib"
+    stub.mkdir(parents=True)
+    (stub / "__init__.py").write_text("def use(backend):\n    pass\n")
+    (stub / "pyplot.py").write_text(STUB_PYPLOT)
+    env = {**os.environ, "PYTHONPATH": str(stub.parent), "PLOT_CALLS": str(tmp_path / "calls.json")}
+    subprocess.run([sys.executable, str(plots / "plot.py")], env=env, check=True, capture_output=True)
+    figures = {}
+    for calls in json.loads((tmp_path / "calls.json").read_text()):
+        (path,) = [args[0] for name, args, _ in calls if name == "savefig"]
+        figures[os.path.basename(path)] = [args for name, args, _ in calls if name == "plot" and args[2] == "r."]
+    csvs = [name for name in written if name.endswith(".csv") and not name.startswith("observations")]
+    assert len(csvs) == 6 and sorted(figures) == sorted(name.replace(".csv", ".png") for name in csvs)
+    times = []
+    for i in range(2):
+        _, rows = read_log(plots / f"observations_{i}.csv")
+        columns = [[float(v) for v in column] for column in zip(*rows)]
+        assert figures[f"trajectory_{i}.png"] == [[columns[0], series, "r."] for series in columns[1:]]
+        times.append(columns[0])
+    # The two seeds observe different runs, so no figure could pass with the other's.
+    assert times[0] != times[1]
+    assert figures["trajectory_mu0.001.png"] == []
 
 
 def test_every_artefact_goes_through_one_writer(tmp_path, monkeypatch):

@@ -1,0 +1,103 @@
+"""Print the SHA-256 of each run's ``log.csv`` and ``report.json`` over a
+fixed list of short runs, to show that a change leaves every log bitwise.
+
+The list is every preset at 3 epochs for seeds 0 and 1, plus the failure
+paths a config can reach: a pass past ``max_steps`` (through
+``integrator.dt``), epochs without an update, a non-finite update, a noise
+variance that underflows, diverged gradient runs, and stalls.  A stall needs
+the EKI step control's module constants in ``runner``, which these runs
+patch for their duration.  ``report.json`` is hashed without
+``runtime_seconds`` and ``log_path``, which differ between reruns.
+
+The bits depend on the BLAS kernel and the CPU features, so compare the
+listings of two trees made on one machine, in one environment:
+
+    PYTHONPATH=src python tools/log_hashes.py > hashes.txt
+
+Each line reads ``<case> <log.csv sha256> <report.json sha256>``.  Runs in
+process, in a temporary directory, in a few seconds.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import hashlib
+import json
+import os
+import sys
+import tempfile
+
+from ekinode import runner
+
+# Fields of report.json that differ between reruns of one config.
+VOLATILE = ("runtime_seconds", "log_path")
+
+
+def _config(base, epochs, **blocks):
+    # A preset at ``epochs``, with fields of its option blocks replaced.
+    config = dataclasses.replace(runner.preset(base), epochs=epochs)
+    for block, values in blocks.items():
+        config = dataclasses.replace(config, **{block: dataclasses.replace(getattr(config, block), **values)})
+    return config
+
+
+def cases():
+    """``(name, config, patches)`` per run; ``patches`` maps names of
+    ``runner`` module constants to the values the run takes."""
+    out = [(f"{name}@3-seed{seed}", dataclasses.replace(config, epochs=3, seed=seed), {})
+           for name, config in sorted(runner.presets().items()) for seed in (0, 1)]
+    out += [
+        # The first BPTT pass is past max_steps: no row, no parameters.
+        ("max-steps-spiral-adam", _config("spiral-adam-0.01", 2, integrator={"dt": 1e-300}), {}),
+        # Every member past max_steps: each epoch is a no_update event.
+        ("no-update-spiral", _config("spiral-eki", 3, integrator={"dt": 1e-12}), {}),
+        ("no-update-control", _config("control-eki-mu0.001", 3, integrator={"dt": 1e-12}), {}),
+        ("non-finite-update", _config("control-eki-mu0.001", 3, problem_options={"mu": 1e308}), {}),
+        ("variance-schedule-underflow", _config("spiral-eki", 3, eki={"alpha": 1000.0}), {}),
+        ("variance-energy-underflow",
+         _config("control-eki-mu0.001", 3, eki={"gamma_prime": 5e-324}, problem_options={"mu": 2.0}), {}),
+        ("diverged-sgd", _config("spiral-sgd-0.1", 3, gradient={"eta": 1e8}), {}),
+        ("diverged-adam", _config("spiral-adam-0.01", 3, gradient={"eta": 10.0}), {}),
+        ("non-finite-adam", _config("control-adam-mu0.001", 2, gradient={"eta": 1e308}), {}),
+        ("stall-spiral", _config("spiral-eki", 2), {"ACCEPT_FACTOR": 1e-12, "MAX_BACKTRACKS": 0}),
+        ("stall-control", _config("control-eki-mu0.001", 5), {"ACCEPT_FACTOR": 1e-12, "MAX_BACKTRACKS": 1}),
+        ("stall-vanishing-step", _config("spiral-eki", 2),
+         {"STEP_SIZE": 1e-16, "ACCEPT_FACTOR": 0.5, "MAX_BACKTRACKS": 1000}),
+    ]
+    return out
+
+
+def report_bytes(raw: dict) -> bytes:
+    """A loaded report.json without its volatile fields, serialized as
+    :func:`runner.run` writes it."""
+    raw = {key: value for key, value in raw.items() if key not in VOLATILE}
+    return (json.dumps(raw, indent=2) + "\n").encode()
+
+
+def run_case(config, patches, out_dir) -> tuple[str, str]:
+    """The hex digests of the run's log.csv and report.json."""
+    saved = {name: getattr(runner, name) for name in patches}
+    try:
+        for name, value in patches.items():
+            setattr(runner, name, value)
+        runner.run(config, out_dir=out_dir)
+    finally:
+        for name, value in saved.items():
+            setattr(runner, name, value)
+    with open(os.path.join(out_dir, "log.csv"), "rb") as fh:
+        log = fh.read()
+    with open(os.path.join(out_dir, "report.json")) as fh:
+        report = report_bytes(json.load(fh))
+    return hashlib.sha256(log).hexdigest(), hashlib.sha256(report).hexdigest()
+
+
+def main() -> int:
+    with tempfile.TemporaryDirectory() as tmp:
+        for i, (name, config, patches) in enumerate(cases()):
+            log, report = run_case(config, patches, os.path.join(tmp, str(i)))
+            print(name, log, report)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
