@@ -20,7 +20,7 @@ from .eki import (
 )
 from .gradbase import AdamState, adam_init, adam_step, sgd_step
 from .nnet import MlpSpec, mlp_init, param_count
-from .ode import IntegrationError, IntegratorConfig, Trajectory, integrate
+from .ode import DopriConfig, IntegrationError, IntegratorConfig, Trajectory, integrate
 from .problems import (
     ControlProblem,
     ObservationSet,
@@ -40,6 +40,7 @@ __all__ = [
     "AdamState",
     "ControlProblem",
     "CovarianceSchedule",
+    "DopriConfig",
     "Ensemble",
     "ExperimentConfig",
     "ForwardMapOutput",

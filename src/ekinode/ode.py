@@ -15,8 +15,8 @@ those of the textbook array step (see :func:`dopri_step`).
 ``(members, trajectories, state)`` array of autonomous fields in lockstep,
 each inter-sample interval in equal substeps, and reports divergence as a
 per-member mask instead of raising.  A :class:`LockstepPlan` holds what its
-passes over one time grid share: the step counts and every step's
-coefficients.
+passes over one time grid under one :class:`IntegratorConfig` share: the
+step counts and every step's coefficients.
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 __all__ = [
+    "DopriConfig",
     "IntegrationError",
     "IntegratorConfig",
     "Trajectory",
@@ -40,51 +41,51 @@ __all__ = [
 
 VectorField = Callable[[Sequence[float], float], Sequence[float]]
 
-METHODS = ("euler", "rk4", "dopri5")
-# The methods that integrate_lockstep runs, and so every training run.
-FIXED_STEP_METHODS = ("euler", "rk4")
-
-
-def _check_fixed_step(method: str) -> None:
-    if method not in FIXED_STEP_METHODS:
-        raise ValueError(f"training integrates with euler or rk4, got {method!r}")
-
 
 class IntegrationError(RuntimeError):
     """Raised when a trajectory leaves the finite domain or exhausts max_steps."""
 
 
+def _check_positive(config, *names: str) -> None:
+    # The rule of both records: the named fields and the shared bounds positive.
+    for name in (*names, "divergence_limit", "max_steps"):
+        if not getattr(config, name) > 0:
+            raise ValueError(f"{name} must be positive")
+
+
 @dataclass(frozen=True)
 class IntegratorConfig:
-    """Method selection plus step-size / tolerance knobs.
+    """A fixed-step pass of :func:`integrate_lockstep`: ``method`` euler or
+    rk4, each sample interval in equal substeps no longer than ``dt``.  A pass
+    whose :func:`substeps` counts sum past ``max_steps`` flags every member,
+    and a state component beyond ``divergence_limit`` flags its member: set
+    the limit a few orders above the state scale, so hopeless candidate
+    fields fail fast instead of feeding huge finite values downstream."""
 
-    ``dt`` drives the euler/rk4 passes of :func:`integrate_lockstep`;
-    ``rtol``/``atol`` drive dopri5, which :func:`integrate` runs.
-    ``max_steps`` bounds the total step count of one integration, guarding
-    against runaway stepping: :func:`integrate` raises an
-    :class:`IntegrationError` past it, and a lockstep pass whose
-    :func:`substeps` counts sum past it flags every member.  A state with a
-    component beyond ``divergence_limit`` makes :func:`integrate` raise and
-    flags its member in a lockstep pass; set the limit a few orders above
-    the expected state scale so hopeless candidate fields fail fast instead
-    of dragging enormous-but-finite values into downstream statistics.
-    """
-
-    method: str = "dopri5"
+    method: str = "rk4"
     dt: float = 0.01
+    max_steps: int = 1_000_000
+    divergence_limit: float = 1e6
+
+    def __post_init__(self):
+        if self.method not in ("euler", "rk4"):
+            raise ValueError(f"training integrates with euler or rk4, got {self.method!r}")
+        _check_positive(self, "dt")
+
+
+@dataclass(frozen=True)
+class DopriConfig:
+    """An adaptive Dormand-Prince run of :func:`integrate` at tolerances
+    ``rtol``/``atol`` (see :func:`dopri_step`): it raises past ``max_steps``
+    attempted steps, or at a state component beyond ``divergence_limit``."""
+
     rtol: float = 1e-6
     atol: float = 1e-8
     max_steps: int = 1_000_000
     divergence_limit: float = 1e6
 
     def __post_init__(self):
-        if self.method not in METHODS:
-            raise ValueError(f"method must be one of {METHODS}, got {self.method!r}")
-        for name in ("dt", "rtol", "atol", "divergence_limit"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be positive")
-        if self.max_steps < 1:
-            raise ValueError("max_steps must be positive")
+        _check_positive(self, "rtol", "atol")
 
 
 @dataclass
@@ -224,12 +225,6 @@ def _initial_step(field, x0, t0, rtol, atol):
     return h0, f0
 
 
-def _check_dopri5(method: str) -> None:
-    if method != "dopri5":
-        raise ValueError(f"integrate runs dopri5, got {method!r}; euler and rk4 run in"
-                         " integrate_lockstep")
-
-
 # Overflow inside a step surfaces as an IntegrationError from the finite
 # check rather than a warning, so keep numpy quiet about it.
 @np.errstate(over="ignore", invalid="ignore")
@@ -237,12 +232,10 @@ def integrate(
     field: VectorField,
     x0: np.ndarray,
     times: np.ndarray,
-    config: IntegratorConfig,
+    config: DopriConfig,
 ) -> Trajectory:
     """Integrate ``field`` from ``x0`` with dopri5 and sample at ``times``.
 
-    ``config.method`` must be dopri5: a fixed-step method raises
-    ``ValueError``, since euler and rk4 run in :func:`integrate_lockstep`.
     ``times`` must be strictly increasing with ``times[0]`` the initial
     time.  The returned trajectory carries the requested times verbatim;
     its first state is ``x0`` exactly.
@@ -252,7 +245,6 @@ def integrate(
     step costs its seven BLAS sums and little NumPy besides.  Adaptive
     steps are clipped so every sample time is hit exactly.
     """
-    _check_dopri5(config.method)
     times = np.asarray(times, dtype=float)
     if times.size == 0:
         raise ValueError("times must be nonempty")
@@ -306,7 +298,6 @@ class LockstepPlan:
     """
 
     def __init__(self, times: np.ndarray, config: IntegratorConfig):
-        _check_fixed_step(config.method)
         times = np.asarray(times, dtype=float)
         if times.ndim != 2 or times.shape[1] == 0:
             raise ValueError("times must be a nonempty (trajectories, samples) array")

@@ -15,7 +15,7 @@ import numpy as np
 from . import nnet, ode
 from .eki import PENALTY_LOSS, ForwardMapOutput, _penalize_failed
 from .nnet import MlpSpec
-from .ode import IntegratorConfig, integrate
+from .ode import DopriConfig, IntegratorConfig, integrate
 
 __all__ = [
     "ObservationSet",
@@ -49,10 +49,9 @@ __all__ = [
     "SYSID_BENCHMARKS",
 ]
 
-# Reference trajectories ("discretized solutions") are generated once per
-# problem with a tight adaptive tolerance so that data error is negligible
-# against the training-error scales under study.
-DATA_INTEGRATOR = IntegratorConfig(method="dopri5", rtol=1e-9, atol=1e-12)
+# The dopri5 record of the reference trajectories ("discretized solutions"),
+# tight enough that data error is negligible against the training errors.
+DATA_INTEGRATOR = DopriConfig(rtol=1e-9, atol=1e-12)
 
 # Parameter vectors integrated together by one test_mse pass: bounds its
 # states array at (rows, grid, state) for however many rows a run logged.
@@ -212,7 +211,6 @@ class SysIdProblem:
             raise ValueError("network input/output dims must equal the state dimension")
         obs = self.observations
         _check_held_out(obs.num_subsets, obs.subset_length, obs.grid_times.size)
-        ode._check_fixed_step(self.integrator.method)
 
     @functools.cached_property
     def plan(self) -> _SysIdPlan:
@@ -425,7 +423,6 @@ class ControlProblem:
         if self.integrator is None:
             default = IntegratorConfig(method="rk4", dt=self.t_final / 100.0, divergence_limit=1e3)
             object.__setattr__(self, "integrator", default)
-        ode._check_fixed_step(self.integrator.method)
 
     def quadrature_grid(self) -> np.ndarray:
         return np.linspace(0.0, self.t_final, self.quadrature_points + 1)

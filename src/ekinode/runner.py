@@ -170,11 +170,9 @@ class ExperimentConfig:
                 msgs.append("problem_options.mu: must be positive for EKI (variance gamma_prime / mu)")
             else:
                 msgs += _rule_errors("problem_options.mu", problems.ControlProblem, mu=po.mu)
-        io = self.integrator
-        if io.method is not None:
-            msgs += _rule_errors("integrator.method", ode._check_fixed_step, io.method)
-        if io.dt is not None:
-            msgs += _rule_errors("integrator.dt", ode.IntegratorConfig, dt=io.dt)
+        for name, value in dataclasses.asdict(self.integrator).items():
+            if value is not None:
+                msgs += _rule_errors(f"integrator.{name}", ode.IntegratorConfig, **{name: value})
         if self.gradient.eta <= 0:
             msgs.append("gradient.eta: must be positive")
         if msgs:
@@ -438,19 +436,29 @@ class RunReport:
 
 
 def load_report(report_dir: str) -> RunReport:
+    # Each refusal of a file that is not a run report starts with its path.
     path = os.path.join(report_dir, "report.json")
     if not os.path.exists(path):
         raise FileNotFoundError(f"no report.json under {report_dir}")
+    try:
+        return _read_report(path)
+    except json.JSONDecodeError as exc:
+        raise ConfigError([f"{path}: invalid JSON: {exc}"])
+    except ConfigError as exc:
+        raise ConfigError([f"{path}: {message}" for message in exc.messages])
+
+
+def _read_report(path: str) -> RunReport:
     with open(path) as fh:
         raw = json.load(fh)
     if not isinstance(raw, dict):
-        raise ConfigError([f"{path}: expected a JSON object, got {type(raw).__name__}"])
+        raise ConfigError([f"expected a JSON object, got {type(raw).__name__}"])
     # Keys a report lacks, such as ``error`` in older ones, take the default;
     # a field without one must be there.
     missing = [f.name for f in dataclasses.fields(RunReport)
                if f.name not in raw and f.default is dataclasses.MISSING]
     if missing:
-        raise ConfigError([f"{path}: not a run report, missing {', '.join(missing)}"])
+        raise ConfigError([f"not a run report, missing {', '.join(missing)}"])
     kwargs = {f.name: raw[f.name] for f in dataclasses.fields(RunReport) if f.name in raw}
     kwargs["config"] = config = config_from_dict(raw["config"])
     config.validate()
@@ -459,7 +467,7 @@ def load_report(report_dir: str) -> RunReport:
     size = nnet.param_count(_network(config.problem))
     if not (isinstance(theta, list) and len(theta) in (0, size)
             and all(isinstance(v, float) or _type_ok(v, "float") for v in theta)):
-        raise ConfigError([f"{path}: theta must be a list of 0 or {size} numbers"])
+        raise ConfigError([f"theta must be a list of 0 or {size} numbers"])
     kwargs["theta"] = np.asarray(theta, dtype=float)
     return RunReport(**kwargs)
 

@@ -36,7 +36,7 @@ def replace(config, **kwargs):
 
 def test_criterion_01_spiral_closed_form_integration():
     times = np.linspace(0.0, 40.0, 500)
-    config = ode.IntegratorConfig(method="dopri5", rtol=1e-9, atol=1e-12)
+    config = ode.DopriConfig(rtol=1e-9, atol=1e-12)
     start = time.perf_counter()
     traj = ode.integrate(problems.spiral_field, np.array([1.0, 0.0]), times, config)
     elapsed = time.perf_counter() - start

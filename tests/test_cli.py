@@ -189,7 +189,9 @@ def test_removed_keys_are_config_errors(tmp_path, capsys):
     (run_dir / "report.json").write_text(json.dumps(raw))
     capsys.readouterr()
     assert cli.main(["plot", "--report", str(run_dir)]) == 1
-    assert capsys.readouterr().err.splitlines() == REMOVED_KEY_ERRORS
+    prefix = f"config error: {run_dir / 'report.json'}: "
+    assert capsys.readouterr().err.splitlines() == [
+        prefix + error.removeprefix("config error: ") for error in REMOVED_KEY_ERRORS]
     assert not (run_dir / "plots").exists()
 
 
@@ -509,7 +511,27 @@ def test_plot_of_a_report_with_an_invalid_config_is_config_error(tmp_path, capsy
     path.write_text(json.dumps(raw))
     capsys.readouterr()
     assert cli.main(["plot", "--report", str(out)]) == 1
-    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert capsys.readouterr().err == f"config error: {path}: {message}\n"
+    assert not (out / "plots").exists()
+
+
+@pytest.mark.parametrize("edit, problem", [
+    # A key an older version had, a value validate() refuses, and a file cut short.
+    (lambda text: text.replace('"ensemble_size"', '"step_size": 1.0, "ensemble_size"'),
+     "EkiOptions: unknown keys ['step_size']"),
+    (lambda text: text.replace('"epochs": 1', '"epochs": -1'), "epochs: must be nonnegative"),
+    (lambda text: text[:len(text) // 2], "invalid JSON: "),
+], ids=["unknown-key", "invalid-value", "invalid-json"])
+def test_plot_names_the_report_it_refuses(tmp_path, capsys, edit, problem):
+    out = tmp_path / "r"
+    runner.run(dataclasses.replace(runner.preset("control-eki-mu0.001"), epochs=1), out_dir=str(out))
+    path = out / "report.json"
+    text = path.read_text()
+    assert edit(text) != text
+    path.write_text(edit(text))
+    capsys.readouterr()
+    assert cli.main(["plot", "--report", str(out)]) == 1
+    assert capsys.readouterr().err.startswith(f"config error: {path}: {problem}")
     assert not (out / "plots").exists()
 
 

@@ -489,16 +489,6 @@ def test_gradient_scales_linearly_with_loss(control_problem):
     assert np.array_equal(grad2, 2.0 * grad1)
 
 
-def test_unfold_rejects_adaptive_methods(small_spiral, control_problem):
-    # BPTT unfolds the problem's integrator, and no problem holds an
-    # adaptive one.
-    dopri = ode.IntegratorConfig(method="dopri5")
-    with pytest.raises(ValueError, match="euler or rk4"):
-        replace(small_spiral, integrator=dopri)
-    with pytest.raises(ValueError, match="euler or rk4"):
-        replace(control_problem, integrator=dopri)
-
-
 def test_divergent_unfold_reports_step_index(small_spiral):
     theta = np.full(nnet.param_count(small_spiral.net), 1e307)
     with pytest.raises(ode.IntegrationError, match="unfold step"):

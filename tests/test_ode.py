@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 from hypothesis import given, seed, settings, strategies as st
 
-import ekinode
 from ekinode import ode, problems
 from ekinode.problems import pendulum_energy, pendulum_field, spiral_field, spiral_solution
 
@@ -59,7 +58,6 @@ def fixed_step_integrate(field, x0, times, config):
     sampled at ``times``: a :class:`ode.Trajectory`, or an
     :class:`ode.IntegrationError` for a non-finite state, a state beyond
     ``divergence_limit`` or a step count past ``max_steps``."""
-    assert config.method in ode.FIXED_STEP_METHODS
     times = np.asarray(times, dtype=float)
     if times.size == 0:
         raise ValueError("times must be nonempty")
@@ -111,42 +109,31 @@ def test_rk4_step_matches_exponential_to_fifth_order():
     assert abs(out[0] - np.exp(0.1)) < 1e-7
 
 
-# The scalar paths: integrate, which runs dopri5, and the fixed-step oracle.
-SCALAR_PATHS = ((ode.integrate, "dopri5"), (fixed_step_integrate, "euler"),
-                (fixed_step_integrate, "rk4"))
+def scalar_paths(dt):
+    """The scalar paths, each with its record: integrate, which runs dopri5,
+    and the fixed-step oracle, at step ``dt``."""
+    return ((ode.integrate, ode.DopriConfig()),
+            (fixed_step_integrate, ode.IntegratorConfig(method="euler", dt=dt)),
+            (fixed_step_integrate, ode.IntegratorConfig(method="rk4", dt=dt)))
 
 
 def test_integrate_zero_field_constant_states():
-    for integrate, method in SCALAR_PATHS:
-        traj = integrate(zero_field, np.array([1.0, 0.0]), np.array([0.0, 1.0, 2.0]),
-                         ode.IntegratorConfig(method=method, dt=0.1))
+    for integrate, config in scalar_paths(0.1):
+        traj = integrate(zero_field, np.array([1.0, 0.0]), np.array([0.0, 1.0, 2.0]), config)
         assert np.array_equal(traj.states, np.tile([1.0, 0.0], (3, 1)))
 
 
 def test_integrate_returns_requested_times_bitwise():
     # Irrational-looking grid: float noise must be carried through verbatim.
     times = np.sqrt(np.arange(17, dtype=float))
-    for integrate, method in SCALAR_PATHS:
-        traj = integrate(spiral_field, np.array([1.0, 0.0]), times,
-                         ode.IntegratorConfig(method=method, dt=0.05))
+    for integrate, config in scalar_paths(0.05):
+        traj = integrate(spiral_field, np.array([1.0, 0.0]), times, config)
         assert np.array_equal(traj.times, times)
         assert np.array_equal(traj.states[0], np.array([1.0, 0.0]))
 
 
-@pytest.mark.parametrize("method", ["euler", "rk4"])
-def test_integrate_runs_dopri5_alone(method):
-    # A fixed-step config is refused before the field is called.
-    def field(x, t):
-        raise AssertionError("integrate called the field")
-
-    config = ode.IntegratorConfig(method=method)
-    for integrate in (ode.integrate, ekinode.integrate):
-        with pytest.raises(ValueError, match=rf"^integrate runs dopri5, got '{method}'"):
-            integrate(field, np.array([1.0, 0.0]), np.array([0.0, 1.0]), config)
-
-
 def test_dopri_spiral_at_pi():
-    config = ode.IntegratorConfig(method="dopri5", rtol=1e-8, atol=1e-10)
+    config = ode.DopriConfig(rtol=1e-8, atol=1e-10)
     traj = ode.integrate(spiral_field, np.array([1.0, 0.0]), np.array([0.0, np.pi]), config)
     expected = np.array([-np.exp(-np.pi / 20.0), 0.0])
     assert np.max(np.abs(traj.states[-1] - expected)) < 1e-6
@@ -154,14 +141,14 @@ def test_dopri_spiral_at_pi():
 
 def test_dopri_spiral_matches_closed_form_over_full_horizon():
     rtol = 1e-6
-    config = ode.IntegratorConfig(method="dopri5", rtol=rtol, atol=1e-9)
+    config = ode.DopriConfig(rtol=rtol, atol=1e-9)
     times = np.linspace(0.0, 40.0, 101)
     traj = ode.integrate(spiral_field, np.array([1.0, 0.0]), times, config)
     assert np.max(np.abs(traj.states - spiral_solution(times))) < 10 * rtol
 
 
 def test_pendulum_conserves_energy():
-    config = ode.IntegratorConfig(method="dopri5", rtol=1e-9, atol=1e-12)
+    config = ode.DopriConfig(rtol=1e-9, atol=1e-12)
     x0 = np.array([np.pi / 4.0, 0.0])
     times = np.linspace(0.0, 20.0, 201)
     traj = ode.integrate(pendulum_field, x0, times, config)
@@ -227,15 +214,15 @@ def test_autonomous_shift_invariance(quarter_shifts):
     # Dyadic shifts keep the grid intervals exactly representable.
     shift = quarter_shifts * 0.25
     times = np.linspace(0.0, 2.0, 9)
-    for integrate, method in ((fixed_step_integrate, "rk4"), (ode.integrate, "dopri5")):
-        config = ode.IntegratorConfig(method=method, dt=0.01)
+    for integrate, config in ((fixed_step_integrate, ode.IntegratorConfig(method="rk4", dt=0.01)),
+                              (ode.integrate, ode.DopriConfig())):
         a = integrate(spiral_field, np.array([1.0, 0.0]), times, config)
         b = integrate(spiral_field, np.array([1.0, 0.0]), times + shift, config)
         assert np.array_equal(a.states, b.states)
 
 
 def test_integrate_validates_times():
-    config = ode.IntegratorConfig(method="dopri5")
+    config = ode.DopriConfig()
     with pytest.raises(ValueError):
         ode.integrate(zero_field, np.array([1.0]), np.array([]), config)
     with pytest.raises(ValueError):
@@ -254,15 +241,16 @@ def test_max_steps_exceeded():
             with pytest.raises(ode.IntegrationError, match=r"^max_steps=1000000 exceeded at t=0.0$"):
                 fixed_step_integrate(zero_field, np.array([1.0]), np.array([0.0, 1.0]), config)
     # dopri5 counts every attempted step, rejected ones included.
-    config = ode.IntegratorConfig(method="dopri5", max_steps=5)
+    config = ode.DopriConfig(max_steps=5)
     with pytest.raises(ode.IntegrationError, match=r"^max_steps=5 exceeded at t=\d"):
         ode.integrate(spiral_field, np.array([1.0, 0.0]), np.array([0.0, 10.0]), config)
 
 
 def test_divergence_limit_aborts():
     # The message says where the trajectory left the bound.
-    for integrate, method in ((fixed_step_integrate, "rk4"), (ode.integrate, "dopri5")):
-        config = ode.IntegratorConfig(method=method, dt=0.1, divergence_limit=10.0)
+    for integrate, config in ((fixed_step_integrate,
+                               ode.IntegratorConfig(method="rk4", dt=0.1, divergence_limit=10.0)),
+                              (ode.integrate, ode.DopriConfig(divergence_limit=10.0))):
         with pytest.raises(ode.IntegrationError, match=r"^state magnitude exceeds 10 at t=\d"):
             integrate(lambda x, t: [5.0 * v for v in x], np.array([1.0]), np.array([0.0, 10.0]),
                       config)
@@ -272,8 +260,8 @@ def test_non_finite_field_output_aborts_with_location():
     def bad_field(x, t):
         return np.array([np.inf])
 
-    for integrate, method in ((fixed_step_integrate, "euler"), (ode.integrate, "dopri5")):
-        config = ode.IntegratorConfig(method=method, dt=0.1)
+    for integrate, config in ((fixed_step_integrate, ode.IntegratorConfig(method="euler", dt=0.1)),
+                              (ode.integrate, ode.DopriConfig())):
         with pytest.raises(ode.IntegrationError, match=r"^non-finite field output at t=0\.0$"):
             integrate(bad_field, np.array([1.0]), np.array([0.0, 1.0]), config)
 
@@ -288,17 +276,26 @@ def test_overflowing_field_aborts_instead_of_warning():
             fixed_step_integrate(lambda x, t: x ** 3, np.array([2.0]), np.array([0.0, 50.0]), config)
 
 
-def test_config_validation():
-    with pytest.raises(ValueError):
-        ode.IntegratorConfig(method="rk45")
-    with pytest.raises(ValueError):
-        ode.IntegratorConfig(dt=0.0)
-    with pytest.raises(ValueError):
-        ode.IntegratorConfig(rtol=-1.0)
-    with pytest.raises(ValueError):
-        ode.IntegratorConfig(max_steps=0)
-    with pytest.raises(ValueError):
-        ode.IntegratorConfig(divergence_limit=0.0)
+# Each record refuses a value its integrator cannot run: a non-positive step,
+# tolerance or bound, no step at all, and on the fixed-step record a method
+# other than euler or rk4, dopri5 included, since integrate runs that alone.
+RECORD_REFUSALS = [
+    *[(record, name, value, f"{name} must be positive")
+      for record, names in ((ode.IntegratorConfig, ("dt", "divergence_limit")),
+                            (ode.DopriConfig, ("rtol", "atol", "divergence_limit")))
+      for name in names for value in (0.0, -1.0)],
+    *[(record, "max_steps", 0, "max_steps must be positive")
+      for record in (ode.IntegratorConfig, ode.DopriConfig)],
+    *[(ode.IntegratorConfig, "method", method,
+       f"training integrates with euler or rk4, got '{method}'") for method in ("dopri5", "rk45")],
+]
+
+
+@pytest.mark.parametrize("record, name, value, message", RECORD_REFUSALS,
+                         ids=[f"{r.__name__}-{n}={v}" for r, n, v, _ in RECORD_REFUSALS])
+def test_integrator_records_refuse_bad_values(record, name, value, message):
+    with pytest.raises(ValueError, match=rf"^{message}$"):
+        record(**{name: value})
 
 
 def test_trajectory_validation():
@@ -418,9 +415,7 @@ def test_substeps_decides_counts_lengths_and_max_steps():
         assert exceeded and np.isinf(counts).all() and lengths == [0.0, 0.0]
 
 
-def test_lockstep_rejects_adaptive_method_and_bad_times():
-    with pytest.raises(ValueError):
-        ode.LockstepPlan(np.array([[0.0, 1.0]]), ode.IntegratorConfig(method="dopri5"))
+def test_lockstep_rejects_bad_times():
     for times in (np.array([0.0, 1.0]), np.empty((1, 0)), np.array([[0.0, 0.0]])):
         with pytest.raises(ValueError, match="times must be"):
             ode.LockstepPlan(times, ode.IntegratorConfig(method="rk4"))
@@ -533,13 +528,13 @@ def test_dopri_max_steps_counts_every_step_it_takes():
         return spiral_field(x, t)
 
     x0, times = np.array([1.0, 0.0]), np.array([0.0, 2.0, 5.0])
-    reference = ode.integrate(counted, x0, times, ode.IntegratorConfig(method="dopri5"))
+    reference = ode.integrate(counted, x0, times, ode.DopriConfig())
     steps, rest = divmod(len(calls) - 1, 6)
     assert rest == 0 and steps > 2
-    exact = ode.integrate(spiral_field, x0, times, ode.IntegratorConfig(method="dopri5", max_steps=steps))
+    exact = ode.integrate(spiral_field, x0, times, ode.DopriConfig(max_steps=steps))
     assert same_bits(exact.states, reference.states)
     with pytest.raises(ode.IntegrationError, match=rf"^max_steps={steps - 1} exceeded"):
-        ode.integrate(spiral_field, x0, times, ode.IntegratorConfig(method="dopri5", max_steps=steps - 1))
+        ode.integrate(spiral_field, x0, times, ode.DopriConfig(max_steps=steps - 1))
 
 # Oracle for the adaptive path: the textbook Dormand-Prince step with every
 # operation on NumPy arrays (each stage sum and the full 7-weight 5th-order
@@ -634,15 +629,15 @@ DOPRI_CASES = {
                      problems.DATA_INTEGRATOR),
     # test_dopri_spiral_matches_closed_form_over_full_horizon's grid.
     "spiral-101": (spiral_field, [1.0, 0.0], np.linspace(0.0, 40.0, 101),
-                   ode.IntegratorConfig(method="dopri5", rtol=1e-6, atol=1e-9)),
+                   ode.DopriConfig(rtol=1e-6, atol=1e-9)),
     "exp-1d": (exp_field, [1.0], np.linspace(0.0, 3.0, 13),
-               ode.IntegratorConfig(method="dopri5", rtol=1e-8, atol=1e-10)),
+               ode.DopriConfig(rtol=1e-8, atol=1e-10)),
     "exp-scalar": (exp_field, 1.0, np.linspace(0.0, 3.0, 13),
-                   ode.IntegratorConfig(method="dopri5", rtol=1e-8, atol=1e-10)),
+                   ode.DopriConfig(rtol=1e-8, atol=1e-10)),
     "linear-3d": (_linear_field(3, 1), [1.0, -0.5, 0.25], np.linspace(0.0, 10.0, 41),
-                  ode.IntegratorConfig(method="dopri5", rtol=1e-7, atol=1e-10)),
+                  ode.DopriConfig(rtol=1e-7, atol=1e-10)),
     "linear-9d": (_linear_field(9, 2), np.linspace(-1.0, 1.0, 9), np.linspace(0.0, 5.0, 21),
-                  ode.IntegratorConfig(method="dopri5", rtol=1e-7, atol=1e-10)),
+                  ode.DopriConfig(rtol=1e-7, atol=1e-10)),
 }
 
 
@@ -699,7 +694,7 @@ def test_non_finite_stage_at_step_end_raises_like_oracle():
 
         return field
 
-    config = ode.IntegratorConfig(method="dopri5", rtol=1e-6, atol=1e-8)
+    config = ode.DopriConfig(rtol=1e-6, atol=1e-8)
     times = np.array([0.0, 1.0])
     with pytest.raises(ode.IntegrationError) as got:
         ode.integrate(make_field(), np.array([1.0]), times, config)

@@ -316,7 +316,7 @@ def test_integrating_optimal_control_reproduces_optimal_state():
     def field(x, t):
         return x + problems.optimal_control(t, 1.0, 1.0, 0.0, 1.0, 1.0)
 
-    config = ode.IntegratorConfig(method="dopri5", rtol=1e-9, atol=1e-12)
+    config = ode.DopriConfig(rtol=1e-9, atol=1e-12)
     traj = ode.integrate(field, np.array([0.0]), ts, config)
     exact = problems.optimal_state(ts, 1.0, 1.0, 0.0, 1.0, 1.0)
     assert np.max(np.abs(traj.states[:, 0] - exact)) < 1e-6
