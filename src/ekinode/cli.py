@@ -50,6 +50,8 @@ def _read_json(path: str, what: str):
             return json.load(fh)
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError([f"{what}: cannot read {path!r}: {exc}"])
+    except json.JSONDecodeError as exc:
+        raise ConfigError([f"{what}: invalid JSON in {path!r}: {exc}"])
 
 
 def _load_run_config(arg: str) -> runner.ExperimentConfig:
@@ -129,9 +131,6 @@ def main(argv=None) -> int:
         return 1
     except FileNotFoundError as exc:
         print(f"config error: {exc}", file=sys.stderr)
-        return 1
-    except json.JSONDecodeError as exc:
-        print(f"config error: invalid JSON: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:  # runtime failure
         print(f"runtime failure: {exc}", file=sys.stderr)

@@ -7,9 +7,9 @@ dx/dt`` with fixed state dimension that takes the state as a list of floats
 and returns a float sequence.  :func:`integrate` runs dopri5 alone and
 samples the solution exactly at the requested times, its adaptive steps
 clipped to land on them: one trajectory of one field per call.  It makes
-the identification problems' reference grids.  Its state and step control
-run on Python floats around BLAS stage sums, and the grids are bitwise
-those of the textbook array step (see :func:`dopri_step`).
+the identification problems' reference grids.  One loop runs every step,
+its state and step control on Python floats around BLAS stage sums, and
+the grids are bitwise those of the textbook array step.
 
 :func:`integrate_lockstep` is the batched fixed-step core.  It advances a
 ``(members, trajectories, state)`` array of autonomous fields in lockstep,
@@ -32,7 +32,6 @@ __all__ = [
     "IntegrationError",
     "IntegratorConfig",
     "Trajectory",
-    "dopri_step",
     "integrate",
     "integrate_lockstep",
     "LockstepPlan",
@@ -75,9 +74,10 @@ class IntegratorConfig:
 
 @dataclass(frozen=True)
 class DopriConfig:
-    """An adaptive Dormand-Prince run of :func:`integrate` at tolerances
-    ``rtol``/``atol`` (see :func:`dopri_step`): it raises past ``max_steps``
-    attempted steps, or at a state component beyond ``divergence_limit``."""
+    """An adaptive Dormand-Prince run of :func:`integrate`, whose one loop
+    runs every step, at tolerances ``rtol``/``atol``: it raises past
+    ``max_steps`` attempted steps, or at a state component beyond
+    ``divergence_limit``."""
 
     rtol: float = 1e-6
     atol: float = 1e-8
@@ -136,84 +136,13 @@ _FAC_MIN = 0.2
 _FAC_MAX = 5.0
 
 
-def dopri_step(
-    field: VectorField,
-    x: Sequence[float],
-    t: float,
-    h: float,
-    rtol: float,
-    atol: float,
-    k1: Sequence[float] | None = None,
-):
-    """One trial Dormand-Prince step of size ``h`` from the 1-D state ``x``.
-
-    Returns ``(x_new, err, h_next, k_last)``, ``x_new`` a list of floats.
-    ``err`` is the RMS of the embedded error estimate scaled componentwise
-    by ``atol + rtol * max(|x|, |x_new|)``; the step is accepted iff
-    ``err <= 1``.  ``h_next = h * clamp(0.9 * err**(-1/5), 0.2, 5.0)``.
-    ``k1`` may carry the FSAL stage of the previous accepted step;
-    ``k_last`` is the stage at ``(x_new, t + h)`` for reuse.
-
-    The field sees each stage argument as a list of floats and may return
-    any float sequence.  The stage and error sums are BLAS matrix-vector
-    products over a ``(7, n)`` stage buffer: their FMA blocking rounds
-    differently from a sum of Python floats, so they stay products.  The
-    rest of the step (the stage arguments, the new state, finiteness, the
-    error norm and the step control) runs on Python floats, where IEEE
-    arithmetic gives the textbook array step's bits without a NumPy call
-    per operation.  :func:`integrate` runs the same step on one buffer for
-    all its steps.
-    """
-    x = np.asarray(x, dtype=float).reshape(-1).tolist()
-    k = np.empty((7, len(x)))
-    k[0] = _first_stage(field, x, t) if k1 is None else k1
-    x_new, err, h_next = _dopri_stages(field, x, t, h, rtol, atol, k, _stage_prefixes(k))
-    return x_new, err, h_next, k[6]
-
-
-def _stage_prefixes(k):
-    # The row prefixes k[:1] ... k[:6] that the stage sums of _DP_A read.
-    return [k[:i] for i in range(1, 7)]
-
-
-def _first_stage(field, x, t):
-    k1 = np.asarray(field(x, t), dtype=float)
-    if not np.all(np.isfinite(k1)):
-        raise IntegrationError(f"non-finite field output at t={t}")
-    return k1
-
-
-def _dopri_stages(field, x, t, h, rtol, atol, k, prefixes):
-    # dopri_step from the list x, with row 0 of the stage buffer k holding
-    # the first stage: fills rows 1-6 and returns (x_new, err, h_next).
-    if not h > 0:
-        raise ValueError("step size must be positive")
-    for i in range(1, 6):
-        s = _DP_A[i].dot(prefixes[i - 1]).tolist()
-        k[i] = field([a + h * b for a, b in zip(x, s)], t + _DP_C[i] * h)
-    s = _DP_A[6].dot(prefixes[5]).tolist()
-    new = [a + h * b for a, b in zip(x, s)]
-    k[6] = field(new, t + h)
-    # A non-finite last stage counts as a non-finite state at t + h, as in
-    # the full 7-weight sum, where its zero weight times inf is NaN.
-    if not all(map(math.isfinite, new + k[6].tolist())):
-        raise IntegrationError(f"non-finite state at t={t + h}")
-    r2 = []
-    for a, b, e in zip(x, new, _DP_E.dot(k).tolist()):
-        r = h * e / (atol + rtol * max(abs(a), abs(b)))
-        r2.append(r * r)
-    err = math.sqrt(np.add.reduce(r2) / len(r2))
-    if err == 0.0:
-        factor = _FAC_MAX
-    else:
-        factor = min(_FAC_MAX, max(_FAC_MIN, _SAFETY * err ** -0.2))
-    return new, err, h * factor
-
-
 def _initial_step(field, x0, t0, rtol, atol):
     # Cheap variant of the classic starting-step heuristic: balance the
-    # first derivative against the tolerance scale.
-    f0 = _first_stage(field, x0, t0)
+    # first derivative against the tolerance scale.  Returns the step and
+    # the first stage.
+    f0 = np.asarray(field(x0, t0), dtype=float)
+    if not np.all(np.isfinite(f0)):
+        raise IntegrationError(f"non-finite field output at t={t0}")
     x0 = np.asarray(x0, dtype=float)
     scale = atol + rtol * np.abs(x0)
     d0 = np.sqrt(np.mean((x0 / scale) ** 2))
@@ -238,12 +167,21 @@ def integrate(
 
     ``times`` must be strictly increasing with ``times[0]`` the initial
     time.  The returned trajectory carries the requested times verbatim;
-    its first state is ``x0`` exactly.
+    its first state is ``x0`` exactly.  Adaptive steps are clipped so every
+    sample time is hit exactly.
 
-    The field sees every state as a list of floats, and the steps of one
-    call share one ``(7, n)`` stage buffer (see :func:`dopri_step`), so a
-    step costs its seven BLAS sums and little NumPy besides.  Adaptive
-    steps are clipped so every sample time is hit exactly.
+    One loop runs every trial step.  The field sees each stage argument as
+    a list of floats and may return any float sequence.  A trial step of
+    size ``h`` from ``x`` is accepted iff ``err <= 1``, ``err`` the RMS of
+    the embedded error estimate scaled componentwise by ``atol + rtol *
+    max(|x|, |x_new|)``; the next trial is ``h * clamp(0.9 * err**(-1/5),
+    0.2, 5.0)``.  The stage and error sums are BLAS products over one
+    ``(7, n)`` stage buffer, whose first row carries the FSAL stage between
+    steps: their FMA blocking rounds differently from a sum of Python
+    floats, so they stay products.  The rest of the step (the stage
+    arguments, the new state, finiteness, the error norm and the step
+    control) runs on Python floats, where IEEE arithmetic gives the
+    textbook array step's bits without a NumPy call per operation.
     """
     times = np.asarray(times, dtype=float)
     if times.size == 0:
@@ -255,14 +193,17 @@ def integrate(
     # Step bookkeeping runs in time elapsed since times[0] so that shifting
     # an autonomous problem in time cannot change the clip arithmetic; the
     # field and error reports still see absolute time.  The state is a list
-    # of floats (a scalar x0 runs as a 1-list), and every step fills the one
-    # stage buffer, whose first row carries the FSAL stage between steps.
+    # of floats (a scalar x0 runs as a 1-list).
     x = x0.reshape(-1).tolist()
+    n = len(x)
     t0 = float(times[0])
     tau = 0.0
-    rtol, atol, limit = config.rtol, config.atol, config.divergence_limit
-    k = np.empty((7, len(x)))
-    prefixes = _stage_prefixes(k)
+    rtol, atol, limit, max_steps = config.rtol, config.atol, config.divergence_limit, config.max_steps
+    k = np.empty((7, n))
+    # Stages 2-6 as (row, stage sum over the rows before it, node); the
+    # 7th stage's sum is the new state's, and error() the estimate's.
+    stages = [(i, _DP_A[i].dot, k[:i], _DP_C[i]) for i in range(1, 6)]
+    update, before_last, error = _DP_A[6].dot, k[:6], _DP_E.dot
     h, k[0] = _initial_step(field, x, t0, rtol, atol)
     h = float(h)
     n_steps = 0
@@ -271,17 +212,43 @@ def integrate(
         while tau < target:
             clipped = h >= target - tau
             h_try = min(h, target - tau)
-            x_new, err, h_next = _dopri_stages(field, x, t0 + tau, h_try, rtol, atol, k, prefixes)
+            if not h_try > 0:
+                raise ValueError("step size must be positive")
+            t = t0 + tau
+            for row, stage_sum, prefix, c in stages:
+                k[row] = field([a + h_try * b for a, b in zip(x, stage_sum(prefix).tolist())],
+                               t + c * h_try)
+            new = [a + h_try * b for a, b in zip(x, update(before_last).tolist())]
+            k[6] = field(new, t + h_try)
+            # A non-finite last stage counts as a non-finite state at t + h,
+            # as in the full 7-weight sum, where its zero weight times inf
+            # is NaN.
+            if not all(map(math.isfinite, new + k[6].tolist())):
+                raise IntegrationError(f"non-finite state at t={t + h_try}")
+            squares = []
+            for a, b, e in zip(x, new, error(k).tolist()):
+                r = h_try * e / (atol + rtol * max(abs(a), abs(b)))
+                squares.append(r * r)
+            if n < 8:
+                # NumPy adds fewer than 8 terms left to right: the same bits
+                # without its call.  (Builtin sum() compensates from 3.12.)
+                total = 0.0
+                for r2 in squares:
+                    total += r2
+            else:
+                total = np.add.reduce(squares)
+            err = math.sqrt(total / n)
             n_steps += 1
-            if n_steps > config.max_steps:
-                raise IntegrationError(f"max_steps={config.max_steps} exceeded at t={t0 + tau}")
+            if n_steps > max_steps:
+                raise IntegrationError(f"max_steps={max_steps} exceeded at t={t}")
             if err <= 1.0:
                 tau = target if clipped else tau + h_try
-                x = x_new
+                x = new
                 if max(map(abs, x)) > limit:
                     raise IntegrationError(f"state magnitude exceeds {limit:g} at t={t0 + tau}")
                 k[0] = k[6]
-            h = h_next
+            h = h_try * (_FAC_MAX if err == 0.0 else
+                         min(_FAC_MAX, max(_FAC_MIN, _SAFETY * err ** -0.2)))
         trajectory.states[i] = x
     return trajectory
 

@@ -92,6 +92,20 @@ def test_invalid_json_is_config_error(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("command", ["run", "table"])
+def test_invalid_json_names_the_file(tmp_path, capsys, command):
+    path = tmp_path / "broken.json"
+    path.write_text('{"problem": ')
+    flag = "--config" if command == "run" else "--configs"
+    argv = [command, flag, str(path), "--out", str(tmp_path / "out")]
+    if command == "table":
+        argv += ["--replicates", "1"]
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {flag}: invalid JSON in {str(path)!r}: Expecting value")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["run", "table"])
 @pytest.mark.parametrize("unreadable", ["directory", "undecodable"])
 def test_unreadable_config_file_is_config_error(tmp_path, capsys, command, unreadable):
     # A directory, or a file whose bytes are not text, as the config file.

@@ -4,6 +4,7 @@ with the scalar oracles they are checked against."""
 import math
 import warnings
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -154,37 +155,6 @@ def test_pendulum_conserves_energy():
     traj = ode.integrate(pendulum_field, x0, times, config)
     energies = pendulum_energy(traj.states)
     assert np.max(np.abs(energies - energies[0])) < 1e-6
-
-
-def test_dopri_step_zero_field():
-    x_new, err, h_next, _ = ode.dopri_step(zero_field, np.array([1.0, 0.0]), 0.0, 0.3,
-                                           rtol=1e-6, atol=1e-8)
-    assert np.array_equal(x_new, np.array([1.0, 0.0]))
-    assert err == 0.0
-    assert h_next == 0.3 * 5.0  # zero error hits the growth clamp
-
-
-def test_dopri_step_exponential():
-    x_new, err, _, _ = ode.dopri_step(exp_field, np.array([1.0]), 0.0, 0.1,
-                                      rtol=1e-6, atol=1e-8)
-    assert abs(x_new[0] - np.exp(0.1)) < 1e-9
-    assert err <= 1.0
-
-
-@pytest.mark.parametrize("h", [0.0, -0.1, math.nan])
-def test_dopri_step_rejects_a_nonpositive_step(h):
-    with pytest.raises(ValueError, match="step size must be positive"):
-        ode.dopri_step(exp_field, np.array([1.0]), 0.0, h, rtol=1e-6, atol=1e-8)
-
-
-def test_dopri_step_unscaled_error_norm():
-    # rtol=0, atol=1 makes the scale vector identically 1, so err is the raw
-    # RMS of the embedded difference.
-    x = np.array([2.0])
-    x_new, err, _, _ = ode.dopri_step(exp_field, x, 0.0, 0.2, rtol=0.0, atol=1.0)
-    x_ref, err_ref, _, _ = ode.dopri_step(exp_field, x, 0.0, 0.2, rtol=1e-12, atol=1.0)
-    assert np.array_equal(x_new, x_ref)
-    assert abs(err - err_ref) < 1e-12 * err_ref + 1e-18
 
 
 def order_ratio(method, dt):
@@ -636,8 +606,17 @@ DOPRI_CASES = {
                    ode.DopriConfig(rtol=1e-8, atol=1e-10)),
     "linear-3d": (_linear_field(3, 1), [1.0, -0.5, 0.25], np.linspace(0.0, 10.0, 41),
                   ode.DopriConfig(rtol=1e-7, atol=1e-10)),
+    # The last size whose error norm integrate sums left to right.
+    "linear-7d": (_linear_field(7, 3), np.linspace(-1.0, 1.0, 7), np.linspace(0.0, 5.0, 21),
+                  ode.DopriConfig(rtol=1e-7, atol=1e-10)),
     "linear-9d": (_linear_field(9, 2), np.linspace(-1.0, 1.0, 9), np.linspace(0.0, 5.0, 21),
                   ode.DopriConfig(rtol=1e-7, atol=1e-10)),
+    # rtol=0 and atol=1 make every scale exactly 1: the error norm is the raw
+    # RMS of the embedded difference.  DopriConfig refuses rtol=0, and
+    # integrate reads only these four fields, so a plain record carries them.
+    "exp-unscaled": (exp_field, [2.0], np.linspace(0.0, 3.0, 13),
+                     SimpleNamespace(rtol=0.0, atol=1.0, max_steps=1_000_000,
+                                     divergence_limit=1e6)),
 }
 
 
@@ -701,3 +680,32 @@ def test_non_finite_stage_at_step_end_raises_like_oracle():
     with pytest.raises(ode.IntegrationError) as want:
         _oracle_integrate(make_field(), [1.0], times, config)
     assert str(got.value) == str(want.value)  # the same failure at the same t
+
+
+def test_a_vanishing_first_step_raises_like_oracle():
+    # A constant field of 1e200 overflows the starting-step heuristic's
+    # derivative norm to inf, so the first trial step is 0.0.
+    def field(x, t):
+        return [1e200]
+
+    config, times = ode.DopriConfig(), np.array([0.0, 1.0])
+    with pytest.raises(ValueError, match=r"^step size must be positive$"):
+        ode.integrate(field, [1.0], times, config)
+    with pytest.raises(ValueError, match=r"^step size must be positive$"):
+        _oracle_integrate(field, [1.0], times, config)
+
+
+def test_zero_error_steps_grow_by_the_clamp_like_oracle():
+    # A zero field makes every step's error 0, so each next trial is 5 times
+    # the last, from the heuristic's 1e-6: 11 steps cover [0, 10].  integrate
+    # and the oracle meet max_steps at that count.
+    x0, times = [1.0, 0.0], np.array([0.0, 10.0])
+    config = ode.DopriConfig(max_steps=11)
+    states, _ = _oracle_integrate(zero_field, x0, times, config)
+    assert same_bits(ode.integrate(zero_field, x0, times, config).states, states)
+    config = ode.DopriConfig(max_steps=10)
+    with pytest.raises(ode.IntegrationError, match=r"^max_steps=10 exceeded at t=") as got:
+        ode.integrate(zero_field, x0, times, config)
+    with pytest.raises(ode.IntegrationError) as want:
+        _oracle_integrate(zero_field, x0, times, config)
+    assert str(got.value) == str(want.value)

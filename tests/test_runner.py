@@ -350,6 +350,24 @@ def test_a_vanishing_step_stalls_without_more_backtracks(tmp_path, monkeypatch):
     assert len(calls) == 3
 
 
+def test_an_epoch_stalls_after_thirty_backtracks(tmp_path, monkeypatch):
+    # No candidate beats 1e-12 times the best loss, so the epoch tries the
+    # first step and its 30 halvings, then stalls: with the first row's
+    # evaluation, 32 forward maps.  Every other step-control constant keeps
+    # its default.
+    real, calls = problems.sysid_forward_map, []
+
+    def counted(members, prob):
+        calls.append(None)
+        return real(members, prob)
+
+    monkeypatch.setattr(problems, "sysid_forward_map", counted)
+    monkeypatch.setattr(runner, "ACCEPT_FACTOR", 1e-12)
+    report = runner.run(tiny("spiral-eki", 1), out_dir=str(tmp_path / "r"))
+    assert [list(e) for e in report.events] == [["stall", 0]]
+    assert len(calls) == 32
+
+
 @pytest.mark.parametrize("name,epochs", [("spiral-eki", 3), ("control-eki-mu0.001", 4)])
 def test_each_evaluation_is_scored_once(tmp_path, monkeypatch, name, epochs):
     # row() scores the ensemble it logs, once, at the scale noise() gives for

@@ -7,15 +7,18 @@ paths a config can reach: a pass past ``max_steps`` (through
 variance that underflows, diverged gradient runs, and stalls.  A stall needs
 the EKI step control's module constants in ``runner``, which these runs
 patch for their duration.  ``report.json`` is hashed without
-``runtime_seconds`` and ``log_path``, which differ between reruns.
+``runtime_seconds`` and ``log_path``, which differ between reruns.  Each
+reference grid of ``problems.SYSID_BENCHMARKS`` is hashed too, at its
+default size, so a change to the data generator shows on its own line.
 
 The bits depend on the BLAS kernel and the CPU features, so compare the
 listings of two trees made on one machine, in one environment:
 
     PYTHONPATH=src python tools/log_hashes.py > hashes.txt
 
-Each line reads ``<case> <log.csv sha256> <report.json sha256>``.  Runs in
-process, in a temporary directory, in a few seconds.
+Each run's line reads ``<case> <log.csv sha256> <report.json sha256>``, and
+each grid's ``grid:<name> <states sha256>``.  Runs in process, in a
+temporary directory, in a few seconds.
 """
 
 from __future__ import annotations
@@ -27,7 +30,9 @@ import os
 import sys
 import tempfile
 
-from ekinode import runner
+import numpy as np
+
+from ekinode import ode, problems, runner
 
 # Fields of report.json that differ between reruns of one config.
 VOLATILE = ("runtime_seconds", "log_path")
@@ -91,11 +96,24 @@ def run_case(config, patches, out_dir) -> tuple[str, str]:
     return hashlib.sha256(log).hexdigest(), hashlib.sha256(report).hexdigest()
 
 
+def grid_digests() -> list[tuple[str, str]]:
+    """``(grid:<name>, digest)`` of the states of each benchmark's reference
+    grid, built as :func:`problems.make_sysid_problem` builds it by default."""
+    out = []
+    for name, bench in problems.SYSID_BENCHMARKS.items():
+        times = np.linspace(0.0, bench.t_final, bench.grid_size)
+        states = ode.integrate(bench.field, np.array(bench.x0), times, problems.DATA_INTEGRATOR).states
+        out.append((f"grid:{name}", hashlib.sha256(states.tobytes()).hexdigest()))
+    return out
+
+
 def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         for i, (name, config, patches) in enumerate(cases()):
             log, report = run_case(config, patches, os.path.join(tmp, str(i)))
             print(name, log, report)
+    for name, digest in grid_digests():
+        print(name, digest)
     return 0
 
 
