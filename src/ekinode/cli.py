@@ -77,19 +77,18 @@ def _apply_seed(config, cli_seed):
 def _cmd_run(args) -> int:
     config = _apply_seed(_load_run_config(args.config), args.seed)
     out = args.out
-    if out is None and config.out_dir is None:
+    if out is None:
         name = args.config if not os.path.exists(args.config) else "run"
         out = os.path.join("runs", f"{name}-seed{config.seed}")
     report = runner.run(config, out_dir=out)
-    out_dir = out if out is not None else config.out_dir
     if report.error is not None:
         print(f"run failed: {report.error}", file=sys.stderr)
-        print(f"partial report under {out_dir}", file=sys.stderr)
+        print(f"partial report under {out}", file=sys.stderr)
         return 2
     print(
         f"{config.problem}/{config.optimizer} seed={config.seed}: "
         f"train={report.final_train_error:.6e} test={report.final_test_error:.6e} "
-        f"({report.epochs_run} epochs, {report.runtime_seconds:.1f}s) -> {out_dir}"
+        f"({report.epochs_run} epochs, {report.runtime_seconds:.1f}s) -> {out}"
     )
     return 0
 

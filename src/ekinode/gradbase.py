@@ -38,15 +38,6 @@ __all__ = [
 # Reverse passes through recorded network evaluations and unfolding steps
 
 
-def _act_deriv(y: np.ndarray, activation: str) -> np.ndarray:
-    # Derivatives from the activation OUTPUT: tanh' = 1 - y^2; for ELU with
-    # alpha = 1 the output determines the branch (y < 0 iff z < 0) and the
-    # negative branch has derivative e^z = y + 1.
-    if activation == "tanh":
-        return 1.0 - y * y
-    return np.where(y < 0.0, y + 1.0, 1.0)
-
-
 class _Pullback:
     """Reverse pass through one recorded pass of :func:`nnet.mlp_apply` calls.
 
@@ -66,7 +57,7 @@ class _Pullback:
         # activated output is the next layer's input, so the derivatives of
         # all calls take one elementwise pass per hidden layer.
         self.inputs = [np.array(record[i::len(layers)]) for i in range(len(layers))]
-        derivs = [_act_deriv(a, spec.activation) for a in self.inputs[1:]] + [None]
+        derivs = [nnet._act_deriv(a, spec.activation) for a in self.inputs[1:]] + [None]
         self.gz = [[] for _ in layers]
         self._reverse = list(zip([w for w, _ in layers], derivs, self.gz))[::-1]
         self._unswept = len(self.inputs[0])

@@ -135,6 +135,15 @@ def _activate(z: np.ndarray, activation: str) -> np.ndarray:
     return np.where(z >= 0.0, z, np.expm1(np.minimum(z, 0.0)))
 
 
+def _act_deriv(y: np.ndarray, activation: str) -> np.ndarray:
+    # Derivatives from the activation OUTPUT: tanh' = 1 - y^2; for ELU with
+    # alpha = 1 the output determines the branch (y < 0 iff z < 0) and the
+    # negative branch has derivative e^z = y + 1.
+    if activation == "tanh":
+        return 1.0 - y * y
+    return np.where(y < 0.0, y + 1.0, 1.0)
+
+
 def mlp_apply(
     layers: list[tuple[np.ndarray, np.ndarray]],
     x: np.ndarray,

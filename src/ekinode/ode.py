@@ -139,13 +139,18 @@ _FAC_MAX = 5.0
 def _initial_step(field, x0, t0, rtol, atol):
     # Cheap variant of the classic starting-step heuristic: balance the
     # first derivative against the tolerance scale.  Returns the step and
-    # the first stage.
+    # the first stage.  The state and the field's output shape are checked
+    # here, once per integration, and by no step.
+    x = np.asarray(x0, dtype=float)
+    if x.size == 0:
+        raise ValueError("x0 must have at least one component")
     f0 = np.asarray(field(x0, t0), dtype=float)
+    if f0.shape != x.shape:
+        raise ValueError(f"field returned shape {f0.shape} for a state of shape {x.shape}")
     if not np.all(np.isfinite(f0)):
         raise IntegrationError(f"non-finite field output at t={t0}")
-    x0 = np.asarray(x0, dtype=float)
-    scale = atol + rtol * np.abs(x0)
-    d0 = np.sqrt(np.mean((x0 / scale) ** 2))
+    scale = atol + rtol * np.abs(x)
+    d0 = np.sqrt(np.mean((x / scale) ** 2))
     d1 = np.sqrt(np.mean((f0 / scale) ** 2))
     if d0 < 1e-5 or d1 < 1e-5:
         h0 = 1e-6
@@ -171,7 +176,9 @@ def integrate(
     sample time is hit exactly.
 
     One loop runs every trial step.  The field sees each stage argument as
-    a list of floats and may return any float sequence.  A trial step of
+    a list of floats and may return any float sequence of the state's
+    shape; an empty state, or a first output of another shape, raises
+    ``ValueError``.  A trial step of
     size ``h`` from ``x`` is accepted iff ``err <= 1``, ``err`` the RMS of
     the embedded error estimate scaled componentwise by ``atol + rtol *
     max(|x|, |x_new|)``; the next trial is ``h * clamp(0.9 * err**(-1/5),

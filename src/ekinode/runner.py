@@ -109,12 +109,17 @@ class IntegratorOptions:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """One experiment.  Each top-level field has a reader beyond the tests:
+    :func:`build_problem` reads ``problem``, ``problem_options``,
+    ``integrator`` and ``seed`` (the data stream); :func:`run` reads
+    ``optimizer`` to pick a driver, ``seed`` (the init stream) and
+    ``epochs``, the loop's one stopping rule; the driver reads ``eki`` or
+    ``gradient``.  Where a run writes is :func:`run`'s argument."""
+
     problem: str = "spiral"
     optimizer: str = "eki"
     seed: int = 0
-    epochs: int | None = 100
-    wall_clock_budget_seconds: float | None = None
-    out_dir: str | None = None
+    epochs: int = 100
     eki: EkiOptions = field(default_factory=EkiOptions)
     gradient: GradientOptions = field(default_factory=GradientOptions)
     problem_options: ProblemOptions = field(default_factory=ProblemOptions)
@@ -131,12 +136,8 @@ class ExperimentConfig:
             msgs.append(f"optimizer: {self.optimizer!r} not in {OPTIMIZERS}")
         if self.seed < 0:
             msgs.append("seed: must be nonnegative")
-        if (self.epochs is None) == (self.wall_clock_budget_seconds is None):
-            msgs.append("epochs / wall_clock_budget_seconds: exactly one must be set")
-        if self.epochs is not None and self.epochs < 0:
+        if self.epochs < 0:
             msgs.append("epochs: must be nonnegative")
-        if self.wall_clock_budget_seconds is not None and self.wall_clock_budget_seconds <= 0:
-            msgs.append("wall_clock_budget_seconds: must be positive")
         ek = self.eki
         if not eki._quorate(ek.ensemble_size):
             msgs.append(f"eki.ensemble_size: need at least {eki._QUORUM} members")
@@ -675,7 +676,7 @@ class _GradientDriver:
 # run()
 
 
-def run(config: ExperimentConfig, out_dir: str | None = None) -> RunReport:
+def run(config: ExperimentConfig, out_dir: str) -> RunReport:
     """Execute one training run, writing ``log.csv`` and ``report.json``,
     each whole or not at all.
 
@@ -684,17 +685,13 @@ def run(config: ExperimentConfig, out_dir: str | None = None) -> RunReport:
     then carries the error, the rows logged so far, and the parameters of
     the last of them (none if no row was logged).  The train and test
     columns the loop has not filled are computed after it, for every logged
-    row at once, so a wall-clock budget bounds the loop alone: its clock
-    starts once the problem is built and its optimizer set up.
+    row at once.
 
-    Deterministic under the epoch-budget stopping mode: identical
-    (config, seed) produce bitwise-identical logs and reports.
+    Deterministic: identical configs produce bitwise-identical logs and
+    reports.
     """
     config.validate()
-    out = out_dir if out_dir is not None else config.out_dir
-    if out is None:
-        raise ConfigError(["out_dir: no output directory given"])
-    os.makedirs(out, exist_ok=True)
+    os.makedirs(out_dir, exist_ok=True)
     started = time.perf_counter()
 
     _, ss_init = np.random.SeedSequence(config.seed).spawn(2)
@@ -713,7 +710,7 @@ def run(config: ExperimentConfig, out_dir: str | None = None) -> RunReport:
     # the members that result, so numpy stays quiet, as in the integrators.
     try:
         with np.errstate(over="ignore", invalid="ignore"):
-            for _ in _budget(config, time.perf_counter()):
+            for _ in range(config.epochs):
                 logged.append(driver.row())
                 driver.advance()
                 epochs_run += 1
@@ -728,7 +725,7 @@ def run(config: ExperimentConfig, out_dir: str | None = None) -> RunReport:
         rows = [head + list(pair) for head, pair in zip(heads, errors)]
         theta = thetas[-1]
 
-    log_path = os.path.join(out, "log.csv")
+    log_path = os.path.join(out_dir, "log.csv")
     log = _csv_text(CSV_HEADER, (
         [epoch, "" if gamma is None else _fmt(gamma), j] + [_fmt(v) for v in values]
         for epoch, gamma, j, *values in rows
@@ -756,7 +753,7 @@ def run(config: ExperimentConfig, out_dir: str | None = None) -> RunReport:
     # fails to serialize leaves the previous pair, and a write leaves whole files.
     text = json.dumps(report.to_dict(), indent=2) + "\n"
     _replace_file(log_path, log)
-    _replace_file(os.path.join(out, "report.json"), text)
+    _replace_file(os.path.join(out_dir, "report.json"), text)
     return report
 
 
@@ -772,17 +769,6 @@ def _replace_file(path: str, text: str) -> None:
     with open(tmp, "w", newline="") as fh:
         fh.write(text)
     os.replace(tmp, path)
-
-
-def _budget(config, started):
-    """Yield epoch indices until the configured stopping point."""
-    if config.epochs is not None:
-        yield from range(config.epochs)
-        return
-    m = 0
-    while time.perf_counter() - started < config.wall_clock_budget_seconds:
-        yield m
-        m += 1
 
 
 def _fmt(x: float) -> str:
@@ -821,7 +807,7 @@ def table(configs: list, replicates: int, out_dir: str) -> list[dict]:
     for name, config in named:
         trains, tests, failures = [], [], 0
         for r in range(replicates):
-            rep_config = dataclasses.replace(config, seed=config.seed + r, out_dir=None)
+            rep_config = dataclasses.replace(config, seed=config.seed + r)
             rep_dir = os.path.join(out_dir, f"{name}-rep{r}")
             try:
                 report = run(rep_config, out_dir=rep_dir)

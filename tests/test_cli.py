@@ -129,19 +129,17 @@ def test_invalid_config_reports_each_message(tmp_path, capsys):
     path = tmp_path / "c.json"
     data = runner.config_to_dict(runner.preset("spiral-eki"))
     data["epochs"] = 5
-    data["wall_clock_budget_seconds"] = 1.0
     data["optimizer"] = "newton"
     path.write_text(json.dumps(data))
     assert cli.main(["run", "--config", str(path), "--out", str(tmp_path / "x")]) == 1
-    err = capsys.readouterr().err
-    assert "exactly one" in err
-    assert "optimizer" in err
+    assert "optimizer" in capsys.readouterr().err
     # Values of the wrong type are config errors too, each named by field,
     # and no run starts.
     for key, value, field in (
         ("eki", {"expansions": [3]}, "eki.expansions"),
         ("eki", {"step_cap_rel": "big"}, "eki.step_cap_rel"),
         ("epochs", "2", "epochs"),
+        ("epochs", None, "epochs"),
         ("eki", {"ensemble_size": 2.5}, "eki.ensemble_size"),
         ("eki", [1], "eki"),
         ("eki", {"expansions": [[3.5, 20]]}, "eki.expansions"),
@@ -152,7 +150,6 @@ def test_invalid_config_reports_each_message(tmp_path, capsys):
         ("eki", {"gamma_steps": [[3, 0.1], [3, 0.15]]}, "eki.gamma_steps"),
         ("seed", -1, "seed"),
         # JSON Infinity and NaN parse, and no float field takes them.
-        ("wall_clock_budget_seconds", math.inf, "wall_clock_budget_seconds"),
         ("eki", {"step_cap_rel": math.inf}, "eki.step_cap_rel"),
         ("eki", {"gamma0": math.nan}, "eki.gamma0"),
         # Every grid point observed leaves no test error.
@@ -172,14 +169,17 @@ def test_invalid_config_reports_each_message(tmp_path, capsys):
         assert not (out / "report.json").exists()
 
 
-# Keys an earlier config format had, at the values it wrote, by block.
+# Keys an earlier config format had, at the values it wrote, by block;
+# None is the top level.
 REMOVED_KEYS = {
     "eki": {"expansion_mode": "fresh", "step_size": 1.0, "accept_factor": 10.0, "max_backtracks": 30},
     "problem_options": {"assembly": "shooting"},
+    None: {"out_dir": None, "wall_clock_budget_seconds": None},
 }
 REMOVED_KEY_ERRORS = [
     "config error: EkiOptions: unknown keys ['accept_factor', 'expansion_mode', 'max_backtracks', 'step_size']",
     "config error: ProblemOptions: unknown keys ['assembly']",
+    "config error: ExperimentConfig: unknown keys ['out_dir', 'wall_clock_budget_seconds']",
 ]
 
 
@@ -188,7 +188,7 @@ def test_removed_keys_are_config_errors(tmp_path, capsys):
     # with its removed keys ignored: exit 1, each key named under its block.
     def with_removed_keys(config):
         for block, keys in REMOVED_KEYS.items():
-            config[block].update(keys)
+            (config if block is None else config[block]).update(keys)
         return config
 
     path, out = tmp_path / "c.json", tmp_path / "x"

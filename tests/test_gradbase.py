@@ -263,7 +263,7 @@ class PerCallPullback:
         g = gout
         products = []
         for (w, _), a, y in zip(reversed(self.layers), reversed(inputs), reversed(inputs[1:] + [None])):
-            gz = g if y is None else g * gradbase._act_deriv(y, self.spec.activation)
+            gz = g if y is None else g * nnet._act_deriv(y, self.spec.activation)
             products.append((gz.mT @ a, gz.sum(axis=-2)))
             g = gz @ w
         self.products.append(products[::-1])

@@ -642,6 +642,19 @@ def test_dopri_hands_the_field_a_list_of_floats():
     assert seen and set(seen) == {list}
 
 
+@pytest.mark.parametrize("field, x0, message", [
+    (lambda x, t: [1.0], [1.0, 2.0], r"field returned shape \(1,\) for a state of shape \(2,\)"),
+    (lambda x, t: [1.0, 2.0, 3.0], [1.0, 2.0],
+     r"field returned shape \(3,\) for a state of shape \(2,\)"),
+    (lambda x, t: [], [], "x0 must have at least one component"),
+], ids=["too-few", "too-many", "empty-state"])
+def test_integrate_refuses_a_field_output_that_is_not_the_state_shape(field, x0, message):
+    # Checked once, on the first stage: NumPy would broadcast a short output
+    # into every stage row, and an empty state has no error norm.
+    with pytest.raises(ValueError, match=message):
+        ode.integrate(field, x0, np.linspace(0.0, 1.0, 3), problems.DATA_INTEGRATOR)
+
+
 @pytest.mark.parametrize("field", [spiral_field, pendulum_field])
 def test_benchmark_fields_agree_bitwise_on_any_sequence(field):
     rng = np.random.default_rng(5)

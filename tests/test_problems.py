@@ -12,6 +12,7 @@ import pytest
 from hypothesis import example, given, seed, settings, strategies as st
 
 from ekinode import eki, gradbase, nnet, ode, problems, runner
+from test_log_hashes import log_hashes
 from test_ode import fixed_step_integrate
 
 ORACLE_TOL = 1e-12
@@ -603,21 +604,6 @@ def test_laid_out_pass_matches_the_view_pass(monkeypatch, members, rows, method,
             assert grad[0] == ref_grad[0] and _same_bits(grad[1], ref_grad[1]) and grad[2] == ref_grad[2]
 
 
-def _openblas_core():
-    # The kernel OpenBLAS picked, read from NumPy's bundled library; None
-    # where NumPy links another BLAS or the library does not say.
-    import ctypes
-    import glob
-
-    libs = glob.glob(os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs", "*openblas*"))
-    for lib in libs:
-        corename = getattr(ctypes.CDLL(lib), "scipy_openblas_get_corename64_", None)
-        if corename is not None:
-            corename.argtypes, corename.restype = [], ctypes.c_char_p
-            return corename().decode()
-    return None
-
-
 # OpenBLAS kernels on which a row's product with a weight matrix has the
 # same bits whatever the number of rows sharing the call.  These FMA kernels
 # were probed; under Nehalem, Sandybridge and Prescott a prefix of rows
@@ -628,7 +614,7 @@ FMA_CORES = ("SkylakeX", "Haswell", "Zen")
 def _fma_kernel():
     # The precondition of every assertion comparing values from two call
     # layouts, such as a merged controller call and a call per grid.
-    return _openblas_core() in FMA_CORES
+    return log_hashes.openblas_core() in FMA_CORES
 
 
 def _passes_under_blas_kernel(core, test):
@@ -641,15 +627,15 @@ def _passes_under_blas_kernel(core, test):
     code = (
         "import sys, pytest\n"
         f"sys.path.insert(0, {here!r})\n"
-        "from test_problems import _openblas_core\n"
-        "print('core', _openblas_core())\n"
+        "from test_log_hashes import log_hashes\n"
+        "print('core', log_hashes.openblas_core())\n"
         "sys.exit(pytest.main(['-q', '-p', 'no:cacheprovider',"
         f" {os.path.join(here, test)!r}]))\n"
     )
     proc = subprocess.run([sys.executable, "-c", code], cwd=root, env=env, capture_output=True,
                           text=True, timeout=600)
     assert proc.returncode == 0, proc.stdout + proc.stderr
-    if _openblas_core() is not None:
+    if log_hashes.openblas_core() is not None:
         assert proc.stdout.startswith(f"core {core}\n")
 
 

@@ -11,22 +11,28 @@ patch for their duration.  ``report.json`` is hashed without
 reference grid of ``problems.SYSID_BENCHMARKS`` is hashed too, at its
 default size, so a change to the data generator shows on its own line.
 
-The bits depend on the BLAS kernel and the CPU features, so compare the
-listings of two trees made on one machine, in one environment:
-
-    PYTHONPATH=src python tools/log_hashes.py > hashes.txt
-
 Each run's line reads ``<case> <log.csv sha256> <report.json sha256>``, and
 each grid's ``grid:<name> <states sha256>``.  Runs in process, in a
-temporary directory, in a few seconds.
+temporary directory, in a few seconds:
+
+    PYTHONPATH=src python tools/log_hashes.py [--write]
+
+The bits depend on the BLAS kernel and the CPU features, so the committed
+listings in ``log_hashes.json`` are keyed by :func:`environment_key`: the
+OpenBLAS core, NumPy's enabled CPU features, and the NumPy and Python
+versions.  ``--write`` stores this listing under the current key, as a
+change that moves logs on purpose does; ``tests/test_log_hashes.py``
+compares against the entry for the key it runs under.
 """
 
 from __future__ import annotations
 
+import argparse
 import dataclasses
 import hashlib
 import json
 import os
+import platform
 import sys
 import tempfile
 
@@ -36,6 +42,33 @@ from ekinode import ode, problems, runner
 
 # Fields of report.json that differ between reruns of one config.
 VOLATILE = ("runtime_seconds", "log_path")
+
+# The committed listings, by environment key.
+GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "log_hashes.json")
+
+
+def openblas_core():
+    """The kernel OpenBLAS picked, read from NumPy's bundled library; None
+    where NumPy links another BLAS or the library does not say."""
+    import ctypes
+    import glob
+
+    libs = glob.glob(os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs", "*openblas*"))
+    for lib in libs:
+        corename = getattr(ctypes.CDLL(lib), "scipy_openblas_get_corename64_", None)
+        if corename is not None:
+            corename.argtypes, corename.restype = [], ctypes.c_char_p
+            return corename().decode()
+    return None
+
+
+def environment_key() -> str:
+    """What decides the listing's bits in this process, as one string."""
+    from numpy._core._multiarray_umath import __cpu_features__
+
+    features = ",".join(name for name, enabled in __cpu_features__.items() if enabled)
+    return (f"openblas={openblas_core()} numpy={np.__version__} "
+            f"python={platform.python_version()} features={features}")
 
 
 def _config(base, epochs, **blocks):
@@ -107,13 +140,33 @@ def grid_digests() -> list[tuple[str, str]]:
     return out
 
 
-def main() -> int:
+def listing(out_dir) -> list[str]:
+    """Every case's line, each run in a fresh directory under ``out_dir``,
+    then every grid's."""
+    runs = [" ".join((name, *run_case(config, patches, os.path.join(out_dir, str(i)))))
+            for i, (name, config, patches) in enumerate(cases())]
+    return runs + [f"{name} {digest}" for name, digest in grid_digests()]
+
+
+def golden() -> dict:
+    """The committed listings, by environment key."""
+    with open(GOLDEN) as fh:
+        return json.load(fh)
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description="Hash every log of a fixed list of short runs.")
+    parser.add_argument("--write", action="store_true",
+                        help="store the listing under this environment's key in log_hashes.json")
+    args = parser.parse_args(argv)
     with tempfile.TemporaryDirectory() as tmp:
-        for i, (name, config, patches) in enumerate(cases()):
-            log, report = run_case(config, patches, os.path.join(tmp, str(i)))
-            print(name, log, report)
-    for name, digest in grid_digests():
-        print(name, digest)
+        lines = listing(tmp)
+    print("\n".join(lines))
+    if args.write:
+        entries = golden()
+        entries[environment_key()] = lines
+        with open(GOLDEN, "w") as fh:
+            fh.write(json.dumps(entries, indent=2, sort_keys=True) + "\n")
     return 0
 
 
