@@ -113,22 +113,41 @@ SYSID_BENCHMARKS = {
 _SYSID_NET = MlpSpec((2, 10, 2), "tanh")
 
 
-@dataclass
+@dataclass(frozen=True)
 class ObservationSet:
     """Training observations: runs of consecutive reference-grid samples.
 
-    ``train_indices`` index into the reference grid; observation times and
-    values are the grid rows at those indices.  The complement of the
-    training indices defines the test set.
+    Stores the reference grid, ``train_indices`` into it and ``subset_length``;
+    derives once, read-only, the observation ``times`` and ``values`` (the
+    grid rows at those indices) and ``num_subsets``.  The rest is the test set.
     """
 
-    times: np.ndarray
-    values: np.ndarray
     grid_times: np.ndarray
     grid_states: np.ndarray
     train_indices: np.ndarray
-    num_subsets: int
     subset_length: int
+
+    def __post_init__(self):
+        if self.grid_states.shape[0] != self.grid_times.size:
+            raise ValueError(f"{self.grid_states.shape[0]} grid states for {self.grid_times.size} grid times")
+        if self.subset_length < 1 or self.train_indices.size % self.subset_length:
+            raise ValueError(f"{self.train_indices.size} train indices are not runs of {self.subset_length}")
+
+    @functools.cached_property
+    def times(self) -> np.ndarray:
+        times = self.grid_times[self.train_indices]
+        _read_only(times)
+        return times
+
+    @functools.cached_property
+    def values(self) -> np.ndarray:
+        values = self.grid_states[self.train_indices]
+        _read_only(values)
+        return values
+
+    @functools.cached_property
+    def num_subsets(self) -> int:
+        return self.train_indices.size // self.subset_length
 
     @property
     def test_indices(self) -> np.ndarray:
@@ -154,7 +173,8 @@ def make_observations(
     rng: np.random.Generator,
 ) -> ObservationSet:
     """Select ``num_subsets`` disjoint runs of ``subset_length`` consecutive
-    grid points, start indices uniform without replacement.
+    grid points, start indices uniform without replacement.  The set stores
+    the grid and the chosen indices; the observations are derived from them.
 
     Overlapping configurations are excluded up front: the draw is uniform
     over all start-index sets whose runs are pairwise disjoint (equivalent
@@ -173,15 +193,7 @@ def make_observations(
     u = np.sort(rng.choice(slack + 1, size=num_subsets, replace=False))
     starts = u + np.arange(num_subsets) * (subset_length - 1)
     idx = np.concatenate([np.arange(s, s + subset_length) for s in starts])
-    return ObservationSet(
-        times=grid_times[idx].copy(),
-        values=grid_states[idx].copy(),
-        grid_times=grid_times,
-        grid_states=grid_states,
-        train_indices=idx,
-        num_subsets=num_subsets,
-        subset_length=subset_length,
-    )
+    return ObservationSet(grid_times, grid_states, idx, subset_length)
 
 
 @dataclass(frozen=True)
@@ -192,25 +204,28 @@ class SysIdProblem:
     observation subset at its first observed state and integrates only
     across that subset.  Shooting keeps every residual component bounded by
     the subset span, which is what makes aggressive covariance schedules
-    usable on long horizons.  ``x0`` starts the whole-grid pass of
-    :func:`sysid_trajectory`.  The observation runs must leave a grid point
-    held out for :func:`test_mse`.
+    usable on long horizons.  ``x0``, derived as the reference grid's first
+    state, starts the whole-grid pass of :func:`sysid_trajectory`.  The
+    observation runs must leave a grid point held out for :func:`test_mse`.
 
     Frozen, so that :attr:`plan`, derived once from the fields, stays theirs:
     ``dataclasses.replace`` makes a new problem with a plan of its own.
     """
 
-    x0: np.ndarray
     observations: ObservationSet
     net: MlpSpec
     integrator: IntegratorConfig
 
     def __post_init__(self):
-        n = np.asarray(self.x0).size
+        n = self.x0.size
         if self.net.in_dim != n or self.net.out_dim != n:
             raise ValueError("network input/output dims must equal the state dimension")
         obs = self.observations
         _check_held_out(obs.num_subsets, obs.subset_length, obs.grid_times.size)
+
+    @property
+    def x0(self) -> np.ndarray:
+        return self.observations.grid_states[0]
 
     @functools.cached_property
     def plan(self) -> _SysIdPlan:
@@ -265,7 +280,7 @@ def make_sysid_problem(
     obs = make_observations(times, states, num_subsets, subset_length, data_rng)
     if integrator is None:
         integrator = IntegratorConfig(method="rk4", dt=times[1] - times[0], divergence_limit=1e3)
-    return SysIdProblem(x0, obs, net, integrator)
+    return SysIdProblem(obs, net, integrator)
 
 
 def _net_states(theta: np.ndarray, prob: SysIdProblem, x0: np.ndarray, plan: ode.LockstepPlan,
@@ -360,7 +375,7 @@ def sysid_trajectory(theta: np.ndarray, prob: SysIdProblem) -> np.ndarray:
     the members of one lockstep pass over a plan of its own."""
     theta = np.asarray(theta, dtype=float)
     plan = ode.LockstepPlan(prob.observations.grid_times[None], prob.integrator)
-    states, failed = _net_states(np.atleast_2d(theta), prob, np.asarray(prob.x0, dtype=float)[None], plan)
+    states, failed = _net_states(np.atleast_2d(theta), prob, prob.x0[None], plan)
     states[failed] = np.nan
     return states[:, 0] if theta.ndim == 2 else states[0, 0]
 

@@ -41,7 +41,6 @@ def zero_field_problem():
     grid_states = np.tile([0.3, -0.7], (20, 1))
     obs = problems.make_observations(grid_times, grid_states, 2, 5, np.random.default_rng(0))
     return problems.SysIdProblem(
-        x0=np.array([0.3, -0.7]),
         observations=obs,
         net=nnet.MlpSpec((2, 4, 2), "tanh"),
         integrator=ode.IntegratorConfig(method="rk4", dt=0.05),
@@ -582,10 +581,8 @@ def two_run_problem(first_spacing, second_spacing, dt):
     grid_times = np.concatenate([first, first[-1] + second_spacing * np.arange(1, 12)])
     grid_states = problems.spiral_solution(grid_times)
     train = np.arange(20)
-    obs = problems.ObservationSet(grid_times[train], grid_states[train], grid_times, grid_states,
-                                  train, num_subsets=2, subset_length=10)
+    obs = problems.ObservationSet(grid_times, grid_states, train, subset_length=10)
     return problems.SysIdProblem(
-        x0=np.array([1.0, 0.0]),
         observations=obs,
         net=nnet.MlpSpec((2, 4, 2), "tanh"),
         integrator=ode.IntegratorConfig(method="rk4", dt=dt),

@@ -1,11 +1,11 @@
 """tools/log_hashes.py run twice in one process: a rerun of every case,
 each run in a fresh directory, hashes its log.csv and report.json the same,
-and a rebuilt reference grid hashes its states the same.  That holds under
-any BLAS kernel.  The first listing must also equal the committed one
-(tools/log_hashes.json) for the environment the test runs in; where no
-entry has that key, the test says so and checks the rerun alone.  Either
-way it keeps the tool working against the runner constants its stall cases
-patch."""
+a rebuilt reference grid hashes its states the same, and so does each file
+plotted from the runs.  That holds under any BLAS kernel.  The first
+listing must also equal the committed one (tools/log_hashes.json) for the
+environment the test runs in; where no entry has that key, the test says so
+and checks the rerun alone.  Either way it keeps the tool working against
+the runner constants its stall cases patch."""
 
 import importlib.util
 import os

@@ -5,7 +5,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
@@ -45,10 +45,12 @@ def test_pendulum_energy_is_conserved_by_field():
 @example(5, 1, 1, 0)
 @example(9, 1, 8, 0)
 @settings(max_examples=200, deadline=None)
-def test_observation_runs_are_disjoint_consecutive_and_aligned(s, num_subsets, subset_length, spare):
+def test_observation_runs_are_disjoint_consecutive_and_aligned(spiral_problem, pendulum_problem,
+                                                              s, num_subsets, subset_length, spare):
     # make_observations neither sorts nor checks its index list: this pins,
     # over layouts down to ones that fill the grid (spare = 0), that the runs
-    # come out disjoint and in grid order.
+    # come out disjoint and in grid order, and that the derived observations
+    # are the grid rows at those indices.
     grid_size = num_subsets * subset_length + spare
     rng = np.random.default_rng(s)
     grid_times = np.linspace(0.0, 4.0, grid_size)
@@ -62,6 +64,39 @@ def test_observation_runs_are_disjoint_consecutive_and_aligned(s, num_subsets, s
     assert np.all(np.diff(runs, axis=1) == 1)  # consecutive within each run
     assert np.array_equal(obs.times, grid_times[idx])
     assert np.array_equal(obs.values, grid_states[idx])
+    assert obs.num_subsets == num_subsets
+    # A problem's x0 is its grid's first state, bitwise the table's start.
+    for name, prob in (("spiral", spiral_problem), ("pendulum", pendulum_problem)):
+        first = prob.observations.grid_states[0]
+        assert prob.x0.tobytes() == first.tobytes() == np.array(problems.SYSID_BENCHMARKS[name].x0).tobytes()
+
+
+@pytest.mark.parametrize("grid_rows, train, subset_length, match", [
+    (9, np.arange(6), 3, "^9 grid states for 10 grid times$"),
+    (10, np.arange(7), 3, "^7 train indices are not runs of 3$"),
+    (10, np.arange(6), 0, "^6 train indices are not runs of 0$"),
+], ids=["grid-rows", "partial-run", "empty-runs"])
+def test_observation_set_refuses_what_it_cannot_derive(grid_rows, train, subset_length, match):
+    # The set derives its observations from the grid rows at the training
+    # indices and its run count from their length; it refuses a layout
+    # from which either cannot be derived.
+    with pytest.raises(ValueError, match=match):
+        problems.ObservationSet(np.linspace(0.0, 1.0, 10), np.zeros((grid_rows, 2)), train, subset_length)
+
+
+def test_a_built_problem_refuses_to_move_its_observations():
+    # Observations are derived from the reference grid, so they cannot be
+    # set apart from it: neither reassigned nor written in place.
+    prob = problems.make_sysid_problem("spiral", np.random.default_rng(0))
+    theta = nnet.mlp_init(prob.net, np.random.default_rng(1))
+    before = problems.mse(theta, prob)
+    obs = prob.observations
+    with pytest.raises(FrozenInstanceError):
+        obs.values = obs.values + 1.0
+    for derived in (obs.times, obs.values):
+        with pytest.raises(ValueError, match="read-only"):
+            derived[0] = 0.0
+    assert problems.mse(theta, prob) == before
 
 
 def _leaves_numpy_ma_unimported(statement):
@@ -142,7 +177,7 @@ def test_sysid_problem_built_from_filling_observations_is_rejected(spiral_proble
     with pytest.raises(ValueError, match="10 disjoint runs of 10 must leave a held-out point in 100 grid"):
         replace(spiral_problem, observations=full)
     with pytest.raises(ValueError, match="must leave a held-out point"):
-        problems.SysIdProblem(spiral_problem.x0, full, spiral_problem.net, spiral_problem.integrator)
+        problems.SysIdProblem(full, spiral_problem.net, spiral_problem.integrator)
 
 
 def test_spiral_problem_layout(spiral_problem):
@@ -447,7 +482,7 @@ def _uneven_sysid_problem(rng, method, dt, activation):
     grid_states = 0.5 * rng.normal(size=(30, 2))
     obs = problems.make_observations(grid_times, grid_states, 3, 4, rng)
     return problems.SysIdProblem(
-        grid_states[0], obs, nnet.MlpSpec((2, 6, 2), activation),
+        obs, nnet.MlpSpec((2, 6, 2), activation),
         ode.IntegratorConfig(method=method, dt=dt, divergence_limit=50.0),
     )
 

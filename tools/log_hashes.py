@@ -9,11 +9,14 @@ the EKI step control's module constants in ``runner``, which these runs
 patch for their duration.  ``report.json`` is hashed without
 ``runtime_seconds`` and ``log_path``, which differ between reruns.  Each
 reference grid of ``problems.SYSID_BENCHMARKS`` is hashed too, at its
-default size, so a change to the data generator shows on its own line.
+default size, so a change to the data generator shows on its own line.  So
+is every file ``runner.plot_script`` writes for two inputs of those runs
+(:data:`PLOTS`): one system-identification report, and a control mu sweep.
 
-Each run's line reads ``<case> <log.csv sha256> <report.json sha256>``, and
-each grid's ``grid:<name> <states sha256>``.  Runs in process, in a
-temporary directory, in a few seconds:
+Each run's line reads ``<case> <log.csv sha256> <report.json sha256>``,
+each grid's ``grid:<name> <states sha256>``, and each plot file's
+``plot:<input>/<file> <sha256>``.  Runs in process, in a temporary
+directory, in a few seconds:
 
     PYTHONPATH=src python tools/log_hashes.py [--write]
 
@@ -45,6 +48,13 @@ VOLATILE = ("runtime_seconds", "log_path")
 
 # The committed listings, by environment key.
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "log_hashes.json")
+
+# The plot inputs: a label, and the cases whose reports runner.plot_script
+# reads together.
+PLOTS = (
+    ("spiral-eki@3-seed0", ("spiral-eki@3-seed0",)),
+    ("control-eki-mu@3-seed0", ("control-eki-mu0.001@3-seed0", "control-eki-mu0.01@3-seed0")),
+)
 
 
 def openblas_core():
@@ -140,12 +150,27 @@ def grid_digests() -> list[tuple[str, str]]:
     return out
 
 
+def plot_digests(run_dirs: dict, out_dir) -> list[tuple[str, str]]:
+    """``(plot:<input>/<file>, digest)`` of every file :func:`runner.plot_script`
+    writes for each input of :data:`PLOTS`, from the cases' run directories."""
+    out = []
+    for label, names in PLOTS:
+        plot_dir = os.path.join(out_dir, label)
+        for name in runner.plot_script([run_dirs[case] for case in names], plot_dir):
+            with open(os.path.join(plot_dir, name), "rb") as fh:
+                out.append((f"plot:{label}/{name}", hashlib.sha256(fh.read()).hexdigest()))
+    return out
+
+
 def listing(out_dir) -> list[str]:
     """Every case's line, each run in a fresh directory under ``out_dir``,
-    then every grid's."""
-    runs = [" ".join((name, *run_case(config, patches, os.path.join(out_dir, str(i)))))
-            for i, (name, config, patches) in enumerate(cases())]
-    return runs + [f"{name} {digest}" for name, digest in grid_digests()]
+    then every grid's, then every plot file's."""
+    run_dirs, runs = {}, []
+    for i, (name, config, patches) in enumerate(cases()):
+        run_dirs[name] = os.path.join(out_dir, str(i))
+        runs.append(" ".join((name, *run_case(config, patches, run_dirs[name]))))
+    plots = plot_digests(run_dirs, os.path.join(out_dir, "plots"))
+    return runs + [f"{name} {digest}" for name, digest in grid_digests() + plots]
 
 
 def golden() -> dict:
