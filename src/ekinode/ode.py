@@ -16,7 +16,7 @@ the grids are bitwise those of the textbook array step.
 each inter-sample interval in equal substeps, and reports divergence as a
 per-member mask instead of raising.  A :class:`LockstepPlan` holds what its
 passes over one time grid under one :class:`IntegratorConfig` share: the
-step counts and every step's coefficients.
+step counts and every step's coefficients, read-only.
 """
 
 from __future__ import annotations
@@ -301,12 +301,19 @@ def _check_max_steps(exceeded: bool, config: IntegratorConfig) -> None:
         raise IntegrationError(f"max_steps={config.max_steps} exceeded")
 
 
+def _read_only(array, *more):
+    # The one freeze of every array a built problem or plan holds: the
+    # arrays become read-only in place, and the first is returned, so a
+    # derived value is frozen where it is made.
+    for a in (array, *more):
+        a.setflags(write=False)
+    return array
+
+
 def _laid_out(column, shape):
     # A (B, 1) column as an array of the state's own shape: a product with
     # the state then runs one loop, not one per (member, row).
-    out = np.broadcast_to(column, shape).copy()
-    out.setflags(write=False)
-    return out
+    return _read_only(np.broadcast_to(column, shape).copy())
 
 
 def integrate_lockstep(field, x0: np.ndarray, plan: LockstepPlan):
@@ -356,7 +363,8 @@ def substeps(times: np.ndarray, config: IntegratorConfig):
     ``(K,)`` counts; per interval, each row's substep length, its span over
     the count (a Python float when every row shares it, else a ``(B, 1)``
     column, which :class:`LockstepPlan` lays out once per state shape); and
-    whether the counts sum past ``config.max_steps``.  The counts are formed
+    whether the counts sum past ``config.max_steps``.  The counts and the
+    columns are read-only, as every array of a plan is.  The counts are formed
     in floating point, so a quotient past the float range is inf and
     exceeds; they are integers unless the pass exceeds, and a pass that
     exceeds takes no step, so no caller reads them then.
@@ -365,8 +373,8 @@ def substeps(times: np.ndarray, config: IntegratorConfig):
     with np.errstate(over="ignore"):
         counts = np.maximum(1.0, np.ceil(spans / config.dt - 1e-9)).max(axis=0)
     exceeded = bool(counts.sum() > config.max_steps)
-    counts = counts if exceeded else counts.astype(int)
-    h = spans / counts
+    counts = _read_only(counts if exceeded else counts.astype(int))
+    h = _read_only(spans / counts)
     shared = np.all(h == h[:1], axis=0).tolist()
     lengths = [float(h[0, k]) if shared[k] else h[:, k, None] for k in range(h.shape[1])]
     return counts, lengths, exceeded

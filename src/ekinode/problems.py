@@ -28,7 +28,6 @@ __all__ = [
     "make_observations",
     "make_sysid_problem",
     "sysid_forward_map",
-    "sysid_grid",
     "sysid_loss",
     "sysid_trajectory",
     "mse",
@@ -117,9 +116,11 @@ _SYSID_NET = MlpSpec((2, 10, 2), "tanh")
 class ObservationSet:
     """Training observations: runs of consecutive reference-grid samples.
 
-    Stores the reference grid, ``train_indices`` into it and ``subset_length``;
-    derives once, read-only, the observation ``times`` and ``values`` (the
-    grid rows at those indices) and ``num_subsets``.  The rest is the test set.
+    Stores ``subset_length`` and read-only copies of the reference grid and
+    of ``train_indices`` into it, so that neither a write nor the caller's
+    arrays can move them; derives once, read-only, the observation ``times``
+    and ``values`` (the grid rows at those indices), ``num_subsets`` and the
+    ``test_indices``, the rest of the grid.
     """
 
     grid_times: np.ndarray
@@ -128,6 +129,8 @@ class ObservationSet:
     subset_length: int
 
     def __post_init__(self):
+        for name in ("grid_times", "grid_states", "train_indices"):
+            object.__setattr__(self, name, ode._read_only(np.array(getattr(self, name))))
         if self.grid_states.shape[0] != self.grid_times.size:
             raise ValueError(f"{self.grid_states.shape[0]} grid states for {self.grid_times.size} grid times")
         if self.subset_length < 1 or self.train_indices.size % self.subset_length:
@@ -135,25 +138,21 @@ class ObservationSet:
 
     @functools.cached_property
     def times(self) -> np.ndarray:
-        times = self.grid_times[self.train_indices]
-        _read_only(times)
-        return times
+        return ode._read_only(self.grid_times[self.train_indices])
 
     @functools.cached_property
     def values(self) -> np.ndarray:
-        values = self.grid_states[self.train_indices]
-        _read_only(values)
-        return values
+        return ode._read_only(self.grid_states[self.train_indices])
 
     @functools.cached_property
     def num_subsets(self) -> int:
         return self.train_indices.size // self.subset_length
 
-    @property
+    @functools.cached_property
     def test_indices(self) -> np.ndarray:
         mask = np.ones(self.grid_times.size, dtype=bool)
         mask[self.train_indices] = False
-        return np.nonzero(mask)[0]
+        return ode._read_only(np.nonzero(mask)[0])
 
     def stacked_values(self) -> np.ndarray:
         """Observations as one flat vector (time-major), the EKI target y."""
@@ -200,8 +199,8 @@ def make_observations(
 class SysIdProblem:
     """System-identification task: fit a network vector field to observations.
 
-    The forward map shoots (:func:`sysid_grid`): it re-initializes each
-    observation subset at its first observed state and integrates only
+    The forward map shoots, over the grid of :attr:`plan`: it re-initializes
+    each observation subset at its first observed state and integrates only
     across that subset.  Shooting keeps every residual component bounded by
     the subset span, which is what makes aggressive covariance schedules
     usable on long horizons.  ``x0``, derived as the reference grid's first
@@ -229,16 +228,20 @@ class SysIdProblem:
 
     @functools.cached_property
     def plan(self) -> _SysIdPlan:
-        """The training pass's grid and :class:`ode.LockstepPlan`, built on
-        first use and shared by every forward map and BPTT pass."""
-        x0, times = sysid_grid(self)
-        return _SysIdPlan(x0, ode.LockstepPlan(times, self.integrator))
+        """The training pass's shooting grid and :class:`ode.LockstepPlan`,
+        built on first use and shared by every forward map and BPTT pass."""
+        obs = self.observations
+        L = obs.subset_length
+        return _SysIdPlan(obs.values[::L], ode.LockstepPlan(obs.times.reshape(-1, L), self.integrator))
 
 
 class _SysIdPlan(NamedTuple):
     """The constants of a system-identification problem's training pass
-    (:attr:`SysIdProblem.plan`): the starts ``(B, n)`` of
-    :func:`sysid_grid`, and the steps over its times."""
+    (:attr:`SysIdProblem.plan`), its shooting grid: the starts ``(B, n)`` of
+    the B observation subsets, each its first observed state, and the steps
+    over their sample times ``(B, L)``, the L observation times of each.
+    Row-major, the samples are the observations in order: starts and times
+    are read-only views of them."""
 
     x0: np.ndarray
     steps: ode.LockstepPlan
@@ -313,17 +316,6 @@ def _net_states(theta: np.ndarray, prob: SysIdProblem, x0: np.ndarray, plan: ode
         return nnet.mlp_apply(layers, x, act, record)
 
     return ode.integrate_lockstep(field, x0, plan)
-
-
-def sysid_grid(prob: SysIdProblem):
-    """Where the forward map integrates: the starts ``(B, n)`` and sample
-    times ``(B, L)`` of the B observation subsets, each started at its first
-    observed state and sampled at its L observation times.  Row-major, the
-    samples are the observations in order.
-    """
-    obs = prob.observations
-    L = obs.subset_length
-    return obs.values[::L], obs.times.reshape(-1, L)
 
 
 def sysid_forward_map(theta: np.ndarray, prob: SysIdProblem) -> ForwardMapOutput:
@@ -548,15 +540,10 @@ class _ControlPlan(NamedTuple):
     final_row: np.ndarray | None = None  # gradient of x(T) w.r.t. u on the stage grid
 
 
-def _read_only(*arrays) -> None:
-    for a in arrays:
-        a.setflags(write=False)
-
-
 def _control_plan(prob: ControlProblem) -> _ControlPlan:
     counts, (h,), exceeded = ode.substeps(np.array([[0.0, prob.t_final]]), prob.integrator)
     quad = prob.quadrature_grid()
-    _read_only(quad)
+    ode._read_only(quad)
     if exceeded:
         return _ControlPlan(0, h, quad, True)
     n_steps = int(counts[0])
@@ -584,7 +571,7 @@ def _control_plan(prob: ControlProblem) -> _ControlPlan:
     # Per product of the pass: its first step, its stage columns, and the M
     # and r of its steps, all cut from one propagator of at most PROPAGATOR_STEPS.
     M, r = control_propagator(growth, coef, stride, min(n_steps, PROPAGATOR_STEPS))
-    _read_only(M, r)
+    ode._read_only(M, r)
     blocks = []
     for first in range(0, n_steps, PROPAGATOR_STEPS):
         t = min(PROPAGATOR_STEPS, n_steps - first)
@@ -598,7 +585,7 @@ def _control_plan(prob: ControlProblem) -> _ControlPlan:
         final_row[cols] += scale * M[-1]
         scale *= r[-1]
     evals = np.concatenate([stage_times, quad[extra]])
-    _read_only(evals, col, w, final_row)
+    ode._read_only(evals, col, w, final_row)
     return _ControlPlan(n_steps, h, quad, False, stages, evals, col, w, tuple(blocks), final_row)
 
 

@@ -4,10 +4,11 @@ import dataclasses
 import json
 import math
 import os
+import re
 import warnings
 
 import pytest
-from hypothesis import given, seed, settings, strategies as st
+from hypothesis import example, given, seed, settings, strategies as st
 
 from ekinode import cli, eki, runner
 
@@ -579,15 +580,38 @@ def _field_paths(data, prefix=()):
 
 FIELD_PATHS = tuple(_field_paths(FUZZ_CONFIGS["spiral-eki"]))
 
+# The runtime failures the package raises, as a report's error reads them.
+RUNTIME_FAILURES = re.compile(
+    r"max_steps=\d+ exceeded( at t=\S+)?|non-finite state at unfold step \d+"
+    r"|non-finite (loss|gradient|EKI update) at epoch \d+|state magnitude exceeds \S+ at t=\S+"
+    r"|noise variance \S+ is not positive at epoch \d+")
+
+
+def _config_error(data) -> bool:
+    # Whether the config a JSON object describes is refused before any run.
+    try:
+        runner.config_from_dict(data).validate()
+    except runner.ConfigError:
+        return True
+    return False
+
 
 @seed(20)
+# The sampled configs reach no runtime failure, so one example of each
+# family that a report can name comes first.
+@example("spiral-adam-0.01", 1, [(("integrator", "dt"), 5e-324)])
+@example("spiral-adam-0.01", 1, [(("gradient", "eta"), 1e308)])
+@example("control-eki-mu0.001", 1, [(("problem_options", "mu"), 1e308)])
+@example("spiral-eki", 3, [(("eki", "alpha"), 1e308)])
 @given(st.sampled_from(sorted(FUZZ_CONFIGS)), st.integers(1, 5),
        st.lists(st.tuples(st.sampled_from(FIELD_PATHS), st.sampled_from(MUTANTS)),
                 min_size=1, max_size=2))
 @settings(max_examples=300, deadline=None)
 def test_every_config_exits_by_the_contract(tmp_path_factory, name, epochs, mutations):
-    # Exit 0 with a report, exit 1 with none, or exit 2 with a partial
-    # report that loads; an uncaught failure would exit 2 with no report.
+    # Exit 0 with a report, exit 1 with none exactly when the config is
+    # refused, or exit 2 with a partial report that loads and names one of
+    # the package's runtime failures; an uncaught failure would exit 2 with
+    # no report.
     data = json.loads(json.dumps(FUZZ_CONFIGS[name]))
     data["epochs"] = epochs
     for path, value in mutations:
@@ -603,12 +627,14 @@ def test_every_config_exits_by_the_contract(tmp_path_factory, name, epochs, muta
     config = tmp / "c.json"
     config.write_text(json.dumps(data))
     code = cli.main(["run", "--config", str(config), "--out", str(tmp / "out")])
+    assert (code == 1) == _config_error(data)
     if code == 1:
         assert not (tmp / "out" / "report.json").exists()
         return
     assert code in (0, 2)
     report = runner.load_report(str(tmp / "out"))
     assert (report.error is None) == (code == 0)
+    assert code == 0 or RUNTIME_FAILURES.fullmatch(report.error), report.error
 
 
 def test_non_finite_eki_update_is_runtime_failure(tmp_path, capsys):

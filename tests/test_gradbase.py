@@ -295,7 +295,7 @@ def test_stacked_accumulation_is_bitwise_per_call(spiral_problem, small_spiral, 
         (control_problem, {"gamma": 0.3, "gamma_prime": 0.01}),
         (replace(control_problem, integrator=replace(control_problem.integrator, method="euler")), {}),
     ]
-    n_sub, _, _ = ode.substeps(problems.sysid_grid(cases[4][0])[1], fine)
+    n_sub, _, _ = ode.substeps(cases[4][0].plan.steps.times, fine)
     assert n_sub.min() >= 2
     for case, (prob, kw) in enumerate(cases):
         spec = prob.controller if isinstance(prob, problems.ControlProblem) else prob.net
@@ -531,7 +531,7 @@ def test_sysid_max_steps_boundary(small_spiral, method):
         integrator = ode.IntegratorConfig(method=method, dt=spacing / 2.5, max_steps=max_steps,
                                           divergence_limit=1e3)
         prob = replace(small_spiral, integrator=integrator)
-        x0, times = problems.sysid_grid(prob)
+        x0, times = prob.plan.x0, prob.plan.steps.times
         _, failed = ode.integrate_lockstep(np.negative, np.broadcast_to(x0, (3,) + x0.shape),
                                            ode.LockstepPlan(times, integrator))
         out = problems.sysid_forward_map(theta, prob)
@@ -601,7 +601,7 @@ def test_unfold_takes_the_most_substeps_across_runs():
              (runner.build_problem(preset), False),
              (two_run_problem(0.05, 0.04, dt=0.05), True)]
     for prob, equal in cases:
-        spans = np.diff(problems.sysid_grid(prob)[1], axis=1)
+        spans = np.diff(prob.plan.steps.times, axis=1)
         needed = np.maximum(1.0, np.ceil(spans / prob.integrator.dt - 1e-9))
         assert np.all(needed == needed[0]) == equal
         theta = nnet.mlp_init(prob.net, np.random.default_rng(17))

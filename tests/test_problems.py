@@ -1,6 +1,7 @@
 """Unit tests for the benchmark problems: observation sampling, forward maps,
 losses, and the analytic control oracles."""
 
+import functools
 import os
 import subprocess
 import sys
@@ -97,6 +98,62 @@ def test_a_built_problem_refuses_to_move_its_observations():
         with pytest.raises(ValueError, match="read-only"):
             derived[0] = 0.0
     assert problems.mse(theta, prob) == before
+    # Writing the grid would move x0 and the test error but not the
+    # observations derived from it: the grid is read-only.
+    with pytest.raises(ValueError, match="read-only"):
+        obs.grid_states[:] += 1.0
+    # The set owns copies: writes into the arrays it was made from, before
+    # anything is derived, move neither error.
+    given = obs.grid_times.copy(), obs.grid_states.copy(), obs.train_indices.copy()
+    own = replace(prob, observations=problems.ObservationSet(*given, obs.subset_length))
+    given[0][:] *= 2.0
+    given[1][:] += 1.0
+    given[2][:] = given[2][::-1]
+    assert problems.mse(theta, own) == before
+    assert problems.test_mse(theta, own) == problems.test_mse(theta, prob)
+
+
+def _arrays(value, path, seen):
+    # Every ndarray reachable from a value, by path: the instance attributes
+    # (fields, filled caches) and the properties and cached properties of an
+    # ekinode object, the members of tuples (named ones included) and lists,
+    # and the values of dicts.
+    if id(value) in seen:
+        return
+    seen[id(value)] = value  # kept alive, so no later value reuses its id
+    if isinstance(value, np.ndarray):
+        yield path, value
+    elif isinstance(value, (tuple, list)):
+        for i, item in enumerate(value):
+            yield from _arrays(item, f"{path}[{i}]", seen)
+    elif isinstance(value, dict):
+        for key, item in value.items():
+            yield from _arrays(item, f"{path}[{key!r}]", seen)
+    elif type(value).__module__.startswith("ekinode."):
+        names = dict(vars(value))
+        for cls in type(value).__mro__:
+            names.update({name: None for name, attr in vars(cls).items()
+                          if isinstance(attr, (property, functools.cached_property))})
+        for name in names:
+            yield from _arrays(getattr(value, name), f"{path}.{name}", seen)
+
+
+@pytest.mark.parametrize("name", ["spiral-eki", "pendulum-eki", "control-eki-mu0.001"])
+def test_a_built_problem_holds_no_writable_array(name):
+    # A built problem is a value: no array it holds or derives, its plan's
+    # included, can be written.  One forward map of an ensemble fills every
+    # cache first, so the walk reaches the laid-out coefficients too.
+    config = runner.preset(name)
+    prob = runner.build_problem(config)
+    if config.problem == "linear_control":
+        spec, forward_map = prob.controller, problems.control_forward_map
+    else:
+        spec, forward_map = prob.net, problems.sysid_forward_map
+    forward_map(nnet.mlp_init(spec, np.random.default_rng(0), config.eki.ensemble_size), prob)
+    arrays = dict(_arrays(prob, "prob", {}))
+    reached = " ".join(arrays)
+    assert "prob.plan" in reached and ("_coefficients" in reached or name.startswith("control"))
+    assert [path for path, a in arrays.items() if a.flags.writeable] == []
 
 
 def _leaves_numpy_ma_unimported(statement):
@@ -221,11 +278,11 @@ def test_preset_shooting_rows_need_equal_substep_counts(problem):
     for s in range(5):
         probs = [runner.build_problem(replace(runner.preset(name), seed=s))
                  for name in (f"{problem}-eki", f"{problem}-adam-0.01", f"{problem}-sgd-0.1")]
-        times, dt = problems.sysid_grid(probs[0])[1], probs[0].integrator.dt
+        times, dt = probs[0].plan.steps.times, probs[0].integrator.dt
         needed = np.maximum(1.0, np.ceil(np.diff(times, axis=1) / dt - 1e-9))
         assert np.all(needed == needed[0]), (problem, s)
         for prob in probs[1:]:
-            assert np.array_equal(problems.sysid_grid(prob)[1], times)
+            assert np.array_equal(prob.plan.steps.times, times)
             assert prob.integrator.dt == dt
 
 
