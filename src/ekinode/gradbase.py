@@ -10,7 +10,7 @@ last row of the linear propagator.  So the gradient is exact for the
 discrete losses :func:`ekinode.problems.sysid_loss` and
 :func:`ekinode.problems.control_objective`.  A pass fails as its forward
 map does, and raises where a gradient needs states it cannot have: past
-``max_steps`` (:func:`ekinode.ode._check_max_steps`), and at a non-finite
+``max_steps``, where the problem's plan is refused, and at a non-finite
 state, each family finding its unfold step (:func:`_non_finite`).
 """
 
@@ -123,7 +123,6 @@ def _sysid(theta: np.ndarray, prob: SysIdProblem):
     # recorded: its states and flag are those of problems.sysid_forward_map.
     cfg, plan = prob.integrator, prob.plan
     steps = plan.steps
-    ode._check_max_steps(steps.exceeded, cfg)
     record = []
     states, failed = _net_states(theta[None], prob, plan.x0, steps, record)
     # A non-finite state fails the bounds test, so only a flagged pass holds one.
@@ -158,7 +157,6 @@ def _control(theta: np.ndarray, prob: ControlProblem, gamma: float, gamma_prime:
     # The forward map's own pass for one member, its controller recorded on
     # the plan's grid: the stage grid, then the quadrature points it lacks.
     plan = prob.plan
-    ode._check_max_steps(plan.exceeded, prob.integrator)
     record = []
     xs, energy, failed, u = _control_path(theta[None], prob, record)
     x, u = float(xs[0, -1]), u[0]

@@ -56,8 +56,8 @@ def _check_positive(config, *names: str) -> None:
 class IntegratorConfig:
     """A fixed-step pass of :func:`integrate_lockstep`: ``method`` euler or
     rk4, each sample interval in equal substeps no longer than ``dt``.  A pass
-    whose :func:`substeps` counts sum past ``max_steps`` flags every member,
-    and a state component beyond ``divergence_limit`` flags its member: set
+    whose :func:`substeps` counts sum past ``max_steps`` is refused, and a
+    state component beyond ``divergence_limit`` flags its member: set
     the limit a few orders above the state scale, so hopeless candidate
     fields fail fast instead of feeding huge finite values downstream."""
 
@@ -105,7 +105,8 @@ class Trajectory:
 
 def _check_increasing(times: np.ndarray) -> None:
     # Along the last axis: one sample grid, or each row of a (B, K+1) grid.
-    if np.any(np.diff(times) <= 0):
+    # A NaN difference compares false, so a NaN time is refused too.
+    if not np.all(np.diff(times) > 0):
         raise ValueError("times must be strictly increasing")
 
 
@@ -262,9 +263,10 @@ def integrate(
 
 class LockstepPlan:
     """How batched fixed-step passes run over one ``(B, K+1)`` time grid
-    under one config, decided once: the grid, checked strictly increasing
-    along each row, the :func:`substeps` decision (``counts`` and
-    ``exceeded``) and, per state shape, every interval's step coefficients.
+    under one config, decided once: a read-only copy of the grid, checked
+    strictly increasing along each row, the :func:`substeps` ``counts`` and,
+    per state shape, every interval's step coefficients.  A pass past
+    ``max_steps`` gets no plan: building one raises :class:`IntegrationError`.
 
     The steps of :func:`integrate_lockstep` and their reverse read the
     coefficients as they are and form none, so a grid that many passes
@@ -272,12 +274,12 @@ class LockstepPlan:
     """
 
     def __init__(self, times: np.ndarray, config: IntegratorConfig):
-        times = np.asarray(times, dtype=float)
+        times = _read_only(np.array(times, dtype=float))
         if times.ndim != 2 or times.shape[1] == 0:
             raise ValueError("times must be a nonempty (trajectories, samples) array")
         _check_increasing(times)
         self.times, self.config = times, config
-        self.counts, self._lengths, self.exceeded = substeps(times, config)
+        self.counts, self._lengths = substeps(times, config)
         self._coefficients = {}
 
     def coefficients(self, shape: tuple) -> list:
@@ -293,12 +295,6 @@ class LockstepPlan:
                 for h in self._lengths
             ]
         return coefficients
-
-
-def _check_max_steps(exceeded: bool, config: IntegratorConfig) -> None:
-    # The refusal of a pass that exceeds (see substeps) where a caller needs its steps.
-    if exceeded:
-        raise IntegrationError(f"max_steps={config.max_steps} exceeded")
 
 
 def _read_only(array, *more):
@@ -328,17 +324,13 @@ def integrate_lockstep(field, x0: np.ndarray, plan: LockstepPlan):
     Returns ``(states, failed)``: states ``(J, B, K+1, n)`` and a ``(J,)``
     mask; the steps it took are ``plan.counts``, with the coefficients
     ``plan.coefficients(x0.shape)``.  Member j is flagged for a non-finite
-    state or a component beyond ``divergence_limit`` after any step, and
-    every member when the plan is ``exceeded``.  Flagged members' states
-    are meaningless.
+    state or a component beyond ``divergence_limit`` after any step;
+    flagged members' states are meaningless.
     """
     x = np.asarray(x0, dtype=float)
     J, B, n = x.shape
     states = np.empty((J, B, plan.times.shape[1], n))
     states[:, :, 0] = x
-    if plan.exceeded:
-        # Step counts depend on the grid alone, so every member fails.
-        return states, np.ones(J, dtype=bool)
     limit = plan.config.divergence_limit
     step = _lockstep_euler if plan.config.method == "euler" else _lockstep_rk4
     failed = np.zeros(J, dtype=bool)
@@ -359,25 +351,24 @@ def substeps(times: np.ndarray, config: IntegratorConfig):
     Each interval takes one substep count for every row: the most that any
     row needs for equal substeps no longer than ``config.dt`` (at least
     one, with ``1e-9`` of float noise forgiven when a span is an exact
-    multiple of ``dt``).  Returns ``(counts, lengths, exceeded)``: the
-    ``(K,)`` counts; per interval, each row's substep length, its span over
-    the count (a Python float when every row shares it, else a ``(B, 1)``
-    column, which :class:`LockstepPlan` lays out once per state shape); and
-    whether the counts sum past ``config.max_steps``.  The counts and the
-    columns are read-only, as every array of a plan is.  The counts are formed
-    in floating point, so a quotient past the float range is inf and
-    exceeds; they are integers unless the pass exceeds, and a pass that
-    exceeds takes no step, so no caller reads them then.
+    multiple of ``dt``).  Returns ``(counts, lengths)``: the ``(K,)``
+    integer counts and, per interval, each row's substep length, its span
+    over the count (a Python float when every row shares it, else a
+    ``(B, 1)`` column, which :class:`LockstepPlan` lays out once per state
+    shape), read-only as every array of a plan is.  Counts that sum past
+    ``config.max_steps`` raise :class:`IntegrationError`, and so do counts
+    past the float range, which are formed in floating point as inf.
     """
     spans = np.diff(times, axis=1)
     with np.errstate(over="ignore"):
         counts = np.maximum(1.0, np.ceil(spans / config.dt - 1e-9)).max(axis=0)
-    exceeded = bool(counts.sum() > config.max_steps)
-    counts = _read_only(counts if exceeded else counts.astype(int))
+    if counts.sum() > config.max_steps:
+        raise IntegrationError(f"max_steps={config.max_steps} exceeded")
+    counts = _read_only(counts.astype(int))
     h = _read_only(spans / counts)
     shared = np.all(h == h[:1], axis=0).tolist()
     lengths = [float(h[0, k]) if shared[k] else h[:, k, None] for k in range(h.shape[1])]
-    return counts, lengths, exceeded
+    return counts, lengths
 
 
 def _out_of_bounds(x, limit, axis):

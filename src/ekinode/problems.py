@@ -229,7 +229,8 @@ class SysIdProblem:
     @functools.cached_property
     def plan(self) -> _SysIdPlan:
         """The training pass's shooting grid and :class:`ode.LockstepPlan`,
-        built on first use and shared by every forward map and BPTT pass."""
+        built on first use and shared by every forward map and BPTT pass;
+        past ``max_steps``, reading it raises :class:`ode.IntegrationError`."""
         obs = self.observations
         L = obs.subset_length
         return _SysIdPlan(obs.values[::L], ode.LockstepPlan(obs.times.reshape(-1, L), self.integrator))
@@ -240,8 +241,8 @@ class _SysIdPlan(NamedTuple):
     (:attr:`SysIdProblem.plan`), its shooting grid: the starts ``(B, n)`` of
     the B observation subsets, each its first observed state, and the steps
     over their sample times ``(B, L)``, the L observation times of each.
-    Row-major, the samples are the observations in order: starts and times
-    are read-only views of them."""
+    Row-major, the samples are the observations in order: the starts are a
+    read-only view of them."""
 
     x0: np.ndarray
     steps: ode.LockstepPlan
@@ -324,8 +325,13 @@ def sysid_forward_map(theta: np.ndarray, prob: SysIdProblem) -> ForwardMapOutput
     in lockstep; failures come back flagged (:class:`eki.ForwardMapOutput`).
     """
     members = np.atleast_2d(np.asarray(theta, dtype=float))
-    states, failed = _net_states(members, prob, prob.plan.x0, prob.plan.steps)
-    return ForwardMapOutput.of_members(theta, states.reshape(members.shape[0], -1), failed)
+    try:
+        plan = prob.plan
+    except ode.IntegrationError:  # past max_steps: every member fails, unevaluated
+        failed = np.ones(members.shape[0], bool)
+        return ForwardMapOutput.of_members(theta, np.zeros((failed.size, prob.observations.values.size)), failed)
+    states, failed = _net_states(members, prob, plan.x0, plan.steps)
+    return ForwardMapOutput.of_members(theta, states.reshape(failed.size, -1), failed)
 
 
 def sysid_loss(out: ForwardMapOutput, prob: SysIdProblem):
@@ -366,7 +372,11 @@ def sysid_trajectory(theta: np.ndarray, prob: SysIdProblem) -> np.ndarray:
     vector ``(N,)``, ``(R, M, n)`` for a stack ``(R, N)``, whose rows are
     the members of one lockstep pass over a plan of its own."""
     theta = np.asarray(theta, dtype=float)
-    plan = ode.LockstepPlan(prob.observations.grid_times[None], prob.integrator)
+    grid = prob.observations.grid_times
+    try:
+        plan = ode.LockstepPlan(grid[None], prob.integrator)
+    except ode.IntegrationError:  # past max_steps: every row fails, unevaluated
+        return np.full(theta.shape[:-1] + (grid.size, prob.x0.size), np.nan)
     states, failed = _net_states(np.atleast_2d(theta), prob, prob.x0[None], plan)
     states[failed] = np.nan
     return states[:, 0] if theta.ndim == 2 else states[0, 0]
@@ -437,7 +447,8 @@ class ControlProblem:
     @functools.cached_property
     def plan(self) -> _ControlPlan:
         """The constants of this problem's control pass, built on first use;
-        a plant that overflows them fails :func:`control_diverged`, quietly."""
+        a plant that overflows them fails :func:`control_diverged`, quietly;
+        past ``max_steps``, reading it raises :class:`ode.IntegrationError`."""
         with np.errstate(over="ignore", invalid="ignore"):
             return _control_plan(self)
 
@@ -518,34 +529,27 @@ def control_propagator(growth: float, coef, stride: int, n_steps: int):
 class _ControlPlan(NamedTuple):
     """The constants of one pass of a control problem's integrator, derived
     once from the problem's fields (:attr:`ControlProblem.plan`), read-only.
-    A named tuple: it costs a sixth of a frozen dataclass at import.
-
-    Whether the pass exceeds ``max_steps`` is decided by :func:`ode.substeps`
-    and recorded here: such a plan is ``exceeded``, takes no step and holds
-    the step length and the quadrature grid only, so nothing of the pass's
-    size is built.  Every reader tests ``exceeded`` before the other fields.
+    A named tuple: it costs a sixth of a frozen dataclass at import.  A pass
+    past ``max_steps`` has none: :func:`ode.substeps` refuses it first, so
+    nothing of its size is built.
     """
 
-    n_steps: int  # steps of the pass, none when it is exceeded
+    n_steps: int  # steps of the pass
     h: float
     quad: np.ndarray  # the quadrature grid
-    exceeded: bool  # the pass fails on its step count alone
-    stages: int = 0  # points of the stage grid
+    stages: int  # points of the stage grid
     # Where the controller is evaluated: the stage grid, then the quadrature
     # points it lacks; and the column of each quadrature point.
-    eval_times: np.ndarray | None = None
-    quad_cols: np.ndarray | None = None
-    quad_weights: np.ndarray | None = None  # trapezoid: E = sum_i w_i u_i^2
-    blocks: tuple = ()  # per product: first step, stage columns, M, r
-    final_row: np.ndarray | None = None  # gradient of x(T) w.r.t. u on the stage grid
+    eval_times: np.ndarray
+    quad_cols: np.ndarray
+    quad_weights: np.ndarray  # trapezoid: E = sum_i w_i u_i^2
+    blocks: tuple  # per product: first step, stage columns, M, r
+    final_row: np.ndarray  # gradient of x(T) w.r.t. u on the stage grid
 
 
 def _control_plan(prob: ControlProblem) -> _ControlPlan:
-    counts, (h,), exceeded = ode.substeps(np.array([[0.0, prob.t_final]]), prob.integrator)
+    counts, (h,) = ode.substeps(np.array([[0.0, prob.t_final]]), prob.integrator)
     quad = prob.quadrature_grid()
-    ode._read_only(quad)
-    if exceeded:
-        return _ControlPlan(0, h, quad, True)
     n_steps = int(counts[0])
     # The stage layout and the step on it: step k reads u[stride k + i] with coef[i].
     z, hb = h * prob.a, h * prob.b
@@ -585,8 +589,8 @@ def _control_plan(prob: ControlProblem) -> _ControlPlan:
         final_row[cols] += scale * M[-1]
         scale *= r[-1]
     evals = np.concatenate([stage_times, quad[extra]])
-    ode._read_only(evals, col, w, final_row)
-    return _ControlPlan(n_steps, h, quad, False, stages, evals, col, w, tuple(blocks), final_row)
+    ode._read_only(quad, evals, col, w, final_row)
+    return _ControlPlan(n_steps, h, quad, stages, evals, col, w, tuple(blocks), final_row)
 
 
 def control_states(u_stage: np.ndarray, prob: ControlProblem) -> np.ndarray:
@@ -597,7 +601,6 @@ def control_states(u_stage: np.ndarray, prob: ControlProblem) -> np.ndarray:
     leading (member) axes, from the problem's plan.  A pass past
     ``max_steps`` raises :class:`ode.IntegrationError`."""
     plan = prob.plan
-    ode._check_max_steps(plan.exceeded, prob.integrator)
     u = np.asarray(u_stage, dtype=float)
     if u.shape[-1] != plan.stages:
         raise ValueError(f"u has {u.shape[-1]} stage values, the pass reads {plan.stages}")
@@ -621,12 +624,13 @@ def _control_path(theta: np.ndarray, prob: ControlProblem, record: list | None =
     mask and the controller values ``(J, evaluations)`` of every member of a
     ``(J, N)`` matrix under the problem's integrator.  The controller is
     evaluated once, on the plan's grid, into ``record`` if one is passed.
-    Past ``max_steps`` every member fails on the step count alone: the pass
-    takes no step, its states are a zero view of the start, its values None."""
-    cfg, plan, members = prob.integrator, prob.plan, theta.shape[0]
-    if plan.exceeded:
-        states = np.broadcast_to(0.0, (members, plan.n_steps + 1))
-        return states, np.zeros(members), np.ones(members, bool), None
+    Past ``max_steps`` the pass has no plan and every member fails unevaluated:
+    states a zero start column, energies zero, values None."""
+    try:
+        plan = prob.plan
+    except ode.IntegrationError:
+        failed = np.ones(theta.shape[0], bool)
+        return np.zeros((failed.size, 1)), np.zeros(failed.size), failed, None
     with np.errstate(over="ignore", invalid="ignore"):
         u = controller_values(theta, prob, plan.eval_times, record)
         # A column gather is an F-ordered copy, which takes other BLAS and
@@ -634,16 +638,19 @@ def _control_path(theta: np.ndarray, prob: ControlProblem, record: list | None =
         u_quad = np.ascontiguousarray(u[:, plan.quad_cols])
         energy = np.trapezoid(u_quad * u_quad, plan.quad, axis=-1)
         xs = control_states(u[:, :plan.stages], prob)
-        failed = control_diverged(xs, cfg)
+        failed = control_diverged(xs, prob.integrator)
     return xs, energy, failed, u
 
 
 def control_trajectory(theta: np.ndarray, prob: ControlProblem):
     """Step times and states of x under one parameter vector's controller,
     NaN if the integration diverged; past ``max_steps``, the start alone."""
+    try:
+        plan = prob.plan
+    except ode.IntegrationError:
+        return np.zeros(1), np.full(1, np.nan)
     xs, _, failed, _ = _control_path(np.asarray(theta, dtype=float)[None], prob)
-    times = prob.plan.h * np.arange(prob.plan.n_steps + 1)
-    return times, np.where(failed[0], np.nan, xs[0])
+    return plan.h * np.arange(plan.n_steps + 1), np.where(failed[0], np.nan, xs[0])
 
 
 def control_forward_map(theta: np.ndarray, prob: ControlProblem) -> ForwardMapOutput:
@@ -663,7 +670,7 @@ def control_mse(theta: np.ndarray, prob: ControlProblem, times: np.ndarray | Non
     bitwise the one its row gets alone.
     """
     if times is None:
-        times = prob.plan.quad
+        times = prob.quadrature_grid()
     u = controller_values(theta, prob, times)
     u_star = optimal_control(times, prob.a, prob.b, prob.x0, prob.x_star, prob.t_final)
     err = np.mean((u - u_star) ** 2, axis=-1)

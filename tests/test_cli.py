@@ -5,6 +5,7 @@ import json
 import math
 import os
 import re
+import typing
 import warnings
 
 import pytest
@@ -580,6 +581,22 @@ def _field_paths(data, prefix=()):
 
 FIELD_PATHS = tuple(_field_paths(FUZZ_CONFIGS["spiral-eki"]))
 
+
+def _float_field(path) -> bool:
+    # Whether the (block, name) field of a config holds a float.
+    if len(path) != 2:
+        return False
+    hint = typing.get_type_hints(type(getattr(runner.ExperimentConfig(), path[0])))[path[1]]
+    return hint is float or float in typing.get_args(hint)
+
+
+# One float field set to a positive finite mutant passes validate(), so such
+# a draw runs: these are the draws that reach the runtime failures.
+RUNNABLE_MUTATIONS = st.tuples(
+    st.sampled_from([path for path in FIELD_PATHS if _float_field(path)]),
+    st.sampled_from([v for v in MUTANTS if type(v) is float and 0 < v < math.inf]),
+).map(lambda mutation: [mutation])
+
 # The runtime failures the package raises, as a report's error reads them.
 RUNTIME_FAILURES = re.compile(
     r"max_steps=\d+ exceeded( at t=\S+)?|non-finite state at unfold step \d+"
@@ -597,15 +614,15 @@ def _config_error(data) -> bool:
 
 
 @seed(20)
-# The sampled configs reach no runtime failure, so one example of each
-# family that a report can name comes first.
+# One example of each family of runtime failure that a report can name
+# comes first.
 @example("spiral-adam-0.01", 1, [(("integrator", "dt"), 5e-324)])
 @example("spiral-adam-0.01", 1, [(("gradient", "eta"), 1e308)])
 @example("control-eki-mu0.001", 1, [(("problem_options", "mu"), 1e308)])
 @example("spiral-eki", 3, [(("eki", "alpha"), 1e308)])
 @given(st.sampled_from(sorted(FUZZ_CONFIGS)), st.integers(1, 5),
        st.lists(st.tuples(st.sampled_from(FIELD_PATHS), st.sampled_from(MUTANTS)),
-                min_size=1, max_size=2))
+                min_size=1, max_size=2) | RUNNABLE_MUTATIONS)
 @settings(max_examples=300, deadline=None)
 def test_every_config_exits_by_the_contract(tmp_path_factory, name, epochs, mutations):
     # Exit 0 with a report, exit 1 with none exactly when the config is

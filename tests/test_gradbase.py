@@ -295,7 +295,7 @@ def test_stacked_accumulation_is_bitwise_per_call(spiral_problem, small_spiral, 
         (control_problem, {"gamma": 0.3, "gamma_prime": 0.01}),
         (replace(control_problem, integrator=replace(control_problem.integrator, method="euler")), {}),
     ]
-    n_sub, _, _ = ode.substeps(cases[4][0].plan.steps.times, fine)
+    n_sub, _ = ode.substeps(cases[4][0].plan.steps.times, fine)
     assert n_sub.min() >= 2
     for case, (prob, kw) in enumerate(cases):
         spec = prob.controller if isinstance(prob, problems.ControlProblem) else prob.net
@@ -523,23 +523,29 @@ def test_sysid_max_steps_boundary(small_spiral, method):
     # A dt of 1/2.5 of the grid spacing takes 3 substeps per interval: 12 per
     # shooting run of 5 observations.  At exactly that many steps the forward
     # map, the lockstep core and the BPTT pass run; at one more than
-    # max_steps every member fails and BPTT raises.
-    spacing = small_spiral.observations.grid_times[1]
+    # max_steps every member fails, and the lockstep plan, the problem's
+    # plan and BPTT raise.
+    obs = small_spiral.observations
+    spacing, L = obs.grid_times[1], obs.subset_length
+    x0, times = obs.values[::L], obs.times.reshape(-1, L)
     steps = 3 * 4
     theta = nnet.mlp_init(small_spiral.net, np.random.default_rng(23), 3)
     for max_steps, exceeded in ((steps, False), (steps - 1, True)):
         integrator = ode.IntegratorConfig(method=method, dt=spacing / 2.5, max_steps=max_steps,
                                           divergence_limit=1e3)
         prob = replace(small_spiral, integrator=integrator)
-        x0, times = prob.plan.x0, prob.plan.steps.times
-        _, failed = ode.integrate_lockstep(np.negative, np.broadcast_to(x0, (3,) + x0.shape),
-                                           ode.LockstepPlan(times, integrator))
         out = problems.sysid_forward_map(theta, prob)
-        assert failed.tolist() == out.failed.tolist() == [exceeded] * 3
+        assert out.failed.tolist() == [exceeded] * 3
         if exceeded:
-            with pytest.raises(ode.IntegrationError, match="max_steps"):
-                gradbase.bptt_value_and_gradient(theta[0], prob)
+            for read in (lambda: ode.LockstepPlan(times, integrator), lambda: prob.plan,
+                         lambda: gradbase.bptt_value_and_gradient(theta[0], prob)):
+                with pytest.raises(ode.IntegrationError, match=rf"^max_steps={max_steps} exceeded$"):
+                    read()
         else:
+            assert same_bits(prob.plan.x0, x0) and same_bits(prob.plan.steps.times, times)
+            _, failed = ode.integrate_lockstep(np.negative, np.broadcast_to(x0, (3,) + x0.shape),
+                                               ode.LockstepPlan(times, integrator))
+            assert failed.tolist() == [False] * 3
             loss, _, bptt_failed = gradbase.bptt_value_and_gradient(theta[0], prob)
             assert loss == problems.mse(theta[0], prob) and not bptt_failed
 

@@ -273,6 +273,8 @@ def test_trajectory_validation():
         ode.Trajectory(np.array([0.0, 0.0]), np.zeros((2, 1)))
     with pytest.raises(ValueError):
         ode.Trajectory(np.array([0.0, 1.0]), np.zeros((3, 1)))
+    with pytest.raises(ValueError, match="strictly increasing"):
+        ode.Trajectory(np.array([0.0, np.nan]), np.zeros((2, 1)))
 
 
 def _scalar_reference(matrices, x0, times, config):
@@ -311,11 +313,19 @@ def test_lockstep_matches_scalar_integrate(s, method, dt, max_steps):
     matrices = rates[:, None, None] * rng.normal(size=(J, n, n))
     config = ode.IntegratorConfig(method=method, dt=dt, max_steps=max_steps,
                                   divergence_limit=20.0)
+    if counts.sum() > max_steps:
+        # Past max_steps there is no plan, as the scalar oracle refuses every
+        # row on its step count (under a field that cannot diverge first).
+        with pytest.raises(ode.IntegrationError, match=rf"^max_steps={max_steps} exceeded$"):
+            ode.LockstepPlan(times, config)
+        for b in range(B):
+            with pytest.raises(ode.IntegrationError, match=rf"^max_steps={max_steps} exceeded at"):
+                fixed_step_integrate(zero_field, x0[0, b], times[b], config)
+        return
     plan = ode.LockstepPlan(times, config)
     states, failed = ode.integrate_lockstep(lambda x: x @ matrices.mT, x0, plan)
     # The plan holds the substeps decision the pass ran.
-    ref_counts, _, ref_exceeded = ode.substeps(times, config)
-    assert plan.exceeded == ref_exceeded and np.array_equal(plan.counts, ref_counts)
+    assert np.array_equal(plan.counts, ode.substeps(times, config)[0])
     assert np.array_equal(plan.counts, counts)
     ref_states, ref_failed = _scalar_reference(matrices, x0, times, config)
     assert np.array_equal(failed, ref_failed)
@@ -360,8 +370,8 @@ def test_substeps_decides_counts_lengths_and_max_steps():
     times = np.array([[0.0, 0.3, 0.7], [1.0, 1.3, 1.6]])
     config = ode.IntegratorConfig(method="rk4", dt=0.1, max_steps=7)
     assert (1.3 - 1.0) / 0.1 > 3.0 and (1.6 - 1.3) / 0.1 > 3.0
-    counts, lengths, exceeded = ode.substeps(times, config)
-    assert counts.tolist() == [3, 4] and counts.dtype.kind == "i" and not exceeded
+    counts, lengths = ode.substeps(times, config)
+    assert counts.tolist() == [3, 4] and counts.dtype.kind == "i"
     # Each row keeps its own length, span / count: no longer than dt, up to
     # the tolerance.
     spans = np.diff(times, axis=1)
@@ -370,23 +380,42 @@ def test_substeps_decides_counts_lengths_and_max_steps():
         assert np.all(h <= 0.1 * (1.0 + 1e-9))
     # A length every row shares is a Python float.
     assert ode.substeps(times[:1], config)[1] == [0.3 / 3, (0.7 - 0.3) / 4]
-    # max_steps bounds the counts' sum, 7.
-    assert ode.substeps(times, replace(config, max_steps=6))[2]
+    # max_steps bounds the counts' sum, 7: one less refuses the pass.
+    with pytest.raises(ode.IntegrationError, match=r"^max_steps=6 exceeded$"):
+        ode.substeps(times, replace(config, max_steps=6))
     # Each row takes every interval's count: here each row needs 7 substeps
     # but takes 8, past max_steps.
     crossed = np.array([[0.0, 0.4, 0.7], [1.0, 1.3, 1.7]])
-    counts, _, exceeded = ode.substeps(crossed, config)
-    assert counts.tolist() == [4, 4] and exceeded
-    # A quotient past the float range is inf, not a wrapped integer, and
-    # exceeds any max_steps, with no RuntimeWarning (the pytest config makes
-    # them errors).
+    with pytest.raises(ode.IntegrationError, match=r"^max_steps=7 exceeded$"):
+        ode.substeps(crossed, config)
+    assert ode.substeps(crossed, replace(config, max_steps=8))[0].tolist() == [4, 4]
+    # A quotient past the float range is inf, not a wrapped integer, and is
+    # refused at any max_steps, with no RuntimeWarning (the pytest config
+    # makes them errors).
     for dt in (5e-324, 1e-320):
-        counts, lengths, exceeded = ode.substeps(times, replace(config, dt=dt, max_steps=10**6))
-        assert exceeded and np.isinf(counts).all() and lengths == [0.0, 0.0]
+        with pytest.raises(ode.IntegrationError, match=r"^max_steps=1000000 exceeded$"):
+            ode.substeps(times, replace(config, dt=dt, max_steps=10**6))
+
+
+def test_lockstep_plan_holds_a_read_only_copy_of_its_times():
+    # A write to the caller's array after the build moves neither the plan's
+    # times nor the pass, which lands on the built times: two Euler steps of
+    # 0.5 under a unit field.
+    t = np.array([[0.0, 0.5, 1.0]])
+    plan = ode.LockstepPlan(t, ode.IntegratorConfig(method="euler", dt=0.5))
+    t[0, 2] = 3.0
+    assert plan.times.tolist() == [[0.0, 0.5, 1.0]] and not plan.times.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        plan.times[0, 2] = 3.0
+    states, failed = ode.integrate_lockstep(np.ones_like, np.zeros((1, 1, 1)), plan)
+    assert same_bits(states[0, 0, :, 0], plan.times[0]) and not failed.any()
 
 
 def test_lockstep_rejects_bad_times():
-    for times in (np.array([0.0, 1.0]), np.empty((1, 0)), np.array([[0.0, 0.0]])):
+    # A NaN time compares false with every time: it is refused, not stepped
+    # with a count cast from NaN.
+    for times in (np.array([0.0, 1.0]), np.empty((1, 0)), np.array([[0.0, 0.0]]),
+                  np.array([[0.0, np.nan, 1.0]])):
         with pytest.raises(ValueError, match="times must be"):
             ode.LockstepPlan(times, ode.IntegratorConfig(method="rk4"))
 
@@ -416,9 +445,7 @@ def column_lockstep(field, x0, times, config):
     J, B, n = x.shape
     states = np.empty((J, B, times.shape[1], n))
     states[:, :, 0] = x
-    counts, lengths, exceeded = ode.substeps(times, config)
-    if exceeded:
-        return states, np.ones(J, dtype=bool)
+    counts, lengths = ode.substeps(times, config)
     step = column_euler if config.method == "euler" else column_rk4
     failed = np.zeros(J, dtype=bool)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -473,7 +500,7 @@ def test_lockstep_plan_lays_out_each_coefficient_once_per_state_shape():
     # row shares h, else a read-only array of that shape, row b holding row b's.
     times = np.array([[0.0, 0.3, 0.7], [1.0, 1.3, 1.6]])
     plan = ode.LockstepPlan(times, ode.IntegratorConfig(method="rk4", dt=0.1))
-    _, lengths, _ = ode.substeps(times, plan.config)
+    _, lengths = ode.substeps(times, plan.config)
     for shape in ((1, 2, 3), (4, 2, 3)):
         coefficients = plan.coefficients(shape)
         assert coefficients is plan.coefficients(shape) and len(coefficients) == 2

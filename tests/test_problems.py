@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
@@ -906,23 +907,67 @@ def test_control_forward_map_past_max_steps_evaluates_nothing(monkeypatch):
         problems.control_states(np.zeros(20_001), prob)
 
 
+def test_sysid_forward_map_past_max_steps_evaluates_nothing(monkeypatch, small_spiral):
+    # The sysid counterpart: past max_steps the forward map and the whole-grid
+    # pass flag every member, with zeroed outputs and NaN states, and make no
+    # network call.
+    prob = replace(small_spiral, integrator=replace(small_spiral.integrator, max_steps=3))
+    calls = []
+    real = nnet.mlp_apply
+
+    def counted(*args):
+        calls.append(args[1].shape)
+        return real(*args)
+
+    monkeypatch.setattr(nnet, "mlp_apply", counted)
+    theta = nnet.mlp_init(prob.net, np.random.default_rng(2), 22)
+    out = problems.sysid_forward_map(theta, prob)
+    assert out.failed.shape == (22,) and out.failed.all()
+    assert out.g.shape == (22, prob.observations.values.size) and not out.g.any()
+    one = problems.sysid_forward_map(theta[0], prob)
+    assert one.failed.shape == () and one.failed and one.g.shape == (prob.observations.values.size,)
+    M, n = prob.observations.grid_states.shape
+    states = problems.sysid_trajectory(theta[:3], prob)
+    assert states.shape == (3, M, n) and np.isnan(states).all()
+    assert problems.sysid_trajectory(theta[0], prob).shape == (M, n)
+    assert problems.test_mse(theta[0], prob) == problems.mse(theta[0], prob) == eki.PENALTY_LOSS
+    assert calls == []
+
+
+@pytest.mark.parametrize("dt", [1e-4, 1e-320])
+def test_a_pass_past_max_steps_has_no_plan(small_spiral, dt):
+    # The lockstep plan, the sysid plan and the control plan each refuse the
+    # pass with the one message, also where the step count overflows to inf,
+    # and without a RuntimeWarning.
+    integrator = ode.IntegratorConfig(method="rk4", dt=dt, max_steps=10)
+    sysid = replace(small_spiral, integrator=integrator)
+    control = problems.ControlProblem(integrator=integrator)
+    builds = (lambda: ode.LockstepPlan(np.array([[0.0, 1.0]]), integrator),
+              lambda: sysid.plan, lambda: control.plan)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for build in builds:
+            with pytest.raises(ode.IntegrationError, match=r"^max_steps=10 exceeded$"):
+                build()
+
+
 @pytest.mark.parametrize("method", ["euler", "rk4"])
 def test_plan_decides_max_steps_from_the_step_count(method):
-    # Ten steps of 0.1 pass max_steps = 10 and fail max_steps = 9; the plan
-    # records the decision and its readers act on it.  An exceeded pass
-    # takes no step.
+    # Ten steps of 0.1 pass max_steps = 10 and fail max_steps = 9: past it
+    # the problem has no plan, the forward map fails every member and the
+    # BPTT pass raises.
     for max_steps, exceeded in ((10, False), (9, True)):
         prob = problems.ControlProblem(
             integrator=ode.IntegratorConfig(method=method, dt=0.1, max_steps=max_steps)
         )
-        assert prob.plan.n_steps == (0 if exceeded else 10) and prob.plan.exceeded == exceeded
         theta = nnet.mlp_init(prob.controller, np.random.default_rng(5), 3)
         assert problems.control_forward_map(theta, prob).failed.all() == exceeded
         if exceeded:
-            assert prob.plan.eval_times is None and prob.plan.blocks == ()
-            with pytest.raises(ode.IntegrationError, match="max_steps"):
-                gradbase.bptt_value_and_gradient(theta[0], prob)
+            for read in (lambda: prob.plan, lambda: gradbase.bptt_value_and_gradient(theta[0], prob)):
+                with pytest.raises(ode.IntegrationError, match=r"^max_steps=9 exceeded$"):
+                    read()
         else:
+            assert prob.plan.n_steps == 10
             assert np.isfinite(gradbase.bptt_value_and_gradient(theta[0], prob)[0])
 
 
@@ -959,7 +1004,13 @@ def test_replaced_problem_gets_its_own_plan(change):
     theta = nnet.mlp_init(base.controller, np.random.default_rng(4), 5)
     _control_values(base, theta)
     copied, fresh = replace(base, **change), problems.ControlProblem(**change)
-    assert copied.plan is not base.plan
+    try:
+        plan = copied.plan
+    except ode.IntegrationError as exc:  # past max_steps neither copy has a plan
+        plan = str(exc)
+        with pytest.raises(ode.IntegrationError, match=f"^{plan}$"):
+            fresh.plan
+    assert plan is not base.plan
     out_c, bptt_c, mse_c = _control_values(copied, theta)
     out_f, bptt_f, mse_f = _control_values(fresh, theta)
     assert np.array_equal(out_c.g, out_f.g)
@@ -1016,7 +1067,8 @@ def test_control_pass_past_max_steps_allocates_nothing_of_its_size():
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert prob.plan.exceeded and prob.plan.n_steps == 0
+        with pytest.raises(ode.IntegrationError, match=r"^max_steps=10 exceeded$"):
+            prob.plan
         assert peak < 2**20, (run, peak)
     assert out.failed.shape == (22,) and out.failed.all()
     assert not out.g.any()

@@ -10,8 +10,10 @@ patch for their duration.  ``report.json`` is hashed without
 ``runtime_seconds`` and ``log_path``, which differ between reruns.  Each
 reference grid of ``problems.SYSID_BENCHMARKS`` is hashed too, at its
 default size, so a change to the data generator shows on its own line.  So
-is every file ``runner.plot_script`` writes for two inputs of those runs
-(:data:`PLOTS`): one system-identification report, and a control mu sweep.
+is every file ``runner.plot_script`` writes for four inputs of those runs
+(:data:`PLOTS`): one system-identification report, a control mu sweep, and
+each family's run past ``max_steps``, whose learned trajectory is the failed
+pass's (NaN on the whole grid, or the control start alone).
 
 Each run's line reads ``<case> <log.csv sha256> <report.json sha256>``,
 each grid's ``grid:<name> <states sha256>``, and each plot file's
@@ -54,6 +56,8 @@ GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "log_hashes.js
 PLOTS = (
     ("spiral-eki@3-seed0", ("spiral-eki@3-seed0",)),
     ("control-eki-mu@3-seed0", ("control-eki-mu0.001@3-seed0", "control-eki-mu0.01@3-seed0")),
+    ("no-update-spiral", ("no-update-spiral",)),
+    ("no-update-control", ("no-update-control",)),
 )
 
 
