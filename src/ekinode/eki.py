@@ -9,8 +9,8 @@ covariance Gamma.  Optimal control is the energy-regularized problem
 ``z = (y, 0)``, ``F = (G, H)`` with covariance ``diag(Gamma * I, Gamma' / mu)``:
 the energy penalty is one more output channel, F's last, with its own variance.
 
-Updates are deterministic explicit Euler steps in artificial time, one per
-epoch, with 1/J covariances reduced in fixed member order: bitwise
+Updates are deterministic explicit first-order steps in artificial time, one
+per epoch, with 1/J covariances reduced in fixed member order: bitwise
 reproducible.  The loop's validity and failure rules live here, once, for the
 runner's config checks and driver to call: an expansion adds at least one
 member, noise variances are positive, an update needs two valid members, a

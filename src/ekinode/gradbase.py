@@ -85,9 +85,9 @@ class _Pullback:
         return grad.reshape(-1)
 
 
-def _step_reverse(gx, c, method, net):
+def _step_reverse(gx, c, net):
     """Carry the state gradient of the system-identification sweep back
-    through one step of :func:`ode._lockstep_euler` or :func:`ode._lockstep_rk4`.
+    through one step of :func:`ode._lockstep_rk4`.
 
     ``c`` is the step's coefficients ``(h, h/2, h/6, h/3)`` from the pass's
     :meth:`ode.LockstepPlan.coefficients`: floats, or arrays of ``gx``'s
@@ -96,8 +96,6 @@ def _step_reverse(gx, c, method, net):
     stage first.
     """
     h, half, sixth, third = c
-    if method == "euler":
-        return gx + net.vjp(h * gx)
     g6, g3 = sixth * gx, third * gx
     gin = net.vjp(g6)
     xbar = gx + gin
@@ -121,7 +119,7 @@ def _non_finite(step: int) -> ode.IntegrationError:
 def _sysid(theta: np.ndarray, prob: SysIdProblem):
     # The forward map's own pass for one member, every field evaluation
     # recorded: its states and flag are those of problems.sysid_forward_map.
-    cfg, plan = prob.integrator, prob.plan
+    plan = prob.plan
     steps = plan.steps
     record = []
     states, failed = _net_states(theta[None], prob, plan.x0, steps, record)
@@ -145,7 +143,7 @@ def _sysid(theta: np.ndarray, prob: SysIdProblem):
     for k in reversed(range(len(counts))):
         gx = gx + gstates[:, :, k + 1]
         for _ in range(counts[k]):
-            gx = _step_reverse(gx, coefficients[k], cfg.method, net)
+            gx = _step_reverse(gx, coefficients[k], net)
     return loss, net.gradient(), bool(failed[0])
 
 

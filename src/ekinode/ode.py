@@ -1,6 +1,6 @@
-"""Initial-value-problem integrators: the batched fixed-step (forward Euler,
-classic RK4) core that every training pass runs, and an adaptive
-Dormand-Prince 5(4) pair with FSAL that makes the reference data.
+"""Initial-value-problem integrators: the batched fixed-step (classic RK4)
+core that every training pass runs, and an adaptive Dormand-Prince 5(4)
+pair with FSAL that makes the reference data.
 
 A vector field for :func:`integrate` is any callable ``field(x, t) ->
 dx/dt`` with fixed state dimension that takes the state as a list of floats
@@ -54,21 +54,18 @@ def _check_positive(config, *names: str) -> None:
 
 @dataclass(frozen=True)
 class IntegratorConfig:
-    """A fixed-step pass of :func:`integrate_lockstep`: ``method`` euler or
-    rk4, each sample interval in equal substeps no longer than ``dt``.  A pass
-    whose :func:`substeps` counts sum past ``max_steps`` is refused, and a
-    state component beyond ``divergence_limit`` flags its member: set
-    the limit a few orders above the state scale, so hopeless candidate
-    fields fail fast instead of feeding huge finite values downstream."""
+    """A fixed-step RK4 pass of :func:`integrate_lockstep`, each sample
+    interval in equal substeps no longer than ``dt``.  A pass whose
+    :func:`substeps` counts sum past ``max_steps`` is refused, and a state
+    component beyond ``divergence_limit`` flags its member: set the limit a
+    few orders above the state scale, so hopeless candidate fields fail
+    fast instead of feeding huge finite values downstream."""
 
-    method: str = "rk4"
     dt: float = 0.01
     max_steps: int = 1_000_000
     divergence_limit: float = 1e6
 
     def __post_init__(self):
-        if self.method not in ("euler", "rk4"):
-            raise ValueError(f"training integrates with euler or rk4, got {self.method!r}")
         _check_positive(self, "dt")
 
 
@@ -313,7 +310,7 @@ def _laid_out(column, shape):
 
 
 def integrate_lockstep(field, x0: np.ndarray, plan: LockstepPlan):
-    """Fixed-step (euler/rk4) integration of J autonomous fields over B
+    """Fixed-step RK4 integration of J autonomous fields over B
     trajectories each, all advanced in lockstep.
 
     ``field(x)`` maps states ``(J, B, n)`` to their derivatives, member j's
@@ -332,12 +329,11 @@ def integrate_lockstep(field, x0: np.ndarray, plan: LockstepPlan):
     states = np.empty((J, B, plan.times.shape[1], n))
     states[:, :, 0] = x
     limit = plan.config.divergence_limit
-    step = _lockstep_euler if plan.config.method == "euler" else _lockstep_rk4
     failed = np.zeros(J, dtype=bool)
     with np.errstate(over="ignore", invalid="ignore"):
         for k, (count, c) in enumerate(zip(plan.counts.tolist(), plan.coefficients(x.shape))):
             for s in range(count):
-                x = step(field, x, c)
+                x = _lockstep_rk4(field, x, c)
                 if s < count - 1:
                     failed |= _out_of_bounds(x, limit, axis=(1, 2))
             states[:, :, k + 1] = x
@@ -379,10 +375,6 @@ def _out_of_bounds(x, limit, axis):
 # A step reads its interval's coefficients (h, h/2, h/6, h/3) of the state's
 # shape, or floats, from LockstepPlan.coefficients: each product is the
 # column arithmetic's, elementwise, with its operands in the same order.
-
-
-def _lockstep_euler(field, x, c):
-    return x + c[0] * field(x)
 
 
 def _lockstep_rk4(field, x, c):

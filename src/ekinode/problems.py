@@ -283,7 +283,7 @@ def make_sysid_problem(
     states = integrate(bench.field, x0, times, DATA_INTEGRATOR).states
     obs = make_observations(times, states, num_subsets, subset_length, data_rng)
     if integrator is None:
-        integrator = IntegratorConfig(method="rk4", dt=times[1] - times[0], divergence_limit=1e3)
+        integrator = IntegratorConfig(dt=times[1] - times[0], divergence_limit=1e3)
     return SysIdProblem(obs, net, integrator)
 
 
@@ -438,7 +438,7 @@ class ControlProblem:
         if self.quadrature_points < 1:
             raise ValueError("quadrature_points must be at least 1")
         if self.integrator is None:
-            default = IntegratorConfig(method="rk4", dt=self.t_final / 100.0, divergence_limit=1e3)
+            default = IntegratorConfig(dt=self.t_final / 100.0, divergence_limit=1e3)
             object.__setattr__(self, "integrator", default)
 
     def quadrature_grid(self) -> np.ndarray:
@@ -551,17 +551,14 @@ def _control_plan(prob: ControlProblem) -> _ControlPlan:
     counts, (h,) = ode.substeps(np.array([[0.0, prob.t_final]]), prob.integrator)
     quad = prob.quadrature_grid()
     n_steps = int(counts[0])
-    # The stage layout and the step on it: step k reads u[stride k + i] with coef[i].
+    # The stage layout and the RK4 step on it: step k reads u[stride k + i]
+    # with coef[i], at its start, midpoint (read by stages 2 and 3) and end.
     z, hb = h * prob.a, h * prob.b
-    if prob.integrator.method == "rk4":
-        # Step start, midpoint (read by stages 2 and 3) and step end.
-        stride, growth = 2, z + z * z / 2.0 + z**3 / 6.0 + z**4 / 24.0
-        coef = (hb / 6.0) * np.array(
-            [1.0 + z + z * z / 2.0 + z**3 / 4.0, 4.0 + 2.0 * z + z * z / 2.0, 1.0]
-        )
-    else:
-        stride, growth, coef = 1, z, [hb]
-    # Each step's stride points, evenly spaced from its start, then T.
+    stride, growth = 2, z + z * z / 2.0 + z**3 / 6.0 + z**4 / 24.0
+    coef = (hb / 6.0) * np.array(
+        [1.0 + z + z * z / 2.0 + z**3 / 4.0, 4.0 + 2.0 * z + z * z / 2.0, 1.0]
+    )
+    # Each step's start and midpoint, then T.
     starts = h * np.arange(n_steps)[:, None]
     stage_times = np.append(starts + (h / stride) * np.arange(stride), h * n_steps)
     stages = stage_times.size
@@ -595,8 +592,8 @@ def _control_plan(prob: ControlProblem) -> _ControlPlan:
 
 def control_states(u_stage: np.ndarray, prob: ControlProblem) -> np.ndarray:
     """States of ``xdot = a x + b u`` at the step times, ``(..., n_steps + 1)``,
-    given u on the plan's stage grid (the step starts, for rk4 also the
-    midpoints, then T) as ``(..., stages)``: one product with
+    given u on the plan's stage grid (the step starts and midpoints, then
+    T) as ``(..., stages)``: one product with
     :func:`control_propagator` per :data:`PROPAGATOR_STEPS` steps, over the
     leading (member) axes, from the problem's plan.  A pass past
     ``max_steps`` raises :class:`ode.IntegrationError`."""

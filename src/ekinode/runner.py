@@ -99,11 +99,10 @@ class ProblemOptions:
 
 @dataclass(frozen=True)
 class IntegratorOptions:
-    """Overrides for the problem's default fixed-step integrator (method
-    euler or rk4, step ``dt``); None keeps the default.  No preset sets
-    either; the README's config paragraph states the block's ``dt`` contract."""
+    """Override of the problem's default RK4 step ``dt``; None keeps the
+    default.  No preset sets it; the README's config paragraph states the
+    block's ``dt`` contract."""
 
-    method: str | None = None
     dt: float | None = None
 
 
@@ -497,7 +496,7 @@ MAX_BACKTRACKS = 30
 
 class _EkiDriver:
     """Shared mechanics for both problem families: evaluate members, log the
-    best one, and advance one controlled explicit-Euler step per epoch.
+    best one, and advance one controlled explicit first-order step per epoch.
 
     The driver owns the loop's bookkeeping: the epoch, the init generator,
     which the initial members and every expansion draw from, and ``events``,

@@ -8,7 +8,7 @@ import pytest
 
 from ekinode import gradbase, nnet, ode, problems, runner
 
-from test_ode import column_lockstep, same_bits
+from test_ode import RK4, column_lockstep, same_bits
 from test_problems import _fma_kernel, _passes_under_blas_kernel, _uneven_sysid_problem
 from test_problems import loop_control_states
 
@@ -43,7 +43,7 @@ def zero_field_problem():
     return problems.SysIdProblem(
         observations=obs,
         net=nnet.MlpSpec((2, 4, 2), "tanh"),
-        integrator=ode.IntegratorConfig(method="rk4", dt=0.05),
+        integrator=ode.IntegratorConfig(dt=0.05),
     )
 
 
@@ -75,37 +75,24 @@ def test_sysid_gradient_matches_finite_differences(small_spiral):
         assert_fd_close(grad, ref)
 
 
-def test_sysid_gradient_matches_finite_differences_euler(small_spiral):
-    prob = replace(small_spiral, integrator=ode.IntegratorConfig(method="euler", dt=0.01))
-    theta = nnet.mlp_init(prob.net, np.random.default_rng(3))
-    grad = gradbase.bptt_value_and_gradient(theta, prob)[1]
-    ref = fd_gradient(lambda t: gradbase.bptt_value_and_gradient(t, prob)[0], theta)
-    assert_fd_close(grad, ref)
-
-
 def test_control_gradient_matches_finite_differences(control_problem):
-    euler = replace(control_problem, integrator=replace(control_problem.integrator, method="euler"))
-    cases = ((control_problem, 4, (1.0, 1.0)), (control_problem, 5, (0.3, 0.01)),
-             (euler, 6, (0.3, 0.01)))
-    for prob, s, (gamma, gamma_prime) in cases:
-        theta = nnet.mlp_init(prob.controller, np.random.default_rng(s))
+    for s, (gamma, gamma_prime) in ((4, (1.0, 1.0)), (5, (0.3, 0.01))):
+        theta = nnet.mlp_init(control_problem.controller, np.random.default_rng(s))
         loss, grad, _ = gradbase.bptt_value_and_gradient(
-            theta, prob, gamma=gamma, gamma_prime=gamma_prime
+            theta, control_problem, gamma=gamma, gamma_prime=gamma_prime
         )
         ref = fd_gradient(
             lambda t: gradbase.bptt_value_and_gradient(
-                t, prob, gamma=gamma, gamma_prime=gamma_prime
+                t, control_problem, gamma=gamma, gamma_prime=gamma_prime
             )[0],
             theta,
         )
         assert_fd_close(grad, ref)
 
 
-def loop_step_reverse(gx, h, method, vjp):
-    # The reverse of one euler/rk4 step, visiting the field evaluations last
-    # first; ``vjp(i, g)`` pulls g back through the i-th of them.
-    if method == "euler":
-        return gx + vjp(0, h * gx)
+def loop_step_reverse(gx, h, vjp):
+    # The reverse of one RK4 step, visiting the field evaluations last first;
+    # ``vjp(i, g)`` pulls g back through the i-th of them.
     half = 0.5 * h
     g6, g3 = (h / 6.0) * gx, (h / 3.0) * gx
     gin = vjp(3, g6)
@@ -158,16 +145,16 @@ def two_record_control_gradient(theta, prob, gamma, gamma_prime):
 MERGED_RECORD_TOL = 1e-12
 
 
-@pytest.mark.parametrize("method", ["euler", "rk4"])
+@RK4
 @pytest.mark.parametrize("dt, quadrature_points", [(0.01, 100), (1.0 / 37.0, 100), (0.003, 50)])
-def test_merged_control_record_matches_two_records(method, dt, quadrature_points):
+def test_merged_control_record_matches_two_records(scheme, dt, quadrature_points):
     # At dt = 0.01 the stage grid holds every quadrature point; at 1/37 it
     # lacks most of them; 0.003 takes 334 steps, more than one block.
     for a, mu, (gamma, gamma_prime) in ((1.0, 0.001, (1.0, 1.0)), (0.5, 0.01, (0.3, 0.01)),
                                         (-2.0, 0.0075, (0.15, 0.01))):
         prob = problems.ControlProblem(
             mu=mu, a=a, quadrature_points=quadrature_points,
-            integrator=ode.IntegratorConfig(method=method, dt=dt, divergence_limit=1e3),
+            integrator=ode.IntegratorConfig(dt=dt, divergence_limit=1e3),
         )
         for s in (0, 1, 2):
             theta = (1.0 + s) * nnet.mlp_init(prob.controller, np.random.default_rng(40 + s))
@@ -189,8 +176,7 @@ def loop_control_gradient(theta, prob, gamma, gamma_prime):
     """Reference for the control BPTT gradient: the terminal term pulled back
     step by step through the scalar recurrence, as a field ``a x + b u``
     whose i-th stage of step k reads u at stage point
-    ``stride k + (0, 1, 1, 2)[i]``."""
-    cfg = prob.integrator
+    ``2 k + (0, 1, 1, 2)[i]``."""
     layers = nnet.unflatten(prob.controller, theta)
     act = prob.controller.activation
     plan = prob.plan
@@ -199,7 +185,7 @@ def loop_control_gradient(theta, prob, gamma, gamma_prime):
     stage_record, quad_record = [], []
     u_stage = nnet.mlp_apply(layers, stage_times[:, None], act, stage_record)[:, 0]
     u_quad = nnet.mlp_apply(layers, quad_grid[:, None], act, quad_record)[:, 0]
-    x = float(loop_control_states(u_stage, prob, h, cfg.method)[-1])
+    x = float(loop_control_states(u_stage, prob, h)[-1])
     w = np.empty_like(quad_grid)
     w[1:-1] = 0.5 * (quad_grid[2:] - quad_grid[:-2])
     w[0] = 0.5 * (quad_grid[1] - quad_grid[0])
@@ -208,7 +194,6 @@ def loop_control_gradient(theta, prob, gamma, gamma_prime):
     grad = pull(prob.controller, theta, quad_record, g_quad[:, None])
     a, b = prob.a, prob.b
     ubar = np.zeros(stage_times.size)
-    stride = 2 if cfg.method == "rk4" else 1
 
     def vjp(i, g):
         ubar[stage + (0, 1, 1, 2)[i]] += b * g
@@ -216,8 +201,8 @@ def loop_control_gradient(theta, prob, gamma, gamma_prime):
 
     gx = (x - prob.x_star) / gamma
     for k in reversed(range(n_steps)):
-        stage = stride * k
-        gx = loop_step_reverse(gx, h, cfg.method, vjp)
+        stage = 2 * k
+        gx = loop_step_reverse(gx, h, vjp)
     return grad + pull(prob.controller, theta, stage_record, ubar[:, None])
 
 
@@ -226,14 +211,14 @@ def loop_control_gradient(theta, prob, gamma, gamma_prime):
 CONTROL_GRADIENT_TOL = 1e-12
 
 
-@pytest.mark.parametrize("method", ["euler", "rk4"])
+@RK4
 @pytest.mark.parametrize("dt", [0.01, 0.003])
-def test_control_gradient_matches_reverse_recurrence(method, dt):
+def test_control_gradient_matches_reverse_recurrence(scheme, dt):
     # 0.003 takes 334 steps: more than one propagator block.
     for a, x0, (gamma, gamma_prime) in ((1.0, 0.0, (1.0, 1.0)), (0.5, 0.7, (0.3, 0.01)),
                                         (-2.0, 0.7, (0.15, 0.01))):
         prob = problems.ControlProblem(
-            a=a, x0=x0, integrator=ode.IntegratorConfig(method=method, dt=dt, divergence_limit=1e3)
+            a=a, x0=x0, integrator=ode.IntegratorConfig(dt=dt, divergence_limit=1e3)
         )
         for s in (0, 1):
             theta = (1.0 + s) * nnet.mlp_init(prob.controller, np.random.default_rng(30 + s))
@@ -282,20 +267,18 @@ def test_stacked_accumulation_is_bitwise_per_call(spiral_problem, small_spiral, 
     # The batched weight and bias gradients must equal per-call accumulation
     # exactly: each stacked product is the per-call product and the calls
     # are reduced in sweep order.
-    fine = ode.IntegratorConfig(method="rk4", dt=small_spiral.integrator.dt / 2.5)
+    fine = ode.IntegratorConfig(dt=small_spiral.integrator.dt / 2.5)
     obs = spiral_problem.observations
     one_run = problems.make_observations(obs.grid_times, obs.grid_states, 1, 100, np.random.default_rng(0))
     cases = [
         (spiral_problem, {}),
         # A single shooting run is a one-row pass, whose products are gemv.
         (replace(spiral_problem, observations=one_run), {}),
-        (replace(small_spiral, integrator=replace(small_spiral.integrator, method="euler")), {}),
         (replace(small_spiral, net=nnet.MlpSpec((2, 6, 5, 2), "elu")), {}),
         (replace(small_spiral, integrator=fine), {}),
         (control_problem, {"gamma": 0.3, "gamma_prime": 0.01}),
-        (replace(control_problem, integrator=replace(control_problem.integrator, method="euler")), {}),
     ]
-    n_sub, _ = ode.substeps(cases[4][0].plan.steps.times, fine)
+    n_sub, _ = ode.substeps(cases[3][0].plan.steps.times, fine)
     assert n_sub.min() >= 2
     for case, (prob, kw) in enumerate(cases):
         spec = prob.controller if isinstance(prob, problems.ControlProblem) else prob.net
@@ -308,12 +291,10 @@ def test_stacked_accumulation_is_bitwise_per_call(spiral_problem, small_spiral, 
             assert np.array_equal(grad, ref), (case, s)
 
 
-def column_step_reverse(gx, h, method, net):
+def column_step_reverse(gx, h, net):
     # Reference for gradbase._step_reverse: the column arithmetic it
     # replaced, forming every coefficient from the substep length h, a
     # Python float or each row's length as a (B, 1) column.
-    if method == "euler":
-        return gx + net.vjp(h * gx)
     half = 0.5 * h
     g6, g3 = (h / 6.0) * gx, (h / 3.0) * gx
     gin = net.vjp(g6)
@@ -331,12 +312,12 @@ def use_column_oracle(m):
     # arithmetic runs them: the pass decides its own substeps, and each
     # reverse step reads its length back from the laid-out h, whose rows
     # hold their lengths across members and components.
-    def step_reverse(gx, c, method, net):
+    def step_reverse(gx, c, net):
         h = c[0]
         if not isinstance(h, float):
             assert h.shape == gx.shape and np.all(h == h[:1, :, :1])
             h = h[0, :, :1]
-        return column_step_reverse(gx, h, method, net)
+        return column_step_reverse(gx, h, net)
 
     m.setattr(ode, "integrate_lockstep",
               lambda field, x0, plan: column_lockstep(field, x0, plan.times, plan.config))
@@ -350,17 +331,16 @@ def _evaluations(prob, thetas):
             [gradbase.bptt_value_and_gradient(t, prob) for t in thetas])
 
 
-@pytest.mark.parametrize("method", ["euler", "rk4"])
-def test_passes_match_the_column_oracle_bitwise(spiral_problem, monkeypatch, method):
+@RK4
+def test_passes_match_the_column_oracle_bitwise(spiral_problem, monkeypatch, scheme):
     # Shooting grids with per-row substep lengths: random spacing at several
     # substeps per interval, and the spiral preset, whose subsets' spans
     # differ in their last bits.  Forward maps of 5 members and of 1, and
     # the BPTT loss, gradient and flag, equal the column arithmetic's bitwise.
-    uneven = _uneven_sysid_problem(np.random.default_rng(5), method, 0.04, "tanh")
-    spiral = replace(spiral_problem, integrator=replace(spiral_problem.integrator, method=method))
-    for prob in (uneven, spiral):
+    uneven = _uneven_sysid_problem(np.random.default_rng(5), 0.04, "tanh")
+    for prob in (uneven, spiral_problem):
         steps = prob.plan.steps
-        assert steps.counts.max() > 1 or prob is spiral
+        assert steps.counts.max() > 1 or prob is spiral_problem
         assert any(not isinstance(h, float) for h in ode.substeps(steps.times, steps.config)[1])
         thetas = nnet.mlp_init(prob.net, np.random.default_rng(24), 5)
         got = _evaluations(prob, thetas)
@@ -400,11 +380,10 @@ def test_runs_match_the_column_oracle_bitwise(tmp_path, monkeypatch, expanding):
         assert [line.split(b",")[2] for line in got[0].splitlines()[2::2]] == [b"22", b"25", b"27"]
 
 
-@pytest.mark.parametrize("method", ["euler", "rk4"])
-def test_every_step_reads_floats_or_state_shaped_coefficients(spiral_problem, monkeypatch, method):
+@RK4
+def test_every_step_reads_floats_or_state_shaped_coefficients(spiral_problem, monkeypatch, scheme):
     # No (B, 1) column reaches a step: every coefficient of a forward step
     # or a reverse step is a float or an array of the state's own shape.
-    prob = replace(spiral_problem, integrator=replace(spiral_problem.integrator, method=method))
     seen = []
 
     def checked(step, reverse):
@@ -417,12 +396,12 @@ def test_every_step_reads_floats_or_state_shaped_coefficients(spiral_problem, mo
             return step(*args)
         return wrapped
 
-    for module, name in ((ode, "_lockstep_euler"), (ode, "_lockstep_rk4"), (gradbase, "_step_reverse")):
+    for module, name in ((ode, "_lockstep_rk4"), (gradbase, "_step_reverse")):
         monkeypatch.setattr(module, name, checked(getattr(module, name), module is gradbase))
-    thetas = nnet.mlp_init(prob.net, np.random.default_rng(25), 5)
-    _evaluations(prob, thetas)
+    thetas = nnet.mlp_init(spiral_problem.net, np.random.default_rng(25), 5)
+    _evaluations(spiral_problem, thetas)
     arrays = seen.count(np.ndarray)
-    problems.test_mse(thetas, prob)  # the full grid: every row shares its lengths
+    problems.test_mse(thetas, spiral_problem)  # the full grid: every row shares its lengths
     assert arrays > 0 and seen.count(np.ndarray) == arrays and float in seen
 
 
@@ -439,16 +418,13 @@ def test_bptt_loss_matches_problem_losses(small_spiral, control_problem, monkeyp
 
     monkeypatch.setattr(ode, "substeps", counted_substeps)
     theta = nnet.mlp_init(small_spiral.net, np.random.default_rng(8))
-    for method in ("rk4", "euler"):
-        integrator = replace(small_spiral.integrator, method=method, divergence_limit=5.0)
-        prob = replace(small_spiral, integrator=integrator)
-        for scale in (1.0, 30.0):
-            loss, _, flag = gradbase.bptt_value_and_gradient(scale * theta, prob)
-            assert flag == problems.sysid_forward_map(scale * theta, prob).failed
-            assert flag == (scale == 30.0)
-            assert flag or loss == problems.mse(scale * theta, prob), method
-        assert len(decided) == 1, method
-        del decided[:]
+    prob = replace(small_spiral, integrator=replace(small_spiral.integrator, divergence_limit=5.0))
+    for scale in (1.0, 30.0):
+        loss, _, flag = gradbase.bptt_value_and_gradient(scale * theta, prob)
+        assert flag == problems.sysid_forward_map(scale * theta, prob).failed
+        assert flag == (scale == 30.0)
+        assert flag or loss == problems.mse(scale * theta, prob)
+    assert len(decided) == 1
 
     theta_c = nnet.mlp_init(control_problem.controller, np.random.default_rng(9))
     loss_c, _, _ = gradbase.bptt_value_and_gradient(
@@ -459,13 +435,13 @@ def test_bptt_loss_matches_problem_losses(small_spiral, control_problem, monkeyp
     assert abs(loss_c - expected) <= 1e-12 * max(1.0, abs(expected))
 
 
-@pytest.mark.parametrize("method", ["euler", "rk4"])
+@RK4
 @pytest.mark.parametrize("dt", [0.01, 1.0 / 37.0, 0.003])
-def test_control_bptt_runs_the_forward_maps_pass(method, dt):
+def test_control_bptt_runs_the_forward_maps_pass(scheme, dt):
     # The BPTT loss and flag are those of the forward map's own pass for the
     # same theta, bitwise; the last scale takes the state past the limit.
     prob = problems.ControlProblem(
-        integrator=ode.IntegratorConfig(method=method, dt=dt, divergence_limit=1e3)
+        integrator=ode.IntegratorConfig(dt=dt, divergence_limit=1e3)
     )
     for s, scale in enumerate((1.0, 2.0, 1e3)):
         theta = scale * nnet.mlp_init(prob.controller, np.random.default_rng(50 + s))
@@ -518,8 +494,8 @@ def test_unfold_beyond_max_steps_raises(small_spiral):
             gradbase.bptt_value_and_gradient(theta, prob)
 
 
-@pytest.mark.parametrize("method", ["euler", "rk4"])
-def test_sysid_max_steps_boundary(small_spiral, method):
+@RK4
+def test_sysid_max_steps_boundary(small_spiral, scheme):
     # A dt of 1/2.5 of the grid spacing takes 3 substeps per interval: 12 per
     # shooting run of 5 observations.  At exactly that many steps the forward
     # map, the lockstep core and the BPTT pass run; at one more than
@@ -531,8 +507,7 @@ def test_sysid_max_steps_boundary(small_spiral, method):
     steps = 3 * 4
     theta = nnet.mlp_init(small_spiral.net, np.random.default_rng(23), 3)
     for max_steps, exceeded in ((steps, False), (steps - 1, True)):
-        integrator = ode.IntegratorConfig(method=method, dt=spacing / 2.5, max_steps=max_steps,
-                                          divergence_limit=1e3)
+        integrator = ode.IntegratorConfig(dt=spacing / 2.5, max_steps=max_steps, divergence_limit=1e3)
         prob = replace(small_spiral, integrator=integrator)
         out = problems.sysid_forward_map(theta, prob)
         assert out.failed.tolist() == [exceeded] * 3
@@ -553,11 +528,10 @@ def test_sysid_max_steps_boundary(small_spiral, method):
 @pytest.mark.parametrize(
     "integrator",
     [
-        ode.IntegratorConfig(method="rk4", dt=0.01, max_steps=10),
-        ode.IntegratorConfig(method="rk4", dt=0.01, divergence_limit=1e-3),
-        ode.IntegratorConfig(method="euler", dt=0.01, divergence_limit=1e-3),
+        ode.IntegratorConfig(dt=0.01, max_steps=10),
+        ode.IntegratorConfig(dt=0.01, divergence_limit=1e-3),
     ],
-    ids=["rk4-max-steps", "rk4-divergence-limit", "euler-divergence-limit"],
+    ids=["rk4-max-steps", "rk4-divergence-limit"],
 )
 def test_control_tape_follows_forward_map_failure_rule(integrator):
     # The control forward map flags each of these.  Past max_steps the BPTT
@@ -591,7 +565,7 @@ def two_run_problem(first_spacing, second_spacing, dt):
     return problems.SysIdProblem(
         observations=obs,
         net=nnet.MlpSpec((2, 4, 2), "tanh"),
-        integrator=ode.IntegratorConfig(method="rk4", dt=dt),
+        integrator=ode.IntegratorConfig(dt=dt),
     )
 
 

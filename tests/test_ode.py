@@ -15,6 +15,9 @@ from ekinode.problems import pendulum_energy, pendulum_field, spiral_field, spir
 
 ATOL = 1e-12
 
+# The fixed-step scheme a case runs, named in its id: the core has RK4 alone.
+RK4 = pytest.mark.parametrize("scheme", ["rk4"])
+
 
 def exp_field(x, t):
     return x
@@ -35,13 +38,6 @@ def _check_finite(x, t, what):
         raise ode.IntegrationError(f"non-finite {what} at t={t}")
 
 
-def euler_step(field, x, t, dt):
-    """One forward-Euler step ``x + dt * field(x, t)``."""
-    k = np.asarray(field(x, t), dtype=float)
-    _check_finite(k, t, "field output")
-    return x + dt * k
-
-
 def rk4_step(field, x, t, dt):
     """One classic fourth-order Runge-Kutta step."""
     k1 = np.asarray(field(x, t), dtype=float)
@@ -55,7 +51,7 @@ def rk4_step(field, x, t, dt):
 
 @np.errstate(over="ignore", invalid="ignore")
 def fixed_step_integrate(field, x0, times, config):
-    """The scalar euler/rk4 integration of ``field(x, t)`` from ``x0``,
+    """The scalar RK4 integration of ``field(x, t)`` from ``x0``,
     sampled at ``times``: a :class:`ode.Trajectory`, or an
     :class:`ode.IntegrationError` for a non-finite state, a state beyond
     ``divergence_limit`` or a step count past ``max_steps``."""
@@ -65,7 +61,6 @@ def fixed_step_integrate(field, x0, times, config):
     x0 = np.asarray(x0, dtype=float)
     trajectory = ode.Trajectory(times=times.copy(), states=np.empty((times.size, x0.size)))
     trajectory.states[0] = x0
-    step = euler_step if config.method == "euler" else rk4_step
     x = x0
     n_steps = 0
     for i in range(times.size - 1):
@@ -80,28 +75,13 @@ def fixed_step_integrate(field, x0, times, config):
         n_sub = int(n_sub)
         h = (t1 - t0) / n_sub
         for s in range(n_sub):
-            x = step(field, x, t0 + s * h, h)
+            x = rk4_step(field, x, t0 + s * h, h)
             if np.max(np.abs(x)) > config.divergence_limit:
                 raise ode.IntegrationError(
                     f"state magnitude exceeds {config.divergence_limit:g} at t={t0 + (s + 1) * h}"
                 )
         trajectory.states[i + 1] = x
     return trajectory
-
-
-def test_euler_step_zero_field():
-    out = euler_step(zero_field, np.array([1.0, 0.0]), 0.0, 0.1)
-    assert np.array_equal(out, np.array([1.0, 0.0]))
-
-
-def test_euler_step_exponential():
-    out = euler_step(exp_field, np.array([1.0]), 0.0, 0.5)
-    assert abs(out[0] - 1.5) < ATOL
-
-
-def test_euler_step_spiral():
-    out = euler_step(spiral_field, np.array([1.0, 0.0]), 0.0, 0.1)
-    assert np.allclose(out, [0.995, -0.1], atol=ATOL)
 
 
 def test_rk4_step_matches_exponential_to_fifth_order():
@@ -114,8 +94,7 @@ def scalar_paths(dt):
     """The scalar paths, each with its record: integrate, which runs dopri5,
     and the fixed-step oracle, at step ``dt``."""
     return ((ode.integrate, ode.DopriConfig()),
-            (fixed_step_integrate, ode.IntegratorConfig(method="euler", dt=dt)),
-            (fixed_step_integrate, ode.IntegratorConfig(method="rk4", dt=dt)))
+            (fixed_step_integrate, ode.IntegratorConfig(dt=dt)))
 
 
 def test_integrate_zero_field_constant_states():
@@ -157,23 +136,19 @@ def test_pendulum_conserves_energy():
     assert np.max(np.abs(energies - energies[0])) < 1e-6
 
 
-def order_ratio(method, dt):
+def order_ratio(dt):
     times = np.array([0.0, 1.0])
     ref = spiral_solution(1.0)
     errs = []
     for step in (dt, dt / 2.0):
-        config = ode.IntegratorConfig(method=method, dt=step)
+        config = ode.IntegratorConfig(dt=step)
         traj = fixed_step_integrate(spiral_field, np.array([1.0, 0.0]), times, config)
         errs.append(np.max(np.abs(traj.states[-1] - ref)))
     return errs[0] / errs[1]
 
 
 def test_rk4_global_order():
-    assert 12.0 < order_ratio("rk4", 0.1) < 20.0
-
-
-def test_euler_global_order():
-    assert 1.8 < order_ratio("euler", 0.01) < 2.2
+    assert 12.0 < order_ratio(0.1) < 20.0
 
 
 @seed(4)
@@ -184,7 +159,7 @@ def test_autonomous_shift_invariance(quarter_shifts):
     # Dyadic shifts keep the grid intervals exactly representable.
     shift = quarter_shifts * 0.25
     times = np.linspace(0.0, 2.0, 9)
-    for integrate, config in ((fixed_step_integrate, ode.IntegratorConfig(method="rk4", dt=0.01)),
+    for integrate, config in ((fixed_step_integrate, ode.IntegratorConfig(dt=0.01)),
                               (ode.integrate, ode.DopriConfig())):
         a = integrate(spiral_field, np.array([1.0, 0.0]), times, config)
         b = integrate(spiral_field, np.array([1.0, 0.0]), times + shift, config)
@@ -200,16 +175,15 @@ def test_integrate_validates_times():
 
 
 def test_max_steps_exceeded():
-    config = ode.IntegratorConfig(method="euler", dt=0.001, max_steps=10)
+    config = ode.IntegratorConfig(dt=0.001, max_steps=10)
     with pytest.raises(ode.IntegrationError):
         fixed_step_integrate(zero_field, np.array([1.0]), np.array([0.0, 1.0]), config)
     # A step count past the float range is inf: it exceeds max_steps rather
     # than failing to become an integer.
-    for method in ("euler", "rk4"):
-        for dt in (1e-320, 5e-324):
-            config = ode.IntegratorConfig(method=method, dt=dt)
-            with pytest.raises(ode.IntegrationError, match=r"^max_steps=1000000 exceeded at t=0.0$"):
-                fixed_step_integrate(zero_field, np.array([1.0]), np.array([0.0, 1.0]), config)
+    for dt in (1e-320, 5e-324):
+        config = ode.IntegratorConfig(dt=dt)
+        with pytest.raises(ode.IntegrationError, match=r"^max_steps=1000000 exceeded at t=0.0$"):
+            fixed_step_integrate(zero_field, np.array([1.0]), np.array([0.0, 1.0]), config)
     # dopri5 counts every attempted step, rejected ones included.
     config = ode.DopriConfig(max_steps=5)
     with pytest.raises(ode.IntegrationError, match=r"^max_steps=5 exceeded at t=\d"):
@@ -219,7 +193,7 @@ def test_max_steps_exceeded():
 def test_divergence_limit_aborts():
     # The message says where the trajectory left the bound.
     for integrate, config in ((fixed_step_integrate,
-                               ode.IntegratorConfig(method="rk4", dt=0.1, divergence_limit=10.0)),
+                               ode.IntegratorConfig(dt=0.1, divergence_limit=10.0)),
                               (ode.integrate, ode.DopriConfig(divergence_limit=10.0))):
         with pytest.raises(ode.IntegrationError, match=r"^state magnitude exceeds 10 at t=\d"):
             integrate(lambda x, t: [5.0 * v for v in x], np.array([1.0]), np.array([0.0, 10.0]),
@@ -230,16 +204,20 @@ def test_non_finite_field_output_aborts_with_location():
     def bad_field(x, t):
         return np.array([np.inf])
 
-    for integrate, config in ((fixed_step_integrate, ode.IntegratorConfig(method="euler", dt=0.1)),
-                              (ode.integrate, ode.DopriConfig())):
-        with pytest.raises(ode.IntegrationError, match=r"^non-finite field output at t=0\.0$"):
+    # The fixed-step oracle checks each step's end state, dopri5 its first
+    # stage.
+    for integrate, config, message in (
+        (fixed_step_integrate, ode.IntegratorConfig(dt=0.1), r"^non-finite state at t=0\.1$"),
+        (ode.integrate, ode.DopriConfig(), r"^non-finite field output at t=0\.0$"),
+    ):
+        with pytest.raises(ode.IntegrationError, match=message):
             integrate(bad_field, np.array([1.0]), np.array([0.0, 1.0]), config)
 
 
 def test_overflowing_field_aborts_instead_of_warning():
     # Cubic blowup overflows float64 quickly; the oracle must turn that into
     # an IntegrationError without emitting numpy warnings.
-    config = ode.IntegratorConfig(method="rk4", dt=0.5, divergence_limit=1e300)
+    config = ode.IntegratorConfig(dt=0.5, divergence_limit=1e300)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ode.IntegrationError):
@@ -247,24 +225,26 @@ def test_overflowing_field_aborts_instead_of_warning():
 
 
 # Each record refuses a value its integrator cannot run: a non-positive step,
-# tolerance or bound, no step at all, and on the fixed-step record a method
-# other than euler or rk4, dopri5 included, since integrate runs that alone.
+# tolerance or bound, or no step at all.  The fixed-step record has no method
+# to choose, dopri5 included: RK4 is its one step, and a method is an unknown
+# field.
 RECORD_REFUSALS = [
-    *[(record, name, value, f"{name} must be positive")
+    *[(record, name, value, ValueError, f"{name} must be positive")
       for record, names in ((ode.IntegratorConfig, ("dt", "divergence_limit")),
                             (ode.DopriConfig, ("rtol", "atol", "divergence_limit")))
       for name in names for value in (0.0, -1.0)],
-    *[(record, "max_steps", 0, "max_steps must be positive")
+    *[(record, "max_steps", 0, ValueError, "max_steps must be positive")
       for record in (ode.IntegratorConfig, ode.DopriConfig)],
-    *[(ode.IntegratorConfig, "method", method,
-       f"training integrates with euler or rk4, got '{method}'") for method in ("dopri5", "rk45")],
+    *[(ode.IntegratorConfig, "method", method, TypeError,
+       r"IntegratorConfig\.__init__\(\) got an unexpected keyword argument 'method'")
+      for method in ("dopri5", "rk45")],
 ]
 
 
-@pytest.mark.parametrize("record, name, value, message", RECORD_REFUSALS,
-                         ids=[f"{r.__name__}-{n}={v}" for r, n, v, _ in RECORD_REFUSALS])
-def test_integrator_records_refuse_bad_values(record, name, value, message):
-    with pytest.raises(ValueError, match=rf"^{message}$"):
+@pytest.mark.parametrize("record, name, value, error, message", RECORD_REFUSALS,
+                         ids=[f"{r.__name__}-{n}={v}" for r, n, v, _, _ in RECORD_REFUSALS])
+def test_integrator_records_refuse_bad_values(record, name, value, error, message):
+    with pytest.raises(error, match=rf"^{message}$"):
         record(**{name: value})
 
 
@@ -293,12 +273,11 @@ def _scalar_reference(matrices, x0, times, config):
 @seed(9)
 @given(
     st.integers(0, 2**32 - 1),
-    st.sampled_from(["euler", "rk4"]),
     st.sampled_from([0.5, 0.07]),
     st.sampled_from([8, 10**6]),
 )
 @settings(max_examples=30, deadline=None)
-def test_lockstep_matches_scalar_integrate(s, method, dt, max_steps):
+def test_lockstep_matches_scalar_integrate(s, dt, max_steps):
     # Rows with their own uneven sample times, each interval 1-4 substeps
     # that every row needs (its spans lie inside one count's band), and
     # members whose linear fields blow past the divergence limit next to
@@ -311,8 +290,7 @@ def test_lockstep_matches_scalar_integrate(s, method, dt, max_steps):
     x0 = rng.normal(size=(J, B, n))
     rates = np.array([0.5, 0.5, 40.0, 0.5, rng.choice([0.5, 40.0])])
     matrices = rates[:, None, None] * rng.normal(size=(J, n, n))
-    config = ode.IntegratorConfig(method=method, dt=dt, max_steps=max_steps,
-                                  divergence_limit=20.0)
+    config = ode.IntegratorConfig(dt=dt, max_steps=max_steps, divergence_limit=20.0)
     if counts.sum() > max_steps:
         # Past max_steps there is no plan, as the scalar oracle refuses every
         # row on its step count (under a field that cannot diverge first).
@@ -334,14 +312,14 @@ def test_lockstep_matches_scalar_integrate(s, method, dt, max_steps):
     assert np.all(np.abs(states[ok] - ref_states[ok]) <= 1e-12 * scale)
 
 
-@pytest.mark.parametrize("method", ["euler", "rk4"])
-def test_lockstep_takes_the_most_substeps_any_row_needs(method):
+@RK4
+def test_lockstep_takes_the_most_substeps_any_row_needs(scheme):
     # Row 0 needs 4 substeps in the second interval and row 1 needs 3: both
     # rows take 4 there, each of its own length.  So each row equals the
     # scalar oracle over one interval at a time, at a dt that gives the
     # interval's count.
     times = np.array([[0.0, 0.3, 0.7], [1.0, 1.3, 1.6]])
-    config = ode.IntegratorConfig(method=method, dt=0.1)
+    config = ode.IntegratorConfig(dt=0.1)
     rng = np.random.default_rng(12)
     matrices = rng.normal(size=(2, 2, 2))
     x0 = rng.normal(size=(2, 2, 2))
@@ -368,7 +346,7 @@ def test_substeps_decides_counts_lengths_and_max_steps():
     # quotients read just above 3, and the 1e-9 tolerance keeps 3 substeps.
     # Row 0 needs 4 in the second interval, so the interval takes 4.
     times = np.array([[0.0, 0.3, 0.7], [1.0, 1.3, 1.6]])
-    config = ode.IntegratorConfig(method="rk4", dt=0.1, max_steps=7)
+    config = ode.IntegratorConfig(dt=0.1, max_steps=7)
     assert (1.3 - 1.0) / 0.1 > 3.0 and (1.6 - 1.3) / 0.1 > 3.0
     counts, lengths = ode.substeps(times, config)
     assert counts.tolist() == [3, 4] and counts.dtype.kind == "i"
@@ -399,10 +377,10 @@ def test_substeps_decides_counts_lengths_and_max_steps():
 
 def test_lockstep_plan_holds_a_read_only_copy_of_its_times():
     # A write to the caller's array after the build moves neither the plan's
-    # times nor the pass, which lands on the built times: two Euler steps of
+    # times nor the pass, which lands on the built times: two RK4 steps of
     # 0.5 under a unit field.
     t = np.array([[0.0, 0.5, 1.0]])
-    plan = ode.LockstepPlan(t, ode.IntegratorConfig(method="euler", dt=0.5))
+    plan = ode.LockstepPlan(t, ode.IntegratorConfig(dt=0.5))
     t[0, 2] = 3.0
     assert plan.times.tolist() == [[0.0, 0.5, 1.0]] and not plan.times.flags.writeable
     with pytest.raises(ValueError, match="read-only"):
@@ -417,17 +395,13 @@ def test_lockstep_rejects_bad_times():
     for times in (np.array([0.0, 1.0]), np.empty((1, 0)), np.array([[0.0, 0.0]]),
                   np.array([[0.0, np.nan, 1.0]])):
         with pytest.raises(ValueError, match="times must be"):
-            ode.LockstepPlan(times, ode.IntegratorConfig(method="rk4"))
+            ode.LockstepPlan(times, ode.IntegratorConfig())
 
 
 
 # Oracle for the lockstep steps: the column arithmetic they replaced.  Each
 # step forms its coefficients from the substep length, a Python float or
 # each row's length as a (B, 1) column, and broadcasts them over the state.
-
-
-def column_euler(field, x, h):
-    return x + h * field(x)
 
 
 def column_rk4(field, x, h):
@@ -446,12 +420,11 @@ def column_lockstep(field, x0, times, config):
     states = np.empty((J, B, times.shape[1], n))
     states[:, :, 0] = x
     counts, lengths = ode.substeps(times, config)
-    step = column_euler if config.method == "euler" else column_rk4
     failed = np.zeros(J, dtype=bool)
     with np.errstate(over="ignore", invalid="ignore"):
         for k, (count, h) in enumerate(zip(counts.tolist(), lengths)):
             for s in range(count):
-                x = step(field, x, h)
+                x = column_rk4(field, x, h)
                 if s < count - 1:
                     failed |= ~np.all(np.abs(x) <= config.divergence_limit, axis=(1, 2))
             states[:, :, k + 1] = x
@@ -464,9 +437,9 @@ def same_bits(a, b):
     return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
-@pytest.mark.parametrize("method", ["euler", "rk4"])
+@RK4
 @pytest.mark.parametrize("members", [1, 5])
-def test_lockstep_matches_the_column_oracle_bitwise(method, members):
+def test_lockstep_matches_the_column_oracle_bitwise(scheme, members):
     # Rows with their own uneven times, so most intervals have per-row
     # lengths, some intervals of several substeps, and a nonlinear field
     # that sends one member of five past the divergence limit.  One plan
@@ -475,7 +448,7 @@ def test_lockstep_matches_the_column_oracle_bitwise(method, members):
     B, K, n = 4, 6, 2
     spans = 0.1 * (rng.integers(1, 4, size=K) - rng.uniform(0.05, 0.95, size=(B, K)))
     times = np.cumsum(np.hstack([rng.uniform(0.0, 1.0, size=(B, 1)), spans]), axis=1)
-    config = ode.IntegratorConfig(method=method, dt=0.1, divergence_limit=30.0)
+    config = ode.IntegratorConfig(dt=0.1, divergence_limit=30.0)
     plan = ode.LockstepPlan(times, config)
     assert plan.counts.max() > 1
     a = rng.normal(size=(members, n, n))
@@ -499,7 +472,7 @@ def test_lockstep_plan_lays_out_each_coefficient_once_per_state_shape():
     # Per state shape, each interval's (h, h/2, h/6, h/3): a float where every
     # row shares h, else a read-only array of that shape, row b holding row b's.
     times = np.array([[0.0, 0.3, 0.7], [1.0, 1.3, 1.6]])
-    plan = ode.LockstepPlan(times, ode.IntegratorConfig(method="rk4", dt=0.1))
+    plan = ode.LockstepPlan(times, ode.IntegratorConfig(dt=0.1))
     _, lengths = ode.substeps(times, plan.config)
     for shape in ((1, 2, 3), (4, 2, 3)):
         coefficients = plan.coefficients(shape)

@@ -15,7 +15,7 @@ from hypothesis import example, given, seed, settings, strategies as st
 
 from ekinode import eki, gradbase, nnet, ode, problems, runner
 from test_log_hashes import log_hashes
-from test_ode import fixed_step_integrate
+from test_ode import RK4, fixed_step_integrate
 
 ORACLE_TOL = 1e-12
 
@@ -531,7 +531,7 @@ def test_control_problem_overrides():
     assert np.isfinite(problems.control_forward_map(np.zeros((1, nnet.param_count(one.controller))), one).g).all()
 
 
-def _uneven_sysid_problem(rng, method, dt, activation):
+def _uneven_sysid_problem(rng, dt, activation):
     # A grid with random spacing, so each shooting subset has its own step
     # lengths, and a dt that (when small) forces several substeps per
     # interval.  Every spacing needs the same count at either dt (4 at 0.04,
@@ -541,7 +541,7 @@ def _uneven_sysid_problem(rng, method, dt, activation):
     obs = problems.make_observations(grid_times, grid_states, 3, 4, rng)
     return problems.SysIdProblem(
         obs, nnet.MlpSpec((2, 6, 2), activation),
-        ode.IntegratorConfig(method=method, dt=dt, divergence_limit=50.0),
+        ode.IntegratorConfig(dt=dt, divergence_limit=50.0),
     )
 
 
@@ -576,14 +576,13 @@ def _scalar_sysid(theta, prob):
 @seed(10)
 @given(
     st.integers(0, 2**32 - 1),
-    st.sampled_from(["euler", "rk4"]),
     st.sampled_from([1.0, 0.04]),
     st.sampled_from(["tanh", "elu"]),
 )
 @settings(max_examples=30, deadline=None)
-def test_batched_sysid_forward_map_matches_scalar_integrate(s, method, dt, activation):
+def test_batched_sysid_forward_map_matches_scalar_integrate(s, dt, activation):
     rng = np.random.default_rng(s)
-    prob = _uneven_sysid_problem(rng, method, dt, activation)
+    prob = _uneven_sysid_problem(rng, dt, activation)
     members = _mixed_ensemble(rng, prob.net, 1e3)
     out = problems.sysid_forward_map(members, prob)
     assert out.g.shape == (5, prob.observations.values.size)
@@ -603,16 +602,15 @@ def test_batched_sysid_forward_map_matches_scalar_integrate(s, method, dt, activ
 @seed(11)
 @given(
     st.integers(0, 2**32 - 1),
-    st.sampled_from(["euler", "rk4"]),
     st.sampled_from([0.01, 1.0 / 37.0]),
     st.sampled_from(["tanh", "elu"]),
 )
 @settings(max_examples=30, deadline=None)
-def test_batched_control_forward_map_matches_scalar_formulas(s, method, dt, activation):
+def test_batched_control_forward_map_matches_scalar_formulas(s, dt, activation):
     rng = np.random.default_rng(s)
     prob = problems.ControlProblem(
         controller=nnet.MlpSpec((1, 5, 5, 1), activation),
-        integrator=ode.IntegratorConfig(method=method, dt=dt, divergence_limit=1e3),
+        integrator=ode.IntegratorConfig(dt=dt, divergence_limit=1e3),
     )
     members = _mixed_ensemble(rng, prob.controller, 5e3)
     out = problems.control_forward_map(members, prob)
@@ -665,9 +663,9 @@ def _bptt(theta, prob):
 
 
 @pytest.mark.parametrize("activation", ["tanh", "elu"])
-@pytest.mark.parametrize("method", ["euler", "rk4"])
+@RK4
 @pytest.mark.parametrize("members, rows", [(22, 10), (1, 10), (5, 3), (5, 1), (1, 1)])
-def test_laid_out_pass_matches_the_view_pass(monkeypatch, members, rows, method, activation):
+def test_laid_out_pass_matches_the_view_pass(monkeypatch, members, rows, scheme, activation):
     # A pass of more than one row per member lays its layers out for gemm;
     # a one-row pass, a single shooting run here, keeps the views.  Either way its states, failure flags
     # and BPTT gradients are the view pass's bits, NaNs included: member 0
@@ -675,7 +673,7 @@ def test_laid_out_pass_matches_the_view_pass(monkeypatch, members, rows, method,
     prob = problems.make_sysid_problem(
         "spiral", np.random.default_rng(rows), grid_size=60, t_final=6.0,
         num_subsets=rows, subset_length=5, net=nnet.MlpSpec((2, 10, 2), activation),
-        integrator=ode.IntegratorConfig(method=method, dt=0.05, divergence_limit=1e3),
+        integrator=ode.IntegratorConfig(dt=0.05, divergence_limit=1e3),
     )
     x0, plan = prob.plan.x0, prob.plan.steps
     assert x0.shape[0] == rows
@@ -739,28 +737,54 @@ def test_laid_out_pass_matches_the_view_pass_under_another_blas_kernel(core):
     _passes_under_blas_kernel(core, "test_problems.py::test_laid_out_pass_matches_the_view_pass")
 
 
-def loop_control_states(u_stage, prob, h, method):
-    """Reference for ``problems.control_states``: the scalar euler/rk4
-    recurrence it replaced, step by step, vectorized over the member axes."""
+def loop_control_states(u_stage, prob, h):
+    """Reference for ``problems.control_states``: the scalar RK4 recurrence
+    it replaced, step by step, vectorized over the member axes."""
     a = prob.a
     u = np.moveaxis(np.asarray(u_stage, dtype=float), -1, 0)
     bu = prob.b * u
-    n_steps = (u.shape[0] - 1) // 2 if method == "rk4" else u.shape[0] - 1
+    n_steps = (u.shape[0] - 1) // 2
     xs = np.empty(u.shape[1:] + (n_steps + 1,))
     x = xs[..., 0] = float(prob.x0)
     half, sixth = 0.5 * h, h / 6.0
     for k in range(n_steps):
-        if method == "rk4":
-            bu1, bu2, bu3 = bu[2 * k], bu[2 * k + 1], bu[2 * k + 2]
-            k1 = a * x + bu1
-            k2 = a * (x + half * k1) + bu2
-            k3 = a * (x + half * k2) + bu2
-            k4 = a * (x + h * k3) + bu3
-            x = x + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        else:
-            x = x + h * (a * x + bu[k])
+        bu1, bu2, bu3 = bu[2 * k], bu[2 * k + 1], bu[2 * k + 2]
+        k1 = a * x + bu1
+        k2 = a * (x + half * k1) + bu2
+        k3 = a * (x + half * k2) + bu2
+        k4 = a * (x + h * k3) + bu3
+        x = x + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         xs[..., k + 1] = x
     return xs
+
+
+def loop_euler_states(u_stage, prob, h):
+    """Forward Euler's recurrence for ``xdot = a x + b u``, step k reading u
+    at its start, vectorized over the member axes."""
+    u = np.moveaxis(np.asarray(u_stage, dtype=float), -1, 0)
+    xs = np.empty(u.shape[1:] + (u.shape[0] + 1,))
+    x = xs[..., 0] = float(prob.x0)
+    for k in range(u.shape[0]):
+        x = x + h * (prob.a * x + prob.b * u[k])
+        xs[..., k + 1] = x
+    return xs
+
+
+def euler_layout_states(u_stage, prob, h):
+    """The states :func:`problems.control_propagator` gives under forward
+    Euler's layout (stride 1, one coefficient): one product over all steps."""
+    M, r = problems.control_propagator(h * prob.a, [h * prob.b], 1, u_stage.shape[-1])
+    return u_stage @ M.T + prob.x0 * r
+
+
+# Per scheme: the stages a pass of n steps reads, the states the propagator
+# gives, and the recurrence they match.  The problem's plan lays out RK4; the
+# propagator takes any linear one-step method's layout, Euler's too.
+CONTROL_SCHEMES = {
+    "rk4": (lambda n: 2 * n + 1, lambda u, prob, h: problems.control_states(u, prob),
+            loop_control_states),
+    "euler": (lambda n: n, euler_layout_states, loop_euler_states),
+}
 
 
 # The propagator sums the same terms as the recurrence in another order and
@@ -770,26 +794,27 @@ def loop_control_states(u_stage, prob, h, method):
 PROPAGATOR_TOL = 1e-14
 
 
-def _control_case(method, dt, a, x0):
+def _control_case(dt, a, x0):
     prob = problems.ControlProblem(
-        a=a, x0=x0, integrator=ode.IntegratorConfig(method=method, dt=dt, divergence_limit=1e3)
+        a=a, x0=x0, integrator=ode.IntegratorConfig(dt=dt, divergence_limit=1e3)
     )
     plan = prob.plan
     return prob, plan.stages, plan.h, plan.n_steps
 
 
-@pytest.mark.parametrize("method", ["euler", "rk4"])
+@pytest.mark.parametrize("scheme", ["euler", "rk4"])
 @pytest.mark.parametrize("dt", [0.01, 1.0 / 37.0, 0.003])
-def test_control_states_match_the_recurrence(method, dt):
+def test_control_states_match_the_recurrence(scheme, dt):
     # 0.003 takes 334 steps: more than one propagator block.
+    read, states, recurrence = CONTROL_SCHEMES[scheme]
     rng = np.random.default_rng(int(dt * 1e4))
     for a in (1.0, 0.5, -2.0):
         for x0 in (0.0, 0.7):
-            prob, stages, h, n_steps = _control_case(method, dt, a, x0)
-            for shape in ((stages,), (1, stages), (22, stages)):
+            prob, stages, h, n_steps = _control_case(dt, a, x0)
+            for shape in ((read(n_steps),), (1, read(n_steps)), (22, read(n_steps))):
                 u = rng.normal(size=shape)
-                xs = problems.control_states(u, prob)
-                ref = loop_control_states(u, prob, h, method)
+                xs = states(u, prob, h)
+                ref = recurrence(u, prob, h)
                 assert xs.shape == ref.shape == u.shape[:-1] + (n_steps + 1,)
                 err = np.abs(xs - ref) / np.maximum(1.0, np.abs(ref))
                 assert np.max(err) <= PROPAGATOR_TOL, (a, x0, shape, np.max(err))
@@ -798,23 +823,20 @@ def test_control_states_match_the_recurrence(method, dt):
                 problems.control_states(np.zeros(stages + 1), prob)
 
 
-@pytest.mark.parametrize("method", ["euler", "rk4"])
+@RK4
 @pytest.mark.parametrize("dt", [0.01, 0.003])
-def test_control_diverged_agrees_with_the_recurrence(method, dt):
+def test_control_diverged_agrees_with_the_recurrence(scheme, dt):
     # Huge, infinite and NaN controls at random stages the steps read, plus
     # plants that grow past the limit or overflow: the failed masks agree.
     rng = np.random.default_rng(5)
     for a in (1.0, 40.0, 3000.0):
-        prob, stages, h, n_steps = _control_case(method, dt, a, 0.0)
-        read = 2 * n_steps + 1 if method == "rk4" else n_steps
+        prob, stages, h, n_steps = _control_case(dt, a, 0.0)
         u = rng.normal(size=(24, stages))
         for row, value in enumerate((1e3, 1e300, np.inf, -np.inf, np.nan) * 4):
-            u[row, rng.integers(read)] = value
-        if method == "euler":
-            u[20:, -1] = np.nan  # an euler pass never reads the final control
+            u[row, rng.integers(stages)] = value
         with np.errstate(over="ignore", invalid="ignore"):
             xs = problems.control_states(u, prob)
-            ref = loop_control_states(u, prob, h, method)
+            ref = loop_control_states(u, prob, h)
             failed = problems.control_diverged(xs, prob.integrator)
             assert np.array_equal(failed, problems.control_diverged(ref, prob.integrator)), a
         assert failed[[row for row in range(20) if row % 5]].all()
@@ -827,17 +849,17 @@ def test_control_diverged_agrees_with_the_recurrence(method, dt):
             assert np.max(err) <= PROPAGATOR_TOL
 
 
-@pytest.mark.parametrize("method", ["euler", "rk4"])
+@RK4
 @pytest.mark.parametrize("dt", [0.01, 1.0 / 37.0])
 @pytest.mark.parametrize("quadrature_points", [100, 50])
-def test_control_path_evaluates_the_controller_once(monkeypatch, method, dt, quadrature_points):
+def test_control_path_evaluates_the_controller_once(monkeypatch, scheme, dt, quadrature_points):
     # One controller pass over the stage grid and the quadrature points it
     # lacks gives bitwise the states and energies of its own u columns and,
     # on an FMA kernel, of a pass on each grid alone.  At dt = 1/37 the stage
     # grid lacks most quadrature points; at dt = 0.01 it holds all of them.
     prob = problems.ControlProblem(
         quadrature_points=quadrature_points,
-        integrator=ode.IntegratorConfig(method=method, dt=dt, divergence_limit=1e3),
+        integrator=ode.IntegratorConfig(dt=dt, divergence_limit=1e3),
     )
     plan = prob.plan
     stage_times, h, n_steps = plan.eval_times[:plan.stages], plan.h, plan.n_steps
@@ -889,7 +911,7 @@ def test_control_forward_map_past_max_steps_evaluates_nothing(monkeypatch):
     # The step count alone decides the max_steps rule: every member fails
     # with zeroed outputs before the controller is evaluated.
     prob = problems.ControlProblem(
-        integrator=ode.IntegratorConfig(method="rk4", dt=1e-4, max_steps=10)
+        integrator=ode.IntegratorConfig(dt=1e-4, max_steps=10)
     )
 
     def unreachable(*args):
@@ -939,7 +961,7 @@ def test_a_pass_past_max_steps_has_no_plan(small_spiral, dt):
     # The lockstep plan, the sysid plan and the control plan each refuse the
     # pass with the one message, also where the step count overflows to inf,
     # and without a RuntimeWarning.
-    integrator = ode.IntegratorConfig(method="rk4", dt=dt, max_steps=10)
+    integrator = ode.IntegratorConfig(dt=dt, max_steps=10)
     sysid = replace(small_spiral, integrator=integrator)
     control = problems.ControlProblem(integrator=integrator)
     builds = (lambda: ode.LockstepPlan(np.array([[0.0, 1.0]]), integrator),
@@ -951,14 +973,14 @@ def test_a_pass_past_max_steps_has_no_plan(small_spiral, dt):
                 build()
 
 
-@pytest.mark.parametrize("method", ["euler", "rk4"])
-def test_plan_decides_max_steps_from_the_step_count(method):
+@RK4
+def test_plan_decides_max_steps_from_the_step_count(scheme):
     # Ten steps of 0.1 pass max_steps = 10 and fail max_steps = 9: past it
     # the problem has no plan, the forward map fails every member and the
     # BPTT pass raises.
     for max_steps, exceeded in ((10, False), (9, True)):
         prob = problems.ControlProblem(
-            integrator=ode.IntegratorConfig(method=method, dt=0.1, max_steps=max_steps)
+            integrator=ode.IntegratorConfig(dt=0.1, max_steps=max_steps)
         )
         theta = nnet.mlp_init(prob.controller, np.random.default_rng(5), 3)
         assert problems.control_forward_map(theta, prob).failed.all() == exceeded
@@ -988,14 +1010,13 @@ def _control_values(prob, theta):
 @pytest.mark.parametrize(
     "change",
     [
-        {"integrator": ode.IntegratorConfig(method="euler", dt=0.01, divergence_limit=1e3)},
-        {"integrator": ode.IntegratorConfig(method="rk4", dt=1.0 / 37.0, divergence_limit=1e3)},
-        {"integrator": ode.IntegratorConfig(method="rk4", dt=0.003, divergence_limit=1e3)},
-        {"integrator": ode.IntegratorConfig(method="rk4", dt=0.01, max_steps=10)},
+        {"integrator": ode.IntegratorConfig(dt=1.0 / 37.0, divergence_limit=1e3)},
+        {"integrator": ode.IntegratorConfig(dt=0.003, divergence_limit=1e3)},
+        {"integrator": ode.IntegratorConfig(dt=0.01, max_steps=10)},
         {"a": -0.5},
         {"quadrature_points": 37},
     ],
-    ids=["method", "dt", "dt-blocks", "max-steps", "a", "quadrature-points"],
+    ids=["dt", "dt-blocks", "max-steps", "a", "quadrature-points"],
 )
 def test_replaced_problem_gets_its_own_plan(change):
     # A problem copied with dataclasses.replace evaluates bitwise as one
@@ -1053,7 +1074,7 @@ def test_control_pass_past_max_steps_allocates_nothing_of_its_size():
     # 10^6 steps against max_steps = 10: the forward map fails every member
     # and the BPTT pass raises, each within a traced peak of 1 MB, plan
     # build included (the stage grid alone would be 16 MB).
-    integrator = ode.IntegratorConfig(method="rk4", dt=1e-6, max_steps=10)
+    integrator = ode.IntegratorConfig(dt=1e-6, max_steps=10)
     theta = nnet.mlp_init(problems.ControlProblem().controller, np.random.default_rng(1), 22)
     for run in ("map", "bptt"):
         prob = problems.ControlProblem(integrator=integrator)

@@ -54,14 +54,14 @@ def test_validation_collects_all_errors():
         ),
         gradient=runner.GradientOptions(eta=0.0),
         problem_options=runner.ProblemOptions(num_subsets=100),
-        integrator=runner.IntegratorOptions(method="rk45", dt=-1.0),
+        integrator=runner.IntegratorOptions(dt=-1.0),
     )
     with pytest.raises(runner.ConfigError) as info:
         config.validate()
     joined = "\n".join(info.value.messages)
     needles = (
         "problem", "optimizer", "epochs", "ensemble_size", "schedule_period", "eta",
-        "gamma0", "expansions", "step_cap_rel", "integrator.method", "integrator.dt",
+        "gamma0", "expansions", "step_cap_rel", "integrator.dt",
     )
     for needle in needles:
         assert needle in joined
@@ -88,15 +88,11 @@ def test_validation_collects_all_errors():
         # The test error needs at least one held-out grid point.
         {"problem_options": runner.ProblemOptions(grid_size=2, num_subsets=1, subset_length=2)},
         {"problem_options": runner.ProblemOptions(num_subsets=50)},
-        # Training integrates in lockstep, with either optimizer.
-        {"integrator": runner.IntegratorOptions(method="dopri5")},
-        {"optimizer": "adam", "integrator": runner.IntegratorOptions(method="dopri5")},
         {"eki": runner.EkiOptions(schedule_period=0)},
         {"problem_options": runner.ProblemOptions(subset_length=0)},
         {"problem_options": runner.ProblemOptions(num_subsets=0)},
         {"problem_options": runner.ProblemOptions(grid_size=1)},
         {"eki": runner.EkiOptions(alpha=0.0)},
-        {"integrator": runner.IntegratorOptions(method="midpoint")},
         {"problem": "lorenz"},
         {"integrator": runner.IntegratorOptions(dt=0.0)},
         {"problem": "linear_control", "optimizer": "adam",
@@ -129,7 +125,7 @@ def test_validation_collects_all_errors():
                                   expansions=((0, 1),))},
         {"problem_options": runner.ProblemOptions(num_subsets=1, subset_length=1)},
         {"problem": "pendulum", "optimizer": "sgd"},
-        {"integrator": runner.IntegratorOptions(method="euler", dt=5e-324)},
+        {"integrator": runner.IntegratorOptions(dt=5e-324)},
         {"problem": "linear_control", "optimizer": "adam",
          "problem_options": runner.ProblemOptions(mu=0.0)},
         # mu applies to linear_control only.
@@ -178,7 +174,7 @@ def test_config_from_dict_rejects_unknown_keys():
     data["eki"]["momentum"] = 0.9
     with pytest.raises(runner.ConfigError, match="momentum"):
         runner.config_from_dict(data)
-    # The integrator block has only method and dt.
+    # The integrator block has only dt.
     data = runner.config_to_dict(runner.preset("spiral-eki"))
     data["integrator"]["rtol"] = 1e-6
     with pytest.raises(runner.ConfigError, match="rtol"):
@@ -703,9 +699,9 @@ def test_plot_script_missing_report_errors(tmp_path):
 
 
 def test_integrator_options_replace_the_problem_default(tmp_path):
-    # Only the set options change: the control problem keeps its rk4 and
-    # divergence limit, and dt = T/100 is its default step, so the log is
-    # the preset's byte for byte.
+    # Only the set options change: the control problem keeps its divergence
+    # limit, and dt = T/100 is its default step, so the log is the preset's
+    # byte for byte.
     only_dt = runner.IntegratorOptions(dt=0.01)
     preset = runner.preset("control-eki-mu0.001")
     override = dataclasses.replace(preset, integrator=only_dt)
@@ -718,11 +714,11 @@ def test_integrator_options_replace_the_problem_default(tmp_path):
     runner.save_config(tiny("control-adam-mu0.001", 3, integrator=only_dt), str(path))
     assert cli.main(["run", "--config", str(path), "--out", str(tmp_path / "adam")]) == 0
     assert runner.load_report(str(tmp_path / "adam")).error is None
-    # A system-identification problem takes a method alone the same way.
+    # A system-identification problem takes a dt the same way.
     spiral = runner.preset("spiral-eki")
-    euler = dataclasses.replace(spiral, integrator=runner.IntegratorOptions(method="euler"))
+    fine = dataclasses.replace(spiral, integrator=runner.IntegratorOptions(dt=0.04))
     default = runner.build_problem(spiral).integrator
-    assert runner.build_problem(euler).integrator == dataclasses.replace(default, method="euler")
+    assert runner.build_problem(fine).integrator == dataclasses.replace(default, dt=0.04)
 
 
 def test_run_rejects_invalid_config(tmp_path):
