@@ -1,9 +1,12 @@
-"""Ensemble Kalman inversion: derivative-free parameter updates driven by
+"""EKI, ensemble Kalman inversion: derivative-free parameter updates driven by
 empirical cross-covariances between parameters and forward-map outputs.
 
-One update rule, :func:`eki_step`, solves ``z = F(theta) + noise`` with a
-diagonal noise covariance given per output channel.  It moves every member
-against its own residual through the parameter/output cross-covariance.
+The ensemble is a bare ``(J, N)`` member matrix, one parameter vector per
+row.  One update rule, :func:`eki_step`, solves ``z = F(theta) + noise``
+with a diagonal noise covariance given per output channel.  It moves every
+member against its own residual through the parameter/output
+cross-covariance.  It and :func:`ensemble_expand` return a new matrix and
+never write the one they are given.
 System identification is the case ``z = y``, ``F = G`` with the scalar
 covariance Gamma.  Optimal control is the energy-regularized problem
 ``z = (y, 0)``, ``F = (G, H)`` with covariance ``diag(Gamma * I, Gamma' / mu)``:
@@ -27,7 +30,6 @@ import numpy as np
 from .nnet import MlpSpec, mlp_init, param_count
 
 __all__ = [
-    "Ensemble",
     "CovarianceSchedule",
     "ForwardMapOutput",
     "ensemble_mean",
@@ -52,25 +54,6 @@ def _penalize_failed(loss, failed):
 
 def _quorate(count) -> bool:
     return count >= _QUORUM
-
-
-@dataclass
-class Ensemble:
-    """EKI state: the member parameter vectors, one per row, and nothing
-    else; :func:`eki_step` and :func:`ensemble_expand` return new ones."""
-
-    members: np.ndarray  # (J, N)
-
-    def __post_init__(self):
-        self.members = np.atleast_2d(np.asarray(self.members, dtype=float))
-
-    @property
-    def size(self) -> int:
-        return self.members.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.members.shape[1]
 
 
 @dataclass(frozen=True)
@@ -121,33 +104,33 @@ class ForwardMapOutput:
         return cls(g=g.reshape(lead + g.shape[-1:]), failed=failed.reshape(lead))
 
 
-def ensemble_mean(ens: Ensemble) -> np.ndarray:
-    """Arithmetic mean of the members, fixed summation order."""
-    if ens.size == 0:
+def ensemble_mean(members: np.ndarray) -> np.ndarray:
+    """Arithmetic mean of the ``(J, N)`` members, fixed summation order."""
+    if members.shape[0] == 0:
         raise ValueError("empty ensemble")
-    return ens.members.mean(axis=0)
+    return members.mean(axis=0)
 
 
-def cross_covariance(ens: Ensemble, out: ForwardMapOutput) -> np.ndarray:
+def cross_covariance(members: np.ndarray, out: ForwardMapOutput) -> np.ndarray:
     """Empirical parameter/output cross-covariance, 1/J normalized.
 
     ``(1/J) * sum_j (theta_j - mean) outer (F_j - mean)`` over the stacked
     ``(J, d)`` output of a batched forward map; shape (N, d).  Note 1/J
     exactly, not the unbiased 1/(J-1).
     """
-    f = _member_outputs(ens, out)
-    theta_c = ens.members - ens.members.mean(axis=0)
-    return theta_c.T @ (f - f.mean(axis=0)) / ens.size
+    f = _member_outputs(members, out)
+    theta_c = members - members.mean(axis=0)
+    return theta_c.T @ (f - f.mean(axis=0)) / members.shape[0]
 
 
 def eki_step(
-    ens: Ensemble,
+    members: np.ndarray,
     out: ForwardMapOutput,
     target: np.ndarray,
     gamma: float | np.ndarray,
     h: float = 1.0,
-) -> Ensemble:
-    """One deterministic EKI epoch.
+) -> np.ndarray:
+    """One deterministic EKI epoch of the ``(J, N)`` members, as a new matrix.
 
     ``theta_j <- theta_j - h * C^{thetaF} Sigma^{-1} (F(theta_j) - target)``
     for every member, with ``F`` the stacked output of the batched forward
@@ -158,13 +141,13 @@ def eki_step(
     and excluded from the covariance statistics for this step; without a
     quorum of valid ones (:func:`_quorate`) nobody moves.
     """
-    f = _member_outputs(ens, out)
+    f = _member_outputs(members, out)
     gamma = np.asarray(gamma, dtype=float)
     _check_variances(gamma, f.shape[1:])
-    valid = ~np.broadcast_to(np.asarray(out.failed, dtype=bool), (ens.size,))
-    new_members = ens.members.copy()
+    valid = ~np.broadcast_to(np.asarray(out.failed, dtype=bool), members.shape[:1])
+    new_members = members.copy()
     if _quorate(valid.sum()):
-        theta = ens.members[valid]
+        theta = members[valid]
         f = f[valid]
         theta_c = theta - theta.mean(axis=0)
         f_c = f - f.mean(axis=0)
@@ -172,7 +155,7 @@ def eki_step(
         # Delta_j = -(h/J) Theta_c^T (F_c resid_j): a combination of member
         # deviations, so every update stays in the ensemble's affine span.
         new_members[valid] = theta - (h / theta.shape[0]) * (resid @ f_c.T) @ theta_c
-    return Ensemble(new_members)
+    return new_members
 
 
 def _check_variances(gamma, channels=()) -> None:
@@ -183,8 +166,8 @@ def _check_variances(gamma, channels=()) -> None:
             raise ValueError(f"noise variance {float(v)!r} is not positive")
 
 
-def _member_outputs(ens: Ensemble, out: ForwardMapOutput) -> np.ndarray:
-    if out.g.ndim != 2 or out.g.shape[0] != ens.size:
+def _member_outputs(members: np.ndarray, out: ForwardMapOutput) -> np.ndarray:
+    if out.g.ndim != 2 or out.g.shape[0] != members.shape[0]:
         raise ValueError("outputs must align with members")
     return out.g
 
@@ -199,14 +182,14 @@ def gamma_at(schedule: CovarianceSchedule, m: int) -> float:
     return schedule.gamma0 * float(np.exp(-schedule.alpha * m_eff))
 
 
-def ensemble_expand(ens: Ensemble, count: int, spec: MlpSpec, rng: np.random.Generator) -> Ensemble:
-    """Append ``count`` independent initializations drawn from ``rng``,
-    enlarging the affine span the iteration can search; existing members
-    untouched.  A rejected call draws nothing."""
+def ensemble_expand(members: np.ndarray, count: int, spec: MlpSpec, rng: np.random.Generator) -> np.ndarray:
+    """The ``(J, N)`` members with ``count`` independent initializations
+    drawn from ``rng`` appended, as a new matrix, enlarging the affine span
+    the iteration can search.  A rejected call draws nothing."""
     _check_expansion(count)
-    if param_count(spec) != ens.dim:
+    if param_count(spec) != members.shape[1]:
         raise ValueError("spec parameter count does not match ensemble dimension")
-    return Ensemble(np.vstack([ens.members, mlp_init(spec, rng, count)]))
+    return np.vstack([members, mlp_init(spec, rng, count)])
 
 
 def _check_expansion(count: int) -> None:

@@ -120,9 +120,8 @@ def _sysid(theta: np.ndarray, prob: SysIdProblem):
     # The forward map's own pass for one member, every field evaluation
     # recorded: its states and flag are those of problems.sysid_forward_map.
     plan = prob.plan
-    steps = plan.steps
     record = []
-    states, failed = _net_states(theta[None], prob, plan.x0, steps, record)
+    states, failed = _net_states(theta[None], prob, prob.observations.starts, plan, record)
     # A non-finite state fails the bounds test, so only a flagged pass holds one.
     if failed[0] and not np.isfinite(states).all():
         raise _non_finite(int(np.argmin(np.isfinite(states).all(axis=(0, 1, 3)))))
@@ -137,8 +136,8 @@ def _sysid(theta: np.ndarray, prob: SysIdProblem):
     # evaluations; the sweep carries the state gradient alone, with the
     # coefficients the forward pass stepped with.
     net = _Pullback(prob.net, theta, record)
-    coefficients = steps.coefficients(states[:, :, 0].shape)
-    counts = steps.counts.tolist()
+    coefficients = plan.coefficients(states[:, :, 0].shape)
+    counts = plan.counts.tolist()
     gx = 0.0
     for k in reversed(range(len(counts))):
         gx = gx + gstates[:, :, k + 1]

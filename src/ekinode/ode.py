@@ -6,10 +6,11 @@ A vector field for :func:`integrate` is any callable ``field(x, t) ->
 dx/dt`` with fixed state dimension that takes the state as a list of floats
 and returns a float sequence.  :func:`integrate` runs dopri5 alone and
 samples the solution exactly at the requested times, its adaptive steps
-clipped to land on them: one trajectory of one field per call.  It makes
-the identification problems' reference grids.  One loop runs every step,
-its state and step control on Python floats around BLAS stage sums, and
-the grids are bitwise those of the textbook array step.
+clipped to land on them: one trajectory of one field per call, returned as
+its ``(M, n)`` states.  It makes the identification problems' reference
+grids.  One loop runs every step, its state and step control on Python
+floats around BLAS stage sums, and the grids are bitwise those of the
+textbook array step.
 
 :func:`integrate_lockstep` is the batched fixed-step core.  It advances a
 ``(members, trajectories, state)`` array of autonomous fields in lockstep,
@@ -31,7 +32,6 @@ __all__ = [
     "DopriConfig",
     "IntegrationError",
     "IntegratorConfig",
-    "Trajectory",
     "integrate",
     "integrate_lockstep",
     "LockstepPlan",
@@ -83,21 +83,6 @@ class DopriConfig:
 
     def __post_init__(self):
         _check_positive(self, "rtol", "atol")
-
-
-@dataclass
-class Trajectory:
-    """Solution samples: ``times`` strictly increasing, ``states[i]`` at ``times[i]``."""
-
-    times: np.ndarray  # (M,)
-    states: np.ndarray  # (M, n)
-
-    def __post_init__(self):
-        self.times = np.asarray(self.times, dtype=float)
-        self.states = np.atleast_2d(np.asarray(self.states, dtype=float))
-        if self.states.shape[0] != self.times.shape[0]:
-            raise ValueError("states count must equal times count")
-        _check_increasing(self.times)
 
 
 def _check_increasing(times: np.ndarray) -> None:
@@ -165,12 +150,12 @@ def integrate(
     x0: np.ndarray,
     times: np.ndarray,
     config: DopriConfig,
-) -> Trajectory:
+) -> np.ndarray:
     """Integrate ``field`` from ``x0`` with dopri5 and sample at ``times``.
 
     ``times`` must be strictly increasing with ``times[0]`` the initial
-    time.  The returned trajectory carries the requested times verbatim;
-    its first state is ``x0`` exactly.  Adaptive steps are clipped so every
+    time.  Returns the ``(M, n)`` states, ``states[i]`` at ``times[i]``;
+    the first is ``x0`` exactly.  Adaptive steps are clipped so every
     sample time is hit exactly.
 
     One loop runs every trial step.  The field sees each stage argument as
@@ -192,9 +177,9 @@ def integrate(
     if times.size == 0:
         raise ValueError("times must be nonempty")
     x0 = np.asarray(x0, dtype=float)
-    # The trajectory checks the times; the steps fill its states in place.
-    trajectory = Trajectory(times=times.copy(), states=np.empty((times.size, x0.size)))
-    trajectory.states[0] = x0
+    _check_increasing(times)
+    states = np.empty((times.size, x0.size))
+    states[0] = x0
     # Step bookkeeping runs in time elapsed since times[0] so that shifting
     # an autonomous problem in time cannot change the clip arithmetic; the
     # field and error reports still see absolute time.  The state is a list
@@ -254,8 +239,8 @@ def integrate(
                 k[0] = k[6]
             h = h_try * (_FAC_MAX if err == 0.0 else
                          min(_FAC_MAX, max(_FAC_MIN, _SAFETY * err ** -0.2)))
-        trajectory.states[i] = x
-    return trajectory
+        states[i] = x
+    return states
 
 
 class LockstepPlan:

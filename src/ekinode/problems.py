@@ -119,8 +119,8 @@ class ObservationSet:
     Stores ``subset_length`` and read-only copies of the reference grid and
     of ``train_indices`` into it, so that neither a write nor the caller's
     arrays can move them; derives once, read-only, the observation ``times``
-    and ``values`` (the grid rows at those indices), ``num_subsets`` and the
-    ``test_indices``, the rest of the grid.
+    and ``values`` (the grid rows at those indices), the runs' ``starts``,
+    ``num_subsets`` and the ``test_indices``, the rest of the grid.
     """
 
     grid_times: np.ndarray
@@ -143,6 +143,12 @@ class ObservationSet:
     @functools.cached_property
     def values(self) -> np.ndarray:
         return ode._read_only(self.grid_states[self.train_indices])
+
+    @functools.cached_property
+    def starts(self) -> np.ndarray:
+        """The first observed state of each run, ``(num_subsets, n)``: a
+        read-only view of ``values``, where shooting starts each run."""
+        return self.values[::self.subset_length]
 
     @functools.cached_property
     def num_subsets(self) -> int:
@@ -227,25 +233,14 @@ class SysIdProblem:
         return self.observations.grid_states[0]
 
     @functools.cached_property
-    def plan(self) -> _SysIdPlan:
-        """The training pass's shooting grid and :class:`ode.LockstepPlan`,
-        built on first use and shared by every forward map and BPTT pass;
-        past ``max_steps``, reading it raises :class:`ode.IntegrationError`."""
+    def plan(self) -> ode.LockstepPlan:
+        """The training pass's :class:`ode.LockstepPlan` over the shooting
+        grid ``(B, L)``, the L observation times of each of the B runs,
+        which start at ``observations.starts``; built on first use and
+        shared by every forward map and BPTT pass.  Past ``max_steps``,
+        reading it raises :class:`ode.IntegrationError`."""
         obs = self.observations
-        L = obs.subset_length
-        return _SysIdPlan(obs.values[::L], ode.LockstepPlan(obs.times.reshape(-1, L), self.integrator))
-
-
-class _SysIdPlan(NamedTuple):
-    """The constants of a system-identification problem's training pass
-    (:attr:`SysIdProblem.plan`), its shooting grid: the starts ``(B, n)`` of
-    the B observation subsets, each its first observed state, and the steps
-    over their sample times ``(B, L)``, the L observation times of each.
-    Row-major, the samples are the observations in order: the starts are a
-    read-only view of them."""
-
-    x0: np.ndarray
-    steps: ode.LockstepPlan
+        return ode.LockstepPlan(obs.times.reshape(-1, obs.subset_length), self.integrator)
 
 
 def _check_held_out(num_subsets: int, subset_length: int, grid_size: int) -> None:
@@ -280,7 +275,7 @@ def make_sysid_problem(
     _check_held_out(num_subsets, subset_length, grid_size)
     x0 = np.array(bench.x0)
     times = np.linspace(0.0, bench.t_final if t_final is None else t_final, grid_size)
-    states = integrate(bench.field, x0, times, DATA_INTEGRATOR).states
+    states = integrate(bench.field, x0, times, DATA_INTEGRATOR)
     obs = make_observations(times, states, num_subsets, subset_length, data_rng)
     if integrator is None:
         integrator = IntegratorConfig(dt=times[1] - times[0], divergence_limit=1e3)
@@ -330,7 +325,7 @@ def sysid_forward_map(theta: np.ndarray, prob: SysIdProblem) -> ForwardMapOutput
     except ode.IntegrationError:  # past max_steps: every member fails, unevaluated
         failed = np.ones(members.shape[0], bool)
         return ForwardMapOutput.of_members(theta, np.zeros((failed.size, prob.observations.values.size)), failed)
-    states, failed = _net_states(members, prob, plan.x0, plan.steps)
+    states, failed = _net_states(members, prob, prob.observations.starts, plan)
     return ForwardMapOutput.of_members(theta, states.reshape(failed.size, -1), failed)
 
 

@@ -50,7 +50,7 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class EkiOptions:
-    """Ensemble optimizer block.
+    """EKI optimizer block.
 
     ``gamma0``/``alpha``/``schedule_period`` drive the exponential covariance
     scheduler for system identification; ``gamma``/``gamma_prime`` are the
@@ -267,10 +267,6 @@ def config_from_dict(data: dict) -> ExperimentConfig:
     if msgs:
         raise ConfigError(msgs)
     return build(ExperimentConfig, {**data, **{key: build(cls, data[key]) for key, cls in blocks}})
-
-
-def save_config(config: ExperimentConfig, path: str) -> None:
-    _replace_file(path, json.dumps(config_to_dict(config), indent=2) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -498,10 +494,11 @@ class _EkiDriver:
     """Shared mechanics for both problem families: evaluate members, log the
     best one, and advance one controlled explicit first-order step per epoch.
 
-    The driver owns the loop's bookkeeping: the epoch, the init generator,
-    which the initial members and every expansion draw from, and ``events``,
-    one log of ``("expansion", epoch, count)``, ``("no_update", epoch,
-    valid)`` and ``("stall", epoch)`` entries in the order they happen.
+    The driver owns the loop's bookkeeping: ``members``, the (J, N) member
+    matrix, which every update and expansion replaces; the epoch; the init
+    generator, which the initial members and every expansion draw from; and
+    ``events``, one log of ``("expansion", epoch, count)``, ``("no_update",
+    epoch, valid)`` and ``("stall", epoch)`` entries in the order they happen.
 
     A family's subclass provides four hooks: ``target``, the data vector the
     update pulls the outputs toward; ``forward(members)``, the batched
@@ -515,7 +512,7 @@ class _EkiDriver:
         self.opts = config.eki
         self.spec = _network(config.problem)
         self.rng = init_rng
-        self.ens = eki.Ensemble(nnet.mlp_init(self.spec, init_rng, self.opts.ensemble_size))
+        self.members = nnet.mlp_init(self.spec, init_rng, self.opts.ensemble_size)
         self.outputs = None
         self.epoch = 0
         self.events = []
@@ -529,11 +526,11 @@ class _EkiDriver:
         epoch = self.epoch
         for ep, count in self.opts.expansions:
             if epoch == ep:
-                self.ens = eki.ensemble_expand(self.ens, count, self.spec, self.rng)
+                self.members = eki.ensemble_expand(self.members, count, self.spec, self.rng)
                 self.events.append(("expansion", ep, count))
                 self.outputs = None
         if self.outputs is None:
-            self.outputs = self.forward(self.ens.members)
+            self.outputs = self.forward(self.members)
         # Rescored every epoch: a control score depends on the epoch's scale.
         self.gamma, self.variances = self.noise(epoch)
         losses = self.losses(self.outputs, self.gamma)
@@ -541,8 +538,8 @@ class _EkiDriver:
         idx, self.best = eki.min_loss_member(losses)
         valid = losses[~self.outputs.failed]
         mean_loss = float(np.mean(valid if valid.size else losses))
-        theta = self.ens.members[idx].copy()
-        return [epoch, self.gamma, self.ens.size, self.best, mean_loss], self.best, theta
+        theta = self.members[idx].copy()
+        return [epoch, self.gamma, self.members.shape[0], self.best, mean_loss], self.best, theta
 
     def advance(self):
         """One epoch from the state ``row`` scored: try the full step,
@@ -553,35 +550,35 @@ class _EkiDriver:
         opts = self.opts
         epoch = self.epoch
         self.epoch += 1  # an update, a stall and a skipped update each spend it
-        n_valid = self.ens.size - self.n_failed
+        n_valid = self.members.shape[0] - self.n_failed
         if not eki._quorate(n_valid):
             self.events.append(("no_update", epoch, n_valid))
 
         try:
-            unit = eki.eki_step(self.ens, self.outputs, self.target, self.variances)
+            unit = eki.eki_step(self.members, self.outputs, self.target, self.variances)
         except ValueError as exc:
             # eki_step's one reachable refusal: a noise variance that underflowed to 0.0.
             raise RuntimeError(f"{exc} at epoch {epoch}") from None
-        delta = unit.members - self.ens.members
+        delta = unit - self.members
         if not np.all(np.isfinite(delta)):
             # Such a member fails in every candidate, so no step length is usable.
             raise RuntimeError(f"non-finite EKI update at epoch {epoch}")
-        rel = np.max(np.abs(delta), axis=1) / (np.max(np.abs(self.ens.members), axis=1) + 1.0)
+        rel = np.max(np.abs(delta), axis=1) / (np.max(np.abs(self.members), axis=1) + 1.0)
         maxrel = float(rel.max())
         if maxrel == 0.0:
-            self.ens = unit
+            self.members = unit
             return
 
         h = STEP_SIZE
         if opts.step_cap_rel is not None:
             h = min(h, opts.step_cap_rel / maxrel)
         for _ in range(MAX_BACKTRACKS + 1):
-            cand = eki.Ensemble(self.ens.members + h * delta)
-            cand_outputs = self.forward(cand.members)
+            cand = self.members + h * delta
+            cand_outputs = self.forward(cand)
             cand_losses = self.losses(cand_outputs, self.gamma)
             cand_fail = np.count_nonzero(cand_outputs.failed)
             if cand_fail <= self.n_failed and cand_losses.min() <= ACCEPT_FACTOR * self.best:
-                self.ens = cand
+                self.members = cand
                 self.outputs = cand_outputs
                 return
             h = min(0.5 * h, 1.0 / maxrel)

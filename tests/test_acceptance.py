@@ -40,7 +40,7 @@ def test_criterion_01_spiral_closed_form_integration():
     start = time.perf_counter()
     traj = ode.integrate(problems.spiral_field, np.array([1.0, 0.0]), times, config)
     elapsed = time.perf_counter() - start
-    err = float(np.max(np.abs(traj.states - problems.spiral_solution(times))))
+    err = float(np.max(np.abs(traj - problems.spiral_solution(times))))
     record(1, f"max-norm error {err:.2e} (tol 1e-6), runtime {elapsed:.2f}s (cap 1s)")
     assert err <= 1e-6
     assert elapsed < 1.0
@@ -61,12 +61,12 @@ def test_criterion_02_linear_eki_gradient_flow():
         members = rng.normal(size=(3, 2))
         gamma, h = 0.7, 0.05
         outputs = eki.ForwardMapOutput(g=np.stack([a @ m for m in members]))
-        stepped = eki.eki_step(eki.Ensemble(members.copy()), outputs, y, gamma=gamma, h=h)
+        stepped = eki.eki_step(members.copy(), outputs, y, gamma=gamma, h=h)
         centered = members - members.mean(axis=0)
         c_theta = centered.T @ centered / members.shape[0]
         for j, member in enumerate(members):
             grad = a.T @ (a @ member - y) / gamma
-            diff = np.max(np.abs(stepped.members[j] - (member - h * c_theta @ grad)))
+            diff = np.max(np.abs(stepped[j] - (member - h * c_theta @ grad)))
             one_step_worst = max(one_step_worst, float(diff))
     assert one_step_worst <= 1e-12
 
@@ -79,14 +79,14 @@ def test_criterion_02_linear_eki_gradient_flow():
         a = np.array([[1.0, 0.2], [-0.1, 1.5]]) + 0.1 * rng.normal(size=(2, 2))
         assert np.linalg.cond(a) < 3.0
         y = a @ rng.normal(size=2)
-        ens = eki.Ensemble(rng.normal(size=(3, 2)))
+        ens = rng.normal(size=(3, 2))
 
         def phi(theta):
             return 0.5 * float(np.sum((a @ theta - y) ** 2))
 
         start = phi(eki.ensemble_mean(ens))
         for m in range(200):
-            outputs = eki.ForwardMapOutput(g=np.stack([a @ mem for mem in ens.members]))
+            outputs = eki.ForwardMapOutput(g=np.stack([a @ mem for mem in ens]))
             ens = eki.eki_step(ens, outputs, y, gamma=eki.gamma_at(schedule, m), h=1.0)
         end = phi(eki.ensemble_mean(ens))
         least_orders = min(least_orders, float(np.log10(start / end)))
@@ -217,8 +217,8 @@ def test_criterion_07_optimal_control_oracle():
         return np.array([x[0] + problems.optimal_control(t, *args)])
 
     traj = ode.integrate(field, np.array([0.0]), times, problems.DATA_INTEGRATOR)
-    state_err = float(np.max(np.abs(traj.states[:, 0] - problems.optimal_state(times, *args))))
-    terminal_err = abs(float(traj.states[-1, 0]) - 1.0)
+    state_err = float(np.max(np.abs(traj[:, 0] - problems.optimal_state(times, *args))))
+    terminal_err = abs(float(traj[-1, 0]) - 1.0)
     record(7, f"optimal energy off by {energy_err:.1e} (tol 1e-12), closed-loop state "
               f"error {state_err:.1e}, terminal error {terminal_err:.1e} (tol 1e-6)")
     assert state_err <= 1e-6
@@ -277,11 +277,11 @@ def test_criterion_10_property_suites(tmp_path):
     a = rng.normal(size=(3, 4))
     y = rng.normal(size=3)
     outputs = eki.ForwardMapOutput(g=np.stack([a @ m for m in members]))
-    stepped = eki.eki_step(eki.Ensemble(members.copy()), outputs, y, gamma=0.5, h=0.2)
+    stepped = eki.eki_step(members.copy(), outputs, y, gamma=0.5, h=0.2)
 
     # Updates stay in the span of the centered ensemble.
     centered = members - members.mean(axis=0)
-    delta = stepped.members - members
+    delta = stepped - members
     coeffs = np.linalg.lstsq(centered.T, delta.T, rcond=None)[0]
     span_err = float(np.max(np.abs(centered.T @ coeffs - delta.T)))
     assert span_err <= 1e-10 * max(1.0, float(np.max(np.abs(delta))))
@@ -289,14 +289,14 @@ def test_criterion_10_property_suites(tmp_path):
     # Relabelling members commutes with the update.
     perm = np.array([3, 0, 4, 1, 2])
     stepped_perm = eki.eki_step(
-        eki.Ensemble(members[perm].copy()), eki.ForwardMapOutput(g=outputs.g[perm]), y,
+        members[perm].copy(), eki.ForwardMapOutput(g=outputs.g[perm]), y,
         gamma=0.5, h=0.2)
-    assert np.allclose(stepped_perm.members, stepped.members[perm], rtol=0, atol=1e-13)
+    assert np.allclose(stepped_perm, stepped[perm], rtol=0, atol=1e-13)
 
     # Cross-covariance equals its mean-field definition.
     g_stack = outputs.g
     hand = centered.T @ (g_stack - g_stack.mean(axis=0)) / members.shape[0]
-    assert np.allclose(eki.cross_covariance(eki.Ensemble(members), outputs), hand,
+    assert np.allclose(eki.cross_covariance(members, outputs), hand,
                        rtol=0, atol=1e-14)
 
     # Parameter vectors survive the flatten/unflatten round-trip bitwise.

@@ -16,7 +16,8 @@ from ekinode import cli, eki, runner
 
 def write_config(path, name, epochs, **overrides):
     config = dataclasses.replace(runner.preset(name), epochs=epochs, **overrides)
-    runner.save_config(config, path)
+    with open(path, "w") as fh:
+        fh.write(json.dumps(runner.config_to_dict(config)))
     return config
 
 

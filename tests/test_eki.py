@@ -9,43 +9,38 @@ from ekinode import eki, nnet
 ORACLE_TOL = 1e-12
 
 
-def make_ensemble(members):
-    return eki.Ensemble(np.asarray(members, dtype=float))
-
-
 def outputs_from(values):
     return eki.ForwardMapOutput(g=np.stack(values))
 
 
 def test_ensemble_mean_identical_members():
-    ens = make_ensemble([[1.5, -2.0]] * 4)
+    ens = np.array([[1.5, -2.0]] * 4)
     assert np.array_equal(eki.ensemble_mean(ens), np.array([1.5, -2.0]))
 
 
 def test_ensemble_mean_two_basis_members():
-    ens = make_ensemble([[1.0, 0.0], [0.0, 1.0]])
+    ens = np.array([[1.0, 0.0], [0.0, 1.0]])
     assert np.array_equal(eki.ensemble_mean(ens), np.array([0.5, 0.5]))
 
 
 def test_ensemble_mean_matches_brute_force():
     rng = np.random.default_rng(0)
     members = rng.normal(size=(3, 5))
-    ens = make_ensemble(members)
     brute = np.zeros(5)
     for row in members:
         brute += row
     brute /= 3.0
-    assert np.allclose(eki.ensemble_mean(ens), brute, rtol=1e-15, atol=0.0)
+    assert np.allclose(eki.ensemble_mean(members), brute, rtol=1e-15, atol=0.0)
 
 
 def test_ensemble_mean_of_no_members_raises():
     with pytest.raises(ValueError, match="empty ensemble"):
-        eki.ensemble_mean(make_ensemble(np.empty((0, 3))))
+        eki.ensemble_mean(np.empty((0, 3)))
 
 
 def test_outputs_must_align_with_members():
     # One output row per member, as a batched forward map returns them.
-    ens = make_ensemble([[1.0], [2.0]])
+    ens = np.array([[1.0], [2.0]])
     for g in ([[1.0]], [[1.0], [2.0], [3.0]], [1.0, 2.0]):
         out = eki.ForwardMapOutput(g=g)
         with pytest.raises(ValueError, match="align"):
@@ -55,45 +50,45 @@ def test_outputs_must_align_with_members():
 
 
 def test_cross_covariance_single_member_is_zero():
-    ens = make_ensemble([[1.0, 2.0]])
+    ens = np.array([[1.0, 2.0]])
     cov = eki.cross_covariance(ens, outputs_from([[3.0]]))
     assert np.array_equal(cov, np.zeros((2, 1)))
 
 
 def test_cross_covariance_identical_outputs_is_zero():
-    ens = make_ensemble([[1.0], [2.0], [3.0]])
+    ens = np.array([[1.0], [2.0], [3.0]])
     cov = eki.cross_covariance(ens, outputs_from([[5.0]] * 3))
     assert np.array_equal(cov, np.zeros((1, 1)))
 
 
 def test_cross_covariance_hand_example():
     # (1/2) * (1*2 + (-1)*(-2)) = 2 with the 1/J normalization.
-    ens = make_ensemble([[1.0], [-1.0]])
+    ens = np.array([[1.0], [-1.0]])
     cov = eki.cross_covariance(ens, outputs_from([[2.0], [-2.0]]))
     assert cov.shape == (1, 1)
     assert abs(cov[0, 0] - 2.0) < ORACLE_TOL
 
 
 def test_eki_step_zero_residual_is_identity():
-    ens = make_ensemble([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+    ens = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
     y = np.array([2.0])
     outs = outputs_from([[2.0]] * 3)
     new = eki.eki_step(ens, outs, y, gamma=0.5)
-    assert np.array_equal(new.members, ens.members)
+    assert np.array_equal(new, ens)
 
 
 def test_eki_step_single_member_is_identity():
     # Below the quorum of two valid members nobody moves, also where the one
     # valid member's residual overflows: its zero spread would scale inf to NaN.
-    ens = make_ensemble([[1.0, 2.0]])
+    ens = np.array([[1.0, 2.0]])
     for gamma in (1.0, 5e-324):
         new = eki.eki_step(ens, outputs_from([[9.0]]), np.array([0.0]), gamma=gamma)
-        assert np.array_equal(new.members, ens.members)
-    ens = make_ensemble([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
+        assert np.array_equal(new, ens)
+    ens = np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
     outs = outputs_from([[9.0], [0.0], [0.0]])
     outs.failed = np.array([False, True, True])
     new = eki.eki_step(ens, outs, np.array([0.0]), gamma=5e-324)
-    assert np.array_equal(new.members, ens.members)
+    assert np.array_equal(new, ens)
 
 
 @seed(5)
@@ -107,49 +102,47 @@ def test_eki_step_matches_linear_gradient_flow(s):
     y = rng.normal(size=2)
     members = rng.normal(size=(3, 2))
     gamma, h = 0.7, 0.3
-    ens = make_ensemble(members)
     outs = outputs_from([a @ m for m in members])
-    new = eki.eki_step(ens, outs, y, gamma=gamma, h=h)
+    new = eki.eki_step(members, outs, y, gamma=gamma, h=h)
 
     centered = members - members.mean(axis=0)
     c_theta = centered.T @ centered / 3.0
     for j in range(3):
         grad = a.T @ (a @ members[j] - y) / gamma
         expected = members[j] - h * c_theta @ grad
-        assert np.max(np.abs(new.members[j] - expected)) < ORACLE_TOL
+        assert np.max(np.abs(new[j] - expected)) < ORACLE_TOL
 
 
 def test_eki_step_freezes_failed_members():
     rng = np.random.default_rng(3)
     members = rng.normal(size=(3, 4))
-    ens = make_ensemble(members)
     outs = outputs_from([rng.normal(size=2) for _ in range(3)])
     outs.failed = np.array([False, True, False])
     y = np.zeros(2)
-    new = eki.eki_step(ens, outs, y, gamma=1.0, h=0.5)
-    assert np.array_equal(new.members[1], members[1])
+    new = eki.eki_step(members, outs, y, gamma=1.0, h=0.5)
+    assert np.array_equal(new[1], members[1])
     # Valid members update exactly as the two-member sub-ensemble would.
-    sub = make_ensemble(members[[0, 2]])
+    sub = members[[0, 2]]
     sub_new = eki.eki_step(sub, outputs_from(outs.g[[0, 2]]), y, gamma=1.0, h=0.5)
-    assert np.array_equal(new.members[[0, 2]], sub_new.members)
+    assert np.array_equal(new[[0, 2]], sub_new)
 
 
 def test_regularized_step_scalar_hand_oracle():
     # theta = (1, 3); F = ((2,1), (4,3)); z = (1, 0); Gamma=0.5, Gamma'=0.1,
     # mu=0.02.  B = (1, 1), Sigma^{-1} = diag(2, 0.2), so the per-member
     # residual products are 2.2 and 6.6.
-    ens = make_ensemble([[1.0], [3.0]])
+    ens = np.array([[1.0], [3.0]])
     outs = eki.ForwardMapOutput(g=[[2.0, 1.0], [4.0, 3.0]])
     new = eki.eki_step(ens, outs, np.array([1.0, 0.0]), np.array([0.5, 0.1 / 0.02]), h=0.1)
-    assert abs(new.members[0, 0] - 0.78) < ORACLE_TOL
-    assert abs(new.members[1, 0] - 2.34) < ORACLE_TOL
+    assert abs(new[0, 0] - 0.78) < ORACLE_TOL
+    assert abs(new[1, 0] - 2.34) < ORACLE_TOL
 
 
 def test_regularized_step_zero_residual_is_identity():
-    ens = make_ensemble([[1.0], [2.0]])
+    ens = np.array([[1.0], [2.0]])
     outs = eki.ForwardMapOutput(g=[[3.0, 0.0], [3.0, 0.0]])
     new = eki.eki_step(ens, outs, np.array([3.0, 0.0]), np.array([1.0, 1.0 / 0.5]))
-    assert np.array_equal(new.members, ens.members)
+    assert np.array_equal(new, ens)
 
 
 def test_regularized_step_reduces_to_plain_step():
@@ -159,17 +152,16 @@ def test_regularized_step_reduces_to_plain_step():
     members = rng.normal(size=(4, 3))
     gs = [rng.normal(size=2) for _ in range(4)]
     y = rng.normal(size=2)
-    ens = make_ensemble(members)
     reg_outs = eki.ForwardMapOutput(g=np.column_stack([np.stack(gs), np.full(4, 0.75)]))
     variances = np.array([0.4, 0.4, 0.01 / 123.0])
-    reg = eki.eki_step(ens, reg_outs, np.concatenate([y, [0.0]]), variances, h=0.2)
-    plain = eki.eki_step(make_ensemble(members), outputs_from(gs), y, gamma=0.4, h=0.2)
-    assert np.allclose(reg.members, plain.members, atol=1e-14)
+    reg = eki.eki_step(members, reg_outs, np.concatenate([y, [0.0]]), variances, h=0.2)
+    plain = eki.eki_step(members, outputs_from(gs), y, gamma=0.4, h=0.2)
+    assert np.allclose(reg, plain, atol=1e-14)
 
 
 def test_eki_step_rejects_mismatched_gamma_length():
     # Two variances but no energy channel: one output column per member.
-    ens = make_ensemble([[1.0], [2.0]])
+    ens = np.array([[1.0], [2.0]])
     with pytest.raises(ValueError):
         eki.eki_step(ens, outputs_from([[1.0], [2.0]]), np.array([0.0, 0.0]), np.ones(2))
 
@@ -205,7 +197,7 @@ def test_schedule_validation():
 
 
 def test_eki_step_rejects_nonpositive_gamma():
-    ens = make_ensemble([[1.0], [2.0]])
+    ens = np.array([[1.0], [2.0]])
     outs = eki.ForwardMapOutput(g=[[1.0, 0.5], [2.0, 1.5]])
     z = np.array([0.0, 0.0])
     for gamma in (0.0, -1.0, np.nan, [0.0, 1.0], [1.0, 0.0], [1.0, -2.0]):
@@ -217,23 +209,43 @@ def test_ensemble_expand_counts_and_determinism():
     spec = nnet.MlpSpec((1, 5, 5, 5, 1), "elu")
     members = np.zeros((2, nnet.param_count(spec)))
     # Equal generators give bitwise equal draws.
-    a = eki.ensemble_expand(make_ensemble(members), 20, spec, np.random.default_rng(9))
-    b = eki.ensemble_expand(make_ensemble(members), 20, spec, np.random.default_rng(9))
-    assert a.size == 22
-    assert np.array_equal(a.members[:2], members)
-    assert np.array_equal(a.members, b.members)
+    a = eki.ensemble_expand(members, 20, spec, np.random.default_rng(9))
+    b = eki.ensemble_expand(members, 20, spec, np.random.default_rng(9))
+    assert a.shape == (22, members.shape[1])
+    assert np.array_equal(a[:2], members)
+    assert np.array_equal(a, b)
 
 
 def test_ensemble_expand_mean_recomputed_over_all_members():
     spec = nnet.MlpSpec((2, 3, 2), "tanh")
     rng = np.random.default_rng(4)
     members = rng.normal(size=(3, nnet.param_count(spec)))
-    grown = eki.ensemble_expand(make_ensemble(members), 2, spec, rng)
-    brute = np.zeros(grown.dim)
-    for row in grown.members:
+    grown = eki.ensemble_expand(members, 2, spec, rng)
+    brute = np.zeros(grown.shape[1])
+    for row in grown:
         brute += row
-    brute /= grown.size
+    brute /= grown.shape[0]
     assert np.allclose(eki.ensemble_mean(grown), brute, rtol=1e-15, atol=0.0)
+
+
+def test_member_matrix_api_never_writes_its_input():
+    # The update, with a quorum of valid members and without, and the
+    # expansion each return a new matrix: a read-only one is taken as it is
+    # and keeps its bits.
+    spec = nnet.MlpSpec((2, 3, 2), "tanh")
+    rng = np.random.default_rng(14)
+    members = rng.normal(size=(3, nnet.param_count(spec)))
+    members.setflags(write=False)
+    before = members.tobytes()
+    outs = outputs_from([rng.normal(size=2) for _ in range(3)])
+    for failed, moved in (([False, True, False], True), ([True, True, False], False)):
+        outs.failed = np.array(failed)
+        new = eki.eki_step(members, outs, np.zeros(2), gamma=0.5)
+        assert not np.shares_memory(new, members)
+        assert np.array_equal(new, members) != moved
+    grown = eki.ensemble_expand(members, 2, spec, rng)
+    assert not np.shares_memory(grown, members) and grown.shape == (5, members.shape[1])
+    assert members.tobytes() == before
 
 
 @pytest.mark.parametrize("count, layer_sizes, message", [
@@ -246,7 +258,7 @@ def test_ensemble_expand_rejects_before_drawing(count, layer_sizes, message):
     members = np.zeros((2, nnet.param_count(nnet.MlpSpec((2, 3, 2)))))
     state = rng.bit_generator.state
     with pytest.raises(ValueError, match=message):
-        eki.ensemble_expand(make_ensemble(members), count, nnet.MlpSpec(layer_sizes), rng)
+        eki.ensemble_expand(members, count, nnet.MlpSpec(layer_sizes), rng)
     assert rng.bit_generator.state == state
 
 
@@ -265,12 +277,11 @@ def test_update_stays_in_ensemble_span(s):
     # Each increment must be a combination of member deviations.
     rng = np.random.default_rng(s)
     members = rng.normal(size=(4, 6))
-    ens = make_ensemble(members)
     outs = outputs_from([np.tanh(m[:2]) * m[2] for m in members])
-    new = eki.eki_step(ens, outs, rng.normal(size=2), gamma=0.5, h=0.7)
+    new = eki.eki_step(members, outs, rng.normal(size=2), gamma=0.5, h=0.7)
     basis = (members - members.mean(axis=0)).T  # (6, 4)
     for j in range(4):
-        delta = new.members[j] - members[j]
+        delta = new[j] - members[j]
         norm = np.linalg.norm(delta)
         if norm == 0.0:
             continue
@@ -286,14 +297,14 @@ def test_mean_field_identity():
     gs = [rng.normal(size=2) for _ in range(5)]
     y = rng.normal(size=2)
     gamma, h = 0.9, 0.4
-    new = eki.eki_step(make_ensemble(members), outputs_from(gs), y, gamma=gamma, h=h)
+    new = eki.eki_step(members, outputs_from(gs), y, gamma=gamma, h=h)
 
     centered = members - members.mean(axis=0)
     g_arr = np.stack(gs)
     g_centered = g_arr - g_arr.mean(axis=0)
     c_tg = centered.T @ g_centered / 5.0
     mean_update = members.mean(axis=0) - h * c_tg @ (g_arr.mean(axis=0) - y) / gamma
-    assert np.max(np.abs(new.members.mean(axis=0) - mean_update)) < 1e-14
+    assert np.max(np.abs(new.mean(axis=0) - mean_update)) < 1e-14
 
 
 def test_permutation_equivariance():
@@ -304,11 +315,11 @@ def test_permutation_equivariance():
     y = rng.normal(size=3)
     perm = np.array([3, 0, 4, 1, 2])
 
-    new = eki.eki_step(make_ensemble(members), outputs_from(gs), y, gamma=0.6, h=0.5)
+    new = eki.eki_step(members, outputs_from(gs), y, gamma=0.6, h=0.5)
     new_perm = eki.eki_step(
-        make_ensemble(members[perm]), outputs_from([gs[p] for p in perm]), y, gamma=0.6, h=0.5
+        members[perm], outputs_from([gs[p] for p in perm]), y, gamma=0.6, h=0.5
     )
-    assert np.allclose(new_perm.members, new.members[perm], atol=1e-13)
+    assert np.allclose(new_perm, new[perm], atol=1e-13)
     _, best = eki.min_loss_member(losses)
     _, best_perm = eki.min_loss_member([losses[p] for p in perm])
     assert best == best_perm
@@ -319,14 +330,14 @@ def test_linear_consistency_mean_loss_non_increasing():
     rng = np.random.default_rng(12)
     a = np.diag([1.0, 2.0]) + 0.1 * rng.normal(size=(2, 2))
     y = rng.normal(size=2)
-    ens = make_ensemble(rng.normal(size=(5, 2)))
+    ens = rng.normal(size=(5, 2))
 
     def phi(theta):
         return 0.5 * float(np.sum((a @ theta - y) ** 2))
 
     losses = [phi(eki.ensemble_mean(ens))]
     for _ in range(50):
-        outs = outputs_from([a @ m for m in ens.members])
+        outs = outputs_from([a @ m for m in ens])
         ens = eki.eki_step(ens, outs, y, gamma=1.0, h=0.05)
         losses.append(phi(eki.ensemble_mean(ens)))
     assert all(b <= a_ + 1e-12 for a_, b in zip(losses, losses[1:]))

@@ -278,7 +278,7 @@ def test_stacked_accumulation_is_bitwise_per_call(spiral_problem, small_spiral, 
         (replace(small_spiral, integrator=fine), {}),
         (control_problem, {"gamma": 0.3, "gamma_prime": 0.01}),
     ]
-    n_sub, _ = ode.substeps(cases[3][0].plan.steps.times, fine)
+    n_sub, _ = ode.substeps(cases[3][0].plan.times, fine)
     assert n_sub.min() >= 2
     for case, (prob, kw) in enumerate(cases):
         spec = prob.controller if isinstance(prob, problems.ControlProblem) else prob.net
@@ -339,9 +339,9 @@ def test_passes_match_the_column_oracle_bitwise(spiral_problem, monkeypatch, sch
     # the BPTT loss, gradient and flag, equal the column arithmetic's bitwise.
     uneven = _uneven_sysid_problem(np.random.default_rng(5), 0.04, "tanh")
     for prob in (uneven, spiral_problem):
-        steps = prob.plan.steps
-        assert steps.counts.max() > 1 or prob is spiral_problem
-        assert any(not isinstance(h, float) for h in ode.substeps(steps.times, steps.config)[1])
+        plan = prob.plan
+        assert plan.counts.max() > 1 or prob is spiral_problem
+        assert any(not isinstance(h, float) for h in ode.substeps(plan.times, plan.config)[1])
         thetas = nnet.mlp_init(prob.net, np.random.default_rng(24), 5)
         got = _evaluations(prob, thetas)
         with monkeypatch.context() as m:
@@ -517,7 +517,7 @@ def test_sysid_max_steps_boundary(small_spiral, scheme):
                 with pytest.raises(ode.IntegrationError, match=rf"^max_steps={max_steps} exceeded$"):
                     read()
         else:
-            assert same_bits(prob.plan.x0, x0) and same_bits(prob.plan.steps.times, times)
+            assert same_bits(prob.observations.starts, x0) and same_bits(prob.plan.times, times)
             _, failed = ode.integrate_lockstep(np.negative, np.broadcast_to(x0, (3,) + x0.shape),
                                                ode.LockstepPlan(times, integrator))
             assert failed.tolist() == [False] * 3
@@ -581,7 +581,7 @@ def test_unfold_takes_the_most_substeps_across_runs():
              (runner.build_problem(preset), False),
              (two_run_problem(0.05, 0.04, dt=0.05), True)]
     for prob, equal in cases:
-        spans = np.diff(prob.plan.steps.times, axis=1)
+        spans = np.diff(prob.plan.times, axis=1)
         needed = np.maximum(1.0, np.ceil(spans / prob.integrator.dt - 1e-9))
         assert np.all(needed == needed[0]) == equal
         theta = nnet.mlp_init(prob.net, np.random.default_rng(17))

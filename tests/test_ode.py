@@ -52,15 +52,17 @@ def rk4_step(field, x, t, dt):
 @np.errstate(over="ignore", invalid="ignore")
 def fixed_step_integrate(field, x0, times, config):
     """The scalar RK4 integration of ``field(x, t)`` from ``x0``,
-    sampled at ``times``: a :class:`ode.Trajectory`, or an
-    :class:`ode.IntegrationError` for a non-finite state, a state beyond
-    ``divergence_limit`` or a step count past ``max_steps``."""
+    sampled at ``times``: the ``(M, n)`` states, as :func:`ode.integrate`
+    returns them, or an :class:`ode.IntegrationError` for a non-finite
+    state, a state beyond ``divergence_limit`` or a step count past
+    ``max_steps``."""
     times = np.asarray(times, dtype=float)
     if times.size == 0:
         raise ValueError("times must be nonempty")
     x0 = np.asarray(x0, dtype=float)
-    trajectory = ode.Trajectory(times=times.copy(), states=np.empty((times.size, x0.size)))
-    trajectory.states[0] = x0
+    ode._check_increasing(times)
+    states = np.empty((times.size, x0.size))
+    states[0] = x0
     x = x0
     n_steps = 0
     for i in range(times.size - 1):
@@ -80,8 +82,8 @@ def fixed_step_integrate(field, x0, times, config):
                 raise ode.IntegrationError(
                     f"state magnitude exceeds {config.divergence_limit:g} at t={t0 + (s + 1) * h}"
                 )
-        trajectory.states[i + 1] = x
-    return trajectory
+        states[i + 1] = x
+    return states
 
 
 def test_rk4_step_matches_exponential_to_fifth_order():
@@ -99,24 +101,28 @@ def scalar_paths(dt):
 
 def test_integrate_zero_field_constant_states():
     for integrate, config in scalar_paths(0.1):
-        traj = integrate(zero_field, np.array([1.0, 0.0]), np.array([0.0, 1.0, 2.0]), config)
-        assert np.array_equal(traj.states, np.tile([1.0, 0.0], (3, 1)))
+        states = integrate(zero_field, np.array([1.0, 0.0]), np.array([0.0, 1.0, 2.0]), config)
+        assert np.array_equal(states, np.tile([1.0, 0.0], (3, 1)))
 
 
 def test_integrate_returns_requested_times_bitwise():
-    # Irrational-looking grid: float noise must be carried through verbatim.
+    # Irrational-looking grid: float noise must be carried through verbatim,
+    # so each sample is the last state of the run that stops at its time.
     times = np.sqrt(np.arange(17, dtype=float))
     for integrate, config in scalar_paths(0.05):
-        traj = integrate(spiral_field, np.array([1.0, 0.0]), times, config)
-        assert np.array_equal(traj.times, times)
-        assert np.array_equal(traj.states[0], np.array([1.0, 0.0]))
+        states = integrate(spiral_field, np.array([1.0, 0.0]), times, config)
+        assert states.shape == (times.size, 2)
+        assert np.array_equal(states[0], np.array([1.0, 0.0]))
+        for k in (1, 5, 16):
+            shorter = integrate(spiral_field, np.array([1.0, 0.0]), times[:k + 1], config)
+            assert np.array_equal(shorter[-1], states[k])
 
 
 def test_dopri_spiral_at_pi():
     config = ode.DopriConfig(rtol=1e-8, atol=1e-10)
     traj = ode.integrate(spiral_field, np.array([1.0, 0.0]), np.array([0.0, np.pi]), config)
     expected = np.array([-np.exp(-np.pi / 20.0), 0.0])
-    assert np.max(np.abs(traj.states[-1] - expected)) < 1e-6
+    assert np.max(np.abs(traj[-1] - expected)) < 1e-6
 
 
 def test_dopri_spiral_matches_closed_form_over_full_horizon():
@@ -124,7 +130,7 @@ def test_dopri_spiral_matches_closed_form_over_full_horizon():
     config = ode.DopriConfig(rtol=rtol, atol=1e-9)
     times = np.linspace(0.0, 40.0, 101)
     traj = ode.integrate(spiral_field, np.array([1.0, 0.0]), times, config)
-    assert np.max(np.abs(traj.states - spiral_solution(times))) < 10 * rtol
+    assert np.max(np.abs(traj - spiral_solution(times))) < 10 * rtol
 
 
 def test_pendulum_conserves_energy():
@@ -132,7 +138,7 @@ def test_pendulum_conserves_energy():
     x0 = np.array([np.pi / 4.0, 0.0])
     times = np.linspace(0.0, 20.0, 201)
     traj = ode.integrate(pendulum_field, x0, times, config)
-    energies = pendulum_energy(traj.states)
+    energies = pendulum_energy(traj)
     assert np.max(np.abs(energies - energies[0])) < 1e-6
 
 
@@ -143,7 +149,7 @@ def order_ratio(dt):
     for step in (dt, dt / 2.0):
         config = ode.IntegratorConfig(dt=step)
         traj = fixed_step_integrate(spiral_field, np.array([1.0, 0.0]), times, config)
-        errs.append(np.max(np.abs(traj.states[-1] - ref)))
+        errs.append(np.max(np.abs(traj[-1] - ref)))
     return errs[0] / errs[1]
 
 
@@ -163,15 +169,25 @@ def test_autonomous_shift_invariance(quarter_shifts):
                               (ode.integrate, ode.DopriConfig())):
         a = integrate(spiral_field, np.array([1.0, 0.0]), times, config)
         b = integrate(spiral_field, np.array([1.0, 0.0]), times + shift, config)
-        assert np.array_equal(a.states, b.states)
+        assert np.array_equal(a, b)
 
 
 def test_integrate_validates_times():
+    # Empty times are refused first, then unordered ones (a repeated or a
+    # NaN time), before the field is ever called.
     config = ode.DopriConfig()
-    with pytest.raises(ValueError):
-        ode.integrate(zero_field, np.array([1.0]), np.array([]), config)
-    with pytest.raises(ValueError):
-        ode.integrate(zero_field, np.array([1.0]), np.array([0.0, 0.0, 1.0]), config)
+    calls = []
+
+    def counted(x, t):
+        calls.append(t)
+        return zero_field(x, t)
+
+    with pytest.raises(ValueError, match="^times must be nonempty$"):
+        ode.integrate(counted, np.array([]), np.array([]), config)
+    for times in ([0.0, 0.0, 1.0], [0.0, 1.0, 1.0], [0.0, np.nan]):
+        with pytest.raises(ValueError, match="strictly increasing"):
+            ode.integrate(counted, np.array([]), np.array(times), config)
+    assert calls == []
 
 
 def test_max_steps_exceeded():
@@ -248,15 +264,6 @@ def test_integrator_records_refuse_bad_values(record, name, value, error, messag
         record(**{name: value})
 
 
-def test_trajectory_validation():
-    with pytest.raises(ValueError):
-        ode.Trajectory(np.array([0.0, 0.0]), np.zeros((2, 1)))
-    with pytest.raises(ValueError):
-        ode.Trajectory(np.array([0.0, 1.0]), np.zeros((3, 1)))
-    with pytest.raises(ValueError, match="strictly increasing"):
-        ode.Trajectory(np.array([0.0, np.nan]), np.zeros((2, 1)))
-
-
 def _scalar_reference(matrices, x0, times, config):
     # Per member and row, the scalar oracle: member j fails if any row raises.
     states = np.zeros((len(matrices),) + times.shape + x0.shape[-1:])
@@ -264,7 +271,7 @@ def _scalar_reference(matrices, x0, times, config):
     for j, a in enumerate(matrices):
         try:
             for b in range(times.shape[0]):
-                states[j, b] = fixed_step_integrate(lambda x, t: a @ x, x0[j, b], times[b], config).states
+                states[j, b] = fixed_step_integrate(lambda x, t: a @ x, x0[j, b], times[b], config)
         except ode.IntegrationError:
             failed[j] = True
     return states, failed
@@ -333,11 +340,11 @@ def test_lockstep_takes_the_most_substeps_any_row_needs(scheme):
             for k, count in enumerate(counts.tolist()):
                 dt_k = (times[b, k + 1] - times[b, k]) / count * (1.0 + 1e-12)
                 ref.append(fixed_step_integrate(lambda x, t: matrices[j] @ x, ref[-1],
-                                                times[b, k:k + 2], replace(config, dt=dt_k)).states[-1])
+                                                times[b, k:k + 2], replace(config, dt=dt_k))[-1])
             scale = np.maximum(1.0, np.abs(ref))
             assert np.all(np.abs(states[j, b] - ref) <= 1e-12 * scale)
     # At its own count, the scalar oracle's row 1 would end elsewhere.
-    alone = fixed_step_integrate(lambda x, t: matrices[0] @ x, x0[0, 1], times[1], config).states[-1]
+    alone = fixed_step_integrate(lambda x, t: matrices[0] @ x, x0[0, 1], times[1], config)[-1]
     assert not np.allclose(alone, states[0, 1, -1], rtol=1e-12, atol=0.0)
 
 
@@ -502,7 +509,7 @@ def test_dopri_max_steps_counts_every_step_it_takes():
     steps, rest = divmod(len(calls) - 1, 6)
     assert rest == 0 and steps > 2
     exact = ode.integrate(spiral_field, x0, times, ode.DopriConfig(max_steps=steps))
-    assert same_bits(exact.states, reference.states)
+    assert same_bits(exact, reference)
     with pytest.raises(ode.IntegrationError, match=rf"^max_steps={steps - 1} exceeded"):
         ode.integrate(spiral_field, x0, times, ode.DopriConfig(max_steps=steps - 1))
 
@@ -625,7 +632,7 @@ def test_dopri_integrate_matches_oracle_bitwise(name):
     field, x0, times, config = DOPRI_CASES[name]
     traj = ode.integrate(field, np.array(x0, dtype=float), times, config)
     ref, rejected = _oracle_integrate(field, x0, times, config)
-    assert np.array_equal(traj.states, ref)
+    assert np.array_equal(traj, ref)
     # Every case but the short exponential ones also runs the rejection path.
     assert rejected >= (not name.startswith("exp"))
 
@@ -668,7 +675,7 @@ def test_dopri_grid_is_one_whatever_sequence_the_field_returns():
     times = np.linspace(0.0, 40.0, 500)
     grids = [
         ode.integrate(lambda x, t: wrap(spiral_field(x, t)), [1.0, 0.0], times,
-                      problems.DATA_INTEGRATOR).states
+                      problems.DATA_INTEGRATOR)
         for wrap in (tuple, list, np.array)
     ]
     assert grids[0].tobytes() == grids[1].tobytes() == grids[2].tobytes()
@@ -715,7 +722,7 @@ def test_zero_error_steps_grow_by_the_clamp_like_oracle():
     x0, times = [1.0, 0.0], np.array([0.0, 10.0])
     config = ode.DopriConfig(max_steps=11)
     states, _ = _oracle_integrate(zero_field, x0, times, config)
-    assert same_bits(ode.integrate(zero_field, x0, times, config).states, states)
+    assert same_bits(ode.integrate(zero_field, x0, times, config), states)
     config = ode.DopriConfig(max_steps=10)
     with pytest.raises(ode.IntegrationError, match=r"^max_steps=10 exceeded at t=") as got:
         ode.integrate(zero_field, x0, times, config)

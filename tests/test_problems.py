@@ -95,7 +95,7 @@ def test_a_built_problem_refuses_to_move_its_observations():
     obs = prob.observations
     with pytest.raises(FrozenInstanceError):
         obs.values = obs.values + 1.0
-    for derived in (obs.times, obs.values):
+    for derived in (obs.times, obs.values, obs.starts):
         with pytest.raises(ValueError, match="read-only"):
             derived[0] = 0.0
     assert problems.mse(theta, prob) == before
@@ -154,6 +154,7 @@ def test_a_built_problem_holds_no_writable_array(name):
     arrays = dict(_arrays(prob, "prob", {}))
     reached = " ".join(arrays)
     assert "prob.plan" in reached and ("_coefficients" in reached or name.startswith("control"))
+    assert name.startswith("control") or "prob.observations.starts" in arrays
     assert [path for path, a in arrays.items() if a.flags.writeable] == []
 
 
@@ -279,11 +280,11 @@ def test_preset_shooting_rows_need_equal_substep_counts(problem):
     for s in range(5):
         probs = [runner.build_problem(replace(runner.preset(name), seed=s))
                  for name in (f"{problem}-eki", f"{problem}-adam-0.01", f"{problem}-sgd-0.1")]
-        times, dt = probs[0].plan.steps.times, probs[0].integrator.dt
+        times, dt = probs[0].plan.times, probs[0].integrator.dt
         needed = np.maximum(1.0, np.ceil(np.diff(times, axis=1) / dt - 1e-9))
         assert np.all(needed == needed[0]), (problem, s)
         for prob in probs[1:]:
-            assert np.array_equal(prob.plan.steps.times, times)
+            assert np.array_equal(prob.plan.times, times)
             assert prob.integrator.dt == dt
 
 
@@ -358,7 +359,7 @@ def test_sysid_trajectory_is_the_test_pass_with_failed_rows_nan(spiral_problem):
     assert problems.test_mse(thetas, prob).tolist() == [eki.PENALTY_LOSS, np.mean(np.sum(diff * diff, axis=1))]
     layers = nnet.unflatten(prob.net, thetas[1])
     oracle = fixed_step_integrate(lambda x, t: nnet.mlp_apply(layers, x, prob.net.activation),
-                                  prob.x0, obs.grid_times, prob.integrator).states
+                                  prob.x0, obs.grid_times, prob.integrator)
     assert np.all(np.abs(states[1] - oracle) <= 1e-12 * np.maximum(1.0, np.abs(oracle)))
     for theta, row in zip(thetas, states):
         assert _same_bits(problems.sysid_trajectory(theta, prob), row)
@@ -413,8 +414,8 @@ def test_integrating_optimal_control_reproduces_optimal_state():
     config = ode.DopriConfig(rtol=1e-9, atol=1e-12)
     traj = ode.integrate(field, np.array([0.0]), ts, config)
     exact = problems.optimal_state(ts, 1.0, 1.0, 0.0, 1.0, 1.0)
-    assert np.max(np.abs(traj.states[:, 0] - exact)) < 1e-6
-    assert abs(traj.states[-1, 0] - 1.0) < 1e-6
+    assert np.max(np.abs(traj[:, 0] - exact)) < 1e-6
+    assert abs(traj[-1, 0] - 1.0) < 1e-6
 
 
 def test_optimal_energy_matches_quadrature():
@@ -565,7 +566,7 @@ def _scalar_sysid(theta, prob):
     try:
         L = obs.subset_length
         parts = [
-            fixed_step_integrate(field, obs.values[i], obs.times[i:i + L], prob.integrator).states
+            fixed_step_integrate(field, obs.values[i], obs.times[i:i + L], prob.integrator)
             for i in range(0, obs.times.size, L)
         ]
         return np.concatenate(parts).reshape(-1), False
@@ -633,7 +634,7 @@ def test_batched_control_forward_map_matches_scalar_formulas(s, dt, activation):
             assert out.g[j, 0] == 0.0 and out.g[j, 1] == 0.0
             continue
         energy = np.trapezoid(np.array([u(t)[0] for t in grid]) ** 2, grid)
-        assert abs(out.g[j, 0] - traj.states[-1, 0]) <= 1e-12 * max(1.0, abs(traj.states[-1, 0]))
+        assert abs(out.g[j, 0] - traj[-1, 0]) <= 1e-12 * max(1.0, abs(traj[-1, 0]))
         assert abs(out.g[j, 1] - np.sqrt(energy)) <= 1e-12 * max(1.0, np.sqrt(energy))
     assert out.failed[1] and out.failed[3] and not out.failed[0]
 
@@ -675,7 +676,7 @@ def test_laid_out_pass_matches_the_view_pass(monkeypatch, members, rows, scheme,
         num_subsets=rows, subset_length=5, net=nnet.MlpSpec((2, 10, 2), activation),
         integrator=ode.IntegratorConfig(dt=0.05, divergence_limit=1e3),
     )
-    x0, plan = prob.plan.x0, prob.plan.steps
+    x0, plan = prob.observations.starts, prob.plan
     assert x0.shape[0] == rows
     theta = nnet.mlp_init(prob.net, np.random.default_rng(members), members)
     if members > 1:

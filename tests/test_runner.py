@@ -162,7 +162,7 @@ def test_config_round_trip_and_file_round_trip(tmp_path):
     config = dataclasses.replace(runner.preset("control-eki-mu0.005"), seed=123)
     assert runner.config_from_dict(runner.config_to_dict(config)) == config
     path = tmp_path / "config.json"
-    runner.save_config(config, path)
+    path.write_text(json.dumps(runner.config_to_dict(config)))
     assert runner.config_from_dict(json.loads(path.read_text())) == config
     # JSON serialization must be lossless for floats.
     raw = json.loads(path.read_text())
@@ -711,7 +711,7 @@ def test_integrator_options_replace_the_problem_default(tmp_path):
     assert (tmp_path / "dt" / "log.csv").read_bytes() == (tmp_path / "preset" / "log.csv").read_bytes()
     # The gradient baseline unfolds the same integrator, and finishes.
     path = tmp_path / "adam.json"
-    runner.save_config(tiny("control-adam-mu0.001", 3, integrator=only_dt), str(path))
+    path.write_text(json.dumps(runner.config_to_dict(tiny("control-adam-mu0.001", 3, integrator=only_dt))))
     assert cli.main(["run", "--config", str(path), "--out", str(tmp_path / "adam")]) == 0
     assert runner.load_report(str(tmp_path / "adam")).error is None
     # A system-identification problem takes a dt the same way.
@@ -765,7 +765,7 @@ def test_non_finite_gradient_is_recorded_not_raised(tmp_path, monkeypatch, capsy
     assert loaded.error == report.error and np.array_equal(loaded.theta, report.theta)
 
     path = tmp_path / "c.json"
-    runner.save_config(config, str(path))
+    path.write_text(json.dumps(runner.config_to_dict(config)))
     assert cli.main(["run", "--config", str(path), "--out", str(tmp_path / "x")]) == 2
     assert "run failed: non-finite gradient at epoch 0" in capsys.readouterr().err
     assert runner.load_report(str(tmp_path / "x")).error == report.error
@@ -800,7 +800,7 @@ def test_eki_failure_is_recorded_not_raised(tmp_path, monkeypatch, capsys):
     )
 
     path = tmp_path / "c.json"
-    runner.save_config(config, str(path))
+    path.write_text(json.dumps(runner.config_to_dict(config)))
     calls.clear()
     assert cli.main(["run", "--config", str(path), "--out", str(tmp_path / "x")]) == 2
     assert "run failed: injected failure" in capsys.readouterr().err

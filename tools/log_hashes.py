@@ -149,7 +149,7 @@ def grid_digests() -> list[tuple[str, str]]:
     out = []
     for name, bench in problems.SYSID_BENCHMARKS.items():
         times = np.linspace(0.0, bench.t_final, bench.grid_size)
-        states = ode.integrate(bench.field, np.array(bench.x0), times, problems.DATA_INTEGRATOR).states
+        states = ode.integrate(bench.field, np.array(bench.x0), times, problems.DATA_INTEGRATOR)
         out.append((f"grid:{name}", hashlib.sha256(states.tobytes()).hexdigest()))
     return out
 
