@@ -153,8 +153,8 @@ def integrate(
 ) -> np.ndarray:
     """Integrate ``field`` from ``x0`` with dopri5 and sample at ``times``.
 
-    ``times`` must be strictly increasing with ``times[0]`` the initial
-    time.  Returns the ``(M, n)`` states, ``states[i]`` at ``times[i]``;
+    ``times`` must be a nonempty 1-D grid, strictly increasing, with
+    ``times[0]`` the initial time.  Returns the ``(M, n)`` states, ``states[i]`` at ``times[i]``;
     the first is ``x0`` exactly.  Adaptive steps are clipped so every
     sample time is hit exactly.
 
@@ -176,6 +176,8 @@ def integrate(
     times = np.asarray(times, dtype=float)
     if times.size == 0:
         raise ValueError("times must be nonempty")
+    if times.ndim != 1:
+        raise ValueError("times must be one-dimensional")
     x0 = np.asarray(x0, dtype=float)
     _check_increasing(times)
     states = np.empty((times.size, x0.size))

@@ -190,6 +190,27 @@ def test_integrate_validates_times():
     assert calls == []
 
 
+def test_trajectory_validation():
+    # The sample grid integrate accepts: a repeated time, a grid that is not
+    # 1-D (its sample count is not the states count) and a NaN time are all
+    # refused before the field is called.
+    config = ode.DopriConfig()
+    calls = []
+
+    def counted(x, t):
+        calls.append(t)
+        return zero_field(x, t)
+
+    with pytest.raises(ValueError, match="strictly increasing"):
+        ode.integrate(counted, np.zeros(1), np.array([0.0, 0.0]), config)
+    for times in (np.array(0.0), np.array([[0.0, 1.0]]), np.array([[0.0], [1.0]])):
+        with pytest.raises(ValueError, match="^times must be one-dimensional$"):
+            ode.integrate(counted, np.zeros(1), times, config)
+    with pytest.raises(ValueError, match="strictly increasing"):
+        ode.integrate(counted, np.zeros(1), np.array([0.0, np.nan]), config)
+    assert calls == []
+
+
 def test_max_steps_exceeded():
     config = ode.IntegratorConfig(dt=0.001, max_steps=10)
     with pytest.raises(ode.IntegrationError):
