@@ -8,9 +8,9 @@ and returns a float sequence.  :func:`integrate` runs dopri5 alone and
 samples the solution exactly at the requested times, its adaptive steps
 clipped to land on them: one trajectory of one field per call, returned as
 its ``(M, n)`` states.  It makes the identification problems' reference
-grids.  One loop runs every step, its state and step control on Python
-floats around BLAS stage sums, and the grids are bitwise those of the
-textbook array step.
+grids.  One loop runs every step on Python floats, each stage, update
+and error sum added left to right over its tableau row, so IEEE
+arithmetic alone decides the grids' bits, whatever the BLAS kernel.
 
 :func:`integrate_lockstep` is the batched fixed-step core.  It advances a
 ``(members, trajectories, state)`` array of autonomous fields in lockstep,
@@ -94,25 +94,20 @@ def _check_increasing(times: np.ndarray) -> None:
 
 # Dormand-Prince 5(4) tableau (DOPRI5).  The last stage row equals the 5th
 # order weights (the 7th weight is 0), giving the first-same-as-last (FSAL)
-# property: the 7th stage argument is the new state.  The stage rows are
-# arrays built once, not per step; the nodes are Python floats.
+# property: the 7th stage argument is the new state.  Rows and nodes are
+# Python floats, zeros included.
 _DP_C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)
-_DP_A = tuple(
-    np.array(row)
-    for row in (
-        (),
-        (1 / 5,),
-        (3 / 40, 9 / 40),
-        (44 / 45, -56 / 15, 32 / 9),
-        (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
-        (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
-        (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
-    )
+_DP_A = (
+    (),
+    (1 / 5,),
+    (3 / 40, 9 / 40),
+    (44 / 45, -56 / 15, 32 / 9),
+    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
+    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
+    (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
 )
 # b - b_hat, weights of the embedded 4th-order error estimate
-_DP_E = np.array(
-    [71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40]
-)
+_DP_E = (71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40)
 
 _SAFETY = 0.9
 _FAC_MIN = 0.2
@@ -122,14 +117,19 @@ _FAC_MAX = 5.0
 def _initial_step(field, x0, t0, rtol, atol):
     # Cheap variant of the classic starting-step heuristic: balance the
     # first derivative against the tolerance scale.  Returns the step and
-    # the first stage.  The state and the field's output shape are checked
-    # here, once per integration, and by no step.
+    # the first stage.  The state and the field's output shape and type are
+    # checked here, once per integration: a step checks only the length of
+    # each output.  A type that arithmetic with a Python float keeps (float32,
+    # say) would run the steps at its own precision.
     x = np.asarray(x0, dtype=float)
     if x.size == 0:
         raise ValueError("x0 must have at least one component")
-    f0 = np.asarray(field(x0, t0), dtype=float)
+    f0 = np.asarray(field(x0, t0))
     if f0.shape != x.shape:
         raise ValueError(f"field returned shape {f0.shape} for a state of shape {x.shape}")
+    if np.result_type(f0, 0.0) != np.float64:
+        raise ValueError(f"field returned {f0.dtype} values, not float64")
+    f0 = f0.astype(float)
     if not np.all(np.isfinite(f0)):
         raise IntegrationError(f"non-finite field output at t={t0}")
     scale = atol + rtol * np.abs(x)
@@ -158,20 +158,20 @@ def integrate(
     the first is ``x0`` exactly.  Adaptive steps are clipped so every
     sample time is hit exactly.
 
-    One loop runs every trial step.  The field sees each stage argument as
-    a list of floats and may return any float sequence of the state's
-    shape; an empty state, or a first output of another shape, raises
-    ``ValueError``.  A trial step of
-    size ``h`` from ``x`` is accepted iff ``err <= 1``, ``err`` the RMS of
-    the embedded error estimate scaled componentwise by ``atol + rtol *
-    max(|x|, |x_new|)``; the next trial is ``h * clamp(0.9 * err**(-1/5),
-    0.2, 5.0)``.  The stage and error sums are BLAS products over one
-    ``(7, n)`` stage buffer, whose first row carries the FSAL stage between
-    steps: their FMA blocking rounds differently from a sum of Python
-    floats, so they stay products.  The rest of the step (the stage
-    arguments, the new state, finiteness, the error norm and the step
-    control) runs on Python floats, where IEEE arithmetic gives the
-    textbook array step's bits without a NumPy call per operation.
+    One loop runs every trial step, on Python floats.  The field sees each
+    stage argument as a list of floats and may return any sequence of
+    Python or float64 values of the state's length; an empty state, a first
+    output of another shape or of another float type raises
+    ``ValueError``, and so does a later output of another length.  A trial
+    step of size ``h`` from ``x`` is accepted iff ``err <= 1``, ``err`` the
+    RMS of the embedded error estimate scaled componentwise by ``atol +
+    rtol * max(|x|, |x_new|)``; the next trial is ``h * clamp(0.9 *
+    err**(-1/5), 0.2, 5.0)``.  Each stage argument is ``x + h * s`` and the
+    new state ``x + h * s``, per component, with ``s`` the sum over its
+    tableau row of coefficient times stage, added left to right with the
+    zero coefficients kept; the error estimate is its row's sum the same
+    way, and the error norm sums its squares left to right.  So the grid's
+    bits are IEEE arithmetic's alone, the same under any BLAS kernel.
     """
     times = np.asarray(times, dtype=float)
     if times.size == 0:
@@ -191,13 +191,16 @@ def integrate(
     t0 = float(times[0])
     tau = 0.0
     rtol, atol, limit, max_steps = config.rtol, config.atol, config.divergence_limit, config.max_steps
-    k = np.empty((7, n))
-    # Stages 2-6 as (row, stage sum over the rows before it, node); the
-    # 7th stage's sum is the new state's, and error() the estimate's.
-    stages = [(i, _DP_A[i].dot, k[:i], _DP_C[i]) for i in range(1, 6)]
-    update, before_last, error = _DP_A[6].dot, k[:6], _DP_E.dot
-    h, k[0] = _initial_step(field, x, t0, rtol, atol)
-    h = float(h)
+    # The tableau as locals: each stage's node and row, the update's row
+    # and the error estimate's.  Each row is one comprehension below, and
+    # zip(..., strict=True) refuses a field output of another length.
+    _, c2, c3, c4, c5, c6, _ = _DP_C
+    (a21,), (a31, a32), (a41, a42, a43), (a51, a52, a53, a54), (a61, a62, a63, a64, a65), \
+        (b1, b2, b3, b4, b5, b6) = _DP_A[1:]
+    e1, e2, e3, e4, e5, e6, e7 = _DP_E
+    isfinite = math.isfinite
+    h, k1 = _initial_step(field, x, t0, rtol, atol)
+    h, k1 = float(h), k1.tolist()
     n_steps = 0
     for i, t_i in enumerate(times[1:].tolist(), start=1):
         target = t_i - t0
@@ -207,28 +210,32 @@ def integrate(
             if not h_try > 0:
                 raise ValueError("step size must be positive")
             t = t0 + tau
-            for row, stage_sum, prefix, c in stages:
-                k[row] = field([a + h_try * b for a, b in zip(x, stage_sum(prefix).tolist())],
-                               t + c * h_try)
-            new = [a + h_try * b for a, b in zip(x, update(before_last).tolist())]
-            k[6] = field(new, t + h_try)
+            k2 = field([a + h_try * (a21 * p1) for a, p1 in zip(x, k1, strict=True)],
+                       t + c2 * h_try)
+            k3 = field([a + h_try * (a31 * p1 + a32 * p2)
+                        for a, p1, p2 in zip(x, k1, k2, strict=True)], t + c3 * h_try)
+            k4 = field([a + h_try * (a41 * p1 + a42 * p2 + a43 * p3)
+                        for a, p1, p2, p3 in zip(x, k1, k2, k3, strict=True)], t + c4 * h_try)
+            k5 = field([a + h_try * (a51 * p1 + a52 * p2 + a53 * p3 + a54 * p4)
+                        for a, p1, p2, p3, p4 in zip(x, k1, k2, k3, k4, strict=True)],
+                       t + c5 * h_try)
+            k6 = field([a + h_try * (a61 * p1 + a62 * p2 + a63 * p3 + a64 * p4 + a65 * p5)
+                        for a, p1, p2, p3, p4, p5 in zip(x, k1, k2, k3, k4, k5, strict=True)],
+                       t + c6 * h_try)
+            new = [a + h_try * (b1 * p1 + b2 * p2 + b3 * p3 + b4 * p4 + b5 * p5 + b6 * p6)
+                   for a, p1, p2, p3, p4, p5, p6 in zip(x, k1, k2, k3, k4, k5, k6, strict=True)]
+            k7 = field(new, t + h_try)
             # A non-finite last stage counts as a non-finite state at t + h,
             # as in the full 7-weight sum, where its zero weight times inf
             # is NaN.
-            if not all(map(math.isfinite, new + k[6].tolist())):
+            if not (all(map(isfinite, new)) and all(map(isfinite, k7))):
                 raise IntegrationError(f"non-finite state at t={t + h_try}")
-            squares = []
-            for a, b, e in zip(x, new, error(k).tolist()):
-                r = h_try * e / (atol + rtol * max(abs(a), abs(b)))
-                squares.append(r * r)
-            if n < 8:
-                # NumPy adds fewer than 8 terms left to right: the same bits
-                # without its call.  (Builtin sum() compensates from 3.12.)
-                total = 0.0
-                for r2 in squares:
-                    total += r2
-            else:
-                total = np.add.reduce(squares)
+            total = 0.0
+            for a, b, p1, p2, p3, p4, p5, p6, p7 in zip(x, new, k1, k2, k3, k4, k5, k6, k7,
+                                                        strict=True):
+                r = (h_try * (e1 * p1 + e2 * p2 + e3 * p3 + e4 * p4 + e5 * p5 + e6 * p6 + e7 * p7)
+                     / (atol + rtol * max(abs(a), abs(b))))
+                total += r * r
             err = math.sqrt(total / n)
             n_steps += 1
             if n_steps > max_steps:
@@ -238,7 +245,7 @@ def integrate(
                 x = new
                 if max(map(abs, x)) > limit:
                     raise IntegrationError(f"state magnitude exceeds {limit:g} at t={t0 + tau}")
-                k[0] = k[6]
+                k1 = k7
             h = h_try * (_FAC_MAX if err == 0.0 else
                          min(_FAC_MAX, max(_FAC_MIN, _SAFETY * err ** -0.2)))
         states[i] = x

@@ -84,9 +84,12 @@ def spiral_solution(t) -> np.ndarray:
 def pendulum_field(state: Sequence[float], t: float = 0.0, omega: float = 1.0) -> tuple:
     """Simple pendulum as a first-order system: (v, -omega * sin x), of any
     2-sequence, the list from :func:`ode.integrate` as well as a 1-D array,
-    like :func:`spiral_field`."""
+    like :func:`spiral_field`.  The sine is a Python float, so that on the
+    list :func:`ode.integrate`'s stage sums run on floats, not NumPy
+    scalars; ``np.sin`` gives a non-finite angle NaN where ``math.sin``
+    would raise."""
     x, v = state
-    return v, -omega * np.sin(x)
+    return v, -omega * float(np.sin(x))
 
 
 def pendulum_energy(state: np.ndarray, omega: float = 1.0) -> float:

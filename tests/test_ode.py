@@ -534,28 +534,39 @@ def test_dopri_max_steps_counts_every_step_it_takes():
     with pytest.raises(ode.IntegrationError, match=rf"^max_steps={steps - 1} exceeded"):
         ode.integrate(spiral_field, x0, times, ode.DopriConfig(max_steps=steps - 1))
 
-# Oracle for the adaptive path: the textbook Dormand-Prince step with every
-# operation on NumPy arrays (each stage sum and the full 7-weight 5th-order
-# update a separate product), in the adaptive sampling loop integrate runs,
-# plus a count of rejected steps.  integrate must reproduce it bitwise.
-_ORACLE_B = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
+# Oracle for the adaptive path: the textbook Dormand-Prince step on Python
+# floats, each stage argument, the full 7-weight 5th-order update and the
+# error estimate a plain loop over its tableau row that adds coefficient
+# times stage left to right, zeros included, in the adaptive sampling loop
+# integrate runs, plus a count of rejected steps.  integrate must reproduce
+# it bitwise.
+_ORACLE_B = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0)
 
 
-def _oracle_dopri_step(field, x, t, h, rtol, atol, k1=None):
+def _row_sum(row, k, m):
+    # Component m of sum_j row[j] * k[j], from the first term on.
+    total = row[0] * k[0][m]
+    for coefficient, stage in zip(row[1:], k[1:]):
+        total += coefficient * stage[m]
+    return total
+
+
+def _oracle_dopri_step(field, x, t, h, rtol, atol, k1):
     if not h > 0:
         raise ValueError("step size must be positive")
-    k = np.empty((7, np.size(x)))
-    if k1 is None:
-        k1 = np.asarray(field(x, t), dtype=float)
-        _check_finite(k1, t, "field output")
-    k[0] = k1
+    n = len(x)
+    k = [k1]
     for i in range(1, 7):
-        k[i] = field(x + h * (ode._DP_A[i] @ k[:i]), t + ode._DP_C[i] * h)
-    x_new = x + h * (_ORACLE_B @ k)
-    if not np.isfinite(x_new).all():
+        arg = [x[m] + h * _row_sum(ode._DP_A[i], k, m) for m in range(n)]
+        k.append(np.asarray(field(arg, t + ode._DP_C[i] * h), dtype=float).tolist())
+    x_new = [x[m] + h * _row_sum(_ORACLE_B, k, m) for m in range(n)]
+    if not all(math.isfinite(v) for v in x_new):
         raise ode.IntegrationError(f"non-finite state at t={t + h}")
-    r = h * (ode._DP_E @ k) / (atol + rtol * np.maximum(np.abs(x), np.abs(x_new)))
-    err = math.sqrt(np.add.reduce(r * r) / r.size)
+    total = 0.0
+    for m in range(n):
+        r = h * _row_sum(ode._DP_E, k, m) / (atol + rtol * max(abs(x[m]), abs(x_new[m])))
+        total += r * r
+    err = math.sqrt(total / n)
     if err == 0.0:
         factor = ode._FAC_MAX
     else:
@@ -571,12 +582,12 @@ def _oracle_integrate(field, x0, times, config):
     states[0] = x0
     rejected = 0
     with np.errstate(over="ignore", invalid="ignore"):
-        x = x0
+        x = x0.reshape(-1).tolist()
         t0 = float(times[0])
         tau = 0.0
         rtol, atol, limit = config.rtol, config.atol, config.divergence_limit
-        h, k1 = ode._initial_step(field, x0, t0, rtol, atol)
-        h = float(h)
+        h, k1 = ode._initial_step(field, x, t0, rtol, atol)
+        h, k1 = float(h), k1.tolist()
         n_steps = 0
         for i, t_i in enumerate(times[1:].tolist(), start=1):
             target = t_i - t0
@@ -608,7 +619,7 @@ def _oracle_integrate(field, x0, times, config):
 
 def _linear_field(dim, seed):
     # A stable rotation-dominated linear field with dim state components, so
-    # the error norm sums dim terms (8 or more take NumPy's unrolled sum).
+    # the error norm sums dim terms, left to right however many.
     rng = np.random.default_rng(seed)
     a = rng.normal(size=(dim, dim))
     a = a - a.T - 0.1 * np.eye(dim)
@@ -634,7 +645,7 @@ DOPRI_CASES = {
                    ode.DopriConfig(rtol=1e-8, atol=1e-10)),
     "linear-3d": (_linear_field(3, 1), [1.0, -0.5, 0.25], np.linspace(0.0, 10.0, 41),
                   ode.DopriConfig(rtol=1e-7, atol=1e-10)),
-    # The last size whose error norm integrate sums left to right.
+    # Either side of 8 terms, where NumPy's sum of an array would unroll.
     "linear-7d": (_linear_field(7, 3), np.linspace(-1.0, 1.0, 7), np.linspace(0.0, 5.0, 21),
                   ode.DopriConfig(rtol=1e-7, atol=1e-10)),
     "linear-9d": (_linear_field(9, 2), np.linspace(-1.0, 1.0, 9), np.linspace(0.0, 5.0, 21),
@@ -677,10 +688,39 @@ def test_dopri_hands_the_field_a_list_of_floats():
     (lambda x, t: [], [], "x0 must have at least one component"),
 ], ids=["too-few", "too-many", "empty-state"])
 def test_integrate_refuses_a_field_output_that_is_not_the_state_shape(field, x0, message):
-    # Checked once, on the first stage: NumPy would broadcast a short output
-    # into every stage row, and an empty state has no error norm.
+    # Checked on the first stage, by shape: an empty state has no error norm.
     with pytest.raises(ValueError, match=message):
         ode.integrate(field, x0, np.linspace(0.0, 1.0, 3), problems.DATA_INTEGRATOR)
+
+
+@pytest.mark.parametrize("length, message", [(1, "shorter"), (3, "longer")])
+def test_integrate_refuses_a_later_field_output_of_another_length(length, message):
+    # The 3rd call is the first step's 3rd stage, zipped with the state and
+    # the two stages before it.  A 1-component output once broadcast into
+    # both stage components, and the run returned states.
+    calls = []
+
+    def field(x, t):
+        calls.append(t)
+        return spiral_field(x, t) if len(calls) != 3 else [1.0] * length
+
+    with pytest.raises(ValueError, match=rf"^zip\(\) argument 4 is {message} than arguments 1-3$"):
+        ode.integrate(field, [1.0, 0.0], np.linspace(0.0, 1.0, 3), problems.DATA_INTEGRATOR)
+    assert len(calls) == 3
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.longdouble, complex])
+def test_integrate_refuses_a_field_output_of_another_float_type(dtype):
+    # Arithmetic with a Python float keeps these types, so the steps would
+    # run at their precision, not float64's.  Integer and float64 values,
+    # Python's or NumPy's, are what the stage sums take.
+    with pytest.raises(ValueError, match=rf"^field returned {np.dtype(dtype)} values, not float64$"):
+        ode.integrate(lambda x, t: np.asarray(x, dtype=dtype), [1.0, 0.0], np.linspace(0.0, 1.0, 3),
+                      problems.DATA_INTEGRATOR)
+    for wrap in (lambda v: [int(a) for a in v], lambda v: [np.float64(a) for a in v]):
+        grid = ode.integrate(lambda x, t: wrap(zero_field(x, t)), [1.0, 0.0], np.linspace(0.0, 1.0, 3),
+                             problems.DATA_INTEGRATOR)
+        assert grid.tobytes() == np.array([[1.0, 0.0]] * 3).tobytes()
 
 
 @pytest.mark.parametrize("field", [spiral_field, pendulum_field])

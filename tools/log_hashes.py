@@ -22,12 +22,16 @@ directory, in a few seconds:
 
     PYTHONPATH=src python tools/log_hashes.py [--write]
 
-The bits depend on the BLAS kernel and the CPU features, so the committed
-listings in ``log_hashes.json`` are keyed by :func:`environment_key`: the
-OpenBLAS core, NumPy's enabled CPU features, and the NumPy and Python
-versions.  ``--write`` stores this listing under the current key, as a
-change that moves logs on purpose does; ``tests/test_log_hashes.py``
-compares against the entry for the key it runs under.
+Some bits depend on the BLAS kernel and the CPU features, so the committed
+listings in ``log_hashes.json`` are grouped by :func:`versions_key`, the
+NumPy and Python versions, and within a group keyed by
+:func:`environment_key`, which adds the OpenBLAS core and NumPy's enabled
+CPU features.  Each group stores once, as ``shared``, the lines equal under
+every key it holds, and under ``keyed`` each key's other lines
+(:func:`split`).  ``--write`` stores this listing under the current key, as
+a change that moves logs on purpose does, and splits the group again;
+``tests/test_log_hashes.py`` compares against the lines for the key it
+runs under, or against the shared lines alone on a key with no entry.
 """
 
 from __future__ import annotations
@@ -76,13 +80,17 @@ def openblas_core():
     return None
 
 
+def versions_key() -> str:
+    """The NumPy and Python versions, which every key of a group shares."""
+    return f"numpy={np.__version__} python={platform.python_version()}"
+
+
 def environment_key() -> str:
     """What decides the listing's bits in this process, as one string."""
     from numpy._core._multiarray_umath import __cpu_features__
 
     features = ",".join(name for name, enabled in __cpu_features__.items() if enabled)
-    return (f"openblas={openblas_core()} numpy={np.__version__} "
-            f"python={platform.python_version()} features={features}")
+    return f"openblas={openblas_core()} {versions_key()} features={features}"
 
 
 def _config(base, epochs, **blocks):
@@ -143,15 +151,20 @@ def run_case(config, patches, out_dir) -> tuple[str, str]:
     return hashlib.sha256(log).hexdigest(), hashlib.sha256(report).hexdigest()
 
 
-def grid_digests() -> list[tuple[str, str]]:
-    """``(grid:<name>, digest)`` of the states of each benchmark's reference
-    grid, built as :func:`problems.make_sysid_problem` builds it by default."""
-    out = []
+def grids() -> dict[str, np.ndarray]:
+    """The states of each benchmark's reference grid, by name, built as
+    :func:`problems.make_sysid_problem` builds it by default."""
+    out = {}
     for name, bench in problems.SYSID_BENCHMARKS.items():
         times = np.linspace(0.0, bench.t_final, bench.grid_size)
-        states = ode.integrate(bench.field, np.array(bench.x0), times, problems.DATA_INTEGRATOR)
-        out.append((f"grid:{name}", hashlib.sha256(states.tobytes()).hexdigest()))
+        out[name] = ode.integrate(bench.field, np.array(bench.x0), times, problems.DATA_INTEGRATOR)
     return out
+
+
+def grid_digests() -> list[tuple[str, str]]:
+    """``(grid:<name>, digest)`` of each reference grid's states."""
+    return [(f"grid:{name}", hashlib.sha256(states.tobytes()).hexdigest())
+            for name, states in grids().items()]
 
 
 def plot_digests(run_dirs: dict, out_dir) -> list[tuple[str, str]]:
@@ -178,22 +191,47 @@ def listing(out_dir) -> list[str]:
 
 
 def golden() -> dict:
-    """The committed listings, by environment key."""
+    """The committed groups, by versions key."""
     with open(GOLDEN) as fh:
         return json.load(fh)
+
+
+def split(listings: dict) -> dict:
+    """A group from the full listings of its environment keys: ``shared``,
+    the lines equal under every key, and ``keyed``, each key's other lines,
+    each list sorted.  One key alone shares no line, since it cannot tell
+    which lines a kernel decides."""
+    common = set.intersection(*map(set, listings.values())) if len(listings) > 1 else set()
+    return {"shared": sorted(common),
+            "keyed": {key: sorted(set(lines) - common) for key, lines in listings.items()}}
+
+
+def full_listings(group: dict) -> dict:
+    """The full listing of each environment key of a group, sorted."""
+    return {key: sorted(group["shared"] + lines) for key, lines in group["keyed"].items()}
+
+
+def committed() -> tuple[list[str], list[str] | None]:
+    """The committed lines for this process: its group's shared lines and
+    its key's other lines, None where the group has no entry for the key."""
+    group = golden().get(versions_key(), {"shared": [], "keyed": {}})
+    return group["shared"], group["keyed"].get(environment_key())
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description="Hash every log of a fixed list of short runs.")
     parser.add_argument("--write", action="store_true",
-                        help="store the listing under this environment's key in log_hashes.json")
+                        help="store the listing under this environment's key in log_hashes.json"
+                             " and split its group again")
     args = parser.parse_args(argv)
     with tempfile.TemporaryDirectory() as tmp:
         lines = listing(tmp)
     print("\n".join(lines))
     if args.write:
         entries = golden()
-        entries[environment_key()] = lines
+        full = full_listings(entries.get(versions_key(), {"shared": [], "keyed": {}}))
+        full[environment_key()] = lines
+        entries[versions_key()] = split(full)
         with open(GOLDEN, "w") as fh:
             fh.write(json.dumps(entries, indent=2, sort_keys=True) + "\n")
     return 0
