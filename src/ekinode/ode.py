@@ -8,9 +8,12 @@ and returns a float sequence.  :func:`integrate` runs dopri5 alone and
 samples the solution exactly at the requested times, its adaptive steps
 clipped to land on them: one trajectory of one field per call, returned as
 its ``(M, n)`` states.  It makes the identification problems' reference
-grids.  One loop runs every step on Python floats, each stage, update
-and error sum added left to right over its tableau row, so IEEE
-arithmetic alone decides the grids' bits, whatever the BLAS kernel.
+grids.  Every trial step runs on Python floats in one function per state
+size, generated from the tableau and compiled on first use, which writes
+out each component's stage, update and error sum, added left to right
+over its tableau row; one loop in :func:`integrate` controls the steps.
+So IEEE arithmetic alone decides the grids' bits, whatever the BLAS
+kernel.
 
 :func:`integrate_lockstep` is the batched fixed-step core.  It advances a
 ``(members, trajectories, state)`` array of autonomous fields in lockstep,
@@ -22,6 +25,7 @@ step counts and every step's coefficients, read-only.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -72,7 +76,7 @@ class IntegratorConfig:
 @dataclass(frozen=True)
 class DopriConfig:
     """An adaptive Dormand-Prince run of :func:`integrate`, whose one loop
-    runs every step, at tolerances ``rtol``/``atol``: it raises past
+    controls every step, at tolerances ``rtol``/``atol``: it raises past
     ``max_steps`` attempted steps, or at a state component beyond
     ``divergence_limit``."""
 
@@ -124,6 +128,8 @@ def _initial_step(field, x0, t0, rtol, atol):
     x = np.asarray(x0, dtype=float)
     if x.size == 0:
         raise ValueError("x0 must have at least one component")
+    if not np.all(np.isfinite(x)):
+        raise ValueError("x0 must be finite")
     f0 = np.asarray(field(x0, t0))
     if f0.shape != x.shape:
         raise ValueError(f"field returned shape {f0.shape} for a state of shape {x.shape}")
@@ -142,6 +148,54 @@ def _initial_step(field, x0, t0, rtol, atol):
     return h0, f0
 
 
+@functools.cache
+def _dopri_step(n):
+    # One dopri5 trial step on states of n components, written out component
+    # by component from _DP_C, _DP_A and _DP_E (their float reprs, which
+    # round-trip exactly) and compiled once per n.  step(field, x, k1, t, h,
+    # rtol, atol) returns the new state as a list, the last stage as the
+    # field returned it, and the error norm's sum of squares.  Each stage
+    # argument and the new state is x_m + h * (a1 * k1_m + ... ), added left
+    # to right with the zero coefficients kept; unpacking each output
+    # refuses one of another length.  No text from a caller enters the
+    # source: only the tableau's floats and n.
+    def unpacked(name):
+        # Trailing commas: a 1-component target is a tuple too.
+        return "".join(f"{name}_{m}, " for m in range(n))
+
+    def row_sum(row, m):
+        return " + ".join(f"{a!r} * k{j}_{m}" for j, a in enumerate(row, start=1))
+
+    def stage(i, argument):
+        return [f"    k{i} = field({argument}, t + {_DP_C[i - 1]!r} * h)",
+                "    try:",
+                f"        {unpacked(f'k{i}')}= k{i}",
+                "    except ValueError:",
+                f"        raise ValueError(f'field returned shape {{shape(k{i})}} "
+                f"for a state of shape ({n},)') from None"]
+
+    lines = ["def step(field, x, k1, t, h, rtol, atol):",
+             f"    {unpacked('x')}= x",
+             f"    {unpacked('k1')}= k1"]
+    for i in range(2, 7):
+        argument = ", ".join(f"x_{m} + h * ({row_sum(_DP_A[i - 1], m)})" for m in range(n))
+        lines += stage(i, f"[{argument}]")
+    lines += [f"    y_{m} = x_{m} + h * ({row_sum(_DP_A[6], m)})" for m in range(n)]
+    lines.append(f"    new = [{', '.join(f'y_{m}' for m in range(n))}]")
+    lines += stage(7, "new")
+    # A non-finite last stage counts as a non-finite state at t + h, as in
+    # the full 7-weight sum, where its zero weight times inf is NaN.
+    finite = " and ".join(f"isfinite({v}_{m})" for v in ("y", "k7") for m in range(n))
+    lines += [f"    if not ({finite}):",
+              '        raise IntegrationError(f"non-finite state at t={t + h}")']
+    lines += [f"    r_{m} = h * ({row_sum(_DP_E, m)}) / (atol + rtol * max(abs(x_{m}), abs(y_{m})))"
+              for m in range(n)]
+    lines.append(f"    return new, k7, {' + '.join(f'r_{m} * r_{m}' for m in range(n))}")
+    namespace = {"isfinite": math.isfinite, "shape": np.shape, "IntegrationError": IntegrationError}
+    exec(compile("\n".join(lines) + "\n", f"<ekinode.ode dopri5 step, n={n}>", "exec"), namespace)
+    return namespace["step"]
+
+
 # Overflow inside a step surfaces as an IntegrationError from the finite
 # check rather than a warning, so keep numpy quiet about it.
 @np.errstate(over="ignore", invalid="ignore")
@@ -158,20 +212,23 @@ def integrate(
     the first is ``x0`` exactly.  Adaptive steps are clipped so every
     sample time is hit exactly.
 
-    One loop runs every trial step, on Python floats.  The field sees each
-    stage argument as a list of floats and may return any sequence of
-    Python or float64 values of the state's length; an empty state, a first
-    output of another shape or of another float type raises
-    ``ValueError``, and so does a later output of another length.  A trial
-    step of size ``h`` from ``x`` is accepted iff ``err <= 1``, ``err`` the
-    RMS of the embedded error estimate scaled componentwise by ``atol +
-    rtol * max(|x|, |x_new|)``; the next trial is ``h * clamp(0.9 *
-    err**(-1/5), 0.2, 5.0)``.  Each stage argument is ``x + h * s`` and the
-    new state ``x + h * s``, per component, with ``s`` the sum over its
-    tableau row of coefficient times stage, added left to right with the
-    zero coefficients kept; the error estimate is its row's sum the same
-    way, and the error norm sums its squares left to right.  So the grid's
-    bits are IEEE arithmetic's alone, the same under any BLAS kernel.
+    Every trial step runs on Python floats, in the step generated for the
+    state's size (compiled once per size and process), and one loop
+    controls the steps.  The field sees each stage argument as a list of
+    floats and may return any sequence of Python or float64 values of the
+    state's length.  An empty or non-finite ``x0`` (refused before the
+    field is called), a first output of another shape or of another float
+    type, and a later output of another length raise ``ValueError``.  A
+    trial step of size ``h`` from ``x`` is accepted iff ``err <= 1``,
+    ``err`` the RMS of the embedded error estimate scaled componentwise by
+    ``atol + rtol * max(|x|, |x_new|)``; the next trial is ``h * clamp(0.9
+    * err**(-1/5), 0.2, 5.0)``.  Each stage argument is ``x + h * s`` and
+    the new state ``x + h * s``, per component, with ``s`` the sum over its
+    tableau row of coefficient times stage, written out per component and
+    added left to right with the zero coefficients kept; the error
+    estimate is its row's sum the same way, and the error norm sums its
+    squares left to right.  So the grid's bits are IEEE arithmetic's alone,
+    the same under any BLAS kernel.
     """
     times = np.asarray(times, dtype=float)
     if times.size == 0:
@@ -191,16 +248,9 @@ def integrate(
     t0 = float(times[0])
     tau = 0.0
     rtol, atol, limit, max_steps = config.rtol, config.atol, config.divergence_limit, config.max_steps
-    # The tableau as locals: each stage's node and row, the update's row
-    # and the error estimate's.  Each row is one comprehension below, and
-    # zip(..., strict=True) refuses a field output of another length.
-    _, c2, c3, c4, c5, c6, _ = _DP_C
-    (a21,), (a31, a32), (a41, a42, a43), (a51, a52, a53, a54), (a61, a62, a63, a64, a65), \
-        (b1, b2, b3, b4, b5, b6) = _DP_A[1:]
-    e1, e2, e3, e4, e5, e6, e7 = _DP_E
-    isfinite = math.isfinite
     h, k1 = _initial_step(field, x, t0, rtol, atol)
     h, k1 = float(h), k1.tolist()
+    step = _dopri_step(n)
     n_steps = 0
     for i, t_i in enumerate(times[1:].tolist(), start=1):
         target = t_i - t0
@@ -210,32 +260,7 @@ def integrate(
             if not h_try > 0:
                 raise ValueError("step size must be positive")
             t = t0 + tau
-            k2 = field([a + h_try * (a21 * p1) for a, p1 in zip(x, k1, strict=True)],
-                       t + c2 * h_try)
-            k3 = field([a + h_try * (a31 * p1 + a32 * p2)
-                        for a, p1, p2 in zip(x, k1, k2, strict=True)], t + c3 * h_try)
-            k4 = field([a + h_try * (a41 * p1 + a42 * p2 + a43 * p3)
-                        for a, p1, p2, p3 in zip(x, k1, k2, k3, strict=True)], t + c4 * h_try)
-            k5 = field([a + h_try * (a51 * p1 + a52 * p2 + a53 * p3 + a54 * p4)
-                        for a, p1, p2, p3, p4 in zip(x, k1, k2, k3, k4, strict=True)],
-                       t + c5 * h_try)
-            k6 = field([a + h_try * (a61 * p1 + a62 * p2 + a63 * p3 + a64 * p4 + a65 * p5)
-                        for a, p1, p2, p3, p4, p5 in zip(x, k1, k2, k3, k4, k5, strict=True)],
-                       t + c6 * h_try)
-            new = [a + h_try * (b1 * p1 + b2 * p2 + b3 * p3 + b4 * p4 + b5 * p5 + b6 * p6)
-                   for a, p1, p2, p3, p4, p5, p6 in zip(x, k1, k2, k3, k4, k5, k6, strict=True)]
-            k7 = field(new, t + h_try)
-            # A non-finite last stage counts as a non-finite state at t + h,
-            # as in the full 7-weight sum, where its zero weight times inf
-            # is NaN.
-            if not (all(map(isfinite, new)) and all(map(isfinite, k7))):
-                raise IntegrationError(f"non-finite state at t={t + h_try}")
-            total = 0.0
-            for a, b, p1, p2, p3, p4, p5, p6, p7 in zip(x, new, k1, k2, k3, k4, k5, k6, k7,
-                                                        strict=True):
-                r = (h_try * (e1 * p1 + e2 * p2 + e3 * p3 + e4 * p4 + e5 * p5 + e6 * p6 + e7 * p7)
-                     / (atol + rtol * max(abs(a), abs(b))))
-                total += r * r
+            new, k7, total = step(field, x, k1, t, h_try, rtol, atol)
             err = math.sqrt(total / n)
             n_steps += 1
             if n_steps > max_steps:

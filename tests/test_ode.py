@@ -650,6 +650,9 @@ DOPRI_CASES = {
                   ode.DopriConfig(rtol=1e-7, atol=1e-10)),
     "linear-9d": (_linear_field(9, 2), np.linspace(-1.0, 1.0, 9), np.linspace(0.0, 5.0, 21),
                   ode.DopriConfig(rtol=1e-7, atol=1e-10)),
+    # A wide state: the generated step writes out every one of its components.
+    "linear-33d": (_linear_field(33, 4), np.linspace(-1.0, 1.0, 33), np.linspace(0.0, 5.0, 21),
+                   ode.DopriConfig(rtol=1e-7, atol=1e-10)),
     # rtol=0 and atol=1 make every scale exactly 1: the error norm is the raw
     # RMS of the embedded difference.  DopriConfig refuses rtol=0, and
     # integrate reads only these four fields, so a plain record carries them.
@@ -667,6 +670,18 @@ def test_dopri_integrate_matches_oracle_bitwise(name):
     assert np.array_equal(traj, ref)
     # Every case but the short exponential ones also runs the rejection path.
     assert rejected >= (not name.startswith("exp"))
+
+
+def test_each_state_size_runs_its_own_generated_step():
+    # 2, then 3, then 2 components in one process: the step compiled for one
+    # size serves that size alone, and is compiled once.
+    ode._dopri_step.cache_clear()
+    for name in ("spiral-101", "linear-3d", "pendulum-200"):
+        field, x0, times, config = DOPRI_CASES[name]
+        ref, _ = _oracle_integrate(field, x0, times, config)
+        assert same_bits(ode.integrate(field, x0, times, config), ref)
+    info = ode._dopri_step.cache_info()
+    assert (info.misses, info.hits) == (2, 1)
 
 
 def test_dopri_hands_the_field_a_list_of_floats():
@@ -693,20 +708,39 @@ def test_integrate_refuses_a_field_output_that_is_not_the_state_shape(field, x0,
         ode.integrate(field, x0, np.linspace(0.0, 1.0, 3), problems.DATA_INTEGRATOR)
 
 
-@pytest.mark.parametrize("length, message", [(1, "shorter"), (3, "longer")])
-def test_integrate_refuses_a_later_field_output_of_another_length(length, message):
-    # The 3rd call is the first step's 3rd stage, zipped with the state and
-    # the two stages before it.  A 1-component output once broadcast into
-    # both stage components, and the run returned states.
+@pytest.mark.parametrize("output, error, message", [
+    ([1.0], ValueError, r"^field returned shape \(1,\) for a state of shape \(2,\)$"),
+    ([1.0] * 3, ValueError, r"^field returned shape \(3,\) for a state of shape \(2,\)$"),
+    (1.0, TypeError, None),
+], ids=["1-shorter", "3-longer", "bare-float"])
+def test_integrate_refuses_a_later_field_output_of_another_length(output, error, message):
+    # The 3rd call is the first step's 3rd stage, refused as it returns.  A
+    # 1-component output once broadcast into both stage components, and the
+    # run returned states.  A bare float has no length: a TypeError.
     calls = []
 
     def field(x, t):
         calls.append(t)
-        return spiral_field(x, t) if len(calls) != 3 else [1.0] * length
+        return spiral_field(x, t) if len(calls) != 3 else output
 
-    with pytest.raises(ValueError, match=rf"^zip\(\) argument 4 is {message} than arguments 1-3$"):
+    with pytest.raises(error, match=message):
         ode.integrate(field, [1.0, 0.0], np.linspace(0.0, 1.0, 3), problems.DATA_INTEGRATOR)
     assert len(calls) == 3
+
+
+@pytest.mark.parametrize("x0", [[np.nan, 0.0], [0.0, np.inf]], ids=["nan", "inf"])
+def test_integrate_refuses_a_non_finite_start(x0):
+    # Before the field is called.  Under a zero field a NaN start once read
+    # as a vanishing first step, and an infinite one failed after a step.
+    calls = []
+
+    def counted(x, t):
+        calls.append(t)
+        return zero_field(x, t)
+
+    with pytest.raises(ValueError, match=r"^x0 must be finite$"):
+        ode.integrate(counted, x0, np.linspace(0.0, 1.0, 3), problems.DATA_INTEGRATOR)
+    assert calls == []
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.longdouble, complex])
